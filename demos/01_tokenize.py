@@ -16,7 +16,7 @@ from motionprim.ingest import (
     normalize_matrix,
     segment_matrix,
 )
-from motionprim.quantizer import init_codebook, quantize_batch, usage_report
+from motionprim.quantizer import init_codebook, nearest_prototypes, usage_report
 
 SPEC = SyntheticSpec(
     classes=[
@@ -48,21 +48,18 @@ def main() -> None:
     print(f"{len(windows)} windows, {len(SPEC.channels)} channels, {SPEC.window_len} samples each")
 
     # normalized segments from every window feed the k-means fit
-    stacks = []
-    for win in windows:
-        segments, _ = segment_matrix(win, SEGMENT_LEN)
-        stacks.append(normalize_matrix(segments).reshape(-1, SEGMENT_LEN))
-    sample = np.concatenate(stacks)
+    segments, _ = segment_matrix(np.stack([w.samples for w in windows]), SEGMENT_LEN)
+    norm = normalize_matrix(segments)  # (windows, channels, segments, length)
+    sample = norm.reshape(-1, SEGMENT_LEN)
     print(f"fitting {CODEBOOK_SIZE} prototypes on {len(sample)} segments of length {SEGMENT_LEN}")
 
     codebook = init_codebook(CODEBOOK_SIZE, SEGMENT_LEN, "kmeans-seeded", sample=sample, seed=0)
 
-    for win in windows[:3]:
-        segments, _ = segment_matrix(win, SEGMENT_LEN)
-        norm = normalize_matrix(segments)
+    for win, win_norm in zip(windows[:3], norm):
         print(f"\nwindow label={win.label}")
-        for meta, channel_segments in zip(win.channels, norm):
-            indices, _ = quantize_batch(channel_segments, codebook, record_usage=True)
+        for meta, channel_segments in zip(win.channels, win_norm):
+            indices, _ = nearest_prototypes(channel_segments, codebook.prototypes)
+            codebook.usage_counts += np.bincount(indices, minlength=CODEBOOK_SIZE)
             print(f"  {meta.body_part}/{meta.sensor}/{meta.axis}: tokens {indices.tolist()}")
 
     active, perplexity = usage_report(codebook)

@@ -1,5 +1,5 @@
-"""Transformer input construction: token tables, statistical and metadata
-embedding composition, channel-shared positions, and the mask plan.
+"""Transformer input construction: token tables, the sequence layout, and
+the batched sum of code, statistical, metadata and position embeddings.
 
 Index conventions, all 0-based:
   rows 0..K-1 of the embedding table are the codebook entries,
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import ChannelMetadata, SensorWindow, segment_matrix, normalize_matrix
-from .quantizer import Codebook, quantize_batch
 
 KIND_CLS = 0
 KIND_START = 1
@@ -61,14 +59,6 @@ class EmbeddingTable:
             raise DataError("cls vector must be length D")
         if not (np.all(np.isfinite(self.rows)) and np.all(np.isfinite(self.cls_vector))):
             raise DataError("embedding table must be finite")
-
-    @property
-    def num_codes(self) -> int:
-        return self.rows.shape[0] - 3
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass
@@ -134,56 +124,6 @@ def init_position_table(segments_per_channel: int, model_dim: int, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# Tokenization
-
-
-@dataclass
-class TokenSequence:
-    """Quantized view of one window before embedding: per-channel VQ indices
-    and raw-segment stats, in channel-major order."""
-
-    vq_indices: np.ndarray  # (C, S) int
-    stats: np.ndarray  # (C, S, 2) raw mean/variance
-    channels: list[ChannelMetadata]
-    label: int | None = None
-
-    def __post_init__(self) -> None:
-        self.vq_indices = np.asarray(self.vq_indices, dtype=np.int64)
-        self.stats = np.asarray(self.stats, dtype=np.float64)
-        if self.vq_indices.ndim != 2:
-            raise DataError("vq_indices must be (C, S)")
-        if self.stats.shape != self.vq_indices.shape + (2,):
-            raise DataError("stats must be (C, S, 2) aligned with vq_indices")
-        if len(self.channels) != self.vq_indices.shape[0]:
-            raise DataError("one ChannelMetadata per channel required")
-
-    @property
-    def num_channels(self) -> int:
-        return self.vq_indices.shape[0]
-
-    @property
-    def segments_per_channel(self) -> int:
-        return self.vq_indices.shape[1]
-
-
-def tokenize_window(
-    win: SensorWindow,
-    codebook: Codebook,
-    seg_len: int,
-    record_usage: bool = False,
-) -> TokenSequence:
-    """Segment, normalize, and quantize one window into motion tokens.
-    Stats are taken from the raw segments; quantization sees normalized ones."""
-    values, stats = segment_matrix(win, seg_len)
-    C, S, L = values.shape
-    if S < 1:
-        raise DataError(f"window of {win.window_len} samples yields no length-{seg_len} segments")
-    normalized = normalize_matrix(values)
-    indices, _ = quantize_batch(normalized.reshape(C * S, L), codebook, record_usage=record_usage)
-    return TokenSequence(indices.reshape(C, S), stats, list(win.channels), label=win.label)
-
-
-# ---------------------------------------------------------------------------
 # Sequence layout
 
 
@@ -207,6 +147,15 @@ class SequenceLayout:
     @property
     def motion_mask(self) -> np.ndarray:
         return self.kinds == KIND_MOTION
+
+    @property
+    def motion_positions(self) -> np.ndarray:
+        return np.flatnonzero(self.motion_mask)
+
+    @property
+    def channel_positions(self) -> np.ndarray:
+        """Positions owned by a channel: every token but CLS."""
+        return np.flatnonzero(self.channel_of >= 0)
 
 
 def build_layout(num_channels: int, segments_per_channel: int, position_table: PositionTable) -> SequenceLayout:
@@ -246,130 +195,62 @@ def build_layout(num_channels: int, segments_per_channel: int, position_table: P
     return SequenceLayout(kinds, channel_of, time_of, slots, num_channels, S)
 
 
-def layout_embed_rows(tokens: TokenSequence, layout: SequenceLayout, K: int) -> np.ndarray:
-    """Per-position embedding-table rows for one window: CLS sentinel, then
-    START / vq indices / END per channel."""
-    if tokens.num_channels != layout.num_channels or tokens.segments_per_channel != layout.segments_per_channel:
-        raise DataError("token sequence does not fit layout")
-    if np.any((tokens.vq_indices < 0) | (tokens.vq_indices >= K)):
-        raise DataError("vq index out of range for codebook size")
-    rows = np.empty(layout.seq_len, dtype=np.int64)
-    rows[layout.kinds == KIND_CLS] = CLS_SENTINEL
-    rows[layout.kinds == KIND_START] = start_row(K)
-    rows[layout.kinds == KIND_END] = end_row(K)
-    rows[layout.motion_mask] = tokens.vq_indices.reshape(-1)
-    return rows
-
-
-def layout_stats(tokens: TokenSequence, layout: SequenceLayout) -> np.ndarray:
-    """(Seq, 2) raw stats aligned to the layout; zeros at special tokens."""
-    stats = np.zeros((layout.seq_len, 2), dtype=np.float64)
-    stats[layout.motion_mask] = tokens.stats.reshape(-1, 2)
-    return stats
-
-
 # ---------------------------------------------------------------------------
-# Single-token reference operations
+# Input construction
 
 
-def embed_index(idx: int, table: EmbeddingTable) -> np.ndarray:
-    """Row lookup; gradient of a downstream loss lands on that row alone."""
-    if not (0 <= idx < table.rows.shape[0]):
-        raise DataError(f"token index {idx} outside table of {table.rows.shape[0]} rows")
-    return table.rows[idx].copy()
-
-
-def embed_stats(stats: np.ndarray, proj: StatProjector) -> np.ndarray:
-    """W_stat f + b_stat for f = (mean, variance)."""
-    f = np.asarray(stats, dtype=np.float64)
-    if f.shape != (2,):
-        raise DataError("stats must be a (mean, variance) pair")
-    if not np.all(np.isfinite(f)):
-        raise DataError("stats must be finite")
-    return proj.weight @ f + proj.bias
-
-
-def compose_token(e_vq: np.ndarray, e_stat: np.ndarray, e_meta: np.ndarray) -> np.ndarray:
-    """Elementwise sum of the three constituent embeddings."""
-    if not (e_vq.shape == e_stat.shape == e_meta.shape):
-        raise DataError("constituent embeddings must share length D")
-    return e_vq + e_stat + e_meta
-
-
-# ---------------------------------------------------------------------------
-# Assembly
-
-
-@dataclass
-class ComposedSequence:
-    """One window as a (Seq, D) matrix plus per-position bookkeeping."""
-
-    vectors: np.ndarray
-    layout: SequenceLayout
-    embed_rows: np.ndarray
-    positions_added: bool = False
-
-
-def assemble(
-    tokens: TokenSequence,
-    table: EmbeddingTable,
-    stat_proj: StatProjector,
-    meta_projected: np.ndarray,
+def embed_batch(
+    params: dict[str, np.ndarray],
+    layout: SequenceLayout,
+    indices: np.ndarray,
+    stats: np.ndarray,
+    meta: np.ndarray,
     mask_positions: np.ndarray | None = None,
-    position_table: PositionTable | None = None,
-    layout: SequenceLayout | None = None,
-) -> ComposedSequence:
-    """Compose one window's full token matrix (before positions).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Encoder input for B windows that share one layout.
 
-    meta_projected is the (C, D) matrix of adapter outputs, one row per
-    channel; START, END, and motion tokens all add their channel's row, CLS
-    adds nothing. Special tokens contribute no statistical embedding (the
-    affine map is skipped entirely, bias included). `mask_positions`, if
-    given, replaces those motion tokens' table rows with the MASK row.
+    indices (B, C, S) and raw stats (B, C, S, 2) fill the motion tokens in
+    channel-major order; meta (C, N) holds one metadata vector per channel.
+    Every position sums its table row (CLS uses the separate CLS vector), the
+    stat affine (motion tokens only: specials skip it, bias included), its
+    channel's adapter output (every token but CLS) and its position row.
+    mask_positions (B, m) swaps those motion tokens' table rows for [MASK];
+    their stat and metadata terms stay. Returns (x (B, Seq, D), table rows
+    (B, Seq) with the CLS sentinel at 0, pre-mask targets (B, m) or None).
     """
-    K = table.num_codes
-    if layout is None:
-        if position_table is None:
-            position_table = PositionTable(np.zeros((tokens.segments_per_channel + 3, table.dim)))
-        layout = build_layout(tokens.num_channels, tokens.segments_per_channel, position_table)
-    if meta_projected.shape != (tokens.num_channels, table.dim):
-        raise DataError("meta_projected must be (C, D)")
-    rows = layout_embed_rows(tokens, layout, K)
+    K = params["embed.rows"].shape[0] - 3
+    B = indices.shape[0]
+    motion_pos = layout.motion_positions
+    rows = np.empty((B, layout.seq_len), dtype=np.int64)
+    rows[:, layout.kinds == KIND_START] = start_row(K)
+    rows[:, layout.kinds == KIND_END] = end_row(K)
+    rows[:, 0] = CLS_SENTINEL
+    rows[:, motion_pos] = indices.reshape(B, -1)
+
+    mask_targets = None
     if mask_positions is not None:
-        mask_positions = np.asarray(mask_positions, dtype=np.int64)
-        if np.any(~layout.motion_mask[mask_positions]):
+        if mask_positions.ndim != 2 or mask_positions.shape[0] != B:
+            raise DataError("mask_positions must be (B, m)")
+        if not layout.motion_mask[mask_positions].all():
             raise DataError("mask plan touches a special token")
-        rows[mask_positions] = mask_row(K)
-    vectors = np.empty((layout.seq_len, table.dim), dtype=np.float64)
-    vectors[0] = table.cls_vector
-    vectors[1:] = table.rows[rows[1:]]
-    stats = layout_stats(tokens, layout)
-    motion = layout.motion_mask
-    vectors[motion] += stats[motion] @ stat_proj.weight.T + stat_proj.bias
-    has_channel = layout.channel_of >= 0
-    vectors[has_channel] += meta_projected[layout.channel_of[has_channel]]
-    return ComposedSequence(vectors, layout, rows)
+        row_ids = np.repeat(np.arange(B), mask_positions.shape[1])
+        flat_pos = mask_positions.reshape(-1)
+        mask_targets = rows[row_ids, flat_pos].reshape(B, -1).copy()
+        rows[row_ids, flat_pos] = mask_row(K)
 
-
-def add_positions(seq: ComposedSequence, position_table: PositionTable) -> ComposedSequence:
-    """X_hat = X + P[slot]; sharing one slot per time step across channels."""
-    if seq.positions_added:
-        raise DataError("positions already added to this sequence")
-    if seq.layout.position_slot.max() >= position_table.max_slots:
-        raise ConfigError("position slot outside table")
-    vectors = seq.vectors + position_table.rows[seq.layout.position_slot]
-    return ComposedSequence(vectors, seq.layout, seq.embed_rows, positions_added=True)
+    meta_proj = meta @ params["adapter.weight"].T + params["adapter.bias"]
+    channel_pos = layout.channel_positions
+    x = np.empty((B, layout.seq_len, params["embed.rows"].shape[1]), dtype=np.float64)
+    x[:, 0] = params["embed.cls_vector"]
+    x[:, 1:] = params["embed.rows"][rows[:, 1:]]
+    x[:, motion_pos] += stats.reshape(B, -1, 2) @ params["stat.weight"].T + params["stat.bias"]
+    x[:, channel_pos] += meta_proj[layout.channel_of[channel_pos]]
+    x = x + params["pos.rows"][layout.position_slot][None, :, :]
+    return x, rows, mask_targets
 
 
 # ---------------------------------------------------------------------------
 # Masking
-
-
-@dataclass
-class MaskPlan:
-    positions: np.ndarray  # sorted sequence positions replaced by [MASK]
-    targets: np.ndarray  # original vq indices at those positions
-    masked_rows: np.ndarray  # full embed-row vector with MASK substituted
 
 
 def mask_count(num_motion: int, ratio: float) -> int:
@@ -379,25 +260,3 @@ def mask_count(num_motion: int, ratio: float) -> int:
     if ratio == 0 or num_motion == 0:
         return 0
     return max(1, int(np.floor(ratio * num_motion + 0.5)))
-
-
-def plan_mask(
-    embed_rows: np.ndarray,
-    K: int,
-    ratio: float,
-    seed: int | np.random.Generator,
-) -> MaskPlan:
-    """Choose |M| = round(ratio * motion count) motion positions uniformly
-    without replacement, deterministically per seed. Specials and CLS are
-    never candidates; targets keep the pre-mask indices."""
-    rows = np.asarray(embed_rows, dtype=np.int64).copy()
-    motion_positions = np.flatnonzero((rows >= 0) & (rows < K))
-    m = mask_count(motion_positions.size, ratio)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if m == 0:
-        picks = np.empty(0, dtype=np.int64)
-    else:
-        picks = np.sort(rng.choice(motion_positions, size=m, replace=False))
-    targets = rows[picks].copy()
-    rows[picks] = mask_row(K)
-    return MaskPlan(picks, targets, rows)

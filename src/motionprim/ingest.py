@@ -71,34 +71,6 @@ class SensorWindow:
         return self.samples.shape[1]
 
 
-@dataclass
-class Segment:
-    """A single-channel slice of a window: `values` has the configured
-    segment length, `time_index` counts segments from the window start."""
-
-    values: np.ndarray
-    channel_index: int
-    time_index: int
-
-
-@dataclass
-class SegmentStats:
-    """Mean and population variance of a segment in raw sensor units,
-    computed before normalization so they still carry scale information."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.mean) and np.isfinite(self.variance)):
-            raise DataError("segment stats must be finite")
-        if self.variance < 0:
-            raise DataError("variance must be >= 0")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mean, self.variance], dtype=np.float64)
-
-
 def placeholder_channels(count: int, rate: float = DEFAULT_TARGET_RATE) -> list[ChannelMetadata]:
     """Generic metadata for windows built from bare matrices (tests, demos)."""
     return [ChannelMetadata("na", "ch", str(i), rate) for i in range(count)]
@@ -179,55 +151,29 @@ def window(
     return out
 
 
-def segment(win: SensorWindow, seg_len: int) -> list[tuple[Segment, SegmentStats]]:
-    """Partition a window into non-overlapping single-channel segments.
+def segment_matrix(samples: np.ndarray, seg_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut (..., T, C) samples into non-overlapping single-channel segments.
 
-    Returns exactly floor(T/L) * C pairs in channel-major order: all of
-    channel 0 in time order, then channel 1, and so on. Stats are computed
-    on the raw values, before any normalization.
+    Returns (values, stats) with shapes (..., C, S, L) and (..., C, S, 2),
+    S = floor(T / L), in channel-major order: all of channel 0 in time order,
+    then channel 1, and so on. Stats are the mean and population variance of
+    the raw values, taken before any normalization so they keep the scale.
     """
-    if seg_len > win.window_len:
-        raise DataError(f"segment length {seg_len} exceeds window length {win.window_len}")
-    if seg_len <= 0:
-        raise DataError("segment length must be > 0")
-    per_channel = win.window_len // seg_len
-    out = []
-    for c in range(win.num_channels):
-        for t in range(per_channel):
-            values = win.samples[t * seg_len : (t + 1) * seg_len, c].copy()
-            stats = SegmentStats(float(values.mean()), float(values.var()))
-            out.append((Segment(values, c, t), stats))
-    return out
-
-
-def segment_matrix(win: SensorWindow, seg_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized twin of `segment`: returns (values, stats) with shapes
-    (C, S, L) and (C, S, 2). Same ordering and same raw-stat convention."""
-    if seg_len > win.window_len:
-        raise DataError(f"segment length {seg_len} exceeds window length {win.window_len}")
-    per_channel = win.window_len // seg_len
-    usable = per_channel * seg_len
-    # (T, C) -> (C, S, L)
-    values = win.samples[:usable].T.reshape(win.num_channels, per_channel, seg_len).copy()
-    stats = np.stack([values.mean(axis=2), values.var(axis=2)], axis=2)
+    samples = np.asarray(samples, dtype=np.float64)
+    T, C = samples.shape[-2:]
+    if not 0 < seg_len <= T:
+        raise DataError(f"segment length {seg_len} must be in [1, window length {T}]")
+    S = T // seg_len
+    values = np.swapaxes(samples[..., : S * seg_len, :], -1, -2)
+    # copy: with one channel the reshape is a view of samples
+    values = values.reshape(samples.shape[:-2] + (C, S, seg_len)).copy()
+    stats = np.stack([values.mean(axis=-1), values.var(axis=-1)], axis=-1)
     return values, stats
 
 
-def instance_normalize(seg: Segment | np.ndarray, eps: float = DEFAULT_NORM_EPS) -> np.ndarray:
-    """Standardize a segment: (s - mean) / (population std + eps).
-
-    A constant segment maps to all zeros. eps defaults to 1e-5.
-    """
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
-    values = seg.values if isinstance(seg, Segment) else np.asarray(seg, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise DataError("cannot normalize a segment with non-finite values")
-    return (values - values.mean()) / (values.std() + eps)
-
-
 def normalize_matrix(values: np.ndarray, eps: float = DEFAULT_NORM_EPS) -> np.ndarray:
-    """`instance_normalize` over the last axis of a stack of segments."""
+    """Instance normalization over the last axis of a stack of segments:
+    (s - mean) / (population std + eps). A constant segment maps to zeros."""
     if eps <= 0:
         raise ConfigError("eps must be > 0")
     values = np.asarray(values, dtype=np.float64)

@@ -188,7 +188,7 @@ def make_provider(kind: str, *, dim: int = DEFAULT_EMBED_DIM, seed: int = 0, pat
         if path is None:
             raise ConfigError("file-lookup provider needs an embedding file path")
         return CachingProvider(FileLookupProvider(path))
-    if kind == "remote-service":
+    if kind == "remote":
         return CachingProvider(RemoteProvider(dim=dim))
     raise ConfigError(f"unknown metadata provider {kind!r}")
 

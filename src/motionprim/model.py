@@ -14,25 +14,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedder import (
-    KIND_END,
-    KIND_START,
     PositionTable,
     SequenceLayout,
     build_layout,
+    embed_batch,
     init_embedding_table,
     init_position_table,
     init_stat_projector,
     mask_count,
-    mask_row,
-    start_row,
-    end_row,
 )
 from .encoder import EncoderConfig, encoder_backward, encoder_forward, init_encoder_params, LAYER_PARAM_KEYS
-from .errors import ConfigError, DataError
-from .ingest import ChannelMetadata, SensorWindow
+from .errors import ConfigError, DataError, NumericError
+from .ingest import ChannelMetadata, SensorWindow, normalize_matrix, segment_matrix
 from .metadata import canonical_descriptor, embed_channels, init_adapter
 from .quantizer import Codebook, nearest_prototypes, init_codebook
-from .errors import NumericError
 
 
 @dataclass
@@ -283,24 +278,14 @@ def prepare_windows(
             raise DataError("windows of mixed length in one dataset")
         if [canonical_descriptor(m) for m in w.channels] != descriptors:
             raise DataError("windows with mixed channel metadata in one dataset")
-    L = config.segment_len
-    S = first.window_len // L
-    if S < 1:
-        raise DataError(f"window length {first.window_len} shorter than one segment ({L})")
+    segments, stats = segment_matrix(np.stack([w.samples for w in windows]), config.segment_len)
+    S = segments.shape[2]
     if S > config.segments_per_channel:
         raise ConfigError(
             f"{S} segments per channel exceeds the model's position capacity "
             f"({config.segments_per_channel})"
         )
-    C = first.num_channels
-    B = len(windows)
-    stacked = np.stack([w.samples for w in windows])  # (B, T, C)
-    usable = S * L
-    segments = stacked[:, :usable].transpose(0, 2, 1).reshape(B, C, S, L).copy()
-    stats = np.stack([segments.mean(axis=3), segments.var(axis=3)], axis=3)
-    mean = segments.mean(axis=3, keepdims=True)
-    std = segments.std(axis=3, keepdims=True)
-    normalized = (segments - mean) / (std + 1e-5)
+    normalized = normalize_matrix(segments)
 
     labeled = [w.label is not None for w in windows]
     if any(labeled) and not all(labeled):
@@ -317,7 +302,7 @@ def prepare_windows(
         stats,
         labels,
         meta_vectors,
-        np.arange(B, dtype=np.int64),
+        np.arange(len(windows), dtype=np.int64),
         list(first.channels),
         source=source,
     )
@@ -336,7 +321,7 @@ def mask_positions_for(
 ) -> np.ndarray | None:
     """Per-window masked sequence positions, shape (B, m). Seeding is
     per (run, epoch, window) so plans are reproducible and independent."""
-    motion_pos = np.flatnonzero(layout.motion_mask)
+    motion_pos = layout.motion_positions
     m = mask_count(motion_pos.size, ratio)
     if m == 0:
         return None
@@ -373,19 +358,12 @@ class ForwardResult:
         return np.argmax(self.cls_probs, axis=1)
 
 
-def _stable_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _xent(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row cross-entropy and softmax probabilities."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[np.arange(len(targets)), targets]
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-    return losses, probs
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    return np.log(z[:, 0]) - shifted[np.arange(len(targets)), targets], e / z
 
 
 def forward(
@@ -393,7 +371,6 @@ def forward(
     batch: PreparedBatch,
     weights: LossWeights,
     mask_positions: np.ndarray | None = None,
-    record_usage: bool = False,
     fixed_indices: np.ndarray | None = None,
     frozen_prototypes: np.ndarray | None = None,
     dropout_rng: np.random.Generator | None = None,
@@ -410,7 +387,6 @@ def forward(
     B, C, S, L = batch.norm_segments.shape
     if L != cfg.segment_len:
         raise DataError(f"batch segment length {L} does not match model ({cfg.segment_len})")
-    K, D = cfg.codebook_size, cfg.model_dim
     prototypes = model.params["codebook"]
 
     flat_segments = batch.norm_segments.reshape(B * C * S, L)
@@ -420,46 +396,16 @@ def forward(
         indices_flat = np.asarray(fixed_indices, dtype=np.int64).reshape(B * C * S)
         diff = flat_segments - prototypes[indices_flat]
         dist_first = np.einsum("nl,nl->n", diff, diff)
-    if record_usage:
-        np.add.at(model.usage_counts, indices_flat, 1)
     z0 = prototypes if frozen_prototypes is None else frozen_prototypes
     diff_second = flat_segments - z0[indices_flat]
     vq_value = float(dist_first.mean() + cfg.beta * np.einsum("nl,nl->n", diff_second, diff_second).mean())
 
     layout = model.layout_for(C, S)
-    motion_pos = np.flatnonzero(layout.motion_mask)
-    seq_len = layout.seq_len
-
-    rows = np.empty((B, seq_len), dtype=np.int64)
-    rows[:, layout.kinds == KIND_START] = start_row(K)
-    rows[:, layout.kinds == KIND_END] = end_row(K)
-    rows[:, 0] = -1
-    rows[:, motion_pos] = indices_flat.reshape(B, C * S)
-
-    mask_targets = None
     if mask_positions is not None:
         mask_positions = np.asarray(mask_positions, dtype=np.int64)
-        if mask_positions.ndim != 2 or mask_positions.shape[0] != B:
-            raise DataError("mask_positions must be (B, m)")
-        if not layout.motion_mask[mask_positions].all():
-            raise DataError("mask plan touches a special token")
-        row_ids = np.repeat(np.arange(B), mask_positions.shape[1])
-        flat_pos = mask_positions.reshape(-1)
-        mask_targets = rows[row_ids, flat_pos].reshape(B, -1).copy()
-        rows[row_ids, flat_pos] = mask_row(K)
-
-    stats_motion = batch.stats.reshape(B, C * S, 2)
-    meta_proj = batch.meta @ model.params["adapter.weight"].T + model.params["adapter.bias"]
-    channel_positions = np.flatnonzero(layout.channel_of >= 0)
-    channel_ids = layout.channel_of[channel_positions]
-
-    x = np.empty((B, seq_len, D), dtype=np.float64)
-    x[:, 0] = model.params["embed.cls_vector"]
-    x[:, 1:] = model.params["embed.rows"][rows[:, 1:]]
-    stat_embed = stats_motion @ model.params["stat.weight"].T + model.params["stat.bias"]
-    x[:, motion_pos] += stat_embed
-    x[:, channel_positions] += meta_proj[channel_ids]
-    x = x + model.params["pos.rows"][layout.position_slot][None, :, :]
+    x, rows, mask_targets = embed_batch(
+        model.params, layout, indices_flat.reshape(B, C, S), batch.stats, batch.meta, mask_positions
+    )
 
     hidden, enc_cache = encoder_forward(
         x, model.encoder_layers(), cfg.encoder_config(), dropout_rng=dropout_rng
@@ -473,17 +419,17 @@ def forward(
         flat_mask_pos = mask_positions.reshape(-1)
         flat_targets = mask_targets.reshape(-1)
         h_masked = hidden[flat_mask_rows, flat_mask_pos]
-        mae_logits = h_masked @ model.params["mae.weight"].T + model.params["mae.bias"]
-        mae_losses, mae_probs = _xent(mae_logits, flat_targets)
+        logits = h_masked @ model.params["mae.weight"].T + model.params["mae.bias"]
+        mae_losses, mae_probs = _xent(logits, flat_targets)
         mae_value = float(mae_losses.mean())
 
     cls_value = 0.0
     cls_probs = None
-    if batch.labels is not None:
+    if weights.lambda_cls > 0 and batch.labels is not None:
         if np.any((batch.labels < 0) | (batch.labels >= cfg.num_classes)):
             raise DataError("label outside [0, num_classes)")
-        cls_logits = hidden[:, 0] @ model.params["cls_head.weight"].T + model.params["cls_head.bias"]
-        cls_losses, cls_probs = _xent(cls_logits, batch.labels)
+        logits = hidden[:, 0] @ model.params["cls_head.weight"].T + model.params["cls_head.bias"]
+        cls_losses, cls_probs = _xent(logits, batch.labels)
         cls_value = float(cls_losses.mean())
 
     total = weights.lambda_mae * mae_value + weights.lambda_cls * cls_value + weights.lambda_vq * vq_value
@@ -492,8 +438,7 @@ def forward(
             f"non-finite loss: mae={mae_value}, cls={cls_value}, vq={vq_value}"
         )
 
-    n_motion = motion_pos.size
-    masked_fraction = 0.0 if mask_positions is None else mask_positions.shape[1] / n_motion
+    masked_fraction = 0.0 if mask_positions is None else mask_positions.shape[1] / (C * S)
 
     cache = {}
     if need_backward:
@@ -502,11 +447,8 @@ def forward(
             "rows": rows,
             "indices_flat": indices_flat,
             "flat_segments": flat_segments,
-            "stats_motion": stats_motion,
-            "meta_proj_input": batch.meta,
-            "channel_positions": channel_positions,
-            "channel_ids": channel_ids,
-            "motion_pos": motion_pos,
+            "stats": batch.stats,
+            "meta": batch.meta,
             "enc_cache": enc_cache,
             "hidden": hidden,
             "mae_probs": mae_probs,
@@ -546,7 +488,7 @@ def backward(model: Model, result: ForwardResult) -> dict[str, np.ndarray]:
     weights: LossWeights = cache["weights"]
     layout: SequenceLayout = cache["layout"]
     hidden = cache["hidden"]
-    B, seq_len, D = hidden.shape
+    B, _, D = hidden.shape
     grads = zero_grads(model)
 
     d_hidden = np.zeros_like(hidden)
@@ -562,7 +504,7 @@ def backward(model: Model, result: ForwardResult) -> dict[str, np.ndarray]:
         grads["mae.bias"] += d_logits.sum(axis=0)
         np.add.at(d_hidden, (cache["flat_mask_rows"], cache["flat_mask_pos"]), d_logits @ model.params["mae.weight"])
 
-    if cache["cls_probs"] is not None and weights.lambda_cls != 0:
+    if cache["cls_probs"] is not None:
         probs = cache["cls_probs"].copy()
         probs[np.arange(B), cache["labels"]] -= 1.0
         d_logits = probs * (weights.lambda_cls / B)
@@ -583,14 +525,14 @@ def backward(model: Model, result: ForwardResult) -> dict[str, np.ndarray]:
     rows = cache["rows"]
     np.add.at(grads["embed.rows"], rows[:, 1:].reshape(-1), d_x[:, 1:].reshape(-1, D))
     # statistical projection (motion tokens only)
-    motion_pos = cache["motion_pos"]
-    d_motion = d_x[:, motion_pos]
-    grads["stat.weight"] += np.einsum("bmd,bmf->df", d_motion, cache["stats_motion"])
+    d_motion = d_x[:, layout.motion_positions]
+    grads["stat.weight"] += np.einsum("bmd,bmf->df", d_motion, cache["stats"].reshape(B, -1, 2))
     grads["stat.bias"] += d_motion.sum(axis=(0, 1))
     # metadata adapter via the per-channel projection
-    d_meta_proj = np.zeros((cache["meta_proj_input"].shape[0], D))
-    np.add.at(d_meta_proj, cache["channel_ids"], d_x[:, cache["channel_positions"]].sum(axis=0))
-    grads["adapter.weight"] += d_meta_proj.T @ cache["meta_proj_input"]
+    channel_pos = layout.channel_positions
+    d_meta_proj = np.zeros((cache["meta"].shape[0], D))
+    np.add.at(d_meta_proj, layout.channel_of[channel_pos], d_x[:, channel_pos].sum(axis=0))
+    grads["adapter.weight"] += d_meta_proj.T @ cache["meta"]
     grads["adapter.bias"] += d_meta_proj.sum(axis=0)
 
     # commitment loss: only the first term reaches the prototypes

@@ -1,5 +1,6 @@
-"""Codebook of motion primitives: nearest-prototype quantization, commitment
-loss with straight-through gradients, codebook updates, and usage monitoring.
+"""Codebook of motion primitives: nearest-prototype quantization, the
+commitment loss and its gradients, codebook initialization, EMA updates,
+dead-code reseeding, and usage monitoring.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ _QUANTIZE_CHUNK = 256
 class Codebook:
     """K learnable prototypes in normalized-segment space plus usage state.
 
-    `usage_counts` tallies quantize calls made in recording mode; the EMA
-    accumulators exist only after the first EMA update.
+    `usage_counts` holds one tally per code (training fills it with a usage
+    pass over the data); the EMA accumulators exist only after the first EMA
+    update.
     """
 
     prototypes: np.ndarray
@@ -56,14 +58,6 @@ class Codebook:
 
     def reset_usage(self) -> None:
         self.usage_counts[:] = 0
-
-
-@dataclass
-class QuantizeResult:
-    index: int
-    codeword: np.ndarray
-    distance: float
-    vq_loss: float
 
 
 def init_codebook(
@@ -135,44 +129,6 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
     return indices, distances
 
 
-def quantize(
-    segment_norm: np.ndarray,
-    codebook: Codebook,
-    beta: float = DEFAULT_BETA,
-    record_usage: bool = False,
-) -> QuantizeResult:
-    """Map one normalized segment to its nearest prototype."""
-    segment_norm = np.asarray(segment_norm, dtype=np.float64)
-    if not np.all(np.isfinite(segment_norm)):
-        raise DataError("cannot quantize a non-finite segment")
-    idx, dist = nearest_prototypes(segment_norm, codebook.prototypes)
-    index = int(idx[0])
-    distance = float(dist[0])
-    if record_usage:
-        codebook.usage_counts[index] += 1
-    return QuantizeResult(
-        index=index,
-        codeword=codebook.prototypes[index].copy(),
-        distance=distance,
-        vq_loss=(1.0 + beta) * distance,
-    )
-
-
-def quantize_batch(
-    segments: np.ndarray,
-    codebook: Codebook,
-    record_usage: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized quantize over a (n, L) stack; returns (indices, distances)."""
-    segments = np.asarray(segments, dtype=np.float64)
-    if not np.all(np.isfinite(segments)):
-        raise DataError("cannot quantize non-finite segments")
-    indices, distances = nearest_prototypes(segments, codebook.prototypes)
-    if record_usage:
-        np.add.at(codebook.usage_counts, indices, 1)
-    return indices, distances
-
-
 def vq_loss(
     segment_norm: np.ndarray,
     codeword: np.ndarray,
@@ -198,29 +154,19 @@ def vq_loss(
     return loss, grad_input, grad_codeword
 
 
-def straight_through(downstream_grad: np.ndarray) -> np.ndarray:
-    """Identity pass-through of gradients across the quantization boundary:
-    the gradient that arrived at the codeword is handed to the segment."""
-    return np.asarray(downstream_grad, dtype=np.float64)
-
-
 def update_codebook(
     codebook: Codebook,
     segments: np.ndarray,
     indices: np.ndarray,
-    mode: str = "sgd",
     rate: float = 0.05,
 ) -> Codebook:
-    """One codebook update from a batch of (normalized segment, index) pairs.
-
-    sgd applies the gradient of the per-segment-averaged commitment loss:
-    z_k -= rate * (1/n) * sum_{i: q_i=k} 2 (z_k - s_i). ema applies the usual
-    cluster-size / cluster-sum moving averages with decay `rate` and sets
-    z_k to the ratio. Rows with no assignments in the batch are untouched in
-    either mode. Returns a new Codebook; the input is not mutated.
+    """One EMA codebook update from a batch of (normalized segment, index)
+    pairs: cluster-size / cluster-sum moving averages with decay `rate`, and
+    z_k set to their ratio. Rows with no assignments in the batch are
+    untouched. Returns a new Codebook; the input is not mutated.
     """
-    if not (0 <= rate <= 1) or (mode == "sgd" and rate == 0):
-        raise ConfigError("rate must be in (0, 1] for sgd, [0, 1] for ema")
+    if not (0 <= rate <= 1):
+        raise ConfigError("rate must be in [0, 1]")
     segments = np.asarray(segments, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
     K, L = codebook.prototypes.shape
@@ -240,24 +186,13 @@ def update_codebook(
     sums = np.zeros((K, L), dtype=np.float64)
     np.add.at(sums, indices, segments)
     assigned = counts > 0
-
-    if mode == "sgd":
-        n = float(segments.shape[0])
-        # d/dz_k of (1/n) sum_i (1+0) ||s_i - z_k||^2 first term
-        grad = (2.0 / n) * (counts[:, None] * protos - sums)
-        protos[assigned] -= rate * grad[assigned]
-    elif mode == "ema":
-        if ema_size is None:
-            ema_size = np.zeros(K, dtype=np.float64)
-        if ema_mean is None:
-            ema_mean = np.zeros((K, L), dtype=np.float64)
-        d = rate
-        ema_size[assigned] = d * ema_size[assigned] + (1.0 - d) * counts[assigned]
-        ema_mean[assigned] = d * ema_mean[assigned] + (1.0 - d) * sums[assigned]
-        protos[assigned] = ema_mean[assigned] / ema_size[assigned][:, None]
-    else:
-        raise ConfigError(f"unknown codebook update mode {mode!r}")
-
+    if ema_size is None:
+        ema_size = np.zeros(K, dtype=np.float64)
+    if ema_mean is None:
+        ema_mean = np.zeros((K, L), dtype=np.float64)
+    ema_size[assigned] = rate * ema_size[assigned] + (1.0 - rate) * counts[assigned]
+    ema_mean[assigned] = rate * ema_mean[assigned] + (1.0 - rate) * sums[assigned]
+    protos[assigned] = ema_mean[assigned] / ema_size[assigned][:, None]
     return Codebook(protos, codebook.usage_counts.copy(), ema_size, ema_mean)
 
 

@@ -1,6 +1,6 @@
-"""Training machinery: prediction heads, loss composition, AdamW, freeze
-policies, the two-stage protocol (pretrain then fine-tune), evaluation
-metrics, structured logs, and checkpoint i/o.
+"""Training machinery: AdamW, freeze policies, the two-stage protocol
+(pretrain then fine-tune), evaluation metrics, structured logs, and
+checkpoint i/o.
 
 Determinism contract: given the same config, seed, and data order, every
 code path here is bit-reproducible in single-worker mode. Threads are used
@@ -13,7 +13,7 @@ import json
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .model import (
     FINETUNE_WEIGHTS,
     PRETRAIN_WEIGHTS,
-    ForwardResult,
     LossWeights,
     Model,
     ModelConfig,
@@ -34,70 +33,13 @@ from .model import (
     reinit_cls_head,
     zero_grads,
 )
-from .quantizer import Codebook, init_codebook, nearest_prototypes
+from .quantizer import init_codebook, nearest_prototypes
 from .tensorfile import load_tensors, save_tensors
 
 logger = logging.getLogger("motionprim")
 
 CHECKPOINT_KIND = "checkpoint"
 MAX_KMEANS_SAMPLE = 16384
-
-
-# ---------------------------------------------------------------------------
-# Reference head operations (single-position; the fused batched path lives
-# in model.forward and is tested against these)
-
-
-@dataclass
-class MaeHead:
-    weight: np.ndarray  # (K, D)
-    bias: np.ndarray  # (K,)
-
-
-@dataclass
-class ClsHead:
-    weight: np.ndarray  # (num_classes, D)
-    bias: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.weight.shape[0] < 2:
-            raise DataError("classification head needs >= 2 classes")
-
-
-def _softmax_vector(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def mae_logits(h: np.ndarray, head: MaeHead) -> np.ndarray:
-    """softmax(W h + b) over the K real codes for one masked position."""
-    return _softmax_vector(head.weight @ h + head.bias)
-
-
-def mae_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """-(1/|M|) sum log p[target]; empty M is a logged no-op (0.0)."""
-    predictions = np.atleast_2d(np.asarray(predictions, dtype=np.float64))
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    if targets.size == 0:
-        logger.warning("mae_loss over an empty mask set; returning 0.0")
-        return 0.0
-    picked = predictions[np.arange(targets.size), targets]
-    return float(-np.log(picked).mean())
-
-
-def cls_logits(h_cls: np.ndarray, head: ClsHead) -> np.ndarray:
-    return _softmax_vector(head.weight @ h_cls + head.bias)
-
-
-def cls_loss(probs: np.ndarray, label: int) -> float:
-    if not (0 <= label < probs.shape[0]):
-        raise DataError(f"label {label} outside [0, {probs.shape[0]})")
-    return float(-np.log(probs[label]))
-
-
-def total_loss(mae: float, cls: float, vq: float, weights: LossWeights) -> float:
-    return weights.lambda_mae * mae + weights.lambda_cls * cls + weights.lambda_vq * vq
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +177,6 @@ def _micro_batches(
         if all(round_i >= len(chunks) for chunks in per_dataset):
             break
     return interleaved
-
-
-@dataclass
-class EpochStats:
-    records: list[dict] = field(default_factory=list)
 
 
 def run_training(

@@ -8,6 +8,7 @@ never blocks.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +36,7 @@ from motionprim.analysis import (
     token_streams,
     transitions,
 )
-from motionprim.embedder import (
-    TokenSequence,
-    build_layout,
-    init_position_table,
-    layout_embed_rows,
-    plan_mask,
-)
+from motionprim.embedder import embed_batch
 from motionprim.ingest import (
     ChannelMetadata,
     SyntheticClass,
@@ -50,15 +45,23 @@ from motionprim.ingest import (
     generate_synthetic,
 )
 from motionprim.metadata import make_provider
-from motionprim.model import gradient_suite, prepare_windows
-from motionprim.quantizer import Codebook, quantize, usage_report
+from motionprim.model import (
+    PRETRAIN_WEIGHTS,
+    forward,
+    gradient_suite,
+    init_model,
+    mask_positions_for,
+    prepare_windows,
+    tiny_batch,
+    tiny_config,
+)
+from motionprim.quantizer import Codebook, nearest_prototypes, usage_report
 from motionprim.training import (
     LINEAR_PROBE,
     OptimizerConfig,
     checkpoint_hash,
     finetune,
     load_checkpoint,
-    mae_loss,
     pretrain,
     read_log,
     save_checkpoint,
@@ -84,21 +87,21 @@ def test_criterion_01_quantizer_matches_exhaustive_scan(capsys):
     t0 = time.perf_counter()
     mism_index = 0
     worst_dist = 0.0
-    for i in range(1000):
+    for i in range(100):
         K = 16 if i % 2 == 0 else 64
-        segment = rng.normal(size=50)
+        segments = rng.normal(size=(10, 50))
         prototypes = rng.normal(size=(K, 50))
-        book = Codebook(prototypes, np.zeros(K, dtype=np.int64))
-        got = quantize(segment, book)
-        want_idx, want_dist = oracles.nearest_scan(segment.tolist(), prototypes.tolist())
-        if got.index != want_idx:
-            mism_index += 1
-        worst_dist = max(worst_dist, abs(got.distance - want_dist) / max(1.0, want_dist))
+        got_idx, got_dist = nearest_prototypes(segments, prototypes)
+        for segment, idx, dist in zip(segments, got_idx, got_dist):
+            want_idx, want_dist = oracles.nearest_scan(segment.tolist(), prototypes.tolist())
+            if idx != want_idx:
+                mism_index += 1
+            worst_dist = max(worst_dist, abs(dist - want_dist) / max(1.0, want_dist))
     elapsed = time.perf_counter() - t0
     ok = mism_index == 0 and worst_dist < 1e-9 and elapsed < 10.0
     line = _report(
         capsys, 1, ok,
-        f"1000/1000 instances, index mismatches {mism_index}, "
+        f"1000/1000 segments (100 stacks of 10), index mismatches {mism_index}, "
         f"worst distance rel err {worst_dist:.2e}, {elapsed:.2f}s (< 10s)",
     )
     assert ok, line
@@ -121,12 +124,20 @@ def test_criterion_02_gradient_suite(capsys):
 
 def test_criterion_03_uniform_predictions_score_log_k(capsys):
     K = 1024
-    probs = np.full((6, K), 1.0 / K)
-    targets = np.array([0, 1, 17, 511, 512, 1023])
-    loss = mae_loss(probs, targets)
+    model = init_model(replace(tiny_config(), codebook_size=K), seed=0)
+    model.params["mae.weight"][:] = 0.0
+    model.params["mae.bias"][:] = 0.0
+    batch = tiny_batch(seed=0, num_windows=6)
+    layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
+    mask = mask_positions_for(layout, model.config.mask_ratio, 0, 0, batch.window_ids)
+    loss = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask, need_backward=False).mae_loss
     err = abs(loss - math.log(K))
     ok = err <= 1e-6
-    line = _report(capsys, 3, ok, f"loss {loss:.10f} vs ln 1024 = {math.log(K):.10f}, |err| {err:.2e} (<= 1e-6)")
+    line = _report(
+        capsys, 3, ok,
+        f"forward mae_loss over {mask.size} masked tokens with a zeroed K={K} head: {loss:.10f} "
+        f"vs ln 1024 = {math.log(K):.10f}, |err| {err:.2e} (<= 1e-6)",
+    )
     assert ok, line
 
 
@@ -181,30 +192,31 @@ def test_criterion_06_codebook_utilization(bench_runs, capsys):
 def test_criterion_07_masking_contract(capsys):
     rng = np.random.default_rng(777)
     K = 64
+    model = init_model(replace(tiny_config(), codebook_size=K, segments_per_channel=12), seed=0)
     count_ok = True
     specials_ok = True
     for _ in range(100):
         C = int(rng.integers(1, 5))
         S = int(rng.integers(2, 13))
-        layout = build_layout(C, S, init_position_table(S, 8, seed=0))
-        indices = rng.integers(0, K, size=(C, S))
-        stats = np.stack([rng.normal(size=(C, S)), np.abs(rng.normal(size=(C, S)))], axis=-1)
-        channels = [ChannelMetadata(f"part{c}", "sensor", "axis", 50.0) for c in range(C)]
-        rows = layout_embed_rows(TokenSequence(indices, stats, channels), layout, K)
-        plan = plan_mask(rows, K, 0.25, seed=int(rng.integers(0, 2**31)))
+        layout = model.layout_for(C, S)
+        indices = rng.integers(0, K, size=(1, C, S))
+        stats = np.stack([rng.normal(size=(1, C, S)), np.abs(rng.normal(size=(1, C, S)))], axis=-1)
+        meta = rng.normal(size=(C, model.config.meta_dim))
+        plan = mask_positions_for(layout, 0.25, int(rng.integers(0, 2**31)), 0, np.zeros(1, dtype=np.int64))
+        _, rows, _ = embed_batch(model.params, layout, indices, stats, meta, mask_positions=plan)
         expected = int(math.floor(0.25 * C * S + 0.5))
         assert expected == oracles.mask_budget(C * S, 0.25)
-        if plan.positions.size != expected:
+        if plan.shape != (1, expected):
             count_ok = False
-        if not np.all(layout.motion_mask[plan.positions]):
+        if not np.all(layout.motion_mask[plan]):
             specials_ok = False
-        if not np.all(plan.masked_rows[plan.positions] == K):
+        if not np.array_equal(np.flatnonzero(rows[0] == K), plan[0]):
             specials_ok = False
     ok = count_ok and specials_ok
     line = _report(
         capsys, 7, ok,
         f"100/100 windows: count == round(0.25 x motion) {'held' if count_ok else 'VIOLATED'}, "
-        f"specials untouched {'held' if specials_ok else 'VIOLATED'}",
+        f"only motion rows become [MASK] {'held' if specials_ok else 'VIOLATED'}",
     )
     assert ok, line
 

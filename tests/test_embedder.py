@@ -8,33 +8,25 @@ from motionprim.embedder import (
     KIND_END,
     KIND_MOTION,
     KIND_START,
-    EmbeddingTable,
     PositionTable,
-    StatProjector,
-    TokenSequence,
-    add_positions,
-    assemble,
     build_layout,
-    compose_token,
-    embed_index,
-    embed_stats,
+    embed_batch,
     end_row,
     init_embedding_table,
     init_position_table,
     init_stat_projector,
-    layout_embed_rows,
-    layout_stats,
     mask_count,
     mask_row,
-    plan_mask,
     start_row,
-    tokenize_window,
 )
 from motionprim.errors import ConfigError, DataError
-from motionprim.ingest import ChannelMetadata, SensorWindow, normalize_matrix, segment_matrix
-from motionprim.quantizer import Codebook, quantize
+from motionprim.ingest import ChannelMetadata, SensorWindow
+from motionprim.metadata import make_provider
+from motionprim.model import init_model, mask_positions_for, prepare_windows, tiny_config
+from motionprim.training import refresh_usage, tokenize_dataset
 
 K, D, C, S = 6, 8, 2, 3
+B = 2
 
 
 def channels():
@@ -44,13 +36,13 @@ def channels():
     ]
 
 
-def token_sequence(seed=0):
+def tokens(seed=0):
+    """(indices, raw stats, per-channel metadata) for B windows."""
     rng = np.random.default_rng(seed)
-    return TokenSequence(
-        vq_indices=rng.integers(0, K, size=(C, S)),
-        stats=rng.normal(size=(C, S, 2)) ** 2,
-        channels=channels(),
-        label=1,
+    return (
+        rng.integers(0, K, size=(B, C, S)),
+        rng.normal(size=(B, C, S, 2)) ** 2,
+        rng.normal(size=(C, D)),
     )
 
 
@@ -59,6 +51,22 @@ def tables(seed=0):
     proj = init_stat_projector(D, seed=seed + 1)
     pos = init_position_table(S, D, seed=seed + 2)
     return table, proj, pos
+
+
+def embed_params(seed=0):
+    """Input-side parameters with an identity metadata adapter, so each
+    channel's adapter output is its metadata row exactly."""
+    table, proj, pos = tables(seed)
+    proj.bias[:] = np.random.default_rng(seed + 3).normal(size=D)
+    return {
+        "embed.rows": table.rows,
+        "embed.cls_vector": table.cls_vector,
+        "stat.weight": proj.weight,
+        "stat.bias": proj.bias,
+        "adapter.weight": np.eye(D),
+        "adapter.bias": np.zeros(D),
+        "pos.rows": pos.rows,
+    }, build_layout(C, S, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +137,22 @@ def test_layout_rejects_overflow():
 
 
 def test_layout_embed_rows_and_stats():
-    tokens = token_sequence()
-    _, _, pos = tables()
-    layout = build_layout(C, S, pos)
-    rows = layout_embed_rows(tokens, layout, K)
-    assert rows[0] == CLS_SENTINEL
-    assert rows[1] == start_row(K)
-    assert rows[S + 2] == end_row(K)
-    np.testing.assert_array_equal(rows[layout.motion_mask], tokens.vq_indices.reshape(-1))
-    stats = layout_stats(tokens, layout)
-    np.testing.assert_array_equal(stats[layout.motion_mask], tokens.stats.reshape(-1, 2))
-    np.testing.assert_array_equal(stats[~layout.motion_mask], 0.0)
+    indices, stats, meta = tokens()
+    params, layout = embed_params()
+    x, rows, targets = embed_batch(params, layout, indices, stats, meta)
+    assert targets is None
+    assert rows.shape == (B, layout.seq_len)
+    assert np.all(rows[:, 0] == CLS_SENTINEL)
+    assert np.all(rows[:, 1] == start_row(K))
+    assert np.all(rows[:, S + 2] == end_row(K))
+    np.testing.assert_array_equal(rows[:, layout.motion_mask], indices.reshape(B, -1))
+    # the stat term lands on motion tokens only, in channel-major order
+    x0, _, _ = embed_batch(params, layout, indices, np.zeros_like(stats), meta)
+    stat_term = x - x0
+    np.testing.assert_array_equal(stat_term[:, ~layout.motion_mask], 0.0)
+    np.testing.assert_allclose(
+        stat_term[:, layout.motion_mask], stats.reshape(B, -1, 2) @ params["stat.weight"].T, atol=1e-15
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +160,40 @@ def test_layout_embed_rows_and_stats():
 
 
 def test_tokenize_window_matches_quantizer():
+    # the production path (prepare_windows, then tokenize_dataset) against
+    # loop references: raw stats, instance normalization, exhaustive scan
+    cfg = tiny_config()
+    model = init_model(cfg, seed=8)
     rng = np.random.default_rng(8)
-    win = SensorWindow(rng.normal(size=(15, C)), channels(), label=0)
-    cb = Codebook(rng.normal(size=(K, 5)), np.zeros(K, dtype=np.int64))
-    tokens = tokenize_window(win, cb, seg_len=5)
-    values, stats = segment_matrix(win, 5)
-    normed = normalize_matrix(values)
-    for c in range(C):
-        for t in range(3):
-            assert tokens.vq_indices[c, t] == quantize(normed[c, t], cb).index
-            assert tokens.stats[c, t, 0] == stats[c, t, 0]
-            assert tokens.stats[c, t, 1] == stats[c, t, 1]
-    assert tokens.label == 0
+    windows = [SensorWindow(rng.normal(size=(15, C)), channels(), label=0) for _ in range(3)]
+    batch = prepare_windows(windows, cfg, make_provider("deterministic-hash", dim=cfg.meta_dim))
+    indices = tokenize_dataset(model, batch)
+    assert indices.shape == (3, C, 3)
+    for b, win in enumerate(windows):
+        for c in range(C):
+            for t in range(3):
+                raw = win.samples[t * 5 : (t + 1) * 5, c]
+                want, _ = oracles.nearest_scan(oracles.normalize(raw), model.params["codebook"])
+                assert indices[b, c, t] == want
+                mu, var = oracles.mean_and_popvar(raw)
+                assert batch.stats[b, c, t, 0] == pytest.approx(mu, abs=1e-12)
+                assert batch.stats[b, c, t, 1] == pytest.approx(var, abs=1e-12)
+    np.testing.assert_array_equal(batch.labels, 0)
 
 
 def test_tokenize_window_usage_recording():
+    cfg = tiny_config()
+    model = init_model(cfg, seed=9)
     rng = np.random.default_rng(9)
-    win = SensorWindow(rng.normal(size=(15, C)), channels())
-    cb = Codebook(rng.normal(size=(K, 5)), np.zeros(K, dtype=np.int64))
-    tokenize_window(win, cb, seg_len=5)
-    assert cb.usage_counts.sum() == 0
-    tokenize_window(win, cb, seg_len=5, record_usage=True)
-    assert cb.usage_counts.sum() == C * 3
+    windows = [SensorWindow(rng.normal(size=(15, C)), channels()) for _ in range(4)]
+    batch = prepare_windows(windows, cfg, make_provider("deterministic-hash", dim=cfg.meta_dim))
+    tokenize_dataset(model, batch)
+    assert model.usage_counts.sum() == 0
+    indices = tokenize_dataset(model, batch, record_usage=True)
+    np.testing.assert_array_equal(model.usage_counts, np.bincount(indices.reshape(-1), minlength=cfg.codebook_size))
+    # refresh_usage resets, then tallies every segment exactly once
+    refresh_usage(model, [batch])
+    assert model.usage_counts.sum() == 4 * C * 3
 
 
 # ---------------------------------------------------------------------------
@@ -176,86 +201,70 @@ def test_tokenize_window_usage_recording():
 
 
 def test_assemble_against_handmade_tokens():
-    tokens = token_sequence(seed=1)
-    table, proj, pos = tables(seed=1)
-    rng = np.random.default_rng(3)
-    meta = rng.normal(size=(C, D))
-    layout = build_layout(C, S, pos)
-    seq = assemble(tokens, table, proj, meta, layout=layout)
+    indices, stats, meta = tokens(seed=1)
+    params, layout = embed_params(seed=1)
+    x, _, _ = embed_batch(params, layout, indices, stats, meta)
+    table, pos = params["embed.rows"], params["pos.rows"]
+    cls_slot, start_slot, end_slot = S + 2, S + 1, S
 
     # CLS: separate vector, no stats, no metadata
-    np.testing.assert_allclose(seq.vectors[0], table.cls_vector, atol=0)
+    np.testing.assert_array_equal(x[1, 0], params["embed.cls_vector"] + pos[cls_slot])
     # START token of channel 1: table row + channel meta, NO stat affine
     p = 1 + (S + 2)  # first position of channel 1
-    want = embed_index(start_row(K), table) + meta[1]
-    np.testing.assert_allclose(seq.vectors[p], want, atol=1e-15)
-    # motion token (c=1, t=2): all three parts
+    want = table[start_row(K)] + meta[1] + pos[start_slot]
+    np.testing.assert_allclose(x[1, p], want, atol=1e-15)
+    # motion token (c=1, t=2): all four parts
     p_motion = 1 + (S + 2) + 1 + 2
-    want = compose_token(
-        embed_index(int(tokens.vq_indices[1, 2]), table),
-        embed_stats(tokens.stats[1, 2], proj),
-        meta[1],
-    )
-    np.testing.assert_allclose(seq.vectors[p_motion], want, atol=1e-15)
+    stat_embed = params["stat.weight"] @ stats[1, 1, 2] + params["stat.bias"]
+    want = table[indices[1, 1, 2]] + stat_embed + meta[1] + pos[2]
+    np.testing.assert_allclose(x[1, p_motion], want, atol=1e-15)
     # END token of channel 0
     p_end = S + 2
-    want = embed_index(end_row(K), table) + meta[0]
-    np.testing.assert_allclose(seq.vectors[p_end], want, atol=1e-15)
+    want = table[end_row(K)] + meta[0] + pos[end_slot]
+    np.testing.assert_allclose(x[0, p_end], want, atol=1e-15)
 
 
 def test_specials_skip_stat_bias_entirely():
     # nonzero stat bias must not leak into special tokens
-    tokens = token_sequence(seed=2)
-    table, proj, pos = tables(seed=2)
-    proj.bias[:] = 7.7
-    meta = np.zeros((C, D))
-    seq = assemble(tokens, table, proj, meta, layout=build_layout(C, S, pos))
-    np.testing.assert_allclose(seq.vectors[1], table.rows[start_row(K)], atol=0)
+    indices, stats, _ = tokens(seed=2)
+    params, layout = embed_params(seed=2)
+    params["stat.bias"][:] = 7.7
+    x, _, _ = embed_batch(params, layout, indices, stats, np.zeros((C, D)))
+    want = params["embed.rows"][start_row(K)] + params["pos.rows"][S + 1]
+    np.testing.assert_array_equal(x[:, 1], np.broadcast_to(want, (B, D)))
 
 
 def test_assemble_with_mask_keeps_stats_meta():
-    tokens = token_sequence(seed=3)
-    table, proj, pos = tables(seed=3)
-    rng = np.random.default_rng(4)
-    meta = rng.normal(size=(C, D))
-    layout = build_layout(C, S, pos)
-    masked_pos = np.array([2])  # motion position (c=0, t=0): [CLS][START][m0]...
-    seq = assemble(tokens, table, proj, meta, mask_positions=masked_pos, layout=layout)
-    want = compose_token(
-        embed_index(mask_row(K), table),
-        embed_stats(tokens.stats[0, 0], proj),
-        meta[0],
-    )
-    np.testing.assert_allclose(seq.vectors[2], want, atol=1e-15)
-    assert seq.embed_rows[2] == mask_row(K)
+    indices, stats, meta = tokens(seed=3)
+    params, layout = embed_params(seed=3)
+    masked_pos = np.array([[2], [3]])  # (c=0, t=0) in window 0, (c=0, t=1) in window 1
+    x, rows, targets = embed_batch(params, layout, indices, stats, meta, mask_positions=masked_pos)
+    stat_embed = params["stat.weight"] @ stats[0, 0, 0] + params["stat.bias"]
+    want = params["embed.rows"][mask_row(K)] + stat_embed + meta[0] + params["pos.rows"][0]
+    np.testing.assert_allclose(x[0, 2], want, atol=1e-15)
+    assert rows[0, 2] == mask_row(K)
+    assert rows[1, 3] == mask_row(K)
+    np.testing.assert_array_equal(targets, [[indices[0, 0, 0]], [indices[1, 0, 1]]])
 
 
 def test_assemble_rejects_masking_specials():
-    tokens = token_sequence()
-    table, proj, pos = tables()
-    with pytest.raises(DataError):
-        assemble(
-            tokens, table, proj, np.zeros((C, D)),
-            mask_positions=np.array([0]), layout=build_layout(C, S, pos),
-        )
+    indices, stats, meta = tokens()
+    params, layout = embed_params()
+    for bad in (np.array([[0], [2]]), np.array([[2], [S + 2]]), np.array([2, 3])):
+        with pytest.raises(DataError):
+            embed_batch(params, layout, indices, stats, meta, mask_positions=bad)
 
 
 def test_add_positions_once():
-    tokens = token_sequence(seed=5)
-    table, proj, pos = tables(seed=5)
-    seq = assemble(tokens, table, proj, np.zeros((C, D)), layout=build_layout(C, S, pos))
-    with_pos = add_positions(seq, pos)
-    np.testing.assert_allclose(
-        with_pos.vectors[0], seq.vectors[0] + pos.rows[pos.cls_slot], atol=0
-    )
+    indices, stats, meta = tokens(seed=5)
+    params, layout = embed_params(seed=5)
+    x, _, _ = embed_batch(params, layout, indices, stats, meta)
+    no_pos, _, _ = embed_batch({**params, "pos.rows": np.zeros_like(params["pos.rows"])}, layout, indices, stats, meta)
+    # exactly one position row per token
+    added = params["pos.rows"][layout.position_slot]
+    np.testing.assert_allclose(x - no_pos, np.broadcast_to(added, x.shape), atol=1e-15)
     # shared slots: motion t=0 gets the same position row in both channels
-    np.testing.assert_allclose(
-        with_pos.vectors[2] - seq.vectors[2],
-        with_pos.vectors[2 + S + 2] - seq.vectors[2 + S + 2],
-        atol=0,
-    )
-    with pytest.raises(DataError):
-        add_positions(with_pos, pos)
+    np.testing.assert_array_equal(added[2], added[2 + S + 2])
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +286,34 @@ def test_mask_count_table():
 
 
 def test_plan_mask_never_touches_specials():
-    tokens = token_sequence(seed=6)
-    _, _, pos = tables()
-    layout = build_layout(C, S, pos)
-    rows = layout_embed_rows(tokens, layout, K)
-    for seed in range(50):
-        plan = plan_mask(rows, K, 0.5, seed)
-        assert plan.positions.size == mask_count(C * S, 0.5)
-        assert np.all(layout.motion_mask[plan.positions])
-        np.testing.assert_array_equal(plan.targets, rows[plan.positions])
-        assert np.all(plan.masked_rows[plan.positions] == mask_row(K))
-        untouched = np.setdiff1d(np.arange(layout.seq_len), plan.positions)
-        np.testing.assert_array_equal(plan.masked_rows[untouched], rows[untouched])
+    indices, stats, meta = tokens(seed=6)
+    params, layout = embed_params()
+    windows = 50
+    indices = np.resize(indices, (windows, C, S))
+    stats = np.resize(stats, (windows, C, S, 2))
+    _, rows, _ = embed_batch(params, layout, indices, stats, meta)
+    plan = mask_positions_for(layout, 0.5, run_seed=0, epoch=0, window_ids=np.arange(windows))
+    assert plan.shape == (windows, mask_count(C * S, 0.5))
+    assert np.all(layout.motion_mask[plan])
+    _, masked_rows, targets = embed_batch(params, layout, indices, stats, meta, mask_positions=plan)
+    for b in range(windows):
+        np.testing.assert_array_equal(targets[b], rows[b, plan[b]])
+        assert np.all(masked_rows[b, plan[b]] == mask_row(K))
+        untouched = np.setdiff1d(np.arange(layout.seq_len), plan[b])
+        np.testing.assert_array_equal(masked_rows[b, untouched], rows[b, untouched])
 
 
 def test_plan_mask_deterministic_and_seed_sensitive():
-    tokens = token_sequence(seed=7)
-    _, _, pos = tables()
-    rows = layout_embed_rows(tokens, build_layout(C, S, pos), K)
-    a = plan_mask(rows, K, 0.4, 123)
-    b = plan_mask(rows, K, 0.4, 123)
-    np.testing.assert_array_equal(a.positions, b.positions)
-    seen = {tuple(plan_mask(rows, K, 0.4, s).positions.tolist()) for s in range(20)}
+    _, layout = embed_params()
+    ids = np.arange(5)
+    a = mask_positions_for(layout, 0.4, 123, 0, ids)
+    b = mask_positions_for(layout, 0.4, 123, 0, ids)
+    np.testing.assert_array_equal(a, b)
+    seen = {tuple(mask_positions_for(layout, 0.4, s, 0, ids[:1])[0].tolist()) for s in range(20)}
     assert len(seen) > 1
 
 
 def test_plan_mask_positions_sorted_unique():
-    tokens = token_sequence(seed=8)
-    _, _, pos = tables()
-    rows = layout_embed_rows(tokens, build_layout(C, S, pos), K)
-    plan = plan_mask(rows, K, 0.9, 5)
-    assert np.all(np.diff(plan.positions) > 0)
+    _, layout = embed_params()
+    plan = mask_positions_for(layout, 0.9, 5, 0, np.arange(20))
+    assert np.all(np.diff(plan, axis=1) > 0)

@@ -12,14 +12,12 @@ from motionprim.ingest import (
     SyntheticSpec,
     WaveformSpec,
     generate_synthetic,
-    instance_normalize,
     load_dataset,
     load_manifest,
     load_synthetic_spec,
     normalize_matrix,
     resample,
     resample_nearest,
-    segment,
     segment_matrix,
     synthetic_spec_from_dict,
     window,
@@ -134,46 +132,47 @@ def ramp_window():
 
 
 def test_segment_channel_major_order():
-    win = ramp_window()
-    pairs = segment(win, 4)
-    assert len(pairs) == 6  # 3 per channel, channel 0 first
-    order = [(seg.channel_index, seg.time_index) for seg, _ in pairs]
-    assert order == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    np.testing.assert_array_equal(pairs[1][0].values, [4.0, 5.0, 6.0, 7.0])
-    np.testing.assert_array_equal(pairs[3][0].values, [100.0, 101.0, 102.0, 103.0])
+    values, stats = segment_matrix(ramp_window().samples, 4)
+    assert values.shape == (2, 3, 4)  # 3 per channel, channel 0 first
+    assert stats.shape == (2, 3, 2)
+    np.testing.assert_array_equal(values[0, 1], [4.0, 5.0, 6.0, 7.0])
+    # flattened, the fourth segment is channel 1's first
+    np.testing.assert_array_equal(values.reshape(-1, 4)[3], [100.0, 101.0, 102.0, 103.0])
 
 
 def test_segment_count_floor():
-    win = ramp_window()
-    assert len(segment(win, 5)) == 4  # floor(12/5)=2 per channel
-    with pytest.raises(DataError):
-        segment(win, 13)
+    samples = ramp_window().samples
+    assert segment_matrix(samples, 5)[0].shape == (2, 2, 5)  # floor(12/5)=2 per channel
+    for bad in (13, 0):
+        with pytest.raises(DataError):
+            segment_matrix(samples, bad)
 
 
 def test_stats_are_raw_and_match_oracle():
     rng = np.random.default_rng(7)
     samples = rng.normal(3.0, 2.0, size=(20, 2))
-    win = SensorWindow(samples, two_channels())
-    for seg, stats in segment(win, 5):
-        mu, var = oracles.mean_and_popvar(seg.values)
-        assert stats.mean == pytest.approx(mu, abs=1e-12)
-        assert stats.variance == pytest.approx(var, abs=1e-12)
+    values, stats = segment_matrix(samples, 5)
+    for c in range(2):
+        for t in range(4):
+            mu, var = oracles.mean_and_popvar(samples[t * 5 : (t + 1) * 5, c])
+            assert stats[c, t, 0] == pytest.approx(mu, abs=1e-12)
+            assert stats[c, t, 1] == pytest.approx(var, abs=1e-12)
 
 
 def test_segment_matrix_matches_listwise():
+    # a (B, T, C) stack segments exactly like its windows one at a time
     rng = np.random.default_rng(8)
-    win = SensorWindow(rng.normal(size=(23, 3)), [*two_channels(), ChannelMetadata("hip", "accelerometer", "z", 100.0)])
-    values, stats = segment_matrix(win, 5)
-    pairs = segment(win, 5)
-    assert values.shape == (3, 4, 5)
-    assert stats.shape == (3, 4, 2)
-    i = 0
-    for c in range(3):
-        for t in range(4):
-            np.testing.assert_array_equal(values[c, t], pairs[i][0].values)
-            assert stats[c, t, 0] == pairs[i][1].mean
-            assert stats[c, t, 1] == pairs[i][1].variance
-            i += 1
+    stack = rng.normal(size=(4, 23, 3))
+    values, stats = segment_matrix(stack, 5)
+    assert values.shape == (4, 3, 4, 5)
+    assert stats.shape == (4, 3, 4, 2)
+    for b in range(4):
+        one_values, one_stats = segment_matrix(stack[b], 5)
+        np.testing.assert_array_equal(values[b], one_values)
+        np.testing.assert_array_equal(stats[b], one_stats)
+    # never a view of the input, even with one channel
+    single = np.arange(20.0).reshape(20, 1)
+    assert not np.shares_memory(segment_matrix(single, 5)[0], single)
 
 
 def test_instance_normalize_matches_oracle():
@@ -181,17 +180,17 @@ def test_instance_normalize_matches_oracle():
     for _ in range(25):
         x = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 4.0), size=50)
         np.testing.assert_allclose(
-            instance_normalize(x), oracles.normalize(x), rtol=0, atol=1e-12
+            normalize_matrix(x), oracles.normalize(x), rtol=0, atol=1e-12
         )
 
 
 def test_instance_normalize_constant_is_zero():
     # mean of a constant array can be off by an ulp, so "zero" means
     # (tiny numerator) / eps, not exact zeros
-    out = instance_normalize(np.full(10, 3.7))
+    out = normalize_matrix(np.full(10, 3.7))
     np.testing.assert_allclose(out, np.zeros(10), atol=1e-9)
-    out = instance_normalize(np.full(10, 0.5))  # exactly representable
-    np.testing.assert_array_equal(out, np.zeros(10))
+    out = normalize_matrix(np.full((2, 10), 0.5))  # exactly representable
+    np.testing.assert_array_equal(out, np.zeros((2, 10)))
 
 
 def test_normalize_matrix_matches_single():
@@ -200,15 +199,15 @@ def test_normalize_matrix_matches_single():
     normed = normalize_matrix(stack)
     for i in range(4):
         for j in range(6):
-            np.testing.assert_allclose(
-                normed[i, j], instance_normalize(stack[i, j]), rtol=0, atol=0
-            )
+            np.testing.assert_array_equal(normed[i, j], normalize_matrix(stack[i, j]))
 
 
 def test_normalize_rejects_nonfinite():
-    bad = np.array([1.0, np.nan, 2.0])
-    with pytest.raises(DataError):
-        instance_normalize(bad)
+    for bad in (np.array([1.0, np.nan, 2.0]), np.array([[0.0, 1.0], [np.inf, 2.0]])):
+        with pytest.raises(DataError):
+            normalize_matrix(bad)
+    with pytest.raises(ConfigError):
+        normalize_matrix(np.ones(3), eps=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,15 @@ def test_make_provider_kinds(tmp_path):
         make_provider("quantum")
 
 
+def test_make_provider_remote_is_the_documented_kind(monkeypatch):
+    # "remote" reaches the provider, which refuses for want of an endpoint
+    monkeypatch.delenv("MOTIONPRIM_EMBED_ENDPOINT", raising=False)
+    with pytest.raises(MetadataProviderError, match="MOTIONPRIM_EMBED_ENDPOINT"):
+        make_provider("remote")
+    with pytest.raises(ConfigError, match="unknown metadata provider"):
+        make_provider("remote-service")
+
+
 def test_embed_channels_uses_canonical_descriptors():
     p = make_provider("deterministic-hash", dim=8, seed=0)
     vecs = embed_channels([WRIST, ChannelMetadata("ankle", "gyroscope", "z", 50.0)], p)

@@ -24,6 +24,7 @@ from motionprim.model import (
     zero_grads,
 )
 from motionprim.quantizer import nearest_prototypes
+from motionprim.training import refresh_usage
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +291,16 @@ def test_forward_masking_bookkeeping():
 
 
 def test_forward_usage_recording():
+    # forward never tallies usage; the usage pass does, once per segment
     cfg = tiny_config()
     model = init_model(cfg, seed=9)
     batch = tiny_batch(seed=10)
-    forward(model, batch, PRETRAIN_WEIGHTS, need_backward=False)
+    res = forward(model, batch, PRETRAIN_WEIGHTS, need_backward=False)
     assert model.usage_counts.sum() == 0
-    forward(model, batch, PRETRAIN_WEIGHTS, record_usage=True, need_backward=False)
-    B, C, S, _ = batch.norm_segments.shape
-    assert model.usage_counts.sum() == B * C * S
+    refresh_usage(model, [batch])
+    np.testing.assert_array_equal(
+        model.usage_counts, np.bincount(res.indices.reshape(-1), minlength=cfg.codebook_size)
+    )
 
 
 def test_forward_nonfinite_guard():

@@ -9,11 +9,8 @@ from motionprim.quantizer import (
     init_codebook,
     load_codebook,
     nearest_prototypes,
-    quantize,
-    quantize_batch,
     reseed_dead_codes,
     save_codebook,
-    straight_through,
     update_codebook,
     usage_report,
     vq_loss,
@@ -34,35 +31,35 @@ def test_quantize_matches_exhaustive_scan():
     for _ in range(200):
         k = int(rng.integers(2, 40))
         length = int(rng.integers(2, 30))
-        cb = Codebook(rng.normal(size=(k, length)), np.zeros(k, dtype=np.int64))
-        seg = rng.normal(size=length)
-        res = quantize(seg, cb)
-        want_idx, want_dist = oracles.nearest_scan(seg, cb.prototypes)
-        assert res.index == want_idx
-        assert res.distance == pytest.approx(want_dist, rel=1e-12)
-        np.testing.assert_array_equal(res.codeword, cb.prototypes[want_idx])
+        protos = rng.normal(size=(k, length))
+        segs = rng.normal(size=(3, length))
+        idx, dist = nearest_prototypes(segs, protos)
+        for i in range(3):
+            want_idx, want_dist = oracles.nearest_scan(segs[i], protos)
+            assert idx[i] == want_idx
+            assert dist[i] == pytest.approx(want_dist, rel=1e-12)
 
 
 def test_tie_breaks_to_lowest_index():
     protos = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
-    cb = Codebook(protos, np.zeros(4, dtype=np.int64))
     # rows 0 and 2 are identical, both nearest
-    res = quantize(np.array([1.0, 0.1]), cb)
-    assert res.index == 0
+    idx, _ = nearest_prototypes(np.array([[1.0, 0.1], [0.9, 0.0]]), protos)
+    np.testing.assert_array_equal(idx, [0, 0])
 
 
 def test_quantize_batch_matches_itemwise_and_counts_usage():
     rng = np.random.default_rng(1)
-    cb = make_codebook(k=5, length=4, seed=2)
+    protos = make_codebook(k=5, length=4, seed=2).prototypes
     segs = rng.normal(size=(40, 4))
-    indices, distances = quantize_batch(segs, cb, record_usage=True)
+    indices, distances = nearest_prototypes(segs, protos)
     for i in range(40):
-        single = quantize(segs[i], cb)
-        assert indices[i] == single.index
-        assert distances[i] == pytest.approx(single.distance, rel=1e-12)
-    # usage accumulated once per assignment, duplicates included
+        single_idx, single_dist = nearest_prototypes(segs[i], protos)
+        assert indices[i] == single_idx[0]
+        assert distances[i] == single_dist[0]
+    # a usage report over these assignments counts duplicates
+    cb = Codebook(protos, np.bincount(indices, minlength=5))
     assert cb.usage_counts.sum() == 40
-    np.testing.assert_array_equal(cb.usage_counts, np.bincount(indices, minlength=5))
+    assert usage_report(cb)[0] == np.count_nonzero(np.bincount(indices, minlength=5))
 
 
 def test_nearest_prototypes_chunking_invariant():
@@ -80,11 +77,11 @@ def test_nearest_prototypes_chunking_invariant():
 def test_quantize_shape_mismatch():
     cb = make_codebook(length=6)
     with pytest.raises(DataError):
-        quantize(np.zeros(5), cb)
+        nearest_prototypes(np.zeros((2, 5)), cb.prototypes)
 
 
 # ---------------------------------------------------------------------------
-# commitment loss and straight-through
+# commitment loss
 
 
 def test_vq_loss_value_and_grads():
@@ -125,11 +122,6 @@ def test_vq_loss_grads_match_finite_differences():
 def test_vq_loss_beta_validation():
     with pytest.raises(ConfigError):
         vq_loss(np.zeros(3), np.zeros(3), beta=-0.1)
-
-
-def test_straight_through_is_identity():
-    g = np.array([1.0, -2.0, 3.5])
-    np.testing.assert_array_equal(straight_through(g), g)
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +175,18 @@ def test_init_unknown_strategy():
 # updates
 
 
-def test_update_sgd_moves_toward_cluster_means():
-    cb = make_codebook(k=3, length=2, seed=20)
-    segs = np.array([[1.0, 1.0], [3.0, 1.0], [0.0, 0.0]])
-    idx = np.array([0, 0, 2])
-    rate = 0.1
-    new = update_codebook(cb, segs, idx, mode="sgd", rate=rate)
-    n = 3.0
-    # row 0: gradient of (1/n) sum ||s_i - z_0||^2 over its two members
-    grad0 = (2.0 / n) * (2 * cb.prototypes[0] - segs[0] - segs[1])
-    np.testing.assert_allclose(new.prototypes[0], cb.prototypes[0] - rate * grad0, atol=1e-12)
-    grad2 = (2.0 / n) * (cb.prototypes[2] - segs[2])
-    np.testing.assert_allclose(new.prototypes[2], cb.prototypes[2] - rate * grad2, atol=1e-12)
-    # untouched row and unmutated input
-    np.testing.assert_array_equal(new.prototypes[1], cb.prototypes[1])
-    assert new is not cb
-
-
 def test_update_ema_standard_recursion():
     cb = make_codebook(k=2, length=2, seed=21)
     segs = np.array([[2.0, 0.0], [4.0, 0.0]])
     idx = np.array([0, 0])
     d = 0.9
-    new = update_codebook(cb, segs, idx, mode="ema", rate=d)
+    new = update_codebook(cb, segs, idx, rate=d)
     size = d * 0.0 + (1 - d) * 2.0
     mean = d * np.zeros(2) + (1 - d) * np.array([6.0, 0.0])
     np.testing.assert_allclose(new.prototypes[0], mean / size, atol=1e-12)
     np.testing.assert_array_equal(new.prototypes[1], cb.prototypes[1])
     # second update uses the carried state
-    newer = update_codebook(new, segs, idx, mode="ema", rate=d)
+    newer = update_codebook(new, segs, idx, rate=d)
     size2 = d * size + (1 - d) * 2.0
     mean2 = d * mean + (1 - d) * np.array([6.0, 0.0])
     np.testing.assert_allclose(newer.prototypes[0], mean2 / size2, atol=1e-12)
@@ -220,7 +195,7 @@ def test_update_ema_standard_recursion():
 def test_update_ema_decay_zero_sets_batch_mean():
     cb = make_codebook(k=2, length=2, seed=22)
     segs = np.array([[2.0, 4.0], [4.0, 8.0]])
-    new = update_codebook(cb, segs, np.array([1, 1]), mode="ema", rate=0.0)
+    new = update_codebook(cb, segs, np.array([1, 1]), rate=0.0)
     np.testing.assert_allclose(new.prototypes[1], [3.0, 6.0], atol=1e-12)
 
 
@@ -228,24 +203,21 @@ def test_update_rate_validation():
     cb = make_codebook()
     segs = np.zeros((1, 6))
     idx = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ConfigError):
-        update_codebook(cb, segs, idx, mode="sgd", rate=0.0)
-    with pytest.raises(ConfigError):
-        update_codebook(cb, segs, idx, mode="sgd", rate=1.5)
-    with pytest.raises(ConfigError):
-        update_codebook(cb, segs, idx, mode="flood", rate=0.5)
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ConfigError):
+            update_codebook(cb, segs, idx, rate=bad)
 
 
 def test_update_empty_batch_is_noop():
     cb = make_codebook()
-    new = update_codebook(cb, np.zeros((0, 6)), np.zeros(0, dtype=np.int64), mode="sgd", rate=0.1)
+    new = update_codebook(cb, np.zeros((0, 6)), np.zeros(0, dtype=np.int64), rate=0.1)
     np.testing.assert_array_equal(new.prototypes, cb.prototypes)
 
 
 def test_update_index_out_of_range():
     cb = make_codebook(k=4)
     with pytest.raises(DataError):
-        update_codebook(cb, np.zeros((1, 6)), np.array([4]), mode="sgd", rate=0.1)
+        update_codebook(cb, np.zeros((1, 6)), np.array([4]), rate=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from motionprim.errors import CheckpointError, ConfigError, DataError, NumericEr
 from motionprim.model import (
     FINETUNE_WEIGHTS,
     PRETRAIN_WEIGHTS,
+    LossWeights,
     forward,
     init_model,
+    mask_positions_for,
     param_names,
     tiny_batch,
     tiny_config,
@@ -21,19 +24,13 @@ from motionprim.training import (
     LINEAR_PROBE,
     PRETRAIN_POLICY,
     AdamW,
-    ClsHead,
-    MaeHead,
     OptimizerConfig,
     _micro_batches,
     checkpoint_hash,
-    cls_logits,
-    cls_loss,
     copy_model,
     evaluate,
     finetune,
     load_checkpoint,
-    mae_logits,
-    mae_loss,
     metrics_from_confusion,
     policy_by_name,
     pretrain,
@@ -42,7 +39,6 @@ from motionprim.training import (
     save_checkpoint,
     stratified_split,
     tokenize_dataset,
-    total_loss,
     write_log,
 )
 
@@ -53,50 +49,62 @@ def small_opt(**overrides):
     return OptimizerConfig(**base)
 
 
+def masked_forward(model, batch, weights, **kwargs):
+    layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
+    mask = mask_positions_for(layout, model.config.mask_ratio, 0, 0, batch.window_ids)
+    return forward(model, batch, weights, mask_positions=mask, **kwargs), mask
+
+
 # ---------------------------------------------------------------------------
-# loss reference ops
+# heads and losses (model.forward against loop references)
 
 
 def test_mae_logits_and_loss():
-    rng = np.random.default_rng(0)
-    head = MaeHead(rng.normal(size=(5, 4)), rng.normal(size=5))
-    h = rng.normal(size=4)
-    probs = mae_logits(h, head)
-    want = oracles.softmax_rows([(head.weight @ h + head.bias)])[0]
-    np.testing.assert_allclose(probs, want, atol=1e-12)
-    batch = np.stack([probs, probs])
-    targets = np.array([1, 3])
-    assert mae_loss(batch, targets) == pytest.approx(
-        oracles.cross_entropy_mean(batch, targets), rel=1e-12
+    cfg = tiny_config()
+    model = init_model(cfg, seed=0)
+    model.params["mae.bias"][:] = np.random.default_rng(0).normal(size=cfg.codebook_size)
+    batch = tiny_batch(seed=1)
+    res, mask = masked_forward(model, batch, PRETRAIN_WEIGHTS)
+    h = res.hidden[np.repeat(np.arange(batch.size), mask.shape[1]), mask.reshape(-1)]
+    want = oracles.softmax_rows(h @ model.params["mae.weight"].T + model.params["mae.bias"])
+    np.testing.assert_allclose(res._cache["mae_probs"], want, atol=1e-12)
+    assert res.mae_loss == pytest.approx(
+        oracles.cross_entropy_mean(want, res.mask_targets.reshape(-1)), rel=1e-12
     )
 
 
-def test_mae_loss_empty_mask_warns(caplog):
-    with caplog.at_level(logging.WARNING, logger="motionprim"):
-        out = mae_loss(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
-    assert out == 0.0
-    assert any("empty mask" in r.message for r in caplog.records)
+def test_mae_loss_empty_mask_is_zero():
+    cfg = tiny_config()
+    model = init_model(cfg, seed=0)
+    batch = tiny_batch(seed=1)
+    empty = np.zeros((batch.size, 0), dtype=np.int64)
+    res = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=empty, need_backward=False)
+    assert res.mae_loss == 0.0
+    assert res.masked_fraction == 0.0
 
 
 def test_cls_loss_and_total():
-    rng = np.random.default_rng(1)
-    head = ClsHead(rng.normal(size=(3, 4)), rng.normal(size=3))
-    h = rng.normal(size=4)
-    probs = cls_logits(h, head)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert cls_loss(probs, 2) == pytest.approx(-math.log(probs[2]), rel=1e-12)
+    cfg = tiny_config()
+    model = init_model(cfg, seed=1)
+    batch = tiny_batch(seed=2)
+    weights = LossWeights(0.5, 2.0, 3.0)
+    res, _ = masked_forward(model, batch, weights, need_backward=False)
+    want = oracles.softmax_rows(res.hidden[:, 0] @ model.params["cls_head.weight"].T + model.params["cls_head.bias"])
+    np.testing.assert_allclose(res.cls_probs, want, atol=1e-12)
+    assert res.cls_loss == pytest.approx(oracles.cross_entropy_mean(want, batch.labels), rel=1e-12)
+    assert res.loss == pytest.approx(0.5 * res.mae_loss + 2.0 * res.cls_loss + 3.0 * res.vq_loss, rel=1e-12)
+    bad = replace(batch, labels=np.full(batch.size, cfg.num_classes))
     with pytest.raises(DataError):
-        cls_loss(probs, 3)
-    assert total_loss(1.0, 2.0, 3.0, PRETRAIN_WEIGHTS) == pytest.approx(4.0)
-    assert total_loss(1.0, 2.0, 3.0, FINETUNE_WEIGHTS) == pytest.approx(2.0)
+        forward(model, bad, FINETUNE_WEIGHTS, need_backward=False)
 
 
 def test_uniform_mae_predictions_hit_log_k():
-    # chance level: uniform over K classes scores ln K exactly
-    K = 1024
-    probs = np.full((7, K), 1.0 / K)
-    targets = np.arange(7) * 3
-    assert mae_loss(probs, targets) == pytest.approx(math.log(K), abs=1e-9)
+    # chance level: a zeroed MAE head scores ln K exactly
+    for K in (2, 7, 64):
+        model = init_model(replace(tiny_config(), codebook_size=K), seed=3)
+        model.params["mae.weight"][:] = 0.0
+        res, _ = masked_forward(model, tiny_batch(seed=4), PRETRAIN_WEIGHTS, need_backward=False)
+        assert res.mae_loss == pytest.approx(math.log(K), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +276,17 @@ def test_pretrain_runs_and_fills_usage():
         pretrain(cfg, [batch], small_opt(), codebook_init="fancy")
     with pytest.raises(DataError):
         pretrain(cfg, [], small_opt())
+
+
+def test_pretrain_skips_the_classification_head():
+    # pretraining has lambda_cls = 0, so labels outside the config's class
+    # count (a 4-class dataset under a 2-class config) are never checked
+    cfg = replace(tiny_config(), num_classes=2)
+    batch = replace(tiny_batch(seed=4, num_windows=8), labels=np.arange(8) % 4)
+    res, _ = masked_forward(init_model(cfg, seed=0), batch, PRETRAIN_WEIGHTS, need_backward=False)
+    assert res.cls_probs is None
+    _, records = pretrain(cfg, [batch], small_opt(), run_seed=0)
+    assert [r["cls_loss"] for r in records] == [0.0, 0.0]
 
 
 def test_tokenize_dataset_matches_forward():
