@@ -53,16 +53,17 @@ def main() -> None:
     sample = norm.reshape(-1, SEGMENT_LEN)
     print(f"fitting {CODEBOOK_SIZE} prototypes on {len(sample)} segments of length {SEGMENT_LEN}")
 
-    codebook = init_codebook(CODEBOOK_SIZE, SEGMENT_LEN, "kmeans-seeded", sample=sample, seed=0)
+    prototypes = init_codebook(CODEBOOK_SIZE, SEGMENT_LEN, "kmeans-seeded", sample=sample, seed=0)
+    usage = np.zeros(CODEBOOK_SIZE, dtype=np.int64)
 
     for win, win_norm in zip(windows[:3], norm):
         print(f"\nwindow label={win.label}")
         for meta, channel_segments in zip(win.channels, win_norm):
-            indices, _ = nearest_prototypes(channel_segments, codebook.prototypes)
-            codebook.usage_counts += np.bincount(indices, minlength=CODEBOOK_SIZE)
+            indices, _ = nearest_prototypes(channel_segments, prototypes)
+            usage += np.bincount(indices, minlength=CODEBOOK_SIZE)
             print(f"  {meta.body_part}/{meta.sensor}/{meta.axis}: tokens {indices.tolist()}")
 
-    active, perplexity = usage_report(codebook)
+    active, perplexity = usage_report(usage)
     print(f"\nutilization over the sampled windows: {active}/{CODEBOOK_SIZE} active codes, "
           f"perplexity {perplexity:.2f}")
 

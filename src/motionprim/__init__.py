@@ -17,14 +17,7 @@ from .analysis import (
     token_streams,
     transitions,
 )
-from .embedder import (
-    EmbeddingTable,
-    PositionTable,
-    SequenceLayout,
-    StatProjector,
-    build_layout,
-    embed_batch,
-)
+from .embedder import SequenceLayout, build_layout, embed_batch
 from .encoder import EncoderConfig, GradCheckReport, encoder_backward, encoder_forward, grad_check
 from .errors import (
     CheckpointError,
@@ -68,14 +61,7 @@ from .model import (
     init_model,
     prepare_windows,
 )
-from .quantizer import (
-    Codebook,
-    init_codebook,
-    nearest_prototypes,
-    update_codebook,
-    usage_report,
-    vq_loss,
-)
+from .quantizer import init_codebook, nearest_prototypes, usage_report
 from .training import (
     ENCODER_FINETUNE,
     LINEAR_PROBE,
@@ -101,12 +87,10 @@ __all__ = [
     "CachingProvider",
     "ChannelMetadata",
     "CheckpointError",
-    "Codebook",
     "ConfigError",
     "DataError",
     "DatasetManifest",
     "ENCODER_FINETUNE",
-    "EmbeddingTable",
     "EncoderConfig",
     "EvalMetrics",
     "FINETUNE_WEIGHTS",
@@ -126,13 +110,11 @@ __all__ = [
     "OptimizerConfig",
     "PRETRAIN_POLICY",
     "PRETRAIN_WEIGHTS",
-    "PositionTable",
     "PreparedBatch",
     "RemoteProvider",
     "SensorWindow",
     "SequenceLayout",
     "SimilarityMatrix",
-    "StatProjector",
     "SyntheticSpec",
     "TransitionMatrix",
     "build_layout",
@@ -166,8 +148,6 @@ __all__ = [
     "token_streams",
     "tokenize_dataset",
     "transitions",
-    "update_codebook",
     "usage_report",
-    "vq_loss",
     "window",
 ]

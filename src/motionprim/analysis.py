@@ -32,29 +32,15 @@ class SimilarityMatrix:
     defined: np.ndarray  # (n,) False where the embedding row has zero norm
 
 
-def similarity(
-    token_ids: np.ndarray,
-    model: Model,
-    stats: np.ndarray | None = None,
-) -> SimilarityMatrix:
-    """Pairwise cosine similarity of VQ embedding rows.
-
-    By default this looks at the pure primitive embeddings E_VQ[id]. Passing
-    `stats` (n, 2) switches to the contextual variant where each embedding
-    also carries its statistical projection.
-    """
+def similarity(token_ids: np.ndarray, model: Model) -> SimilarityMatrix:
+    """Pairwise cosine similarity of the primitive embedding rows E_VQ[id]."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     K = model.config.codebook_size
     if token_ids.ndim != 1 or token_ids.size == 0:
         raise DataError("token_ids must be a non-empty 1-d array")
     if np.any((token_ids < 0) | (token_ids >= K)):
         raise DataError(f"token ids must lie in [0, {K})")
-    vectors = model.params["embed.rows"][token_ids].copy()
-    if stats is not None:
-        stats = np.asarray(stats, dtype=np.float64)
-        if stats.shape != (token_ids.size, 2):
-            raise DataError("stats must be (n, 2) aligned with token_ids")
-        vectors += stats @ model.params["stat.weight"].T + model.params["stat.bias"]
+    vectors = model.params["embed.rows"][token_ids]
     norms = np.linalg.norm(vectors, axis=1)
     defined = norms > 0
     safe = np.where(defined, norms, 1.0)

@@ -1,12 +1,13 @@
-"""Transformer input construction: token tables, the sequence layout, and
-the batched sum of code, statistical, metadata and position embeddings.
+"""Transformer input construction: the sequence layout and the batched sum
+of code, statistical, metadata and position embeddings.
 
 Index conventions, all 0-based:
   rows 0..K-1 of the embedding table are the codebook entries,
   row K is [MASK], row K+1 is [START], row K+2 is [END];
   [CLS] is a separate vector with no table row (sentinel index -1).
-Position slots: a motion token at time t uses slot t; the last three rows of
-the position table are reserved for CLS, START, END (shared by channels).
+Position slots: a motion token at time t uses slot t; the top three rows of
+the position table are reserved for CLS, START, END, from the top down
+(shared by channels).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ KIND_END = 3
 
 CLS_SENTINEL = -1
 
-INIT_STD = 0.02
-
 
 def mask_row(K: int) -> int:
     return K
@@ -40,102 +39,17 @@ def end_row(K: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parameter tables
-
-
-@dataclass
-class EmbeddingTable:
-    """(K+3) x D token embeddings plus the separate CLS vector."""
-
-    rows: np.ndarray
-    cls_vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        self.cls_vector = np.asarray(self.cls_vector, dtype=np.float64)
-        if self.rows.ndim != 2 or self.rows.shape[0] < 5:
-            raise DataError("embedding table must be (K+3, D) with K >= 2")
-        if self.cls_vector.shape != (self.rows.shape[1],):
-            raise DataError("cls vector must be length D")
-        if not (np.all(np.isfinite(self.rows)) and np.all(np.isfinite(self.cls_vector))):
-            raise DataError("embedding table must be finite")
-
-
-@dataclass
-class StatProjector:
-    """Affine map from (mean, variance) pairs into model space."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.weight.shape[1] != 2:
-            raise DataError("stat projector weight must be (D, 2)")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise DataError("stat projector bias must be length D")
-
-
-@dataclass
-class PositionTable:
-    """(P_max, D) trainable positions; the top three rows are reserved."""
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2 or self.rows.shape[0] < 4:
-            raise DataError("position table must be (P_max >= 4, D)")
-
-    @property
-    def max_slots(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def cls_slot(self) -> int:
-        return self.rows.shape[0] - 1
-
-    @property
-    def start_slot(self) -> int:
-        return self.rows.shape[0] - 2
-
-    @property
-    def end_slot(self) -> int:
-        return self.rows.shape[0] - 3
-
-
-def init_embedding_table(K: int, model_dim: int, seed: int = 0) -> EmbeddingTable:
-    rng = np.random.default_rng(seed)
-    return EmbeddingTable(
-        rng.normal(0.0, INIT_STD, size=(K + 3, model_dim)),
-        rng.normal(0.0, INIT_STD, size=model_dim),
-    )
-
-
-def init_stat_projector(model_dim: int, seed: int = 0) -> StatProjector:
-    rng = np.random.default_rng(seed)
-    return StatProjector(rng.normal(0.0, INIT_STD, size=(model_dim, 2)), np.zeros(model_dim))
-
-
-def init_position_table(segments_per_channel: int, model_dim: int, seed: int = 0) -> PositionTable:
-    rng = np.random.default_rng(seed)
-    return PositionTable(rng.normal(0.0, INIT_STD, size=(segments_per_channel + 3, model_dim)))
-
-
-# ---------------------------------------------------------------------------
 # Sequence layout
 
 
 @dataclass
 class SequenceLayout:
     """Structural description shared by every window with the same channel
-    count and segment count: token kinds, owning channel, time index, and
-    position slot for each of the Seq = 1 + C*(S+2) positions."""
+    count and segment count: token kind, owning channel and position slot
+    for each of the Seq = 1 + C*(S+2) positions."""
 
     kinds: np.ndarray
     channel_of: np.ndarray
-    time_of: np.ndarray
     position_slot: np.ndarray
     num_channels: int
     segments_per_channel: int
@@ -158,41 +72,40 @@ class SequenceLayout:
         return np.flatnonzero(self.channel_of >= 0)
 
 
-def build_layout(num_channels: int, segments_per_channel: int, position_table: PositionTable) -> SequenceLayout:
-    """Layout [CLS] then per channel [START] t_0 .. t_{S-1} [END]."""
+def build_layout(num_channels: int, segments_per_channel: int, position_rows: int) -> SequenceLayout:
+    """Layout [CLS] then per channel [START] t_0 .. t_{S-1} [END], against a
+    position table of `position_rows` rows whose top three are reserved."""
     if num_channels < 1:
         raise DataError("layout needs at least one channel")
     if segments_per_channel < 0:
         raise DataError("segments_per_channel must be >= 0")
     S = segments_per_channel
-    if position_table.max_slots < S + 3:
+    if position_rows < S + 3:
         raise ConfigError(
-            f"position table has {position_table.max_slots} slots; needs {S} motion slots + 3 reserved"
+            f"position table has {position_rows} slots; needs {S} motion slots + 3 reserved"
         )
     seq_len = 1 + num_channels * (S + 2)
     kinds = np.empty(seq_len, dtype=np.int8)
     channel_of = np.full(seq_len, -1, dtype=np.int64)
-    time_of = np.full(seq_len, -1, dtype=np.int64)
     slots = np.empty(seq_len, dtype=np.int64)
     kinds[0] = KIND_CLS
-    slots[0] = position_table.cls_slot
+    slots[0] = position_rows - 1
     pos = 1
     for c in range(num_channels):
         kinds[pos] = KIND_START
         channel_of[pos] = c
-        slots[pos] = position_table.start_slot
+        slots[pos] = position_rows - 2
         pos += 1
         for t in range(S):
             kinds[pos] = KIND_MOTION
             channel_of[pos] = c
-            time_of[pos] = t
             slots[pos] = t
             pos += 1
         kinds[pos] = KIND_END
         channel_of[pos] = c
-        slots[pos] = position_table.end_slot
+        slots[pos] = position_rows - 3
         pos += 1
-    return SequenceLayout(kinds, channel_of, time_of, slots, num_channels, S)
+    return SequenceLayout(kinds, channel_of, slots, num_channels, S)
 
 
 # ---------------------------------------------------------------------------

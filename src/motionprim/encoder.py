@@ -26,9 +26,6 @@ class EncoderConfig:
     heads: int = 8
     model_dim: int = 256
     mlp_ratio: float = 1.0
-    activation: str = "gelu"
-    dropout: float = 0.0
-    norm_placement: str = "pre"
 
     def __post_init__(self) -> None:
         if self.depth < 0:
@@ -37,12 +34,6 @@ class EncoderConfig:
             raise ConfigError(
                 f"model_dim {self.model_dim} must be divisible by heads {self.heads}"
             )
-        if self.activation != "gelu":
-            raise ConfigError(f"unsupported activation {self.activation!r}")
-        if not (0 <= self.dropout < 1):
-            raise ConfigError("dropout must be in [0, 1)")
-        if self.norm_placement not in ("pre", "post"):
-            raise ConfigError("norm_placement must be 'pre' or 'post'")
         if self.mlp_hidden < 1:
             raise ConfigError("mlp_ratio too small: hidden dim would be < 1")
 
@@ -144,21 +135,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(B, S, h * dh)
 
 
-def attention_forward(
-    x: np.ndarray,
-    params: dict[str, np.ndarray],
-    config: EncoderConfig,
-    attn_mask: np.ndarray | None = None,
-):
-    """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected.
-    `attn_mask`, if given, is added to the scores (broadcast to (B,h,S,S))."""
+def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], config: EncoderConfig):
+    """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected."""
     q = _split_heads(x @ params["attn.wq"] + params["attn.bq"], config.heads)
     k = _split_heads(x @ params["attn.wk"] + params["attn.bk"], config.heads)
     v = _split_heads(x @ params["attn.wv"] + params["attn.bv"], config.heads)
     scale = 1.0 / np.sqrt(config.head_dim)
     scores = np.einsum("bhsd,bhtd->bhst", q, k) * scale
-    if attn_mask is not None:
-        scores = scores + attn_mask
     weights = softmax(scores)
     context = np.einsum("bhst,bhtd->bhsd", weights, v)
     merged = _merge_heads(context)
@@ -213,21 +196,6 @@ def mlp_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray]):
     return d_x, grads
 
 
-def _dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator | None):
-    if rate == 0.0 or rng is None:
-        return x, None
-    keep = rng.random(x.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    return x * keep * scale, (keep, scale)
-
-
-def _dropout_backward(d_out: np.ndarray, cache):
-    if cache is None:
-        return d_out
-    keep, scale = cache
-    return d_out * keep * scale
-
-
 # ---------------------------------------------------------------------------
 # Full encoder
 
@@ -242,41 +210,28 @@ def encoder_forward(
     x: np.ndarray,
     layers: list[dict[str, np.ndarray]],
     config: EncoderConfig,
-    attn_mask: np.ndarray | None = None,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, EncoderCache]:
-    """Run `depth` residual blocks. Pre-norm: x + Attn(LN1(x)) then
+    """Run `depth` pre-norm residual blocks: x + Attn(LN1(x)) then
     + MLP(LN2(.)), with no final normalization, so depth 0 is the identity.
-    Post-norm: LN1(x + Attn(x)) then LN2(. + MLP(.)).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != config.model_dim:
         raise DataError(f"encoder input must be (B, Seq, {config.model_dim})")
     if len(layers) != config.depth:
         raise ConfigError(f"{len(layers)} layer params for depth {config.depth}")
-    rng = dropout_rng if config.dropout > 0 else None
+    if not np.all(np.isfinite(x)):
+        raise NumericError("non-finite encoder input")
     cache = EncoderCache(config)
     for i, params in enumerate(layers):
-        if config.norm_placement == "pre":
-            normed1, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
-            attn_out, attn_cache = attention_forward(normed1, params, config, attn_mask)
-            attn_out, drop1 = _dropout_forward(attn_out, config.dropout, rng)
-            mid = x + attn_out
-            normed2, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"])
-            mlp_out, mlp_cache = mlp_forward(normed2, params)
-            mlp_out, drop2 = _dropout_forward(mlp_out, config.dropout, rng)
-            out = mid + mlp_out
-        else:
-            attn_out, attn_cache = attention_forward(x, params, config, attn_mask)
-            attn_out, drop1 = _dropout_forward(attn_out, config.dropout, rng)
-            normed1, ln1_cache = layernorm_forward(x + attn_out, params["ln1.gamma"], params["ln1.beta"])
-            mlp_out, mlp_cache = mlp_forward(normed1, params)
-            mlp_out, drop2 = _dropout_forward(mlp_out, config.dropout, rng)
-            normed2, ln2_cache = layernorm_forward(normed1 + mlp_out, params["ln2.gamma"], params["ln2.beta"])
-            out = normed2
+        normed1, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
+        attn_out, attn_cache = attention_forward(normed1, params, config)
+        mid = x + attn_out
+        normed2, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"])
+        mlp_out, mlp_cache = mlp_forward(normed2, params)
+        out = mid + mlp_out
         if not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite activations after encoder layer {i}")
-        cache.layers.append((ln1_cache, attn_cache, drop1, ln2_cache, mlp_cache, drop2))
+        cache.layers.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
         x = out
     return x, cache
 
@@ -294,38 +249,20 @@ def encoder_backward(
     all_grads: list[dict[str, np.ndarray]] = [dict() for _ in layers]
     for i in range(len(layers) - 1, -1, -1):
         params = layers[i]
-        ln1_cache, attn_cache, drop1, ln2_cache, mlp_cache, drop2 = cache.layers[i]
+        ln1_cache, attn_cache, ln2_cache, mlp_cache = cache.layers[i]
         grads = all_grads[i]
-        if config.norm_placement == "pre":
-            # out = mid + mlp(ln2(mid))
-            d_mlp_out = _dropout_backward(d_x, drop2)
-            d_normed2, mlp_grads = mlp_backward(d_mlp_out, mlp_cache, params)
-            grads.update(mlp_grads)
-            d_mid, d_g2, d_b2 = layernorm_backward(d_normed2, ln2_cache)
-            d_mid = d_mid + d_x
-            grads["ln2.gamma"], grads["ln2.beta"] = d_g2, d_b2
-            # mid = x + attn(ln1(x))
-            d_attn_out = _dropout_backward(d_mid, drop1)
-            d_normed1, attn_grads = attention_backward(d_attn_out, attn_cache, params, config)
-            grads.update(attn_grads)
-            d_x_from_ln1, d_g1, d_b1 = layernorm_backward(d_normed1, ln1_cache)
-            grads["ln1.gamma"], grads["ln1.beta"] = d_g1, d_b1
-            d_x = d_mid + d_x_from_ln1
-        else:
-            # out = ln2(normed1 + mlp(normed1))
-            d_sum2, d_g2, d_b2 = layernorm_backward(d_x, ln2_cache)
-            grads["ln2.gamma"], grads["ln2.beta"] = d_g2, d_b2
-            d_mlp_out = _dropout_backward(d_sum2, drop2)
-            d_normed1, mlp_grads = mlp_backward(d_mlp_out, mlp_cache, params)
-            grads.update(mlp_grads)
-            d_normed1 = d_normed1 + d_sum2
-            # normed1 = ln1(x + attn(x))
-            d_sum1, d_g1, d_b1 = layernorm_backward(d_normed1, ln1_cache)
-            grads["ln1.gamma"], grads["ln1.beta"] = d_g1, d_b1
-            d_attn_out = _dropout_backward(d_sum1, drop1)
-            d_x_attn, attn_grads = attention_backward(d_attn_out, attn_cache, params, config)
-            grads.update(attn_grads)
-            d_x = d_sum1 + d_x_attn
+        # out = mid + mlp(ln2(mid))
+        d_normed2, mlp_grads = mlp_backward(d_x, mlp_cache, params)
+        grads.update(mlp_grads)
+        d_mid, d_g2, d_b2 = layernorm_backward(d_normed2, ln2_cache)
+        d_mid = d_mid + d_x
+        grads["ln2.gamma"], grads["ln2.beta"] = d_g2, d_b2
+        # mid = x + attn(ln1(x))
+        d_normed1, attn_grads = attention_backward(d_mid, attn_cache, params, config)
+        grads.update(attn_grads)
+        d_x_from_ln1, d_g1, d_b1 = layernorm_backward(d_normed1, ln1_cache)
+        grads["ln1.gamma"], grads["ln1.beta"] = d_g1, d_b1
+        d_x = d_mid + d_x_from_ln1
     return d_x, all_grads
 
 

@@ -20,7 +20,7 @@ class DataError(MotionPrimError):
 
 
 class CheckpointError(MotionPrimError):
-    """Unreadable or incompatible checkpoint / codebook file."""
+    """Unreadable or incompatible checkpoint file."""
 
 
 class NumericError(MotionPrimError):

@@ -1,5 +1,5 @@
-"""Channel metadata to text-embedding vectors, via pluggable providers, and
-the linear adapter that projects them into model space.
+"""Channel metadata to text-embedding vectors, via pluggable providers.
+The model's `adapter.*` tensors project these vectors into model space.
 
 Providers are read-only after construction. The remote provider is never
 instantiated unless explicitly requested and is off by default everywhere.
@@ -118,9 +118,7 @@ class RemoteProvider:
     def __init__(self, dim: int = DEFAULT_EMBED_DIM, timeout: float = 10.0, retries: int = 3):
         endpoint = os.environ.get(ENDPOINT_ENV, "")
         if not endpoint:
-            raise MetadataProviderError(
-                f"remote provider requires the {ENDPOINT_ENV} environment variable"
-            )
+            raise ConfigError(f"remote provider requires the {ENDPOINT_ENV} environment variable")
         self.endpoint = endpoint
         self.api_key = os.environ.get(API_KEY_ENV, "")
         self.dim = dim
@@ -195,41 +193,3 @@ def make_provider(kind: str, *, dim: int = DEFAULT_EMBED_DIM, seed: int = 0, pat
 
 def embed_channels(channels: list[ChannelMetadata], provider) -> list[MetadataVector]:
     return [provider.embed(canonical_descriptor(meta)) for meta in channels]
-
-
-@dataclass
-class AdapterParams:
-    """Linear map from embedding space (N) to model space (D)."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise DataError("adapter weight must be (D, N) with a length-D bias")
-        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
-            raise DataError("adapter parameters must be finite")
-
-
-def init_adapter(model_dim: int, embed_dim: int, seed: int = 0) -> AdapterParams:
-    rng = np.random.default_rng(seed)
-    return AdapterParams(rng.normal(0.0, 0.02, size=(model_dim, embed_dim)), np.zeros(model_dim))
-
-
-def adapter_project(v: MetadataVector | np.ndarray, params: AdapterParams) -> np.ndarray:
-    """W v + b in model space."""
-    values = v.values if isinstance(v, MetadataVector) else np.asarray(v, dtype=np.float64)
-    if values.shape != (params.weight.shape[1],):
-        raise DataError(
-            f"metadata vector of dim {values.shape} does not fit adapter (D, {params.weight.shape[1]})"
-        )
-    return params.weight @ values + params.bias
-
-
-def adapter_backward(
-    v: np.ndarray, grad_out: np.ndarray, params: AdapterParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of adapter_project: (d_weight, d_bias, d_input)."""
-    return np.outer(grad_out, v), grad_out.copy(), params.weight.T @ grad_out

@@ -33,7 +33,7 @@ from .model import (
     reinit_cls_head,
     zero_grads,
 )
-from .quantizer import init_codebook, nearest_prototypes
+from .quantizer import init_codebook, nearest_prototypes, usage_report
 from .tensorfile import load_tensors, save_tensors
 
 logger = logging.getLogger("motionprim")
@@ -187,7 +187,6 @@ def run_training(
     policy: FreezePolicy,
     run_seed: int,
     stage: str,
-    log_records: list[dict] | None = None,
 ) -> list[dict]:
     """Epoch loop with gradient accumulation up to the effective batch size.
 
@@ -197,7 +196,7 @@ def run_training(
     """
     if not datasets:
         raise DataError("no datasets to train on")
-    records = log_records if log_records is not None else []
+    records: list[dict] = []
     optimizer = AdamW(opt_config, policy.trainable_names(list(model.params)))
     masking = weights.lambda_mae > 0 and model.config.mask_ratio > 0
     if weights.lambda_cls > 0 and any(ds.labels is None for ds in datasets):
@@ -255,9 +254,7 @@ def run_training(
                 flush()
         flush()
 
-        total_assign = int(epoch_hist.sum())
-        p = epoch_hist[epoch_hist > 0] / total_assign
-        perplexity = float(np.exp(-(p * np.log(p)).sum())) if total_assign else 0.0
+        active_codes, perplexity = usage_report(epoch_hist)
         record = {
             "stage": stage,
             "epoch": epoch,
@@ -269,7 +266,7 @@ def run_training(
             "masked_fraction": sums["masked"] / windows_seen,
             "windows": windows_seen,
             "steps": steps,
-            "active_codes": int((epoch_hist > 0).sum()),
+            "active_codes": active_codes,
         }
         records.append(record)
         logger.info(

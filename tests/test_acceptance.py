@@ -55,7 +55,7 @@ from motionprim.model import (
     tiny_batch,
     tiny_config,
 )
-from motionprim.quantizer import Codebook, nearest_prototypes, usage_report
+from motionprim.quantizer import nearest_prototypes, usage_report
 from motionprim.training import (
     LINEAR_PROBE,
     OptimizerConfig,
@@ -179,8 +179,7 @@ def test_criterion_06_codebook_utilization(bench_runs, capsys):
     ok = True
     for s in BENCH_SEEDS:
         model = bench_runs[s]["model"]
-        book = Codebook(model.params["codebook"], model.usage_counts)
-        active, perplexity = usage_report(book)
+        active, perplexity = usage_report(model.usage_counts)
         needed = oracles.zero_noise_shape_count(bench_spec(s))
         seed_ok = active >= needed and perplexity > 4.0
         ok = ok and seed_ok

@@ -61,23 +61,11 @@ def test_similarity_zero_norm_row_is_nan_and_flagged(model):
     assert np.isfinite(sim.values[0, 1])
 
 
-def test_similarity_stats_variant_differs(model):
-    ids = np.array([0, 1, 2])
-    plain = similarity(ids, model)
-    stats = np.array([[0.5, 1.2], [-0.3, 0.8], [0.0, 2.0]])
-    contextual = similarity(ids, model, stats=stats)
-    assert not np.allclose(plain.values, contextual.values)
-    # still a valid cosine matrix
-    np.testing.assert_allclose(np.diag(contextual.values), 1.0, atol=1e-9)
-
-
 def test_similarity_validation(model):
     with pytest.raises(DataError):
         similarity(np.zeros((2, 2), dtype=np.int64), model)
     with pytest.raises(DataError):
         similarity(np.array([model.config.codebook_size]), model)
-    with pytest.raises(DataError):
-        similarity(np.array([0, 1]), model, stats=np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------

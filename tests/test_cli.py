@@ -224,6 +224,28 @@ def test_exit_2_on_bad_config(tmp_path, capsys):
     assert "nonsense" in record["message"]
 
 
+@pytest.mark.parametrize("key, value", [("dropout", "0.1"), ("norm_placement", "post")])
+def test_exit_2_on_removed_model_keys(workdir, tmp_path, capsys, key, value):
+    # a run that would otherwise train is refused at config load
+    _, cfg_path, _ = workdir
+    code = cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}", "--set", f"model.{key}={value}"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["type"] == "ConfigError"
+    assert key in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_exit_2_on_remote_provider_without_endpoint(workdir, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MOTIONPRIM_EMBED_ENDPOINT", raising=False)
+    _, cfg_path, _ = workdir
+    code = cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}", "--set", "provider.kind=remote"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert "MOTIONPRIM_EMBED_ENDPOINT" in record["message"]
+
+
 def test_exit_2_when_no_datasets(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"datasets": []}))

@@ -8,13 +8,9 @@ from motionprim.embedder import (
     KIND_END,
     KIND_MOTION,
     KIND_START,
-    PositionTable,
     build_layout,
     embed_batch,
     end_row,
-    init_embedding_table,
-    init_position_table,
-    init_stat_projector,
     mask_count,
     mask_row,
     start_row,
@@ -22,7 +18,7 @@ from motionprim.embedder import (
 from motionprim.errors import ConfigError, DataError
 from motionprim.ingest import ChannelMetadata, SensorWindow
 from motionprim.metadata import make_provider
-from motionprim.model import init_model, mask_positions_for, prepare_windows, tiny_config
+from motionprim.model import ModelConfig, init_model, mask_positions_for, prepare_windows, tiny_config
 from motionprim.training import refresh_usage, tokenize_dataset
 
 K, D, C, S = 6, 8, 2, 3
@@ -46,27 +42,16 @@ def tokens(seed=0):
     )
 
 
-def tables(seed=0):
-    table = init_embedding_table(K, D, seed=seed)
-    proj = init_stat_projector(D, seed=seed + 1)
-    pos = init_position_table(S, D, seed=seed + 2)
-    return table, proj, pos
-
-
 def embed_params(seed=0):
-    """Input-side parameters with an identity metadata adapter, so each
-    channel's adapter output is its metadata row exactly."""
-    table, proj, pos = tables(seed)
-    proj.bias[:] = np.random.default_rng(seed + 3).normal(size=D)
-    return {
-        "embed.rows": table.rows,
-        "embed.cls_vector": table.cls_vector,
-        "stat.weight": proj.weight,
-        "stat.bias": proj.bias,
-        "adapter.weight": np.eye(D),
-        "adapter.bias": np.zeros(D),
-        "pos.rows": pos.rows,
-    }, build_layout(C, S, pos)
+    """Input-side parameters of a tiny model (K=6, D=8, S=3) with a random
+    stat bias and an identity metadata adapter, so each channel's adapter
+    output is its metadata row exactly."""
+    model = init_model(tiny_config(), seed=seed)
+    params = dict(model.params)
+    params["stat.bias"] = np.random.default_rng(seed + 3).normal(size=D)
+    params["adapter.weight"] = np.eye(D)
+    params["adapter.bias"] = np.zeros(D)
+    return params, model.layout_for(C, S)
 
 
 # ---------------------------------------------------------------------------
@@ -80,24 +65,27 @@ def test_special_row_indices():
 
 
 def test_table_shapes_and_init():
-    table, proj, pos = tables()
-    assert table.rows.shape == (K + 3, D)
-    assert table.cls_vector.shape == (D,)
-    assert proj.weight.shape == (D, 2)
-    assert proj.bias.shape == (D,)
-    assert pos.rows.shape == (S + 3, D)
-    big = init_embedding_table(512, 128, seed=3)
-    assert big.rows.std() == pytest.approx(0.02, rel=0.05)
-    again = init_embedding_table(512, 128, seed=3)
-    np.testing.assert_array_equal(big.rows, again.rows)
+    params = init_model(tiny_config(), seed=0).params
+    assert params["embed.rows"].shape == (K + 3, D)
+    assert params["embed.cls_vector"].shape == (D,)
+    assert params["stat.weight"].shape == (D, 2)
+    np.testing.assert_array_equal(params["stat.bias"], np.zeros(D))
+    assert params["pos.rows"].shape == (S + 3, D)
+    cfg = ModelConfig(codebook_size=512, model_dim=128, meta_dim=4, depth=0)
+    big = init_model(cfg, seed=3).params
+    assert big["embed.rows"].std() == pytest.approx(0.02, rel=0.05)
+    assert big["pos.rows"].std() == pytest.approx(0.02, rel=0.1)
+    np.testing.assert_array_equal(big["embed.rows"], init_model(cfg, seed=3).params["embed.rows"])
 
 
 def test_position_slots_are_reserved_at_the_top():
-    pos = init_position_table(S, D)
-    assert pos.max_slots == S + 3
-    assert pos.cls_slot == S + 2
-    assert pos.start_slot == S + 1
-    assert pos.end_slot == S
+    # the reserved slots follow the table's top rows, not the segment count
+    rows = S + 5
+    layout = build_layout(C, S, rows)
+    assert layout.position_slot[0] == rows - 1
+    assert set(layout.position_slot[layout.kinds == KIND_START].tolist()) == {rows - 2}
+    assert set(layout.position_slot[layout.kinds == KIND_END].tolist()) == {rows - 3}
+    assert layout.position_slot[layout.kinds == KIND_MOTION].max() == S - 1
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +93,7 @@ def test_position_slots_are_reserved_at_the_top():
 
 
 def test_layout_structure():
-    _, _, pos = tables()
-    layout = build_layout(C, S, pos)
+    layout = build_layout(C, S, S + 3)
     assert layout.seq_len == 1 + C * (S + 2)
     kinds = layout.kinds.tolist()
     per_channel = [KIND_START] + [KIND_MOTION] * S + [KIND_END]
@@ -118,22 +105,20 @@ def test_layout_structure():
 
 
 def test_layout_position_slots_shared_across_channels():
-    _, _, pos = tables()
-    layout = build_layout(C, S, pos)
+    layout = build_layout(C, S, S + 3)
     motion = layout.kinds == KIND_MOTION
     # motion token at time t uses slot t in every channel
     assert layout.position_slot[motion].tolist() == [0, 1, 2, 0, 1, 2]
-    assert layout.position_slot[0] == pos.cls_slot
+    assert layout.position_slot[0] == S + 2
     starts = layout.kinds == KIND_START
     ends = layout.kinds == KIND_END
-    assert set(layout.position_slot[starts].tolist()) == {pos.start_slot}
-    assert set(layout.position_slot[ends].tolist()) == {pos.end_slot}
+    assert set(layout.position_slot[starts].tolist()) == {S + 1}
+    assert set(layout.position_slot[ends].tolist()) == {S}
 
 
 def test_layout_rejects_overflow():
-    pos = PositionTable(np.zeros((S + 2, D)))  # one slot short
     with pytest.raises(ConfigError):
-        build_layout(C, S, pos)
+        build_layout(C, S, S + 2)  # one slot short
 
 
 def test_layout_embed_rows_and_stats():

@@ -88,19 +88,6 @@ def test_attention_matches_loop_oracle():
     np.testing.assert_allclose(out[0], want, atol=1e-12)
 
 
-def test_attention_additive_mask_blocks_positions():
-    config = EncoderConfig(depth=1, heads=1, model_dim=4)
-    params = init_encoder_params(config, seed=6)[0]
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(1, 3, 4))
-    mask = np.zeros((1, 1, 3, 3))
-    mask[..., 2] = -1e9  # nobody may look at position 2
-    _, cache = attention_forward(x, params, config, attn_mask=mask)
-    weights = cache[4]  # (B, h, S, S) softmax weights
-    assert np.all(weights[..., 2] < 1e-12)
-    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
-
-
 def test_mlp_matches_manual():
     config = EncoderConfig(depth=1, heads=2, model_dim=4, mlp_ratio=2.0)
     params = init_encoder_params(config, seed=7)[0]
@@ -137,18 +124,6 @@ def test_depth_zero_is_identity_prenorm():
     np.testing.assert_array_equal(out, x)
 
 
-def test_pre_and_post_norm_differ():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(1, 4, 8))
-    pre = encoder_forward(x, init_encoder_params(TINY, seed=1), TINY)[0]
-    post_config = EncoderConfig(depth=2, heads=2, model_dim=8, mlp_ratio=2.0, norm_placement="post")
-    post = encoder_forward(x, init_encoder_params(post_config, seed=1), post_config)[0]
-    assert not np.allclose(pre, post)
-    # post-norm output is normalized per position: unit variance rows
-    var = post.var(axis=-1)
-    np.testing.assert_allclose(var, np.ones_like(var), rtol=0.2)
-
-
 def test_forward_rejects_bad_shapes_and_nan():
     layers = init_encoder_params(TINY, seed=2)
     with pytest.raises(DataError):
@@ -157,8 +132,11 @@ def test_forward_rejects_bad_shapes_and_nan():
         encoder_forward(np.zeros((2, 4, 8)), layers[:1], TINY)
     bad = np.zeros((1, 3, 8))
     bad[0, 0, 0] = np.nan
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="input"):
         encoder_forward(bad, layers, TINY)
+    # the input check runs before any layer, at depth 0 too
+    with pytest.raises(NumericError, match="input"):
+        encoder_forward(bad, [], EncoderConfig(depth=0, heads=2, model_dim=8))
 
 
 def test_forward_deterministic():
@@ -167,22 +145,6 @@ def test_forward_deterministic():
     a, _ = encoder_forward(x, layers, TINY)
     b, _ = encoder_forward(x, layers, TINY)
     np.testing.assert_array_equal(a, b)
-
-
-def test_dropout_zero_is_noop_and_nonzero_differs():
-    config = EncoderConfig(depth=1, heads=2, model_dim=8, dropout=0.5)
-    layers = init_encoder_params(config, seed=4)
-    x = np.random.default_rng(8).normal(size=(1, 4, 8))
-    a, _ = encoder_forward(x, layers, config, dropout_rng=np.random.default_rng(0))
-    b, _ = encoder_forward(x, layers, config, dropout_rng=np.random.default_rng(0))
-    c, _ = encoder_forward(x, layers, config, dropout_rng=np.random.default_rng(1))
-    np.testing.assert_array_equal(a, b)  # same rng stream, same masks
-    assert not np.array_equal(a, c)
-    no_drop = EncoderConfig(depth=1, heads=2, model_dim=8, dropout=0.0)
-    layers0 = init_encoder_params(no_drop, seed=4)
-    d, _ = encoder_forward(x, layers0, no_drop, dropout_rng=np.random.default_rng(0))
-    e, _ = encoder_forward(x, layers0, no_drop)
-    np.testing.assert_array_equal(d, e)
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +173,17 @@ def scalarize(config, probe):
     return fn
 
 
-def test_encoder_backward_matches_fd_pre_and_post():
+def test_encoder_backward_matches_fd():
     rng = np.random.default_rng(9)
-    for placement in ("pre", "post"):
-        config = EncoderConfig(depth=1, heads=2, model_dim=6, mlp_ratio=1.0, norm_placement=placement)
-        layers = init_encoder_params(config, seed=10)
-        x = rng.normal(size=(2, 3, 6))
-        probe = rng.normal(size=(2, 3, 6))
-        point = {"x": x}
-        for key, val in layers[0].items():
-            point[f"layer0.{key}"] = val
-        report = grad_check(scalarize(config, probe), point, tolerance=1e-5, max_coords_per_tensor=40, seed=0)
-        assert report.passed, f"{placement}: {report.max_rel_err}"
+    config = EncoderConfig(depth=1, heads=2, model_dim=6, mlp_ratio=1.0)
+    layers = init_encoder_params(config, seed=10)
+    x = rng.normal(size=(2, 3, 6))
+    probe = rng.normal(size=(2, 3, 6))
+    point = {"x": x}
+    for key, val in layers[0].items():
+        point[f"layer0.{key}"] = val
+    report = grad_check(scalarize(config, probe), point, tolerance=1e-5, max_coords_per_tensor=40, seed=0)
+    assert report.passed, report.max_rel_err
 
 
 def test_grad_check_catches_broken_gradient():

@@ -5,19 +5,17 @@ import pytest
 
 from motionprim.errors import ConfigError, MetadataProviderError
 from motionprim.ingest import ChannelMetadata
+from motionprim.embedder import embed_batch
 from motionprim.metadata import (
-    AdapterParams,
     CachingProvider,
     FileLookupProvider,
     HashProvider,
     RemoteProvider,
-    adapter_backward,
-    adapter_project,
     canonical_descriptor,
     embed_channels,
-    init_adapter,
     make_provider,
 )
+from motionprim.model import ModelConfig, init_model, tiny_config
 
 WRIST = ChannelMetadata("wrist", "accelerometer", "x", 100.0)
 
@@ -101,7 +99,8 @@ def test_remote_requires_endpoint_env(monkeypatch):
     monkeypatch.setattr(
         "urllib.request.urlopen", lambda *a, **k: called.append(1)
     )
-    with pytest.raises(MetadataProviderError):
+    # a missing endpoint is a configuration fault (CLI exit 2), not a data error
+    with pytest.raises(ConfigError, match="MOTIONPRIM_EMBED_ENDPOINT"):
         RemoteProvider()
     assert called == []  # refused before any network attempt
 
@@ -197,7 +196,7 @@ def test_make_provider_kinds(tmp_path):
 def test_make_provider_remote_is_the_documented_kind(monkeypatch):
     # "remote" reaches the provider, which refuses for want of an endpoint
     monkeypatch.delenv("MOTIONPRIM_EMBED_ENDPOINT", raising=False)
-    with pytest.raises(MetadataProviderError, match="MOTIONPRIM_EMBED_ENDPOINT"):
+    with pytest.raises(ConfigError, match="MOTIONPRIM_EMBED_ENDPOINT"):
         make_provider("remote")
     with pytest.raises(ConfigError, match="unknown metadata provider"):
         make_provider("remote-service")
@@ -219,30 +218,27 @@ def test_embed_channels_uses_canonical_descriptors():
 
 
 def test_init_adapter_shapes_and_stats():
-    params = init_adapter(64, 768, seed=0)
-    assert params.weight.shape == (64, 768)
-    assert params.bias.shape == (64,)
-    np.testing.assert_array_equal(params.bias, np.zeros(64))
-    assert params.weight.std() == pytest.approx(0.02, rel=0.1)
+    model = init_model(ModelConfig(codebook_size=4, model_dim=64, meta_dim=768, depth=0), seed=0)
+    weight, bias = model.params["adapter.weight"], model.params["adapter.bias"]
+    assert weight.shape == (64, 768)
+    np.testing.assert_array_equal(bias, np.zeros(64))
+    assert weight.std() == pytest.approx(0.02, rel=0.1)
 
 
 def test_adapter_project_formula():
+    # with every other input term zeroed, each channel-owned token carries
+    # exactly W v + b of its channel's metadata vector, and CLS carries none
+    cfg = tiny_config()
+    model = init_model(cfg, seed=2)
     rng = np.random.default_rng(2)
-    w = rng.normal(size=(4, 6))
-    b = rng.normal(size=4)
-    v = rng.normal(size=6)
-    out = adapter_project(v, AdapterParams(w, b))
-    np.testing.assert_allclose(out, w @ v + b, atol=1e-15)
-
-
-def test_adapter_backward_formulas():
-    rng = np.random.default_rng(3)
-    w = rng.normal(size=(4, 6))
-    b = rng.normal(size=4)
-    v = rng.normal(size=6)
-    g_out = rng.normal(size=4)
-    params = AdapterParams(w, b)
-    g_w, g_b, g_v = adapter_backward(v, g_out, params)
-    np.testing.assert_allclose(g_w, np.outer(g_out, v), atol=1e-15)
-    np.testing.assert_allclose(g_b, g_out, atol=1e-15)
-    np.testing.assert_allclose(g_v, w.T @ g_out, atol=1e-15)
+    params = {name: np.zeros_like(t) for name, t in model.params.items()}
+    params["adapter.weight"] = rng.normal(size=(cfg.model_dim, cfg.meta_dim))
+    params["adapter.bias"] = rng.normal(size=cfg.model_dim)
+    meta = rng.normal(size=(2, cfg.meta_dim))
+    layout = model.layout_for(2, cfg.segments_per_channel)
+    indices = np.zeros((1, 2, cfg.segments_per_channel), dtype=np.int64)
+    x, _, _ = embed_batch(params, layout, indices, np.ones((1, 2, cfg.segments_per_channel, 2)), meta)
+    np.testing.assert_array_equal(x[0, 0], 0.0)
+    for p in layout.channel_positions:
+        v = meta[layout.channel_of[p]]
+        np.testing.assert_allclose(x[0, p], params["adapter.weight"] @ v + params["adapter.bias"], atol=1e-14)

@@ -13,6 +13,7 @@ from motionprim.model import (
     ModelConfig,
     backward,
     forward,
+    gradient_suite,
     init_model,
     loss_closure,
     mask_positions_for,
@@ -35,10 +36,9 @@ def test_config_round_trip_and_unknown_keys():
     cfg = tiny_config()
     back = ModelConfig.from_dict(cfg.to_dict())
     assert back == cfg
-    raw = cfg.to_dict()
-    raw["hidden_size"] = 32
-    with pytest.raises(ConfigError):
-        ModelConfig.from_dict(raw)
+    for key, value in (("hidden_size", 32), ("dropout", 0.0), ("norm_placement", "pre")):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig.from_dict({**cfg.to_dict(), key: value})
 
 
 def test_config_validation():
@@ -360,3 +360,17 @@ def test_loss_closure_matches_forward():
     loss, grads = fn(model.params)
     assert loss == pytest.approx(live.loss, rel=1e-12)
     assert set(grads) == set(model.params)
+
+
+def test_gradient_suite_full_model_checks_every_input_coordinate():
+    # the input-side tensors and the codebook are small enough that the
+    # full-model check covers each of their coordinates through backward
+    reports = gradient_suite(seed=0)
+    assert set(reports) == {"encoder", "full_model"}
+    checked = {}
+    for entry in reports["full_model"].entries:
+        checked.setdefault(entry.name, set()).add(entry.coordinate)
+    params = init_model(tiny_config(), seed=0).params
+    for name in ("adapter.weight", "adapter.bias", "stat.weight", "stat.bias", "codebook"):
+        assert len(checked[name]) == params[name].size, name
+    assert reports["full_model"].passed

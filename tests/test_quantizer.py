@@ -1,25 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
+from motionprim.encoder import grad_check
 from motionprim.errors import ConfigError, DataError
-from motionprim.quantizer import (
-    KMEANS_ITERS,
-    Codebook,
-    init_codebook,
-    load_codebook,
-    nearest_prototypes,
-    reseed_dead_codes,
-    save_codebook,
-    update_codebook,
-    usage_report,
-    vq_loss,
+from motionprim.model import (
+    LossWeights,
+    ModelConfig,
+    backward,
+    forward,
+    init_model,
+    loss_closure,
+    tiny_batch,
+    tiny_config,
 )
+from motionprim.quantizer import KMEANS_ITERS, init_codebook, nearest_prototypes, usage_report
+
+VQ_ONLY = LossWeights(0.0, 0.0, 1.0)
 
 
-def make_codebook(k=8, length=6, seed=0):
-    rng = np.random.default_rng(seed)
-    return Codebook(rng.normal(size=(k, length)), np.zeros(k, dtype=np.int64))
+def make_prototypes(k=8, length=6, seed=0):
+    return np.random.default_rng(seed).normal(size=(k, length))
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +52,7 @@ def test_tie_breaks_to_lowest_index():
 
 def test_quantize_batch_matches_itemwise_and_counts_usage():
     rng = np.random.default_rng(1)
-    protos = make_codebook(k=5, length=4, seed=2).prototypes
+    protos = make_prototypes(k=5, length=4, seed=2)
     segs = rng.normal(size=(40, 4))
     indices, distances = nearest_prototypes(segs, protos)
     for i in range(40):
@@ -57,9 +60,9 @@ def test_quantize_batch_matches_itemwise_and_counts_usage():
         assert indices[i] == single_idx[0]
         assert distances[i] == single_dist[0]
     # a usage report over these assignments counts duplicates
-    cb = Codebook(protos, np.bincount(indices, minlength=5))
-    assert cb.usage_counts.sum() == 40
-    assert usage_report(cb)[0] == np.count_nonzero(np.bincount(indices, minlength=5))
+    counts = np.bincount(indices, minlength=5)
+    assert counts.sum() == 40
+    assert usage_report(counts)[0] == np.count_nonzero(counts)
 
 
 def test_nearest_prototypes_chunking_invariant():
@@ -75,9 +78,22 @@ def test_nearest_prototypes_chunking_invariant():
 
 
 def test_quantize_shape_mismatch():
-    cb = make_codebook(length=6)
     with pytest.raises(DataError):
-        nearest_prototypes(np.zeros((2, 5)), cb.prototypes)
+        nearest_prototypes(np.zeros((2, 5)), make_prototypes(length=6))
+
+
+def test_nearest_prototypes_rejects_nonfinite_segments():
+    # a nan distance never loses an argmin: it would take index 0 silently
+    with pytest.raises(DataError, match="finite"):
+        nearest_prototypes(np.array([[np.nan, 1.0], [0.0, 1.0]]), np.array([[5.0, 5.0], [0.0, 1.0]]))
+    with pytest.raises(DataError, match="finite"):
+        nearest_prototypes(np.array([np.inf, 0.0]), np.array([[5.0, 5.0], [0.0, 1.0]]))
+
+
+def test_nearest_prototypes_rejects_nonfinite_prototypes():
+    # a nan prototype row would win every argmin
+    with pytest.raises(DataError, match="finite"):
+        nearest_prototypes(np.array([[0.0, 1.0], [5.0, 5.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -85,43 +101,52 @@ def test_quantize_shape_mismatch():
 
 
 def test_vq_loss_value_and_grads():
+    # forward/backward with only the commitment term: the value is
+    # ||sg(s) - z||^2 + beta ||s - sg(z)||^2 averaged over segments, and only
+    # the first half reaches the prototypes, 2 (z - s) per assigned segment
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        s = rng.normal(size=10)
-        z = rng.normal(size=10)
+    for seed in range(5):
         beta = float(rng.uniform(0.0, 1.0))
-        loss, g_in, g_code = vq_loss(s, z, beta)
-        assert loss == pytest.approx(oracles.commitment_loss(s, z, beta), rel=1e-12)
-        np.testing.assert_allclose(g_in, 2.0 * beta * (s - z), atol=1e-15)
-        np.testing.assert_allclose(g_code, 2.0 * (z - s), atol=1e-15)
+        cfg = replace(tiny_config(), beta=beta)
+        model = init_model(cfg, seed=seed)
+        batch = tiny_batch(seed=seed)
+        result = forward(model, batch, VQ_ONLY)
+        grads = backward(model, result)
+        protos = model.params["codebook"]
+        segments = batch.norm_segments.reshape(-1, cfg.segment_len)
+        indices = result.indices.reshape(-1)
+        n = segments.shape[0]
+        want = sum(oracles.commitment_loss(s, protos[k], beta) for s, k in zip(segments, indices)) / n
+        assert result.vq_loss == pytest.approx(want, rel=1e-12)
+        want_grad = np.zeros_like(protos)
+        for s, k in zip(segments, indices):
+            want_grad[k] += 2.0 * (protos[k] - s) / n
+        np.testing.assert_allclose(grads["codebook"], want_grad, atol=1e-14)
+        assert not any(g.any() for name, g in grads.items() if name != "codebook")
 
 
 def test_vq_loss_grads_match_finite_differences():
-    # each gradient respects its stop-gradient: vary one side with the other
-    # frozen and compare against central differences
-    rng = np.random.default_rng(6)
-    s0 = rng.normal(size=6)
-    z0 = rng.normal(size=6)
-    beta = 0.25
-    _, g_in, g_code = vq_loss(s0, z0, beta)
+    # vary the prototypes with the assignment and the stop-gradient copy
+    # frozen, through the production loss closure
+    cfg = tiny_config()
+    model = init_model(cfg, seed=6)
+    batch = tiny_batch(seed=6)
+    indices, _ = nearest_prototypes(batch.norm_segments.reshape(-1, cfg.segment_len), model.params["codebook"])
+    closure = loss_closure(cfg, batch, VQ_ONLY, None, indices, model.params["codebook"].copy())
 
-    def loss_of_s(s):
-        d_first = float(np.sum((s0 - z0) ** 2))  # sg(s): frozen at s0
-        d_second = float(np.sum((s - z0) ** 2))
-        return d_first + beta * d_second
+    def fn(point):
+        loss, grads = closure({**model.params, "codebook": point["codebook"]})
+        return loss, {"codebook": grads["codebook"]}
 
-    def loss_of_z(z):
-        d_first = float(np.sum((s0 - z) ** 2))
-        d_second = float(np.sum((s0 - z0) ** 2))  # sg(z): frozen at z0
-        return d_first + beta * d_second
-
-    np.testing.assert_allclose(g_in, oracles.central_difference(loss_of_s, s0.copy()), atol=1e-8)
-    np.testing.assert_allclose(g_code, oracles.central_difference(loss_of_z, z0.copy()), atol=1e-8)
+    point = {"codebook": model.params["codebook"].copy()}
+    report = grad_check(fn, point, tolerance=1e-6, max_coords_per_tensor=None)
+    assert report.passed, report.max_rel_err
+    assert len(report.entries) == model.params["codebook"].size
 
 
 def test_vq_loss_beta_validation():
     with pytest.raises(ConfigError):
-        vq_loss(np.zeros(3), np.zeros(3), beta=-0.1)
+        ModelConfig(beta=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +155,13 @@ def test_vq_loss_beta_validation():
 
 def test_random_normal_init_statistics():
     length = 64
-    cb = init_codebook(256, length, "random-normal", seed=0)
-    assert cb.prototypes.shape == (256, length)
+    protos = init_codebook(256, length, "random-normal", seed=0)
+    assert protos.shape == (256, length)
     # entries are N(0, 1/L): std 1/8 here
-    assert cb.prototypes.std() == pytest.approx(1.0 / np.sqrt(length), rel=0.05)
-    assert abs(cb.prototypes.mean()) < 0.01
-    cb2 = init_codebook(256, length, "random-normal", seed=0)
-    np.testing.assert_array_equal(cb.prototypes, cb2.prototypes)
-    cb3 = init_codebook(256, length, "random-normal", seed=1)
-    assert not np.array_equal(cb.prototypes, cb3.prototypes)
+    assert protos.std() == pytest.approx(1.0 / np.sqrt(length), rel=0.05)
+    assert abs(protos.mean()) < 0.01
+    np.testing.assert_array_equal(protos, init_codebook(256, length, "random-normal", seed=0))
+    assert not np.array_equal(protos, init_codebook(256, length, "random-normal", seed=1))
 
 
 def test_kmeans_init_matches_oracle():
@@ -146,9 +169,9 @@ def test_kmeans_init_matches_oracle():
     rng = np.random.default_rng(12)
     centers = np.array([[5.0, 0, 0, 0], [0, 5.0, 0, 0], [0, 0, 5.0, 0], [0, 0, 0, 5.0]])
     sample = np.concatenate([c + 0.05 * rng.normal(size=(15, 4)) for c in centers])
-    cb = init_codebook(4, 4, "kmeans-seeded", sample=sample, seed=7)
+    protos = init_codebook(4, 4, "kmeans-seeded", sample=sample, seed=7)
     want = oracles.kmeans(sample, 4, seed=7, iters=KMEANS_ITERS)
-    np.testing.assert_allclose(cb.prototypes, want, atol=1e-9)
+    np.testing.assert_allclose(protos, want, atol=1e-9)
 
 
 def test_kmeans_empty_cluster_keeps_centroid():
@@ -156,9 +179,9 @@ def test_kmeans_empty_cluster_keeps_centroid():
     # the same keep-previous-centroid rule so results still agree
     rng = np.random.default_rng(13)
     sample = rng.normal(size=(10, 3))
-    cb = init_codebook(8, 3, "kmeans-seeded", sample=sample, seed=3)
+    protos = init_codebook(8, 3, "kmeans-seeded", sample=sample, seed=3)
     want = oracles.kmeans(sample, 8, seed=3, iters=KMEANS_ITERS)
-    np.testing.assert_allclose(cb.prototypes, want, atol=1e-9)
+    np.testing.assert_allclose(protos, want, atol=1e-9)
 
 
 def test_kmeans_requires_enough_sample():
@@ -172,99 +195,21 @@ def test_init_unknown_strategy():
 
 
 # ---------------------------------------------------------------------------
-# updates
-
-
-def test_update_ema_standard_recursion():
-    cb = make_codebook(k=2, length=2, seed=21)
-    segs = np.array([[2.0, 0.0], [4.0, 0.0]])
-    idx = np.array([0, 0])
-    d = 0.9
-    new = update_codebook(cb, segs, idx, rate=d)
-    size = d * 0.0 + (1 - d) * 2.0
-    mean = d * np.zeros(2) + (1 - d) * np.array([6.0, 0.0])
-    np.testing.assert_allclose(new.prototypes[0], mean / size, atol=1e-12)
-    np.testing.assert_array_equal(new.prototypes[1], cb.prototypes[1])
-    # second update uses the carried state
-    newer = update_codebook(new, segs, idx, rate=d)
-    size2 = d * size + (1 - d) * 2.0
-    mean2 = d * mean + (1 - d) * np.array([6.0, 0.0])
-    np.testing.assert_allclose(newer.prototypes[0], mean2 / size2, atol=1e-12)
-
-
-def test_update_ema_decay_zero_sets_batch_mean():
-    cb = make_codebook(k=2, length=2, seed=22)
-    segs = np.array([[2.0, 4.0], [4.0, 8.0]])
-    new = update_codebook(cb, segs, np.array([1, 1]), rate=0.0)
-    np.testing.assert_allclose(new.prototypes[1], [3.0, 6.0], atol=1e-12)
-
-
-def test_update_rate_validation():
-    cb = make_codebook()
-    segs = np.zeros((1, 6))
-    idx = np.zeros(1, dtype=np.int64)
-    for bad in (-0.1, 1.5):
-        with pytest.raises(ConfigError):
-            update_codebook(cb, segs, idx, rate=bad)
-
-
-def test_update_empty_batch_is_noop():
-    cb = make_codebook()
-    new = update_codebook(cb, np.zeros((0, 6)), np.zeros(0, dtype=np.int64), rate=0.1)
-    np.testing.assert_array_equal(new.prototypes, cb.prototypes)
-
-
-def test_update_index_out_of_range():
-    cb = make_codebook(k=4)
-    with pytest.raises(DataError):
-        update_codebook(cb, np.zeros((1, 6)), np.array([4]), rate=0.1)
-
-
-# ---------------------------------------------------------------------------
-# usage, reseeding, persistence
+# usage
 
 
 def test_usage_report_matches_entropy_oracle():
-    cb = make_codebook(k=4)
-    cb.usage_counts[:] = [10, 10, 0, 20]
-    active, perplexity = usage_report(cb)
+    active, perplexity = usage_report(np.array([10, 10, 0, 20]))
     assert active == 3
     assert perplexity == pytest.approx(oracles.entropy_perplexity([10, 10, 0, 20]), rel=1e-12)
 
 
 def test_usage_report_uniform_is_k():
-    cb = make_codebook(k=8)
-    cb.usage_counts[:] = 5
-    active, perplexity = usage_report(cb)
+    active, perplexity = usage_report(np.full(8, 5))
     assert active == 8
     assert perplexity == pytest.approx(8.0, rel=1e-12)
 
 
 def test_usage_report_requires_usage():
     with pytest.raises(DataError):
-        usage_report(make_codebook())
-
-
-def test_reseed_dead_codes():
-    rng = np.random.default_rng(30)
-    cb = make_codebook(k=4, length=3, seed=31)
-    cb.usage_counts[:] = [5, 0, 7, 0]
-    sample = rng.normal(size=(50, 3))
-    new, reseeded = reseed_dead_codes(cb, sample, seed=9)
-    assert reseeded == 2
-    np.testing.assert_array_equal(new.prototypes[0], cb.prototypes[0])
-    np.testing.assert_array_equal(new.prototypes[2], cb.prototypes[2])
-    assert not np.array_equal(new.prototypes[1], cb.prototypes[1])
-    # deterministic in the seed
-    again, _ = reseed_dead_codes(cb, sample, seed=9)
-    np.testing.assert_array_equal(again.prototypes, new.prototypes)
-
-
-def test_save_load_round_trip(tmp_path):
-    cb = make_codebook(k=6, length=5, seed=40)
-    cb.usage_counts[:] = np.arange(6)
-    path = tmp_path / "cb.bin"
-    save_codebook(cb, path)
-    back = load_codebook(path)
-    np.testing.assert_array_equal(back.prototypes, cb.prototypes)
-    np.testing.assert_array_equal(back.usage_counts, cb.usage_counts)
+        usage_report(np.zeros(8, dtype=np.int64))

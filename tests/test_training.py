@@ -19,6 +19,7 @@ from motionprim.model import (
     tiny_batch,
     tiny_config,
 )
+from motionprim.tensorfile import save_tensors
 from motionprim.training import (
     ENCODER_FINETUNE,
     LINEAR_PROBE,
@@ -433,12 +434,21 @@ def test_checkpoint_hash_is_content_hash(tmp_path):
 
 
 def test_load_checkpoint_rejects_other_kinds(tmp_path):
-    from motionprim.quantizer import Codebook, save_codebook
-
-    path = tmp_path / "cb.bin"
-    save_codebook(Codebook(np.zeros((2, 3)), np.zeros(2, dtype=np.int64)), path)
+    path = tmp_path / "other.bin"
+    save_tensors(path, "other", {}, {"prototypes": np.zeros((2, 3))})
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_removed_config_keys(tmp_path):
+    # checkpoints whose config echo carries the removed dropout or
+    # norm_placement keys are refused, not silently reinterpreted
+    model = init_model(tiny_config(), seed=0)
+    for key, value in (("dropout", 0.0), ("norm_placement", "pre")):
+        path = tmp_path / f"{key}.ckpt"
+        save_tensors(path, "checkpoint", {"config": {**model.config.to_dict(), key: value}}, model.params)
+        with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
 
 
 def test_copy_model_is_deep():
