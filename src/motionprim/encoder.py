@@ -55,6 +55,16 @@ LAYER_PARAM_KEYS = (
 )
 
 
+def layer_param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every per-layer tensor, keyed in LAYER_PARAM_KEYS order."""
+    D, H = config.model_dim, config.mlp_hidden
+    shapes = {key: (D,) for key in LAYER_PARAM_KEYS}
+    for name in ("wq", "wk", "wv", "wo"):
+        shapes[f"attn.{name}"] = (D, D)
+    shapes["mlp.w1"], shapes["mlp.b1"], shapes["mlp.w2"] = (D, H), (H,), (H, D)
+    return shapes
+
+
 def init_encoder_params(config: EncoderConfig, seed: int = 0) -> list[dict[str, np.ndarray]]:
     """Per-layer parameter dicts: LN scales 1 / offsets 0, linear weights
     ~ N(0, 0.02^2), biases 0."""
@@ -89,14 +99,16 @@ def init_encoder_params(config: EncoderConfig, seed: int = 0) -> list[dict[str, 
 # Primitive ops, each returning (value, cache)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact erf formulation: x * Phi(x)."""
-    return x * 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact erf formulation: x * Phi(x). Returns (value, Phi(x)); the normal
+    CDF is the cache `gelu_grad` reuses, so erf runs once per layer."""
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    phi = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx = Phi(x) + x phi(x), given cdf = Phi(x) from `gelu`."""
+    return cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
 
 
 def layernorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -135,15 +147,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(B, S, h * dh)
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum over batch and sequence of x^T g: one (D, B*S) x (B*S, E) GEMM."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], config: EncoderConfig):
     """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected."""
     q = _split_heads(x @ params["attn.wq"] + params["attn.bq"], config.heads)
     k = _split_heads(x @ params["attn.wk"] + params["attn.bk"], config.heads)
     v = _split_heads(x @ params["attn.wv"] + params["attn.bv"], config.heads)
     scale = 1.0 / np.sqrt(config.head_dim)
-    scores = np.einsum("bhsd,bhtd->bhst", q, k) * scale
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     weights = softmax(scores)
-    context = np.einsum("bhst,bhtd->bhsd", weights, v)
+    context = weights @ v
     merged = _merge_heads(context)
     out = merged @ params["attn.wo"] + params["attn.bo"]
     cache = (x, q, k, v, weights, merged, scale)
@@ -153,23 +170,23 @@ def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], config: Enco
 def attention_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], config: EncoderConfig):
     x, q, k, v, weights, merged, scale = cache
     grads = {}
-    grads["attn.wo"] = np.einsum("bsd,bse->de", merged, d_out)
+    grads["attn.wo"] = _weight_grad(merged, d_out)
     grads["attn.bo"] = d_out.sum(axis=(0, 1))
     d_merged = d_out @ params["attn.wo"].T
     d_context = _split_heads(d_merged, config.heads)
-    d_weights = np.einsum("bhsd,bhtd->bhst", d_context, v)
-    d_v = np.einsum("bhst,bhsd->bhtd", weights, d_context)
+    d_weights = d_context @ v.swapaxes(-1, -2)
+    d_v = weights.swapaxes(-1, -2) @ d_context
     # softmax jacobian: dS = A * (dA - sum_j dA_j A_j)
     inner = (d_weights * weights).sum(axis=-1, keepdims=True)
     d_scores = weights * (d_weights - inner)
-    d_q = np.einsum("bhst,bhtd->bhsd", d_scores, k) * scale
-    d_k = np.einsum("bhst,bhsd->bhtd", d_scores, q) * scale
+    d_q = (d_scores @ k) * scale
+    d_k = (d_scores.swapaxes(-1, -2) @ q) * scale
 
     d_x = np.zeros_like(x)
     for name, dh in (("q", d_q), ("k", d_k), ("v", d_v)):
         flat = _merge_heads(dh)
         w = params[f"attn.w{name}"]
-        grads[f"attn.w{name}"] = np.einsum("bsd,bse->de", x, flat)
+        grads[f"attn.w{name}"] = _weight_grad(x, flat)
         grads[f"attn.b{name}"] = flat.sum(axis=(0, 1))
         d_x += flat @ w.T
     return d_x, grads
@@ -177,20 +194,20 @@ def attention_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], 
 
 def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray]):
     pre = x @ params["mlp.w1"] + params["mlp.b1"]
-    act = gelu(pre)
+    act, cdf = gelu(pre)
     out = act @ params["mlp.w2"] + params["mlp.b2"]
-    return out, (x, pre, act)
+    return out, (x, pre, cdf, act)
 
 
 def mlp_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray]):
-    x, pre, act = cache
+    x, pre, cdf, act = cache
     grads = {
-        "mlp.w2": np.einsum("bsh,bsd->hd", act, d_out),
+        "mlp.w2": _weight_grad(act, d_out),
         "mlp.b2": d_out.sum(axis=(0, 1)),
     }
     d_act = d_out @ params["mlp.w2"].T
-    d_pre = d_act * gelu_grad(pre)
-    grads["mlp.w1"] = np.einsum("bsd,bsh->dh", x, d_pre)
+    d_pre = d_act * gelu_grad(pre, cdf)
+    grads["mlp.w1"] = _weight_grad(x, d_pre)
     grads["mlp.b1"] = d_pre.sum(axis=(0, 1))
     d_x = d_pre @ params["mlp.w1"].T
     return d_x, grads

@@ -21,6 +21,7 @@ from .encoder import (
     encoder_forward,
     grad_check,
     init_encoder_params,
+    layer_param_shapes,
 )
 from .errors import ConfigError, DataError, NumericError
 from .ingest import ChannelMetadata, SensorWindow, normalize_matrix, segment_matrix
@@ -119,11 +120,20 @@ class Model:
         if usage_counts is None:
             usage_counts = np.zeros(config.codebook_size, dtype=np.int64)
         self.usage_counts = np.asarray(usage_counts, dtype=np.int64)
-        expected = set(param_names(config))
-        got = set(params)
-        if expected != got:
+        shapes = param_shapes(config)
+        if set(shapes) != set(params):
             raise DataError(
-                f"parameter set mismatch: missing {sorted(expected - got)}, unexpected {sorted(got - expected)}"
+                f"parameter set mismatch: missing {sorted(set(shapes) - set(params))}, "
+                f"unexpected {sorted(set(params) - set(shapes))}"
+            )
+        for name, shape in shapes.items():
+            if np.shape(params[name]) != shape:
+                raise DataError(
+                    f"parameter {name!r} has shape {np.shape(params[name])}, config needs {shape}"
+                )
+        if self.usage_counts.shape != (config.codebook_size,):
+            raise DataError(
+                f"usage_counts has shape {self.usage_counts.shape}, config needs ({config.codebook_size},)"
             )
 
     def encoder_layers(self) -> list[dict[str, np.ndarray]]:
@@ -136,24 +146,27 @@ class Model:
         return build_layout(num_channels, segments, self.params["pos.rows"].shape[0])
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    names = [
-        "embed.rows",
-        "embed.cls_vector",
-        "stat.weight",
-        "stat.bias",
-        "adapter.weight",
-        "adapter.bias",
-        "pos.rows",
-        "mae.weight",
-        "mae.bias",
-        "cls_head.weight",
-        "cls_head.bias",
-        "codebook",
-    ]
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter tensor a config defines."""
+    K, D = config.codebook_size, config.model_dim
+    shapes = {
+        "embed.rows": (K + 3, D),
+        "embed.cls_vector": (D,),
+        "stat.weight": (D, 2),
+        "stat.bias": (D,),
+        "adapter.weight": (D, config.meta_dim),
+        "adapter.bias": (D,),
+        "pos.rows": (config.segments_per_channel + 3, D),
+        "mae.weight": (K, D),
+        "mae.bias": (K,),
+        "cls_head.weight": (config.num_classes, D),
+        "cls_head.bias": (config.num_classes,),
+        "codebook": (K, config.segment_len),
+    }
+    layer = layer_param_shapes(config.encoder_config())
     for i in range(config.depth):
-        names.extend(f"enc.{i}.{key}" for key in LAYER_PARAM_KEYS)
-    return names
+        shapes.update({f"enc.{i}.{key}": shape for key, shape in layer.items()})
+    return shapes
 
 
 def init_model(config: ModelConfig, seed: int = 0, codebook: np.ndarray | None = None) -> Model:
@@ -379,10 +392,10 @@ def forward(
     else:
         indices_flat = np.asarray(fixed_indices, dtype=np.int64).reshape(B * C * S)
         diff = flat_segments - prototypes[indices_flat]
-        dist_first = np.einsum("nl,nl->n", diff, diff)
+        dist_first = np.sum(diff * diff, axis=1)
     z0 = prototypes if frozen_prototypes is None else frozen_prototypes
     diff_second = flat_segments - z0[indices_flat]
-    vq_value = float(dist_first.mean() + cfg.beta * np.einsum("nl,nl->n", diff_second, diff_second).mean())
+    vq_value = float(dist_first.mean() + cfg.beta * np.sum(diff_second * diff_second, axis=1).mean())
 
     layout = model.layout_for(C, S)
     if mask_positions is not None:
@@ -508,7 +521,7 @@ def backward(model: Model, result: ForwardResult) -> dict[str, np.ndarray]:
     np.add.at(grads["embed.rows"], rows[:, 1:].reshape(-1), d_x[:, 1:].reshape(-1, D))
     # statistical projection (motion tokens only)
     d_motion = d_x[:, layout.motion_positions]
-    grads["stat.weight"] += np.einsum("bmd,bmf->df", d_motion, cache["stats"].reshape(B, -1, 2))
+    grads["stat.weight"] += d_motion.reshape(-1, D).T @ cache["stats"].reshape(-1, 2)
     grads["stat.bias"] += d_motion.sum(axis=(0, 1))
     # metadata adapter via the per-channel projection
     channel_pos = layout.channel_positions

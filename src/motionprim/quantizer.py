@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 KMEANS_ITERS = 25
-# broadcasting over (chunk, K, L) keeps peak memory bounded
+# rows per exact rescan: its (rows, K, L) difference tensor bounds peak memory
 _QUANTIZE_CHUNK = 256
 
 
@@ -46,12 +46,15 @@ def init_codebook(
             raise DataError(f"kmeans-seeded needs >= {K} sample segments, got {sample.shape[0]}")
         picks = rng.choice(sample.shape[0], size=K, replace=False)
         centroids = sample[picks].copy()
+        columns = np.ascontiguousarray(sample.T)
         for _ in range(KMEANS_ITERS):
             assign = nearest_prototypes(sample, centroids)[0]
-            for k in range(K):
-                members = sample[assign == k]
-                if members.shape[0] > 0:
-                    centroids[k] = members.mean(axis=0)
+            counts = np.bincount(assign, minlength=K)
+            # a weighted bincount adds each cluster's members in sample order:
+            # the same sequential sum as members.mean(axis=0) computes
+            sums = np.stack([np.bincount(assign, weights=c, minlength=K) for c in columns], axis=1)
+            live = counts > 0
+            centroids[live] = sums[live] / counts[live, None]
         return centroids
     raise ConfigError(f"unknown codebook init strategy {strategy!r}")
 
@@ -60,7 +63,14 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
     """Batched nearest-neighbor scan: (indices, squared distances) for a
     (n, L) stack of segments. Ties resolve to the lowest index. Non-finite
     segments or prototypes are rejected: a nan distance never loses an
-    argmin, so it would silently take every assignment."""
+    argmin, so it would silently take every assignment.
+
+    Distances are ranked through the expansion |s|^2 - 2 s.z + |z|^2, one
+    GEMM per chunk. Its rounding error is bounded per row (`_gemm_slack`);
+    a row whose runner-up lies within that bound of its minimum is rescanned
+    exactly, so indices and distances equal the exhaustive scan
+    sum((s - z)^2) bit for bit.
+    """
     segments = np.asarray(segments, dtype=np.float64)
     single = segments.ndim == 1
     if single:
@@ -71,19 +81,55 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
         )
     if not (np.all(np.isfinite(segments)) and np.all(np.isfinite(prototypes))):
         raise DataError("nearest_prototypes needs finite segments and prototypes")
-    n = segments.shape[0]
+    n, L = segments.shape
+    proto_sq = np.sum(prototypes * prototypes, axis=1)
+    max_proto_sq = float(proto_sq.max())
+    # a GEMM chunk's (rows, K) distance matrix is as large as one rescan's
+    # (_QUANTIZE_CHUNK, K, L) difference tensor
+    rows = _QUANTIZE_CHUNK * max(L, 1)
     indices = np.empty(n, dtype=np.int64)
     distances = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _QUANTIZE_CHUNK):
-        chunk = segments[start : start + _QUANTIZE_CHUNK]
-        diff = chunk[:, None, :] - prototypes[None, :, :]
-        d2 = np.sum(diff * diff, axis=2)
-        idx = np.argmin(d2, axis=1)  # argmin takes the first minimum: lowest index wins ties
+    for start in range(0, n, rows):
+        chunk = segments[start : start + rows]
+        seg_sq = np.sum(chunk * chunk, axis=1)
+        approx = chunk @ prototypes.T
+        approx *= -2.0
+        approx += seg_sq[:, None]
+        approx += proto_sq
+        idx = np.argmin(approx, axis=1)
+        best = approx[np.arange(chunk.shape[0]), idx]
+        cutoff = best + _gemm_slack(L, seg_sq, max_proto_sq)
+        # a unique candidate is the scan's answer; ties, near-ties and rows
+        # whose squares overflow (no candidate at all) are rescanned
+        ambiguous = np.flatnonzero(np.count_nonzero(approx <= cutoff[:, None], axis=1) != 1)
+        for lo in range(0, ambiguous.size, _QUANTIZE_CHUNK):
+            rescan = ambiguous[lo : lo + _QUANTIZE_CHUNK]
+            diff = chunk[rescan, None, :] - prototypes[None, :, :]
+            idx[rescan] = np.argmin(np.sum(diff * diff, axis=2), axis=1)  # first minimum: lowest index
+        diff = chunk - prototypes[idx]
         indices[start : start + chunk.shape[0]] = idx
-        distances[start : start + chunk.shape[0]] = d2[np.arange(chunk.shape[0]), idx]
+        distances[start : start + chunk.shape[0]] = np.sum(diff * diff, axis=1)
     if single:
         return indices[:1], distances[:1]
     return indices, distances
+
+
+def _gemm_slack(L: int, seg_sq: np.ndarray, max_proto_sq: float) -> np.ndarray:
+    """Per-row gap below which the GEMM ranking may disagree with the
+    exhaustive scan.
+
+    With unit roundoff u = eps/2 and M = |s|^2 + max |z|^2 (so |s||z| <= M/2
+    and every true distance d <= 2M): the three length-L dot products are off
+    by at most L u(1 + O(Lu)) times |s|^2, 2|s||z| and |z|^2, 2 L u M in all,
+    and the two additions by u(2M) + u(3M), so the expansion is within
+    (2L + 5) u M of d. The scan's own sum((s - z)^2) is within (L + 2) u d
+    <= (2L + 4) u M of d. Any index the scan can return is therefore within
+    2 ((2L + 5) + (2L + 4)) u M = (8L + 18) u M of the GEMM minimum. The
+    slack below, 8 (L + 4) eps M = (16L + 64) u M, is about twice that, which
+    also covers the O(L^2 u^2) terms and the rounding of M and of the
+    comparison itself.
+    """
+    return 8.0 * (L + 4) * np.finfo(np.float64).eps * (seg_sq + max_proto_sq)
 
 
 def usage_report(counts: np.ndarray) -> tuple[int, float]:

@@ -10,6 +10,8 @@ which checkpoint hashing relies on.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -52,34 +54,67 @@ def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.
 
 
 def load_tensors(path: str | Path, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container written by `save_tensors`; returns (meta, tensors)."""
+    """Read a container written by `save_tensors`; returns (meta, tensors).
+    Anything else, including a truncated file, a malformed header or bytes
+    after the last tensor, raises CheckpointError."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"no such file: {path}")
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a motionprim tensor file")
+        prefix = len(MAGIC) + 8
+        if size < prefix:
+            raise CheckpointError(f"{path}: truncated before the header length")
         header_len = int.from_bytes(fh.read(8), "big")
+        if header_len > size - prefix:
+            raise CheckpointError(f"{path}: header length {header_len} exceeds the file")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting recurses
+        except (ValueError, RecursionError) as exc:
             raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("version") != 1:
             raise CheckpointError(f"{path}: unsupported container version {header.get('version')}")
         if expected_kind is not None and header.get("kind") != expected_kind:
             raise CheckpointError(
                 f"{path}: expected kind {expected_kind!r}, found {header.get('kind')!r}"
             )
+        meta, entries = header.get("meta"), header.get("tensors")
+        if not isinstance(meta, dict) or not isinstance(entries, list):
+            raise CheckpointError(f"{path}: header needs a 'meta' object and a 'tensors' list")
+        remaining = size - prefix - header_len
         tensors: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            dtype = _DTYPES.get(entry["dtype"])
-            if dtype is None:
-                raise CheckpointError(f"{path}: unknown dtype {entry['dtype']!r}")
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointError(f"{path}: truncated tensor {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    return header["meta"], tensors
+        for entry in entries:
+            name, dtype, shape = _entry_fields(path, entry)
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+            nbytes = 8 * math.prod(shape)
+            if nbytes > remaining:
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            tensors[name] = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
+            remaining -= nbytes
+        if remaining:
+            raise CheckpointError(f"{path}: {remaining} trailing bytes after the last tensor")
+    return meta, tensors
+
+
+def _entry_fields(path: Path, entry) -> tuple[str, str, tuple[int, ...]]:
+    """(name, numpy dtype, shape) of one header tensor entry, validated."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"{path}: tensor entry {entry!r} is not an object")
+    name, shape = entry.get("name"), entry.get("shape")
+    if not isinstance(name, str):
+        raise CheckpointError(f"{path}: tensor entry without a name: {entry!r}")
+    dtype = _DTYPES.get(entry.get("dtype")) if isinstance(entry.get("dtype"), str) else None
+    if dtype is None:
+        raise CheckpointError(f"{path}: unknown dtype {entry.get('dtype')!r} for tensor {name!r}")
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise CheckpointError(f"{path}: bad shape {shape!r} for tensor {name!r}")
+    return name, dtype, tuple(shape)

@@ -501,12 +501,17 @@ def save_checkpoint(path: str | Path, model: Model, extra_meta: dict | None = No
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
+    """Read a checkpoint; tensors whose names or shapes disagree with its
+    config echo raise CheckpointError."""
     meta, tensors = load_tensors(path, expected_kind=CHECKPOINT_KIND)
-    if "config" not in meta:
+    if not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"{path}: checkpoint missing config echo")
     config = ModelConfig.from_dict(meta["config"])
     usage = tensors.pop("usage_counts", None)
-    return Model(config, tensors, usage), meta
+    try:
+        return Model(config, tensors, usage), meta
+    except DataError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def checkpoint_hash(path: str | Path) -> str:

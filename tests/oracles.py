@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
 
 
 def linear_resample(values, src_rate, dst_rate):
@@ -239,3 +240,97 @@ def zero_noise_shape_count(spec, seg_len=50, tol=1e-6):
                 raw = win.samples[s * L : (s + 1) * L, c]
                 segments.append(np.asarray(normalize(raw)))
     return len(distinct_shapes(segments, tol))
+
+
+def nearest_broadcast(segments, prototypes, chunk=256):
+    """Exhaustive scan in broadcast form: every (segment, prototype)
+    difference over (chunk, K, L), summed along L; first minimum wins."""
+    segments = np.asarray(segments, dtype=np.float64)
+    indices = np.empty(segments.shape[0], dtype=np.int64)
+    distances = np.empty(segments.shape[0], dtype=np.float64)
+    for start in range(0, segments.shape[0], chunk):
+        part = segments[start : start + chunk]
+        diff = part[:, None, :] - prototypes[None, :, :]
+        d2 = np.sum(diff * diff, axis=2)
+        idx = np.argmin(d2, axis=1)
+        indices[start : start + part.shape[0]] = idx
+        distances[start : start + part.shape[0]] = d2[np.arange(part.shape[0]), idx]
+    return indices, distances
+
+
+# ---------------------------------------------------------------------------
+# Encoder attention and MLP written as einsum contractions, independent of the
+# reshape + matmul (GEMM) forms in motionprim.encoder
+
+
+def _split_heads(x, heads):
+    B, S, D = x.shape
+    return x.reshape(B, S, heads, D // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    B, h, S, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B, S, h * dh)
+
+
+def _softmax_last(scores):
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_forward_einsum(x, params, heads):
+    """Returns (out, cache) like encoder.attention_forward."""
+    q = _split_heads(x @ params["attn.wq"] + params["attn.bq"], heads)
+    k = _split_heads(x @ params["attn.wk"] + params["attn.bk"], heads)
+    v = _split_heads(x @ params["attn.wv"] + params["attn.bv"], heads)
+    scale = 1.0 / math.sqrt(x.shape[-1] // heads)
+    weights = _softmax_last(np.einsum("bhsd,bhtd->bhst", q, k) * scale)
+    merged = _merge_heads(np.einsum("bhst,bhtd->bhsd", weights, v))
+    out = merged @ params["attn.wo"] + params["attn.bo"]
+    return out, (x, q, k, v, weights, merged, scale)
+
+
+def attention_backward_einsum(d_out, cache, params, heads):
+    """Returns (d_x, grads) like encoder.attention_backward."""
+    x, q, k, v, weights, merged, scale = cache
+    grads = {
+        "attn.wo": np.einsum("bsd,bse->de", merged, d_out),
+        "attn.bo": d_out.sum(axis=(0, 1)),
+    }
+    d_context = _split_heads(d_out @ params["attn.wo"].T, heads)
+    d_weights = np.einsum("bhsd,bhtd->bhst", d_context, v)
+    d_v = np.einsum("bhst,bhsd->bhtd", weights, d_context)
+    d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+    d_q = np.einsum("bhst,bhtd->bhsd", d_scores, k) * scale
+    d_k = np.einsum("bhst,bhsd->bhtd", d_scores, q) * scale
+    d_x = np.zeros_like(x)
+    for name, dh in (("q", d_q), ("k", d_k), ("v", d_v)):
+        flat = _merge_heads(dh)
+        grads[f"attn.w{name}"] = np.einsum("bsd,bse->de", x, flat)
+        grads[f"attn.b{name}"] = flat.sum(axis=(0, 1))
+        d_x += flat @ params[f"attn.w{name}"].T
+    return d_x, grads
+
+
+def _gelu_and_grad(x):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return x * cdf, cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def mlp_forward_einsum(x, params):
+    pre = x @ params["mlp.w1"] + params["mlp.b1"]
+    act, _ = _gelu_and_grad(pre)
+    return act @ params["mlp.w2"] + params["mlp.b2"], (x, pre, act)
+
+
+def mlp_backward_einsum(d_out, cache, params):
+    x, pre, act = cache
+    grads = {
+        "mlp.w2": np.einsum("bsh,bsd->hd", act, d_out),
+        "mlp.b2": d_out.sum(axis=(0, 1)),
+    }
+    d_pre = (d_out @ params["mlp.w2"].T) * _gelu_and_grad(pre)[1]
+    grads["mlp.w1"] = np.einsum("bsd,bsh->dh", x, d_pre)
+    grads["mlp.b1"] = d_pre.sum(axis=(0, 1))
+    return d_pre @ params["mlp.w1"].T, grads

@@ -68,6 +68,9 @@ from motionprim.training import (
     tokenize_dataset,
 )
 
+# the acceptance criteria train the bench model (minutes); -m "not slow" skips them
+pytestmark = pytest.mark.slow
+
 
 def _report(capsys, n: int, ok: bool, detail: str, blocking: bool = True) -> str:
     tag = "PASS" if ok else "FAIL"

@@ -1,10 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from motionprim import cli
 from motionprim.errors import ConfigError
+from motionprim.model import ModelConfig, init_model
+from motionprim.training import save_checkpoint
+from test_tensorfile import corrupted_variants
 
 
 TINY_SPEC = {
@@ -273,6 +277,37 @@ def test_exit_4_on_garbage_checkpoint(workdir, tmp_path, capsys):
     assert code == 4
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "checkpoint"
+
+
+def _evaluate_exit(cfg_path, data_dir, ckpt, capsys) -> tuple[int, str | None]:
+    code = cli.main(["evaluate", "--config", str(cfg_path), str(ckpt), str(data_dir / "manifest.json")])
+    err = capsys.readouterr().err.strip().splitlines()
+    return code, json.loads(err[-1])["error"] if code else None
+
+
+def test_exit_4_on_checkpoint_with_wrong_tensor_shape(workdir, tmp_path, capsys):
+    root, cfg_path, data_dir = workdir
+    model = init_model(ModelConfig(**TINY_RUN["model"]), seed=0)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, model)
+    assert _evaluate_exit(cfg_path, data_dir, good, capsys) == (0, None)
+    model.params["enc.0.attn.wq"] = np.zeros((3, 3))
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, model)
+    assert _evaluate_exit(cfg_path, data_dir, bad, capsys) == (4, "checkpoint")
+
+
+def test_exit_4_on_corrupted_checkpoints(workdir, tmp_path, capsys):
+    # seeded truncations and malformed header fields of a valid checkpoint
+    root, cfg_path, data_dir = workdir
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    broken = tmp_path / "broken.ckpt"
+    outcomes = {}
+    for label, raw in corrupted_variants(good.read_bytes(), seed=1):
+        broken.write_bytes(raw)
+        outcomes[label] = _evaluate_exit(cfg_path, data_dir, broken, capsys)
+    assert outcomes and set(outcomes.values()) == {(4, "checkpoint")}
 
 
 def test_exit_3_on_missing_spec(tmp_path, capsys):

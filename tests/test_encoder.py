@@ -5,6 +5,7 @@ import scipy.special
 import oracles
 from motionprim.encoder import (
     EncoderConfig,
+    attention_backward,
     attention_forward,
     encoder_backward,
     encoder_forward,
@@ -13,6 +14,7 @@ from motionprim.encoder import (
     grad_check,
     init_encoder_params,
     layernorm_forward,
+    mlp_backward,
     mlp_forward,
     softmax,
 )
@@ -28,24 +30,34 @@ TINY = EncoderConfig(depth=2, heads=2, model_dim=8, mlp_ratio=2.0)
 def test_gelu_exact_erf_form():
     x = np.linspace(-4, 4, 41)
     want = np.array([oracles.gelu_scalar(v) for v in x])
-    np.testing.assert_allclose(gelu(x), want, atol=1e-15)
+    value, cdf = gelu(x)
+    np.testing.assert_allclose(value, want, atol=1e-15)
+    np.testing.assert_allclose(cdf, 0.5 * (1 + scipy.special.erf(x / np.sqrt(2))), atol=1e-16)
     # sanity anchors
-    assert gelu(np.array([0.0]))[0] == 0.0
-    assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-9)
+    assert gelu(np.array([0.0]))[0][0] == 0.0
+    assert gelu(np.array([10.0]))[0][0] == pytest.approx(10.0, abs=1e-9)
+
+
+def test_gelu_value_is_bitwise_the_erf_formula():
+    # x * Phi(x) with Phi cached equals the uncached x * 0.5 * (1 + erf(x / sqrt 2))
+    x = np.random.default_rng(3).normal(scale=3.0, size=10_000)
+    uncached = x * 0.5 * (1.0 + scipy.special.erf(x * (1.0 / np.sqrt(2.0))))
+    np.testing.assert_array_equal(gelu(x)[0], uncached)
 
 
 def test_gelu_grad_matches_finite_differences():
     x0 = np.linspace(-3, 3, 13)
     for v in x0:
-        fd = oracles.central_difference(lambda a: float(gelu(a)[0]), np.array([v]))
-        assert gelu_grad(np.array([v]))[0] == pytest.approx(fd[0], abs=1e-8)
+        fd = oracles.central_difference(lambda a: float(gelu(a)[0][0]), np.array([v]))
+        x = np.array([v])
+        assert gelu_grad(x, gelu(x)[1])[0] == pytest.approx(fd[0], abs=1e-8)
 
 
 def test_gelu_grad_closed_form():
     x = np.linspace(-2, 2, 9)
     phi = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
     Phi = 0.5 * (1 + scipy.special.erf(x / np.sqrt(2)))
-    np.testing.assert_allclose(gelu_grad(x), Phi + x * phi, atol=1e-14)
+    np.testing.assert_allclose(gelu_grad(x, gelu(x)[1]), Phi + x * phi, atol=1e-14)
 
 
 def test_layernorm_matches_oracle():
@@ -94,8 +106,59 @@ def test_mlp_matches_manual():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 2, 4))
     out, _ = mlp_forward(x, params)
-    hidden = gelu(x @ params["mlp.w1"] + params["mlp.b1"])
+    hidden, _ = gelu(x @ params["mlp.w1"] + params["mlp.b1"])
     np.testing.assert_allclose(out, hidden @ params["mlp.w2"] + params["mlp.b2"], atol=1e-13)
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "config, batch",
+    [
+        # the acceptance/bench model: B=50 windows of 37 tokens
+        (EncoderConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0), 50),
+        # the default ModelConfig encoder
+        (EncoderConfig(), 6),
+    ],
+    ids=["bench", "default"],
+)
+def test_gemm_attention_and_mlp_match_einsum_oracle(config, batch):
+    # every layer of the stack, with weights at 1/sqrt(D) scale so attention
+    # is far from uniform; values and all gradients within 1e-12 relative
+    rng = np.random.default_rng(config.model_dim)
+    D = config.model_dim
+    rescale = 1.0 / np.sqrt(D) / 0.02
+    for params in init_encoder_params(config, seed=1):
+        for key in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2"):
+            params[key] = params[key] * rescale
+        x = rng.normal(size=(batch, 37, D))
+        d_out = rng.normal(size=(batch, 37, D))
+        out, cache = attention_forward(x, params, config)
+        want, want_cache = oracles.attention_forward_einsum(x, params, config.heads)
+        assert _rel_err(out, want) <= 1e-12
+        d_x, grads = attention_backward(d_out, cache, params, config)
+        want_dx, want_grads = oracles.attention_backward_einsum(d_out, want_cache, params, config.heads)
+        assert _rel_err(d_x, want_dx) <= 1e-12
+        assert set(grads) == set(want_grads)
+        # the key bias shifts every score of a row alike, which softmax
+        # ignores: its true gradient is 0 and both forms return rounding noise
+        bk_scale = np.max(np.abs(want_grads["attn.wk"]))
+        assert np.max(np.abs(grads.pop("attn.bk"))) <= 1e-12 * bk_scale
+        assert np.max(np.abs(want_grads.pop("attn.bk"))) <= 1e-12 * bk_scale
+        for name in grads:
+            assert _rel_err(grads[name], want_grads[name]) <= 1e-12, name
+
+        out, cache = mlp_forward(x, params)
+        want, want_cache = oracles.mlp_forward_einsum(x, params)
+        assert _rel_err(out, want) <= 1e-12
+        d_x, grads = mlp_backward(d_out, cache, params)
+        want_dx, want_grads = oracles.mlp_backward_einsum(d_out, want_cache, params)
+        assert _rel_err(d_x, want_dx) <= 1e-12
+        assert set(grads) == set(want_grads)
+        for name in grads:
+            assert _rel_err(grads[name], want_grads[name]) <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from motionprim.model import (
     init_model,
     loss_closure,
     mask_positions_for,
-    param_names,
+    param_shapes,
     prepare_windows,
     reinit_cls_head,
     tiny_batch,
@@ -72,7 +72,7 @@ def test_loss_weights_not_all_zero():
 
 def test_param_names_cover_every_component():
     cfg = tiny_config()
-    names = param_names(cfg)
+    names = list(param_shapes(cfg))
     assert "embed.rows" in names
     assert "codebook" in names
     assert "enc.0.attn.wq" in names
@@ -84,7 +84,7 @@ def test_param_names_cover_every_component():
 def test_init_model_shapes_and_determinism():
     cfg = tiny_config()
     model = init_model(cfg, seed=3)
-    assert set(model.params) == set(param_names(cfg))
+    assert {n: t.shape for n, t in model.params.items()} == param_shapes(cfg)
     assert model.params["embed.rows"].shape == (cfg.codebook_size + 3, cfg.model_dim)
     assert model.params["codebook"].shape == (cfg.codebook_size, cfg.segment_len)
     assert model.params["pos.rows"].shape == (cfg.segments_per_channel + 3, cfg.model_dim)
@@ -107,6 +107,16 @@ def test_model_rejects_wrong_param_set():
     del params["codebook"]
     with pytest.raises(DataError):
         Model(cfg, params, model.usage_counts)
+
+
+def test_model_rejects_wrong_param_shapes():
+    cfg = tiny_config()
+    model = init_model(cfg, seed=0)
+    for name, bad in (("enc.0.attn.wq", np.zeros((3, 3))), ("mae.bias", np.zeros(cfg.codebook_size + 1))):
+        with pytest.raises(DataError, match=name):
+            Model(cfg, {**model.params, name: bad}, model.usage_counts)
+    with pytest.raises(DataError, match="usage_counts"):
+        Model(cfg, model.params, np.zeros(cfg.codebook_size - 1))
 
 
 def test_reinit_cls_head_only_touches_head():

@@ -66,15 +66,91 @@ def test_quantize_batch_matches_itemwise_and_counts_usage():
 
 
 def test_nearest_prototypes_chunking_invariant():
-    # more segments than the internal chunk size, same answer
+    # more segments than one GEMM chunk (256 * L rows), same answer
     rng = np.random.default_rng(4)
     protos = rng.normal(size=(16, 8))
-    segs = rng.normal(size=(700, 8))
+    segs = rng.normal(size=(5000, 8))
     idx, dist = nearest_prototypes(segs, protos)
-    for i in range(0, 700, 97):
+    for i in range(0, 5000, 97):
         want_i, want_d = oracles.nearest_scan(segs[i], protos)
         assert idx[i] == want_i
         assert dist[i] == pytest.approx(want_d, rel=1e-12)
+    _assert_bitwise_broadcast(segs, protos)
+
+
+# ---------------------------------------------------------------------------
+# the GEMM ranking against adversarial inputs: indices and distances must be
+# the broadcast scan's, bit for bit
+
+
+def _assert_bitwise_broadcast(segs, protos, scan_rows=None):
+    idx, dist = nearest_prototypes(segs, protos)
+    want_idx, want_dist = oracles.nearest_broadcast(segs, protos, chunk=64)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(dist.view(np.int64), want_dist.view(np.int64))
+    rows = range(len(segs)) if scan_rows is None else scan_rows
+    assert [idx[i] for i in rows] == [oracles.nearest_scan(segs[i], protos)[0] for i in rows]
+    return idx
+
+
+def test_gemm_scan_duplicated_prototypes_tie_to_lowest_index():
+    rng = np.random.default_rng(7)
+    protos = rng.normal(size=(40, 12))
+    protos[[9, 23, 31]] = protos[5]
+    protos[38] = protos[17]
+    segs = np.concatenate([
+        protos[[5, 9, 17, 23, 38]],
+        protos[[5, 17, 31]] + 1e-9 * rng.normal(size=(3, 12)),
+        rng.normal(size=(200, 12)),
+    ])
+    idx = _assert_bitwise_broadcast(segs, protos)
+    assert list(idx[:8]) == [5, 5, 17, 5, 17, 5, 17, 5]
+
+
+def test_gemm_scan_exactly_equidistant_segments():
+    # z = s +- e, with s in [1.25, 1.75) and e a multiple of 2^-20 below
+    # 1/16: s +- e stays in [1, 2), so it and both differences are exact and
+    # the two distances are equal in every summation order, while the GEMM's
+    # s.z rounds and splits the tie
+    rng = np.random.default_rng(8)
+    L, pairs = 50, 200
+    centers = rng.uniform(1.25, 1.75, size=(pairs, L))
+    offsets = rng.integers(-(2**16), 2**16, size=(pairs, L)) * 2.0**-20
+    protos = np.concatenate([centers + offsets, centers - offsets])
+    order = rng.permutation(2 * pairs)
+    protos = protos[order]
+    idx, dist = nearest_prototypes(centers, protos)
+    np.testing.assert_array_equal(dist, np.sum(offsets * offsets, axis=1))
+    slot = np.argsort(order)  # where each original row went
+    np.testing.assert_array_equal(idx, np.minimum(slot[:pairs], slot[pairs:]))
+    _assert_bitwise_broadcast(centers, protos, scan_rows=range(0, pairs, 10))
+
+
+def test_gemm_scan_large_common_offset():
+    # norms ~1e3 with differences ~1e-6: the expansion cancels almost every
+    # digit, so its ranking is noise and nearly every row takes the rescan
+    rng = np.random.default_rng(9)
+    L = 50
+    offset = rng.normal(size=L) * (1e3 / np.sqrt(L))
+    protos = offset + 1e-6 * rng.normal(size=(64, L))
+    segs = offset + 1e-6 * rng.normal(size=(600, L))
+    _assert_bitwise_broadcast(segs, protos, scan_rows=range(0, 600, 7))
+
+
+def test_gemm_scan_default_codebook_size():
+    # K=1024, L=50, n=4096 mixing random rows, codeword copies, duplicated
+    # codewords and near-midpoints between codeword pairs
+    rng = np.random.default_rng(10)
+    K, L, n = 1024, 50, 4096
+    protos = rng.normal(size=(K, L)) / np.sqrt(L)
+    protos[rng.choice(K, 64, replace=False)] = protos[rng.choice(K, 64)]
+    a, b = rng.choice(K, 512), rng.choice(K, 512)
+    segs = np.concatenate([
+        rng.normal(size=(n - 1536, L)),
+        protos[rng.choice(K, 1024)],
+        0.5 * (protos[a] + protos[b]),
+    ])
+    _assert_bitwise_broadcast(segs, protos, scan_rows=range(0, n, 128))
 
 
 def test_quantize_shape_mismatch():
@@ -182,6 +258,22 @@ def test_kmeans_empty_cluster_keeps_centroid():
     protos = init_codebook(8, 3, "kmeans-seeded", sample=sample, seed=3)
     want = oracles.kmeans(sample, 8, seed=3, iters=KMEANS_ITERS)
     np.testing.assert_allclose(protos, want, atol=1e-9)
+
+
+def test_kmeans_update_is_bitwise_the_member_mean_loop():
+    # the bincount update sums each cluster in sample order, like
+    # members.mean(axis=0), so every centroid matches to the bit
+    rng = np.random.default_rng(14)
+    sample = rng.normal(size=(2000, 50))
+    protos = init_codebook(64, 50, "kmeans-seeded", sample=sample, seed=5)
+    centroids = sample[np.random.default_rng(5).choice(2000, size=64, replace=False)].copy()
+    for _ in range(KMEANS_ITERS):
+        assign = oracles.nearest_broadcast(sample, centroids)[0]
+        for k in range(64):
+            members = sample[assign == k]
+            if members.shape[0] > 0:
+                centroids[k] = members.mean(axis=0)
+    np.testing.assert_array_equal(protos, centroids)
 
 
 def test_kmeans_requires_enough_sample():

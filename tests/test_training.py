@@ -15,7 +15,7 @@ from motionprim.model import (
     forward,
     init_model,
     mask_positions_for,
-    param_names,
+    param_shapes,
     tiny_batch,
     tiny_config,
 )
@@ -163,7 +163,7 @@ def test_optimizer_config_validation():
 
 
 def test_policy_groups():
-    names = param_names(tiny_config())
+    names = list(param_shapes(tiny_config()))
     pre = PRETRAIN_POLICY.trainable_names(names)
     assert "codebook" in pre
     assert "enc.0.attn.wq" in pre
@@ -448,6 +448,20 @@ def test_load_checkpoint_rejects_removed_config_keys(tmp_path):
         path = tmp_path / f"{key}.ckpt"
         save_tensors(path, "checkpoint", {"config": {**model.config.to_dict(), key: value}}, model.params)
         with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_tensor_shapes_that_disagree_with_config(tmp_path):
+    model = init_model(tiny_config(), seed=0)
+    cases = {
+        "enc.0.attn.wq": {**model.params, "enc.0.attn.wq": np.zeros((3, 3))},
+        "usage_counts": {**model.params, "usage_counts": np.zeros(2, dtype=np.int64)},
+        "missing": {k: v for k, v in model.params.items() if k != "codebook"},
+    }
+    for label, tensors in cases.items():
+        path = tmp_path / f"{label}.ckpt"
+        save_tensors(path, "checkpoint", {"config": model.config.to_dict()}, tensors)
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
 
