@@ -8,7 +8,9 @@ arguments, so callers are free to parallelize across windows.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -235,6 +237,8 @@ class SyntheticSpec:
                 )
         if self.windows_per_class < 1:
             raise ConfigError("windows_per_class must be >= 1")
+        if self.window_len < 1:
+            raise ConfigError("window_len must be >= 1")
 
     @property
     def class_names(self) -> list[str]:
@@ -380,6 +384,10 @@ class LabelSource:
     column: str
     native_rate: float
 
+    def __post_init__(self) -> None:
+        if not self.native_rate > 0:
+            raise DataError(f"label native_rate must be > 0, got {self.native_rate}")
+
 
 @dataclass
 class DatasetManifest:
@@ -403,8 +411,13 @@ class DatasetManifest:
         for ch in self.channels:
             if not (self.base_dir / ch.file).is_file():
                 raise DataError(f"manifest references missing file: {self.base_dir / ch.file}")
-        if self.label is not None and not (self.base_dir / self.label.file).is_file():
-            raise DataError(f"manifest label file missing: {self.base_dir / self.label.file}")
+        if self.label is not None:
+            label_path = self.base_dir / self.label.file
+            if not label_path.is_file():
+                raise DataError(f"manifest label file missing: {label_path}")
+            for ch in self.channels:
+                if (self.base_dir / ch.file, ch.column) == (label_path, self.label.column):
+                    raise ConfigError(f"{self.label.file}: column {ch.column!r} is both a channel and the label")
 
 
 @dataclass
@@ -445,45 +458,76 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         if raw.get("label") is not None:
             lab = raw["label"]
             label = LabelSource(lab["file"], lab["column"], float(lab["native_rate"]))
-    except (KeyError, TypeError) as exc:
+        target_rate = float(raw.get("target_rate", DEFAULT_TARGET_RATE))
+        window_len = int(raw.get("window", DEFAULT_WINDOW_LEN))
+        stride = int(raw["stride"]) if raw.get("stride") is not None else None
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed manifest {path}: {exc}") from exc
     return DatasetManifest(
         name=raw.get("name", path.stem),
         channels=channels,
         base_dir=path.parent,
-        target_rate=float(raw.get("target_rate", DEFAULT_TARGET_RATE)),
-        window_len=int(raw.get("window", DEFAULT_WINDOW_LEN)),
-        stride=int(raw["stride"]) if raw.get("stride") is not None else None,
+        target_rate=target_rate,
+        window_len=window_len,
+        stride=stride,
         label=label,
         classes=[str(c) for c in raw.get("classes", [])],
     )
 
 
-def _read_csv_columns(path: Path) -> dict[str, list[str]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty CSV") from None
-        columns: dict[str, list[str]] = {name: [] for name in header}
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}: ragged CSV row with {len(row)} fields, expected {len(header)}")
-            for name, value in zip(header, row):
-                columns[name].append(value)
-    return columns
+def _read_csv_columns(path: Path, numeric: set[str]) -> dict[str, np.ndarray]:
+    """Every column of a CSV file by header name: float64 for the names in
+    `numeric`, str objects for the rest. One loadtxt call parses the body;
+    a short or long row, a non-numeric or empty number, a blank line and a
+    file without data rows all raise DataError naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataError(f"{path}: empty CSV")
+            if not header or len(set(header)) != len(header):
+                raise DataError(f"{path}: the header must name each column once, got {header}")
+            dtype = np.dtype([(f"f{i}", np.float64 if name in numeric else object) for i, name in enumerate(header)])
+            with warnings.catch_warnings():
+                # a body without rows is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if len(table) == 0:
+        raise DataError(f"{path}: no data rows")
+    if _count_lines(path) != len(table) + 1:
+        # loadtxt skips an empty line, which csv.reader reads as a row of no
+        # fields; bare CR line ends and a line break inside a quoted field
+        # also make the counts differ
+        with open(path, newline="") as fh:
+            if any(not row for row in csv.reader(fh)):
+                raise DataError(f"{path}: blank line in the CSV body")
+    return {name: table[f"f{i}"] for i, name in enumerate(header)}
+
+
+def _count_lines(path: Path) -> int:
+    """LF bytes in a file, plus one for a last line that does not end in one."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            count += block.count(b"\n")
+            last = block[-1:]
+    return count + (last != b"\n")
 
 
 def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
     """Resample every channel to the manifest's target rate, align lengths,
     window, and attach labels. Mixed-label windows are dropped."""
-    cache: dict[Path, dict[str, list[str]]] = {}
+    numeric: dict[Path, set[str]] = {}
+    for ch in manifest.channels:
+        numeric.setdefault(manifest.base_dir / ch.file, set()).add(ch.column)
+    cache: dict[Path, dict[str, np.ndarray]] = {}
 
-    def columns_of(rel: str) -> dict[str, list[str]]:
+    def columns_of(rel: str) -> dict[str, np.ndarray]:
         path = manifest.base_dir / rel
         if path not in cache:
-            cache[path] = _read_csv_columns(path)
+            cache[path] = _read_csv_columns(path, numeric.get(path, set()))
         return cache[path]
 
     series = []
@@ -491,11 +535,7 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
         cols = columns_of(ch.file)
         if ch.column not in cols:
             raise DataError(f"{ch.file}: no column named {ch.column!r}")
-        try:
-            values = np.array([float(v) for v in cols[ch.column]], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"{ch.file}:{ch.column}: non-numeric sample: {exc}") from exc
-        series.append(resample(values, ch.meta.native_rate, manifest.target_rate))
+        series.append(resample(cols[ch.column], ch.meta.native_rate, manifest.target_rate))
 
     length = min(len(s) for s in series)
     matrix = np.stack([s[:length] for s in series], axis=1)
@@ -506,16 +546,17 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
         cols = columns_of(manifest.label.file)
         if manifest.label.column not in cols:
             raise DataError(f"{manifest.label.file}: no label column {manifest.label.column!r}")
-        raw_labels = np.array(cols[manifest.label.column])
-        raw_labels = resample_nearest(raw_labels, manifest.label.native_rate, manifest.target_rate)
-        raw_labels = raw_labels[:length]
+        names, codes = np.unique(cols[manifest.label.column].astype(str), return_inverse=True)
+        codes = resample_nearest(codes, manifest.label.native_rate, manifest.target_rate)[:length]
+        present = names[np.bincount(codes, minlength=len(names)) > 0].tolist()
         if not class_names:
-            class_names = sorted(set(raw_labels.tolist()))
+            class_names = present
         ids = {name: i for i, name in enumerate(class_names)}
-        missing = set(raw_labels.tolist()) - set(ids)
+        missing = set(present) - set(ids)
         if missing:
             raise DataError(f"labels not covered by manifest classes: {sorted(missing)}")
-        labels = np.array([ids[v] for v in raw_labels], dtype=np.int64)
+        # a name that resampling or truncation dropped maps to -1, never indexed
+        labels = np.array([ids.get(name, -1) for name in names.tolist()], dtype=np.int64)[codes]
 
     channels = [ch.meta for ch in manifest.channels]
     windows = window(
@@ -529,6 +570,14 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
     return LoadedDataset(manifest.name, windows, class_names)
 
 
+def _label_suffix(name: str) -> str:
+    """The end of a data row: a comma, the label quoted as csv.writer quotes
+    it, and csv.writer's line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", name])
+    return buf.getvalue()
+
+
 def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     """Materialize a synthetic spec as CSV + manifest; returns the manifest
     path. Loading the manifest reproduces `generate_synthetic(spec)` windows
@@ -539,11 +588,10 @@ def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     channel_names = [f"{m.body_part}_{m.sensor}_{m.axis}".lower() for m in spec.channels]
     data_path = out_dir / "data.csv"
     with open(data_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(channel_names + ["label"])
+        csv.writer(fh).writerow(channel_names + ["label"])
         for cls, stream in zip(spec.classes, streams):
-            for row in stream:
-                writer.writerow([repr(float(v)) for v in row] + [cls.name])
+            suffix = _label_suffix(cls.name)
+            fh.write(suffix.join(",".join(map(repr, row)) for row in stream.tolist()) + suffix)
     manifest = {
         "name": "synthetic",
         "target_rate": spec.rate,

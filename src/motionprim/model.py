@@ -9,7 +9,7 @@ forward pass; gradient checks can pin assignments to keep the loss smooth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,11 @@ class ModelConfig:
     num_classes: int = 2
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # f.type is the annotation's text, "int" or "float"
+            value = getattr(self, f.name)
+            allowed = (int, float) if f.type == "float" else int
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"model config {f.name} must be {f.type}, got {value!r}")
         if self.codebook_size < 2:
             raise ConfigError("codebook_size must be >= 2")
         if self.segment_len < 1:

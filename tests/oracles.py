@@ -7,6 +7,7 @@ small inputs.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -240,6 +241,17 @@ def zero_noise_shape_count(spec, seg_len=50, tol=1e-6):
                 raw = win.samples[s * L : (s + 1) * L, c]
                 segments.append(np.asarray(normalize(raw)))
     return len(distinct_shapes(segments, tol))
+
+
+def write_data_csv(path, channel_names, class_names, streams):
+    """A synthetic dataset's data.csv written one csv.writer row per sample:
+    every value as repr(float), then the class name, as csv.writer quotes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(channel_names) + ["label"])
+        for name, stream in zip(class_names, streams):
+            for row in stream:
+                writer.writerow([repr(float(v)) for v in row] + [name])
 
 
 def nearest_broadcast(segments, prototypes, chunk=256):

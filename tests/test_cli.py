@@ -240,6 +240,16 @@ def test_exit_2_on_removed_model_keys(workdir, tmp_path, capsys, key, value):
     assert not list(tmp_path.iterdir())
 
 
+def test_exit_2_on_mistyped_model_value(workdir, tmp_path, capsys):
+    _, cfg_path, _ = workdir
+    code = cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}", "--set", "model.codebook_size=six"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["type"] == "ConfigError"
+    assert "codebook_size" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_2_on_remote_provider_without_endpoint(workdir, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MOTIONPRIM_EMBED_ENDPOINT", raising=False)
     _, cfg_path, _ = workdir
@@ -264,6 +274,24 @@ def test_exit_3_on_missing_dataset(tmp_path, capsys):
     assert code == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "data"
+
+
+def test_exit_3_on_ragged_csv_row(workdir, tmp_path, capsys):
+    _, cfg_path, data_dir = workdir
+    bad_dir = tmp_path / "data"
+    bad_dir.mkdir()
+    (bad_dir / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
+    lines = (data_dir / "data.csv").read_text().splitlines(keepends=True)
+    lines[5] = lines[5].split(",", 1)[0] + "\n"  # one field of three
+    (bad_dir / "data.csv").write_text("".join(lines))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    assert _evaluate_exit(cfg_path, data_dir, ckpt, capsys) == (0, None)
+    code = cli.main(["evaluate", "--config", str(cfg_path), str(ckpt), str(bad_dir / "manifest.json")])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "data"
+    assert "data.csv" in record["message"]
 
 
 def test_exit_4_on_garbage_checkpoint(workdir, tmp_path, capsys):

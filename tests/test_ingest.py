@@ -12,6 +12,7 @@ from motionprim.ingest import (
     SyntheticSpec,
     WaveformSpec,
     generate_synthetic,
+    synthesize_streams,
     load_dataset,
     load_manifest,
     load_synthetic_spec,
@@ -283,6 +284,12 @@ def test_spec_rejects_unknown_generator():
         WaveformSpec("wavelet", 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
+def test_spec_rejects_empty_windows():
+    for window_len in (0, -3):
+        with pytest.raises(ConfigError):
+            SyntheticSpec(small_spec().classes, two_channels(), 1, 0, window_len=window_len)
+
+
 # ---------------------------------------------------------------------------
 # manifests and round-trips
 
@@ -356,3 +363,138 @@ def test_load_synthetic_spec_round_trip(tmp_path):
     assert spec.seed == 4
     assert spec.classes[0].waveforms[0].frequency == 2.0
     assert len(generate_synthetic(spec)) == 4
+
+
+def test_writer_bytes_match_csv_writer_oracle(tmp_path):
+    # class names that csv.writer must quote: a comma, a quote, a line break
+    spec = small_spec(seed=4)
+    for cls, name in zip(spec.classes, ['walk, slow', 'say "hi"\nloud']):
+        cls.name = name
+    manifest_path = write_synthetic_dataset(spec, tmp_path / "ds")
+    channel_names = [f"{m.body_part}_{m.sensor}_{m.axis}".lower() for m in spec.channels]
+    oracles.write_data_csv(tmp_path / "want.csv", channel_names, spec.class_names, synthesize_streams(spec))
+    assert (tmp_path / "ds" / "data.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    loaded = load_dataset(load_manifest(manifest_path))
+    assert loaded.class_names == spec.class_names
+    direct = generate_synthetic(spec)
+    assert [w.label for w in loaded.windows] == [w.label for w in direct]
+    for got, want in zip(loaded.windows, direct):
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# CSV parsing: what loads, what fails typed, and exact float parsing
+
+
+def one_channel_dataset(tmp_path, data: str, **overrides):
+    """A manifest over data.csv: channel column `v` and label column `label`
+    at 10 Hz, windows of 2, classes a and b."""
+    (tmp_path / "data.csv").write_bytes(data.encode())
+    manifest = {
+        "name": "csv",
+        "target_rate": 10.0,
+        "window": 2,
+        "classes": ["a", "b"],
+        "label": {"file": "data.csv", "column": "label", "native_rate": 10.0},
+        "channels": [
+            {"file": "data.csv", "column": "v", "body_part": "wrist", "sensor": "accelerometer", "axis": "x", "native_rate": 10.0},
+        ],
+    }
+    manifest.update(overrides)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    return tmp_path / "m.json"
+
+
+GOOD_CSV = "v,label\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n"
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(GOOD_CSV, id="plain"),
+    pytest.param(GOOD_CSV.replace("\n", "\r\n"), id="CRLF line ends"),
+    pytest.param(GOOD_CSV.replace("\n", "\r"), id="bare CR line ends"),
+    pytest.param(GOOD_CSV[:-1], id="no line end after the last row"),
+    pytest.param('"v","label"\n"1.5","a"\n"-2.25",a\n3.0,"b"\n"4.0","b"\n', id="quoted fields"),
+    pytest.param("v,label\n 1.5 ,a\n-2.25\t,a\n  3.0,b\n4.0 ,b\n", id="space-padded numbers"),
+    pytest.param("label,v,note\na,1.5,x\na,-2.25,\nb,3.0,\"y, z\"\nb,4.0,w\n", id="other column order and unused columns"),
+])
+def test_csv_forms_that_load(tmp_path, data):
+    loaded = load_dataset(load_manifest(one_channel_dataset(tmp_path, data)))
+    assert [w.label for w in loaded.windows] == [0, 1]
+    np.testing.assert_array_equal(np.concatenate([w.samples[:, 0] for w in loaded.windows]), [1.5, -2.25, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param("", id="empty file"),
+    pytest.param("v,label\n", id="header only"),
+    pytest.param("v,label\n\n", id="header and an empty line"),
+    pytest.param("v,label\n1.5,a\n-2.25\n3.0,b\n4.0,b\n", id="short row"),
+    pytest.param("v,label\n1.5,a\n-2.25,a,a\n3.0,b\n4.0,b\n", id="long row"),
+    pytest.param("v,label\n1.5,a\nfast,a\n3.0,b\n4.0,b\n", id="non-numeric sample"),
+    pytest.param("v,label\n1.5,a\n,a\n3.0,b\n4.0,b\n", id="empty numeric field"),
+    pytest.param("v,label\n1.5,a\n1_5,a\n3.0,b\n4.0,b\n", id="underscore in a number"),
+    pytest.param("v,label\n1.5,a\n-2.25,a\n\n3.0,b\n4.0,b\n", id="blank line in the body"),
+    pytest.param(GOOD_CSV + "\n", id="blank line at the end"),
+    pytest.param("v,label\r\n1.5,a\r\n\r\n-2.25,a\r\n3.0,b\r\n4.0,b\r\n", id="blank line after CRLF rows"),
+    pytest.param("v,label\r1.5,a\r\r-2.25,a\r3.0,b\r4.0,b\r", id="blank line after CR rows"),
+    pytest.param("v,v,label\n1.5,1.5,a\n-2.25,1,a\n3.0,1,b\n4.0,1,b\n", id="duplicate column name"),
+    pytest.param("w,label\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n", id="missing channel column"),
+    pytest.param("v,class\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n", id="missing label column"),
+    pytest.param("v,label\n1.5,a\n-2.25,a\n3.0,c\n4.0,c\n", id="label not in classes"),
+    pytest.param("v,label\n1.5,a\n", id="single row"),
+    pytest.param("v,label\n1.5,a\nnan,a\n3.0,b\n4.0,b\n", id="non-finite sample"),
+])
+@pytest.mark.filterwarnings("error")  # loadtxt's no-data warning must not escape either
+def test_csv_faults_raise_data_error(tmp_path, data):
+    with pytest.raises(DataError):
+        load_dataset(load_manifest(one_channel_dataset(tmp_path, data)))
+
+
+def adversarial_float_strings(seed):
+    """Decimal strings that stress correct rounding: random bit patterns at
+    shortest, 17 and 25 significant digits, subnormals, signed zeros, the
+    extreme normals, ties that round to even, and the optional-part forms."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**63, size=400, dtype=np.uint64) | (rng.integers(0, 2, size=400, dtype=np.uint64) << np.uint64(63))
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    subnormal = (rng.integers(1, 2**52, size=60, dtype=np.uint64)).view(np.float64)
+    out = []
+    for v in np.concatenate([values, subnormal, -subnormal]).tolist():
+        out += [repr(v), f"{v:.17g}", f"{v:.25g}", f"{v:.17e}".replace("e", "E")]
+    out += [
+        "0.0", "-0.0", "+0.0", "5e-324", "-5e-324", "2.2250738585072009e-308",
+        "2.2250738585072014e-308", "1.7976931348623157e308", "-1.7976931348623157E+308",
+        "9007199254740993", "9007199254740995", "1.00000000000000011102230246251565404236316680908203125",
+        "1.000000000000000111022302462515654042363166809082031251", "0.1", "1e-5", "1E+5", "+.5e3",
+        ".5", "5.", "+1.0", "-.25", "123456789012345678901234567890", "4.9406564584124654e-324",
+    ]
+    return out
+
+
+def test_csv_floats_equal_python_float_bit_for_bit(tmp_path):
+    strings = adversarial_float_strings(seed=21)
+    rows = "".join(f"{s},a\n" for s in strings)
+    manifest = one_channel_dataset(tmp_path, "v,label\n" + rows, window=len(strings))
+    (only,) = load_dataset(load_manifest(manifest)).windows
+    want = np.array([float(s) for s in strings])
+    assert only.samples[:, 0].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("window", "five"),
+    ("stride", "two"),
+    ("target_rate", "x"),
+    ("channels", [{"file": "data.csv", "column": "v", "body_part": "wrist", "sensor": "accelerometer", "axis": "x", "native_rate": "fast"}]),
+    ("label", {"file": "data.csv", "column": "label", "native_rate": "slow"}),
+    ("label", {"file": "data.csv", "column": "v", "native_rate": 10.0}),  # a channel column
+])
+def test_manifest_scalars_fail_as_config_error(tmp_path, key, value):
+    with pytest.raises(ConfigError):
+        load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, **{key: value}))
+
+
+@pytest.mark.parametrize("rate", [0, -5, "nan"])
+def test_label_native_rate_must_be_positive(tmp_path, rate):
+    label = {"file": "data.csv", "column": "label", "native_rate": rate}
+    with pytest.raises(DataError):
+        load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, label=label))

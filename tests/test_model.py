@@ -50,6 +50,19 @@ def test_config_validation():
         ModelConfig(codebook_size=0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("codebook_size", "six"), ("depth", 2.5), ("heads", True), ("num_classes", None),
+    ("mlp_ratio", "2"), ("beta", False), ("mask_ratio", [0.25]),
+])
+def test_config_rejects_mistyped_values(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ModelConfig.from_dict({key: value})
+
+
+def test_config_accepts_ints_for_floats():
+    assert ModelConfig.from_dict({"mlp_ratio": 2, "beta": 0}).mlp_ratio == 2
+
+
 def test_encoder_config_mapping():
     cfg = tiny_config()
     enc = cfg.encoder_config()

@@ -451,6 +451,15 @@ def test_load_checkpoint_rejects_removed_config_keys(tmp_path):
             load_checkpoint(path)
 
 
+def test_load_checkpoint_rejects_mistyped_config_echo(tmp_path):
+    model = init_model(tiny_config(), seed=0)
+    for key, value in (("codebook_size", "six"), ("depth", 2.5), ("mlp_ratio", "1")):
+        path = tmp_path / f"{key}.ckpt"
+        save_tensors(path, "checkpoint", {"config": {**model.config.to_dict(), key: value}}, model.params)
+        with pytest.raises(ConfigError, match=key):
+            load_checkpoint(path)
+
+
 def test_load_checkpoint_rejects_tensor_shapes_that_disagree_with_config(tmp_path):
     model = init_model(tiny_config(), seed=0)
     cases = {
