@@ -41,11 +41,9 @@ from .ingest import (
     window,
 )
 from .metadata import (
-    CachingProvider,
     FileLookupProvider,
     HashProvider,
     MetadataVector,
-    RemoteProvider,
     canonical_descriptor,
     make_provider,
 )
@@ -84,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamW",
-    "CachingProvider",
     "ChannelMetadata",
     "CheckpointError",
     "ConfigError",
@@ -111,7 +108,6 @@ __all__ = [
     "PRETRAIN_POLICY",
     "PRETRAIN_WEIGHTS",
     "PreparedBatch",
-    "RemoteProvider",
     "SensorWindow",
     "SequenceLayout",
     "SimilarityMatrix",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import Model
 
 DEFAULT_TOP_N = 32
@@ -76,6 +76,8 @@ def frequency(
     streams: (token index array, activity label) pairs, one per channel of
     each window. Composition fractions per index sum to 1 over classes.
     """
+    if top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
     if not streams:
         raise DataError("frequency needs at least one stream")
     labels = [int(lab) for _, lab in streams]

@@ -10,11 +10,11 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 checkpoint error,
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import logging
 import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,16 @@ from .analysis import (
 from .errors import CheckpointError, ConfigError, DataError, MotionPrimError, NumericError
 from .ingest import load_dataset, load_manifest, load_synthetic_spec, write_synthetic_dataset
 from .metadata import make_provider
-from .model import LossWeights, ModelConfig, PreparedBatch, gradient_suite, prepare_windows
+from .model import (
+    FINETUNE_WEIGHTS,
+    PRETRAIN_WEIGHTS,
+    LossWeights,
+    ModelConfig,
+    PreparedBatch,
+    gradient_suite,
+    prepare_windows,
+)
+from .schema import check_fields, field_type, from_dict, read_json
 from .training import (
     OptimizerConfig,
     checkpoint_hash,
@@ -57,52 +66,60 @@ EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
 EXIT_NUMERIC = 5
 
-_DEFAULT_RUN_CONFIG: dict = {
-    "model": {},  # ModelConfig field overrides
-    "optimizer": {},  # OptimizerConfig field overrides
-    "loss_weights": None,  # None -> stage preset
-    "datasets": [],
-    "seed": 0,
-    "out_dir": "runs",
-    "run_id": None,  # None -> derived from command + config hash
-    "freeze": "encoder-finetune",
-    "split_fraction": 0.2,
-    "codebook_init": "kmeans-seeded",
-    "provider": {"kind": "deterministic-hash", "dim": 768, "seed": 0, "path": None},
-    "workers": 1,
-}
 
-_PROVIDER_KEYS = {"kind", "dim", "seed", "path"}
-_WEIGHT_KEYS = {"lambda_mae", "lambda_cls", "lambda_vq"}
+@dataclass
+class ProviderConfig:
+    kind: str = "deterministic-hash"
+    dim: int = 768
+    seed: int = 0
+    path: str | None = None
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
-def _check_keys(raw: dict, allowed: set[str], context: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+@dataclass
+class RunConfig:
+    """Everything a command reads from --config and --set."""
+
+    model: ModelConfig = field(default_factory=ModelConfig)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    loss_weights: LossWeights | None = None  # None -> stage preset
+    datasets: list[str] = field(default_factory=list)
+    seed: int = 0
+    out_dir: str = "runs"
+    run_id: str | None = None  # None -> derived from command + config hash
+    freeze: str = "encoder-finetune"
+    split_fraction: float = 0.2
+    codebook_init: str = "kmeans-seeded"
+    provider: ProviderConfig = field(default_factory=ProviderConfig)
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
 
 
-def _dataclass_fields(cls) -> set[str]:
-    return set(cls.__dataclass_fields__)  # type: ignore[attr-defined]
+def load_run_config(path: str | None, overrides: list[str]) -> tuple[RunConfig, dict, list[str]]:
+    """The typed run config, the merged raw dict it was built from (what
+    config_hash covers) and a log of applied override strings.
 
-
-def load_run_config(path: str | None, overrides: list[str]) -> tuple[dict, list[str]]:
-    """Merged raw config dict plus a log of applied override strings."""
-    merged = copy.deepcopy(_DEFAULT_RUN_CONFIG)
+    The raw layers are RunConfig's defaults, with `model` and `optimizer`
+    empty (they hold overrides of ModelConfig and OptimizerConfig
+    defaults), then the config file, then each --set. A --set value is
+    parsed as JSON; a bare string, or any text given for a str field, is
+    kept as written."""
+    merged = asdict(RunConfig())
+    merged.update(model={}, optimizer={})
     if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise DataError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raw = read_json(path, "config")
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object")
-        _check_keys(raw, set(_DEFAULT_RUN_CONFIG), "config")
         for key, value in raw.items():
-            if key in ("model", "optimizer", "provider") and value is not None:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {key!r} must be an object")
+            if isinstance(merged.get(key), dict) and isinstance(value, dict):
                 merged[key] = {**merged[key], **value}
             else:
                 merged[key] = value
@@ -111,68 +128,39 @@ def load_run_config(path: str | None, overrides: list[str]) -> tuple[dict, list[
         if "=" not in override:
             raise ConfigError(f"override {override!r} is not of the form path.to.key=value")
         dotted, _, text = override.partition("=")
+        parts = dotted.split(".")
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
-            value = text  # bare strings need no quotes
+            value = text
+        if field_type(RunConfig, parts) is str and not isinstance(value, (str, type(None))):
+            value = text
         target = merged
-        parts = dotted.split(".")
         for part in parts[:-1]:
             if part not in target or not isinstance(target[part], dict):
                 raise ConfigError(f"override path {dotted!r} does not exist")
             target = target[part]
         leaf = parts[-1]
-        if len(parts) == 1 and leaf not in merged:
-            raise ConfigError(f"unknown config key {leaf!r}")
         old = target.get(leaf, "<unset>")
         target[leaf] = value
         applied.append(f"{dotted}: {old!r} -> {value!r}")
         logger.info("config override %s: %r -> %r", dotted, old, value)
-    # validate nested sections
-    _check_keys(merged["model"], _dataclass_fields(ModelConfig), "model config")
-    _check_keys(merged["optimizer"], _dataclass_fields(OptimizerConfig), "optimizer config")
-    _check_keys(merged["provider"], _PROVIDER_KEYS, "provider config")
-    if merged["loss_weights"] is not None:
-        _check_keys(merged["loss_weights"], _WEIGHT_KEYS, "loss weights")
-    return merged, applied
+    return from_dict(RunConfig, merged, "config"), merged, applied
 
 
 def config_hash(merged: dict) -> str:
     return hashlib.sha256(json.dumps(merged, sort_keys=True).encode()).hexdigest()
 
 
-def _build_model_config(merged: dict) -> ModelConfig:
-    return ModelConfig(**merged["model"])
-
-
-def _build_optimizer(merged: dict) -> OptimizerConfig:
-    return OptimizerConfig(**merged["optimizer"])
-
-
-def _build_provider(merged: dict):
-    section = {**_DEFAULT_RUN_CONFIG["provider"], **merged["provider"]}
-    return make_provider(
-        section["kind"], dim=section["dim"], seed=section["seed"], path=section["path"]
-    )
-
-
-def _build_weights(merged: dict, stage_default: LossWeights) -> LossWeights:
-    if merged["loss_weights"] is None:
-        return stage_default
-    return LossWeights(**{key: float(v) for key, v in merged["loss_weights"].items()})
-
-
 def _run_id(merged: dict, command: str) -> str:
-    if merged.get("run_id"):
-        return str(merged["run_id"])
-    return f"{command}-{config_hash(merged)[:8]}"
+    return merged["run_id"] or f"{command}-{config_hash(merged)[:8]}"
 
 
 def _write_run_manifest(out_dir: Path, command: str, merged: dict, applied: list[str], outputs: list[str]) -> None:
     manifest = {
         "command": command,
         "config_hash": config_hash(merged),
-        "seed": merged.get("seed", 0),
+        "seed": merged["seed"],
         "overrides": applied,
         "outputs": sorted(outputs),
         "versions": {
@@ -204,7 +192,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write_run_manifest(
         Path(args.out_dir),
         "synth",
-        {"spec": str(args.spec), "seed": spec.seed},
+        {"spec": args.spec, "seed": spec.seed},
         [],
         [str(manifest_path), str(Path(args.out_dir) / "data.csv")],
     )
@@ -213,30 +201,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    merged, applied = load_run_config(args.config, args.set or [])
-    if not merged["datasets"]:
+    run, merged, applied = load_run_config(args.config, args.set or [])
+    if not run.datasets:
         raise ConfigError("pretraining needs at least one dataset manifest in 'datasets'")
-    model_config = _build_model_config(merged)
-    opt = _build_optimizer(merged)
-    provider = _build_provider(merged)
-    seed = int(merged["seed"])
-    out_dir = Path(merged["out_dir"])
+    provider = make_provider(**asdict(run.provider))
+    out_dir = Path(run.out_dir)
     run_id = _run_id(merged, "pretrain")
-    datasets = [_prepare_dataset(p, model_config, provider) for p in merged["datasets"]]
-    from .model import PRETRAIN_WEIGHTS
-
-    weights = _build_weights(merged, PRETRAIN_WEIGHTS)
+    datasets = [_prepare_dataset(p, run.model, provider) for p in run.datasets]
     model, records = pretrain(
-        model_config,
+        run.model,
         datasets,
-        opt,
-        run_seed=seed,
-        codebook_init=merged["codebook_init"],
-        weights=weights,
+        run.optimizer,
+        run_seed=run.seed,
+        codebook_init=run.codebook_init,
+        weights=run.loss_weights or PRETRAIN_WEIGHTS,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{run_id}.ckpt"
-    save_checkpoint(ckpt_path, model, {"stage": "pretrain", "seed": seed})
+    save_checkpoint(ckpt_path, model, {"stage": "pretrain", "seed": run.seed})
     log_path = out_dir / f"{run_id}_train.jsonl"
     write_log(log_path, records)
     _write_run_manifest(out_dir, "pretrain", merged, applied, [str(ckpt_path), str(log_path)])
@@ -253,31 +235,26 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    merged, applied = load_run_config(args.config, args.set or [])
-    if len(merged["datasets"]) != 1:
+    run, merged, applied = load_run_config(args.config, args.set or [])
+    if len(run.datasets) != 1:
         raise ConfigError("fine-tuning needs exactly one dataset manifest in 'datasets'")
     model, _ = load_checkpoint(args.checkpoint)
-    provider = _build_provider(merged)
-    opt = _build_optimizer(merged)
-    seed = int(merged["seed"])
-    out_dir = Path(merged["out_dir"])
+    provider = make_provider(**asdict(run.provider))
+    out_dir = Path(run.out_dir)
     run_id = _run_id(merged, "finetune")
-    batch = _prepare_dataset(merged["datasets"][0], model.config, provider)
-    from .model import FINETUNE_WEIGHTS
-
-    weights = _build_weights(merged, FINETUNE_WEIGHTS)
+    batch = _prepare_dataset(run.datasets[0], model.config, provider)
     result = finetune(
         model,
         batch,
-        opt,
-        policy=policy_by_name(merged["freeze"]),
-        split_fraction=float(merged["split_fraction"]),
-        run_seed=seed,
-        weights=weights,
+        run.optimizer,
+        policy=policy_by_name(run.freeze),
+        split_fraction=run.split_fraction,
+        run_seed=run.seed,
+        weights=run.loss_weights or FINETUNE_WEIGHTS,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{run_id}.ckpt"
-    save_checkpoint(ckpt_path, result.model, {"stage": "finetune", "seed": seed})
+    save_checkpoint(ckpt_path, result.model, {"stage": "finetune", "seed": run.seed})
     metrics_path = out_dir / f"{run_id}_metrics.json"
     metrics_path.write_text(json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True))
     log_path = out_dir / f"{run_id}_train.jsonl"
@@ -292,12 +269,12 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    merged, applied = load_run_config(args.config, args.set or [])
+    run, merged, applied = load_run_config(args.config, args.set or [])
     model, _ = load_checkpoint(args.checkpoint)
-    provider = _build_provider(merged)
+    provider = make_provider(**asdict(run.provider))
     batch = _prepare_dataset(args.manifest, model.config, provider)
-    metrics = evaluate(model, batch, workers=int(merged["workers"]))
-    out_dir = Path(merged["out_dir"])
+    metrics = evaluate(model, batch, workers=run.workers)
+    out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_id = _run_id(merged, "evaluate")
     metrics_path = out_dir / f"{run_id}_metrics.json"
@@ -309,17 +286,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    merged, applied = load_run_config(args.config, args.set or [])
+    run, merged, applied = load_run_config(args.config, args.set or [])
     wanted = [r.strip() for r in args.reports.split(",") if r.strip()]
     known = {"similarity", "frequency", "transitions"}
     unknown = set(wanted) - known
     if unknown:
         raise ConfigError(f"unknown reports: {sorted(unknown)}; known: {sorted(known)}")
+    if args.top_n < 1 or args.sim_tokens < 1:
+        raise ConfigError(f"--top-n and --sim-tokens must be >= 1, got {args.top_n} and {args.sim_tokens}")
     model, _ = load_checkpoint(args.checkpoint)
-    provider = _build_provider(merged)
+    provider = make_provider(**asdict(run.provider))
     batch = _prepare_dataset(args.manifest, model.config, provider)
     indices = tokenize_dataset(model, batch)
-    out_dir = Path(merged["out_dir"])
+    out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_id = _run_id(merged, "analyze")
     outputs = []
@@ -366,8 +345,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.scale != "tiny":
-        raise ConfigError(f"unknown gradcheck scale {args.scale!r}")
     reports = gradient_suite(seed=args.seed)
     payload = {}
     all_pass = True
@@ -447,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
-    p.add_argument("--scale", default="tiny", help="check size (only 'tiny')")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(fn=cmd_gradcheck)

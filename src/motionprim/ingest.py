@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .schema import check_fields, from_dict, read_json
 
 DEFAULT_TARGET_RATE = 100.0
 DEFAULT_WINDOW_LEN = 500
@@ -35,6 +36,7 @@ class ChannelMetadata:
     native_rate: float
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not (self.body_part and self.sensor and self.axis):
             raise DataError("channel metadata labels must be non-empty")
         if not self.native_rate > 0:
@@ -202,6 +204,7 @@ class WaveformSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in GENERATOR_IDS:
             raise ConfigError(f"unknown waveform generator {self.kind!r}; known: {GENERATOR_IDS}")
         if self.noise_sigma < 0:
@@ -212,6 +215,9 @@ class WaveformSpec:
 class SyntheticClass:
     name: str
     waveforms: list[WaveformSpec]
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass
@@ -227,6 +233,7 @@ class SyntheticSpec:
     window_len: int = DEFAULT_WINDOW_LEN
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if len(self.classes) < 2:
             raise ConfigError("a synthetic spec needs at least 2 classes")
         for cls in self.classes:
@@ -237,6 +244,8 @@ class SyntheticSpec:
                 )
         if self.windows_per_class < 1:
             raise ConfigError("windows_per_class must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.window_len < 1:
             raise ConfigError("window_len must be >= 1")
 
@@ -316,55 +325,18 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SensorWindow]:
 
 
 def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
-    """Parse the documented JSON schema into a SyntheticSpec."""
-    known = {"classes", "channels", "windows_per_class", "seed", "rate", "window_len"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown synthetic spec keys: {sorted(unknown)}")
-    for key in ("classes", "channels", "windows_per_class", "seed"):
-        if key not in raw:
-            raise ConfigError(f"synthetic spec missing required key {key!r}")
-    try:
-        channels = [
-            ChannelMetadata(
-                ch["body_part"], ch["sensor"], ch["axis"], float(ch.get("native_rate", raw.get("rate", DEFAULT_TARGET_RATE)))
-            )
-            for ch in raw["channels"]
-        ]
-        classes = []
-        for cls in raw["classes"]:
-            waveforms = [
-                WaveformSpec(
-                    w["kind"],
-                    float(w.get("amplitude", 1.0)),
-                    float(w.get("frequency", 1.0)),
-                    float(w.get("phase", 0.0)),
-                    float(w.get("offset", 0.0)),
-                    float(w.get("noise_sigma", 0.0)),
-                )
-                for w in cls["waveforms"]
-            ]
-            classes.append(SyntheticClass(cls["name"], waveforms))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed synthetic spec: {exc}") from exc
-    return SyntheticSpec(
-        classes=classes,
-        channels=channels,
-        windows_per_class=int(raw["windows_per_class"]),
-        seed=int(raw["seed"]),
-        rate=float(raw.get("rate", DEFAULT_TARGET_RATE)),
-        window_len=int(raw.get("window_len", DEFAULT_WINDOW_LEN)),
-    )
+    """Parse the documented JSON schema into a SyntheticSpec; a channel
+    without a `native_rate` takes the spec's `rate`."""
+    if isinstance(raw, dict) and isinstance(raw.get("channels"), list):
+        rate = raw.get("rate", DEFAULT_TARGET_RATE)
+        # "rate" leads, so a bad rate is reported as itself, not as a channel's
+        channels = [{"native_rate": rate, **ch} if isinstance(ch, dict) else ch for ch in raw["channels"]]
+        raw = {"rate": rate, **raw, "channels": channels}
+    return from_dict(SyntheticSpec, raw, "synthetic spec")
 
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read synthetic spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"synthetic spec {path} is not valid JSON: {exc}") from exc
-    return synthetic_spec_from_dict(raw)
+    return synthetic_spec_from_dict(read_json(path, "synthetic spec"))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +349,9 @@ class ManifestChannel:
     column: str
     meta: ChannelMetadata
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
 
 @dataclass
 class LabelSource:
@@ -385,6 +360,7 @@ class LabelSource:
     native_rate: float
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.native_rate > 0:
             raise DataError(f"label native_rate must be > 0, got {self.native_rate}")
 
@@ -404,6 +380,7 @@ class DatasetManifest:
     classes: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.stride is not None and self.stride <= 0:
             raise ConfigError("stride must be > 0")
         if not self.channels:
@@ -432,47 +409,36 @@ class LoadedDataset:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
+    """Read a dataset manifest. Its keys are DatasetManifest's fields, except
+    that `window` sets `window_len` and each channel entry is flat: the
+    ChannelMetadata keys sit beside `file` and `column`."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
-    known = {"name", "channels", "target_rate", "window", "stride", "label", "classes"}
-    unknown = set(raw) - known
+    raw = read_json(path, "manifest")
+    context = f"{path}: manifest"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context} must be an object, got {raw!r}")
+    known = ("name", "channels", "target_rate", "window", "stride", "label", "classes")
+    unknown = [f"{context}.{key}" for key in raw if key not in known]
     if unknown:
-        raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
-    if "channels" not in raw:
-        raise ConfigError("manifest missing required key 'channels'")
-    try:
-        channels = [
-            ManifestChannel(
-                ch["file"],
-                ch["column"],
-                ChannelMetadata(ch["body_part"], ch["sensor"], ch["axis"], float(ch["native_rate"])),
-            )
-            for ch in raw["channels"]
-        ]
-        label = None
-        if raw.get("label") is not None:
-            lab = raw["label"]
-            label = LabelSource(lab["file"], lab["column"], float(lab["native_rate"]))
-        target_rate = float(raw.get("target_rate", DEFAULT_TARGET_RATE))
-        window_len = int(raw.get("window", DEFAULT_WINDOW_LEN))
-        stride = int(raw["stride"]) if raw.get("stride") is not None else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed manifest {path}: {exc}") from exc
-    return DatasetManifest(
-        name=raw.get("name", path.stem),
-        channels=channels,
-        base_dir=path.parent,
-        target_rate=target_rate,
-        window_len=window_len,
-        stride=stride,
-        label=label,
-        classes=[str(c) for c in raw.get("classes", [])],
-    )
+        raise ConfigError(f"unknown keys {unknown}")
+    fields = {"name": path.stem, **raw, "base_dir": path.parent}
+    if "window" in fields:
+        fields["window_len"] = fields.pop("window")
+    if isinstance(raw.get("channels"), list):
+        fields["channels"] = [_nest_channel(ch) for ch in raw["channels"]]
+    return from_dict(DatasetManifest, fields, context)
+
+
+_CHANNEL_META_KEYS = ("body_part", "sensor", "axis", "native_rate")
+
+
+def _nest_channel(entry):
+    """A flat manifest channel entry in ManifestChannel's shape."""
+    if not isinstance(entry, dict):
+        return entry
+    nested = {key: value for key, value in entry.items() if key not in _CHANNEL_META_KEYS}
+    nested["meta"] = {key: entry[key] for key in _CHANNEL_META_KEYS if key in entry}
+    return nested
 
 
 def _read_csv_columns(path: Path, numeric: set[str]) -> dict[str, np.ndarray]:

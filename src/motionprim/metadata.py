@@ -1,18 +1,13 @@
 """Channel metadata to text-embedding vectors, via pluggable providers.
 The model's `adapter.*` tensors project these vectors into model space.
 
-Providers are read-only after construction. The remote provider is never
-instantiated unless explicitly requested and is off by default everywhere.
+Providers are read-only after construction and embed deterministically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,9 +17,6 @@ from .errors import ConfigError, DataError, MetadataProviderError
 from .ingest import ChannelMetadata
 
 DEFAULT_EMBED_DIM = 768
-
-ENDPOINT_ENV = "MOTIONPRIM_EMBED_ENDPOINT"
-API_KEY_ENV = "MOTIONPRIM_EMBED_API_KEY"
 
 
 @dataclass
@@ -89,9 +81,12 @@ class FileLookupProvider:
         self._table: dict[str, np.ndarray] = {}
         dims = set()
         for key, vec in raw.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1:
-                raise MetadataProviderError(f"embedding for {key!r} is not a flat list")
+            try:
+                arr = np.asarray(vec, dtype=np.float64)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.ndim != 1:
+                raise MetadataProviderError(f"embedding for {key!r} is not a flat list of numbers")
             self._table[key] = arr
             dims.add(arr.size)
         if len(dims) != 1:
@@ -107,87 +102,14 @@ class FileLookupProvider:
         return MetadataVector(self._table[descriptor].copy(), descriptor, self.name)
 
 
-class RemoteProvider:
-    """Thin HTTP client for a text-embedding endpoint.
-
-    Endpoint and key come from environment variables only; requests retry
-    3 times with exponential backoff and every failure names the provider.
-    Off by default; nothing in this package calls it implicitly.
-    """
-
-    def __init__(self, dim: int = DEFAULT_EMBED_DIM, timeout: float = 10.0, retries: int = 3):
-        endpoint = os.environ.get(ENDPOINT_ENV, "")
-        if not endpoint:
-            raise ConfigError(f"remote provider requires the {ENDPOINT_ENV} environment variable")
-        self.endpoint = endpoint
-        self.api_key = os.environ.get(API_KEY_ENV, "")
-        self.dim = dim
-        self.timeout = timeout
-        self.retries = retries
-        self.name = f"remote({endpoint})"
-        self.request_log: list[dict] = []
-
-    def embed(self, descriptor: str) -> MetadataVector:
-        payload = json.dumps({"text": descriptor}).encode()
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.retries):
-            request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = json.loads(response.read().decode())
-                self.request_log.append({"descriptor": descriptor, "attempt": attempt, "ok": True})
-                values = np.asarray(body["embedding"], dtype=np.float64)
-                if values.size != self.dim:
-                    raise MetadataProviderError(
-                        f"{self.name}: endpoint returned {values.size} dims, expected {self.dim}"
-                    )
-                return MetadataVector(values, descriptor, self.name)
-            except (urllib.error.URLError, OSError, KeyError, ValueError) as exc:
-                last_error = exc
-                self.request_log.append(
-                    {"descriptor": descriptor, "attempt": attempt, "ok": False, "error": str(exc)}
-                )
-                if attempt + 1 < self.retries:
-                    time.sleep(0.5 * 2**attempt)
-        raise MetadataProviderError(
-            f"{self.name}: embedding {descriptor!r} failed after {self.retries} attempts: {last_error}"
-        )
-
-
-class CachingProvider:
-    """Memoizes an inner provider so a descriptor is embedded once per run."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.dim = inner.dim
-        self.name = inner.name
-        self._cache: dict[str, MetadataVector] = {}
-
-    def embed(self, descriptor: str) -> MetadataVector:
-        if descriptor not in self._cache:
-            self._cache[descriptor] = self.inner.embed(descriptor)
-        return self._cache[descriptor]
-
-    def dump_cache(self, path: str | Path) -> None:
-        """Write accumulated embeddings in the file-lookup schema so a remote
-        fetch can be replayed offline."""
-        table = {desc: vec.values.tolist() for desc, vec in self._cache.items()}
-        Path(path).write_text(json.dumps(table, indent=2, sort_keys=True))
-
-
 def make_provider(kind: str, *, dim: int = DEFAULT_EMBED_DIM, seed: int = 0, path: str | Path | None = None):
-    """Provider factory used by config loading; always cache-wrapped."""
+    """Provider factory used by config loading."""
     if kind == "deterministic-hash":
-        return CachingProvider(HashProvider(dim=dim, seed=seed))
+        return HashProvider(dim=dim, seed=seed)
     if kind == "file-lookup":
         if path is None:
             raise ConfigError("file-lookup provider needs an embedding file path")
-        return CachingProvider(FileLookupProvider(path))
-    if kind == "remote":
-        return CachingProvider(RemoteProvider(dim=dim))
+        return FileLookupProvider(path)
     raise ConfigError(f"unknown metadata provider {kind!r}")
 
 

@@ -9,7 +9,7 @@ forward pass; gradient checks can pin assignments to keep the loss smooth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, NumericError
 from .ingest import ChannelMetadata, SensorWindow, normalize_matrix, segment_matrix
 from .metadata import canonical_descriptor, embed_channels
 from .quantizer import nearest_prototypes, init_codebook
+from .schema import check_fields
 
 # std of every normally initialized embedding, adapter and head weight
 INIT_STD = 0.02
@@ -47,11 +48,7 @@ class ModelConfig:
     num_classes: int = 2
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # f.type is the annotation's text, "int" or "float"
-            value = getattr(self, f.name)
-            allowed = (int, float) if f.type == "float" else int
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ConfigError(f"model config {f.name} must be {f.type}, got {value!r}")
+        check_fields(self)
         if self.codebook_size < 2:
             raise ConfigError("codebook_size must be >= 2")
         if self.segment_len < 1:
@@ -74,29 +71,6 @@ class ModelConfig:
             mlp_ratio=self.mlp_ratio,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "codebook_size": self.codebook_size,
-            "segment_len": self.segment_len,
-            "model_dim": self.model_dim,
-            "meta_dim": self.meta_dim,
-            "depth": self.depth,
-            "heads": self.heads,
-            "mlp_ratio": self.mlp_ratio,
-            "segments_per_channel": self.segments_per_channel,
-            "mask_ratio": self.mask_ratio,
-            "beta": self.beta,
-            "num_classes": self.num_classes,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**raw)
-
 
 @dataclass
 class LossWeights:
@@ -105,6 +79,7 @@ class LossWeights:
     lambda_vq: float = 1.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if min(self.lambda_mae, self.lambda_cls, self.lambda_vq) < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.lambda_mae == self.lambda_cls == self.lambda_vq == 0:

@@ -13,7 +13,7 @@ import json
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .model import (
     zero_grads,
 )
 from .quantizer import init_codebook, nearest_prototypes, usage_report
+from .schema import check_fields, from_dict
 from .tensorfile import load_tensors, save_tensors
 
 logger = logging.getLogger("motionprim")
@@ -58,6 +59,7 @@ class OptimizerConfig:
     epochs: int = 10
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.weight_decay < 0:
@@ -427,7 +429,7 @@ def evaluate(
         result = forward(
             model,
             batch.subset(idx),
-            LossWeights(0.0, 1.0, 0.0),
+            FINETUNE_WEIGHTS,
             need_backward=False,
         )
         return result.predictions
@@ -489,7 +491,7 @@ def finetune(
 
 
 def save_checkpoint(path: str | Path, model: Model, extra_meta: dict | None = None) -> None:
-    meta = {"config": model.config.to_dict()}
+    meta = {"config": asdict(model.config)}
     if extra_meta:
         overlap = set(extra_meta) & {"config"}
         if overlap:
@@ -506,7 +508,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
     meta, tensors = load_tensors(path, expected_kind=CHECKPOINT_KIND)
     if not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"{path}: checkpoint missing config echo")
-    config = ModelConfig.from_dict(meta["config"])
+    config = from_dict(ModelConfig, meta["config"], f"{path}: config")
     usage = tensors.pop("usage_counts", None)
     try:
         return Model(config, tensors, usage), meta

@@ -19,7 +19,7 @@ from motionprim.analysis import (
     token_streams,
     transitions,
 )
-from motionprim.errors import DataError
+from motionprim.errors import ConfigError, DataError
 from motionprim.model import init_model, tiny_config
 
 
@@ -112,6 +112,13 @@ def test_frequency_validation():
         frequency([(np.array([5]), 0)], codebook_size=4)
     with pytest.raises(DataError):
         frequency([(np.array([0]), 2)], num_classes=2)
+
+
+@pytest.mark.parametrize("top_n", [0, -3])
+def test_frequency_rejects_top_n_below_one(top_n):
+    # a negative top_n once sliced rows off the end: K=8, top_n=-3 kept 5
+    with pytest.raises(ConfigError, match="top_n"):
+        frequency([(np.arange(8), 0)], top_n=top_n, codebook_size=8)
 
 
 # ---------------------------------------------------------------------------

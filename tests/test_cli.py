@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -61,8 +62,8 @@ TINY_RUN = {
 
 
 def test_defaults_when_no_file():
-    merged, applied = cli.load_run_config(None, [])
-    assert merged["seed"] == 0
+    run, merged, applied = cli.load_run_config(None, [])
+    assert run.seed == merged["seed"] == 0
     assert merged["freeze"] == "encoder-finetune"
     assert merged["provider"]["kind"] == "deterministic-hash"
     assert applied == []
@@ -71,8 +72,9 @@ def test_defaults_when_no_file():
 def test_file_merges_nested_sections(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"model": {"depth": 3}, "seed": 9}))
-    merged, _ = cli.load_run_config(str(path), [])
+    run, merged, _ = cli.load_run_config(str(path), [])
     assert merged["model"] == {"depth": 3}
+    assert run.model.depth == 3
     assert merged["seed"] == 9
     # untouched sections keep their defaults
     assert merged["provider"]["dim"] == 768
@@ -94,7 +96,7 @@ def test_unknown_keys_rejected_everywhere(tmp_path):
 
 
 def test_set_overrides_parse_json_and_bare_strings():
-    merged, applied = cli.load_run_config(
+    run, merged, applied = cli.load_run_config(
         None,
         ["model.depth=3", "seed=7", "freeze=linear-probe", "provider.path=/tmp/cache.json"],
     )
@@ -123,6 +125,31 @@ def test_config_hash_key_order_invariant():
     assert cli.config_hash(a) == cli.config_hash(b)
     assert cli.config_hash(a) != cli.config_hash({"seed": 2, "model": a["model"]})
     assert len(cli.config_hash(a)) == 64
+
+
+def test_config_hash_pins():
+    # default run ids are "<command>-<hash prefix>", so these values must
+    # not move when the config code changes
+    _, merged, _ = cli.load_run_config(None, [])
+    assert cli.config_hash(merged) == "8460d58fd3af329483cf717c50fc394b3d5d53afa6ae3cbecf932d61aa761124"
+    _, merged, _ = cli.load_run_config(None, ["seed=7", "freeze=linear-probe", "model.depth=3", "run_id=null"])
+    assert cli.config_hash(merged) == "bcf57d8ec5cfd9f44118da4bde909a15f38b672de1702d839d0f2dadbbaf738f"
+
+
+def test_set_keeps_text_for_str_fields():
+    run, _, _ = cli.load_run_config(None, ["run_id=123", "out_dir=3", 'provider.path="p.json"', "freeze=[1]"])
+    assert (run.run_id, run.out_dir, run.provider.path, run.freeze) == ("123", "3", "p.json", "[1]")
+    run, _, _ = cli.load_run_config(None, ["run_id=123", "run_id=null"])
+    assert run.run_id is None
+    with pytest.raises(ConfigError, match="config.out_dir"):
+        cli.load_run_config(None, ["out_dir=null"])
+
+
+def test_set_types_every_section():
+    run, _, _ = cli.load_run_config(None, ["model.mlp_ratio=2", "loss_weights={\"lambda_vq\": 0}", "provider.dim=16"])
+    assert run.model.mlp_ratio == 2.0 and type(run.model.mlp_ratio) is float
+    assert run.loss_weights.lambda_vq == 0.0 and run.loss_weights.lambda_mae == 1.0
+    assert run.provider.dim == 16
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +236,7 @@ def test_pretrain_then_finetune_then_evaluate_then_analyze(workdir, capsys):
 
 def test_default_run_id_uses_config_hash(workdir):
     root, cfg_path, _ = workdir
-    merged, _ = cli.load_run_config(str(cfg_path), ["run_id=null"])
+    _, merged, _ = cli.load_run_config(str(cfg_path), ["run_id=null"])
     assert cli._run_id(merged, "pretrain") == f"pretrain-{cli.config_hash(merged)[:8]}"
 
 
@@ -250,14 +277,103 @@ def test_exit_2_on_mistyped_model_value(workdir, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_exit_2_on_remote_provider_without_endpoint(workdir, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("MOTIONPRIM_EMBED_ENDPOINT", raising=False)
+def test_exit_2_on_unknown_provider_kind(workdir, tmp_path, capsys):
+    # "remote" was a provider kind once; it is now as unknown as any other name
     _, cfg_path, _ = workdir
     code = cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}", "--set", "provider.kind=remote"])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "config"
-    assert "MOTIONPRIM_EMBED_ENDPOINT" in record["message"]
+    assert "unknown metadata provider 'remote'" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def _config_error(capsys) -> dict:
+    """The one JSON error record that ends stderr; nothing else is JSON and
+    no traceback is printed."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert not any("Traceback" in line for line in lines)
+    assert sum(line.startswith("{") for line in lines) == 1
+    record = json.loads(lines[-1])
+    assert (record["error"], record["type"]) == ("config", "ConfigError")
+    return record
+
+
+@pytest.mark.parametrize("override", [
+    "optimizer.epochs=five",
+    "optimizer.learning_rate=[1]",
+    'loss_weights={"lambda_mae":"x"}',
+    "seed=abc",
+    "seed=-1",
+    "provider.dim=big",
+    "provider.seed=x",
+    "datasets=5",
+    "workers=0",
+    "workers=-1",
+])
+def test_exit_2_on_mistyped_override(workdir, tmp_path, capsys, override):
+    _, cfg_path, _ = workdir
+    code = cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}", "--set", override])
+    assert code == 2
+    record = _config_error(capsys)
+    assert override.split("=")[0].split(".")[-1] in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_str_overrides_name_the_run(workdir, tmp_path, capsys, monkeypatch):
+    _, cfg_path, _ = workdir
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--set", "out_dir=3", "--set", "run_id=123"]) == 0
+    assert (tmp_path / "3" / "123.ckpt").is_file()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate", "analyze"])
+def test_every_command_types_the_run_config(workdir, tmp_path, capsys, command):
+    # the config is checked before the checkpoint (absent here) is opened
+    _, cfg_path, data_dir = workdir
+    operands = {
+        "pretrain": [],
+        "finetune": [str(tmp_path / "absent.ckpt")],
+        "evaluate": [str(tmp_path / "absent.ckpt"), str(data_dir / "manifest.json")],
+        "analyze": [str(tmp_path / "absent.ckpt"), str(data_dir / "manifest.json")],
+    }[command]
+    for override in ("workers=0", "workers=-1", "split_fraction=abc", "provider.seed=x"):
+        code = cli.main([command, "--config", str(cfg_path), "--set", f"out_dir={tmp_path}", "--set", override, *operands])
+        assert code == 2, override
+        _config_error(capsys)
+
+
+@pytest.mark.parametrize("flags", [["--top-n", "-3"], ["--top-n", "0"], ["--sim-tokens", "-1"], ["--sim-tokens", "0"]])
+def test_analyze_counts_below_one_exit_2(workdir, tmp_path, capsys, flags):
+    _, cfg_path, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    out_dir = tmp_path / "out"
+    code = cli.main([
+        "analyze", "--config", str(cfg_path), "--set", f"out_dir={out_dir}", *flags,
+        str(ckpt), str(data_dir / "manifest.json"),
+    ])
+    assert code == 2
+    assert flags[0] in _config_error(capsys)["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (["windows_per_class"], "five"),
+    (["classes", 0, "waveforms", 1, "amplitude"], "big"),
+])
+def test_synth_exit_2_on_mistyped_spec(tmp_path, capsys, path, value):
+    spec = copy.deepcopy(TINY_SPEC)
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
+    assert str(path[-1]) in _config_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_2_when_no_datasets(tmp_path, capsys):
@@ -353,5 +469,3 @@ def test_gradcheck_writes_report(tmp_path, capsys):
         assert report["max_rel_err"] < report["tolerance"]
     text = capsys.readouterr().out
     assert "PASS" in text
-    assert cli.main(["gradcheck", "--scale", "huge"]) == 2
-    capsys.readouterr()

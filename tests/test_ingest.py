@@ -279,6 +279,36 @@ def test_spec_from_dict_unknown_keys():
         synthetic_spec_from_dict({"classes": [], "channels": [], "windows_per_class": 1, "seed": 0, "bogus": 1})
 
 
+SPEC_DICT = {
+    "classes": [
+        {"name": "a", "waveforms": [{"kind": "sine"}]},
+        {"name": "b", "waveforms": [{"kind": "square", "amplitude": 2}]},
+    ],
+    "channels": [{"body_part": "wrist", "sensor": "accelerometer", "axis": "x"}],
+    "windows_per_class": 2,
+    "seed": 0,
+    "rate": 20,
+    "window_len": 10,
+}
+
+
+def test_spec_from_dict_fills_native_rate_and_floats():
+    spec = synthetic_spec_from_dict(SPEC_DICT)
+    assert spec.channels[0].native_rate == spec.rate == 20.0
+    assert type(spec.rate) is type(spec.channels[0].native_rate) is type(spec.classes[1].waveforms[0].amplitude) is float
+    explicit = {**SPEC_DICT, "channels": [{**SPEC_DICT["channels"][0], "native_rate": 50.0}]}
+    assert synthetic_spec_from_dict(explicit).channels[0].native_rate == 50.0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", "0"), ("windows_per_class", 2.0), ("windows_per_class", "five"),
+    ("rate", "fast"), ("window_len", True), ("classes", {"name": "a"}),
+])
+def test_spec_from_dict_rejects_bad_values(key, value):
+    with pytest.raises(ConfigError, match=key):
+        synthetic_spec_from_dict({**SPEC_DICT, key: value})
+
+
 def test_spec_rejects_unknown_generator():
     with pytest.raises(ConfigError):
         WaveformSpec("wavelet", 1.0, 1.0, 0.0, 0.0, 0.0)
@@ -487,13 +517,15 @@ def test_csv_floats_equal_python_float_bit_for_bit(tmp_path):
     ("channels", [{"file": "data.csv", "column": "v", "body_part": "wrist", "sensor": "accelerometer", "axis": "x", "native_rate": "fast"}]),
     ("label", {"file": "data.csv", "column": "label", "native_rate": "slow"}),
     ("label", {"file": "data.csv", "column": "v", "native_rate": 10.0}),  # a channel column
+    ("label", {"file": "data.csv", "column": "label", "native_rate": "nan"}),  # a string, not a number
+    ("window", "100"),
 ])
 def test_manifest_scalars_fail_as_config_error(tmp_path, key, value):
     with pytest.raises(ConfigError):
         load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, **{key: value}))
 
 
-@pytest.mark.parametrize("rate", [0, -5, "nan"])
+@pytest.mark.parametrize("rate", [0, -5, float("nan")])  # json.dumps writes a bare NaN
 def test_label_native_rate_must_be_positive(tmp_path, rate):
     label = {"file": "data.csv", "column": "label", "native_rate": rate}
     with pytest.raises(DataError):

@@ -7,10 +7,8 @@ from motionprim.errors import ConfigError, MetadataProviderError
 from motionprim.ingest import ChannelMetadata
 from motionprim.embedder import embed_batch
 from motionprim.metadata import (
-    CachingProvider,
     FileLookupProvider,
     HashProvider,
-    RemoteProvider,
     canonical_descriptor,
     embed_channels,
     make_provider,
@@ -84,106 +82,26 @@ def test_file_lookup_rejects_mixed_dims(tmp_path):
         FileLookupProvider(path)
 
 
+@pytest.mark.parametrize("vector", [["x", 1.0], [[1.0], [2.0, 3.0]], {"a": 1.0}, 5.0])
+def test_file_lookup_rejects_malformed_vectors(tmp_path, vector):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"a": vector}))
+    with pytest.raises(MetadataProviderError, match="flat list of numbers"):
+        FileLookupProvider(path)
+
+
 def test_file_lookup_missing_file(tmp_path):
     with pytest.raises(MetadataProviderError):
         FileLookupProvider(tmp_path / "nope.json")
 
 
 # ---------------------------------------------------------------------------
-# remote provider: constructed from env, never contacted here
-
-
-def test_remote_requires_endpoint_env(monkeypatch):
-    monkeypatch.delenv("MOTIONPRIM_EMBED_ENDPOINT", raising=False)
-    called = []
-    monkeypatch.setattr(
-        "urllib.request.urlopen", lambda *a, **k: called.append(1)
-    )
-    # a missing endpoint is a configuration fault (CLI exit 2), not a data error
-    with pytest.raises(ConfigError, match="MOTIONPRIM_EMBED_ENDPOINT"):
-        RemoteProvider()
-    assert called == []  # refused before any network attempt
-
-
-def test_remote_retries_then_fails(monkeypatch):
-    monkeypatch.setenv("MOTIONPRIM_EMBED_ENDPOINT", "http://localhost:1/embed")
-    attempts = []
-
-    def fake_urlopen(request, timeout=None):
-        attempts.append(request.full_url)
-        raise OSError("connection refused")
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    monkeypatch.setattr("time.sleep", lambda s: None)
-    p = RemoteProvider(dim=4)
-    with pytest.raises(MetadataProviderError):
-        p.embed("d")
-    assert len(attempts) == 3
-    assert len(p.request_log) == 3
-    assert all(not r["ok"] for r in p.request_log)
-
-
-def test_remote_success_path(monkeypatch):
-    monkeypatch.setenv("MOTIONPRIM_EMBED_ENDPOINT", "http://localhost:1/embed")
-    monkeypatch.setenv("MOTIONPRIM_EMBED_API_KEY", "secret")
-
-    class FakeResponse:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *a):
-            return False
-
-        def read(self):
-            return json.dumps({"embedding": [1.0, 2.0, 3.0]}).encode()
-
-    seen = {}
-
-    def fake_urlopen(request, timeout=None):
-        seen["auth"] = request.headers.get("Authorization")
-        return FakeResponse()
-
-    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    p = RemoteProvider(dim=3)
-    vec = p.embed("d")
-    np.testing.assert_array_equal(vec.values, [1.0, 2.0, 3.0])
-    assert seen["auth"] == "Bearer secret"
-    assert p.request_log[-1]["ok"]
-
-
-# ---------------------------------------------------------------------------
-# caching and factory
-
-
-class CountingProvider:
-    def __init__(self):
-        self.calls = 0
-        self.dim = 3
-        self.name = "counting"
-
-    def embed(self, descriptor):
-        self.calls += 1
-        from motionprim.metadata import MetadataVector
-
-        return MetadataVector(np.arange(3, dtype=np.float64), descriptor, self.name)
-
-
-def test_caching_provider_hits_inner_once(tmp_path):
-    inner = CountingProvider()
-    p = CachingProvider(inner)
-    p.embed("a")
-    p.embed("a")
-    p.embed("b")
-    assert inner.calls == 2
-    cache_path = tmp_path / "cache.json"
-    p.dump_cache(cache_path)
-    replay = FileLookupProvider(cache_path)
-    np.testing.assert_array_equal(replay.embed("a").values, np.arange(3))
+# factory
 
 
 def test_make_provider_kinds(tmp_path):
     p = make_provider("deterministic-hash", dim=16, seed=2)
-    assert isinstance(p, CachingProvider)
+    assert isinstance(p, HashProvider)
     assert p.dim == 16
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"d": [1.0, 2.0]}))
@@ -193,13 +111,10 @@ def test_make_provider_kinds(tmp_path):
         make_provider("quantum")
 
 
-def test_make_provider_remote_is_the_documented_kind(monkeypatch):
-    # "remote" reaches the provider, which refuses for want of an endpoint
-    monkeypatch.delenv("MOTIONPRIM_EMBED_ENDPOINT", raising=False)
-    with pytest.raises(ConfigError, match="MOTIONPRIM_EMBED_ENDPOINT"):
-        make_provider("remote")
-    with pytest.raises(ConfigError, match="unknown metadata provider"):
-        make_provider("remote-service")
+def test_make_provider_rejects_unknown_kinds():
+    for kind in ("remote", "remote-service", ""):
+        with pytest.raises(ConfigError, match="unknown metadata provider"):
+            make_provider(kind)
 
 
 def test_embed_channels_uses_canonical_descriptors():

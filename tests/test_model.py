@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from motionprim.model import (
     zero_grads,
 )
 from motionprim.quantizer import nearest_prototypes
+from motionprim.schema import from_dict
 from motionprim.training import refresh_usage
 
 
@@ -34,11 +37,11 @@ from motionprim.training import refresh_usage
 
 def test_config_round_trip_and_unknown_keys():
     cfg = tiny_config()
-    back = ModelConfig.from_dict(cfg.to_dict())
+    back = from_dict(ModelConfig, asdict(cfg), "model")
     assert back == cfg
     for key, value in (("hidden_size", 32), ("dropout", 0.0), ("norm_placement", "pre")):
         with pytest.raises(ConfigError, match=key):
-            ModelConfig.from_dict({**cfg.to_dict(), key: value})
+            from_dict(ModelConfig, {**asdict(cfg), key: value}, "model")
 
 
 def test_config_validation():
@@ -56,11 +59,16 @@ def test_config_validation():
 ])
 def test_config_rejects_mistyped_values(key, value):
     with pytest.raises(ConfigError, match=key):
-        ModelConfig.from_dict({key: value})
+        from_dict(ModelConfig, {key: value}, "model")
+    with pytest.raises(ConfigError, match=key):
+        ModelConfig(**{key: value})
 
 
 def test_config_accepts_ints_for_floats():
-    assert ModelConfig.from_dict({"mlp_ratio": 2, "beta": 0}).mlp_ratio == 2
+    built = from_dict(ModelConfig, {"mlp_ratio": 2, "beta": 0}, "model")
+    assert (built.mlp_ratio, built.beta) == (2.0, 0.0)
+    assert type(built.mlp_ratio) is type(built.beta) is float
+    assert ModelConfig(mlp_ratio=2).mlp_ratio == 2  # direct construction checks, stores as given
 
 
 def test_encoder_config_mapping():

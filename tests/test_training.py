@@ -1,7 +1,7 @@
 import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -446,7 +446,7 @@ def test_load_checkpoint_rejects_removed_config_keys(tmp_path):
     model = init_model(tiny_config(), seed=0)
     for key, value in (("dropout", 0.0), ("norm_placement", "pre")):
         path = tmp_path / f"{key}.ckpt"
-        save_tensors(path, "checkpoint", {"config": {**model.config.to_dict(), key: value}}, model.params)
+        save_tensors(path, "checkpoint", {"config": {**asdict(model.config), key: value}}, model.params)
         with pytest.raises(ConfigError, match=key):
             load_checkpoint(path)
 
@@ -455,7 +455,7 @@ def test_load_checkpoint_rejects_mistyped_config_echo(tmp_path):
     model = init_model(tiny_config(), seed=0)
     for key, value in (("codebook_size", "six"), ("depth", 2.5), ("mlp_ratio", "1")):
         path = tmp_path / f"{key}.ckpt"
-        save_tensors(path, "checkpoint", {"config": {**model.config.to_dict(), key: value}}, model.params)
+        save_tensors(path, "checkpoint", {"config": {**asdict(model.config), key: value}}, model.params)
         with pytest.raises(ConfigError, match=key):
             load_checkpoint(path)
 
@@ -469,7 +469,7 @@ def test_load_checkpoint_rejects_tensor_shapes_that_disagree_with_config(tmp_pat
     }
     for label, tensors in cases.items():
         path = tmp_path / f"{label}.ckpt"
-        save_tensors(path, "checkpoint", {"config": model.config.to_dict()}, tensors)
+        save_tensors(path, "checkpoint", {"config": asdict(model.config)}, tensors)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
