@@ -4,6 +4,12 @@ gradients and a finite-difference verification harness.
 Forward passes cache every intermediate needed by the backward pass, so
 encoder_backward is exact reverse mode, not an approximation. All shapes are
 batch-first: (B, Seq, D).
+
+The elementwise work runs in place on each kernel's own fresh arrays, in the
+same operation order as the plain one-temporary-per-operation expressions
+(kept in tests/oracles.py), so the values are bit for bit the same while far
+fewer full-size temporaries pass through the cache. No public function
+writes to its arguments.
 """
 
 from __future__ import annotations
@@ -102,39 +108,66 @@ def init_encoder_params(config: EncoderConfig, seed: int = 0) -> list[dict[str, 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact erf formulation: x * Phi(x). Returns (value, Phi(x)); the normal
     CDF is the cache `gelu_grad` reuses, so erf runs once per layer."""
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, cdf
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """d gelu / dx = Phi(x) + x phi(x), given cdf = Phi(x) from `gelu`."""
-    return cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+    grad = -0.5 * x
+    grad *= x
+    np.exp(grad, out=grad)
+    grad *= _INV_SQRT2PI
+    grad *= x
+    grad += cdf
+    return grad
 
 
 def layernorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    # the variance, turned into 1 / sqrt(var + eps) in place
+    inv = out.mean(axis=-1, keepdims=True)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out, (xhat, inv, gamma)
 
 
 def layernorm_backward(d_out: np.ndarray, cache):
     xhat, inv, gamma = cache
-    d_gamma = (d_out * xhat).sum(axis=tuple(range(d_out.ndim - 1)))
-    d_beta = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
-    d_xhat = d_out * gamma
-    mean_dxhat = d_xhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (d_xhat * xhat).mean(axis=-1, keepdims=True)
-    d_x = inv * (d_xhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    lead = tuple(range(d_out.ndim - 1))
+    scratch = d_out * xhat
+    d_gamma = scratch.sum(axis=lead)
+    d_beta = d_out.sum(axis=lead)
+    # d_xhat, turned into d_x in place
+    d_x = d_out * gamma
+    mean_dxhat = d_x.mean(axis=-1, keepdims=True)
+    np.multiply(d_x, xhat, out=scratch)
+    mean_dxhat_xhat = scratch.mean(axis=-1, keepdims=True)
+    d_x -= mean_dxhat
+    np.multiply(xhat, mean_dxhat_xhat, out=scratch)
+    d_x -= scratch
+    d_x *= inv
     return d_x, d_gamma, d_beta
 
 
+def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
+    """softmax over the last axis, written over `scores` and returned."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_inplace(np.array(scores, dtype=np.float64))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -152,17 +185,23 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = x @ w
+    out += b
+    return out
+
+
 def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], config: EncoderConfig):
     """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected."""
-    q = _split_heads(x @ params["attn.wq"] + params["attn.bq"], config.heads)
-    k = _split_heads(x @ params["attn.wk"] + params["attn.bk"], config.heads)
-    v = _split_heads(x @ params["attn.wv"] + params["attn.bv"], config.heads)
+    q = _split_heads(_affine(x, params["attn.wq"], params["attn.bq"]), config.heads)
+    k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"]), config.heads)
+    v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"]), config.heads)
     scale = 1.0 / np.sqrt(config.head_dim)
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    weights = softmax(scores)
-    context = weights @ v
-    merged = _merge_heads(context)
-    out = merged @ params["attn.wo"] + params["attn.bo"]
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    weights = _softmax_inplace(scores)
+    merged = _merge_heads(weights @ v)
+    out = _affine(merged, params["attn.wo"], params["attn.bo"])
     cache = (x, q, k, v, weights, merged, scale)
     return out, cache
 
@@ -174,13 +213,16 @@ def attention_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], 
     grads["attn.bo"] = d_out.sum(axis=(0, 1))
     d_merged = d_out @ params["attn.wo"].T
     d_context = _split_heads(d_merged, config.heads)
-    d_weights = d_context @ v.swapaxes(-1, -2)
     d_v = weights.swapaxes(-1, -2) @ d_context
-    # softmax jacobian: dS = A * (dA - sum_j dA_j A_j)
-    inner = (d_weights * weights).sum(axis=-1, keepdims=True)
-    d_scores = weights * (d_weights - inner)
-    d_q = (d_scores @ k) * scale
-    d_k = (d_scores.swapaxes(-1, -2) @ q) * scale
+    # softmax jacobian: dS = A * (dA - sum_j dA_j A_j), written over dA
+    d_scores = d_context @ v.swapaxes(-1, -2)
+    inner = (d_scores * weights).sum(axis=-1, keepdims=True)
+    d_scores -= inner
+    d_scores *= weights
+    d_q = d_scores @ k
+    d_q *= scale
+    d_k = d_scores.swapaxes(-1, -2) @ q
+    d_k *= scale
 
     d_x = np.zeros_like(x)
     for name, dh in (("q", d_q), ("k", d_k), ("v", d_v)):
@@ -193,9 +235,9 @@ def attention_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], 
 
 
 def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray]):
-    pre = x @ params["mlp.w1"] + params["mlp.b1"]
+    pre = _affine(x, params["mlp.w1"], params["mlp.b1"])
     act, cdf = gelu(pre)
-    out = act @ params["mlp.w2"] + params["mlp.b2"]
+    out = _affine(act, params["mlp.w2"], params["mlp.b2"])
     return out, (x, pre, cdf, act)
 
 
@@ -205,8 +247,8 @@ def mlp_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray]):
         "mlp.w2": _weight_grad(act, d_out),
         "mlp.b2": d_out.sum(axis=(0, 1)),
     }
-    d_act = d_out @ params["mlp.w2"].T
-    d_pre = d_act * gelu_grad(pre, cdf)
+    d_pre = d_out @ params["mlp.w2"].T
+    d_pre *= gelu_grad(pre, cdf)
     grads["mlp.w1"] = _weight_grad(x, d_pre)
     grads["mlp.b1"] = d_pre.sum(axis=(0, 1))
     d_x = d_pre @ params["mlp.w1"].T
@@ -227,9 +269,13 @@ def encoder_forward(
     x: np.ndarray,
     layers: list[dict[str, np.ndarray]],
     config: EncoderConfig,
+    need_backward: bool = True,
 ) -> tuple[np.ndarray, EncoderCache]:
     """Run `depth` pre-norm residual blocks: x + Attn(LN1(x)) then
     + MLP(LN2(.)), with no final normalization, so depth 0 is the identity.
+
+    Without `need_backward` the returned cache holds no layers, so each
+    layer's intermediates are freed before the next layer runs.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != config.model_dim:
@@ -241,14 +287,17 @@ def encoder_forward(
     cache = EncoderCache(config)
     for i, params in enumerate(layers):
         normed1, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
-        attn_out, attn_cache = attention_forward(normed1, params, config)
-        mid = x + attn_out
+        mid, attn_cache = attention_forward(normed1, params, config)
+        mid += x
         normed2, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"])
-        mlp_out, mlp_cache = mlp_forward(normed2, params)
-        out = mid + mlp_out
+        out, mlp_cache = mlp_forward(normed2, params)
+        out += mid
         if not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite activations after encoder layer {i}")
-        cache.layers.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
+        if need_backward:
+            cache.layers.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
+        # free this layer's intermediates before the next layer allocates its own
+        del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out
     return x, cache
 
@@ -272,14 +321,14 @@ def encoder_backward(
         d_normed2, mlp_grads = mlp_backward(d_x, mlp_cache, params)
         grads.update(mlp_grads)
         d_mid, d_g2, d_b2 = layernorm_backward(d_normed2, ln2_cache)
-        d_mid = d_mid + d_x
+        d_mid += d_x
         grads["ln2.gamma"], grads["ln2.beta"] = d_g2, d_b2
         # mid = x + attn(ln1(x))
         d_normed1, attn_grads = attention_backward(d_mid, attn_cache, params, config)
         grads.update(attn_grads)
-        d_x_from_ln1, d_g1, d_b1 = layernorm_backward(d_normed1, ln1_cache)
+        d_x, d_g1, d_b1 = layernorm_backward(d_normed1, ln1_cache)
+        d_x += d_mid
         grads["ln1.gamma"], grads["ln1.beta"] = d_g1, d_b1
-        d_x = d_mid + d_x_from_ln1
     return d_x, all_grads
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .schema import check_fields, from_dict, read_json
+from .schema import check_fields, from_dict, read_json, typed_value
 
 DEFAULT_TARGET_RATE = 100.0
 DEFAULT_WINDOW_LEN = 500
@@ -423,22 +423,29 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ConfigError(f"unknown keys {unknown}")
     fields = {"name": path.stem, **raw, "base_dir": path.parent}
     if "window" in fields:
-        fields["window_len"] = fields.pop("window")
+        fields["window_len"] = typed_value(fields.pop("window"), int, f"{context}.window")
     if isinstance(raw.get("channels"), list):
-        fields["channels"] = [_nest_channel(ch) for ch in raw["channels"]]
+        fields["channels"] = [
+            _channel_from_entry(entry, f"{context}.channels[{i}]") for i, entry in enumerate(raw["channels"])
+        ]
     return from_dict(DatasetManifest, fields, context)
 
 
 _CHANNEL_META_KEYS = ("body_part", "sensor", "axis", "native_rate")
 
 
-def _nest_channel(entry):
-    """A flat manifest channel entry in ManifestChannel's shape."""
+def _channel_from_entry(entry, context: str):
+    """A ManifestChannel from a flat manifest channel entry; errors name the
+    entry's own keys. Anything but an object is left for from_dict to
+    reject."""
     if not isinstance(entry, dict):
         return entry
-    nested = {key: value for key, value in entry.items() if key not in _CHANNEL_META_KEYS}
-    nested["meta"] = {key: entry[key] for key in _CHANNEL_META_KEYS if key in entry}
-    return nested
+    unknown = [f"{context}.{key}" for key in entry if key not in ("file", "column", *_CHANNEL_META_KEYS)]
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}")
+    meta = from_dict(ChannelMetadata, {key: entry[key] for key in _CHANNEL_META_KEYS if key in entry}, context)
+    rest = {key: value for key, value in entry.items() if key not in _CHANNEL_META_KEYS}
+    return from_dict(ManifestChannel, {**rest, "meta": meta}, context)
 
 
 def _read_csv_columns(path: Path, numeric: set[str]) -> dict[str, np.ndarray]:

@@ -359,6 +359,8 @@ def forward(
     disables masked modeling. fixed_indices pins the quantizer assignment
     (for gradient checks); frozen_prototypes is the stop-gradient copy used
     by the commitment term's second half, defaulting to the live prototypes.
+    need_backward=False keeps no backward cache, the encoder's per-layer one
+    included, so `backward` refuses the result.
     """
     cfg = model.config
     B, C, S, L = batch.norm_segments.shape
@@ -384,7 +386,7 @@ def forward(
         model.params, layout, indices_flat.reshape(B, C, S), batch.stats, batch.meta, mask_positions
     )
 
-    hidden, enc_cache = encoder_forward(x, model.encoder_layers(), cfg.encoder_config())
+    hidden, enc_cache = encoder_forward(x, model.encoder_layers(), cfg.encoder_config(), need_backward)
 
     mae_value = 0.0
     mae_probs = None

@@ -89,6 +89,13 @@ def from_dict(cls: type, raw, context: str):
     return cls(**{key: _typed(value, hints[key], f"{context}.{key}", build=True) for key, value in raw.items()})
 
 
+def typed_value(value, tp, path: str):
+    """`value` checked against annotation `tp` and built as `from_dict`
+    builds a field; for a key that a file names differently from the field
+    it sets, so the error names the file's key."""
+    return _typed(value, tp, path, build=True)
+
+
 def field_type(cls: type, path: list[str]):
     """The annotation a key path reaches through nested dataclasses, with
     `| None` dropped; None when the path names no field."""

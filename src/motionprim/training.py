@@ -413,10 +413,20 @@ def metrics_from_confusion(confusion: np.ndarray) -> EvalMetrics:
 def evaluate(
     model: Model,
     batch: PreparedBatch,
-    micro_batch: int = 256,
+    micro_batch: int = 32,
     workers: int = 1,
 ) -> EvalMetrics:
-    """Accuracy / macro-F1 / confusion on a labeled batch, without masking."""
+    """Accuracy / macro-F1 / confusion on a labeled batch, without masking.
+
+    Windows go through forward-only passes of `micro_batch` windows, spread
+    over `workers` threads. The default of 32 keeps a pass's largest array,
+    the attention weights, small enough to stay in cache; larger chunks are
+    slower, not faster.
+    """
+    if micro_batch < 1:
+        raise ConfigError(f"evaluate micro_batch must be >= 1, got {micro_batch}")
+    if workers < 1:
+        raise ConfigError(f"evaluate workers must be >= 1, got {workers}")
     if batch.labels is None:
         raise DataError("evaluation needs labeled windows")
     if batch.size == 0:

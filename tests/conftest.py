@@ -23,6 +23,7 @@ from motionprim.model import (
     PRETRAIN_WEIGHTS,
     ModelConfig,
     forward,
+    init_model,
     mask_positions_for,
     prepare_windows,
 )
@@ -148,6 +149,20 @@ def bench_runs_small_codebook():
 @pytest.fixture(scope="session")
 def bench_provider():
     return make_provider("deterministic-hash", dim=768, seed=0)
+
+
+@pytest.fixture(scope="session")
+def bench_shape_eval(bench_provider):
+    """(model, batch): an untrained model at the acceptance config with every
+    weight matrix but the codebook scaled by 25, so its predictions spread
+    over the classes, and 80 labeled bench windows."""
+    config = bench_model_config()
+    model = init_model(config, seed=11)
+    for name, tensor in model.params.items():
+        if tensor.ndim == 2 and name != "codebook":
+            model.params[name] = 25.0 * tensor
+    batch = prepare_windows(generate_synthetic(bench_spec(11, 20)), config, bench_provider, source="chunks")
+    return model, batch
 
 
 def median(values):

@@ -285,7 +285,7 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, S, h * dh)
 
 
-def _softmax_last(scores):
+def softmax_reference(scores):
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -297,7 +297,7 @@ def attention_forward_einsum(x, params, heads):
     k = _split_heads(x @ params["attn.wk"] + params["attn.bk"], heads)
     v = _split_heads(x @ params["attn.wv"] + params["attn.bv"], heads)
     scale = 1.0 / math.sqrt(x.shape[-1] // heads)
-    weights = _softmax_last(np.einsum("bhsd,bhtd->bhst", q, k) * scale)
+    weights = softmax_reference(np.einsum("bhsd,bhtd->bhst", q, k) * scale)
     merged = _merge_heads(np.einsum("bhst,bhtd->bhsd", weights, v))
     out = merged @ params["attn.wo"] + params["attn.bo"]
     return out, (x, q, k, v, weights, merged, scale)
@@ -346,3 +346,123 @@ def mlp_backward_einsum(d_out, cache, params):
     grads["mlp.w1"] = np.einsum("bsd,bsh->dh", x, d_pre)
     grads["mlp.b1"] = d_pre.sum(axis=(0, 1))
     return d_pre @ params["mlp.w1"].T, grads
+
+
+# ---------------------------------------------------------------------------
+# Encoder kernels as plain expressions, one fresh array per operation. The
+# kernels in motionprim.encoder work in place in the same operation order and
+# must equal these bit for bit.
+
+LN_EPS = 1e-5
+
+
+def _weight_grad(x, g):
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def gelu_reference(x):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    return x * cdf, cdf
+
+
+def gelu_grad_reference(x, cdf):
+    return cdf + x * ((1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x))
+
+
+def layernorm_forward_reference(x, gamma, beta):
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * inv
+    return gamma * xhat + beta, (xhat, inv, gamma)
+
+
+def layernorm_backward_reference(d_out, cache):
+    xhat, inv, gamma = cache
+    d_gamma = (d_out * xhat).sum(axis=tuple(range(d_out.ndim - 1)))
+    d_beta = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
+    d_xhat = d_out * gamma
+    mean_dxhat = d_xhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    d_x = inv * (d_xhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return d_x, d_gamma, d_beta
+
+
+def attention_forward_reference(x, params, heads):
+    """Returns (out, cache) like encoder.attention_forward."""
+    q = _split_heads(x @ params["attn.wq"] + params["attn.bq"], heads)
+    k = _split_heads(x @ params["attn.wk"] + params["attn.bk"], heads)
+    v = _split_heads(x @ params["attn.wv"] + params["attn.bv"], heads)
+    scale = 1.0 / np.sqrt(x.shape[-1] // heads)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    weights = softmax_reference(scores)
+    merged = _merge_heads(weights @ v)
+    out = merged @ params["attn.wo"] + params["attn.bo"]
+    return out, (x, q, k, v, weights, merged, scale)
+
+
+def attention_backward_reference(d_out, cache, params, heads):
+    """Returns (d_x, grads) like encoder.attention_backward."""
+    x, q, k, v, weights, merged, scale = cache
+    grads = {"attn.wo": _weight_grad(merged, d_out), "attn.bo": d_out.sum(axis=(0, 1))}
+    d_context = _split_heads(d_out @ params["attn.wo"].T, heads)
+    d_weights = d_context @ v.swapaxes(-1, -2)
+    d_v = weights.swapaxes(-1, -2) @ d_context
+    inner = (d_weights * weights).sum(axis=-1, keepdims=True)
+    d_scores = weights * (d_weights - inner)
+    d_q = (d_scores @ k) * scale
+    d_k = (d_scores.swapaxes(-1, -2) @ q) * scale
+    d_x = np.zeros_like(x)
+    for name, dh in (("q", d_q), ("k", d_k), ("v", d_v)):
+        flat = _merge_heads(dh)
+        grads[f"attn.w{name}"] = _weight_grad(x, flat)
+        grads[f"attn.b{name}"] = flat.sum(axis=(0, 1))
+        d_x += flat @ params[f"attn.w{name}"].T
+    return d_x, grads
+
+
+def mlp_forward_reference(x, params):
+    pre = x @ params["mlp.w1"] + params["mlp.b1"]
+    act, cdf = gelu_reference(pre)
+    return act @ params["mlp.w2"] + params["mlp.b2"], (x, pre, cdf, act)
+
+
+def mlp_backward_reference(d_out, cache, params):
+    x, pre, cdf, act = cache
+    grads = {"mlp.w2": _weight_grad(act, d_out), "mlp.b2": d_out.sum(axis=(0, 1))}
+    d_pre = (d_out @ params["mlp.w2"].T) * gelu_grad_reference(pre, cdf)
+    grads["mlp.w1"] = _weight_grad(x, d_pre)
+    grads["mlp.b1"] = d_pre.sum(axis=(0, 1))
+    return d_pre @ params["mlp.w1"].T, grads
+
+
+def encoder_forward_reference(x, layers, heads):
+    """Pre-norm residual stack; returns (out, per-layer caches)."""
+    caches = []
+    for params in layers:
+        normed1, ln1 = layernorm_forward_reference(x, params["ln1.gamma"], params["ln1.beta"])
+        attn_out, attn = attention_forward_reference(normed1, params, heads)
+        mid = x + attn_out
+        normed2, ln2 = layernorm_forward_reference(mid, params["ln2.gamma"], params["ln2.beta"])
+        mlp_out, mlp = mlp_forward_reference(normed2, params)
+        x = mid + mlp_out
+        caches.append((ln1, attn, ln2, mlp))
+    return x, caches
+
+
+def encoder_backward_reference(d_out, caches, layers, heads):
+    """Returns (d_input, per-layer grads) like encoder.encoder_backward."""
+    d_x = d_out
+    all_grads = [dict() for _ in layers]
+    for i in range(len(layers) - 1, -1, -1):
+        ln1, attn, ln2, mlp = caches[i]
+        d_normed2, grads = mlp_backward_reference(d_x, mlp, layers[i])
+        d_mid, all_grads[i]["ln2.gamma"], all_grads[i]["ln2.beta"] = layernorm_backward_reference(d_normed2, ln2)
+        d_mid = d_mid + d_x
+        all_grads[i].update(grads)
+        d_normed1, grads = attention_backward_reference(d_mid, attn, layers[i], heads)
+        all_grads[i].update(grads)
+        d_from_ln1, all_grads[i]["ln1.gamma"], all_grads[i]["ln1.beta"] = layernorm_backward_reference(d_normed1, ln1)
+        d_x = d_mid + d_from_ln1
+    return d_x, all_grads

@@ -4,6 +4,7 @@ import scipy.special
 
 import oracles
 from motionprim.encoder import (
+    EncoderCache,
     EncoderConfig,
     attention_backward,
     attention_forward,
@@ -13,6 +14,7 @@ from motionprim.encoder import (
     gelu_grad,
     grad_check,
     init_encoder_params,
+    layernorm_backward,
     layernorm_forward,
     mlp_backward,
     mlp_forward,
@@ -114,16 +116,19 @@ def _rel_err(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize(
+# the acceptance/bench model (B=50 windows of 37 tokens) and the default
+# ModelConfig encoder
+SHAPES = pytest.mark.parametrize(
     "config, batch",
     [
-        # the acceptance/bench model: B=50 windows of 37 tokens
         (EncoderConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0), 50),
-        # the default ModelConfig encoder
         (EncoderConfig(), 6),
     ],
     ids=["bench", "default"],
 )
+
+
+@SHAPES
 def test_gemm_attention_and_mlp_match_einsum_oracle(config, batch):
     # every layer of the stack, with weights at 1/sqrt(D) scale so attention
     # is far from uniform; values and all gradients within 1e-12 relative
@@ -159,6 +164,134 @@ def test_gemm_attention_and_mlp_match_einsum_oracle(config, batch):
         assert set(grads) == set(want_grads)
         for name in grads:
             assert _rel_err(grads[name], want_grads[name]) <= 1e-12, name
+
+
+def random_layers(config, seed):
+    """Encoder layers with every tensor random: weights at 1/sqrt(fan-in)
+    scale, layer-norm scales near 1 and nonzero biases and offsets, so a
+    dropped or misordered term changes the result."""
+    rng = np.random.default_rng(seed)
+    layers = init_encoder_params(config, seed=seed)
+    for params in layers:
+        for key, value in params.items():
+            if key.endswith("gamma"):
+                params[key] = 1.0 + 0.1 * rng.normal(size=value.shape)
+            elif value.ndim == 1:
+                params[key] = 0.1 * rng.normal(size=value.shape)
+            else:
+                params[key] = rng.normal(size=value.shape) / np.sqrt(value.shape[0])
+    return layers
+
+
+def assert_bitwise(got, want, where=""):
+    """Equal values and structure through tuples, lists and dicts; floats
+    must match exactly."""
+    if isinstance(want, dict):
+        assert set(got) == set(want), where
+        for key in want:
+            assert_bitwise(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_bitwise(g, w, f"{where}[{i}]")
+    else:
+        assert np.array_equal(got, want), where
+
+
+@SHAPES
+def test_kernels_bitwise_equal_reference_expressions(config, batch):
+    # the in-place kernels keep the operation order of the plain expressions
+    # in oracles, so every value, cache entry and gradient is the same bits
+    rng = np.random.default_rng(config.model_dim + 1)
+    layers = random_layers(config, seed=2)
+    S, D = 37, config.model_dim
+    x = rng.normal(size=(batch, S, D))
+    d_out = rng.normal(size=(batch, S, D))
+    scores = 4.0 * rng.normal(size=(batch, config.heads, S, S))
+    assert_bitwise(softmax(scores), oracles.softmax_reference(scores), "softmax")
+    pre = 3.0 * rng.normal(size=(batch, S, config.mlp_hidden))
+    assert_bitwise(gelu(pre), oracles.gelu_reference(pre), "gelu")
+    cdf = oracles.gelu_reference(pre)[1]
+    assert_bitwise(gelu_grad(pre, cdf), oracles.gelu_grad_reference(pre, cdf), "gelu_grad")
+
+    for i, params in enumerate(layers):
+        ln = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
+        want_ln = oracles.layernorm_forward_reference(x, params["ln1.gamma"], params["ln1.beta"])
+        assert_bitwise(ln, want_ln, f"layer{i}.layernorm_forward")
+        assert_bitwise(layernorm_backward(d_out, ln[1]), oracles.layernorm_backward_reference(d_out, want_ln[1]), f"layer{i}.layernorm_backward")
+
+        attn = attention_forward(x, params, config)
+        want_attn = oracles.attention_forward_reference(x, params, config.heads)
+        assert_bitwise(attn, want_attn, f"layer{i}.attention_forward")
+        assert_bitwise(
+            attention_backward(d_out, attn[1], params, config),
+            oracles.attention_backward_reference(d_out, want_attn[1], params, config.heads),
+            f"layer{i}.attention_backward",
+        )
+
+        mlp = mlp_forward(x, params)
+        want_mlp = oracles.mlp_forward_reference(x, params)
+        assert_bitwise(mlp, want_mlp, f"layer{i}.mlp_forward")
+        assert_bitwise(mlp_backward(d_out, mlp[1], params), oracles.mlp_backward_reference(d_out, want_mlp[1], params), f"layer{i}.mlp_backward")
+
+    out, cache = encoder_forward(x, layers, config)
+    want_out, want_caches = oracles.encoder_forward_reference(x, layers, config.heads)
+    assert_bitwise(out, want_out, "encoder_forward")
+    assert_bitwise(cache.layers, want_caches, "encoder_forward cache")
+    assert_bitwise(
+        encoder_backward(d_out, cache, layers),
+        oracles.encoder_backward_reference(d_out, want_caches, layers, config.heads),
+        "encoder_backward",
+    )
+
+
+def arrays_in(obj):
+    """Every ndarray reachable from obj through tuples, lists, dicts and
+    an EncoderCache, in a fixed order."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, EncoderCache):
+        obj = obj.layers
+    if isinstance(obj, dict):
+        obj = [obj[key] for key in sorted(obj)]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in arrays_in(item)]
+    return []
+
+
+def call_keeps_inputs(fn, *args):
+    """Run fn(*args) and assert that no array among the arguments changed."""
+    before = [a.copy() for a in arrays_in(args)]
+    result = fn(*args)
+    after = arrays_in(args)
+    assert len(after) == len(before)
+    for i, (a, b) in enumerate(zip(after, before)):
+        assert np.array_equal(a, b), f"{fn.__name__} changed input array {i}"
+    return result
+
+
+@SHAPES
+def test_no_encoder_function_changes_its_inputs(config, batch):
+    rng = np.random.default_rng(7)
+    layers = random_layers(config, seed=3)
+    params = layers[0]
+    S, D = 37, config.model_dim
+    x = rng.normal(size=(batch, S, D))
+    d_out = rng.normal(size=(batch, S, D))
+    pre = rng.normal(size=(batch, S, config.mlp_hidden))
+
+    call_keeps_inputs(softmax, rng.normal(size=(batch, config.heads, S, S)))
+    _, cdf = call_keeps_inputs(gelu, pre)
+    call_keeps_inputs(gelu_grad, pre, cdf)
+    _, ln_cache = call_keeps_inputs(layernorm_forward, x, params["ln1.gamma"], params["ln1.beta"])
+    call_keeps_inputs(layernorm_backward, d_out, ln_cache)
+    _, attn_cache = call_keeps_inputs(attention_forward, x, params, config)
+    call_keeps_inputs(attention_backward, d_out, attn_cache, params, config)
+    _, mlp_cache = call_keeps_inputs(mlp_forward, x, params)
+    call_keeps_inputs(mlp_backward, d_out, mlp_cache, params)
+    _, cache = call_keeps_inputs(encoder_forward, x, layers, config)
+    call_keeps_inputs(encoder_forward, x, layers, config, False)
+    call_keeps_inputs(encoder_backward, d_out, cache, layers)
 
 
 # ---------------------------------------------------------------------------

@@ -525,6 +525,24 @@ def test_manifest_scalars_fail_as_config_error(tmp_path, key, value):
         load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, **{key: value}))
 
 
+WRIST_X = {"file": "data.csv", "column": "v", "body_part": "wrist", "sensor": "accelerometer", "axis": "x", "native_rate": 10.0}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("window", "500", "m.json: manifest.window must be an integer, got '500'"),
+    ("channels", [{**WRIST_X, "native_rate": "10"}], "m.json: manifest.channels[0].native_rate must be a number, got '10'"),
+    ("channels", [WRIST_X, {**WRIST_X, "axis": 3}], "m.json: manifest.channels[1].axis must be a string, got 3"),
+    ("channels", [{**WRIST_X, "meta": {}}], "m.json: manifest.channels[0].meta']"),
+    ("channels", [{k: v for k, v in WRIST_X.items() if k != "sensor"}], "m.json: manifest.channels[0].sensor']"),
+])
+def test_manifest_errors_name_the_files_own_keys(tmp_path, key, value, message):
+    # the file has no `meta` level and no `window_len` key: errors must not
+    # name the internal shape the entries are built into
+    with pytest.raises(ConfigError) as info:
+        load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, **{key: value}))
+    assert str(info.value).endswith(message)
+
+
 @pytest.mark.parametrize("rate", [0, -5, float("nan")])  # json.dumps writes a bare NaN
 def test_label_native_rate_must_be_positive(tmp_path, rate):
     label = {"file": "data.csv", "column": "label", "native_rate": rate}

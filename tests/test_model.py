@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from motionprim import model as model_module
 from motionprim.errors import ConfigError, DataError, NumericError
 from motionprim.ingest import ChannelMetadata, SensorWindow
 from motionprim.metadata import make_provider
@@ -405,3 +406,43 @@ def test_gradient_suite_full_model_checks_every_input_coordinate():
     for name in ("adapter.weight", "adapter.bias", "stat.weight", "stat.bias", "codebook"):
         assert len(checked[name]) == params[name].size, name
     assert reports["full_model"].passed
+
+
+# ---------------------------------------------------------------------------
+# forward-only passes
+
+
+def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch):
+    caches = []
+    encoder_forward = model_module.encoder_forward
+
+    def recording_encoder_forward(*args, **kwargs):
+        out, cache = encoder_forward(*args, **kwargs)
+        caches.append(cache)
+        return out, cache
+
+    monkeypatch.setattr(model_module, "encoder_forward", recording_encoder_forward)
+    cfg = tiny_config()
+    model = init_model(cfg, seed=2)
+    batch = tiny_batch(seed=5, num_windows=4)
+    full = forward(model, batch, FINETUNE_WEIGHTS)
+    bare = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False)
+    assert len(caches[0].layers) == cfg.depth
+    assert caches[1].layers == []
+    assert bare._cache == {}
+    np.testing.assert_array_equal(bare.cls_probs, full.cls_probs)
+    np.testing.assert_array_equal(bare.hidden, full.hidden)
+
+
+def test_chunked_cls_probs_equal_one_full_batch_forward(bench_shape_eval):
+    # at the acceptance config, 32-window passes (as evaluate runs them) give
+    # the same bits as one pass over all windows; 1-window passes differ in
+    # the last place, so chunks that small are not part of the contract
+    model, batch = bench_shape_eval
+    full = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False).cls_probs
+    chunks = [np.arange(i, min(i + 32, batch.size)) for i in range(0, batch.size, 32)]
+    assert [len(c) for c in chunks] == [32, 32, 16]
+    chunked = np.concatenate(
+        [forward(model, batch.subset(idx), FINETUNE_WEIGHTS, need_backward=False).cls_probs for idx in chunks]
+    )
+    assert np.array_equal(chunked, full)

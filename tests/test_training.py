@@ -359,6 +359,21 @@ def test_evaluate_matches_forward_argmax_and_workers():
     np.testing.assert_array_equal(threaded.confusion, metrics.confusion)
 
 
+def test_evaluate_confusion_does_not_depend_on_chunking(bench_shape_eval):
+    model, batch = bench_shape_eval
+    whole = evaluate(model, batch, micro_batch=batch.size)
+    assert np.count_nonzero(whole.confusion.sum(axis=0)) > 1  # predictions spread over classes
+    for kwargs in (dict(), dict(micro_batch=256), dict(workers=2), dict(micro_batch=7, workers=2)):
+        np.testing.assert_array_equal(evaluate(model, batch, **kwargs).confusion, whole.confusion, err_msg=str(kwargs))
+
+
+@pytest.mark.parametrize("kwargs", [dict(micro_batch=0), dict(micro_batch=-1), dict(workers=0)])
+def test_evaluate_rejects_nonpositive_chunks_and_workers(kwargs):
+    model = init_model(tiny_config(), seed=3)
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        evaluate(model, tiny_batch(seed=7, num_windows=5), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # finetune
 
