@@ -297,6 +297,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     provider = make_provider(**asdict(run.provider))
     batch = _prepare_dataset(args.manifest, model.config, provider)
+    if "frequency" in wanted and batch.labels is None:
+        # checked before any report is written, so a failed run leaves none
+        raise DataError("frequency report needs labeled windows")
     indices = tokenize_dataset(model, batch)
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,8 +322,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     streams = token_streams(indices, batch.labels)
     if "frequency" in wanted:
-        if batch.labels is None:
-            raise DataError("frequency report needs labeled windows")
         report = frequency(
             streams, top_n=args.top_n, num_classes=model.config.num_classes, codebook_size=K
         )

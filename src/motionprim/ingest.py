@@ -7,16 +7,22 @@ arguments, so callers are free to parallelize across windows.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
+import logging
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from . import tensorfile
+from .errors import CheckpointError, ConfigError, DataError
 from .schema import check_fields, from_dict, read_json, typed_value
 
 DEFAULT_TARGET_RATE = 100.0
@@ -24,6 +30,8 @@ DEFAULT_WINDOW_LEN = 500
 DEFAULT_NORM_EPS = 1e-5
 
 GENERATOR_IDS = ("sine", "square", "sawtooth", "constant")
+
+logger = logging.getLogger("motionprim")
 
 
 @dataclass
@@ -448,80 +456,214 @@ def _channel_from_entry(entry, context: str):
     return from_dict(ManifestChannel, {**rest, "meta": meta}, context)
 
 
-def _read_csv_columns(path: Path, numeric: set[str]) -> dict[str, np.ndarray]:
-    """Every column of a CSV file by header name: float64 for the names in
-    `numeric`, str objects for the rest. One loadtxt call parses the body;
-    a short or long row, a non-numeric or empty number, a blank line and a
-    file without data rows all raise DataError naming the file."""
+# Recorded in every CSV sidecar; raising it retires the sidecars of older
+# versions, so a change to the parse or the layout never serves stale columns.
+CSV_SIDECAR_FORMAT = 1
+CSV_SIDECAR_KIND = "csv-columns"
+
+
+@dataclass
+class _CsvColumns:
+    """The columns one load asked of a CSV file: numbers by column name,
+    each text column factorized as (sorted distinct values, int64 code per
+    row), and the key a sidecar must record to serve them."""
+
+    numbers: dict[str, np.ndarray]
+    labels: dict[str, tuple[list[str], np.ndarray]]
+    key: dict
+    parsed: bool  # False when served by the sidecar
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(f".{path.name}.mpcache")
+
+
+def _read_csv_columns(path: Path, numeric: set[str], text: set[str]) -> _CsvColumns:
+    """The `numeric` (float64) and `text` (factorized) columns of a CSV file.
+    When the file has a sidecar, its sha256 is taken, and a sidecar whose
+    key matches the hash and the requested columns serves them; otherwise
+    the text is parsed. A missing column and every parse fault raise
+    DataError naming the file."""
+    request = {"format": CSV_SIDECAR_FORMAT, "numeric": sorted(numeric), "text": sorted(text)}
+    if _sidecar_path(path).is_file():
+        served = _load_sidecar(path, {**request, "sha256": _sha256(path)})
+        if served is not None:
+            return served
+    return _parse_csv(path, request)
+
+
+def _sha256(path: Path) -> str:
     try:
-        with open(path, newline="") as fh:
+        with open(path, "rb") as fh:
+            return hashlib.file_digest(fh, "sha256").hexdigest()
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary file that takes the sha256 of every byte read through it and
+    counts its LF bytes, so a parse and its sidecar key see the same bytes."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self.sha256 = hashlib.sha256()
+        self._lf, self._last = 0, b"\n"
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(buf)
+        if n:
+            block = bytes(memoryview(buf)[:n])
+            self.sha256.update(block)
+            self._lf += block.count(b"\n")
+            self._last = block[-1:]
+        return n
+
+    def lines(self) -> int:
+        """LF bytes read, plus one for a last line that does not end in one."""
+        return self._lf + (self._last != b"\n")
+
+
+def _parse_csv(path: Path, request: dict) -> _CsvColumns:
+    """Parse the body with one loadtxt call, hashing the bytes as they are
+    read; a bad header, a missing column, a short or long row, a
+    non-numeric or empty number, a blank line and a file without data rows
+    all raise DataError naming the file."""
+    numeric, text = set(request["numeric"]), set(request["text"])
+    try:
+        with open(path, "rb", buffering=0) as binary:
+            raw = _HashingReader(binary)
+            fh = io.TextIOWrapper(io.BufferedReader(raw, 1 << 20), newline="")
             header = next(csv.reader(fh), None)
             if header is None:
                 raise DataError(f"{path}: empty CSV")
             if not header or len(set(header)) != len(header):
                 raise DataError(f"{path}: the header must name each column once, got {header}")
+            missing = sorted((numeric | text) - set(header))
+            if missing:
+                raise DataError(f"{path}: no column named {missing[0]!r}")
             dtype = np.dtype([(f"f{i}", np.float64 if name in numeric else object) for i, name in enumerate(header)])
             with warnings.catch_warnings():
                 # a body without rows is reported below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+            while raw.read(1 << 20):  # the hash must cover the whole file
+                pass
     except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
     if len(table) == 0:
         raise DataError(f"{path}: no data rows")
-    if _count_lines(path) != len(table) + 1:
+    if raw.lines() != len(table) + 1:
         # loadtxt skips an empty line, which csv.reader reads as a row of no
         # fields; bare CR line ends and a line break inside a quoted field
         # also make the counts differ
-        with open(path, newline="") as fh:
-            if any(not row for row in csv.reader(fh)):
-                raise DataError(f"{path}: blank line in the CSV body")
-    return {name: table[f"f{i}"] for i, name in enumerate(header)}
+        try:
+            with open(path, newline="") as fh:
+                blank = any(not row for row in csv.reader(fh))
+        except (OSError, ValueError, csv.Error) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        if blank:
+            raise DataError(f"{path}: blank line in the CSV body")
+    field_of = {name: f"f{i}" for i, name in enumerate(header)}
+    numbers = {name: np.ascontiguousarray(table[field_of[name]]) for name in request["numeric"]}
+    labels = {}
+    for name in request["text"]:
+        names, codes = np.unique(table[field_of[name]].astype(str), return_inverse=True)
+        labels[name] = (names.tolist(), codes.astype(np.int64, copy=False))
+    key = {**request, "sha256": raw.sha256.hexdigest()}
+    return _CsvColumns(numbers, labels, key, parsed=True)
 
 
-def _count_lines(path: Path) -> int:
-    """LF bytes in a file, plus one for a last line that does not end in one."""
-    count, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            count += block.count(b"\n")
-            last = block[-1:]
-    return count + (last != b"\n")
+def _load_sidecar(path: Path, key: dict) -> _CsvColumns | None:
+    """The columns a file's sidecar holds, or None when there is none or it
+    does not match `key` or is truncated or malformed."""
+    sidecar = _sidecar_path(path)
+    try:
+        meta, tensors = tensorfile.load_tensors(sidecar, CSV_SIDECAR_KIND)
+    except (CheckpointError, OSError) as exc:
+        logger.debug("not using %s: %s", sidecar, exc)
+        return None
+    names = meta.get("names")
+    rows = {arr.shape[0] if arr.ndim == 1 else 0 for arr in tensors.values()}
+    if (
+        any(meta.get(field) != value for field, value in key.items())
+        or not isinstance(names, dict)
+        or set(names) != set(key["text"])
+        or set(tensors) != set(key["numeric"]) | set(key["text"])
+        or len(rows) != 1
+        or 0 in rows
+        or any(tensors[name].dtype != np.float64 for name in key["numeric"])
+    ):
+        logger.debug("not using %s: it does not match %s", sidecar, path)
+        return None
+    labels = {}
+    for name in key["text"]:
+        values, codes = names[name], tensors[name]
+        if not (
+            isinstance(values, list)
+            and all(isinstance(v, str) for v in values)
+            and values == sorted(set(values))
+            and codes.dtype == np.int64
+            and 0 <= codes.min()
+            and codes.max() < len(values)
+        ):
+            logger.debug("not using %s: bad codes for column %r", sidecar, name)
+            return None
+        labels[name] = (values, codes)
+    numbers = {name: tensors[name] for name in key["numeric"]}
+    return _CsvColumns(numbers, labels, key, parsed=False)
+
+
+def _write_sidecar(path: Path, columns: _CsvColumns) -> None:
+    """Store freshly parsed columns beside their CSV file: a temporary file
+    renamed over the sidecar. A directory that cannot take it goes without."""
+    sidecar = _sidecar_path(path)
+    meta = {**columns.key, "names": {name: values for name, (values, _) in columns.labels.items()}}
+    tensors = {**columns.numbers, **{name: codes for name, (_, codes) in columns.labels.items()}}
+    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tensorfile.save_tensors(tmp, CSV_SIDECAR_KIND, meta, tensors)
+        os.replace(tmp, sidecar)
+    except OSError as exc:
+        logger.debug("no sidecar for %s: %s", path, exc)
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
     """Resample every channel to the manifest's target rate, align lengths,
-    window, and attach labels. Mixed-label windows are dropped."""
+    window, and attach labels. Mixed-label windows are dropped. A file parsed
+    here gets a sidecar once the whole load has succeeded."""
     numeric: dict[Path, set[str]] = {}
     for ch in manifest.channels:
         numeric.setdefault(manifest.base_dir / ch.file, set()).add(ch.column)
-    cache: dict[Path, dict[str, np.ndarray]] = {}
+    text: dict[Path, set[str]] = {}
+    if manifest.label is not None:
+        text[manifest.base_dir / manifest.label.file] = {manifest.label.column}
+    cache: dict[Path, _CsvColumns] = {}
 
-    def columns_of(rel: str) -> dict[str, np.ndarray]:
+    def columns_of(rel: str) -> _CsvColumns:
         path = manifest.base_dir / rel
         if path not in cache:
-            cache[path] = _read_csv_columns(path, numeric.get(path, set()))
+            cache[path] = _read_csv_columns(path, numeric.get(path, set()), text.get(path, set()))
         return cache[path]
 
-    series = []
-    for ch in manifest.channels:
-        cols = columns_of(ch.file)
-        if ch.column not in cols:
-            raise DataError(f"{ch.file}: no column named {ch.column!r}")
-        series.append(resample(cols[ch.column], ch.meta.native_rate, manifest.target_rate))
-
+    series = [
+        resample(columns_of(ch.file).numbers[ch.column], ch.meta.native_rate, manifest.target_rate)
+        for ch in manifest.channels
+    ]
     length = min(len(s) for s in series)
     matrix = np.stack([s[:length] for s in series], axis=1)
 
     labels = None
     class_names = list(manifest.classes)
     if manifest.label is not None:
-        cols = columns_of(manifest.label.file)
-        if manifest.label.column not in cols:
-            raise DataError(f"{manifest.label.file}: no label column {manifest.label.column!r}")
-        names, codes = np.unique(cols[manifest.label.column].astype(str), return_inverse=True)
+        names, codes = columns_of(manifest.label.file).labels[manifest.label.column]
         codes = resample_nearest(codes, manifest.label.native_rate, manifest.target_rate)[:length]
-        present = names[np.bincount(codes, minlength=len(names)) > 0].tolist()
+        counts = np.bincount(codes, minlength=len(names))
+        present = [name for name, count in zip(names, counts.tolist()) if count]
         if not class_names:
             class_names = present
         ids = {name: i for i, name in enumerate(class_names)}
@@ -529,7 +671,7 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
         if missing:
             raise DataError(f"labels not covered by manifest classes: {sorted(missing)}")
         # a name that resampling or truncation dropped maps to -1, never indexed
-        labels = np.array([ids.get(name, -1) for name in names.tolist()], dtype=np.int64)[codes]
+        labels = np.array([ids.get(name, -1) for name in names], dtype=np.int64)[codes]
 
     channels = [ch.meta for ch in manifest.channels]
     windows = window(
@@ -540,6 +682,9 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
         labels=labels,
         source_id=manifest.name,
     )
+    for path, columns in cache.items():
+        if columns.parsed:
+            _write_sidecar(path, columns)
     return LoadedDataset(manifest.name, windows, class_names)
 
 

@@ -20,6 +20,10 @@ from .errors import CheckpointError
 
 MAGIC = b"MPTENS1\n"
 
+# numpy's limits on an array: its dimension count, and its byte count
+_MAX_DIMS = 64
+_MAX_BYTES = np.iinfo(np.intp).max
+
 _DTYPES = {
     "float64": "<f8",
     "int64": "<i8",
@@ -28,29 +32,29 @@ _DTYPES = {
 
 def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
     """Write `tensors` to `path`. Floats are stored as little-endian float64,
-    integers as little-endian int64; other dtypes are rejected."""
+    integers as little-endian int64; other dtypes are rejected. An array
+    already in its stored form is written from its own buffer, uncopied."""
     entries = []
-    blobs = []
+    arrays = []
     for name, arr in tensors.items():
         arr = np.asarray(arr)
         if np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype("<f8")
-            dtype = "float64"
+            stored, dtype = "<f8", "float64"
         elif np.issubdtype(arr.dtype, np.integer):
-            arr = arr.astype("<i8")
-            dtype = "int64"
+            stored, dtype = "<i8", "int64"
         else:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for tensor {name!r}")
         entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        blobs.append(np.ascontiguousarray(arr).tobytes())
+        arrays.append(np.asarray(arr, dtype=stored, order="C"))
     header = {"kind": kind, "version": 1, "meta": meta, "tensors": entries}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(header_bytes).to_bytes(8, "big"))
         fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            if arr.size:  # a memoryview with a zero in its shape cannot be cast
+                fh.write(memoryview(arr).cast("B"))
 
 
 def load_tensors(path: str | Path, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
@@ -96,7 +100,10 @@ def load_tensors(path: str | Path, expected_kind: str | None = None) -> tuple[di
             nbytes = 8 * math.prod(shape)
             if nbytes > remaining:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
+            arr = np.empty(shape, dtype=dtype)
+            if nbytes and fh.readinto(memoryview(arr).cast("B")) != nbytes:
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            tensors[name] = arr
             remaining -= nbytes
         if remaining:
             raise CheckpointError(f"{path}: {remaining} trailing bytes after the last tensor")
@@ -113,8 +120,12 @@ def _entry_fields(path: Path, entry) -> tuple[str, str, tuple[int, ...]]:
     dtype = _DTYPES.get(entry.get("dtype")) if isinstance(entry.get("dtype"), str) else None
     if dtype is None:
         raise CheckpointError(f"{path}: unknown dtype {entry.get('dtype')!r} for tensor {name!r}")
-    if not isinstance(shape, list) or not all(
+    if not isinstance(shape, list) or len(shape) > _MAX_DIMS or not all(
         type(dim) is int and dim >= 0 for dim in shape
     ):
         raise CheckpointError(f"{path}: bad shape {shape!r} for tensor {name!r}")
+    # numpy refuses a shape whose nonzero dims overflow its byte count, even
+    # when a zero dim leaves the tensor empty
+    if 8 * math.prod(dim for dim in shape if dim) > _MAX_BYTES:
+        raise CheckpointError(f"{path}: shape {shape!r} of tensor {name!r} is too large")
     return name, dtype, tuple(shape)

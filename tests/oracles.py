@@ -8,6 +8,7 @@ small inputs.
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -252,6 +253,27 @@ def write_data_csv(path, channel_names, class_names, streams):
         for name, stream in zip(class_names, streams):
             for row in stream:
                 writer.writerow([repr(float(v)) for v in row] + [name])
+
+
+def save_tensors_by_copy(path, kind, meta, tensors):
+    """The tensor container writer as first written: each tensor converted
+    with astype and copied out with tobytes, every copy held until the
+    whole file is written."""
+    entries, blobs = [], []
+    for name, arr in tensors.items():
+        arr = np.asarray(arr)
+        if np.issubdtype(arr.dtype, np.floating):
+            arr, dtype = arr.astype("<f8"), "float64"
+        elif np.issubdtype(arr.dtype, np.integer):
+            arr, dtype = arr.astype("<i8"), "int64"
+        else:
+            raise ValueError(f"unsupported dtype {arr.dtype}")
+        entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
+        blobs.append(np.ascontiguousarray(arr).tobytes())
+    header = {"kind": kind, "version": 1, "meta": meta, "tensors": entries}
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"MPTENS1\n" + len(header_bytes).to_bytes(8, "big") + header_bytes + b"".join(blobs))
 
 
 def nearest_broadcast(segments, prototypes, chunk=256):

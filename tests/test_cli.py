@@ -1,5 +1,9 @@
 import copy
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +412,67 @@ def test_exit_3_on_ragged_csv_row(workdir, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "data"
     assert "data.csv" in record["message"]
+
+
+def test_analyze_unlabeled_frequency_exit_3_writes_no_report(tmp_path, capsys):
+    # a 2-channel CSV without labels: the default reports include frequency,
+    # which needs labels, so the run fails before it writes anything
+    rows = np.random.default_rng(0).normal(size=(80, 2)).tolist()
+    (tmp_path / "data.csv").write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+    channel = {"file": "data.csv", "body_part": "wrist", "sensor": "accelerometer", "native_rate": 10.0}
+    manifest = {
+        "name": "unlabeled",
+        "target_rate": 10.0,
+        "window": 20,
+        "channels": [{**channel, "column": "a", "axis": "x"}, {**channel, "column": "b", "axis": "y"}],
+    }
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    out = tmp_path / "out"
+    argv = ["analyze", str(ckpt), str(tmp_path / "m.json"), "--set", f"out_dir={out}", "--set", "run_id=an", "--set", "provider.dim=16"]
+    assert cli.main(argv) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "data"
+    assert "labeled" in record["message"]
+    assert not out.exists() or not list(out.iterdir())
+    assert cli.main(argv + ["--reports", "similarity,transitions"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "an_similarity.csv", "an_similarity.json", "an_transitions.csv", "an_transitions.json", "run_manifest.json",
+    ]
+    capsys.readouterr()
+
+
+def test_fresh_processes_write_identical_checkpoints(tmp_path):
+    # README "Determinism": one config and seed, run by two new processes at
+    # one BLAS thread, writes the same pretrain and fine-tune bytes. The
+    # processes differ in hash seed; the first parses the CSV and leaves its
+    # sidecar, which serves the second.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SPEC))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "data")]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**TINY_RUN, "datasets": [str(tmp_path / "data" / "manifest.json")], "run_id": "pre"}))
+    script = (
+        "import sys; from motionprim.cli import main; cfg, out = sys.argv[1:]; "
+        "sys.exit(main(['pretrain', '--config', cfg, '--set', 'out_dir=' + out]) or "
+        "main(['finetune', '--config', cfg, '--set', 'out_dir=' + out, '--set', 'run_id=ft', out + '/pre.ckpt']))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    hashes = []
+    for run in (1, 2):
+        out = tmp_path / f"run{run}"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONHASHSEED": str(run),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        done = subprocess.run([sys.executable, "-c", script, str(cfg), str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        hashes.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("pre.ckpt", "ft.ckpt")])
+        assert (tmp_path / "data" / ".data.csv.mpcache").is_file()
+    assert hashes[0] == hashes[1]
 
 
 def test_exit_4_on_garbage_checkpoint(workdir, tmp_path, capsys):

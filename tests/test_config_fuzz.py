@@ -5,19 +5,23 @@ Every key path of a valid run config (given through --config and through
 wrong-typed values: a string, a bool, a list, an object, null where the key
 is not optional, a float for an int and a number for a string. The CLI must
 answer each with exit 2, end stderr with its one-line JSON error record and
-print no traceback.
+print no traceback. Seeded truncations and bit flips of a data CSV must end
+in exit 0 or a data error (exit 3), never in a traceback.
 """
 
 import copy
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
 from motionprim import cli
-from motionprim.model import ModelConfig, init_model
+from motionprim.ingest import load_dataset, load_manifest
+from motionprim.metadata import make_provider
+from motionprim.model import ModelConfig, init_model, prepare_windows
 from motionprim.tensorfile import save_tensors
-from motionprim.training import save_checkpoint
+from motionprim.training import evaluate, load_checkpoint, save_checkpoint
 from test_cli import TINY_SPEC
 
 SEED = 20240611
@@ -210,3 +214,68 @@ def test_checkpoint_config_echo_fuzz(world, capsys):
         count += 1
     assert count == 11 * 5 + 8  # five wrong types per key, plus a float for each int key
     assert failures == {}
+
+
+def damaged_csvs(raw: bytes, rng: random.Random) -> list[tuple[str, bytes]]:
+    """Seeded truncations and single-bit flips of a data CSV."""
+    cuts = {len(raw) // 2, len(raw) - 1, *(rng.randrange(1, len(raw)) for _ in range(10))}
+    out = [(f"truncated at {cut}", raw[:cut]) for cut in sorted(cuts)]
+    for _ in range(30):
+        at, bit = rng.randrange(len(raw)), rng.randrange(8)
+        flipped = bytearray(raw)
+        flipped[at] ^= 1 << bit
+        out.append((f"bit {bit} of byte {at} flipped", bytes(flipped)))
+    return out
+
+
+def fresh_metrics(world, raw: bytes, directory) -> dict:
+    """In-process evaluate on `raw` as data.csv, parsed from the text."""
+    directory.mkdir(exist_ok=True)
+    (directory / ".data.csv.mpcache").unlink(missing_ok=True)
+    (directory / "data.csv").write_bytes(raw)
+    (directory / "manifest.json").write_text(json.dumps(world["manifest"]))
+    run, _, _ = cli.load_run_config(str(world["run_path"]), [])
+    model, _ = load_checkpoint(world["ckpt"])
+    windows = load_dataset(load_manifest(directory / "manifest.json")).windows
+    batch = prepare_windows(windows, model.config, make_provider(**asdict(run.provider)), source="fresh")
+    return json.loads(json.dumps(evaluate(model, batch, workers=run.workers).to_dict()))
+
+
+def test_damaged_data_csv_fuzz(world, capsys):
+    # each damaged file meets the clean file's sidecar, which must never
+    # serve it: an exit-0 run scores exactly what a fresh parse scores
+    root = world["root"]
+    data = root / "damaged"
+    data.mkdir()
+    clean = (root / "data" / "data.csv").read_bytes()
+    (data / "manifest.json").write_text(json.dumps(world["manifest"]))
+    (data / "data.csv").write_bytes(clean)
+    out = root / "damaged_runs"
+    argv = ["evaluate", "--config", str(world["run_path"]), "--set", f"out_dir={out}", "--set", "run_id=damaged",
+            str(world["ckpt"]), str(data / "manifest.json")]
+    assert cli.main(argv) == 0
+    sidecar = data / ".data.csv.mpcache"
+    clean_sidecar = sidecar.read_bytes()
+    failures, codes = {}, set()
+    for label, raw in damaged_csvs(clean, random.Random(SEED + 5)):
+        (data / "data.csv").write_bytes(raw)
+        sidecar.write_bytes(clean_sidecar)
+        (out / "damaged_metrics.json").unlink(missing_ok=True)
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # run as a program, this prints a traceback
+            failures[label] = f"raised {type(exc).__name__}: {exc}"
+            continue
+        err = capsys.readouterr().err
+        codes.add(code)
+        if "Traceback" in err or code not in (0, 3):
+            failures[label] = f"exit {code}: {err.strip().splitlines()[-1:]}"
+        elif code == 3 and json.loads(err.strip().splitlines()[-1]).get("error") != "data":
+            failures[label] = f"exit 3 without a data error record: {err.strip().splitlines()[-1:]}"
+        elif code == 0:
+            got = json.loads((out / "damaged_metrics.json").read_text())
+            if got != fresh_metrics(world, raw, root / "fresh"):
+                failures[label] = "metrics differ from a fresh parse"
+    assert failures == {}
+    assert codes == {0, 3}  # both outcomes are exercised

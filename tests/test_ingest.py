@@ -1,9 +1,14 @@
+import errno
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import bench_spec
+from motionprim import cli, ingest, tensorfile
 from motionprim.errors import ConfigError, DataError
 from motionprim.ingest import (
     ChannelMetadata,
@@ -24,6 +29,10 @@ from motionprim.ingest import (
     window,
     write_synthetic_dataset,
 )
+from motionprim.model import ModelConfig, init_model
+from motionprim.tensorfile import MAGIC, load_tensors, save_tensors
+from test_tensorfile import BAD_SHAPES, _container, _header_and_payload, with_first_shape
+from motionprim.training import save_checkpoint
 
 
 def two_channels(rate=100.0):
@@ -416,6 +425,29 @@ def test_writer_bytes_match_csv_writer_oracle(tmp_path):
 # CSV parsing: what loads, what fails typed, and exact float parsing
 
 
+def count_parses(monkeypatch) -> list:
+    """Record the path of every text parse from here on."""
+    calls = []
+    parse = ingest._parse_csv
+
+    def counted(path, *args):
+        calls.append(path)
+        return parse(path, *args)
+
+    monkeypatch.setattr(ingest, "_parse_csv", counted)
+    return calls
+
+
+def assert_same_dataset(got, want):
+    assert got.class_names == want.class_names
+    assert [w.label for w in got.windows] == [w.label for w in want.windows]
+    assert np.array_equal(np.stack([w.samples for w in got.windows]), np.stack([w.samples for w in want.windows]))
+
+
+def sidecar_of(csv_path):
+    return csv_path.with_name(f".{csv_path.name}.mpcache")
+
+
 def one_channel_dataset(tmp_path, data: str, **overrides):
     """A manifest over data.csv: channel column `v` and label column `label`
     at 10 Hz, windows of 2, classes a and b."""
@@ -447,10 +479,14 @@ GOOD_CSV = "v,label\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n"
     pytest.param("v,label\n 1.5 ,a\n-2.25\t,a\n  3.0,b\n4.0 ,b\n", id="space-padded numbers"),
     pytest.param("label,v,note\na,1.5,x\na,-2.25,\nb,3.0,\"y, z\"\nb,4.0,w\n", id="other column order and unused columns"),
 ])
-def test_csv_forms_that_load(tmp_path, data):
-    loaded = load_dataset(load_manifest(one_channel_dataset(tmp_path, data)))
+def test_csv_forms_that_load(tmp_path, monkeypatch, data):
+    manifest = load_manifest(one_channel_dataset(tmp_path, data))
+    parses = count_parses(monkeypatch)
+    loaded = load_dataset(manifest)
     assert [w.label for w in loaded.windows] == [0, 1]
     np.testing.assert_array_equal(np.concatenate([w.samples[:, 0] for w in loaded.windows]), [1.5, -2.25, 3.0, 4.0])
+    assert_same_dataset(load_dataset(manifest), loaded)  # served by the sidecar
+    assert len(parses) == 1
 
 
 @pytest.mark.parametrize("data", [
@@ -475,8 +511,11 @@ def test_csv_forms_that_load(tmp_path, data):
 ])
 @pytest.mark.filterwarnings("error")  # loadtxt's no-data warning must not escape either
 def test_csv_faults_raise_data_error(tmp_path, data):
-    with pytest.raises(DataError):
-        load_dataset(load_manifest(one_channel_dataset(tmp_path, data)))
+    manifest = load_manifest(one_channel_dataset(tmp_path, data))
+    for _ in range(2):  # a failed load leaves nothing that changes the next
+        with pytest.raises(DataError):
+            load_dataset(manifest)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "m.json"]
 
 
 def adversarial_float_strings(seed):
@@ -548,3 +587,140 @@ def test_label_native_rate_must_be_positive(tmp_path, rate):
     label = {"file": "data.csv", "column": "label", "native_rate": rate}
     with pytest.raises(DataError):
         load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, label=label))
+
+
+# ---------------------------------------------------------------------------
+# parsed-column sidecars
+
+
+def test_sidecar_serves_the_bench_spec_unchanged(tmp_path, monkeypatch):
+    manifest = load_manifest(write_synthetic_dataset(bench_spec(seed=7, windows_per_class=6), tmp_path))
+    assert not sidecar_of(tmp_path / "data.csv").exists()  # synth writes none
+    parses = count_parses(monkeypatch)
+    hashes = []
+    digest = ingest._sha256
+    monkeypatch.setattr(ingest, "_sha256", lambda path: hashes.append(path) or digest(path))
+    parsed = load_dataset(manifest)
+    assert hashes == []  # without a sidecar the parse itself takes the hash
+    sidecar = sidecar_of(tmp_path / "data.csv")
+    assert load_tensors(sidecar, "csv-columns")[0]["sha256"] == hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest()
+    served = load_dataset(manifest)
+    assert len(parses) == 1 and len(hashes) == 1
+    assert_same_dataset(served, parsed)
+    for got, want in zip(served.windows, generate_synthetic(bench_spec(seed=7, windows_per_class=6))):
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_same_size_edit_with_old_mtime_is_parsed_again(tmp_path, monkeypatch):
+    manifest = load_manifest(one_channel_dataset(tmp_path, GOOD_CSV))
+    load_dataset(manifest)
+    data = tmp_path / "data.csv"
+    stat = data.stat()
+    data.write_text(GOOD_CSV.replace("1.5", "2.5"))
+    os.utime(data, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert data.stat().st_size == stat.st_size and data.stat().st_mtime_ns == stat.st_mtime_ns
+    parses = count_parses(monkeypatch)
+    assert load_dataset(manifest).windows[0].samples[0, 0] == 2.5
+    assert len(parses) == 1
+
+
+def damaged_sidecars(sidecar, scratch) -> dict[str, bytes]:
+    """Copies of a valid sidecar that must be ignored: damaged bytes, and
+    well-formed containers whose kind, key or tensors do not fit the file."""
+    raw = sidecar.read_bytes()
+    meta, tensors = load_tensors(sidecar, "csv-columns")
+    flipped = bytearray(raw)
+    flipped[len(MAGIC) + 8 + 20] ^= 0x04  # inside the JSON header
+    out = {"truncated": raw[: len(raw) // 2], "header bit flip": bytes(flipped)}
+    for label, kind, m, t in [
+        ("wrong kind", "checkpoint", meta, tensors),
+        ("wrong key", "csv-columns", {**meta, "sha256": "0" * 64}, tensors),
+        ("old format", "csv-columns", {**meta, "format": meta["format"] - 1}, tensors),
+        ("wrong shapes", "csv-columns", meta, {**tensors, "v": tensors["v"][:-1]}),
+        ("codes out of range", "csv-columns", meta, {**tensors, "label": tensors["label"] + 5}),
+        ("missing column", "csv-columns", meta, {"v": tensors["v"]}),
+        ("integer samples", "csv-columns", meta, {**tensors, "v": tensors["v"].astype(np.int64)}),
+    ]:
+        save_tensors(scratch, kind, m, t)
+        out[label] = scratch.read_bytes()
+    header, payload = _header_and_payload(raw)
+    for label, shape in BAD_SHAPES:
+        out[label] = _container(with_first_shape(header, shape), payload)
+    return out
+
+
+def test_damaged_sidecars_are_ignored_and_rewritten(tmp_path, monkeypatch):
+    manifest = load_manifest(one_channel_dataset(tmp_path, GOOD_CSV))
+    want = load_dataset(manifest)
+    sidecar = sidecar_of(tmp_path / "data.csv")
+    clean = sidecar.read_bytes()
+    for label, raw in damaged_sidecars(sidecar, tmp_path / "scratch.bin").items():
+        sidecar.write_bytes(raw)
+        parses = count_parses(monkeypatch)
+        assert_same_dataset(load_dataset(manifest), want)
+        assert len(parses) == 1, label
+        assert sidecar.read_bytes() == clean, label
+
+
+def test_sidecar_for_other_columns_is_replaced(tmp_path, monkeypatch):
+    labeled = load_manifest(one_channel_dataset(tmp_path, GOOD_CSV))
+    unlabeled = load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, label=None, classes=[]))
+    parses = count_parses(monkeypatch)
+    for manifest, labels in [(labeled, [0, 1]), (unlabeled, [None, None]), (labeled, [0, 1])]:
+        for _ in range(2):
+            assert [w.label for w in load_dataset(manifest).windows] == labels
+    assert len(parses) == 3  # a new column set parses once, its repeat is served
+
+
+def test_file_edited_after_the_parse_is_parsed_again(tmp_path, monkeypatch):
+    # the sidecar is keyed by the hash of the very bytes its columns were
+    # parsed from, so an edit that lands before it is written cannot make it
+    # serve the old columns for the new bytes
+    manifest = load_manifest(one_channel_dataset(tmp_path, GOOD_CSV))
+    parse = ingest._parse_csv
+
+    def parse_then_edit(path, *args):
+        columns = parse(path, *args)
+        path.write_text(GOOD_CSV.replace("1.5", "2.5"))
+        return columns
+
+    monkeypatch.setattr(ingest, "_parse_csv", parse_then_edit)
+    assert load_dataset(manifest).windows[0].samples[0, 0] == 1.5
+    monkeypatch.undo()
+    parses = count_parses(monkeypatch)
+    assert load_dataset(manifest).windows[0].samples[0, 0] == 2.5
+    assert load_dataset(manifest).windows[0].samples[0, 0] == 2.5
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("fail", ["save", "replace"])
+def test_failed_sidecar_write_still_returns_the_data(tmp_path, monkeypatch, fail):
+    manifest = load_manifest(one_channel_dataset(tmp_path, GOOD_CSV))
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if fail == "save":
+        monkeypatch.setattr(tensorfile, "save_tensors", no_space)
+    else:
+        monkeypatch.setattr(os, "replace", no_space)
+    loaded = load_dataset(manifest)
+    assert [w.label for w in loaded.windows] == [0, 1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "m.json"]
+    monkeypatch.undo()
+    assert_same_dataset(load_dataset(manifest), loaded)
+    assert sidecar_of(tmp_path / "data.csv").is_file()
+
+
+def test_evaluate_then_analyze_parse_once(tmp_path, monkeypatch, capsys):
+    spec = bench_spec(seed=2, windows_per_class=2)
+    manifest = write_synthetic_dataset(spec, tmp_path / "data")
+    ckpt = tmp_path / "model.ckpt"
+    config = ModelConfig(codebook_size=8, segment_len=50, model_dim=8, meta_dim=16, depth=1, heads=2,
+                         segments_per_channel=10, num_classes=4)
+    save_checkpoint(ckpt, init_model(config, seed=0))
+    parses = count_parses(monkeypatch)
+    for command in ("evaluate", "analyze"):
+        argv = [command, str(ckpt), str(manifest), "--set", f"out_dir={tmp_path / 'out'}", "--set", "provider.dim=16"]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    assert parses == [tmp_path / "data" / "data.csv"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from motionprim.errors import CheckpointError
 from motionprim.tensorfile import MAGIC, load_tensors, save_tensors
 
@@ -32,6 +33,41 @@ def test_byte_determinism(tmp_path):
     save_tensors(p1, "k", {"m": 1}, tensors)
     save_tensors(p2, "k", {"m": 1}, tensors)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_bytes_equal_the_copying_writer(tmp_path):
+    # buffers written in place give the bytes of the astype/tobytes writer,
+    # for every layout and dtype the writer converts
+    rng = np.random.default_rng(4)
+    wide = rng.normal(size=(6, 8))
+    tensors = {
+        "contiguous": rng.normal(size=(3, 4)),
+        "strided": wide[:, ::3],
+        "transposed": wide.T,
+        "fortran": np.asfortranarray(rng.normal(size=(4, 5))),
+        "float32": rng.normal(size=7).astype(np.float32),
+        "big-endian": rng.normal(size=5).astype(">f8"),
+        "int32": np.arange(-3, 9, dtype=np.int32),
+        "uint8": np.arange(6, dtype=np.uint8).reshape(2, 3),
+        "scalar": np.float64(2.5),
+        "empty": np.zeros((0, 3)),
+        "empty int": np.zeros((2, 0), dtype=np.int64),
+    }
+    meta = {"config": {"k": 3}}
+    save_tensors(tmp_path / "new.bin", "k", meta, tensors)
+    oracles.save_tensors_by_copy(tmp_path / "old.bin", "k", meta, tensors)
+    assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+    _, got = load_tensors(tmp_path / "new.bin", "k")
+    for name, arr in tensors.items():
+        np.testing.assert_array_equal(got[name], arr)
+        assert got[name].shape == np.shape(arr) and got[name].flags.writeable
+
+
+def test_unsupported_dtype_writes_nothing(tmp_path):
+    path = tmp_path / "t.bin"
+    with pytest.raises(CheckpointError, match="unsupported dtype"):
+        save_tensors(path, "k", {}, {"x": np.zeros(2), "flags": np.zeros(2, dtype=bool)})
+    assert not path.exists()
 
 
 def test_wrong_kind_rejected(tmp_path):
@@ -78,6 +114,23 @@ def _header_and_payload(raw: bytes):
     return json.loads(raw[start : start + n]), raw[start + n :]
 
 
+# Shapes a header may claim that no tensor can have; each fits in the bytes
+# of any tensor, so only the shape check stands between it and numpy.
+BAD_SHAPES = [
+    ("negative dimension", [-1]),
+    ("65 dimensions", [1] * 65),
+    ("huge dimension beside a zero", [0, 2**70]),
+    ("dimensions that overflow the byte count beside a zero", [0, 2**60]),
+]
+
+
+def with_first_shape(header: dict, shape: list) -> dict:
+    """A copy of a container header whose first tensor claims `shape`."""
+    changed = json.loads(json.dumps(header))
+    changed["tensors"][0]["shape"] = shape
+    return changed
+
+
 def corrupted_variants(raw: bytes, seed: int) -> list[tuple[str, bytes]]:
     """Broken copies of a valid container `raw`: truncations at seeded
     offsets, then each malformed header field, then trailing bytes."""
@@ -88,12 +141,10 @@ def corrupted_variants(raw: bytes, seed: int) -> list[tuple[str, bytes]]:
     cuts.update(int(c) for c in rng.integers(0, len(raw), size=12))
     variants = [(f"truncated at {c}", raw[:c]) for c in sorted(cuts)]
     no_tensors = {k: v for k, v in header.items() if k != "tensors"}
-    negative = json.loads(json.dumps(header))
-    negative["tensors"][0]["shape"] = [-1] + negative["tensors"][0]["shape"][1:]
     variants += [
         ("no tensors key", _container(no_tensors, payload)),
         ("header is a list", _container([header], payload)),
-        ("negative dimension", _container(negative, payload)),
+        *((label, _container(with_first_shape(header, shape), payload)) for label, shape in BAD_SHAPES),
         ("header_len beyond the file", _container(header, payload, header_len=len(raw))),
         ("trailing bytes", raw + b"\0" * 8),
     ]
@@ -151,6 +202,7 @@ def test_trailing_bytes_rejected(tmp_path):
         {"name": "x", "dtype": "float64", "shape": 2},
         {"name": "x", "dtype": "float64", "shape": [2.0]},
         {"name": "x", "dtype": "float64", "shape": [True, 2]},
+        *({"name": "x", "dtype": "float64", "shape": shape} for _, shape in BAD_SHAPES),
     ],
 )
 def test_malformed_tensor_entry_rejected(tmp_path, entry):
