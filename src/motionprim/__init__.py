@@ -18,7 +18,7 @@ from .analysis import (
     transitions,
 )
 from .embedder import SequenceLayout, build_layout, embed_batch
-from .encoder import EncoderConfig, GradCheckReport, encoder_backward, encoder_forward, grad_check
+from .encoder import GradCheckReport, encoder_backward, encoder_forward, grad_check
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -88,7 +88,6 @@ __all__ = [
     "DataError",
     "DatasetManifest",
     "ENCODER_FINETUNE",
-    "EncoderConfig",
     "EvalMetrics",
     "FINETUNE_WEIGHTS",
     "FileLookupProvider",

@@ -26,32 +26,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-@dataclass
-class EncoderConfig:
-    depth: int = 5
-    heads: int = 8
-    model_dim: int = 256
-    mlp_ratio: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise ConfigError("depth must be >= 0")
-        if self.heads < 1 or self.model_dim % self.heads != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} must be divisible by heads {self.heads}"
-            )
-        if self.mlp_hidden < 1:
-            raise ConfigError("mlp_ratio too small: hidden dim would be < 1")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
-
-    @property
-    def mlp_hidden(self) -> int:
-        return int(round(self.mlp_ratio * self.model_dim))
-
-
 LAYER_PARAM_KEYS = (
     "ln1.gamma", "ln1.beta",
     "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv",
@@ -61,9 +35,9 @@ LAYER_PARAM_KEYS = (
 )
 
 
-def layer_param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every per-layer tensor, keyed in LAYER_PARAM_KEYS order."""
-    D, H = config.model_dim, config.mlp_hidden
+def layer_param_shapes(D: int, H: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every per-layer tensor at model width D and MLP width H,
+    keyed in LAYER_PARAM_KEYS order."""
     shapes = {key: (D,) for key in LAYER_PARAM_KEYS}
     for name in ("wq", "wk", "wv", "wo"):
         shapes[f"attn.{name}"] = (D, D)
@@ -71,13 +45,12 @@ def layer_param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_encoder_params(config: EncoderConfig, seed: int = 0) -> list[dict[str, np.ndarray]]:
-    """Per-layer parameter dicts: LN scales 1 / offsets 0, linear weights
-    ~ N(0, 0.02^2), biases 0."""
+def init_encoder_params(depth: int, D: int, H: int, seed: int = 0) -> list[dict[str, np.ndarray]]:
+    """`depth` per-layer parameter dicts: LN scales 1 / offsets 0, linear
+    weights ~ N(0, 0.02^2), biases 0."""
     rng = np.random.default_rng(seed)
-    D, H = config.model_dim, config.mlp_hidden
     layers = []
-    for _ in range(config.depth):
+    for _ in range(depth):
         layers.append(
             {
                 "ln1.gamma": np.ones(D),
@@ -166,10 +139,6 @@ def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    return _softmax_inplace(np.array(scores, dtype=np.float64))
-
-
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     B, S, D = x.shape
     return x.reshape(B, S, heads, D // heads).transpose(0, 2, 1, 3)
@@ -191,12 +160,12 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], config: EncoderConfig):
+def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], heads: int):
     """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected."""
-    q = _split_heads(_affine(x, params["attn.wq"], params["attn.bq"]), config.heads)
-    k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"]), config.heads)
-    v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"]), config.heads)
-    scale = 1.0 / np.sqrt(config.head_dim)
+    q = _split_heads(_affine(x, params["attn.wq"], params["attn.bq"]), heads)
+    k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"]), heads)
+    v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"]), heads)
+    scale = 1.0 / np.sqrt(x.shape[-1] // heads)
     scores = q @ k.swapaxes(-1, -2)
     scores *= scale
     weights = _softmax_inplace(scores)
@@ -206,13 +175,13 @@ def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], config: Enco
     return out, cache
 
 
-def attention_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], config: EncoderConfig):
+def attention_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], heads: int):
     x, q, k, v, weights, merged, scale = cache
     grads = {}
     grads["attn.wo"] = _weight_grad(merged, d_out)
     grads["attn.bo"] = d_out.sum(axis=(0, 1))
     d_merged = d_out @ params["attn.wo"].T
-    d_context = _split_heads(d_merged, config.heads)
+    d_context = _split_heads(d_merged, heads)
     d_v = weights.swapaxes(-1, -2) @ d_context
     # softmax jacobian: dS = A * (dA - sum_j dA_j A_j), written over dA
     d_scores = d_context @ v.swapaxes(-1, -2)
@@ -261,33 +230,34 @@ def mlp_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray]):
 
 @dataclass
 class EncoderCache:
-    config: EncoderConfig
+    heads: int
     layers: list = field(default_factory=list)
 
 
 def encoder_forward(
     x: np.ndarray,
     layers: list[dict[str, np.ndarray]],
-    config: EncoderConfig,
+    heads: int,
     need_backward: bool = True,
 ) -> tuple[np.ndarray, EncoderCache]:
-    """Run `depth` pre-norm residual blocks: x + Attn(LN1(x)) then
-    + MLP(LN2(.)), with no final normalization, so depth 0 is the identity.
+    """Run one pre-norm residual block per entry of `layers`: x +
+    Attn(LN1(x)) then + MLP(LN2(.)), with no final normalization, so no
+    layers is the identity.
 
     Without `need_backward` the returned cache holds no layers, so each
     layer's intermediates are freed before the next layer runs.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != config.model_dim:
-        raise DataError(f"encoder input must be (B, Seq, {config.model_dim})")
-    if len(layers) != config.depth:
-        raise ConfigError(f"{len(layers)} layer params for depth {config.depth}")
+    if x.ndim != 3 or any(params["ln1.gamma"].shape != x.shape[2:] for params in layers):
+        raise DataError("encoder input must be (B, Seq, D), D the layers' model width")
+    if heads < 1 or x.shape[2] % heads:
+        raise ConfigError(f"model width {x.shape[2]} must be divisible by heads {heads}")
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite encoder input")
-    cache = EncoderCache(config)
+    cache = EncoderCache(heads)
     for i, params in enumerate(layers):
         normed1, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
-        mid, attn_cache = attention_forward(normed1, params, config)
+        mid, attn_cache = attention_forward(normed1, params, heads)
         mid += x
         normed2, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"])
         out, mlp_cache = mlp_forward(normed2, params)
@@ -310,7 +280,6 @@ def encoder_backward(
     """Exact reverse-mode pass; returns (d_input, per-layer grads)."""
     if len(cache.layers) != len(layers):
         raise DataError("cache does not match layer stack")
-    config = cache.config
     d_x = np.asarray(d_out, dtype=np.float64)
     all_grads: list[dict[str, np.ndarray]] = [dict() for _ in layers]
     for i in range(len(layers) - 1, -1, -1):
@@ -324,7 +293,7 @@ def encoder_backward(
         d_mid += d_x
         grads["ln2.gamma"], grads["ln2.beta"] = d_g2, d_b2
         # mid = x + attn(ln1(x))
-        d_normed1, attn_grads = attention_backward(d_mid, attn_cache, params, config)
+        d_normed1, attn_grads = attention_backward(d_mid, attn_cache, params, cache.heads)
         grads.update(attn_grads)
         d_x, d_g1, d_b1 = layernorm_backward(d_normed1, ln1_cache)
         d_x += d_mid

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensorfile
 from .errors import CheckpointError, ConfigError, DataError
-from .schema import check_fields, from_dict, read_json, typed_value
+from .schema import check_fields, from_dict, read_json
 
 DEFAULT_TARGET_RATE = 100.0
 DEFAULT_WINDOW_LEN = 500
@@ -59,7 +59,6 @@ class SensorWindow:
     samples: np.ndarray
     channels: list[ChannelMetadata]
     label: int | None = None
-    source_id: str = ""
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -132,7 +131,6 @@ def window(
     *,
     channels: list[ChannelMetadata] | None = None,
     labels: np.ndarray | None = None,
-    source_id: str = "",
 ) -> list[SensorWindow]:
     """Cut a (total_len, num_channels) matrix into fixed-length windows.
 
@@ -159,7 +157,7 @@ def window(
             if not np.all(chunk == first):
                 continue  # crosses an activity boundary
             label = int(first)
-        out.append(SensorWindow(block.copy(), list(channels), label=label, source_id=source_id))
+        out.append(SensorWindow(block.copy(), list(channels), label=label))
     return out
 
 
@@ -183,17 +181,16 @@ def segment_matrix(samples: np.ndarray, seg_len: int) -> tuple[np.ndarray, np.nd
     return values, stats
 
 
-def normalize_matrix(values: np.ndarray, eps: float = DEFAULT_NORM_EPS) -> np.ndarray:
+def normalize_matrix(values: np.ndarray) -> np.ndarray:
     """Instance normalization over the last axis of a stack of segments:
-    (s - mean) / (population std + eps). A constant segment maps to zeros."""
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
+    (s - mean) / (population std + DEFAULT_NORM_EPS). A constant segment
+    maps to zeros."""
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise DataError("cannot normalize segments with non-finite values")
     mean = values.mean(axis=-1, keepdims=True)
     std = values.std(axis=-1, keepdims=True)
-    return (values - mean) / (std + eps)
+    return (values - mean) / (std + DEFAULT_NORM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +258,6 @@ class SyntheticSpec:
     def class_names(self) -> list[str]:
         return [c.name for c in self.classes]
 
-    def zero_noise(self) -> "SyntheticSpec":
-        """Copy of this spec with all noise removed (for shape enumeration)."""
-        classes = [
-            SyntheticClass(
-                c.name,
-                [
-                    WaveformSpec(w.kind, w.amplitude, w.frequency, w.phase, w.offset, 0.0)
-                    for w in c.waveforms
-                ],
-            )
-            for c in self.classes
-        ]
-        return SyntheticSpec(
-            classes, list(self.channels), self.windows_per_class, self.seed, self.rate, self.window_len
-        )
-
 
 def _waveform_values(wave: WaveformSpec, times: np.ndarray) -> np.ndarray:
     if wave.kind == "sine":
@@ -320,13 +301,8 @@ def synthesize_streams(spec: SyntheticSpec) -> list[np.ndarray]:
 def generate_synthetic(spec: SyntheticSpec) -> list[SensorWindow]:
     """Labeled windows from a synthetic spec, deterministic given its seed."""
     windows: list[SensorWindow] = []
-    for label, (cls, stream) in enumerate(zip(spec.classes, synthesize_streams(spec))):
-        for w in window(
-            stream,
-            spec.window_len,
-            channels=spec.channels,
-            source_id=f"synthetic:{cls.name}",
-        ):
+    for label, stream in enumerate(synthesize_streams(spec)):
+        for w in window(stream, spec.window_len, channels=spec.channels):
             w.label = label
             windows.append(w)
     return windows
@@ -353,12 +329,20 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
 
 @dataclass
 class ManifestChannel:
+    """One manifest channel entry: the CSV column that holds the channel and
+    the channel's metadata, which `meta` carries to the windows."""
+
     file: str
     column: str
-    meta: ChannelMetadata
+    body_part: str
+    sensor: str
+    axis: str
+    native_rate: float
+    meta: ChannelMetadata = field(init=False)
 
     def __post_init__(self) -> None:
         check_fields(self)
+        self.meta = ChannelMetadata(self.body_part, self.sensor, self.axis, self.native_rate)
 
 
 @dataclass
@@ -382,13 +366,15 @@ class DatasetManifest:
     channels: list[ManifestChannel]
     base_dir: Path
     target_rate: float = DEFAULT_TARGET_RATE
-    window_len: int = DEFAULT_WINDOW_LEN
+    window: int = DEFAULT_WINDOW_LEN
     stride: int | None = None
     label: LabelSource | None = None
     classes: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if self.window < 1:
+            raise ConfigError("window must be >= 1")
         if self.stride is not None and self.stride <= 0:
             raise ConfigError("stride must be > 0")
         if not self.channels:
@@ -411,49 +397,16 @@ class LoadedDataset:
     windows: list[SensorWindow]
     class_names: list[str]
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_names)
-
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Read a dataset manifest. Its keys are DatasetManifest's fields, except
-    that `window` sets `window_len` and each channel entry is flat: the
-    ChannelMetadata keys sit beside `file` and `column`."""
+    """Read a dataset manifest: an object of DatasetManifest's fields, with
+    `name` defaulting to the file's stem and `base_dir` the file's
+    directory."""
     path = Path(path)
     raw = read_json(path, "manifest")
-    context = f"{path}: manifest"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context} must be an object, got {raw!r}")
-    known = ("name", "channels", "target_rate", "window", "stride", "label", "classes")
-    unknown = [f"{context}.{key}" for key in raw if key not in known]
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown}")
-    fields = {"name": path.stem, **raw, "base_dir": path.parent}
-    if "window" in fields:
-        fields["window_len"] = typed_value(fields.pop("window"), int, f"{context}.window")
-    if isinstance(raw.get("channels"), list):
-        fields["channels"] = [
-            _channel_from_entry(entry, f"{context}.channels[{i}]") for i, entry in enumerate(raw["channels"])
-        ]
-    return from_dict(DatasetManifest, fields, context)
-
-
-_CHANNEL_META_KEYS = ("body_part", "sensor", "axis", "native_rate")
-
-
-def _channel_from_entry(entry, context: str):
-    """A ManifestChannel from a flat manifest channel entry; errors name the
-    entry's own keys. Anything but an object is left for from_dict to
-    reject."""
-    if not isinstance(entry, dict):
-        return entry
-    unknown = [f"{context}.{key}" for key in entry if key not in ("file", "column", *_CHANNEL_META_KEYS)]
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown}")
-    meta = from_dict(ChannelMetadata, {key: entry[key] for key in _CHANNEL_META_KEYS if key in entry}, context)
-    rest = {key: value for key, value in entry.items() if key not in _CHANNEL_META_KEYS}
-    return from_dict(ManifestChannel, {**rest, "meta": meta}, context)
+    if isinstance(raw, dict):
+        raw = {"name": path.stem, **raw}
+    return from_dict(DatasetManifest, raw, f"{path}: manifest", base_dir=path.parent)
 
 
 # Recorded in every CSV sidecar; raising it retires the sidecars of older
@@ -676,11 +629,10 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
     channels = [ch.meta for ch in manifest.channels]
     windows = window(
         matrix,
-        manifest.window_len,
+        manifest.window,
         manifest.stride,
         channels=channels,
         labels=labels,
-        source_id=manifest.name,
     )
     for path, columns in cache.items():
         if columns.parsed:

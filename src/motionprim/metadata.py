@@ -23,7 +23,6 @@ DEFAULT_EMBED_DIM = 768
 class MetadataVector:
     values: np.ndarray
     descriptor: str
-    provider: str
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -51,7 +50,6 @@ class HashProvider:
             raise ConfigError("embedding dim must be >= 1")
         self.dim = dim
         self.seed = seed
-        self.name = f"deterministic-hash(dim={dim},seed={seed})"
 
     def embed(self, descriptor: str) -> MetadataVector:
         digest = hashlib.sha256(f"{self.seed}:{descriptor}".encode()).digest()
@@ -62,7 +60,7 @@ class HashProvider:
             values = np.full(self.dim, 1.0 / np.sqrt(self.dim))
         else:
             values = values / norm
-        return MetadataVector(values, descriptor, self.name)
+        return MetadataVector(values, descriptor)
 
 
 class FileLookupProvider:
@@ -99,7 +97,7 @@ class FileLookupProvider:
             raise MetadataProviderError(
                 f"{self.name}: no embedding stored for descriptor {descriptor!r}"
             )
-        return MetadataVector(self._table[descriptor].copy(), descriptor, self.name)
+        return MetadataVector(self._table[descriptor].copy(), descriptor)
 
 
 def make_provider(kind: str, *, dim: int = DEFAULT_EMBED_DIM, seed: int = 0, path: str | Path | None = None):

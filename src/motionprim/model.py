@@ -16,7 +16,6 @@ import numpy as np
 from .embedder import SequenceLayout, build_layout, embed_batch, mask_count
 from .encoder import (
     LAYER_PARAM_KEYS,
-    EncoderConfig,
     encoder_backward,
     encoder_forward,
     grad_check,
@@ -61,15 +60,16 @@ class ModelConfig:
             raise ConfigError("beta must be >= 0")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        self.encoder_config()  # validates depth/heads/dim consistency
+        if self.depth < 0:
+            raise ConfigError("depth must be >= 0")
+        if self.heads < 1 or self.model_dim % self.heads != 0:
+            raise ConfigError(f"model_dim {self.model_dim} must be divisible by heads {self.heads}")
+        if self.mlp_hidden < 1:
+            raise ConfigError("mlp_ratio too small: hidden dim would be < 1")
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            depth=self.depth,
-            heads=self.heads,
-            model_dim=self.model_dim,
-            mlp_ratio=self.mlp_ratio,
-        )
+    @property
+    def mlp_hidden(self) -> int:
+        return int(round(self.mlp_ratio * self.model_dim))
 
 
 @dataclass
@@ -143,7 +143,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "cls_head.bias": (config.num_classes,),
         "codebook": (K, config.segment_len),
     }
-    layer = layer_param_shapes(config.encoder_config())
+    layer = layer_param_shapes(config.model_dim, config.mlp_hidden)
     for i in range(config.depth):
         shapes.update({f"enc.{i}.{key}": shape for key, shape in layer.items()})
     return shapes
@@ -155,7 +155,7 @@ def init_model(config: ModelConfig, seed: int = 0, codebook: np.ndarray | None =
     K, D = config.codebook_size, config.model_dim
     state = np.random.SeedSequence(seed).generate_state(8)
     embed_rng, stat_rng, adapter_rng, pos_rng = (np.random.default_rng(int(s)) for s in state[:4])
-    enc = init_encoder_params(config.encoder_config(), int(state[4]))
+    enc = init_encoder_params(config.depth, D, config.mlp_hidden, int(state[4]))
     head_rng = np.random.default_rng(int(state[5]))
     cls_rng = np.random.default_rng(int(state[6]))
     if codebook is None:
@@ -386,7 +386,7 @@ def forward(
         model.params, layout, indices_flat.reshape(B, C, S), batch.stats, batch.meta, mask_positions
     )
 
-    hidden, enc_cache = encoder_forward(x, model.encoder_layers(), cfg.encoder_config(), need_backward)
+    hidden, enc_cache = encoder_forward(x, model.encoder_layers(), cfg.heads, need_backward)
 
     mae_value = 0.0
     mae_probs = None
@@ -599,6 +599,8 @@ def gradient_suite(seed: int = 0, tolerance: float = 1e-4) -> dict:
     small enough to check densely: the encoder alone, then the production
     forward/backward over every model tensor. Returns {component:
     GradCheckReport}."""
+    if seed < 0:
+        raise ConfigError(f"gradient check seed must be >= 0, got {seed}")
     reports = {}
     # the checks draw from children 3-5 of a six-way spawn, which keeps the
     # checked points of earlier releases (and so their reports) reproducible
@@ -606,8 +608,8 @@ def gradient_suite(seed: int = 0, tolerance: float = 1e-4) -> dict:
 
     # encoder alone, input gradient included
     rng = np.random.default_rng(children[3])
-    enc_cfg = EncoderConfig(depth=2, heads=2, model_dim=8, mlp_ratio=1.0)
-    layers = init_encoder_params(enc_cfg, seed=int(children[3].generate_state(1)[0]))
+    # depth 2, width 8, MLP width 8, run with 2 heads
+    layers = init_encoder_params(2, 8, 8, seed=int(children[3].generate_state(1)[0]))
     x0 = rng.normal(size=(2, 4, 8))
     scalarizer = rng.normal(size=(2, 4, 8))
     enc_point = {"x": x0}
@@ -617,9 +619,9 @@ def gradient_suite(seed: int = 0, tolerance: float = 1e-4) -> dict:
 
     def enc_fn(point):
         stack = [
-            {key: point[f"layer{i}.{key}"] for key in layers[0]} for i in range(enc_cfg.depth)
+            {key: point[f"layer{i}.{key}"] for key in layers[0]} for i in range(len(layers))
         ]
-        out, cache = encoder_forward(point["x"], stack, enc_cfg)
+        out, cache = encoder_forward(point["x"], stack, 2)
         value = float((out * scalarizer).sum())
         d_x, grads = encoder_backward(scalarizer, cache, stack)
         flat = {"x": d_x}

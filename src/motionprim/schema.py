@@ -63,18 +63,21 @@ def _typed(value, tp, path: str, build: bool):
 
 
 def check_fields(obj) -> None:
-    """ConfigError unless every field of the dataclass instance `obj` holds
-    a value of its annotated type."""
-    for name, tp in _hints(type(obj)).items():
-        _typed(getattr(obj, name), tp, f"{type(obj).__name__}.{name}", build=False)
+    """ConfigError unless every init field of the dataclass instance `obj`
+    holds a value of its annotated type."""
+    hints = _hints(type(obj))
+    for f in dataclasses.fields(obj):
+        if f.init:
+            _typed(getattr(obj, f.name), hints[f.name], f"{type(obj).__name__}.{f.name}", build=False)
 
 
-def from_dict(cls: type, raw, context: str):
-    """An instance of the dataclass `cls` from parsed JSON `raw`; `context`
+def from_dict(cls: type, raw, context: str, **fixed):
+    """An instance of the dataclass `cls` from parsed JSON `raw`, with the
+    fields in `fixed` set by the caller (`raw` may not name them); `context`
     prefixes every key path in the error messages."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object, got {raw!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init and f.name not in fixed}
     unknown = [f"{context}.{key}" for key in raw if key not in fields]
     if unknown:
         raise ConfigError(f"unknown keys {unknown}")
@@ -86,14 +89,8 @@ def from_dict(cls: type, raw, context: str):
     if missing:
         raise ConfigError(f"missing required keys {missing}")
     hints = _hints(cls)
-    return cls(**{key: _typed(value, hints[key], f"{context}.{key}", build=True) for key, value in raw.items()})
-
-
-def typed_value(value, tp, path: str):
-    """`value` checked against annotation `tp` and built as `from_dict`
-    builds a field; for a key that a file names differently from the field
-    it sets, so the error names the file's key."""
-    return _typed(value, tp, path, build=True)
+    typed = {key: _typed(value, hints[key], f"{context}.{key}", build=True) for key, value in raw.items()}
+    return cls(**fixed, **typed)
 
 
 def field_type(cls: type, path: list[str]):

@@ -9,8 +9,9 @@ only for read-only evaluation passes.
 
 from __future__ import annotations
 
-import json
 import hashlib
+import itertools
+import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -31,7 +32,6 @@ from .model import (
     init_model,
     mask_positions_for,
     reinit_cls_head,
-    zero_grads,
 )
 from .quantizer import init_codebook, nearest_prototypes, usage_report
 from .schema import check_fields, from_dict
@@ -158,27 +158,28 @@ def policy_by_name(name: str) -> FreezePolicy:
 # Training loop
 
 
-def _micro_batches(
-    datasets: list[PreparedBatch], epoch: int, run_seed: int, micro: int
-) -> list[tuple[int, np.ndarray]]:
-    """Seeded per-epoch shuffles, chopped and round-robin interleaved so an
-    accumulated batch mixes datasets."""
-    per_dataset: list[list[tuple[int, np.ndarray]]] = []
+def _epoch_plan(
+    datasets: list[PreparedBatch], epoch: int, run_seed: int, micro: int, batch_size: int
+) -> list[list[tuple[int, np.ndarray]]]:
+    """One epoch's optimizer steps, each a list of (dataset, window ids)
+    micro-batches: seeded per-epoch shuffles, chopped and round-robin
+    interleaved so a step mixes datasets, then grouped into steps that each
+    close at the first micro-batch that brings them to `batch_size` windows."""
+    per_dataset = []
     for di, ds in enumerate(datasets):
         rng = np.random.default_rng(np.random.SeedSequence([run_seed, epoch, di, 7]))
         order = rng.permutation(ds.size)
-        chunks = [(di, order[i : i + micro]) for i in range(0, ds.size, micro)]
-        per_dataset.append(chunks)
-    interleaved: list[tuple[int, np.ndarray]] = []
-    round_i = 0
-    while any(per_dataset):
-        for chunks in per_dataset:
-            if round_i < len(chunks):
-                interleaved.append(chunks[round_i])
-        round_i += 1
-        if all(round_i >= len(chunks) for chunks in per_dataset):
-            break
-    return interleaved
+        per_dataset.append([(di, order[i : i + micro]) for i in range(0, ds.size, micro)])
+    steps: list[list[tuple[int, np.ndarray]]] = [[]]
+    held = 0
+    for round_ in itertools.zip_longest(*per_dataset):
+        for chunk in filter(None, round_):
+            steps[-1].append(chunk)
+            held += chunk[1].size
+            if held >= batch_size:
+                steps.append([])
+                held = 0
+    return [step for step in steps if step]
 
 
 def run_training(
@@ -206,55 +207,38 @@ def run_training(
 
     K = model.config.codebook_size
     for epoch in range(opt_config.epochs):
-        micro_list = _micro_batches(datasets, epoch, run_seed, opt_config.micro_batch)
+        plan = _epoch_plan(datasets, epoch, run_seed, opt_config.micro_batch, opt_config.batch_size)
         epoch_hist = np.zeros(K, dtype=np.int64)
         sums = {"total": 0.0, "mae": 0.0, "cls": 0.0, "vq": 0.0, "masked": 0.0}
         windows_seen = 0
-        steps = 0
-
-        pending: list[tuple[int, dict[str, np.ndarray]]] = []
-        pending_windows = 0
-
-        def flush() -> None:
-            nonlocal pending, pending_windows, steps
-            if not pending:
-                return
-            total = sum(n for n, _ in pending)
-            accum = zero_grads(model)
-            for n, g in pending:
-                scale = n / total
+        for step in plan:
+            total = sum(idx.size for _, idx in step)
+            accum = {name: np.zeros_like(model.params[name]) for name in optimizer.trainable}
+            for di, idx in step:
+                micro = datasets[di].subset(idx)
+                mask_pos = None
+                if masking:
+                    mask_pos = mask_positions_for(
+                        model.layout_for(micro.num_channels, micro.segments_per_channel),
+                        model.config.mask_ratio,
+                        run_seed,
+                        epoch,
+                        micro.window_ids,
+                    )
+                result = forward(model, micro, weights, mask_positions=mask_pos)
+                grads = backward(model, result)
+                scale = micro.size / total
                 for name in accum:
-                    accum[name] += scale * g[name]
+                    accum[name] += scale * grads[name]
+                del grads  # freed before the next micro-batch's forward allocates
+                windows_seen += micro.size
+                epoch_hist += np.bincount(result.indices.reshape(-1), minlength=K)
+                sums["total"] += result.loss * micro.size
+                sums["mae"] += result.mae_loss * micro.size
+                sums["cls"] += result.cls_loss * micro.size
+                sums["vq"] += result.vq_loss * micro.size
+                sums["masked"] += result.masked_fraction * micro.size
             optimizer.step(model.params, accum)
-            steps += 1
-            pending = []
-            pending_windows = 0
-
-        for di, idx in micro_list:
-            micro = datasets[di].subset(idx)
-            mask_pos = None
-            if masking:
-                mask_pos = mask_positions_for(
-                    model.layout_for(micro.num_channels, micro.segments_per_channel),
-                    model.config.mask_ratio,
-                    run_seed,
-                    epoch,
-                    micro.window_ids,
-                )
-            result = forward(model, micro, weights, mask_positions=mask_pos)
-            grads = backward(model, result)
-            pending.append((micro.size, grads))
-            pending_windows += micro.size
-            windows_seen += micro.size
-            epoch_hist += np.bincount(result.indices.reshape(-1), minlength=K)
-            sums["total"] += result.loss * micro.size
-            sums["mae"] += result.mae_loss * micro.size
-            sums["cls"] += result.cls_loss * micro.size
-            sums["vq"] += result.vq_loss * micro.size
-            sums["masked"] += result.masked_fraction * micro.size
-            if pending_windows >= opt_config.batch_size:
-                flush()
-        flush()
 
         active_codes, perplexity = usage_report(epoch_hist)
         record = {
@@ -267,7 +251,7 @@ def run_training(
             "perplexity": perplexity,
             "masked_fraction": sums["masked"] / windows_seen,
             "windows": windows_seen,
-            "steps": steps,
+            "steps": len(plan),
             "active_codes": active_codes,
         }
         records.append(record)
@@ -279,12 +263,10 @@ def run_training(
     return records
 
 
-def tokenize_dataset(model: Model, batch: PreparedBatch, record_usage: bool = False) -> np.ndarray:
+def tokenize_dataset(model: Model, batch: PreparedBatch) -> np.ndarray:
     """(B, C, S) assignment of every segment under the current prototypes."""
     B, C, S, L = batch.norm_segments.shape
     indices, _ = nearest_prototypes(batch.norm_segments.reshape(-1, L), model.params["codebook"])
-    if record_usage:
-        np.add.at(model.usage_counts, indices, 1)
     return indices.reshape(B, C, S)
 
 
@@ -293,7 +275,8 @@ def refresh_usage(model: Model, datasets: list[PreparedBatch]) -> None:
     segment over every dataset in order."""
     model.usage_counts[:] = 0
     for ds in datasets:
-        tokenize_dataset(model, ds, record_usage=True)
+        indices = tokenize_dataset(model, ds).reshape(-1)
+        model.usage_counts += np.bincount(indices, minlength=model.config.codebook_size)
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +519,3 @@ def write_log(path: str | Path, records: list[dict]) -> None:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-
-def read_log(path: str | Path) -> list[dict]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -8,6 +8,7 @@ small inputs.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -227,12 +228,21 @@ def distinct_shapes(segments, tol=1e-6):
     return reps
 
 
+def zero_noise(spec):
+    """Copy of a synthetic spec with all noise removed (for shape enumeration)."""
+    classes = [
+        dataclasses.replace(c, waveforms=[dataclasses.replace(w, noise_sigma=0.0) for w in c.waveforms])
+        for c in spec.classes
+    ]
+    return dataclasses.replace(spec, classes=classes, channels=list(spec.channels))
+
+
 def zero_noise_shape_count(spec, seg_len=50, tol=1e-6):
     """Number of distinct instance-normalized segment shapes produced by the
     noiseless version of a synthetic generator spec."""
     from motionprim.ingest import generate_synthetic
 
-    windows = generate_synthetic(spec.zero_noise())
+    windows = generate_synthetic(zero_noise(spec))
     L = seg_len
     segments = []
     for win in windows:
@@ -305,6 +315,13 @@ def _split_heads(x, heads):
 def _merge_heads(x):
     B, h, S, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(B, S, h * dh)
+
+
+def softmax(scores):
+    """The encoder's in-place softmax kernel, run on a copy of `scores`."""
+    from motionprim.encoder import _softmax_inplace
+
+    return _softmax_inplace(np.array(scores, dtype=np.float64))
 
 
 def softmax_reference(scores):
@@ -488,3 +505,14 @@ def encoder_backward_reference(d_out, caches, layers, heads):
         d_from_ln1, all_grads[i]["ln1.gamma"], all_grads[i]["ln1.beta"] = layernorm_backward_reference(d_normed1, ln1)
         d_x = d_mid + d_from_ln1
     return d_x, all_grads
+
+
+def read_log(path):
+    """The records of a line-delimited JSON training log."""
+    records = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                records.append(json.loads(line))
+    return records

@@ -63,7 +63,6 @@ from motionprim.training import (
     finetune,
     load_checkpoint,
     pretrain,
-    read_log,
     save_checkpoint,
     tokenize_dataset,
 )
@@ -434,7 +433,7 @@ def test_criterion_12_repeated_pretraining_is_identical(tmp_path, capsys):
         cfg_path = tmp_path / f"run_{tag}.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["pretrain", "--config", str(cfg_path), "--set", "workers=1"]) == 0
-        logs.append(read_log(out_dir / "det_train.jsonl"))
+        logs.append(oracles.read_log(out_dir / "det_train.jsonl"))
         hashes.append(checkpoint_hash(out_dir / "det.ckpt"))
 
     assert len(logs[0]) == len(logs[1]) == 3

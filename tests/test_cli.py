@@ -314,6 +314,7 @@ def _config_error(capsys) -> dict:
     "datasets=5",
     "workers=0",
     "workers=-1",
+    "model.heads=3",
 ])
 def test_exit_2_on_mistyped_override(workdir, tmp_path, capsys, override):
     _, cfg_path, _ = workdir
@@ -534,3 +535,10 @@ def test_gradcheck_writes_report(tmp_path, capsys):
         assert report["max_rel_err"] < report["tolerance"]
     text = capsys.readouterr().out
     assert "PASS" in text
+
+
+def test_gradcheck_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "grad.json"
+    assert cli.main(["gradcheck", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed" in _config_error(capsys)["message"]
+    assert not out.exists()

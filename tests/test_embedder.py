@@ -172,13 +172,14 @@ def test_tokenize_window_usage_recording():
     rng = np.random.default_rng(9)
     windows = [SensorWindow(rng.normal(size=(15, C)), channels()) for _ in range(4)]
     batch = prepare_windows(windows, cfg, make_provider("deterministic-hash", dim=cfg.meta_dim))
-    tokenize_dataset(model, batch)
+    indices = tokenize_dataset(model, batch)
     assert model.usage_counts.sum() == 0
-    indices = tokenize_dataset(model, batch, record_usage=True)
-    np.testing.assert_array_equal(model.usage_counts, np.bincount(indices.reshape(-1), minlength=cfg.codebook_size))
     # refresh_usage resets, then tallies every segment exactly once
-    refresh_usage(model, [batch])
-    assert model.usage_counts.sum() == 4 * C * 3
+    model.usage_counts += 5
+    refresh_usage(model, [batch, batch])
+    assert model.usage_counts.dtype == np.int64
+    np.testing.assert_array_equal(model.usage_counts, 2 * np.bincount(indices.reshape(-1), minlength=cfg.codebook_size))
+    assert model.usage_counts.sum() == 2 * 4 * C * 3
 
 
 # ---------------------------------------------------------------------------

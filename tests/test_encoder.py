@@ -5,7 +5,6 @@ import scipy.special
 import oracles
 from motionprim.encoder import (
     EncoderCache,
-    EncoderConfig,
     attention_backward,
     attention_forward,
     encoder_backward,
@@ -18,11 +17,15 @@ from motionprim.encoder import (
     layernorm_forward,
     mlp_backward,
     mlp_forward,
-    softmax,
 )
 from motionprim.errors import ConfigError, DataError, NumericError
+from motionprim.model import ModelConfig
 
-TINY = EncoderConfig(depth=2, heads=2, model_dim=8, mlp_ratio=2.0)
+TINY = ModelConfig(depth=2, heads=2, model_dim=8, mlp_ratio=2.0)
+
+
+def init_layers(config, seed):
+    return init_encoder_params(config.depth, config.model_dim, config.mlp_hidden, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +81,19 @@ def test_layernorm_matches_oracle():
 def test_softmax_rows_and_shift_invariance():
     rng = np.random.default_rng(1)
     scores = rng.normal(size=(2, 2, 4, 4))
-    probs = softmax(scores)
+    probs = oracles.softmax(scores)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
-    shifted = softmax(scores + 100.0)
+    shifted = oracles.softmax(scores + 100.0)
     np.testing.assert_allclose(probs, shifted, atol=1e-12)
     assert np.all(probs > 0)
 
 
 def test_attention_matches_loop_oracle():
-    config = EncoderConfig(depth=1, heads=2, model_dim=4)
-    params = init_encoder_params(config, seed=5)[0]
+    config = ModelConfig(depth=1, heads=2, model_dim=4)
+    params = init_layers(config, seed=5)[0]
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 3, 4))
-    out, _ = attention_forward(x, params, config)
+    out, _ = attention_forward(x, params, config.heads)
     want = oracles.attention_single(
         x[0],
         params["attn.wq"], params["attn.bq"],
@@ -103,8 +106,8 @@ def test_attention_matches_loop_oracle():
 
 
 def test_mlp_matches_manual():
-    config = EncoderConfig(depth=1, heads=2, model_dim=4, mlp_ratio=2.0)
-    params = init_encoder_params(config, seed=7)[0]
+    config = ModelConfig(depth=1, heads=2, model_dim=4, mlp_ratio=2.0)
+    params = init_layers(config, seed=7)[0]
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 2, 4))
     out, _ = mlp_forward(x, params)
@@ -121,8 +124,8 @@ def _rel_err(got, want):
 SHAPES = pytest.mark.parametrize(
     "config, batch",
     [
-        (EncoderConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0), 50),
-        (EncoderConfig(), 6),
+        (ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0), 50),
+        (ModelConfig(), 6),
     ],
     ids=["bench", "default"],
 )
@@ -135,15 +138,15 @@ def test_gemm_attention_and_mlp_match_einsum_oracle(config, batch):
     rng = np.random.default_rng(config.model_dim)
     D = config.model_dim
     rescale = 1.0 / np.sqrt(D) / 0.02
-    for params in init_encoder_params(config, seed=1):
+    for params in init_layers(config, seed=1):
         for key in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w1", "mlp.w2"):
             params[key] = params[key] * rescale
         x = rng.normal(size=(batch, 37, D))
         d_out = rng.normal(size=(batch, 37, D))
-        out, cache = attention_forward(x, params, config)
+        out, cache = attention_forward(x, params, config.heads)
         want, want_cache = oracles.attention_forward_einsum(x, params, config.heads)
         assert _rel_err(out, want) <= 1e-12
-        d_x, grads = attention_backward(d_out, cache, params, config)
+        d_x, grads = attention_backward(d_out, cache, params, config.heads)
         want_dx, want_grads = oracles.attention_backward_einsum(d_out, want_cache, params, config.heads)
         assert _rel_err(d_x, want_dx) <= 1e-12
         assert set(grads) == set(want_grads)
@@ -171,7 +174,7 @@ def random_layers(config, seed):
     scale, layer-norm scales near 1 and nonzero biases and offsets, so a
     dropped or misordered term changes the result."""
     rng = np.random.default_rng(seed)
-    layers = init_encoder_params(config, seed=seed)
+    layers = init_layers(config, seed=seed)
     for params in layers:
         for key, value in params.items():
             if key.endswith("gamma"):
@@ -208,7 +211,7 @@ def test_kernels_bitwise_equal_reference_expressions(config, batch):
     x = rng.normal(size=(batch, S, D))
     d_out = rng.normal(size=(batch, S, D))
     scores = 4.0 * rng.normal(size=(batch, config.heads, S, S))
-    assert_bitwise(softmax(scores), oracles.softmax_reference(scores), "softmax")
+    assert_bitwise(oracles.softmax(scores), oracles.softmax_reference(scores), "softmax")
     pre = 3.0 * rng.normal(size=(batch, S, config.mlp_hidden))
     assert_bitwise(gelu(pre), oracles.gelu_reference(pre), "gelu")
     cdf = oracles.gelu_reference(pre)[1]
@@ -220,11 +223,11 @@ def test_kernels_bitwise_equal_reference_expressions(config, batch):
         assert_bitwise(ln, want_ln, f"layer{i}.layernorm_forward")
         assert_bitwise(layernorm_backward(d_out, ln[1]), oracles.layernorm_backward_reference(d_out, want_ln[1]), f"layer{i}.layernorm_backward")
 
-        attn = attention_forward(x, params, config)
+        attn = attention_forward(x, params, config.heads)
         want_attn = oracles.attention_forward_reference(x, params, config.heads)
         assert_bitwise(attn, want_attn, f"layer{i}.attention_forward")
         assert_bitwise(
-            attention_backward(d_out, attn[1], params, config),
+            attention_backward(d_out, attn[1], params, config.heads),
             oracles.attention_backward_reference(d_out, want_attn[1], params, config.heads),
             f"layer{i}.attention_backward",
         )
@@ -234,7 +237,7 @@ def test_kernels_bitwise_equal_reference_expressions(config, batch):
         assert_bitwise(mlp, want_mlp, f"layer{i}.mlp_forward")
         assert_bitwise(mlp_backward(d_out, mlp[1], params), oracles.mlp_backward_reference(d_out, want_mlp[1], params), f"layer{i}.mlp_backward")
 
-    out, cache = encoder_forward(x, layers, config)
+    out, cache = encoder_forward(x, layers, config.heads)
     want_out, want_caches = oracles.encoder_forward_reference(x, layers, config.heads)
     assert_bitwise(out, want_out, "encoder_forward")
     assert_bitwise(cache.layers, want_caches, "encoder_forward cache")
@@ -280,17 +283,17 @@ def test_no_encoder_function_changes_its_inputs(config, batch):
     d_out = rng.normal(size=(batch, S, D))
     pre = rng.normal(size=(batch, S, config.mlp_hidden))
 
-    call_keeps_inputs(softmax, rng.normal(size=(batch, config.heads, S, S)))
+    call_keeps_inputs(oracles.softmax, rng.normal(size=(batch, config.heads, S, S)))
     _, cdf = call_keeps_inputs(gelu, pre)
     call_keeps_inputs(gelu_grad, pre, cdf)
     _, ln_cache = call_keeps_inputs(layernorm_forward, x, params["ln1.gamma"], params["ln1.beta"])
     call_keeps_inputs(layernorm_backward, d_out, ln_cache)
-    _, attn_cache = call_keeps_inputs(attention_forward, x, params, config)
-    call_keeps_inputs(attention_backward, d_out, attn_cache, params, config)
+    _, attn_cache = call_keeps_inputs(attention_forward, x, params, config.heads)
+    call_keeps_inputs(attention_backward, d_out, attn_cache, params, config.heads)
     _, mlp_cache = call_keeps_inputs(mlp_forward, x, params)
     call_keeps_inputs(mlp_backward, d_out, mlp_cache, params)
-    _, cache = call_keeps_inputs(encoder_forward, x, layers, config)
-    call_keeps_inputs(encoder_forward, x, layers, config, False)
+    _, cache = call_keeps_inputs(encoder_forward, x, layers, config.heads)
+    call_keeps_inputs(encoder_forward, x, layers, config.heads, False)
     call_keeps_inputs(encoder_backward, d_out, cache, layers)
 
 
@@ -299,7 +302,7 @@ def test_no_encoder_function_changes_its_inputs(config, batch):
 
 
 def test_init_conventions():
-    layers = init_encoder_params(TINY, seed=0)
+    layers = init_layers(TINY, seed=0)
     assert len(layers) == 2
     layer = layers[0]
     np.testing.assert_array_equal(layer["ln1.gamma"], np.ones(8))
@@ -313,33 +316,35 @@ def test_init_conventions():
 
 
 def test_depth_zero_is_identity_prenorm():
-    config = EncoderConfig(depth=0, heads=2, model_dim=8)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 4, 8))
-    out, _ = encoder_forward(x, [], config)
+    out, _ = encoder_forward(x, [], 2)
     np.testing.assert_array_equal(out, x)
 
 
 def test_forward_rejects_bad_shapes_and_nan():
-    layers = init_encoder_params(TINY, seed=2)
+    layers = init_layers(TINY, seed=2)
     with pytest.raises(DataError):
-        encoder_forward(np.zeros((2, 4, 7)), layers, TINY)
-    with pytest.raises(ConfigError):
-        encoder_forward(np.zeros((2, 4, 8)), layers[:1], TINY)
+        encoder_forward(np.zeros((2, 4, 7)), layers, TINY.heads)
+    with pytest.raises(DataError):
+        encoder_forward(np.zeros((4, 8)), layers, TINY.heads)
+    for heads in (0, 3):
+        with pytest.raises(ConfigError, match="heads"):
+            encoder_forward(np.zeros((2, 4, 8)), layers, heads)
     bad = np.zeros((1, 3, 8))
     bad[0, 0, 0] = np.nan
     with pytest.raises(NumericError, match="input"):
-        encoder_forward(bad, layers, TINY)
+        encoder_forward(bad, layers, TINY.heads)
     # the input check runs before any layer, at depth 0 too
     with pytest.raises(NumericError, match="input"):
-        encoder_forward(bad, [], EncoderConfig(depth=0, heads=2, model_dim=8))
+        encoder_forward(bad, [], TINY.heads)
 
 
 def test_forward_deterministic():
-    layers = init_encoder_params(TINY, seed=3)
+    layers = init_layers(TINY, seed=3)
     x = np.random.default_rng(7).normal(size=(2, 5, 8))
-    a, _ = encoder_forward(x, layers, TINY)
-    b, _ = encoder_forward(x, layers, TINY)
+    a, _ = encoder_forward(x, layers, TINY.heads)
+    b, _ = encoder_forward(x, layers, TINY.heads)
     np.testing.assert_array_equal(a, b)
 
 
@@ -356,7 +361,7 @@ def scalarize(config, probe):
             {key: point[f"layer{i}.{key}"] for key in point_keys}
             for i in range(config.depth)
         ]
-        out, cache = encoder_forward(point["x"], layers, config)
+        out, cache = encoder_forward(point["x"], layers, config.heads)
         loss = float(np.sum(out * probe))
         d_x, layer_grads = encoder_backward(probe.copy(), cache, layers)
         grads = {"x": d_x}
@@ -365,14 +370,14 @@ def scalarize(config, probe):
                 grads[f"layer{i}.{key}"] = val
         return loss, grads
 
-    point_keys = list(init_encoder_params(config, seed=0)[0])
+    point_keys = list(init_layers(config, seed=0)[0])
     return fn
 
 
 def test_encoder_backward_matches_fd():
     rng = np.random.default_rng(9)
-    config = EncoderConfig(depth=1, heads=2, model_dim=6, mlp_ratio=1.0)
-    layers = init_encoder_params(config, seed=10)
+    config = ModelConfig(depth=1, heads=2, model_dim=6, mlp_ratio=1.0)
+    layers = init_layers(config, seed=10)
     x = rng.normal(size=(2, 3, 6))
     probe = rng.normal(size=(2, 3, 6))
     point = {"x": x}

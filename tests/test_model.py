@@ -46,12 +46,18 @@ def test_config_round_trip_and_unknown_keys():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ModelConfig(model_dim=30, heads=4)  # not divisible
-    with pytest.raises(ConfigError):
-        ModelConfig(mask_ratio=1.0)
-    with pytest.raises(ConfigError):
-        ModelConfig(codebook_size=0)
+    for bad in (
+        dict(model_dim=30, heads=4),  # not divisible
+        dict(heads=0),
+        dict(depth=-1),
+        dict(mlp_ratio=0.001),  # MLP width rounds to 0
+        dict(mask_ratio=1.0),
+        dict(codebook_size=0),
+    ):
+        with pytest.raises(ConfigError):
+            ModelConfig(**bad)
+    assert ModelConfig(depth=0).depth == 0
+    assert ModelConfig(model_dim=8, mlp_ratio=0.07).mlp_hidden == 1
 
 
 @pytest.mark.parametrize("key, value", [
@@ -70,14 +76,6 @@ def test_config_accepts_ints_for_floats():
     assert (built.mlp_ratio, built.beta) == (2.0, 0.0)
     assert type(built.mlp_ratio) is type(built.beta) is float
     assert ModelConfig(mlp_ratio=2).mlp_ratio == 2  # direct construction checks, stores as given
-
-
-def test_encoder_config_mapping():
-    cfg = tiny_config()
-    enc = cfg.encoder_config()
-    assert enc.depth == cfg.depth
-    assert enc.model_dim == cfg.model_dim
-    assert enc.heads == cfg.heads
 
 
 def test_loss_weights_not_all_zero():

@@ -26,7 +26,7 @@ from motionprim.training import (
     PRETRAIN_POLICY,
     AdamW,
     OptimizerConfig,
-    _micro_batches,
+    _epoch_plan,
     checkpoint_hash,
     copy_model,
     evaluate,
@@ -35,7 +35,6 @@ from motionprim.training import (
     metrics_from_confusion,
     policy_by_name,
     pretrain,
-    read_log,
     run_training,
     save_checkpoint,
     stratified_split,
@@ -191,10 +190,14 @@ def test_policy_by_name():
 # micro-batching
 
 
+def micro_batches(plan):
+    return [chunk for step in plan for chunk in step]
+
+
 def test_micro_batches_cover_and_interleave():
     a = tiny_batch(seed=0, num_windows=7)
     b = tiny_batch(seed=1, num_windows=4)
-    chunks = _micro_batches([a, b], epoch=0, run_seed=3, micro=3)
+    chunks = micro_batches(_epoch_plan([a, b], epoch=0, run_seed=3, micro=3, batch_size=1))
     # coverage: each dataset's indices appear exactly once
     seen = {0: [], 1: []}
     for di, idx in chunks:
@@ -202,18 +205,32 @@ def test_micro_batches_cover_and_interleave():
     assert sorted(seen[0]) == list(range(7))
     assert sorted(seen[1]) == list(range(4))
     assert all(len(idx) <= 3 for _, idx in chunks)
-    # round-robin: first chunks alternate datasets while both have some left
-    assert [di for di, _ in chunks[:4]] == [0, 1, 0, 1]
+    # round-robin: chunks alternate datasets while both have some left
+    assert [di for di, _ in chunks] == [0, 1, 0, 1, 0]
+    # grouping into steps neither drops nor reorders a micro-batch
+    for batch_size in (1, 4, 6, 7, 100):
+        grouped = micro_batches(_epoch_plan([a, b], epoch=0, run_seed=3, micro=3, batch_size=batch_size))
+        assert [(di, idx.tolist()) for di, idx in grouped] == [(di, idx.tolist()) for di, idx in chunks]
 
 
 def test_micro_batches_deterministic_and_epoch_dependent():
     a = tiny_batch(seed=0, num_windows=9)
-    c1 = _micro_batches([a], epoch=0, run_seed=5, micro=4)
-    c2 = _micro_batches([a], epoch=0, run_seed=5, micro=4)
+    c1 = micro_batches(_epoch_plan([a], epoch=0, run_seed=5, micro=4, batch_size=4))
+    c2 = micro_batches(_epoch_plan([a], epoch=0, run_seed=5, micro=4, batch_size=4))
     for (_, x), (_, y) in zip(c1, c2):
         np.testing.assert_array_equal(x, y)
-    c3 = _micro_batches([a], epoch=1, run_seed=5, micro=4)
+    c3 = micro_batches(_epoch_plan([a], epoch=1, run_seed=5, micro=4, batch_size=4))
     assert any(not np.array_equal(x[1], y[1]) for x, y in zip(c1, c3))
+
+
+def test_micro_batches_close_a_step_at_batch_size():
+    # micro-batches of 3, 3, 3, 3, 1 windows: a step closes at the first
+    # micro-batch that brings it to batch_size, the last step takes the rest
+    a = tiny_batch(seed=0, num_windows=13)
+    for batch_size, sizes in ((1, [[3], [3], [3], [3], [1]]), (5, [[3, 3], [3, 3], [1]]),
+                              (6, [[3, 3], [3, 3], [1]]), (7, [[3, 3, 3], [3, 1]]), (50, [[3, 3, 3, 3, 1]])):
+        plan = _epoch_plan([a], epoch=0, run_seed=1, micro=3, batch_size=batch_size)
+        assert [[idx.size for _, idx in step] for step in plan] == sizes, batch_size
 
 
 def test_accumulation_invariance():
@@ -505,7 +522,7 @@ def test_write_read_log_round_trip(tmp_path):
     ]
     path = tmp_path / "log.jsonl"
     write_log(path, records)
-    back = read_log(path)
+    back = oracles.read_log(path)
     assert back == records
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
