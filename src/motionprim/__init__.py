@@ -49,6 +49,7 @@ from .metadata import (
 )
 from .model import (
     FINETUNE_WEIGHTS,
+    PARAM_GROUPS,
     PRETRAIN_WEIGHTS,
     LossWeights,
     Model,
@@ -104,6 +105,7 @@ __all__ = [
     "MotionPrimError",
     "NumericError",
     "OptimizerConfig",
+    "PARAM_GROUPS",
     "PRETRAIN_POLICY",
     "PRETRAIN_WEIGHTS",
     "PreparedBatch",

@@ -51,8 +51,6 @@ class SequenceLayout:
     kinds: np.ndarray
     channel_of: np.ndarray
     position_slot: np.ndarray
-    num_channels: int
-    segments_per_channel: int
 
     @property
     def seq_len(self) -> int:
@@ -105,7 +103,7 @@ def build_layout(num_channels: int, segments_per_channel: int, position_rows: in
         channel_of[pos] = c
         slots[pos] = position_rows - 3
         pos += 1
-    return SequenceLayout(kinds, channel_of, slots, num_channels, S)
+    return SequenceLayout(kinds, channel_of, slots)
 
 
 # ---------------------------------------------------------------------------

@@ -26,54 +26,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-LAYER_PARAM_KEYS = (
-    "ln1.gamma", "ln1.beta",
-    "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv",
-    "attn.wo", "attn.bo",
-    "ln2.gamma", "ln2.beta",
-    "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2",
-)
-
-
-def layer_param_shapes(D: int, H: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every per-layer tensor at model width D and MLP width H,
-    keyed in LAYER_PARAM_KEYS order."""
-    shapes = {key: (D,) for key in LAYER_PARAM_KEYS}
-    for name in ("wq", "wk", "wv", "wo"):
-        shapes[f"attn.{name}"] = (D, D)
-    shapes["mlp.w1"], shapes["mlp.b1"], shapes["mlp.w2"] = (D, H), (H,), (H, D)
-    return shapes
-
-
-def init_encoder_params(depth: int, D: int, H: int, seed: int = 0) -> list[dict[str, np.ndarray]]:
-    """`depth` per-layer parameter dicts: LN scales 1 / offsets 0, linear
-    weights ~ N(0, 0.02^2), biases 0."""
-    rng = np.random.default_rng(seed)
-    layers = []
-    for _ in range(depth):
-        layers.append(
-            {
-                "ln1.gamma": np.ones(D),
-                "ln1.beta": np.zeros(D),
-                "attn.wq": rng.normal(0.0, 0.02, size=(D, D)),
-                "attn.bq": np.zeros(D),
-                "attn.wk": rng.normal(0.0, 0.02, size=(D, D)),
-                "attn.bk": np.zeros(D),
-                "attn.wv": rng.normal(0.0, 0.02, size=(D, D)),
-                "attn.bv": np.zeros(D),
-                "attn.wo": rng.normal(0.0, 0.02, size=(D, D)),
-                "attn.bo": np.zeros(D),
-                "ln2.gamma": np.ones(D),
-                "ln2.beta": np.zeros(D),
-                "mlp.w1": rng.normal(0.0, 0.02, size=(D, H)),
-                "mlp.b1": np.zeros(H),
-                "mlp.w2": rng.normal(0.0, 0.02, size=(H, D)),
-                "mlp.b2": np.zeros(D),
-            }
-        )
-    return layers
-
-
 # ---------------------------------------------------------------------------
 # Primitive ops, each returning (value, cache)
 

@@ -77,10 +77,6 @@ class SensorWindow:
     def window_len(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def num_channels(self) -> int:
-        return self.samples.shape[1]
-
 
 def placeholder_channels(count: int, rate: float = DEFAULT_TARGET_RATE) -> list[ChannelMetadata]:
     """Generic metadata for windows built from bare matrices (tests, demos)."""
@@ -377,6 +373,8 @@ class DatasetManifest:
             raise ConfigError("window must be >= 1")
         if self.stride is not None and self.stride <= 0:
             raise ConfigError("stride must be > 0")
+        if not self.target_rate > 0:
+            raise DataError(f"target_rate must be > 0, got {self.target_rate}")
         if not self.channels:
             raise ConfigError("manifest lists no channels")
         for ch in self.channels:

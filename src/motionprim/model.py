@@ -14,22 +14,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedder import SequenceLayout, build_layout, embed_batch, mask_count
-from .encoder import (
-    LAYER_PARAM_KEYS,
-    encoder_backward,
-    encoder_forward,
-    grad_check,
-    init_encoder_params,
-    layer_param_shapes,
-)
+from .encoder import encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
 from .ingest import ChannelMetadata, SensorWindow, normalize_matrix, segment_matrix
 from .metadata import canonical_descriptor, embed_channels
 from .quantizer import nearest_prototypes, init_codebook
 from .schema import check_fields
 
-# std of every normally initialized embedding, adapter and head weight
+# Every parameter tensor is named `<group>.<rest>`, or just `<group>` for the
+# codebook. The group picks the tensor's init stream (one generator per group,
+# spawned in this order) and its freeze group.
+PARAM_GROUPS = ("embed", "stat", "adapter", "pos", "enc", "mae", "cls_head", "codebook")
+# std of every normally initialized tensor: those whose names end in _NORMAL_INIT
 INIT_STD = 0.02
+_NORMAL_INIT = (".rows", ".cls_vector", ".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")
 
 
 @dataclass
@@ -116,19 +114,19 @@ class Model:
                 f"usage_counts has shape {self.usage_counts.shape}, config needs ({config.codebook_size},)"
             )
 
-    def encoder_layers(self) -> list[dict[str, np.ndarray]]:
-        return [
-            {key: self.params[f"enc.{i}.{key}"] for key in LAYER_PARAM_KEYS}
-            for i in range(self.config.depth)
-        ]
-
     def layout_for(self, num_channels: int, segments: int) -> SequenceLayout:
         return build_layout(num_channels, segments, self.params["pos.rows"].shape[0])
 
 
+def param_group(name: str) -> str:
+    """The PARAM_GROUPS entry a tensor name belongs to: its first component."""
+    return name.split(".", 1)[0]
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter tensor a config defines."""
-    K, D = config.codebook_size, config.model_dim
+    """Name -> shape of every parameter tensor a config defines, in
+    checkpoint order: the only list of the model's tensors."""
+    K, D, H = config.codebook_size, config.model_dim, config.mlp_hidden
     shapes = {
         "embed.rows": (K + 3, D),
         "embed.cls_vector": (D,),
@@ -143,44 +141,63 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "cls_head.bias": (config.num_classes,),
         "codebook": (K, config.segment_len),
     }
-    layer = layer_param_shapes(config.model_dim, config.mlp_hidden)
+    layer = {
+        "ln1.gamma": (D,), "ln1.beta": (D,),
+        "attn.wq": (D, D), "attn.bq": (D,), "attn.wk": (D, D), "attn.bk": (D,),
+        "attn.wv": (D, D), "attn.bv": (D,), "attn.wo": (D, D), "attn.bo": (D,),
+        "ln2.gamma": (D,), "ln2.beta": (D,),
+        "mlp.w1": (D, H), "mlp.b1": (H,), "mlp.w2": (H, D), "mlp.b2": (D,),
+    }
     for i in range(config.depth):
         shapes.update({f"enc.{i}.{key}": shape for key, shape in layer.items()})
     return shapes
 
 
+def _group_shapes(config: ModelConfig, group: str) -> dict[str, tuple[int, ...]]:
+    return {name: shape for name, shape in param_shapes(config).items() if param_group(name) == group}
+
+
+def _init_tensors(
+    shapes: dict[str, tuple[int, ...]], rngs: dict[str, np.random.Generator]
+) -> dict[str, np.ndarray]:
+    """Fresh tensors in `shapes` order: N(0, INIT_STD^2) draws from the
+    group's generator for names ending in _NORMAL_INIT, ones for `*.gamma`,
+    zeros for the rest."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(_NORMAL_INIT):
+            params[name] = rngs[param_group(name)].normal(0.0, INIT_STD, size=shape)
+        elif name.endswith(".gamma"):
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
+
+
+def encoder_layers(params: dict[str, np.ndarray], depth: int) -> list[dict[str, np.ndarray]]:
+    """The `enc.<i>.<key>` tensors of `params` as `depth` per-layer
+    {key: tensor} dicts, the form the encoder takes; other names are skipped."""
+    layers: list[dict[str, np.ndarray]] = [{} for _ in range(depth)]
+    for name, tensor in params.items():
+        if param_group(name) == "enc":
+            _, i, key = name.split(".", 2)
+            layers[int(i)][key] = tensor
+    return layers
+
+
 def init_model(config: ModelConfig, seed: int = 0, codebook: np.ndarray | None = None) -> Model:
-    """Deterministic init; component seeds are spawned from the run seed.
-    A pre-trained (K, L) codebook (e.g. kmeans-seeded) can be passed in."""
-    K, D = config.codebook_size, config.model_dim
-    state = np.random.SeedSequence(seed).generate_state(8)
-    embed_rng, stat_rng, adapter_rng, pos_rng = (np.random.default_rng(int(s)) for s in state[:4])
-    enc = init_encoder_params(config.depth, D, config.mlp_hidden, int(state[4]))
-    head_rng = np.random.default_rng(int(state[5]))
-    cls_rng = np.random.default_rng(int(state[6]))
+    """Deterministic init from one generator per PARAM_GROUPS entry, spawned
+    from the run seed. A pre-trained (K, L) codebook (e.g. kmeans-seeded) can
+    be passed in; otherwise the codebook group's generator draws one."""
+    K, L = config.codebook_size, config.segment_len
+    if codebook is not None and codebook.shape != (K, L):
+        raise ConfigError(f"codebook shape {codebook.shape} does not match config ({K}, {L})")
+    state = np.random.SeedSequence(seed).generate_state(len(PARAM_GROUPS))
+    rngs = {group: np.random.default_rng(int(s)) for group, s in zip(PARAM_GROUPS, state)}
+    params = _init_tensors(param_shapes(config), rngs)
     if codebook is None:
-        codebook = init_codebook(K, config.segment_len, "random-normal", seed=int(state[7]))
-    elif codebook.shape != (K, config.segment_len):
-        raise ConfigError(
-            f"codebook shape {codebook.shape} does not match config ({K}, {config.segment_len})"
-        )
-    params: dict[str, np.ndarray] = {
-        "embed.rows": embed_rng.normal(0.0, INIT_STD, size=(K + 3, D)),
-        "embed.cls_vector": embed_rng.normal(0.0, INIT_STD, size=D),
-        "stat.weight": stat_rng.normal(0.0, INIT_STD, size=(D, 2)),
-        "stat.bias": np.zeros(D),
-        "adapter.weight": adapter_rng.normal(0.0, INIT_STD, size=(D, config.meta_dim)),
-        "adapter.bias": np.zeros(D),
-        "pos.rows": pos_rng.normal(0.0, INIT_STD, size=(config.segments_per_channel + 3, D)),
-        "mae.weight": head_rng.normal(0.0, INIT_STD, size=(K, D)),
-        "mae.bias": np.zeros(K),
-        "cls_head.weight": cls_rng.normal(0.0, INIT_STD, size=(config.num_classes, D)),
-        "cls_head.bias": np.zeros(config.num_classes),
-        "codebook": np.array(codebook, dtype=np.float64),
-    }
-    for i, layer in enumerate(enc):
-        for key, value in layer.items():
-            params[f"enc.{i}.{key}"] = value
+        codebook = init_codebook(K, L, "random-normal", seed=rngs["codebook"])
+    params["codebook"] = np.array(codebook, dtype=np.float64)
     return Model(config, params)
 
 
@@ -189,10 +206,8 @@ def reinit_cls_head(model: Model, num_classes: int, seed: int = 0) -> Model:
     a different class count); everything else is shared by reference."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]).generate_state(1)[0])
     config = replace(model.config, num_classes=num_classes)
-    params = dict(model.params)
-    params["cls_head.weight"] = rng.normal(0.0, INIT_STD, size=(num_classes, config.model_dim))
-    params["cls_head.bias"] = np.zeros(num_classes)
-    return Model(config, params, model.usage_counts)
+    head = _init_tensors(_group_shapes(config, "cls_head"), {"cls_head": rng})
+    return Model(config, {**model.params, **head}, model.usage_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +335,6 @@ class ForwardResult:
     mae_loss: float
     cls_loss: float
     vq_loss: float
-    batch_size: int
     indices: np.ndarray  # (B, C, S) assignment per segment
     mask_positions: np.ndarray | None  # (B, m)
     mask_targets: np.ndarray | None  # (B, m)
@@ -386,7 +400,7 @@ def forward(
         model.params, layout, indices_flat.reshape(B, C, S), batch.stats, batch.meta, mask_positions
     )
 
-    hidden, enc_cache = encoder_forward(x, model.encoder_layers(), cfg.heads, need_backward)
+    hidden, enc_cache = encoder_forward(x, encoder_layers(model.params, cfg.depth), cfg.heads, need_backward)
 
     mae_value = 0.0
     mae_probs = None
@@ -441,7 +455,6 @@ def forward(
         mae_loss=mae_value,
         cls_loss=cls_value,
         vq_loss=vq_value,
-        batch_size=B,
         indices=indices_flat.reshape(B, C, S),
         mask_positions=mask_positions,
         mask_targets=mask_targets,
@@ -489,7 +502,7 @@ def backward(model: Model, result: ForwardResult) -> dict[str, np.ndarray]:
         grads["cls_head.bias"] += d_logits.sum(axis=0)
         d_hidden[:, 0] += d_logits @ model.params["cls_head.weight"]
 
-    d_x, enc_grads = encoder_backward(d_hidden, cache["enc_cache"], model.encoder_layers())
+    d_x, enc_grads = encoder_backward(d_hidden, cache["enc_cache"], encoder_layers(model.params, cfg.depth))
     for i, layer_grads in enumerate(enc_grads):
         for key, value in layer_grads.items():
             grads[f"enc.{i}.{key}"] += value
@@ -606,35 +619,28 @@ def gradient_suite(seed: int = 0, tolerance: float = 1e-4) -> dict:
     # checked points of earlier releases (and so their reports) reproducible
     children = np.random.SeedSequence(seed).spawn(6)
 
-    # encoder alone, input gradient included
+    # encoder alone, input gradient included: tiny_config's two layers of
+    # width 8 and MLP width 8, run with 2 heads
     rng = np.random.default_rng(children[3])
-    # depth 2, width 8, MLP width 8, run with 2 heads
-    layers = init_encoder_params(2, 8, 8, seed=int(children[3].generate_state(1)[0]))
-    x0 = rng.normal(size=(2, 4, 8))
-    scalarizer = rng.normal(size=(2, 4, 8))
-    enc_point = {"x": x0}
-    for i, layer in enumerate(layers):
-        for key, val in layer.items():
-            enc_point[f"layer{i}.{key}"] = val
+    cfg = tiny_config()
+    enc_rng = np.random.default_rng(int(children[3].generate_state(1)[0]))
+    enc_point = _init_tensors(_group_shapes(cfg, "enc"), {"enc": enc_rng})
+    enc_point["x"] = rng.normal(size=(2, 4, cfg.model_dim))
+    scalarizer = rng.normal(size=(2, 4, cfg.model_dim))
 
     def enc_fn(point):
-        stack = [
-            {key: point[f"layer{i}.{key}"] for key in layers[0]} for i in range(len(layers))
-        ]
-        out, cache = encoder_forward(point["x"], stack, 2)
+        layers = encoder_layers(point, cfg.depth)
+        out, cache = encoder_forward(point["x"], layers, cfg.heads)
         value = float((out * scalarizer).sum())
-        d_x, grads = encoder_backward(scalarizer, cache, stack)
-        flat = {"x": d_x}
-        for i, layer_grads in enumerate(grads):
-            for key, val in layer_grads.items():
-                flat[f"layer{i}.{key}"] = val
+        d_x, grads = encoder_backward(scalarizer, cache, layers)
+        flat = {f"enc.{i}.{key}": g for i, layer in enumerate(grads) for key, g in layer.items()}
+        flat["x"] = d_x
         return value, flat
 
     reports["encoder"] = grad_check(enc_fn, enc_point, tolerance=tolerance, max_coords_per_tensor=60)
 
     # full model: embedding scatter, positions, heads, commitment, all at once
     batch = tiny_batch(seed=int(children[4].generate_state(1)[0]))
-    cfg = tiny_config()
     model = init_model(cfg, seed=int(children[5].generate_state(1)[0]))
     fixed_indices, _ = nearest_prototypes(
         batch.norm_segments.reshape(-1, cfg.segment_len), model.params["codebook"]

@@ -19,7 +19,7 @@ def init_codebook(
     L: int,
     strategy: str = "random-normal",
     sample: np.ndarray | None = None,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
     """Create a (K, L) prototype array.
 
@@ -72,9 +72,8 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
     sum((s - z)^2) bit for bit.
     """
     segments = np.asarray(segments, dtype=np.float64)
-    single = segments.ndim == 1
-    if single:
-        segments = segments[None, :]
+    if segments.ndim != 2:
+        raise DataError(f"nearest_prototypes needs an (n, L) segment stack, got shape {segments.shape}")
     if segments.shape[1] != prototypes.shape[1]:
         raise DataError(
             f"segment length {segments.shape[1]} does not match codebook dim {prototypes.shape[1]}"
@@ -109,8 +108,6 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
         diff = chunk - prototypes[idx]
         indices[start : start + chunk.shape[0]] = idx
         distances[start : start + chunk.shape[0]] = np.sum(diff * diff, axis=1)
-    if single:
-        return indices[:1], distances[:1]
     return indices, distances
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .model import (
     FINETUNE_WEIGHTS,
+    PARAM_GROUPS,
     PRETRAIN_WEIGHTS,
     LossWeights,
     Model,
@@ -31,6 +32,7 @@ from .model import (
     forward,
     init_model,
     mask_positions_for,
+    param_group,
     reinit_cls_head,
 )
 from .quantizer import init_codebook, nearest_prototypes, usage_report
@@ -110,40 +112,29 @@ class AdamW:
 
 @dataclass(frozen=True)
 class FreezePolicy:
-    """Trainability flags per parameter group (True = trainable)."""
+    """The parameter groups (entries of model.PARAM_GROUPS) a stage trains;
+    every other group stays frozen."""
 
-    codebook: bool
-    embedder: bool
-    encoder: bool
-    mae_head: bool
-    cls_head: bool
-    name: str = "custom"
+    name: str
+    groups: frozenset[str]
+
+    def __post_init__(self) -> None:
+        unknown = set(self.groups) - set(PARAM_GROUPS)
+        if unknown:
+            raise ConfigError(
+                f"freeze policy {self.name!r} names unknown groups {sorted(unknown)}; known: {list(PARAM_GROUPS)}"
+            )
 
     def trainable_names(self, names: list[str]) -> set[str]:
-        out = set()
-        for n in names:
-            if n == "codebook":
-                flag = self.codebook
-            elif n.startswith(("embed.", "stat.", "adapter.", "pos.")):
-                flag = self.embedder
-            elif n.startswith("enc."):
-                flag = self.encoder
-            elif n.startswith("mae."):
-                flag = self.mae_head
-            elif n.startswith("cls_head."):
-                flag = self.cls_head
-            else:
-                raise ConfigError(f"parameter {n!r} belongs to no freeze group")
-            if flag:
-                out.add(n)
+        out = {n for n in names if param_group(n) in self.groups}
         if not out:
             raise ConfigError(f"freeze policy {self.name!r} leaves nothing trainable")
         return out
 
 
-PRETRAIN_POLICY = FreezePolicy(True, True, True, True, False, name="pretrain-all")
-LINEAR_PROBE = FreezePolicy(False, False, False, False, True, name="linear-probe")
-ENCODER_FINETUNE = FreezePolicy(False, False, True, False, True, name="encoder-finetune")
+PRETRAIN_POLICY = FreezePolicy("pretrain-all", frozenset(PARAM_GROUPS) - {"cls_head"})
+LINEAR_PROBE = FreezePolicy("linear-probe", frozenset({"cls_head"}))
+ENCODER_FINETUNE = FreezePolicy("encoder-finetune", frozenset({"enc", "cls_head"}))
 
 _POLICIES = {p.name: p for p in (PRETRAIN_POLICY, LINEAR_PROBE, ENCODER_FINETUNE)}
 

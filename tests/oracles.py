@@ -516,3 +516,79 @@ def read_log(path):
             if line:
                 records.append(json.loads(line))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Parameter init written out tensor by tensor: the reference the name-driven
+# init in motionprim.model must reproduce bit for bit
+
+_INIT_STD = 0.02
+
+
+def init_encoder_params(depth, D, H, seed=0):
+    """`depth` per-layer parameter dicts from one generator: LN scales 1 /
+    offsets 0, linear weights ~ N(0, 0.02^2), biases 0."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(depth):
+        layers.append(
+            {
+                "ln1.gamma": np.ones(D),
+                "ln1.beta": np.zeros(D),
+                "attn.wq": rng.normal(0.0, _INIT_STD, size=(D, D)),
+                "attn.bq": np.zeros(D),
+                "attn.wk": rng.normal(0.0, _INIT_STD, size=(D, D)),
+                "attn.bk": np.zeros(D),
+                "attn.wv": rng.normal(0.0, _INIT_STD, size=(D, D)),
+                "attn.bv": np.zeros(D),
+                "attn.wo": rng.normal(0.0, _INIT_STD, size=(D, D)),
+                "attn.bo": np.zeros(D),
+                "ln2.gamma": np.ones(D),
+                "ln2.beta": np.zeros(D),
+                "mlp.w1": rng.normal(0.0, _INIT_STD, size=(D, H)),
+                "mlp.b1": np.zeros(H),
+                "mlp.w2": rng.normal(0.0, _INIT_STD, size=(H, D)),
+                "mlp.b2": np.zeros(D),
+            }
+        )
+    return layers
+
+
+def init_params(config, seed=0):
+    """Every tensor of `init_model(config, seed)`, in checkpoint order: eight
+    component seeds from the run seed, in the order embed, stat, adapter,
+    pos, encoder, MAE head, CLS head, codebook."""
+    K, D = config.codebook_size, config.model_dim
+    state = np.random.SeedSequence(seed).generate_state(8)
+    embed_rng, stat_rng, adapter_rng, pos_rng = (np.random.default_rng(int(s)) for s in state[:4])
+    enc = init_encoder_params(config.depth, D, config.mlp_hidden, int(state[4]))
+    head_rng = np.random.default_rng(int(state[5]))
+    cls_rng = np.random.default_rng(int(state[6]))
+    codebook_rng = np.random.default_rng(int(state[7]))
+    params = {
+        "embed.rows": embed_rng.normal(0.0, _INIT_STD, size=(K + 3, D)),
+        "embed.cls_vector": embed_rng.normal(0.0, _INIT_STD, size=D),
+        "stat.weight": stat_rng.normal(0.0, _INIT_STD, size=(D, 2)),
+        "stat.bias": np.zeros(D),
+        "adapter.weight": adapter_rng.normal(0.0, _INIT_STD, size=(D, config.meta_dim)),
+        "adapter.bias": np.zeros(D),
+        "pos.rows": pos_rng.normal(0.0, _INIT_STD, size=(config.segments_per_channel + 3, D)),
+        "mae.weight": head_rng.normal(0.0, _INIT_STD, size=(K, D)),
+        "mae.bias": np.zeros(K),
+        "cls_head.weight": cls_rng.normal(0.0, _INIT_STD, size=(config.num_classes, D)),
+        "cls_head.bias": np.zeros(config.num_classes),
+        "codebook": codebook_rng.normal(0.0, 1.0 / np.sqrt(config.segment_len), size=(K, config.segment_len)),
+    }
+    for i, layer in enumerate(enc):
+        for key, value in layer.items():
+            params[f"enc.{i}.{key}"] = value
+    return params
+
+
+def reinit_cls_head_params(config, num_classes, seed=0):
+    """The fresh head of `reinit_cls_head(model, num_classes, seed)`."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 6]).generate_state(1)[0])
+    return {
+        "cls_head.weight": rng.normal(0.0, _INIT_STD, size=(num_classes, config.model_dim)),
+        "cls_head.bias": np.zeros(num_classes),
+    }

@@ -12,20 +12,23 @@ from motionprim.encoder import (
     gelu,
     gelu_grad,
     grad_check,
-    init_encoder_params,
     layernorm_backward,
     layernorm_forward,
     mlp_backward,
     mlp_forward,
 )
 from motionprim.errors import ConfigError, DataError, NumericError
-from motionprim.model import ModelConfig
+from motionprim.model import ModelConfig, encoder_layers, init_model
 
 TINY = ModelConfig(depth=2, heads=2, model_dim=8, mlp_ratio=2.0)
 
 
+def init_params(config, seed):
+    return init_model(config, seed=seed).params
+
+
 def init_layers(config, seed):
-    return init_encoder_params(config.depth, config.model_dim, config.mlp_hidden, seed=seed)
+    return encoder_layers(init_params(config, seed), config.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +360,25 @@ def scalarize(config, probe):
     loss = <probe, output>, gradients for x and every layer tensor."""
 
     def fn(point):
-        layers = [
-            {key: point[f"layer{i}.{key}"] for key in point_keys}
-            for i in range(config.depth)
-        ]
+        layers = encoder_layers(point, config.depth)
         out, cache = encoder_forward(point["x"], layers, config.heads)
         loss = float(np.sum(out * probe))
         d_x, layer_grads = encoder_backward(probe.copy(), cache, layers)
         grads = {"x": d_x}
         for i, g in enumerate(layer_grads):
             for key, val in g.items():
-                grads[f"layer{i}.{key}"] = val
+                grads[f"enc.{i}.{key}"] = val
         return loss, grads
 
-    point_keys = list(init_layers(config, seed=0)[0])
     return fn
 
 
 def test_encoder_backward_matches_fd():
     rng = np.random.default_rng(9)
     config = ModelConfig(depth=1, heads=2, model_dim=6, mlp_ratio=1.0)
-    layers = init_layers(config, seed=10)
-    x = rng.normal(size=(2, 3, 6))
+    point = {name: t for name, t in init_params(config, seed=10).items() if name.startswith("enc.")}
+    point["x"] = rng.normal(size=(2, 3, 6))
     probe = rng.normal(size=(2, 3, 6))
-    point = {"x": x}
-    for key, val in layers[0].items():
-        point[f"layer0.{key}"] = val
     report = grad_check(scalarize(config, probe), point, tolerance=1e-5, max_coords_per_tensor=40, seed=0)
     assert report.passed, report.max_rel_err
 

@@ -593,6 +593,13 @@ def test_label_native_rate_must_be_positive(tmp_path, rate):
         load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, label=label))
 
 
+@pytest.mark.parametrize("rate", [0, -5, float("nan")])
+def test_target_rate_must_be_positive(tmp_path, rate):
+    # rejected at load, before any CSV is parsed
+    with pytest.raises(DataError, match="target_rate"):
+        load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, target_rate=rate))
+
+
 # ---------------------------------------------------------------------------
 # parsed-column sidecars
 

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from motionprim.ingest import ChannelMetadata, SensorWindow
 from motionprim.metadata import make_provider
 from motionprim.model import (
     FINETUNE_WEIGHTS,
+    PARAM_GROUPS,
     PRETRAIN_WEIGHTS,
     LossWeights,
     Model,
@@ -20,6 +21,7 @@ from motionprim.model import (
     init_model,
     loss_closure,
     mask_positions_for,
+    param_group,
     param_shapes,
     prepare_windows,
     reinit_cls_head,
@@ -99,6 +101,7 @@ def test_param_names_cover_every_component():
     assert "enc.1.mlp.w2" in names
     assert "cls_head.weight" in names
     assert len(names) == len(set(names))
+    assert {param_group(n) for n in names} == set(PARAM_GROUPS)
 
 
 def test_init_model_shapes_and_determinism():
@@ -148,6 +151,20 @@ def test_reinit_cls_head_only_touches_head():
         if name.startswith("cls_head."):
             continue
         np.testing.assert_array_equal(wider.params[name], model.params[name])
+    for name, want in oracles.reinit_cls_head_params(cfg, num_classes=5, seed=1).items():
+        assert wider.params[name].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "cfg", [tiny_config(), replace(tiny_config(), depth=0), ModelConfig()], ids=["tiny", "depth0", "default"]
+)
+def test_init_model_matches_the_explicit_reference(cfg):
+    got = init_model(cfg, seed=7).params
+    want = oracles.init_params(cfg, seed=7)
+    assert list(got) == list(want) == list(param_shapes(cfg))
+    for name in want:
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,10 @@ def names_used(path: Path) -> set[str]:
 
 
 def test_no_public_name_is_reached_only_from_tests():
-    # test-only helpers belong in tests/oracles.py; the package re-exports
-    # in __init__.py do not count as a use
+    """Test-only helpers belong in tests/oracles.py; the package re-exports
+    in __init__.py do not count as a use. Names are matched bare, so a dead
+    member still passes while any other object's member of the same name is
+    read (a property `num_channels` on one class is hidden by another's)."""
     users = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     users += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     used = set().union(*(names_used(p) for p in users))

@@ -56,7 +56,7 @@ def test_quantize_batch_matches_itemwise_and_counts_usage():
     segs = rng.normal(size=(40, 4))
     indices, distances = nearest_prototypes(segs, protos)
     for i in range(40):
-        single_idx, single_dist = nearest_prototypes(segs[i], protos)
+        single_idx, single_dist = nearest_prototypes(segs[i : i + 1], protos)
         assert indices[i] == single_idx[0]
         assert distances[i] == single_dist[0]
     # a usage report over these assignments counts duplicates
@@ -163,7 +163,14 @@ def test_nearest_prototypes_rejects_nonfinite_segments():
     with pytest.raises(DataError, match="finite"):
         nearest_prototypes(np.array([[np.nan, 1.0], [0.0, 1.0]]), np.array([[5.0, 5.0], [0.0, 1.0]]))
     with pytest.raises(DataError, match="finite"):
-        nearest_prototypes(np.array([np.inf, 0.0]), np.array([[5.0, 5.0], [0.0, 1.0]]))
+        nearest_prototypes(np.array([[np.inf, 0.0]]), np.array([[5.0, 5.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 2, 2), ()])
+def test_nearest_prototypes_rejects_segments_that_are_not_a_stack(shape):
+    # a 3-d input used to die on a bare ValueError while unpacking its shape
+    with pytest.raises(DataError, match="segment stack"):
+        nearest_prototypes(np.zeros(shape), np.array([[5.0, 5.0], [0.0, 1.0]]))
 
 
 def test_nearest_prototypes_rejects_nonfinite_prototypes():

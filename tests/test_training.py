@@ -16,15 +16,17 @@ from motionprim.model import (
     init_model,
     mask_positions_for,
     param_shapes,
+    reinit_cls_head,
     tiny_batch,
     tiny_config,
 )
-from motionprim.tensorfile import save_tensors
+from motionprim.tensorfile import load_tensors, save_tensors
 from motionprim.training import (
     ENCODER_FINETUNE,
     LINEAR_PROBE,
     PRETRAIN_POLICY,
     AdamW,
+    FreezePolicy,
     OptimizerConfig,
     _epoch_plan,
     checkpoint_hash,
@@ -164,6 +166,7 @@ def test_optimizer_config_validation():
 def test_policy_groups():
     names = list(param_shapes(tiny_config()))
     pre = PRETRAIN_POLICY.trainable_names(names)
+    assert pre == {n for n in names if not n.startswith("cls_head.")}
     assert "codebook" in pre
     assert "enc.0.attn.wq" in pre
     assert "mae.weight" in pre
@@ -176,6 +179,15 @@ def test_policy_groups():
     assert "embed.rows" not in ft
     assert "codebook" not in ft
     assert "mae.weight" not in ft
+    assert FreezePolicy("mae-only", frozenset({"mae"})).trainable_names(names) == {"mae.weight", "mae.bias"}
+
+
+def test_policy_rejects_unknown_and_empty_groups():
+    # a misspelt group would otherwise freeze that group without a word
+    with pytest.raises(ConfigError, match="encoder"):
+        FreezePolicy("typo", frozenset({"enc", "encoder"}))
+    with pytest.raises(ConfigError, match="nothing trainable"):
+        FreezePolicy("none", frozenset()).trainable_names(list(param_shapes(tiny_config())))
 
 
 def test_policy_by_name():
@@ -451,6 +463,15 @@ def test_checkpoint_round_trip(tmp_path):
     for name in model.params:
         np.testing.assert_array_equal(back.params[name], model.params[name])
     np.testing.assert_array_equal(back.usage_counts, model.usage_counts)
+
+
+def test_checkpoint_lists_tensors_in_param_shapes_order(tmp_path):
+    model = init_model(tiny_config(), seed=0)
+    path = tmp_path / "m.ckpt"
+    for m in (model, reinit_cls_head(model, num_classes=5, seed=1)):
+        save_checkpoint(path, m)
+        _, tensors = load_tensors(path)
+        assert list(tensors) == [*param_shapes(m.config), "usage_counts"]
 
 
 def test_checkpoint_hash_is_content_hash(tmp_path):
