@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -101,6 +102,9 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # it names files inside out_dir, so a separator would point elsewhere
+        if self.run_id and (self.run_id == ".." or Path(self.run_id).name != self.run_id):
+            raise ConfigError(f"run_id {self.run_id!r} must be a plain file name, without a path separator")
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> tuple[RunConfig, dict, list[str]]:
@@ -156,6 +160,20 @@ def _run_id(merged: dict, command: str) -> str:
     return merged["run_id"] or f"{command}-{config_hash(merged)[:8]}"
 
 
+def _output_dir(path: str | Path) -> Path:
+    """Make a command's output directory, parents included, before the
+    command loads data or trains; a path that cannot be a writable
+    directory is a ConfigError."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {str(out_dir)!r} as the output directory: {exc}") from exc
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {str(out_dir)!r} is not writable")
+    return out_dir
+
+
 def _write_run_manifest(out_dir: Path, command: str, merged: dict, applied: list[str], outputs: list[str]) -> None:
     manifest = {
         "command": command,
@@ -170,7 +188,6 @@ def _write_run_manifest(out_dir: Path, command: str, merged: dict, applied: list
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -188,13 +205,14 @@ def _prepare_dataset(path: str, model_config: ModelConfig, provider) -> Prepared
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synthetic_spec(args.spec)
-    manifest_path = write_synthetic_dataset(spec, args.out_dir)
+    out_dir = _output_dir(args.out_dir)
+    manifest_path = write_synthetic_dataset(spec, out_dir)
     _write_run_manifest(
-        Path(args.out_dir),
+        out_dir,
         "synth",
         {"spec": args.spec, "seed": spec.seed},
         [],
-        [str(manifest_path), str(Path(args.out_dir) / "data.csv")],
+        [str(manifest_path), str(out_dir / "data.csv")],
     )
     print(f"wrote {manifest_path}")
     return EXIT_OK
@@ -205,7 +223,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     if not run.datasets:
         raise ConfigError("pretraining needs at least one dataset manifest in 'datasets'")
     provider = make_provider(**asdict(run.provider))
-    out_dir = Path(run.out_dir)
+    out_dir = _output_dir(run.out_dir)
     run_id = _run_id(merged, "pretrain")
     datasets = [_prepare_dataset(p, run.model, provider) for p in run.datasets]
     model, records = pretrain(
@@ -216,7 +234,6 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         codebook_init=run.codebook_init,
         weights=run.loss_weights or PRETRAIN_WEIGHTS,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{run_id}.ckpt"
     save_checkpoint(ckpt_path, model, {"stage": "pretrain", "seed": run.seed})
     log_path = out_dir / f"{run_id}_train.jsonl"
@@ -238,10 +255,10 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     run, merged, applied = load_run_config(args.config, args.set or [])
     if len(run.datasets) != 1:
         raise ConfigError("fine-tuning needs exactly one dataset manifest in 'datasets'")
-    model, _ = load_checkpoint(args.checkpoint)
     provider = make_provider(**asdict(run.provider))
-    out_dir = Path(run.out_dir)
+    out_dir = _output_dir(run.out_dir)
     run_id = _run_id(merged, "finetune")
+    model, _ = load_checkpoint(args.checkpoint)
     batch = _prepare_dataset(run.datasets[0], model.config, provider)
     result = finetune(
         model,
@@ -252,7 +269,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         run_seed=run.seed,
         weights=run.loss_weights or FINETUNE_WEIGHTS,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{run_id}.ckpt"
     save_checkpoint(ckpt_path, result.model, {"stage": "finetune", "seed": run.seed})
     metrics_path = out_dir / f"{run_id}_metrics.json"
@@ -270,12 +286,11 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     run, merged, applied = load_run_config(args.config, args.set or [])
-    model, _ = load_checkpoint(args.checkpoint)
     provider = make_provider(**asdict(run.provider))
+    out_dir = _output_dir(run.out_dir)
+    model, _ = load_checkpoint(args.checkpoint)
     batch = _prepare_dataset(args.manifest, model.config, provider)
     metrics = evaluate(model, batch, workers=run.workers)
-    out_dir = Path(run.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_id = _run_id(merged, "evaluate")
     metrics_path = out_dir / f"{run_id}_metrics.json"
     metrics_path.write_text(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
@@ -294,15 +309,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown reports: {sorted(unknown)}; known: {sorted(known)}")
     if args.top_n < 1 or args.sim_tokens < 1:
         raise ConfigError(f"--top-n and --sim-tokens must be >= 1, got {args.top_n} and {args.sim_tokens}")
-    model, _ = load_checkpoint(args.checkpoint)
     provider = make_provider(**asdict(run.provider))
+    out_dir = _output_dir(run.out_dir)
+    model, _ = load_checkpoint(args.checkpoint)
     batch = _prepare_dataset(args.manifest, model.config, provider)
     if "frequency" in wanted and batch.labels is None:
         # checked before any report is written, so a failed run leaves none
         raise DataError("frequency report needs labeled windows")
     indices = tokenize_dataset(model, batch)
-    out_dir = Path(run.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_id = _run_id(merged, "analyze")
     outputs = []
     K = model.config.codebook_size
@@ -346,6 +360,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.out:
+        _output_dir(Path(args.out).parent)
     reports = gradient_suite(seed=args.seed)
     payload = {}
     all_pass = True
@@ -364,7 +380,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             f"(tolerance {report.tolerance:.0e}) {'PASS' if report.passed else 'FAIL'}"
         )
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
         print(f"report {args.out}")
     return EXIT_OK if all_pass else EXIT_NUMERIC

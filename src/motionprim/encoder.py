@@ -22,6 +22,9 @@ from scipy.special import erf
 from .errors import ConfigError, DataError, NumericError
 
 LN_EPS = 1e-5
+# windows per slice of a forward-only pass: its working set (the attention
+# weights above all) is that of this many windows, whatever the batch size
+FORWARD_CHUNK = 32
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -196,8 +199,12 @@ def encoder_forward(
     Attn(LN1(x)) then + MLP(LN2(.)), with no final normalization, so no
     layers is the identity.
 
-    Without `need_backward` the returned cache holds no layers, so each
-    layer's intermediates are freed before the next layer runs.
+    Without `need_backward` the returned cache holds no layers, and the
+    stack runs over consecutive slices of FORWARD_CHUNK windows written into
+    one (B, Seq, D) result, so each layer's intermediates are those of one
+    slice and are freed before the next layer runs. No window's values
+    depend on another's, and the sliced result equals one pass over all
+    windows bit for bit (tested in tests/test_model.py).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or any(params["ln1.gamma"].shape != x.shape[2:] for params in layers):
@@ -207,6 +214,20 @@ def encoder_forward(
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite encoder input")
     cache = EncoderCache(heads)
+    if need_backward or x.shape[0] <= FORWARD_CHUNK:
+        # one slice needs no result buffer to copy it into
+        return _run_layers(x, layers, heads, cache.layers if need_backward else None), cache
+    out = np.empty_like(x)
+    for start in range(0, x.shape[0], FORWARD_CHUNK):
+        stop = start + FORWARD_CHUNK
+        out[start:stop] = _run_layers(x[start:stop], layers, heads, None)
+    return out, cache
+
+
+def _run_layers(x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, caches: list | None) -> np.ndarray:
+    """The block stack over `x`; each layer's caches are appended to
+    `caches`, or freed before the next layer allocates its own when it is
+    None."""
     for i, params in enumerate(layers):
         normed1, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
         mid, attn_cache = attention_forward(normed1, params, heads)
@@ -216,12 +237,11 @@ def encoder_forward(
         out += mid
         if not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite activations after encoder layer {i}")
-        if need_backward:
-            cache.layers.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
-        # free this layer's intermediates before the next layer allocates its own
+        if caches is not None:
+            caches.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
         del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out
-    return x, cache
+    return x
 
 
 def encoder_backward(

@@ -7,14 +7,11 @@ arguments, so callers are free to parallelize across windows.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
 import json
 import logging
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -568,19 +565,15 @@ def _load_sidecar(path: Path, key: dict) -> _CsvColumns | None:
 
 
 def _write_sidecar(path: Path, columns: _CsvColumns) -> None:
-    """Store freshly parsed columns beside their CSV file: a temporary file
-    renamed over the sidecar. A directory that cannot take it goes without."""
-    sidecar = _sidecar_path(path)
+    """Store freshly parsed columns beside their CSV file (`save_tensors`
+    replaces the sidecar whole). A directory that cannot take it goes
+    without."""
     meta = {**columns.key, "names": {name: values for name, (values, _) in columns.labels.items()}}
     tensors = {**columns.numbers, **{name: codes for name, (_, codes) in columns.labels.items()}}
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tensorfile.save_tensors(tmp, CSV_SIDECAR_KIND, meta, tensors)
-        os.replace(tmp, sidecar)
+        tensorfile.save_tensors(_sidecar_path(path), CSV_SIDECAR_KIND, meta, tensors)
     except OSError as exc:
         logger.debug("no sidecar for %s: %s", path, exc)
-        with contextlib.suppress(OSError):
-            tmp.unlink()
 
 
 def load_dataset(manifest: DatasetManifest) -> LoadedDataset:

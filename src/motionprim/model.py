@@ -374,7 +374,9 @@ def forward(
     (for gradient checks); frozen_prototypes is the stop-gradient copy used
     by the commitment term's second half, defaulting to the live prototypes.
     need_backward=False keeps no backward cache, the encoder's per-layer one
-    included, so `backward` refuses the result.
+    included, so `backward` refuses the result; the encoder then runs in
+    slices of FORWARD_CHUNK windows, while the quantizer scan, the embedding,
+    the heads and the loss reductions still run once over the whole batch.
     """
     cfg = model.config
     B, C, S, L = batch.norm_segments.shape

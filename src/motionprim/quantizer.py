@@ -12,6 +12,10 @@ from .errors import ConfigError, DataError
 KMEANS_ITERS = 25
 # rows per exact rescan: its (rows, K, L) difference tensor bounds peak memory
 _QUANTIZE_CHUNK = 256
+# entries of one GEMM block's (rows, K) distance matrix: 1 MiB of float64, so
+# a scan's temporaries stay cache-sized and are reused from one block to the
+# next instead of being mapped afresh on every call
+_SCAN_BLOCK = 1 << 17
 
 
 def init_codebook(
@@ -25,9 +29,11 @@ def init_codebook(
 
     random-normal draws entries ~ N(0, 1/L) so random prototypes have about
     unit norm, matching the scale of normalized segments. kmeans-seeded runs
-    a fixed 25 Lloyd iterations on `sample` (shape (n, L), n >= K), starting
+    at most 25 Lloyd iterations on `sample` (shape (n, L), n >= K), starting
     from a seeded without-replacement draw of K sample points; clusters that
-    lose all members keep their previous centroid.
+    lose all members keep their previous centroid. It stops early once an
+    assignment repeats the previous one: the centroids are then at a fixed
+    point, so the result has the bits all 25 iterations would give.
     """
     if K < 2:
         raise ConfigError("codebook size K must be >= 2")
@@ -47,8 +53,11 @@ def init_codebook(
         picks = rng.choice(sample.shape[0], size=K, replace=False)
         centroids = sample[picks].copy()
         columns = np.ascontiguousarray(sample.T)
+        assign = None
         for _ in range(KMEANS_ITERS):
-            assign = nearest_prototypes(sample, centroids)[0]
+            previous, assign = assign, nearest_prototypes(sample, centroids)[0]
+            if previous is not None and np.array_equal(assign, previous):
+                break
             counts = np.bincount(assign, minlength=K)
             # a weighted bincount adds each cluster's members in sample order:
             # the same sequential sum as members.mean(axis=0) computes
@@ -83,9 +92,7 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
     n, L = segments.shape
     proto_sq = np.sum(prototypes * prototypes, axis=1)
     max_proto_sq = float(proto_sq.max())
-    # a GEMM chunk's (rows, K) distance matrix is as large as one rescan's
-    # (_QUANTIZE_CHUNK, K, L) difference tensor
-    rows = _QUANTIZE_CHUNK * max(L, 1)
+    rows = max(1, _SCAN_BLOCK // prototypes.shape[0])
     indices = np.empty(n, dtype=np.int64)
     distances = np.empty(n, dtype=np.float64)
     for start in range(0, n, rows):

@@ -9,9 +9,11 @@ which checkpoint hashing relies on.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,12 @@ _DTYPES = {
 def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
     """Write `tensors` to `path`. Floats are stored as little-endian float64,
     integers as little-endian int64; other dtypes are rejected. An array
-    already in its stored form is written from its own buffer, uncopied."""
+    already in its stored form is written from its own buffer, uncopied.
+
+    The bytes go to a uniquely named temporary file in the same directory,
+    which then replaces `path` in one rename: a write that fails or is
+    killed leaves any previous file at `path` whole. A failed write removes
+    its temporary file."""
     entries = []
     arrays = []
     for name, arr in tensors.items():
@@ -48,13 +55,21 @@ def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.
         arrays.append(np.asarray(arr, dtype=stored, order="C"))
     header = {"kind": kind, "version": 1, "meta": meta, "tensors": entries}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header_bytes).to_bytes(8, "big"))
-        fh.write(header_bytes)
-        for arr in arrays:
-            if arr.size:  # a memoryview with a zero in its shape cannot be cast
-                fh.write(memoryview(arr).cast("B"))
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(header_bytes).to_bytes(8, "big"))
+            fh.write(header_bytes)
+            for arr in arrays:
+                if arr.size:  # a memoryview with a zero in its shape cannot be cast
+                    fh.write(memoryview(arr).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def load_tensors(path: str | Path, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .encoder import FORWARD_CHUNK
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .model import (
     FINETUNE_WEIGHTS,
@@ -387,15 +388,15 @@ def metrics_from_confusion(confusion: np.ndarray) -> EvalMetrics:
 def evaluate(
     model: Model,
     batch: PreparedBatch,
-    micro_batch: int = 32,
+    micro_batch: int = FORWARD_CHUNK,
     workers: int = 1,
 ) -> EvalMetrics:
     """Accuracy / macro-F1 / confusion on a labeled batch, without masking.
 
     Windows go through forward-only passes of `micro_batch` windows, spread
-    over `workers` threads. The default of 32 keeps a pass's largest array,
-    the attention weights, small enough to stay in cache; larger chunks are
-    slower, not faster.
+    over `workers` threads. The default, the encoder's FORWARD_CHUNK, keeps a
+    pass's largest array, the attention weights, small enough to stay in
+    cache; larger chunks are slower, not faster.
     """
     if micro_batch < 1:
         raise ConfigError(f"evaluate micro_batch must be >= 1, got {micro_batch}")

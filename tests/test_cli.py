@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionprim import cli
+from motionprim import cli, training
 from motionprim.errors import ConfigError
 from motionprim.model import ModelConfig, init_model
 from motionprim.training import save_checkpoint
@@ -388,7 +388,8 @@ def test_exit_2_when_no_datasets(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_3_on_missing_dataset(tmp_path, capsys):
+def test_exit_3_on_missing_dataset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default out_dir, made before the data is read
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"datasets": [str(tmp_path / "nope" / "manifest.json")]}))
     code = cli.main(["pretrain", "--config", str(cfg)])
@@ -518,6 +519,65 @@ def test_exit_4_on_corrupted_checkpoints(workdir, tmp_path, capsys):
         broken.write_bytes(raw)
         outcomes[label] = _evaluate_exit(cfg_path, data_dir, broken, capsys)
     assert outcomes and set(outcomes.values()) == {(4, "checkpoint")}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate", "analyze"])
+def test_out_dir_that_is_a_file_exits_2_before_any_work(workdir, tmp_path, capsys, monkeypatch, command):
+    # the output directory is made and checked first: no data is loaded and
+    # no epoch runs before an unusable one is reported
+    _, cfg_path, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    blocker = tmp_path / "taken"
+    blocker.write_text("a regular file")
+    epochs = []
+    monkeypatch.setattr(training, "run_training", lambda *args, **kwargs: epochs.append(args))
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("data loaded"))
+    operands = {
+        "pretrain": [],
+        "finetune": [str(ckpt)],
+        "evaluate": [str(ckpt), str(data_dir / "manifest.json")],
+        "analyze": [str(ckpt), str(data_dir / "manifest.json")],
+    }[command]
+    assert cli.main([command, "--config", str(cfg_path), "--set", f"out_dir={blocker}", *operands]) == 2
+    assert "output directory" in _config_error(capsys)["message"]
+    assert epochs == []
+    assert blocker.read_text() == "a regular file"
+
+
+def test_out_dir_that_is_not_writable_exits_2(workdir, tmp_path, capsys, monkeypatch):
+    # os.access stands in for a read-only directory, which root could write
+    _, cfg_path, _ = workdir
+    monkeypatch.setattr(cli.os, "access", lambda *args: False)
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}"]) == 2
+    assert "not writable" in _config_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("run_id", ["sub/x", ".."])
+def test_run_id_that_is_not_a_file_name_exits_2_before_any_epoch(workdir, tmp_path, capsys, monkeypatch, run_id):
+    # a run_id names files inside out_dir; "sub/x" used to train to the end
+    # and then fail to open out_dir/sub/x.ckpt
+    _, cfg_path, _ = workdir
+    epochs = []
+    monkeypatch.setattr(training, "run_training", lambda *args, **kwargs: epochs.append(args))
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}", "--set", f"run_id={run_id}"]) == 2
+    assert "run_id" in _config_error(capsys)["message"]
+    assert epochs == []
+
+
+def test_synth_below_a_file_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SPEC))
+    (tmp_path / "notadir").write_text("")
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "notadir" / "sub")]) == 2
+    assert "notadir" in _config_error(capsys)["message"]
+
+
+def test_gradcheck_out_below_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    (tmp_path / "notadir").write_text("")
+    monkeypatch.setattr(cli, "gradient_suite", lambda *args, **kwargs: pytest.fail("checks ran"))
+    assert cli.main(["gradcheck", "--out", str(tmp_path / "notadir" / "grad.json")]) == 2
+    _config_error(capsys)
 
 
 def test_exit_3_on_missing_spec(tmp_path, capsys):

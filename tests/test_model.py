@@ -1,12 +1,15 @@
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import bench_model_config, bench_spec
 from motionprim import model as model_module
+from motionprim.encoder import FORWARD_CHUNK
 from motionprim.errors import ConfigError, DataError, NumericError
-from motionprim.ingest import ChannelMetadata, SensorWindow
+from motionprim.ingest import ChannelMetadata, SensorWindow, generate_synthetic
 from motionprim.metadata import make_provider
 from motionprim.model import (
     FINETUNE_WEIGHTS,
@@ -461,3 +464,59 @@ def test_chunked_cls_probs_equal_one_full_batch_forward(bench_shape_eval):
         [forward(model, batch.subset(idx), FINETUNE_WEIGHTS, need_backward=False).cls_probs for idx in chunks]
     )
     assert np.array_equal(chunked, full)
+
+
+@pytest.fixture(scope="module")
+def bench_batch_400(bench_provider):
+    """400 labeled windows at the acceptance config."""
+    return prepare_windows(generate_synthetic(bench_spec(12, 100)), bench_model_config(), bench_provider)
+
+
+def _held_out_mask(model, batch):
+    layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
+    return mask_positions_for(layout, model.config.mask_ratio, 9, 0, batch.window_ids)
+
+
+@pytest.mark.parametrize("which", ["tiny", "bench"])
+def test_sliced_forward_only_pass_equals_one_training_mode_pass(which, bench_batch_400):
+    # a forward-only pass runs the encoder in FORWARD_CHUNK-window slices, a
+    # training-mode pass over all windows at once; with and without a mask,
+    # every output is the same bits, whether the last slice is full, 1 window
+    # (33, 65) or the only one (1, 31)
+    if which == "tiny":
+        model, batch = init_model(tiny_config(), seed=4), tiny_batch(seed=8, num_windows=400)
+    else:
+        model, batch = init_model(bench_model_config(), seed=4), bench_batch_400
+    weights = LossWeights(1.0, 1.0, 1.0)
+    for n in (1, 31, 33, 65, 400):
+        sub = batch.subset(np.arange(n))
+        for mask in (None, _held_out_mask(model, sub)):
+            sliced = forward(model, sub, weights, mask_positions=mask, need_backward=False)
+            whole = forward(model, sub, weights, mask_positions=mask)
+            where = f"{which}: {n} windows, mask {mask is not None}"
+            assert sliced._cache == {} and whole._cache, where
+            for name in ("hidden", "indices", "cls_probs"):
+                assert np.array_equal(getattr(sliced, name), getattr(whole, name)), f"{where}: {name}"
+            assert (sliced.mae_loss, sliced.vq_loss, sliced.loss) == (whole.mae_loss, whole.vq_loss, whole.loss), where
+            assert (sliced.mae_loss > 0) == (mask is not None), where
+
+
+def test_forward_only_peak_memory_does_not_grow_with_the_batch(bench_batch_400):
+    # tracemalloc sees numpy's buffers: over 8 encoder slices the peak, less
+    # the returned hidden states, stays below twice that of a 1-slice pass
+    # (it was 7.6 times as large when the whole batch went through at once)
+    model = init_model(bench_model_config(), seed=4)
+
+    def peak(n):
+        sub = bench_batch_400.subset(np.arange(n))
+        mask = _held_out_mask(model, sub)
+        tracemalloc.start()
+        try:
+            hidden = forward(model, sub, PRETRAIN_WEIGHTS, mask_positions=mask, need_backward=False).hidden
+            return tracemalloc.get_traced_memory()[1], hidden.nbytes
+        finally:
+            tracemalloc.stop()
+
+    one, _ = peak(FORWARD_CHUNK)
+    eight, hidden_bytes = peak(8 * FORWARD_CHUNK)
+    assert eight - hidden_bytes < 2 * one, (one, eight, hidden_bytes)

@@ -16,6 +16,7 @@ from motionprim.model import (
     tiny_batch,
     tiny_config,
 )
+from motionprim import quantizer
 from motionprim.quantizer import KMEANS_ITERS, init_codebook, nearest_prototypes, usage_report
 
 VQ_ONLY = LossWeights(0.0, 0.0, 1.0)
@@ -66,9 +67,9 @@ def test_quantize_batch_matches_itemwise_and_counts_usage():
 
 
 def test_nearest_prototypes_chunking_invariant():
-    # more segments than one GEMM chunk (256 * L rows), same answer
+    # more segments than one GEMM block (2^17 / K = 2048 rows), same answer
     rng = np.random.default_rng(4)
-    protos = rng.normal(size=(16, 8))
+    protos = rng.normal(size=(64, 8))
     segs = rng.normal(size=(5000, 8))
     idx, dist = nearest_prototypes(segs, protos)
     for i in range(0, 5000, 97):
@@ -281,6 +282,24 @@ def test_kmeans_update_is_bitwise_the_member_mean_loop():
             if members.shape[0] > 0:
                 centroids[k] = members.mean(axis=0)
     np.testing.assert_array_equal(protos, centroids)
+
+
+@pytest.mark.parametrize("seed, scans", [(0, 11), (2, KMEANS_ITERS)])
+def test_kmeans_stops_at_its_fixed_point_with_the_bits_of_all_iterations(monkeypatch, seed, scans):
+    # seed 0's 11th assignment repeats its 10th, so the loop stops there;
+    # seed 2's assignment still changes at the 25th. Both equal the full
+    # 25-iteration loop bit for bit.
+    sample = np.random.default_rng(seed).normal(size=(200, 2))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return nearest_prototypes(*args)
+
+    monkeypatch.setattr(quantizer, "nearest_prototypes", counting)
+    protos = init_codebook(8, 2, "kmeans-seeded", sample=sample, seed=seed)
+    assert len(calls) == scans
+    assert np.array_equal(protos, oracles.kmeans(sample, 8, seed=seed, iters=KMEANS_ITERS))
 
 
 def test_kmeans_requires_enough_sample():

@@ -1,11 +1,17 @@
+import builtins
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
 import oracles
+from motionprim import tensorfile
 from motionprim.errors import CheckpointError
+from motionprim.model import init_model, tiny_config
 from motionprim.tensorfile import MAGIC, load_tensors, save_tensors
+from motionprim.training import load_checkpoint, save_checkpoint
 
 
 def test_round_trip(tmp_path):
@@ -61,6 +67,48 @@ def test_bytes_equal_the_copying_writer(tmp_path):
     for name, arr in tensors.items():
         np.testing.assert_array_equal(got[name], arr)
         assert got[name].shape == np.shape(arr) and got[name].flags.writeable
+
+
+@pytest.mark.parametrize("fail_after", [0, 100, 2000, None])
+def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch, fail_after):
+    # a write that dies after `fail_after` bytes (None: in the final rename)
+    # leaves the previous checkpoint byte-equal and loadable, and no
+    # temporary file behind
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, init_model(tiny_config(), seed=1))
+    before = path.read_bytes()
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.written = fh, 0
+
+        def write(self, data):
+            if self.written + len(data) > fail_after:
+                self.fh.write(bytes(data)[: fail_after - self.written])
+                no_space()
+            self.written += len(data)
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    if fail_after is None:
+        monkeypatch.setattr(os, "replace", no_space)
+    else:
+        monkeypatch.setattr(tensorfile, "open", lambda *a: FailingFile(builtins.open(*a)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, init_model(tiny_config(), seed=2))
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
+    assert path.read_bytes() == before
+    model, _ = load_checkpoint(path)
+    assert all(np.array_equal(model.params[n], t) for n, t in init_model(tiny_config(), seed=1).params.items())
 
 
 def test_unsupported_dtype_writes_nothing(tmp_path):
