@@ -2,8 +2,8 @@
 
 Pretrains at toy scale, tokenizes the dataset, and walks the three report
 types: which codes dominate which class, how codes follow each other within
-a channel, and how similar the learned code embeddings are. Everything is
-also exported to CSV next to this script's temp directory.
+a channel, and how similar the learned code embeddings are. Each report is
+also exported as CSV and JSON into a temporary directory.
 """
 
 import tempfile
@@ -12,9 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from motionprim.analysis import (
-    export_frequency_csv,
-    export_similarity_csv,
-    export_transitions_csv,
+    export_report,
     frequency,
     similarity,
     token_streams,
@@ -95,10 +93,9 @@ def main() -> None:
           f"mean {off.mean():.3f}, extremes [{off.min():.3f}, {off.max():.3f}]")
 
     out = Path(tempfile.mkdtemp(prefix="motionprim_reports_"))
-    export_frequency_csv(freq, out / "frequency.csv")
-    export_transitions_csv(trans, out / "transitions.csv")
-    export_similarity_csv(sim, out / "similarity.csv")
-    print(f"\nCSV reports written to {out}")
+    for report in (freq, trans, sim):
+        export_report(report, out, "demo")
+    print(f"\nCSV and JSON reports (demo_<report>.csv, .json) written to {out}")
 
 
 if __name__ == "__main__":

@@ -1,22 +1,26 @@
 """Interpretability reports over a trained model: primitive-embedding
 cosine similarity, token frequency with per-class composition, and the
-within-channel Markov transition matrix. Exports are deterministic and
-round-trip bit-exactly (floats are written with repr precision).
+within-channel Markov transition matrix. Each report is a table and a JSON
+payload; `export_report` writes both, deterministically, and the CSV
+round-trips bit-exactly (floats are written with repr precision).
 
 File naming convention: <run_id>_<report>.<ext>.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .model import Model
+from .tensorfile import publish
 
 DEFAULT_TOP_N = 32
 
@@ -30,6 +34,23 @@ class SimilarityMatrix:
     values: np.ndarray  # (n, n); rows for zero-norm embeddings are NaN
     token_ids: np.ndarray  # (n,)
     defined: np.ndarray  # (n,) False where the embedding row has zero norm
+
+    name: ClassVar[str] = "similarity"
+
+    def table(self) -> tuple[list[str], list[list]]:
+        """Schema: token_id, sim_<id>...; one row and one column per token."""
+        ids = [str(int(i)) for i in self.token_ids]
+        header = ["token_id"] + [f"sim_{i}" for i in ids]
+        rows = [[ids[r]] + [repr(float(v)) for v in self.values[r]] for r in range(self.values.shape[0])]
+        return header, rows
+
+    def payload(self) -> dict:
+        return {
+            "report": self.name,
+            "token_ids": self.token_ids.tolist(),
+            "defined": self.defined.tolist(),
+            "values": [[None if np.isnan(v) else v for v in row] for row in self.values],
+        }
 
 
 def similarity(token_ids: np.ndarray, model: Model) -> SimilarityMatrix:
@@ -64,14 +85,37 @@ class FrequencyReport:
     total_tokens: int
     top_n: int
 
+    name: ClassVar[str] = "frequency"
+
+    def table(self) -> tuple[list[str], list[list]]:
+        """Schema: rank, vq_index, count, frac_<class>..."""
+        header = ["rank", "vq_index", "count"] + [f"frac_{c}" for c in range(self.num_classes)]
+        rows = [
+            [r, int(self.indices[r]), int(self.counts[r])] + [repr(float(v)) for v in self.fractions[r]]
+            for r in range(self.indices.size)
+        ]
+        return header, rows
+
+    def payload(self) -> dict:
+        return {
+            "report": self.name,
+            "top_n": self.top_n,
+            "num_classes": self.num_classes,
+            "total_tokens": self.total_tokens,
+            "indices": self.indices.tolist(),
+            "counts": self.counts.tolist(),
+            "fractions": self.fractions.tolist(),
+        }
+
 
 def frequency(
     streams: list[tuple[np.ndarray, int]],
+    codebook_size: int,
+    num_classes: int,
     top_n: int = DEFAULT_TOP_N,
-    num_classes: int | None = None,
-    codebook_size: int | None = None,
 ) -> FrequencyReport:
-    """Tally motion tokens over labeled streams.
+    """Tally motion tokens in [0, codebook_size) over streams labeled in
+    [0, num_classes).
 
     streams: (token index array, activity label) pairs, one per channel of
     each window. Composition fractions per index sum to 1 over classes.
@@ -80,13 +124,9 @@ def frequency(
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
     if not streams:
         raise DataError("frequency needs at least one stream")
-    labels = [int(lab) for _, lab in streams]
-    if min(labels) < 0:
+    if min(int(lab) for _, lab in streams) < 0:
         raise DataError("stream labels must be >= 0")
-    ncls = (max(labels) + 1) if num_classes is None else num_classes
-    K = codebook_size
-    if K is None:
-        K = max(int(np.max(tokens)) for tokens, _ in streams if np.asarray(tokens).size) + 1
+    K, ncls = codebook_size, num_classes
     table = np.zeros((K, ncls), dtype=np.int64)
     total = 0
     for tokens, label in streams:
@@ -127,6 +167,28 @@ class TransitionMatrix:
     row_counts: np.ndarray  # (K,) outgoing transition observations
     observed: np.ndarray  # (K,) bool
     total_transitions: int
+
+    name: ClassVar[str] = "transitions"
+
+    def table(self) -> tuple[list[str], list[list]]:
+        """Schema: from_index, observed, row_count, p_<to>... (row-stochastic
+        where observed, zeros elsewhere)."""
+        K = self.probabilities.shape[0]
+        header = ["from_index", "observed", "row_count"] + [f"p_{k}" for k in range(K)]
+        rows = [
+            [k, int(self.observed[k]), int(self.row_counts[k])] + [repr(float(v)) for v in self.probabilities[k]]
+            for k in range(K)
+        ]
+        return header, rows
+
+    def payload(self) -> dict:
+        return {
+            "report": self.name,
+            "total_transitions": self.total_transitions,
+            "observed": self.observed.tolist(),
+            "row_counts": self.row_counts.tolist(),
+            "probabilities": self.probabilities.tolist(),
+        }
 
 
 def transitions(streams: list[np.ndarray], codebook_size: int) -> TransitionMatrix:
@@ -176,26 +238,23 @@ def token_streams(indices: np.ndarray, labels: np.ndarray | None) -> list[tuple[
 # Export / import
 
 
-def report_path(out_dir: str | Path, run_id: str, report: str, ext: str) -> Path:
-    return Path(out_dir) / f"{run_id}_{report}.{ext}"
+def export_report(
+    report: SimilarityMatrix | FrequencyReport | TransitionMatrix, out_dir: str | Path, run_id: str
+) -> list[Path]:
+    """Write `report` into `out_dir` as <run_id>_<name>.csv, its table, and
+    <run_id>_<name>.json, its payload (NaN as null), each through
+    `tensorfile.publish`; returns the two paths."""
+    csv_path, json_path = (Path(out_dir) / f"{run_id}_{report.name}.{ext}" for ext in ("csv", "json"))
+    header, rows = report.table()
 
-
-def _write_rows(path: str | Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    def write_csv(fh) -> None:
+        writer = csv.writer(codecs.getwriter("utf-8")(fh))
         writer.writerow(header)
         writer.writerows(rows)
 
-
-def export_similarity_csv(matrix: SimilarityMatrix, path: str | Path) -> None:
-    """Schema: token_id, sim_<id>...; one row and one column per token."""
-    ids = [str(int(i)) for i in matrix.token_ids]
-    header = ["token_id"] + [f"sim_{i}" for i in ids]
-    rows = [
-        [ids[r]] + [repr(float(v)) for v in matrix.values[r]]
-        for r in range(matrix.values.shape[0])
-    ]
-    _write_rows(path, header, rows)
+    publish(csv_path, write_csv)
+    publish(json_path, lambda fh: fh.write(json.dumps(report.payload(), indent=2, sort_keys=True).encode()))
+    return [csv_path, json_path]
 
 
 def read_similarity_csv(path: str | Path) -> SimilarityMatrix:
@@ -206,17 +265,6 @@ def read_similarity_csv(path: str | Path) -> SimilarityMatrix:
         values = np.array([[float(v) for v in row[1:]] for row in reader])
     defined = ~np.isnan(values).all(axis=1)
     return SimilarityMatrix(values, ids, defined)
-
-
-def export_frequency_csv(report: FrequencyReport, path: str | Path) -> None:
-    """Schema: rank, vq_index, count, frac_<class>..."""
-    header = ["rank", "vq_index", "count"] + [f"frac_{c}" for c in range(report.num_classes)]
-    rows = [
-        [r, int(report.indices[r]), int(report.counts[r])]
-        + [repr(float(v)) for v in report.fractions[r]]
-        for r in range(report.indices.size)
-    ]
-    _write_rows(path, header, rows)
 
 
 def read_frequency_csv(path: str | Path) -> FrequencyReport:
@@ -240,19 +288,6 @@ def read_frequency_csv(path: str | Path) -> FrequencyReport:
     )
 
 
-def export_transitions_csv(matrix: TransitionMatrix, path: str | Path) -> None:
-    """Schema: from_index, observed, row_count, p_<to>... (row-stochastic
-    where observed, zeros elsewhere)."""
-    K = matrix.probabilities.shape[0]
-    header = ["from_index", "observed", "row_count"] + [f"p_{k}" for k in range(K)]
-    rows = [
-        [k, int(matrix.observed[k]), int(matrix.row_counts[k])]
-        + [repr(float(v)) for v in matrix.probabilities[k]]
-        for k in range(K)
-    ]
-    _write_rows(path, header, rows)
-
-
 def read_transitions_csv(path: str | Path) -> TransitionMatrix:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -269,35 +304,3 @@ def read_transitions_csv(path: str | Path) -> TransitionMatrix:
         observed=np.array(observed, dtype=bool),
         total_transitions=int(row_counts_arr.sum()),
     )
-
-
-def export_report_json(report, path: str | Path) -> None:
-    """Structured-text twin of the CSV exports (arrays nested as lists)."""
-    if isinstance(report, SimilarityMatrix):
-        payload = {
-            "report": "similarity",
-            "token_ids": report.token_ids.tolist(),
-            "defined": report.defined.tolist(),
-            "values": [[None if np.isnan(v) else v for v in row] for row in report.values],
-        }
-    elif isinstance(report, FrequencyReport):
-        payload = {
-            "report": "frequency",
-            "top_n": report.top_n,
-            "num_classes": report.num_classes,
-            "total_tokens": report.total_tokens,
-            "indices": report.indices.tolist(),
-            "counts": report.counts.tolist(),
-            "fractions": report.fractions.tolist(),
-        }
-    elif isinstance(report, TransitionMatrix):
-        payload = {
-            "report": "transitions",
-            "total_transitions": report.total_transitions,
-            "observed": report.observed.tolist(),
-            "row_counts": report.row_counts.tolist(),
-            "probabilities": report.probabilities.tolist(),
-        }
-    else:
-        raise DataError(f"unknown report type {type(report).__name__}")
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))

@@ -3,8 +3,8 @@ gradcheck. Config precedence is defaults < config file < --set overrides,
 every override logged; every run writes a run_manifest with the config hash,
 seed, and library versions.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 checkpoint error,
-5 numeric failure.
+Exit codes: 0 ok, 2 config error or an output file that cannot be written,
+3 data error, 4 checkpoint error, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,17 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import (
-    export_frequency_csv,
-    export_report_json,
-    export_similarity_csv,
-    export_transitions_csv,
-    frequency,
-    report_path,
-    similarity,
-    token_streams,
-    transitions,
-)
+from .analysis import export_report, frequency, similarity, token_streams, transitions
 from .errors import CheckpointError, ConfigError, DataError, MotionPrimError, NumericError
 from .ingest import load_dataset, load_manifest, load_synthetic_spec, write_synthetic_dataset
 from .metadata import make_provider
@@ -46,6 +36,7 @@ from .model import (
     prepare_windows,
 )
 from .schema import check_fields, field_type, from_dict, read_json
+from .tensorfile import publish
 from .training import (
     OptimizerConfig,
     checkpoint_hash,
@@ -66,6 +57,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
 EXIT_NUMERIC = 5
+
+RUN_MANIFEST = "run_manifest.json"
 
 
 @dataclass
@@ -160,10 +153,11 @@ def _run_id(merged: dict, command: str) -> str:
     return merged["run_id"] or f"{command}-{config_hash(merged)[:8]}"
 
 
-def _output_dir(path: str | Path) -> Path:
+def _output_dir(path: str | Path, *names: str) -> Path:
     """Make a command's output directory, parents included, before the
     command loads data or trains; a path that cannot be a writable
-    directory is a ConfigError."""
+    directory, or an output file name in it that is taken by a directory,
+    is a ConfigError."""
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,7 +165,14 @@ def _output_dir(path: str | Path) -> Path:
         raise ConfigError(f"cannot use {str(out_dir)!r} as the output directory: {exc}") from exc
     if not os.access(out_dir, os.W_OK | os.X_OK):
         raise ConfigError(f"output directory {str(out_dir)!r} is not writable")
+    for name in names:
+        if (out_dir / name).is_dir():
+            raise ConfigError(f"output file {str(out_dir / name)!r} is a directory")
     return out_dir
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    publish(path, lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True).encode()))
 
 
 def _write_run_manifest(out_dir: Path, command: str, merged: dict, applied: list[str], outputs: list[str]) -> None:
@@ -188,7 +189,7 @@ def _write_run_manifest(out_dir: Path, command: str, merged: dict, applied: list
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_json(out_dir / RUN_MANIFEST, manifest)
 
 
 def _prepare_dataset(path: str, model_config: ModelConfig, provider) -> PreparedBatch:
@@ -205,7 +206,7 @@ def _prepare_dataset(path: str, model_config: ModelConfig, provider) -> Prepared
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synthetic_spec(args.spec)
-    out_dir = _output_dir(args.out_dir)
+    out_dir = _output_dir(args.out_dir, "data.csv", "manifest.json", RUN_MANIFEST)
     manifest_path = write_synthetic_dataset(spec, out_dir)
     _write_run_manifest(
         out_dir,
@@ -223,8 +224,8 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     if not run.datasets:
         raise ConfigError("pretraining needs at least one dataset manifest in 'datasets'")
     provider = make_provider(**asdict(run.provider))
-    out_dir = _output_dir(run.out_dir)
     run_id = _run_id(merged, "pretrain")
+    out_dir = _output_dir(run.out_dir, f"{run_id}.ckpt", f"{run_id}_train.jsonl", RUN_MANIFEST)
     datasets = [_prepare_dataset(p, run.model, provider) for p in run.datasets]
     model, records = pretrain(
         run.model,
@@ -256,8 +257,10 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     if len(run.datasets) != 1:
         raise ConfigError("fine-tuning needs exactly one dataset manifest in 'datasets'")
     provider = make_provider(**asdict(run.provider))
-    out_dir = _output_dir(run.out_dir)
     run_id = _run_id(merged, "finetune")
+    out_dir = _output_dir(
+        run.out_dir, f"{run_id}.ckpt", f"{run_id}_metrics.json", f"{run_id}_train.jsonl", RUN_MANIFEST
+    )
     model, _ = load_checkpoint(args.checkpoint)
     batch = _prepare_dataset(run.datasets[0], model.config, provider)
     result = finetune(
@@ -272,7 +275,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     ckpt_path = out_dir / f"{run_id}.ckpt"
     save_checkpoint(ckpt_path, result.model, {"stage": "finetune", "seed": run.seed})
     metrics_path = out_dir / f"{run_id}_metrics.json"
-    metrics_path.write_text(json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True))
+    _write_json(metrics_path, result.metrics.to_dict())
     log_path = out_dir / f"{run_id}_train.jsonl"
     write_log(log_path, result.records)
     _write_run_manifest(
@@ -287,13 +290,13 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     run, merged, applied = load_run_config(args.config, args.set or [])
     provider = make_provider(**asdict(run.provider))
-    out_dir = _output_dir(run.out_dir)
+    run_id = _run_id(merged, "evaluate")
+    out_dir = _output_dir(run.out_dir, f"{run_id}_metrics.json", RUN_MANIFEST)
     model, _ = load_checkpoint(args.checkpoint)
     batch = _prepare_dataset(args.manifest, model.config, provider)
     metrics = evaluate(model, batch, workers=run.workers)
-    run_id = _run_id(merged, "evaluate")
     metrics_path = out_dir / f"{run_id}_metrics.json"
-    metrics_path.write_text(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
+    _write_json(metrics_path, metrics.to_dict())
     _write_run_manifest(out_dir, "evaluate", merged, applied, [str(metrics_path)])
     print(f"metrics {metrics_path}")
     print(f"accuracy {metrics.accuracy!r} macro_f1 {metrics.macro_f1!r}")
@@ -310,49 +313,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.top_n < 1 or args.sim_tokens < 1:
         raise ConfigError(f"--top-n and --sim-tokens must be >= 1, got {args.top_n} and {args.sim_tokens}")
     provider = make_provider(**asdict(run.provider))
-    out_dir = _output_dir(run.out_dir)
+    run_id = _run_id(merged, "analyze")
+    files = [f"{run_id}_{name}.{ext}" for name in wanted for ext in ("csv", "json")]
+    out_dir = _output_dir(run.out_dir, *files, RUN_MANIFEST)
     model, _ = load_checkpoint(args.checkpoint)
     batch = _prepare_dataset(args.manifest, model.config, provider)
     if "frequency" in wanted and batch.labels is None:
         # checked before any report is written, so a failed run leaves none
         raise DataError("frequency report needs labeled windows")
     indices = tokenize_dataset(model, batch)
-    run_id = _run_id(merged, "analyze")
-    outputs = []
     K = model.config.codebook_size
-
+    reports = []
     if "similarity" in wanted:
-        flat = indices.reshape(-1)
-        counts = np.bincount(flat, minlength=K)
+        counts = np.bincount(indices.reshape(-1), minlength=K)
         observed = np.flatnonzero(counts)
         order = observed[np.lexsort((observed, -counts[observed]))]
-        ids = np.sort(order[: min(args.sim_tokens, order.size)])
-        matrix = similarity(ids, model)
-        csv_path = report_path(out_dir, run_id, "similarity", "csv")
-        json_path = report_path(out_dir, run_id, "similarity", "json")
-        export_similarity_csv(matrix, csv_path)
-        export_report_json(matrix, json_path)
-        outputs += [str(csv_path), str(json_path)]
-
+        reports.append(similarity(np.sort(order[: min(args.sim_tokens, order.size)]), model))
     streams = token_streams(indices, batch.labels)
     if "frequency" in wanted:
-        report = frequency(
-            streams, top_n=args.top_n, num_classes=model.config.num_classes, codebook_size=K
-        )
-        csv_path = report_path(out_dir, run_id, "frequency", "csv")
-        json_path = report_path(out_dir, run_id, "frequency", "json")
-        export_frequency_csv(report, csv_path)
-        export_report_json(report, json_path)
-        outputs += [str(csv_path), str(json_path)]
-
+        reports.append(frequency(streams, K, model.config.num_classes, top_n=args.top_n))
     if "transitions" in wanted:
-        matrix = transitions([tokens for tokens, _ in streams], K)
-        csv_path = report_path(out_dir, run_id, "transitions", "csv")
-        json_path = report_path(out_dir, run_id, "transitions", "json")
-        export_transitions_csv(matrix, csv_path)
-        export_report_json(matrix, json_path)
-        outputs += [str(csv_path), str(json_path)]
-
+        reports.append(transitions([tokens for tokens, _ in streams], K))
+    outputs = [str(path) for report in reports for path in export_report(report, out_dir, run_id)]
     _write_run_manifest(out_dir, "analyze", merged, applied, outputs)
     for path in outputs:
         print(f"wrote {path}")
@@ -361,7 +343,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.out:
-        _output_dir(Path(args.out).parent)
+        _output_dir(Path(args.out).parent, Path(args.out).name)
     reports = gradient_suite(seed=args.seed)
     payload = {}
     all_pass = True
@@ -380,7 +362,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             f"(tolerance {report.tolerance:.0e}) {'PASS' if report.passed else 'FAIL'}"
         )
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(Path(args.out), payload)
         print(f"report {args.out}")
     return EXIT_OK if all_pass else EXIT_NUMERIC
 
@@ -469,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except MotionPrimError as exc:  # pragma: no cover - catch-all for new subtypes
         _report_error("error", exc)
+        return EXIT_CONFIG
+    except OSError as exc:  # every read wraps its OSError, so this is a write
+        _report_error("output", exc)
         return EXIT_CONFIG
 
 

@@ -631,11 +631,11 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
     return LoadedDataset(manifest.name, windows, class_names)
 
 
-def _label_suffix(name: str) -> str:
-    """The end of a data row: a comma, the label quoted as csv.writer quotes
-    it, and csv.writer's line end."""
+def _csv_line(fields: list[str]) -> str:
+    """One CSV row, quoted as csv.writer quotes it and ended with its line
+    end."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(["", name])
+    csv.writer(buf).writerow(fields)
     return buf.getvalue()
 
 
@@ -647,12 +647,14 @@ def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     streams = synthesize_streams(spec)
     channel_names = [f"{m.body_part}_{m.sensor}_{m.axis}".lower() for m in spec.channels]
-    data_path = out_dir / "data.csv"
-    with open(data_path, "w", newline="") as fh:
-        csv.writer(fh).writerow(channel_names + ["label"])
+
+    def write_data(fh) -> None:
+        fh.write(_csv_line(channel_names + ["label"]).encode())
         for cls, stream in zip(spec.classes, streams):
-            suffix = _label_suffix(cls.name)
-            fh.write(suffix.join(",".join(map(repr, row)) for row in stream.tolist()) + suffix)
+            suffix = _csv_line(["", cls.name])  # a row's end: a comma, the label, the line end
+            fh.write((suffix.join(",".join(map(repr, row)) for row in stream.tolist()) + suffix).encode())
+
+    tensorfile.publish(out_dir / "data.csv", write_data)
     manifest = {
         "name": "synthetic",
         "target_rate": spec.rate,
@@ -673,5 +675,5 @@ def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
         ],
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    tensorfile.publish(manifest_path, lambda fh: fh.write(json.dumps(manifest, indent=2).encode()))
     return manifest_path

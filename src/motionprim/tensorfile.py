@@ -4,7 +4,8 @@ Layout: magic line, 8-byte big-endian header length, JSON header, then the
 raw buffers concatenated in header order. The header records kind, format
 version, user metadata, and per-tensor name/dtype/shape. Writing the same
 content always produces the same bytes (sorted JSON keys, no timestamps),
-which checkpoint hashing relies on.
+which checkpoint hashing relies on. `publish` is the package's one file
+writer: every artifact reaches disk through it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import json
 import math
 import os
 import secrets
+from collections.abc import Callable
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -32,15 +35,29 @@ _DTYPES = {
 }
 
 
-def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write `tensors` to `path`. Floats are stored as little-endian float64,
-    integers as little-endian int64; other dtypes are rejected. An array
-    already in its stored form is written from its own buffer, uncopied.
+def publish(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write one artifact file: `write(fh)` fills a uniquely named temporary
+    binary file in `path`'s directory, which then replaces `path` in one
+    rename. A write that fails or is killed leaves any previous file at
+    `path` whole. A failed write removes its temporary file and re-raises
+    its error unchanged."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
-    The bytes go to a uniquely named temporary file in the same directory,
-    which then replaces `path` in one rename: a write that fails or is
-    killed leaves any previous file at `path` whole. A failed write removes
-    its temporary file."""
+
+def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write `tensors` to `path` through `publish`. Floats are stored as
+    little-endian float64, integers as little-endian int64; other dtypes are
+    rejected. An array already in its stored form is written from its own
+    buffer, uncopied."""
     entries = []
     arrays = []
     for name, arr in tensors.items():
@@ -55,21 +72,16 @@ def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.
         arrays.append(np.asarray(arr, dtype=stored, order="C"))
     header = {"kind": kind, "version": 1, "meta": meta, "tensors": entries}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(MAGIC)
-            fh.write(len(header_bytes).to_bytes(8, "big"))
-            fh.write(header_bytes)
-            for arr in arrays:
-                if arr.size:  # a memoryview with a zero in its shape cannot be cast
-                    fh.write(memoryview(arr).cast("B"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(MAGIC)
+        fh.write(len(header_bytes).to_bytes(8, "big"))
+        fh.write(header_bytes)
+        for arr in arrays:
+            if arr.size:  # a memoryview with a zero in its shape cannot be cast
+                fh.write(memoryview(arr).cast("B"))
+
+    publish(path, write)
 
 
 def load_tensors(path: str | Path, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
@@ -79,7 +91,11 @@ def load_tensors(path: str | Path, expected_kind: str | None = None) -> tuple[di
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"no such file: {path}")
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot open: {exc}") from exc
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:

@@ -38,7 +38,7 @@ from .model import (
 )
 from .quantizer import init_codebook, nearest_prototypes, usage_report
 from .schema import check_fields, from_dict
-from .tensorfile import load_tensors, save_tensors
+from .tensorfile import load_tensors, publish, save_tensors
 
 logger = logging.getLogger("motionprim")
 
@@ -385,21 +385,14 @@ def metrics_from_confusion(confusion: np.ndarray) -> EvalMetrics:
     )
 
 
-def evaluate(
-    model: Model,
-    batch: PreparedBatch,
-    micro_batch: int = FORWARD_CHUNK,
-    workers: int = 1,
-) -> EvalMetrics:
+def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetrics:
     """Accuracy / macro-F1 / confusion on a labeled batch, without masking.
 
-    Windows go through forward-only passes of `micro_batch` windows, spread
-    over `workers` threads. The default, the encoder's FORWARD_CHUNK, keeps a
-    pass's largest array, the attention weights, small enough to stay in
-    cache; larger chunks are slower, not faster.
+    Windows go through forward-only passes of the encoder's FORWARD_CHUNK
+    windows, spread over `workers` threads. That chunk keeps a pass's
+    largest array, the attention weights, small enough to stay in cache;
+    larger chunks are slower, not faster.
     """
-    if micro_batch < 1:
-        raise ConfigError(f"evaluate micro_batch must be >= 1, got {micro_batch}")
     if workers < 1:
         raise ConfigError(f"evaluate workers must be >= 1, got {workers}")
     if batch.labels is None:
@@ -407,7 +400,7 @@ def evaluate(
     if batch.size == 0:
         raise DataError("evaluation on an empty dataset")
     chunks = [
-        np.arange(i, min(i + micro_batch, batch.size)) for i in range(0, batch.size, micro_batch)
+        np.arange(i, min(i + FORWARD_CHUNK, batch.size)) for i in range(0, batch.size, FORWARD_CHUNK)
     ]
 
     def run(idx: np.ndarray) -> np.ndarray:
@@ -507,7 +500,6 @@ def checkpoint_hash(path: str | Path) -> str:
 
 def write_log(path: str | Path, records: list[dict]) -> None:
     """Line-delimited JSON; floats keep full repr precision."""
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    publish(path, lambda fh: fh.write(text.encode()))
 

@@ -25,9 +25,7 @@ from conftest import (
 )
 from motionprim import cli
 from motionprim.analysis import (
-    export_frequency_csv,
-    export_similarity_csv,
-    export_transitions_csv,
+    export_report,
     frequency,
     read_frequency_csv,
     read_similarity_csv,
@@ -339,14 +337,7 @@ def test_criterion_10_analysis_properties(bench_runs, tmp_path, capsys):
     rows = trans.probabilities[trans.observed].sum(axis=1)
     row_err = float(np.max(np.abs(rows - 1.0))) if rows.size else 0.0
 
-    paths = {
-        "similarity": tmp_path / "sim.csv",
-        "frequency": tmp_path / "freq.csv",
-        "transitions": tmp_path / "trans.csv",
-    }
-    export_similarity_csv(sim, paths["similarity"])
-    export_frequency_csv(freq, paths["frequency"])
-    export_transitions_csv(trans, paths["transitions"])
+    paths = {report.name: export_report(report, tmp_path, "criterion10")[0] for report in (sim, freq, trans)}
     sim_back = read_similarity_csv(paths["similarity"])
     freq_back = read_frequency_csv(paths["frequency"])
     trans_back = read_transitions_csv(paths["transitions"])

@@ -6,15 +6,11 @@ from motionprim.analysis import (
     FrequencyReport,
     SimilarityMatrix,
     TransitionMatrix,
-    export_frequency_csv,
-    export_report_json,
-    export_similarity_csv,
-    export_transitions_csv,
+    export_report,
     frequency,
     read_frequency_csv,
     read_similarity_csv,
     read_transitions_csv,
-    report_path,
     similarity,
     token_streams,
     transitions,
@@ -78,7 +74,7 @@ def test_frequency_conserves_totals():
         (np.array([1, 1, 3]), 1),
         (np.array([], dtype=np.int64), 0),
     ]
-    report = frequency(streams, top_n=10, codebook_size=4)
+    report = frequency(streams, codebook_size=4, num_classes=2, top_n=10)
     assert report.total_tokens == 7
     assert report.counts.sum() == 7
     # index 1 seen 4 times: twice under label 0, twice under label 1
@@ -91,7 +87,7 @@ def test_frequency_conserves_totals():
 
 def test_frequency_order_count_desc_then_index_asc():
     streams = [(np.array([3, 3, 0, 0, 2]), 0)]
-    report = frequency(streams, top_n=4, codebook_size=4)
+    report = frequency(streams, codebook_size=4, num_classes=1, top_n=4)
     # counts: 0->2, 2->1, 3->2, 1->0; ties on count resolve to the lower id
     assert report.indices.tolist() == [0, 3, 2, 1]
     assert report.counts.tolist() == [2, 2, 1, 0]
@@ -99,7 +95,7 @@ def test_frequency_order_count_desc_then_index_asc():
 
 def test_frequency_top_n_caps_rows():
     streams = [(np.arange(8), 0)]
-    report = frequency(streams, top_n=3, codebook_size=8)
+    report = frequency(streams, codebook_size=8, num_classes=1, top_n=3)
     assert report.indices.size == 3
     assert report.top_n == 3
     assert report.total_tokens == 8  # total is over all tokens, not kept rows
@@ -107,18 +103,18 @@ def test_frequency_top_n_caps_rows():
 
 def test_frequency_validation():
     with pytest.raises(DataError):
-        frequency([])
+        frequency([], codebook_size=4, num_classes=2)
     with pytest.raises(DataError):
-        frequency([(np.array([5]), 0)], codebook_size=4)
+        frequency([(np.array([5]), 0)], codebook_size=4, num_classes=2)
     with pytest.raises(DataError):
-        frequency([(np.array([0]), 2)], num_classes=2)
+        frequency([(np.array([0]), 2)], codebook_size=4, num_classes=2)
 
 
 @pytest.mark.parametrize("top_n", [0, -3])
 def test_frequency_rejects_top_n_below_one(top_n):
     # a negative top_n once sliced rows off the end: K=8, top_n=-3 kept 5
     with pytest.raises(ConfigError, match="top_n"):
-        frequency([(np.arange(8), 0)], top_n=top_n, codebook_size=8)
+        frequency([(np.arange(8), 0)], codebook_size=8, num_classes=1, top_n=top_n)
 
 
 # ---------------------------------------------------------------------------
@@ -181,48 +177,56 @@ def test_token_streams_layout():
 # exports
 
 
-def test_report_path_convention(tmp_path):
-    path = report_path(tmp_path, "run-ab12", "similarity", "csv")
-    assert path == tmp_path / "run-ab12_similarity.csv"
+def test_report_path_convention(model, tmp_path):
+    # <run_id>_<report>.csv and .json, also for a run_id with a dot in it
+    reports = [
+        similarity(np.array([0, 2]), model),
+        frequency([(np.array([0, 1]), 0)], codebook_size=2, num_classes=1),
+        transitions([np.array([0, 1])], codebook_size=2),
+    ]
+    for report in reports:
+        want = [tmp_path / f"run.v1_{report.name}.csv", tmp_path / f"run.v1_{report.name}.json"]
+        assert export_report(report, tmp_path, "run.v1") == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"run.v1_{name}.{ext}" for name in ("similarity", "frequency", "transitions") for ext in ("csv", "json")
+    )
 
 
 def test_similarity_csv_round_trip(model, tmp_path):
     sim = similarity(np.array([0, 2, 4]), model)
-    path = tmp_path / "sim.csv"
-    export_similarity_csv(sim, path)
+    path, _ = export_report(sim, tmp_path, "a")
+    assert path.read_bytes().count(b"\r\n") == 4  # csv's line end, on the header and each row
     back = read_similarity_csv(path)
     np.testing.assert_array_equal(back.token_ids, sim.token_ids)
     np.testing.assert_array_equal(back.values, sim.values)  # bit-exact
-    export_similarity_csv(back, tmp_path / "sim2.csv")
-    assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "sim2.csv").read_bytes()
+    again, _ = export_report(back, tmp_path, "b")
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_frequency_csv_round_trip(tmp_path):
     report = frequency([(np.array([0, 1, 1, 3, 3, 3]), 0), (np.array([1]), 1)],
-                       top_n=4, codebook_size=4)
-    path = tmp_path / "freq.csv"
-    export_frequency_csv(report, path)
+                       codebook_size=4, num_classes=2, top_n=4)
+    path, _ = export_report(report, tmp_path, "a")
     back = read_frequency_csv(path)
     np.testing.assert_array_equal(back.indices, report.indices)
     np.testing.assert_array_equal(back.counts, report.counts)
     np.testing.assert_array_equal(back.fractions, report.fractions)
     assert back.num_classes == report.num_classes
-    export_frequency_csv(back, tmp_path / "freq2.csv")
-    assert path.read_bytes() == (tmp_path / "freq2.csv").read_bytes()
+    again, _ = export_report(back, tmp_path, "b")
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_transitions_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     matrix = transitions([rng.integers(0, 5, size=30)], codebook_size=5)
-    path = tmp_path / "trans.csv"
-    export_transitions_csv(matrix, path)
+    path, _ = export_report(matrix, tmp_path, "a")
     back = read_transitions_csv(path)
     np.testing.assert_array_equal(back.probabilities, matrix.probabilities)
     np.testing.assert_array_equal(back.row_counts, matrix.row_counts)
     np.testing.assert_array_equal(back.observed, matrix.observed)
     assert back.total_transitions == matrix.total_transitions
-    export_transitions_csv(back, tmp_path / "trans2.csv")
-    assert path.read_bytes() == (tmp_path / "trans2.csv").read_bytes()
+    again, _ = export_report(back, tmp_path, "b")
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_report_json_nan_becomes_null(model, tmp_path):
@@ -231,24 +235,19 @@ def test_report_json_nan_becomes_null(model, tmp_path):
     broken = init_model(tiny_config(), seed=0)
     broken.params["embed.rows"][1] = 0.0
     sim = similarity(np.array([0, 1]), broken)
-    path = tmp_path / "sim.json"
-    export_report_json(sim, path)
+    _, path = export_report(sim, tmp_path, "run")
     payload = json.loads(path.read_text())
     assert payload["report"] == "similarity"
     assert payload["values"][1][0] is None
     assert payload["values"][0][0] == pytest.approx(1.0)
-    with pytest.raises(DataError):
-        export_report_json({"not": "a report"}, tmp_path / "bad.json")
 
 
 def test_report_json_all_kinds(model, tmp_path):
     import json
 
-    freq = frequency([(np.array([0, 0, 1]), 0)], codebook_size=2)
+    freq = frequency([(np.array([0, 0, 1]), 0)], codebook_size=2, num_classes=1)
     trans = transitions([np.array([0, 1, 0])], codebook_size=2)
-    export_report_json(freq, tmp_path / "f.json")
-    export_report_json(trans, tmp_path / "t.json")
-    f = json.loads((tmp_path / "f.json").read_text())
-    t = json.loads((tmp_path / "t.json").read_text())
+    f = json.loads(export_report(freq, tmp_path, "run")[1].read_text())
+    t = json.loads(export_report(trans, tmp_path, "run")[1].read_text())
     assert f["report"] == "frequency" and f["total_tokens"] == 3
     assert t["report"] == "transitions" and t["total_transitions"] == 2

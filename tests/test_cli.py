@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -563,6 +564,46 @@ def test_run_id_that_is_not_a_file_name_exits_2_before_any_epoch(workdir, tmp_pa
     assert cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}", "--set", f"run_id={run_id}"]) == 2
     assert "run_id" in _config_error(capsys)["message"]
     assert epochs == []
+
+
+def test_checkpoint_path_that_is_a_directory_exits_2_before_any_epoch(workdir, tmp_path, capsys, monkeypatch):
+    # out_dir/<run_id>.ckpt taken by a directory used to train every epoch
+    # and then die on the final rename
+    _, cfg_path, _ = workdir
+    (tmp_path / "demo.ckpt").mkdir()
+    monkeypatch.setattr(training, "run_training", lambda *args, **kwargs: pytest.fail("an epoch ran"))
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("data loaded"))
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}"]) == 2
+    assert "demo.ckpt" in _config_error(capsys)["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["demo.ckpt"]
+
+
+def test_failed_output_write_exits_2_and_keeps_the_previous_metrics(workdir, tmp_path, capsys, monkeypatch):
+    # an output write that fails after the checks (here the rename of the
+    # metrics file) is one JSON record and exit 2, not a traceback, and the
+    # previous run's files stay whole
+    root, cfg_path, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    out = tmp_path / "ev"
+    argv = ["evaluate", "--config", str(cfg_path), "--set", f"out_dir={out}", str(ckpt), str(data_dir / "manifest.json")]
+    assert cli.main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "demo_metrics.json" in before
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_space)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    monkeypatch.undo()
+    assert "Traceback" not in err
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "output" and record["type"] == "OSError"
+    assert "No space" in record["message"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_synth_below_a_file_exits_2(tmp_path, capsys):

@@ -5,8 +5,10 @@ Every key path of a valid run config (given through --config and through
 wrong-typed values: a string, a bool, a list, an object, null where the key
 is not optional, a float for an int and a number for a string. The CLI must
 answer each with exit 2, end stderr with its one-line JSON error record and
-print no traceback. Seeded truncations and bit flips of a data CSV must end
-in exit 0 or a data error (exit 3), never in a traceback.
+print no traceback. So must every command given an output directory that is
+a regular file, or one where an output file name is taken by a directory.
+Seeded truncations and bit flips of a data CSV must end in exit 0 or a data
+error (exit 3), never in a traceback.
 """
 
 import copy
@@ -214,6 +216,41 @@ def test_checkpoint_config_echo_fuzz(world, capsys):
         count += 1
     assert count == 11 * 5 + 8  # five wrong types per key, plus a float for each int key
     assert failures == {}
+
+
+def test_output_path_fuzz(world, capsys, tmp_path):
+    # per command: its argv for an output directory, and the output files it
+    # must find free; none of these cases gets as far as loading data
+    root, ckpt, manifest = world["root"], str(world["ckpt"]), str(world["root"] / "data" / "manifest.json")
+    config = ["--config", str(world["run_path"]), "--set"]
+    commands = {
+        "synth": (lambda out: ["synth", str(root / "spec.json"), out], ["data.csv", "manifest.json"]),
+        "pretrain": (lambda out: ["pretrain", *config, f"out_dir={out}"], ["fuzz.ckpt", "fuzz_train.jsonl"]),
+        "finetune": (
+            lambda out: ["finetune", *config, f"out_dir={out}", ckpt],
+            ["fuzz.ckpt", "fuzz_metrics.json", "fuzz_train.jsonl"],
+        ),
+        "evaluate": (lambda out: ["evaluate", *config, f"out_dir={out}", ckpt, manifest], ["fuzz_metrics.json"]),
+        "analyze": (
+            lambda out: ["analyze", *config, f"out_dir={out}", ckpt, manifest],
+            [f"fuzz_{report}.{ext}" for report in ("similarity", "frequency", "transitions") for ext in ("csv", "json")],
+        ),
+        "gradcheck": (lambda out: ["gradcheck", "--out", f"{out}/grad.json"], ["grad.json"]),
+    }
+    blocker = tmp_path / "a_file"
+    blocker.write_text("a regular file")
+    cases = []
+    for command, (argv, names) in commands.items():
+        cases.append((f"{command}: out_dir is a regular file", argv(str(blocker))))
+        if command != "gradcheck":
+            names = [*names, "run_manifest.json"]
+        for name in names:
+            out = tmp_path / command / name
+            (out / name).mkdir(parents=True)
+            cases.append((f"{command}: {name} is a directory", argv(str(out))))
+    assert len(cases) == 26  # six regular-file cases, 20 taken names
+    assert run_all(capsys, cases) == {}
+    assert blocker.read_text() == "a regular file"
 
 
 def damaged_csvs(raw: bytes, rng: random.Random) -> list[tuple[str, bytes]]:

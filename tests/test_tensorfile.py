@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import bench_spec
 from motionprim import tensorfile
+from motionprim.analysis import export_report, transitions
 from motionprim.errors import CheckpointError
+from motionprim.ingest import write_synthetic_dataset
 from motionprim.model import init_model, tiny_config
 from motionprim.tensorfile import MAGIC, load_tensors, save_tensors
-from motionprim.training import load_checkpoint, save_checkpoint
+from motionprim.training import load_checkpoint, save_checkpoint, write_log
 
 
 def test_round_trip(tmp_path):
@@ -69,14 +72,9 @@ def test_bytes_equal_the_copying_writer(tmp_path):
         assert got[name].shape == np.shape(arr) and got[name].flags.writeable
 
 
-@pytest.mark.parametrize("fail_after", [0, 100, 2000, None])
-def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch, fail_after):
-    # a write that dies after `fail_after` bytes (None: in the final rename)
-    # leaves the previous checkpoint byte-equal and loadable, and no
-    # temporary file behind
-    path = tmp_path / "run.ckpt"
-    save_checkpoint(path, init_model(tiny_config(), seed=1))
-    before = path.read_bytes()
+def _fail_writes(monkeypatch, fail_after) -> None:
+    """Make `tensorfile.publish` die with ENOSPC once a file has been given
+    `fail_after` bytes (None: in the final rename)."""
 
     def no_space(*args, **kwargs):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -102,6 +100,17 @@ def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch, fail_
         monkeypatch.setattr(os, "replace", no_space)
     else:
         monkeypatch.setattr(tensorfile, "open", lambda *a: FailingFile(builtins.open(*a)), raising=False)
+
+
+@pytest.mark.parametrize("fail_after", [0, 100, 2000, None])
+def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch, fail_after):
+    # a write that dies after `fail_after` bytes (None: in the final rename)
+    # leaves the previous checkpoint byte-equal and loadable, and no
+    # temporary file behind
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, init_model(tiny_config(), seed=1))
+    before = path.read_bytes()
+    _fail_writes(monkeypatch, fail_after)
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(path, init_model(tiny_config(), seed=2))
     monkeypatch.undo()
@@ -109,6 +118,47 @@ def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch, fail_
     assert path.read_bytes() == before
     model, _ = load_checkpoint(path)
     assert all(np.array_equal(model.params[n], t) for n, t in init_model(tiny_config(), seed=1).params.items())
+
+
+# each writes different bytes for each version, more than 2000 of them to
+# the first file it publishes
+ARTIFACT_WRITERS = {
+    "write_log": lambda out, version: write_log(
+        out / "run_train.jsonl", [{"epoch": e, "loss": version / (e + 1)} for e in range(100)]
+    ),
+    "export_report": lambda out, version: export_report(
+        transitions([np.random.default_rng(version).integers(0, 40, size=400)], codebook_size=40), out, "run"
+    ),
+    "write_synthetic_dataset": lambda out, version: write_synthetic_dataset(
+        bench_spec(seed=version, windows_per_class=2), out
+    ),
+}
+
+
+@pytest.mark.parametrize("fail_after", [0, 100, 2000, None])
+@pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer, fail_after):
+    # the other artifact writers go through the same publish: a failed
+    # re-run leaves every previous file byte-equal and no temporary file
+    ARTIFACT_WRITERS[writer](tmp_path, 1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_writes(monkeypatch, fail_after)
+    with pytest.raises(OSError, match="No space"):
+        ARTIFACT_WRITERS[writer](tmp_path, 2)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_file_that_cannot_be_opened_is_a_checkpoint_error(tmp_path, monkeypatch):
+    path = tmp_path / "t.bin"
+    save_tensors(path, "k", {}, {"w": np.zeros(3)})
+
+    def denied(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(tensorfile, "open", denied, raising=False)
+    with pytest.raises(CheckpointError, match="Permission denied"):
+        load_tensors(path, "k")
 
 
 def test_unsupported_dtype_writes_nothing(tmp_path):

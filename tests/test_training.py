@@ -377,30 +377,31 @@ def test_metrics_exclude_absent_classes():
 
 
 def test_evaluate_matches_forward_argmax_and_workers():
+    # 40 windows: a full FORWARD_CHUNK and a short one
     cfg = tiny_config()
-    batch = tiny_batch(seed=7, num_windows=10)
+    batch = tiny_batch(seed=7, num_windows=40)
     model = init_model(cfg, seed=3)
-    metrics = evaluate(model, batch, micro_batch=4)
     res = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False)
     want = oracles.confusion(batch.labels, res.predictions, cfg.num_classes)
-    np.testing.assert_array_equal(metrics.confusion, want)
-    threaded = evaluate(model, batch, micro_batch=3, workers=2)
-    np.testing.assert_array_equal(threaded.confusion, metrics.confusion)
+    for workers in (1, 2):
+        np.testing.assert_array_equal(evaluate(model, batch, workers=workers).confusion, want)
 
 
 def test_evaluate_confusion_does_not_depend_on_chunking(bench_shape_eval):
+    # evaluate's chunked passes predict what one whole-batch pass predicts
     model, batch = bench_shape_eval
-    whole = evaluate(model, batch, micro_batch=batch.size)
-    assert np.count_nonzero(whole.confusion.sum(axis=0)) > 1  # predictions spread over classes
-    for kwargs in (dict(), dict(micro_batch=256), dict(workers=2), dict(micro_batch=7, workers=2)):
-        np.testing.assert_array_equal(evaluate(model, batch, **kwargs).confusion, whole.confusion, err_msg=str(kwargs))
+    whole = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False)
+    want = oracles.confusion(batch.labels, whole.predictions, model.config.num_classes)
+    assert np.count_nonzero(want.sum(axis=0)) > 1  # predictions spread over classes
+    for workers in (1, 2):
+        got = evaluate(model, batch, workers=workers).confusion
+        np.testing.assert_array_equal(got, want, err_msg=f"workers={workers}")
 
 
-@pytest.mark.parametrize("kwargs", [dict(micro_batch=0), dict(micro_batch=-1), dict(workers=0)])
-def test_evaluate_rejects_nonpositive_chunks_and_workers(kwargs):
+def test_evaluate_rejects_nonpositive_workers():
     model = init_model(tiny_config(), seed=3)
-    with pytest.raises(ConfigError, match=next(iter(kwargs))):
-        evaluate(model, tiny_batch(seed=7, num_windows=5), **kwargs)
+    with pytest.raises(ConfigError, match="workers"):
+        evaluate(model, tiny_batch(seed=7, num_windows=5), workers=0)
 
 
 # ---------------------------------------------------------------------------
