@@ -1,5 +1,5 @@
 """Transformer input construction: the sequence layout and the batched sum
-of code, statistical, metadata and position embeddings.
+of code, statistical, metadata and position embeddings, with its gradient.
 
 Index conventions, all 0-based:
   rows 0..K-1 of the embedding table are the codebook entries,
@@ -158,6 +158,35 @@ def embed_batch(
     x[:, channel_pos] += meta_proj[layout.channel_of[channel_pos]]
     x = x + params["pos.rows"][layout.position_slot][None, :, :]
     return x, rows, mask_targets
+
+
+def embed_backward(
+    params: dict[str, np.ndarray],
+    layout: SequenceLayout,
+    rows: np.ndarray,
+    stats: np.ndarray,
+    meta: np.ndarray,
+    d_x: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Gradients of the `pos`, `embed`, `stat` and `adapter` tensors, given
+    d_x (B, Seq, D) at `embed_batch`'s output x and the table rows it
+    returned; stats and meta as `embed_batch` took them."""
+    D = d_x.shape[2]
+    grads = {name: np.zeros_like(params[name]) for name in ("pos.rows", "embed.rows")}
+    # every position slot and table row accumulates across the batch
+    np.add.at(grads["pos.rows"], layout.position_slot, d_x.sum(axis=0))
+    np.add.at(grads["embed.rows"], rows[:, 1:].reshape(-1), d_x[:, 1:].reshape(-1, D))
+    grads["embed.cls_vector"] = d_x[:, 0].sum(axis=0)
+    d_motion = d_x[:, layout.motion_positions]
+    grads["stat.weight"] = d_motion.reshape(-1, D).T @ stats.reshape(-1, 2)
+    grads["stat.bias"] = d_motion.sum(axis=(0, 1))
+    # the adapter output is shared by every token of its channel
+    channel_pos = layout.channel_positions
+    d_meta_proj = np.zeros((meta.shape[0], D))
+    np.add.at(d_meta_proj, layout.channel_of[channel_pos], d_x[:, channel_pos].sum(axis=0))
+    grads["adapter.weight"] = d_meta_proj.T @ meta
+    grads["adapter.bias"] = d_meta_proj.sum(axis=0)
+    return grads
 
 
 # ---------------------------------------------------------------------------

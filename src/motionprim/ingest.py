@@ -234,6 +234,8 @@ class SyntheticSpec:
         check_fields(self)
         if len(self.classes) < 2:
             raise ConfigError("a synthetic spec needs at least 2 classes")
+        if len(set(self.class_names)) < len(self.classes):
+            raise ConfigError(f"class names must be unique, got {self.class_names}")
         for cls in self.classes:
             if len(cls.waveforms) != len(self.channels):
                 raise ConfigError(
@@ -374,6 +376,8 @@ class DatasetManifest:
             raise DataError(f"target_rate must be > 0, got {self.target_rate}")
         if not self.channels:
             raise ConfigError("manifest lists no channels")
+        if len(set(self.classes)) < len(self.classes):
+            raise ConfigError(f"manifest classes must be unique, got {self.classes}")
         for ch in self.channels:
             if not (self.base_dir / ch.file).is_file():
                 raise DataError(f"manifest references missing file: {self.base_dir / ch.file}")

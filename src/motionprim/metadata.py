@@ -7,7 +7,6 @@ Providers are read-only after construction and embed deterministically.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MetadataProviderError
 from .ingest import ChannelMetadata
+from .schema import read_json
 
 DEFAULT_EMBED_DIM = 768
 
@@ -69,11 +69,9 @@ class FileLookupProvider:
     def __init__(self, path: str | Path):
         path = Path(path)
         try:
-            raw = json.loads(path.read_text())
-        except OSError as exc:
-            raise MetadataProviderError(f"cannot read embedding file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MetadataProviderError(f"embedding file {path} is not valid JSON: {exc}") from exc
+            raw = read_json(path, "embedding file")
+        except (ConfigError, DataError) as exc:
+            raise MetadataProviderError(str(exc)) from exc
         if not isinstance(raw, dict) or not raw:
             raise MetadataProviderError(f"embedding file {path} must map descriptors to vectors")
         self._table: dict[str, np.ndarray] = {}

@@ -9,14 +9,15 @@ forward pass; gradient checks can pin assignments to keep the loss smooth.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedder import SequenceLayout, build_layout, embed_batch, mask_count
+from .embedder import SequenceLayout, build_layout, embed_backward, embed_batch, mask_count
 from .encoder import encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
-from .ingest import ChannelMetadata, SensorWindow, normalize_matrix, segment_matrix
+from .ingest import SensorWindow, normalize_matrix, segment_matrix
 from .metadata import canonical_descriptor, embed_channels
 from .quantizer import nearest_prototypes, init_codebook
 from .schema import check_fields
@@ -224,7 +225,6 @@ class PreparedBatch:
     labels: np.ndarray | None  # (B,) int64
     meta: np.ndarray  # (C, N) metadata vectors
     window_ids: np.ndarray  # (B,) stable ids for mask seeding
-    channels: list[ChannelMetadata]
     source: str = ""
 
     @property
@@ -246,7 +246,6 @@ class PreparedBatch:
             None if self.labels is None else self.labels[idx],
             self.meta,
             self.window_ids[idx],
-            self.channels,
             self.source,
         )
 
@@ -296,7 +295,6 @@ def prepare_windows(
         labels,
         meta_vectors,
         np.arange(len(windows), dtype=np.int64),
-        list(first.channels),
         source=source,
     )
 
@@ -341,7 +339,8 @@ class ForwardResult:
     cls_probs: np.ndarray | None
     hidden: np.ndarray
     masked_fraction: float
-    _cache: dict = field(default_factory=dict, repr=False)
+    # the pass's gradients, or None without need_backward; see `backward`
+    _backward: Callable[[], dict[str, np.ndarray]] | None = field(default=None, repr=False)
 
     @property
     def predictions(self) -> np.ndarray:
@@ -373,16 +372,18 @@ def forward(
     disables masked modeling. fixed_indices pins the quantizer assignment
     (for gradient checks); frozen_prototypes is the stop-gradient copy used
     by the commitment term's second half, defaulting to the live prototypes.
-    need_backward=False keeps no backward cache, the encoder's per-layer one
-    included, so `backward` refuses the result; the encoder then runs in
-    slices of FORWARD_CHUNK windows, while the quantizer scan, the embedding,
-    the heads and the loss reductions still run once over the whole batch.
+    need_backward=False keeps nothing for a backward pass, the encoder's
+    per-layer cache included, so `backward` refuses the result; the encoder
+    then runs in slices of FORWARD_CHUNK windows, while the quantizer scan,
+    the embedding, the heads and the loss reductions still run once over the
+    whole batch.
     """
     cfg = model.config
+    params = model.params
     B, C, S, L = batch.norm_segments.shape
     if L != cfg.segment_len:
         raise DataError(f"batch segment length {L} does not match model ({cfg.segment_len})")
-    prototypes = model.params["codebook"]
+    prototypes = params["codebook"]
 
     flat_segments = batch.norm_segments.reshape(B * C * S, L)
     if fixed_indices is None:
@@ -399,31 +400,27 @@ def forward(
     if mask_positions is not None:
         mask_positions = np.asarray(mask_positions, dtype=np.int64)
     x, rows, mask_targets = embed_batch(
-        model.params, layout, indices_flat.reshape(B, C, S), batch.stats, batch.meta, mask_positions
+        params, layout, indices_flat.reshape(B, C, S), batch.stats, batch.meta, mask_positions
     )
+    layers = encoder_layers(params, cfg.depth)
+    hidden, enc_cache = encoder_forward(x, layers, cfg.heads, need_backward)
 
-    hidden, enc_cache = encoder_forward(x, encoder_layers(model.params, cfg.depth), cfg.heads, need_backward)
-
-    mae_value = 0.0
-    mae_probs = None
-    flat_mask_rows = flat_mask_pos = flat_targets = None
+    # each head reads one hidden row per target: (tensor prefix, loss weight,
+    # window and position of each row, targets)
+    heads = []
     if mask_positions is not None and mask_positions.size > 0:
-        flat_mask_rows = np.repeat(np.arange(B), mask_positions.shape[1])
-        flat_mask_pos = mask_positions.reshape(-1)
-        flat_targets = mask_targets.reshape(-1)
-        h_masked = hidden[flat_mask_rows, flat_mask_pos]
-        logits = h_masked @ model.params["mae.weight"].T + model.params["mae.bias"]
-        mae_losses, mae_probs = _xent(logits, flat_targets)
-        mae_value = float(mae_losses.mean())
-
-    cls_value = 0.0
-    cls_probs = None
+        window = np.repeat(np.arange(B), mask_positions.shape[1])
+        heads.append(("mae", weights.lambda_mae, window, mask_positions.reshape(-1), mask_targets.reshape(-1)))
     if weights.lambda_cls > 0 and batch.labels is not None:
         if np.any((batch.labels < 0) | (batch.labels >= cfg.num_classes)):
             raise DataError("label outside [0, num_classes)")
-        logits = hidden[:, 0] @ model.params["cls_head.weight"].T + model.params["cls_head.bias"]
-        cls_losses, cls_probs = _xent(logits, batch.labels)
-        cls_value = float(cls_losses.mean())
+        heads.append(("cls_head", weights.lambda_cls, np.arange(B), np.zeros(B, dtype=np.int64), batch.labels))
+    head_loss, head_probs = {"mae": 0.0, "cls_head": 0.0}, {}
+    for prefix, _, window, position, targets in heads:
+        logits = hidden[window, position] @ params[f"{prefix}.weight"].T + params[f"{prefix}.bias"]
+        losses, head_probs[prefix] = _xent(logits, targets)
+        head_loss[prefix] = float(losses.mean())
+    mae_value, cls_value = head_loss["mae"], head_loss["cls_head"]
 
     total = weights.lambda_mae * mae_value + weights.lambda_cls * cls_value + weights.lambda_vq * vq_value
     if not np.isfinite(total):
@@ -431,27 +428,34 @@ def forward(
             f"non-finite loss: mae={mae_value}, cls={cls_value}, vq={vq_value}"
         )
 
-    masked_fraction = 0.0 if mask_positions is None else mask_positions.shape[1] / (C * S)
+    def backward_pass() -> dict[str, np.ndarray]:
+        grads = {}
+        d_hidden = np.zeros_like(hidden)
+        for prefix, weight, window, position, targets in heads:
+            if weight == 0:
+                continue
+            d_logits = head_probs[prefix].copy()
+            n = len(targets)
+            d_logits[np.arange(n), targets] -= 1.0
+            d_logits *= weight / n
+            grads[f"{prefix}.weight"] = d_logits.T @ hidden[window, position]
+            grads[f"{prefix}.bias"] = d_logits.sum(axis=0)
+            np.add.at(d_hidden, (window, position), d_logits @ params[f"{prefix}.weight"])
+        if grads:  # the heads reach the encoder and the embedding
+            d_x, enc_grads = encoder_backward(d_hidden, enc_cache, layers)
+            for i, layer_grads in enumerate(enc_grads):
+                grads.update({f"enc.{i}.{key}": g for key, g in layer_grads.items()})
+            grads.update(embed_backward(params, layout, rows, batch.stats, batch.meta, d_x))
+        # commitment loss: only the first term reaches the prototypes,
+        # 2 (count * z - sum of its segments) / n per code; subtracting the
+        # sums from zeros leaves an unused code's gradient +0.0, not -0.0
+        if weights.lambda_vq != 0:
+            pull = np.zeros_like(prototypes)
+            np.subtract.at(pull, indices_flat, flat_segments)
+            pull += np.bincount(indices_flat, minlength=cfg.codebook_size)[:, None] * prototypes
+            grads["codebook"] = weights.lambda_vq * (2.0 / flat_segments.shape[0]) * pull
+        return {name: grads[name] if name in grads else np.zeros_like(t) for name, t in params.items()}
 
-    cache = {}
-    if need_backward:
-        cache = {
-            "layout": layout,
-            "rows": rows,
-            "indices_flat": indices_flat,
-            "flat_segments": flat_segments,
-            "stats": batch.stats,
-            "meta": batch.meta,
-            "enc_cache": enc_cache,
-            "hidden": hidden,
-            "mae_probs": mae_probs,
-            "flat_mask_rows": flat_mask_rows,
-            "flat_mask_pos": flat_mask_pos,
-            "flat_targets": flat_targets,
-            "cls_probs": cls_probs,
-            "labels": batch.labels,
-            "weights": weights,
-        }
     return ForwardResult(
         loss=float(total),
         mae_loss=mae_value,
@@ -460,85 +464,19 @@ def forward(
         indices=indices_flat.reshape(B, C, S),
         mask_positions=mask_positions,
         mask_targets=mask_targets,
-        cls_probs=cls_probs,
+        cls_probs=head_probs.get("cls_head"),
         hidden=hidden,
-        masked_fraction=masked_fraction,
-        _cache=cache,
+        masked_fraction=0.0 if mask_positions is None else mask_positions.shape[1] / (C * S),
+        _backward=backward_pass if need_backward else None,
     )
 
 
-def zero_grads(model: Model) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(tensor) for name, tensor in model.params.items()}
-
-
-def backward(model: Model, result: ForwardResult) -> dict[str, np.ndarray]:
-    """Gradients of result.loss for every parameter tensor."""
-    cache = result._cache
-    if not cache:
+def backward(result: ForwardResult) -> dict[str, np.ndarray]:
+    """Gradients of result.loss for every parameter tensor, zeros for those
+    the loss does not reach."""
+    if result._backward is None:
         raise DataError("forward was run with need_backward=False")
-    cfg = model.config
-    weights: LossWeights = cache["weights"]
-    layout: SequenceLayout = cache["layout"]
-    hidden = cache["hidden"]
-    B, _, D = hidden.shape
-    grads = zero_grads(model)
-
-    d_hidden = np.zeros_like(hidden)
-
-    if cache["mae_probs"] is not None and weights.lambda_mae != 0:
-        probs = cache["mae_probs"].copy()
-        flat_targets = cache["flat_targets"]
-        n = probs.shape[0]
-        probs[np.arange(n), flat_targets] -= 1.0
-        d_logits = probs * (weights.lambda_mae / n)
-        h_masked = hidden[cache["flat_mask_rows"], cache["flat_mask_pos"]]
-        grads["mae.weight"] += d_logits.T @ h_masked
-        grads["mae.bias"] += d_logits.sum(axis=0)
-        np.add.at(d_hidden, (cache["flat_mask_rows"], cache["flat_mask_pos"]), d_logits @ model.params["mae.weight"])
-
-    if cache["cls_probs"] is not None:
-        probs = cache["cls_probs"].copy()
-        probs[np.arange(B), cache["labels"]] -= 1.0
-        d_logits = probs * (weights.lambda_cls / B)
-        grads["cls_head.weight"] += d_logits.T @ hidden[:, 0]
-        grads["cls_head.bias"] += d_logits.sum(axis=0)
-        d_hidden[:, 0] += d_logits @ model.params["cls_head.weight"]
-
-    d_x, enc_grads = encoder_backward(d_hidden, cache["enc_cache"], encoder_layers(model.params, cfg.depth))
-    for i, layer_grads in enumerate(enc_grads):
-        for key, value in layer_grads.items():
-            grads[f"enc.{i}.{key}"] += value
-
-    # positions: every sequence slot accumulates across the batch
-    np.add.at(grads["pos.rows"], layout.position_slot, d_x.sum(axis=0))
-    # CLS vector
-    grads["embed.cls_vector"] += d_x[:, 0].sum(axis=0)
-    # embedding table rows (motion + MASK + START + END)
-    rows = cache["rows"]
-    np.add.at(grads["embed.rows"], rows[:, 1:].reshape(-1), d_x[:, 1:].reshape(-1, D))
-    # statistical projection (motion tokens only)
-    d_motion = d_x[:, layout.motion_positions]
-    grads["stat.weight"] += d_motion.reshape(-1, D).T @ cache["stats"].reshape(-1, 2)
-    grads["stat.bias"] += d_motion.sum(axis=(0, 1))
-    # metadata adapter via the per-channel projection
-    channel_pos = layout.channel_positions
-    d_meta_proj = np.zeros((cache["meta"].shape[0], D))
-    np.add.at(d_meta_proj, layout.channel_of[channel_pos], d_x[:, channel_pos].sum(axis=0))
-    grads["adapter.weight"] += d_meta_proj.T @ cache["meta"]
-    grads["adapter.bias"] += d_meta_proj.sum(axis=0)
-
-    # commitment loss: only the first term reaches the prototypes
-    if weights.lambda_vq != 0:
-        indices_flat = cache["indices_flat"]
-        flat_segments = cache["flat_segments"]
-        n_total = flat_segments.shape[0]
-        counts = np.bincount(indices_flat, minlength=cfg.codebook_size).astype(np.float64)
-        sums = np.zeros((cfg.codebook_size, cfg.segment_len))
-        np.add.at(sums, indices_flat, flat_segments)
-        grads["codebook"] += (
-            weights.lambda_vq * (2.0 / n_total) * (counts[:, None] * model.params["codebook"] - sums)
-        )
-    return grads
+    return result._backward()
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +505,7 @@ def loss_closure(
             fixed_indices=fixed_indices,
             frozen_prototypes=frozen_prototypes,
         )
-        return result.loss, backward(model, result)
+        return result.loss, backward(result)
 
     return fn
 
@@ -604,7 +542,6 @@ def tiny_batch(seed: int = 0, num_windows: int = 3) -> PreparedBatch:
         labels=rng.integers(0, cfg.num_classes, size=num_windows),
         meta=rng.normal(size=(C, cfg.meta_dim)),
         window_ids=np.arange(num_windows, dtype=np.int64),
-        channels=[ChannelMetadata("na", "syn", str(c), 100.0) for c in range(C)],
         source="tiny",
     )
 

@@ -111,5 +111,5 @@ def read_json(path: str | Path, what: str):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -218,7 +218,7 @@ def run_training(
                         micro.window_ids,
                     )
                 result = forward(model, micro, weights, mask_positions=mask_pos)
-                grads = backward(model, result)
+                grads = backward(result)
                 scale = micro.size / total
                 for name in accum:
                     accum[name] += scale * grads[name]

@@ -6,7 +6,10 @@ wrong-typed values: a string, a bool, a list, an object, null where the key
 is not optional, a float for an int and a number for a string. The CLI must
 answer each with exit 2, end stderr with its one-line JSON error record and
 print no traceback. So must every command given an output directory that is
-a regular file, or one where an output file name is taken by a directory.
+a regular file, or one where an output file name is taken by a directory, a
+spec or manifest that repeats a class name, and a deeply nested or
+non-UTF-8 document in place of any JSON file it reads (exit 3, a data error,
+for a provider's embedding file).
 Seeded truncations and bit flips of a data CSV must end in exit 0 or a data
 error (exit 3), never in a traceback.
 """
@@ -82,9 +85,9 @@ def mutations(surface: str, valid: dict, rng: random.Random):
             yield f"{surface} {'.'.join(map(str, path))} <- {kind} {wrong!r}", path, wrong, mutated
 
 
-def outcome(code: int, err: str) -> str | None:
-    """None for exit 2 with a last-line JSON config record and no traceback,
-    else what went wrong."""
+def outcome(code: int, err: str, expected=(2, "config")) -> str | None:
+    """None for the expected exit code with a last-line JSON record of the
+    expected kind and no traceback, else what went wrong."""
     lines = err.strip().splitlines()
     if "Traceback" in err:
         return f"exit {code} with a traceback: {lines[-1] if lines else ''}"
@@ -92,12 +95,12 @@ def outcome(code: int, err: str) -> str | None:
         record = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return f"exit {code}, last stderr line is not JSON: {lines[-1:]}"
-    if code != 2 or record.get("error") != "config":
+    if (code, record.get("error")) != expected:
         return f"exit {code}: {record}"
     return None
 
 
-def run_all(capsys, cases) -> dict:
+def run_all(capsys, cases, expected=(2, "config")) -> dict:
     """Run (label, argv) cases; the failures by label."""
     failures = {}
     for label, argv in cases:
@@ -107,7 +110,7 @@ def run_all(capsys, cases) -> dict:
         except Exception as exc:  # run as a program, this prints a traceback
             failures[label] = f"raised {type(exc).__name__}: {exc}"
             continue
-        problem = outcome(code, capsys.readouterr().err)
+        problem = outcome(code, capsys.readouterr().err, expected)
         if problem:
             failures[label] = problem
     return failures
@@ -251,6 +254,42 @@ def test_output_path_fuzz(world, capsys, tmp_path):
     assert len(cases) == 26  # six regular-file cases, 20 taken names
     assert run_all(capsys, cases) == {}
     assert blocker.read_text() == "a regular file"
+
+
+def test_unparsable_json_fuzz(world, capsys, tmp_path):
+    root, ckpt = world["root"], str(world["ckpt"])
+    config = ["--config", str(world["run_path"])]
+    embedding = [*config, "--set", "provider.kind=file-lookup", "--set", "provider.path={}"]
+    surfaces = {
+        "run config": (["pretrain", "--config", "{}"], (2, "config")),
+        "synthetic spec": (["synth", "{}", str(root / "synth_out")], (2, "config")),
+        "manifest": (["evaluate", *config, ckpt, "{}"], (2, "config")),
+        "embedding file": (["evaluate", *embedding, ckpt, str(root / "data" / "manifest.json")], (3, "data")),
+    }
+    documents = {"deeply nested": b"[" * 200_000, "non-UTF-8": b'{"name": "\xff"}'}
+    failures = {}
+    for surface, (argv, expected) in surfaces.items():
+        for kind, raw in documents.items():
+            path = tmp_path / f"{surface} {kind}.json".replace(" ", "_")
+            path.write_bytes(raw)
+            case = (f"{surface}: {kind}", [arg.format(path) for arg in argv])
+            failures.update(run_all(capsys, [case], expected))
+    assert failures == {}
+
+
+def test_repeated_class_names_fuzz(world, capsys):
+    root = world["root"]
+    spec = copy.deepcopy(world["spec"])
+    spec["classes"][1]["name"] = spec["classes"][0]["name"]
+    (root / "repeated_spec.json").write_text(json.dumps(spec))
+    classes = world["manifest"]["classes"]
+    manifest = root / "data" / "repeated_manifest.json"
+    manifest.write_text(json.dumps({**world["manifest"], "classes": [classes[0], *classes]}))
+    cases = [
+        ("spec", ["synth", str(root / "repeated_spec.json"), str(root / "repeated_out")]),
+        ("manifest", ["evaluate", "--config", str(world["run_path"]), str(world["ckpt"]), str(manifest)]),
+    ]
+    assert run_all(capsys, cases) == {}
 
 
 def damaged_csvs(raw: bytes, rng: random.Random) -> list[tuple[str, bytes]]:

@@ -9,12 +9,14 @@ from motionprim.embedder import (
     KIND_MOTION,
     KIND_START,
     build_layout,
+    embed_backward,
     embed_batch,
     end_row,
     mask_count,
     mask_row,
     start_row,
 )
+from motionprim.encoder import grad_check
 from motionprim.errors import ConfigError, DataError
 from motionprim.ingest import ChannelMetadata, SensorWindow
 from motionprim.metadata import make_provider
@@ -251,6 +253,27 @@ def test_add_positions_once():
     np.testing.assert_allclose(x - no_pos, np.broadcast_to(added, x.shape), atol=1e-15)
     # shared slots: motion t=0 gets the same position row in both channels
     np.testing.assert_array_equal(added[2], added[2 + S + 2])
+
+
+def test_embed_backward_matches_central_differences():
+    # <probe, x> for a random probe, with two masked tokens per window: the
+    # gradient of every input-side tensor, each coordinate checked
+    indices, stats, meta = tokens(seed=6)
+    params, layout = embed_params(seed=6)
+    rng = np.random.default_rng(6)
+    names = ("embed.rows", "embed.cls_vector", "stat.weight", "stat.bias", "adapter.weight", "adapter.bias", "pos.rows")
+    point = {name: rng.normal(size=params[name].shape) for name in names}
+    mask = np.array([[2, 4], [3, 9]])
+    probe = rng.normal(size=(B, layout.seq_len, D))
+
+    def fn(p):
+        x, rows, _ = embed_batch(p, layout, indices, stats, meta, mask)
+        return float((x * probe).sum()), embed_backward(p, layout, rows, stats, meta, probe)
+
+    assert set(fn(point)[1]) == set(names)
+    report = grad_check(fn, point, tolerance=1e-7, max_coords_per_tensor=None)
+    assert len(report.entries) == sum(point[name].size for name in names)
+    assert report.passed, report.worst
 
 
 # ---------------------------------------------------------------------------

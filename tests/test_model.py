@@ -30,7 +30,6 @@ from motionprim.model import (
     reinit_cls_head,
     tiny_batch,
     tiny_config,
-    zero_grads,
 )
 from motionprim.quantizer import nearest_prototypes
 from motionprim.schema import from_dict
@@ -366,15 +365,6 @@ def test_forward_nonfinite_guard():
 # backward plumbing
 
 
-def test_zero_grads_shapes():
-    model = init_model(tiny_config(), seed=0)
-    grads = zero_grads(model)
-    assert set(grads) == set(model.params)
-    for name, g in grads.items():
-        assert g.shape == model.params[name].shape
-        assert not g.any()
-
-
 def test_backward_frozen_paths_get_zero_grad():
     # with lambda_cls = 0 the classifier head receives no gradient, and with
     # lambda_mae = 0 the MAE head receives none
@@ -384,11 +374,11 @@ def test_backward_frozen_paths_get_zero_grad():
     layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
     mask = mask_positions_for(layout, cfg.mask_ratio, 0, 0, batch.window_ids)
     res = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask)
-    grads = backward(model, res)
+    grads = backward(res)
     assert not grads["cls_head.weight"].any()
     assert grads["mae.weight"].any()
     res2 = forward(model, batch, FINETUNE_WEIGHTS)
-    grads2 = backward(model, res2)
+    grads2 = backward(res2)
     assert not grads2["mae.weight"].any()
     assert grads2["cls_head.weight"].any()
     assert not grads2["codebook"].any()  # lambda_vq = 0
@@ -410,6 +400,7 @@ def test_loss_closure_matches_forward():
     loss, grads = fn(model.params)
     assert loss == pytest.approx(live.loss, rel=1e-12)
     assert set(grads) == set(model.params)
+    assert all(grads[name].shape == tensor.shape for name, tensor in model.params.items())
 
 
 def test_gradient_suite_full_model_checks_every_input_coordinate():
@@ -447,7 +438,7 @@ def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch):
     bare = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False)
     assert len(caches[0].layers) == cfg.depth
     assert caches[1].layers == []
-    assert bare._cache == {}
+    assert bare._backward is None
     np.testing.assert_array_equal(bare.cls_probs, full.cls_probs)
     np.testing.assert_array_equal(bare.hidden, full.hidden)
 
@@ -494,7 +485,7 @@ def test_sliced_forward_only_pass_equals_one_training_mode_pass(which, bench_bat
             sliced = forward(model, sub, weights, mask_positions=mask, need_backward=False)
             whole = forward(model, sub, weights, mask_positions=mask)
             where = f"{which}: {n} windows, mask {mask is not None}"
-            assert sliced._cache == {} and whole._cache, where
+            assert sliced._backward is None and whole._backward is not None, where
             for name in ("hidden", "indices", "cls_probs"):
                 assert np.array_equal(getattr(sliced, name), getattr(whole, name)), f"{where}: {name}"
             assert (sliced.mae_loss, sliced.vq_loss, sliced.loss) == (whole.mae_loss, whole.vq_loss, whole.loss), where

@@ -195,7 +195,7 @@ def test_vq_loss_value_and_grads():
         model = init_model(cfg, seed=seed)
         batch = tiny_batch(seed=seed)
         result = forward(model, batch, VQ_ONLY)
-        grads = backward(model, result)
+        grads = backward(result)
         protos = model.params["codebook"]
         segments = batch.norm_segments.reshape(-1, cfg.segment_len)
         indices = result.indices.reshape(-1)

@@ -12,6 +12,7 @@ from motionprim.model import (
     FINETUNE_WEIGHTS,
     PRETRAIN_WEIGHTS,
     LossWeights,
+    backward,
     forward,
     init_model,
     mask_positions_for,
@@ -69,10 +70,11 @@ def test_mae_logits_and_loss():
     res, mask = masked_forward(model, batch, PRETRAIN_WEIGHTS)
     h = res.hidden[np.repeat(np.arange(batch.size), mask.shape[1]), mask.reshape(-1)]
     want = oracles.softmax_rows(h @ model.params["mae.weight"].T + model.params["mae.bias"])
-    np.testing.assert_allclose(res._cache["mae_probs"], want, atol=1e-12)
-    assert res.mae_loss == pytest.approx(
-        oracles.cross_entropy_mean(want, res.mask_targets.reshape(-1)), rel=1e-12
-    )
+    targets = res.mask_targets.reshape(-1)
+    assert res.mae_loss == pytest.approx(oracles.cross_entropy_mean(want, targets), rel=1e-12)
+    # the bias gradient is the mean of (probabilities - one-hot target)
+    want[np.arange(targets.size), targets] -= 1.0
+    np.testing.assert_allclose(backward(res)["mae.bias"], want.mean(axis=0), atol=1e-12)
 
 
 def test_mae_loss_empty_mask_is_zero():
