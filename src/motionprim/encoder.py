@@ -10,10 +10,20 @@ same operation order as the plain one-temporary-per-operation expressions
 (kept in tests/oracles.py), so the values are bit for bit the same while far
 fewer full-size temporaries pass through the cache. No public function
 writes to its arguments.
+
+A training pass runs on window shards, one per CPU, on threads (see Window
+shards below). The public kernels are the per-shard steps: a backward kernel
+returns its input's gradient and the arrays its weight and bias gradients
+sum over, and those sums over windows (`_*_param_grads`) run once, on
+whole-batch arrays, so no bit depends on the shard count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,22 +78,25 @@ def layernorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     return out, (xhat, inv, gamma)
 
 
-def layernorm_backward(d_out: np.ndarray, cache):
+def layernorm_backward(d_out: np.ndarray, cache) -> np.ndarray:
+    """d input for the windows of `d_out`; gamma's and beta's gradients sum
+    over windows and are `_layernorm_param_grads`."""
     xhat, inv, gamma = cache
-    lead = tuple(range(d_out.ndim - 1))
-    scratch = d_out * xhat
-    d_gamma = scratch.sum(axis=lead)
-    d_beta = d_out.sum(axis=lead)
     # d_xhat, turned into d_x in place
     d_x = d_out * gamma
     mean_dxhat = d_x.mean(axis=-1, keepdims=True)
-    np.multiply(d_x, xhat, out=scratch)
+    scratch = d_x * xhat
     mean_dxhat_xhat = scratch.mean(axis=-1, keepdims=True)
     d_x -= mean_dxhat
     np.multiply(xhat, mean_dxhat_xhat, out=scratch)
     d_x -= scratch
     d_x *= inv
-    return d_x, d_gamma, d_beta
+    return d_x
+
+
+def _layernorm_param_grads(d_out: np.ndarray, xhat: np.ndarray, prefix: str) -> dict[str, np.ndarray]:
+    lead = tuple(range(d_out.ndim - 1))
+    return {f"{prefix}.gamma": (d_out * xhat).sum(axis=lead), f"{prefix}.beta": d_out.sum(axis=lead)}
 
 
 def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
@@ -131,31 +144,38 @@ def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], heads: int):
 
 
 def attention_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], heads: int):
-    x, q, k, v, weights, merged, scale = cache
-    grads = {}
-    grads["attn.wo"] = _weight_grad(merged, d_out)
-    grads["attn.bo"] = d_out.sum(axis=(0, 1))
-    d_merged = d_out @ params["attn.wo"].T
-    d_context = _split_heads(d_merged, heads)
-    d_v = weights.swapaxes(-1, -2) @ d_context
+    """(d input, (d q, d k, d v)) for the windows of `d_out`, the projection
+    gradients (B, Seq, D) with heads merged; the weight and bias gradients
+    sum over windows and are `_attention_param_grads`."""
+    _, q, k, v, weights, _, scale = cache
+    d_context = _split_heads(d_out @ params["attn.wo"].T, heads)
+    d_v = _merge_heads(weights.swapaxes(-1, -2) @ d_context)
     # softmax jacobian: dS = A * (dA - sum_j dA_j A_j), written over dA
     d_scores = d_context @ v.swapaxes(-1, -2)
+    del d_context
     inner = (d_scores * weights).sum(axis=-1, keepdims=True)
     d_scores -= inner
     d_scores *= weights
     d_q = d_scores @ k
     d_q *= scale
     d_k = d_scores.swapaxes(-1, -2) @ q
+    del d_scores
     d_k *= scale
+    d_qkv = (_merge_heads(d_q), _merge_heads(d_k), d_v)
+    del d_q, d_k
 
-    d_x = np.zeros_like(x)
-    for name, dh in (("q", d_q), ("k", d_k), ("v", d_v)):
-        flat = _merge_heads(dh)
-        w = params[f"attn.w{name}"]
+    d_x = np.zeros(d_out.shape)
+    for name, flat in zip("qkv", d_qkv):
+        d_x += flat @ params[f"attn.w{name}"].T
+    return d_x, d_qkv
+
+
+def _attention_param_grads(x: np.ndarray, merged: np.ndarray, d_out: np.ndarray, d_qkv) -> dict[str, np.ndarray]:
+    grads = {"attn.wo": _weight_grad(merged, d_out), "attn.bo": d_out.sum(axis=(0, 1))}
+    for name, flat in zip("qkv", d_qkv):
         grads[f"attn.w{name}"] = _weight_grad(x, flat)
         grads[f"attn.b{name}"] = flat.sum(axis=(0, 1))
-        d_x += flat @ w.T
-    return d_x, grads
+    return grads
 
 
 def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray]):
@@ -166,27 +186,100 @@ def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray]):
 
 
 def mlp_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray]):
-    x, pre, cdf, act = cache
-    grads = {
-        "mlp.w2": _weight_grad(act, d_out),
-        "mlp.b2": d_out.sum(axis=(0, 1)),
-    }
+    """(d input, d pre-activation) for the windows of `d_out`; the weight and
+    bias gradients sum over windows and are `_mlp_param_grads`."""
+    _, pre, cdf, _ = cache
     d_pre = d_out @ params["mlp.w2"].T
     d_pre *= gelu_grad(pre, cdf)
-    grads["mlp.w1"] = _weight_grad(x, d_pre)
-    grads["mlp.b1"] = d_pre.sum(axis=(0, 1))
-    d_x = d_pre @ params["mlp.w1"].T
-    return d_x, grads
+    return d_pre @ params["mlp.w1"].T, d_pre
+
+
+def _mlp_param_grads(x: np.ndarray, act: np.ndarray, d_out: np.ndarray, d_pre: np.ndarray) -> dict[str, np.ndarray]:
+    return {
+        "mlp.w2": _weight_grad(act, d_out),
+        "mlp.b2": d_out.sum(axis=(0, 1)),
+        "mlp.w1": _weight_grad(x, d_pre),
+        "mlp.b1": d_pre.sum(axis=(0, 1)),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Window shards
+#
+# A pass that keeps a backward splits its batch into contiguous shards of
+# windows, one per CPU this process may run on and at least
+# _MIN_SHARD_WINDOWS each. Shards run at once, the first on the calling
+# thread and the rest on one module-level pool; numpy releases the GIL inside
+# its kernels. No window's values depend on another's, and every sum over
+# windows (the weight and bias gradients) runs once, on whole-batch arrays
+# that the shards fill by slice, so every bit is that of one unsharded pass
+# at any shard count.
+
+_MIN_SHARD_WINDOWS = 8
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _shard_slices(batch: int) -> list[slice]:
+    n = max(1, min(_cpus(), batch // _MIN_SHARD_WINDOWS))
+    return [slice(batch * s // n, batch * (s + 1) // n) for s in range(n)]
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=max(1, _cpus() - 1), thread_name_prefix="motionprim-shard")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's pool threads; it makes its own
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_parallel(tasks: list) -> list:
+    """Run every task, the first on the calling thread and the others on the
+    pool in a copy of the caller's context (numpy's error state with it);
+    return their results in order once all have ended, or raise the first
+    failure in task order."""
+    futures = [_pool().submit(contextvars.copy_context().run, task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        wait(futures)
+    return [first, *(future.result() for future in futures)]
 
 
 # ---------------------------------------------------------------------------
 # Full encoder
 
+# (kernel, entry) of each array in a layer's (ln1, attention, ln2, mlp)
+# kernel caches that a weight or bias gradient sums over windows: xhat of
+# ln1, the attention input and its merged heads, xhat of ln2, the MLP input
+# and its activation
+_REDUCED = ((0, 0), (1, 0), (1, 5), (2, 0), (3, 0), (3, 3))
+
 
 @dataclass
 class EncoderCache:
+    """What `encoder_backward` needs of a forward pass: the window shards,
+    and per layer (its whole-batch `_REDUCED` arrays, one (ln1, attention,
+    ln2, mlp) kernel-cache tuple per shard, holding views of those arrays)."""
+
     heads: int
-    layers: list = field(default_factory=list)
+    slices: list[slice] = field(default_factory=list)
+    layers: list[tuple[tuple, list[tuple]]] = field(default_factory=list)
+
+
+def _keep_reduced(reduced: tuple, sl: slice, caches: tuple) -> tuple:
+    """Copy `caches`' `_REDUCED` arrays into the windows `sl` of the
+    whole-batch `reduced` arrays; return caches holding views of those rows
+    in their place."""
+    caches = [list(c) for c in caches]
+    for buf, (kernel, entry) in zip(reduced, _REDUCED):
+        buf[sl] = caches[kernel][entry]
+        caches[kernel][entry] = buf[sl]
+    return tuple(tuple(c) for c in caches)
 
 
 def encoder_forward(
@@ -199,12 +292,13 @@ def encoder_forward(
     Attn(LN1(x)) then + MLP(LN2(.)), with no final normalization, so no
     layers is the identity.
 
-    Without `need_backward` the returned cache holds no layers, and the
+    With `need_backward` the stack runs over window shards at once (see
+    Window shards). Without it the returned cache holds no layers, and the
     stack runs over consecutive slices of FORWARD_CHUNK windows written into
     one (B, Seq, D) result, so each layer's intermediates are those of one
-    slice and are freed before the next layer runs. No window's values
-    depend on another's, and the sliced result equals one pass over all
-    windows bit for bit (tested in tests/test_model.py).
+    slice and are freed before the next layer runs. Either way the result
+    equals one pass over all windows bit for bit (tested in
+    tests/test_encoder.py and tests/test_model.py).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or any(params["ln1.gamma"].shape != x.shape[2:] for params in layers):
@@ -214,34 +308,113 @@ def encoder_forward(
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite encoder input")
     cache = EncoderCache(heads)
-    if need_backward or x.shape[0] <= FORWARD_CHUNK:
+    if need_backward:
+        return _sharded_forward(x, layers, cache), cache
+    if x.shape[0] <= FORWARD_CHUNK:
         # one slice needs no result buffer to copy it into
-        return _run_layers(x, layers, heads, cache.layers if need_backward else None), cache
+        out, bad = _run_layers(x, layers, heads, None)
+        _check_finite(bad)
+        return out, cache
     out = np.empty_like(x)
     for start in range(0, x.shape[0], FORWARD_CHUNK):
         stop = start + FORWARD_CHUNK
-        out[start:stop] = _run_layers(x[start:stop], layers, heads, None)
+        out[start:stop], bad = _run_layers(x[start:stop], layers, heads, None)
+        _check_finite(bad)
     return out, cache
 
 
-def _run_layers(x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, caches: list | None) -> np.ndarray:
-    """The block stack over `x`; each layer's caches are appended to
-    `caches`, or freed before the next layer allocates its own when it is
-    None."""
+def _check_finite(bad: int | None) -> None:
+    if bad is not None:
+        raise NumericError(f"non-finite activations after encoder layer {bad}")
+
+
+def _run_layers(x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, keep) -> tuple[np.ndarray, int | None]:
+    """The block stack over `x`: (output, None), or, stopping at the first
+    layer whose output is not all finite, (that output, its index).
+    keep(i, caches) receives layer i's kernel caches; without `keep` they are
+    freed before the next layer allocates its own."""
     for i, params in enumerate(layers):
-        normed1, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
-        mid, attn_cache = attention_forward(normed1, params, heads)
+        normed, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
+        mid, attn_cache = attention_forward(normed, params, heads)
         mid += x
-        normed2, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"])
-        out, mlp_cache = mlp_forward(normed2, params)
+        normed, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"])
+        out, mlp_cache = mlp_forward(normed, params)
         out += mid
+        # the caches alone hold the layer norms' outputs, which `keep` may move
+        del normed, mid
         if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite activations after encoder layer {i}")
-        if caches is not None:
-            caches.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
+            return out, i
+        if keep is not None:
+            keep(i, (ln1_cache, attn_cache, ln2_cache, mlp_cache))
         del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out
-    return x
+    return x, None
+
+
+def _sharded_forward(x: np.ndarray, layers: list[dict[str, np.ndarray]], cache: EncoderCache) -> np.ndarray:
+    """The stack over every shard of `x`, filling `cache`; the NumericError
+    names the lowest failing layer of all shards."""
+    cache.slices = _shard_slices(x.shape[0])
+    if len(cache.slices) == 1:
+        caches = []
+        out, bad = _run_layers(x, layers, cache.heads, lambda i, c: caches.append(c))
+        _check_finite(bad)
+        cache.layers = [(tuple(c[kernel][entry] for kernel, entry in _REDUCED), [c]) for c in caches]
+        return out
+    reduced = [
+        (*(np.empty(x.shape) for _ in _REDUCED[:-1]), np.empty(x.shape[:2] + params["mlp.w1"].shape[1:]))
+        for params in layers
+    ]
+    out = np.empty(x.shape)
+
+    def shard(sl: slice):
+        caches = []
+        out[sl], bad = _run_layers(
+            x[sl], layers, cache.heads, lambda i, c: caches.append(_keep_reduced(reduced[i], sl, c))
+        )
+        return caches, bad
+
+    results = _run_parallel([functools.partial(shard, sl) for sl in cache.slices])
+    _check_finite(min((bad for _, bad in results if bad is not None), default=None))
+    cache.layers = [(reduced[i], [caches[i] for caches, _ in results]) for i in range(len(layers))]
+    return out
+
+
+def _layer_backward(d_out: np.ndarray, caches: tuple, params: dict[str, np.ndarray], heads: int):
+    """One block's backward for the windows of `d_out`: (d input, the
+    gradients that the block's weight and bias gradients sum over windows:
+    d MLP pre-activation, d ln2 output, d attention output, d q, d k, d v,
+    d ln1 output)."""
+    ln1_cache, attn_cache, ln2_cache, mlp_cache = caches
+    # out = mid + mlp(ln2(mid))
+    d_normed2, d_pre = mlp_backward(d_out, mlp_cache, params)
+    d_mid = layernorm_backward(d_normed2, ln2_cache)
+    d_mid += d_out
+    # mid = x + attn(ln1(x))
+    d_normed1, d_qkv = attention_backward(d_mid, attn_cache, params, heads)
+    d_x = layernorm_backward(d_normed1, ln1_cache)
+    d_x += d_mid
+    return d_x, (d_pre, d_normed2, d_mid, *d_qkv, d_normed1)
+
+
+def _layer_param_grads(reduced: tuple, d_out: np.ndarray, parts: tuple, threads: int) -> dict[str, np.ndarray]:
+    """One block's weight and bias gradients from whole-batch arrays, its
+    four kernels' sums dealt over `threads` threads."""
+    xhat1, normed1, merged, xhat2, normed2, act = reduced
+    d_pre, d_normed2, d_mid, d_q, d_k, d_v, d_normed1 = parts
+    tasks = [  # costliest first
+        functools.partial(_mlp_param_grads, normed2, act, d_out, d_pre),
+        functools.partial(_attention_param_grads, normed1, merged, d_mid, (d_q, d_k, d_v)),
+        functools.partial(_layernorm_param_grads, d_normed2, xhat2, "ln2"),
+        functools.partial(_layernorm_param_grads, d_normed1, xhat1, "ln1"),
+    ]
+    k = min(threads, len(tasks))
+    dealt = _run_parallel([functools.partial(_merge_dicts, tasks[g::k]) for g in range(k)])
+    return {name: grad for grads in dealt for name, grad in grads.items()}
+
+
+def _merge_dicts(tasks: list) -> dict:
+    return {name: value for task in tasks for name, value in task().items()}
 
 
 def encoder_backward(
@@ -249,27 +422,32 @@ def encoder_backward(
     cache: EncoderCache,
     layers: list[dict[str, np.ndarray]],
 ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-    """Exact reverse-mode pass; returns (d_input, per-layer grads)."""
+    """Exact reverse-mode pass; returns (d_input, per-layer grads). Per
+    layer, every shard carries its windows' gradient back through the block
+    into whole-batch arrays, then the block's weight and bias gradients are
+    summed over all windows from those arrays."""
     if len(cache.layers) != len(layers):
         raise DataError("cache does not match layer stack")
     d_x = np.asarray(d_out, dtype=np.float64)
+    slices = cache.slices
     all_grads: list[dict[str, np.ndarray]] = [dict() for _ in layers]
     for i in range(len(layers) - 1, -1, -1):
         params = layers[i]
-        ln1_cache, attn_cache, ln2_cache, mlp_cache = cache.layers[i]
-        grads = all_grads[i]
-        # out = mid + mlp(ln2(mid))
-        d_normed2, mlp_grads = mlp_backward(d_x, mlp_cache, params)
-        grads.update(mlp_grads)
-        d_mid, d_g2, d_b2 = layernorm_backward(d_normed2, ln2_cache)
-        d_mid += d_x
-        grads["ln2.gamma"], grads["ln2.beta"] = d_g2, d_b2
-        # mid = x + attn(ln1(x))
-        d_normed1, attn_grads = attention_backward(d_mid, attn_cache, params, cache.heads)
-        grads.update(attn_grads)
-        d_x, d_g1, d_b1 = layernorm_backward(d_normed1, ln1_cache)
-        d_x += d_mid
-        grads["ln1.gamma"], grads["ln1.beta"] = d_g1, d_b1
+        reduced, shard_caches = cache.layers[i]
+        if len(slices) == 1:
+            d_in, parts = _layer_backward(d_x, shard_caches[0], params, cache.heads)
+        else:
+            d_in = np.empty(d_x.shape)
+            parts = (np.empty(d_x.shape[:2] + params["mlp.w1"].shape[1:]), *(np.empty(d_x.shape) for _ in range(6)))
+
+            def shard(s: int, sl: slice) -> None:
+                d_in_s, parts_s = _layer_backward(d_x[sl], shard_caches[s], params, cache.heads)
+                for buf, part in zip((d_in, *parts), (d_in_s, *parts_s)):
+                    buf[sl] = part
+
+            _run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
+        all_grads[i] = _layer_param_grads(reduced, d_x, parts, len(slices))
+        d_x = d_in
     return d_x, all_grads
 
 

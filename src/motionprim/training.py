@@ -3,8 +3,10 @@
 checkpoint i/o.
 
 Determinism contract: given the same config, seed, and data order, every
-code path here is bit-reproducible in single-worker mode. Threads are used
-only for read-only evaluation passes.
+code path here is bit-reproducible at any `workers` count and on any number
+of CPUs. Threads run read-only evaluation passes (`workers`), and the
+encoder splits each training pass into window shards that run on its own
+pool (see motionprim.encoder); neither changes a bit.
 """
 
 from __future__ import annotations

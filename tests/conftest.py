@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from motionprim import encoder
 from motionprim.ingest import (
     ChannelMetadata,
     SyntheticClass,
@@ -163,6 +164,18 @@ def bench_shape_eval(bench_provider):
             model.params[name] = 25.0 * tensor
     batch = prepare_windows(generate_synthetic(bench_spec(11, 20)), config, bench_provider, source="chunks")
     return model, batch
+
+
+@pytest.fixture
+def shards(monkeypatch):
+    """force(cpus, floor): split training passes as if this process could
+    run on `cpus` CPUs, with at least `floor` windows per shard."""
+
+    def force(cpus, floor=encoder._MIN_SHARD_WINDOWS):
+        monkeypatch.setattr(encoder, "_cpus", lambda: cpus)
+        monkeypatch.setattr(encoder, "_MIN_SHARD_WINDOWS", floor)
+
+    return force
 
 
 def median(values):

@@ -478,6 +478,58 @@ def test_fresh_processes_write_identical_checkpoints(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def test_checkpoint_bytes_do_not_depend_on_the_core_count(tmp_path):
+    # README "Determinism": two new processes at one BLAS thread, one pinned
+    # to a single CPU and one on every CPU this test may use, pretrain on two
+    # datasets with micro-batches smaller than the batch, then fine-tune, and
+    # write the same bytes; the second splits every 16-window micro-batch
+    # into window shards that run on two or more threads
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs CPU affinity and 2 or more CPUs to compare with 1")
+    manifests = []
+    for seed in (5, 6):
+        spec_path = tmp_path / f"spec{seed}.json"
+        spec_path.write_text(json.dumps({**TINY_SPEC, "seed": seed}))
+        assert cli.main(["synth", str(spec_path), str(tmp_path / f"data{seed}")]) == 0
+        manifests.append(str(tmp_path / f"data{seed}" / "manifest.json"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        **TINY_RUN,
+        "model": {**TINY_RUN["model"], "depth": 2},
+        "optimizer": {**TINY_RUN["optimizer"], "batch_size": 32, "micro_batch": 16},
+        "split_fraction": 0.75,
+        "datasets": manifests,
+        "run_id": "pre",
+    }))
+    script = (
+        "import os, sys\n"
+        "cfg, out, first, pin = sys.argv[1:]\n"
+        "if pin == 'pin': os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from motionprim import encoder\n"
+        "from motionprim.cli import main\n"
+        "print(encoder._cpus())\n"
+        "sys.exit(main(['pretrain', '--config', cfg, '--set', 'out_dir=' + out]) or "
+        "main(['finetune', '--config', cfg, '--set', 'out_dir=' + out, '--set', 'run_id=ft', "
+        "'--set', 'datasets=[\"' + first + '\"]', out + '/pre.ckpt']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    hashes, cpus = [], []
+    for pin in ("pin", "all"):
+        out = tmp_path / pin
+        args = [sys.executable, "-c", script, str(cfg), str(out), manifests[0], pin]
+        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        cpus.append(int(done.stdout.split()[0]))
+        hashes.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("pre.ckpt", "ft.ckpt")])
+    assert cpus == [1, len(os.sched_getaffinity(0))]
+    assert hashes[0] == hashes[1]
+
+
 def test_exit_4_on_garbage_checkpoint(workdir, tmp_path, capsys):
     root, cfg_path, data_dir = workdir
     garbage = tmp_path / "junk.ckpt"

@@ -1,8 +1,13 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 import scipy.special
 
 import oracles
+from motionprim import encoder
 from motionprim.encoder import (
     EncoderCache,
     attention_backward,
@@ -118,6 +123,25 @@ def test_mlp_matches_manual():
     np.testing.assert_allclose(out, hidden @ params["mlp.w2"] + params["mlp.b2"], atol=1e-13)
 
 
+def layernorm_backward_with_sums(d_out, cache):
+    """The per-window kernel plus its sums over windows, returned as the
+    oracles return them: (d_x, d_gamma, d_beta)."""
+    sums = encoder._layernorm_param_grads(d_out, cache[0], "ln")
+    return layernorm_backward(d_out, cache), sums["ln.gamma"], sums["ln.beta"]
+
+
+def attention_backward_with_sums(d_out, cache, params, heads):
+    """(d_x, weight and bias gradients), as the oracles return them."""
+    d_x, d_qkv = attention_backward(d_out, cache, params, heads)
+    return d_x, encoder._attention_param_grads(cache[0], cache[5], d_out, d_qkv)
+
+
+def mlp_backward_with_sums(d_out, cache, params):
+    """(d_x, weight and bias gradients), as the oracles return them."""
+    d_x, d_pre = mlp_backward(d_out, cache, params)
+    return d_x, encoder._mlp_param_grads(cache[0], cache[3], d_out, d_pre)
+
+
 def _rel_err(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -149,7 +173,7 @@ def test_gemm_attention_and_mlp_match_einsum_oracle(config, batch):
         out, cache = attention_forward(x, params, config.heads)
         want, want_cache = oracles.attention_forward_einsum(x, params, config.heads)
         assert _rel_err(out, want) <= 1e-12
-        d_x, grads = attention_backward(d_out, cache, params, config.heads)
+        d_x, grads = attention_backward_with_sums(d_out, cache, params, config.heads)
         want_dx, want_grads = oracles.attention_backward_einsum(d_out, want_cache, params, config.heads)
         assert _rel_err(d_x, want_dx) <= 1e-12
         assert set(grads) == set(want_grads)
@@ -164,7 +188,7 @@ def test_gemm_attention_and_mlp_match_einsum_oracle(config, batch):
         out, cache = mlp_forward(x, params)
         want, want_cache = oracles.mlp_forward_einsum(x, params)
         assert _rel_err(out, want) <= 1e-12
-        d_x, grads = mlp_backward(d_out, cache, params)
+        d_x, grads = mlp_backward_with_sums(d_out, cache, params)
         want_dx, want_grads = oracles.mlp_backward_einsum(d_out, want_cache, params)
         assert _rel_err(d_x, want_dx) <= 1e-12
         assert set(grads) == set(want_grads)
@@ -224,13 +248,13 @@ def test_kernels_bitwise_equal_reference_expressions(config, batch):
         ln = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
         want_ln = oracles.layernorm_forward_reference(x, params["ln1.gamma"], params["ln1.beta"])
         assert_bitwise(ln, want_ln, f"layer{i}.layernorm_forward")
-        assert_bitwise(layernorm_backward(d_out, ln[1]), oracles.layernorm_backward_reference(d_out, want_ln[1]), f"layer{i}.layernorm_backward")
+        assert_bitwise(layernorm_backward_with_sums(d_out, ln[1]), oracles.layernorm_backward_reference(d_out, want_ln[1]), f"layer{i}.layernorm_backward")
 
         attn = attention_forward(x, params, config.heads)
         want_attn = oracles.attention_forward_reference(x, params, config.heads)
         assert_bitwise(attn, want_attn, f"layer{i}.attention_forward")
         assert_bitwise(
-            attention_backward(d_out, attn[1], params, config.heads),
+            attention_backward_with_sums(d_out, attn[1], params, config.heads),
             oracles.attention_backward_reference(d_out, want_attn[1], params, config.heads),
             f"layer{i}.attention_backward",
         )
@@ -238,17 +262,104 @@ def test_kernels_bitwise_equal_reference_expressions(config, batch):
         mlp = mlp_forward(x, params)
         want_mlp = oracles.mlp_forward_reference(x, params)
         assert_bitwise(mlp, want_mlp, f"layer{i}.mlp_forward")
-        assert_bitwise(mlp_backward(d_out, mlp[1], params), oracles.mlp_backward_reference(d_out, want_mlp[1], params), f"layer{i}.mlp_backward")
+        assert_bitwise(mlp_backward_with_sums(d_out, mlp[1], params), oracles.mlp_backward_reference(d_out, want_mlp[1], params), f"layer{i}.mlp_backward")
 
     out, cache = encoder_forward(x, layers, config.heads)
     want_out, want_caches = oracles.encoder_forward_reference(x, layers, config.heads)
     assert_bitwise(out, want_out, "encoder_forward")
-    assert_bitwise(cache.layers, want_caches, "encoder_forward cache")
+    assert_bitwise(joined_caches(cache), want_caches, "encoder_forward cache")
     assert_bitwise(
         encoder_backward(d_out, cache, layers),
         oracles.encoder_backward_reference(d_out, want_caches, layers, config.heads),
         "encoder_backward",
     )
+
+
+def joined_caches(cache):
+    """Per layer, the shards' kernel caches joined along the window axis:
+    the caches of one unsharded pass. Per-window entries have three or more
+    axes; parameters and the attention scale are shared by all shards."""
+
+    def join(entries):
+        if isinstance(entries[0], np.ndarray) and entries[0].ndim >= 3:
+            return np.concatenate(entries)
+        return entries[0]
+
+    return [
+        tuple(
+            tuple(join([shard[k][e] for shard in shards]) for e in range(len(kernel)))
+            for k, kernel in enumerate(shards[0])
+        )
+        for _, shards in cache.layers
+    ]
+
+
+@pytest.mark.parametrize("floor", [8, 1], ids=["floor8", "floor1"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 7, 9, 16, 17, 50])
+def test_sharded_encoder_bitwise_equals_reference(shards, batch, cpus, floor):
+    # even and uneven splits, and batches below the floor, which run as one
+    # shard: output, caches and every gradient are the one-pass bits
+    shards(cpus, floor)
+    config = ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0)
+    layers = random_layers(config, seed=4)
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 31, config.model_dim))
+    d_out = rng.normal(size=(batch, 31, config.model_dim))
+    out, cache = encoder_forward(x, layers, config.heads)
+    assert len(cache.slices) == max(1, min(cpus, batch // floor))
+    want_out, want_caches = oracles.encoder_forward_reference(x, layers, config.heads)
+    assert_bitwise(out, want_out, "encoder_forward")
+    assert_bitwise(joined_caches(cache), want_caches, "encoder_forward cache")
+    want_reduced = [tuple(c[k][e] for k, e in encoder._REDUCED) for c in want_caches]
+    assert_bitwise([reduced for reduced, _ in cache.layers], want_reduced, "whole-batch arrays")
+    assert_bitwise(
+        encoder_backward(d_out, cache, layers),
+        oracles.encoder_backward_reference(d_out, want_caches, layers, config.heads),
+        "encoder_backward",
+    )
+
+
+def test_sharded_overflow_names_the_lowest_failing_layer(shards):
+    # the windows of the first shard overflow only after layer 1 (layer 0's
+    # MLP bias lifts them to 6e307), those of the second already in layer 0
+    # (their layer norm's sum overflows): both passes name layer 0
+    config = ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0)
+    layers = random_layers(config, seed=5)
+    layers[0]["mlp.b2"] = np.full(config.model_dim, 6e307)
+    x = np.random.default_rng(6).normal(size=(16, 31, config.model_dim))
+    x[8:] *= 1e308 / np.abs(x[8:]).max()
+    for cpus in (1, 2):
+        shards(cpus)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="layer 0$"):
+            encoder_forward(x, layers, config.heads)
+    # the first shard alone fails after layer 1
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="layer 1$"):
+        encoder_forward(x[:8], layers, config.heads)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_sharded_passes(shards):
+    # the child of a fork made after the pool exists gets a pool of its own
+    # instead of waiting forever on the parent's threads
+    shards(2)
+    config = ModelConfig(depth=1, heads=2, model_dim=8)
+    layers = init_layers(config, seed=1)
+    x = np.random.default_rng(1).normal(size=(16, 5, 8))
+    want, _ = encoder_forward(x, layers, config.heads)
+    pid = os.fork()
+    if pid == 0:
+        got, _ = encoder_forward(x, layers, config.heads)
+        os._exit(0 if np.array_equal(got, want) else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child did not finish a sharded pass in 30 s")
 
 
 def arrays_in(obj):
@@ -277,7 +388,7 @@ def call_keeps_inputs(fn, *args):
 
 
 @SHAPES
-def test_no_encoder_function_changes_its_inputs(config, batch):
+def test_no_encoder_function_changes_its_inputs(shards, config, batch):
     rng = np.random.default_rng(7)
     layers = random_layers(config, seed=3)
     params = layers[0]
@@ -291,13 +402,19 @@ def test_no_encoder_function_changes_its_inputs(config, batch):
     call_keeps_inputs(gelu_grad, pre, cdf)
     _, ln_cache = call_keeps_inputs(layernorm_forward, x, params["ln1.gamma"], params["ln1.beta"])
     call_keeps_inputs(layernorm_backward, d_out, ln_cache)
+    call_keeps_inputs(encoder._layernorm_param_grads, d_out, ln_cache[0], "ln1")
     _, attn_cache = call_keeps_inputs(attention_forward, x, params, config.heads)
-    call_keeps_inputs(attention_backward, d_out, attn_cache, params, config.heads)
+    _, d_qkv = call_keeps_inputs(attention_backward, d_out, attn_cache, params, config.heads)
+    call_keeps_inputs(encoder._attention_param_grads, attn_cache[0], attn_cache[5], d_out, d_qkv)
     _, mlp_cache = call_keeps_inputs(mlp_forward, x, params)
-    call_keeps_inputs(mlp_backward, d_out, mlp_cache, params)
-    _, cache = call_keeps_inputs(encoder_forward, x, layers, config.heads)
+    _, d_pre = call_keeps_inputs(mlp_backward, d_out, mlp_cache, params)
+    call_keeps_inputs(encoder._mlp_param_grads, mlp_cache[0], mlp_cache[3], d_out, d_pre)
     call_keeps_inputs(encoder_forward, x, layers, config.heads, False)
-    call_keeps_inputs(encoder_backward, d_out, cache, layers)
+    for cpus in (1, 2):  # one shard, then two on two threads
+        shards(cpus, floor=1)
+        _, cache = call_keeps_inputs(encoder_forward, x, layers, config.heads)
+        assert len(cache.slices) == cpus
+        call_keeps_inputs(encoder_backward, d_out, cache, layers)
 
 
 # ---------------------------------------------------------------------------

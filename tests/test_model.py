@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import bench_model_config, bench_spec
+from motionprim import encoder
 from motionprim import model as model_module
 from motionprim.encoder import FORWARD_CHUNK
 from motionprim.errors import ConfigError, DataError, NumericError
@@ -511,3 +512,26 @@ def test_forward_only_peak_memory_does_not_grow_with_the_batch(bench_batch_400):
     one, _ = peak(FORWARD_CHUNK)
     eight, hidden_bytes = peak(8 * FORWARD_CHUNK)
     assert eight - hidden_bytes < 2 * one, (one, eight, hidden_bytes)
+
+
+@pytest.mark.parametrize("weights", [PRETRAIN_WEIGHTS, FINETUNE_WEIGHTS], ids=["pretrain", "finetune"])
+def test_gradients_are_the_same_bits_at_any_shard_count(shards, monkeypatch, weights, bench_batch_400):
+    # 40 windows: one shard, or two of 20 windows each on two threads
+    model = init_model(bench_model_config(), seed=6)
+    batch = bench_batch_400.subset(np.arange(40))
+    mask = _held_out_mask(model, batch) if weights.lambda_mae > 0 else None
+    used = []
+    real = encoder._shard_slices
+    monkeypatch.setattr(encoder, "_shard_slices", lambda n: used.append(len(real(n))) or real(n))
+    runs = []
+    for cpus in (1, 2):
+        shards(cpus)
+        result = forward(model, batch, weights, mask_positions=mask)
+        runs.append((result.loss, result.hidden, backward(result)))
+    assert used == [1, 2]
+    (loss1, hidden1, grads1), (loss2, hidden2, grads2) = runs
+    assert loss1 == loss2
+    assert np.array_equal(hidden1, hidden2)
+    assert grads1.keys() == grads2.keys()
+    for name in grads1:
+        assert np.array_equal(grads1[name], grads2[name]), name
