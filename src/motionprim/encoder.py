@@ -20,7 +20,6 @@ whole-batch arrays, so no bit depends on the shard count.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -239,15 +238,21 @@ if hasattr(os, "register_at_fork"):
 
 def _run_parallel(tasks: list) -> list:
     """Run every task, the first on the calling thread and the others on the
-    pool in a copy of the caller's context (numpy's error state with it);
-    return their results in order once all have ended, or raise the first
-    failure in task order."""
-    futures = [_pool().submit(contextvars.copy_context().run, task) for task in tasks[1:]]
+    pool under the caller's numpy error state (numpy before 2.0 keeps it per
+    thread); return their results in order once all have ended, or raise the
+    first failure in task order."""
+    err = np.geterr()
+    futures = [_pool().submit(_with_errstate, err, task) for task in tasks[1:]]
     try:
         first = tasks[0]()
     finally:
         wait(futures)
     return [first, *(future.result() for future in futures)]
+
+
+def _with_errstate(err: dict, task):
+    with np.errstate(**err):
+        return task()
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +360,6 @@ def _sharded_forward(x: np.ndarray, layers: list[dict[str, np.ndarray]], cache: 
     """The stack over every shard of `x`, filling `cache`; the NumericError
     names the lowest failing layer of all shards."""
     cache.slices = _shard_slices(x.shape[0])
-    if len(cache.slices) == 1:
-        caches = []
-        out, bad = _run_layers(x, layers, cache.heads, lambda i, c: caches.append(c))
-        _check_finite(bad)
-        cache.layers = [(tuple(c[kernel][entry] for kernel, entry in _REDUCED), [c]) for c in caches]
-        return out
     reduced = [
         (*(np.empty(x.shape) for _ in _REDUCED[:-1]), np.empty(x.shape[:2] + params["mlp.w1"].shape[1:]))
         for params in layers
@@ -399,7 +398,8 @@ def _layer_backward(d_out: np.ndarray, caches: tuple, params: dict[str, np.ndarr
 
 def _layer_param_grads(reduced: tuple, d_out: np.ndarray, parts: tuple, threads: int) -> dict[str, np.ndarray]:
     """One block's weight and bias gradients from whole-batch arrays, its
-    four kernels' sums dealt over `threads` threads."""
+    four kernels' sums dealt over `threads` threads (on a 2-core host, run
+    on the calling thread alone they made a training pipeline 7% slower)."""
     xhat1, normed1, merged, xhat2, normed2, act = reduced
     d_pre, d_normed2, d_mid, d_q, d_k, d_v, d_normed1 = parts
     tasks = [  # costliest first
@@ -434,18 +434,15 @@ def encoder_backward(
     for i in range(len(layers) - 1, -1, -1):
         params = layers[i]
         reduced, shard_caches = cache.layers[i]
-        if len(slices) == 1:
-            d_in, parts = _layer_backward(d_x, shard_caches[0], params, cache.heads)
-        else:
-            d_in = np.empty(d_x.shape)
-            parts = (np.empty(d_x.shape[:2] + params["mlp.w1"].shape[1:]), *(np.empty(d_x.shape) for _ in range(6)))
+        d_in = np.empty(d_x.shape)
+        parts = (np.empty(d_x.shape[:2] + params["mlp.w1"].shape[1:]), *(np.empty(d_x.shape) for _ in range(6)))
 
-            def shard(s: int, sl: slice) -> None:
-                d_in_s, parts_s = _layer_backward(d_x[sl], shard_caches[s], params, cache.heads)
-                for buf, part in zip((d_in, *parts), (d_in_s, *parts_s)):
-                    buf[sl] = part
+        def shard(s: int, sl: slice) -> None:
+            d_in_s, parts_s = _layer_backward(d_x[sl], shard_caches[s], params, cache.heads)
+            for buf, part in zip((d_in, *parts), (d_in_s, *parts_s)):
+                buf[sl] = part
 
-            _run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
+        _run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
         all_grads[i] = _layer_param_grads(reduced, d_x, parts, len(slices))
         d_x = d_in
     return d_x, all_grads
