@@ -11,8 +11,10 @@ same operation order as the plain one-temporary-per-operation expressions
 fewer full-size temporaries pass through the cache. No public function
 writes to its arguments.
 
-A training pass runs on window shards, one per CPU, on threads (see Window
-shards below). The public kernels are the per-shard steps: a backward kernel
+Every pass runs on window shards, one per CPU, on threads (see Window
+shards below): a training pass shards its whole batch, a forward-only pass
+one group of FORWARD_CHUNK windows at a time, keeping no kernel cache. The
+public kernels are the per-shard steps: a backward kernel
 returns its input's gradient and the arrays its weight and bias gradients
 sum over, and those sums over windows (`_*_param_grads`) run once, on
 whole-batch arrays, so no bit depends on the shard count.
@@ -21,17 +23,16 @@ whole-batch arrays, so no bit depends on the shard count.
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
+from . import _parallel
 from .errors import ConfigError, DataError, NumericError
 
 LN_EPS = 1e-5
-# windows per slice of a forward-only pass: its working set (the attention
+# windows per group of a forward-only pass: its working set (the attention
 # weights above all) is that of this many windows, whatever the batch size
 FORWARD_CHUNK = 32
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -205,11 +206,11 @@ def _mlp_param_grads(x: np.ndarray, act: np.ndarray, d_out: np.ndarray, d_pre: n
 # ---------------------------------------------------------------------------
 # Window shards
 #
-# A pass that keeps a backward splits its batch into contiguous shards of
-# windows, one per CPU this process may run on and at least
-# _MIN_SHARD_WINDOWS each. Shards run at once, the first on the calling
-# thread and the rest on one module-level pool; numpy releases the GIL inside
-# its kernels. No window's values depend on another's, and every sum over
+# Every pass splits its windows into contiguous shards, one per CPU this
+# process may run on and at least _MIN_SHARD_WINDOWS each, that run at once
+# through `_parallel.run_parallel`. A pass that keeps a backward shards its
+# whole batch; a forward-only pass shards one group of FORWARD_CHUNK windows
+# after another. No window's values depend on another's, and every sum over
 # windows (the weight and bias gradients) runs once, on whole-batch arrays
 # that the shards fill by slice, so every bit is that of one unsharded pass
 # at any shard count.
@@ -217,42 +218,9 @@ def _mlp_param_grads(x: np.ndarray, act: np.ndarray, d_out: np.ndarray, d_pre: n
 _MIN_SHARD_WINDOWS = 8
 
 
-def _cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _shard_slices(batch: int) -> list[slice]:
-    n = max(1, min(_cpus(), batch // _MIN_SHARD_WINDOWS))
+    n = max(1, min(_parallel.cpus(), batch // _MIN_SHARD_WINDOWS))
     return [slice(batch * s // n, batch * (s + 1) // n) for s in range(n)]
-
-
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=max(1, _cpus() - 1), thread_name_prefix="motionprim-shard")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of its parent's pool threads; it makes its own
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _run_parallel(tasks: list) -> list:
-    """Run every task, the first on the calling thread and the others on the
-    pool under the caller's numpy error state (numpy before 2.0 keeps it per
-    thread); return their results in order once all have ended, or raise the
-    first failure in task order."""
-    err = np.geterr()
-    futures = [_pool().submit(_with_errstate, err, task) for task in tasks[1:]]
-    try:
-        first = tasks[0]()
-    finally:
-        wait(futures)
-    return [first, *(future.result() for future in futures)]
-
-
-def _with_errstate(err: dict, task):
-    with np.errstate(**err):
-        return task()
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +265,16 @@ def encoder_forward(
     Attn(LN1(x)) then + MLP(LN2(.)), with no final normalization, so no
     layers is the identity.
 
-    With `need_backward` the stack runs over window shards at once (see
-    Window shards). Without it the returned cache holds no layers, and the
-    stack runs over consecutive slices of FORWARD_CHUNK windows written into
-    one (B, Seq, D) result, so each layer's intermediates are those of one
-    slice and are freed before the next layer runs. Either way the result
+    The stack runs over window shards at once (see Window shards), each
+    written into one (B, Seq, D) result. With `need_backward` the shards
+    split the whole batch and the returned cache keeps what
+    `encoder_backward` needs. Without it the cache holds no layers, and the
+    shards split one group of FORWARD_CHUNK windows after another, keeping
+    no kernel cache, so the intermediates in flight are those of at most
+    FORWARD_CHUNK windows, whatever the batch size. Either way the result
     equals one pass over all windows bit for bit (tested in
-    tests/test_encoder.py and tests/test_model.py).
+    tests/test_encoder.py and tests/test_model.py), and a NumericError names
+    the lowest failing layer over all windows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or any(params["ln1.gamma"].shape != x.shape[2:] for params in layers):
@@ -313,24 +284,36 @@ def encoder_forward(
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite encoder input")
     cache = EncoderCache(heads)
+    batch = x.shape[0]
     if need_backward:
-        return _sharded_forward(x, layers, cache), cache
-    if x.shape[0] <= FORWARD_CHUNK:
-        # one slice needs no result buffer to copy it into
-        out, bad = _run_layers(x, layers, heads, None)
-        _check_finite(bad)
-        return out, cache
-    out = np.empty_like(x)
-    for start in range(0, x.shape[0], FORWARD_CHUNK):
-        stop = start + FORWARD_CHUNK
-        out[start:stop], bad = _run_layers(x[start:stop], layers, heads, None)
-        _check_finite(bad)
-    return out, cache
+        cache.slices = _shard_slices(batch)
+        groups = [cache.slices]
+        reduced = [
+            (*(np.empty(x.shape) for _ in _REDUCED[:-1]), np.empty(x.shape[:2] + params["mlp.w1"].shape[1:]))
+            for params in layers
+        ]
+    else:
+        groups = [
+            [slice(start + sl.start, start + sl.stop) for sl in _shard_slices(min(FORWARD_CHUNK, batch - start))]
+            for start in range(0, batch, FORWARD_CHUNK)
+        ]
+    out = np.empty(x.shape)
 
+    def shard(sl: slice):
+        caches = []
+        keep = (lambda i, c: caches.append(_keep_reduced(reduced[i], sl, c))) if need_backward else None
+        out[sl], bad = _run_layers(x[sl], layers, heads, keep)
+        return caches, bad
 
-def _check_finite(bad: int | None) -> None:
+    results = [
+        result for slices in groups for result in _parallel.run_parallel([functools.partial(shard, sl) for sl in slices])
+    ]
+    bad = min((bad for _, bad in results if bad is not None), default=None)
     if bad is not None:
         raise NumericError(f"non-finite activations after encoder layer {bad}")
+    if need_backward:
+        cache.layers = [(reduced[i], [caches[i] for caches, _ in results]) for i in range(len(layers))]
+    return out, cache
 
 
 def _run_layers(x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, keep) -> tuple[np.ndarray, int | None]:
@@ -354,29 +337,6 @@ def _run_layers(x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, 
         del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out
     return x, None
-
-
-def _sharded_forward(x: np.ndarray, layers: list[dict[str, np.ndarray]], cache: EncoderCache) -> np.ndarray:
-    """The stack over every shard of `x`, filling `cache`; the NumericError
-    names the lowest failing layer of all shards."""
-    cache.slices = _shard_slices(x.shape[0])
-    reduced = [
-        (*(np.empty(x.shape) for _ in _REDUCED[:-1]), np.empty(x.shape[:2] + params["mlp.w1"].shape[1:]))
-        for params in layers
-    ]
-    out = np.empty(x.shape)
-
-    def shard(sl: slice):
-        caches = []
-        out[sl], bad = _run_layers(
-            x[sl], layers, cache.heads, lambda i, c: caches.append(_keep_reduced(reduced[i], sl, c))
-        )
-        return caches, bad
-
-    results = _run_parallel([functools.partial(shard, sl) for sl in cache.slices])
-    _check_finite(min((bad for _, bad in results if bad is not None), default=None))
-    cache.layers = [(reduced[i], [caches[i] for caches, _ in results]) for i in range(len(layers))]
-    return out
 
 
 def _layer_backward(d_out: np.ndarray, caches: tuple, params: dict[str, np.ndarray], heads: int):
@@ -409,7 +369,7 @@ def _layer_param_grads(reduced: tuple, d_out: np.ndarray, parts: tuple, threads:
         functools.partial(_layernorm_param_grads, d_normed1, xhat1, "ln1"),
     ]
     k = min(threads, len(tasks))
-    dealt = _run_parallel([functools.partial(_merge_dicts, tasks[g::k]) for g in range(k)])
+    dealt = _parallel.run_parallel([functools.partial(_merge_dicts, tasks[g::k]) for g in range(k)])
     return {name: grad for grads in dealt for name, grad in grads.items()}
 
 
@@ -442,7 +402,7 @@ def encoder_backward(
             for buf, part in zip((d_in, *parts), (d_in_s, *parts_s)):
                 buf[sl] = part
 
-        _run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
+        _parallel.run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
         all_grads[i] = _layer_param_grads(reduced, d_x, parts, len(slices))
         d_x = d_in
     return d_x, all_grads

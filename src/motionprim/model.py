@@ -374,9 +374,9 @@ def forward(
     by the commitment term's second half, defaulting to the live prototypes.
     need_backward=False keeps nothing for a backward pass, the encoder's
     per-layer cache included, so `backward` refuses the result; the encoder
-    then runs in slices of FORWARD_CHUNK windows, while the quantizer scan,
-    the embedding, the heads and the loss reductions still run once over the
-    whole batch.
+    then runs one group of FORWARD_CHUNK windows at a time, while the
+    quantizer scan, the embedding, the heads and the loss reductions still
+    run once over the whole batch.
     """
     cfg = model.config
     params = model.params

@@ -5,8 +5,11 @@ trained like every other parameter (see `model.backward`).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from . import _parallel
 from .errors import ConfigError, DataError
 
 KMEANS_ITERS = 25
@@ -75,10 +78,13 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
     argmin, so it would silently take every assignment.
 
     Distances are ranked through the expansion |s|^2 - 2 s.z + |z|^2, one
-    GEMM per chunk. Its rounding error is bounded per row (`_gemm_slack`);
+    GEMM per block. Its rounding error is bounded per row (`_gemm_slack`);
     a row whose runner-up lies within that bound of its minimum is rescanned
     exactly, so indices and distances equal the exhaustive scan
-    sum((s - z)^2) bit for bit.
+    sum((s - z)^2) bit for bit. A scan of more than one block deals its
+    blocks over the threads of `_parallel.run_parallel`; every row is exact
+    whichever thread scans it, so the result does not depend on the CPU
+    count.
     """
     segments = np.asarray(segments, dtype=np.float64)
     if segments.ndim != 2:
@@ -95,26 +101,32 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
     rows = max(1, _SCAN_BLOCK // prototypes.shape[0])
     indices = np.empty(n, dtype=np.int64)
     distances = np.empty(n, dtype=np.float64)
-    for start in range(0, n, rows):
-        chunk = segments[start : start + rows]
-        seg_sq = np.sum(chunk * chunk, axis=1)
-        approx = chunk @ prototypes.T
-        approx *= -2.0
-        approx += seg_sq[:, None]
-        approx += proto_sq
-        idx = np.argmin(approx, axis=1)
-        best = approx[np.arange(chunk.shape[0]), idx]
-        cutoff = best + _gemm_slack(L, seg_sq, max_proto_sq)
-        # a unique candidate is the scan's answer; ties, near-ties and rows
-        # whose squares overflow (no candidate at all) are rescanned
-        ambiguous = np.flatnonzero(np.count_nonzero(approx <= cutoff[:, None], axis=1) != 1)
-        for lo in range(0, ambiguous.size, _QUANTIZE_CHUNK):
-            rescan = ambiguous[lo : lo + _QUANTIZE_CHUNK]
-            diff = chunk[rescan, None, :] - prototypes[None, :, :]
-            idx[rescan] = np.argmin(np.sum(diff * diff, axis=2), axis=1)  # first minimum: lowest index
-        diff = chunk - prototypes[idx]
-        indices[start : start + chunk.shape[0]] = idx
-        distances[start : start + chunk.shape[0]] = np.sum(diff * diff, axis=1)
+
+    def scan(starts: range) -> None:
+        for start in starts:
+            chunk = segments[start : start + rows]
+            seg_sq = np.sum(chunk * chunk, axis=1)
+            approx = chunk @ prototypes.T
+            approx *= -2.0
+            approx += seg_sq[:, None]
+            approx += proto_sq
+            idx = np.argmin(approx, axis=1)
+            best = approx[np.arange(chunk.shape[0]), idx]
+            cutoff = best + _gemm_slack(L, seg_sq, max_proto_sq)
+            # a unique candidate is the scan's answer; ties, near-ties and rows
+            # whose squares overflow (no candidate at all) are rescanned
+            ambiguous = np.flatnonzero(np.count_nonzero(approx <= cutoff[:, None], axis=1) != 1)
+            for lo in range(0, ambiguous.size, _QUANTIZE_CHUNK):
+                rescan = ambiguous[lo : lo + _QUANTIZE_CHUNK]
+                diff = chunk[rescan, None, :] - prototypes[None, :, :]
+                idx[rescan] = np.argmin(np.sum(diff * diff, axis=2), axis=1)  # first minimum: lowest index
+            diff = chunk - prototypes[idx]
+            indices[start : start + chunk.shape[0]] = idx
+            distances[start : start + chunk.shape[0]] = np.sum(diff * diff, axis=1)
+
+    blocks = range(0, n, rows)
+    k = max(1, min(_parallel.cpus(), len(blocks)))
+    _parallel.run_parallel([functools.partial(scan, blocks[g::k]) for g in range(k)])
     return indices, distances
 
 

@@ -4,9 +4,10 @@ checkpoint i/o.
 
 Determinism contract: given the same config, seed, and data order, every
 code path here is bit-reproducible at any `workers` count and on any number
-of CPUs. Threads run read-only evaluation passes (`workers`), and the
-encoder splits each training pass into window shards that run on its own
-pool (see motionprim.encoder); neither changes a bit.
+of CPUs. Threads run read-only evaluation passes (`workers`); within any
+pass, the encoder splits its windows into shards and the quantizer deals
+its scan's blocks, over one thread pool with a thread per further CPU (see
+motionprim.encoder and motionprim.quantizer). None of these changes a bit.
 """
 
 from __future__ import annotations
@@ -393,7 +394,9 @@ def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetric
     Windows go through forward-only passes of the encoder's FORWARD_CHUNK
     windows, spread over `workers` threads. That chunk keeps a pass's
     largest array, the attention weights, small enough to stay in cache;
-    larger chunks are slower, not faster.
+    larger chunks are slower, not faster. Each pass splits its windows into
+    shards that run on every CPU (see motionprim.encoder), so one worker
+    already keeps them all busy.
     """
     if workers < 1:
         raise ConfigError(f"evaluate workers must be >= 1, got {workers}")

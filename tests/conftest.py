@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from motionprim import encoder
+from motionprim import _parallel, encoder
 from motionprim.ingest import (
     ChannelMetadata,
     SyntheticClass,
@@ -168,11 +168,12 @@ def bench_shape_eval(bench_provider):
 
 @pytest.fixture
 def shards(monkeypatch):
-    """force(cpus, floor): split training passes as if this process could
-    run on `cpus` CPUs, with at least `floor` windows per shard."""
+    """force(cpus, floor): split encoder passes and deal quantizer scans as
+    if this process could run on `cpus` CPUs, with at least `floor` windows
+    per encoder shard."""
 
     def force(cpus, floor=encoder._MIN_SHARD_WINDOWS):
-        monkeypatch.setattr(encoder, "_cpus", lambda: cpus)
+        monkeypatch.setattr(_parallel, "cpus", lambda: cpus)
         monkeypatch.setattr(encoder, "_MIN_SHARD_WINDOWS", floor)
 
     return force

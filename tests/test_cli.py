@@ -458,7 +458,7 @@ def test_fresh_processes_write_identical_checkpoints(tmp_path):
     cfg.write_text(json.dumps({**TINY_RUN, "datasets": [str(tmp_path / "data" / "manifest.json")], "run_id": "pre"}))
     script = (
         "import sys; from motionprim.cli import main; cfg, out = sys.argv[1:]; "
-        "sys.exit(main(['pretrain', '--config', cfg, '--set', 'out_dir=' + out]) or "
+        "code = (main(['pretrain', '--config', cfg, '--set', 'out_dir=' + out]) or "
         "main(['finetune', '--config', cfg, '--set', 'out_dir=' + out, '--set', 'run_id=ft', out + '/pre.ckpt']))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -481,17 +481,21 @@ def test_fresh_processes_write_identical_checkpoints(tmp_path):
 def test_checkpoint_bytes_do_not_depend_on_the_core_count(tmp_path):
     # README "Determinism": two new processes at one BLAS thread, one pinned
     # to a single CPU and one on every CPU this test may use, pretrain on two
-    # datasets with micro-batches smaller than the batch, then fine-tune, and
-    # write the same bytes; the second splits every 16-window micro-batch
-    # into window shards that run on two or more threads
+    # datasets with micro-batches smaller than the batch, then fine-tune,
+    # evaluate and analyze, and write the same bytes; the second splits every
+    # 16-window micro-batch and every 32-window evaluation group into window
+    # shards on two or more threads, and deals over them the analysis scan
+    # of a third dataset's 2200 windows (17600 segments, two GEMM blocks at
+    # K=8)
     if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs CPU affinity and 2 or more CPUs to compare with 1")
     manifests = []
-    for seed in (5, 6):
+    for seed, windows in ((5, 12), (6, 12), (7, 1100)):
         spec_path = tmp_path / f"spec{seed}.json"
-        spec_path.write_text(json.dumps({**TINY_SPEC, "seed": seed}))
+        spec_path.write_text(json.dumps({**TINY_SPEC, "seed": seed, "windows_per_class": windows}))
         assert cli.main(["synth", str(spec_path), str(tmp_path / f"data{seed}")]) == 0
         manifests.append(str(tmp_path / f"data{seed}" / "manifest.json"))
+    manifests, read_only = manifests[:2], manifests[2]
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         **TINY_RUN,
@@ -502,15 +506,19 @@ def test_checkpoint_bytes_do_not_depend_on_the_core_count(tmp_path):
         "run_id": "pre",
     }))
     script = (
-        "import os, sys\n"
-        "cfg, out, first, pin = sys.argv[1:]\n"
+        "import os, sys, threading\n"
+        "cfg, out, first, read_only, pin = sys.argv[1:]\n"
         "if pin == 'pin': os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "from motionprim import encoder\n"
+        "from motionprim import _parallel\n"
         "from motionprim.cli import main\n"
-        "print(encoder._cpus())\n"
-        "sys.exit(main(['pretrain', '--config', cfg, '--set', 'out_dir=' + out]) or "
+        "print(_parallel.cpus())\n"
+        "code = (main(['pretrain', '--config', cfg, '--set', 'out_dir=' + out]) or "
         "main(['finetune', '--config', cfg, '--set', 'out_dir=' + out, '--set', 'run_id=ft', "
-        "'--set', 'datasets=[\"' + first + '\"]', out + '/pre.ckpt']))\n"
+        "'--set', 'datasets=[\"' + first + '\"]', out + '/pre.ckpt']) or "
+        "any(main([command, '--config', cfg, '--set', 'out_dir=' + out, '--set', 'run_id=' + run_id, "
+        "out + '/ft.ckpt', read_only]) for command, run_id in (('evaluate', 'eval'), ('analyze', 'analyze'))))\n"
+        "print(threading.active_count())\n"
+        "sys.exit(code)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {
@@ -518,15 +526,21 @@ def test_checkpoint_bytes_do_not_depend_on_the_core_count(tmp_path):
         "OPENBLAS_NUM_THREADS": "1",
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
-    hashes, cpus = [], []
+    hashes, cpus, threads = [], [], []
     for pin in ("pin", "all"):
         out = tmp_path / pin
-        args = [sys.executable, "-c", script, str(cfg), str(out), manifests[0], pin]
+        args = [sys.executable, "-c", script, str(cfg), str(out), manifests[0], read_only, pin]
         done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        cpus.append(int(done.stdout.split()[0]))
-        hashes.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("pre.ckpt", "ft.ckpt")])
+        printed = done.stdout.split()
+        cpus.append(int(printed[0]))
+        threads.append(int(printed[-1]))
+        written = ["pre.ckpt", "ft.ckpt", "eval_metrics.json"]
+        written += [f"analyze_{name}.csv" for name in ("similarity", "frequency", "transitions")]
+        hashes.append([hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written])
     assert cpus == [1, len(os.sched_getaffinity(0))]
+    # the pinned process never started a pool thread
+    assert threads[0] == 1 and threads[1] > 1
     assert hashes[0] == hashes[1]
 
 

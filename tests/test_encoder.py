@@ -1,6 +1,9 @@
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from motionprim.encoder import (
 )
 from motionprim.errors import ConfigError, DataError, NumericError
 from motionprim.model import ModelConfig, encoder_layers, init_model
+from motionprim.quantizer import nearest_prototypes
 
 TINY = ModelConfig(depth=2, heads=2, model_dim=8, mlp_ratio=2.0)
 
@@ -320,22 +324,44 @@ def test_sharded_encoder_bitwise_equals_reference(shards, batch, cpus, floor):
     )
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 7, 31, 33, 65])
+def test_forward_only_shards_bitwise_equal_reference(shards, monkeypatch, batch, cpus):
+    # one group of FORWARD_CHUNK windows after another, each split into
+    # shards, keeps no layer cache and gives the one-pass output bits
+    shards(cpus)
+    config = ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0)
+    layers = random_layers(config, seed=4)
+    x = np.random.default_rng(batch).normal(size=(batch, 31, config.model_dim))
+    groups = []
+    real = encoder._shard_slices
+    monkeypatch.setattr(encoder, "_shard_slices", lambda n: groups.append(n) or real(n))
+    out, cache = encoder_forward(x, layers, config.heads, need_backward=False)
+    chunk = encoder.FORWARD_CHUNK
+    assert groups == [min(chunk, batch - start) for start in range(0, batch, chunk)]
+    assert cache.layers == []
+    assert_bitwise(out, oracles.encoder_forward_reference(x, layers, config.heads)[0], "encoder_forward")
+
+
 def test_sharded_overflow_names_the_lowest_failing_layer(shards):
-    # the windows of the first shard overflow only after layer 1 (layer 0's
-    # MLP bias lifts them to 6e307), those of the second already in layer 0
-    # (their layer norm's sum overflows): both passes name layer 0
+    # the first 32 windows overflow only after layer 1 (layer 0's MLP bias
+    # lifts them to 6e307), the last 32 already in layer 0 (their layer
+    # norm's sum overflows): they are different shards of a training pass
+    # and different FORWARD_CHUNK groups of a forward-only one, and every
+    # pass names layer 0
     config = ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0)
     layers = random_layers(config, seed=5)
     layers[0]["mlp.b2"] = np.full(config.model_dim, 6e307)
-    x = np.random.default_rng(6).normal(size=(16, 31, config.model_dim))
-    x[8:] *= 1e308 / np.abs(x[8:]).max()
+    x = np.random.default_rng(6).normal(size=(64, 31, config.model_dim))
+    x[32:] *= 1e308 / np.abs(x[32:]).max()
     for cpus in (1, 2):
         shards(cpus)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="layer 0$"):
-            encoder_forward(x, layers, config.heads)
-    # the first shard alone fails after layer 1
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="layer 1$"):
-        encoder_forward(x[:8], layers, config.heads)
+        for need_backward in (True, False):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="layer 0$"):
+                encoder_forward(x, layers, config.heads, need_backward)
+            # the first 32 windows alone fail after layer 1
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="layer 1$"):
+                encoder_forward(x[:32], layers, config.heads, need_backward)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -345,12 +371,23 @@ def test_forked_child_runs_sharded_passes(shards):
     shards(2)
     config = ModelConfig(depth=1, heads=2, model_dim=8)
     layers = init_layers(config, seed=1)
-    x = np.random.default_rng(1).normal(size=(16, 5, 8))
-    want, _ = encoder_forward(x, layers, config.heads)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(16, 5, 8))
+    # more than one GEMM block (2^17 / 64 = 2048 rows), so the scan is dealt
+    segments, prototypes = rng.normal(size=(5000, 8)), rng.normal(size=(64, 8))
+
+    def passes():
+        return (
+            encoder_forward(x, layers, config.heads)[0],
+            encoder_forward(x, layers, config.heads, need_backward=False)[0],
+            *nearest_prototypes(segments, prototypes),
+        )
+
+    want = passes()
     pid = os.fork()
     if pid == 0:
-        got, _ = encoder_forward(x, layers, config.heads)
-        os._exit(0 if np.array_equal(got, want) else 1)
+        got = passes()
+        os._exit(0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 1)
     for _ in range(600):
         done, status = os.waitpid(pid, os.WNOHANG)
         if done:
@@ -359,7 +396,27 @@ def test_forked_child_runs_sharded_passes(shards):
         time.sleep(0.05)
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
-    pytest.fail("the forked child did not finish a sharded pass in 30 s")
+    pytest.fail("the forked child did not finish its sharded passes in 30 s")
+
+
+def test_a_call_made_on_a_pool_thread_runs_its_tasks_inline():
+    # a pool task that reaches a sharded pass or a pooled scan would wait
+    # forever on the pool's one busy thread if it submitted its own tasks;
+    # a new process keeps a stuck pool out of this one
+    script = (
+        "import threading\n"
+        "from motionprim import _parallel\n"
+        "_parallel.cpus = lambda: 2  # a pool of one thread\n"
+        "name = lambda: threading.current_thread().name\n"
+        "nested = lambda: (name(), _parallel.run_parallel([name, name, name]))\n"
+        "caller, (pool_thread, inner) = _parallel.run_parallel([name, nested])\n"
+        "print(pool_thread != caller, set(inner) == {pool_thread})\n"
+    )
+    src = str(Path(encoder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
 
 
 def arrays_in(obj):

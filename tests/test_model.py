@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -470,22 +471,24 @@ def _held_out_mask(model, batch):
 
 
 @pytest.mark.parametrize("which", ["tiny", "bench"])
-def test_sliced_forward_only_pass_equals_one_training_mode_pass(which, bench_batch_400):
-    # a forward-only pass runs the encoder in FORWARD_CHUNK-window slices, a
-    # training-mode pass over all windows at once; with and without a mask,
-    # every output is the same bits, whether the last slice is full, 1 window
-    # (33, 65) or the only one (1, 31)
+def test_sliced_forward_only_pass_equals_one_training_mode_pass(which, shards, bench_batch_400):
+    # a forward-only pass runs the encoder in FORWARD_CHUNK-window groups, a
+    # training-mode pass over all windows at once, each split into window
+    # shards at 1 and 2 CPUs; with and without a mask, every output is the
+    # same bits, whether the last group is full, 1 window (33, 65) or the
+    # only one (1, 31)
     if which == "tiny":
         model, batch = init_model(tiny_config(), seed=4), tiny_batch(seed=8, num_windows=400)
     else:
         model, batch = init_model(bench_model_config(), seed=4), bench_batch_400
     weights = LossWeights(1.0, 1.0, 1.0)
-    for n in (1, 31, 33, 65, 400):
+    for cpus, n in itertools.product((1, 2), (1, 31, 33, 65, 400)):
+        shards(cpus)
         sub = batch.subset(np.arange(n))
         for mask in (None, _held_out_mask(model, sub)):
             sliced = forward(model, sub, weights, mask_positions=mask, need_backward=False)
             whole = forward(model, sub, weights, mask_positions=mask)
-            where = f"{which}: {n} windows, mask {mask is not None}"
+            where = f"{which}: {cpus} CPUs, {n} windows, mask {mask is not None}"
             assert sliced._backward is None and whole._backward is not None, where
             for name in ("hidden", "indices", "cls_probs"):
                 assert np.array_equal(getattr(sliced, name), getattr(whole, name)), f"{where}: {name}"

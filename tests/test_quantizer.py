@@ -16,7 +16,7 @@ from motionprim.model import (
     tiny_batch,
     tiny_config,
 )
-from motionprim import quantizer
+from motionprim import _parallel, quantizer
 from motionprim.quantizer import KMEANS_ITERS, init_codebook, nearest_prototypes, usage_report
 
 VQ_ONLY = LossWeights(0.0, 0.0, 1.0)
@@ -94,7 +94,9 @@ def _assert_bitwise_broadcast(segs, protos, scan_rows=None):
     return idx
 
 
-def test_gemm_scan_duplicated_prototypes_tie_to_lowest_index():
+def _duplicated_prototypes():
+    """(segments, prototypes): duplicated codewords, their exact copies and
+    copies 1e-9 away, then random rows."""
     rng = np.random.default_rng(7)
     protos = rng.normal(size=(40, 12))
     protos[[9, 23, 31]] = protos[5]
@@ -104,22 +106,32 @@ def test_gemm_scan_duplicated_prototypes_tie_to_lowest_index():
         protos[[5, 17, 31]] + 1e-9 * rng.normal(size=(3, 12)),
         rng.normal(size=(200, 12)),
     ])
-    idx = _assert_bitwise_broadcast(segs, protos)
+    return segs, protos
+
+
+def test_gemm_scan_duplicated_prototypes_tie_to_lowest_index():
+    idx = _assert_bitwise_broadcast(*_duplicated_prototypes())
     assert list(idx[:8]) == [5, 5, 17, 5, 17, 5, 17, 5]
 
 
-def test_gemm_scan_exactly_equidistant_segments():
-    # z = s +- e, with s in [1.25, 1.75) and e a multiple of 2^-20 below
-    # 1/16: s +- e stays in [1, 2), so it and both differences are exact and
-    # the two distances are equal in every summation order, while the GEMM's
-    # s.z rounds and splits the tie
+def _equidistant_segments():
+    """(centers, prototypes, offsets, order): z = s +- e, with s in
+    [1.25, 1.75) and e a multiple of 2^-20 below 1/16: s +- e stays in
+    [1, 2), so it and both differences are exact and the two distances are
+    equal in every summation order, while the GEMM's s.z rounds and splits
+    the tie."""
     rng = np.random.default_rng(8)
     L, pairs = 50, 200
     centers = rng.uniform(1.25, 1.75, size=(pairs, L))
     offsets = rng.integers(-(2**16), 2**16, size=(pairs, L)) * 2.0**-20
     protos = np.concatenate([centers + offsets, centers - offsets])
     order = rng.permutation(2 * pairs)
-    protos = protos[order]
+    return centers, protos[order], offsets, order
+
+
+def test_gemm_scan_exactly_equidistant_segments():
+    centers, protos, offsets, order = _equidistant_segments()
+    pairs = len(centers)
     idx, dist = nearest_prototypes(centers, protos)
     np.testing.assert_array_equal(dist, np.sum(offsets * offsets, axis=1))
     slot = np.argsort(order)  # where each original row went
@@ -138,9 +150,10 @@ def test_gemm_scan_large_common_offset():
     _assert_bitwise_broadcast(segs, protos, scan_rows=range(0, 600, 7))
 
 
-def test_gemm_scan_default_codebook_size():
-    # K=1024, L=50, n=4096 mixing random rows, codeword copies, duplicated
-    # codewords and near-midpoints between codeword pairs
+def _default_codebook_size():
+    """(segments, prototypes): K=1024, L=50, n=4096 mixing random rows,
+    codeword copies, duplicated codewords and near-midpoints between
+    codeword pairs."""
     rng = np.random.default_rng(10)
     K, L, n = 1024, 50, 4096
     protos = rng.normal(size=(K, L)) / np.sqrt(L)
@@ -151,7 +164,31 @@ def test_gemm_scan_default_codebook_size():
         protos[rng.choice(K, 1024)],
         0.5 * (protos[a] + protos[b]),
     ])
-    _assert_bitwise_broadcast(segs, protos, scan_rows=range(0, n, 128))
+    return segs, protos
+
+
+def test_gemm_scan_default_codebook_size():
+    segs, protos = _default_codebook_size()
+    _assert_bitwise_broadcast(segs, protos, scan_rows=range(0, len(segs), 128))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pooled_scan_is_the_broadcast_scan_at_any_core_count(shards, monkeypatch, cpus):
+    # the adversarial sets over many GEMM blocks (K=1024 at its own 128 rows
+    # per block, the others at 16), dealt over one to three threads
+    shards(cpus)
+    dealt = []
+    real = _parallel.run_parallel
+    monkeypatch.setattr(_parallel, "run_parallel", lambda tasks: dealt.append(len(tasks)) or real(tasks))
+    sets = [
+        (*_duplicated_prototypes(), 16),
+        (*_equidistant_segments()[:2], 16),
+        (*_default_codebook_size(), 128),
+    ]
+    for segs, protos, rows in sets:
+        monkeypatch.setattr(quantizer, "_SCAN_BLOCK", rows * len(protos))
+        _assert_bitwise_broadcast(segs, protos, scan_rows=range(0, len(segs), 128))
+    assert dealt == [cpus] * len(sets)
 
 
 def test_quantize_shape_mismatch():
@@ -282,6 +319,16 @@ def test_kmeans_update_is_bitwise_the_member_mean_loop():
             if members.shape[0] > 0:
                 centroids[k] = members.mean(axis=0)
     np.testing.assert_array_equal(protos, centroids)
+
+
+def test_kmeans_init_is_the_same_bits_at_any_core_count(shards):
+    # 5000 segments at K=64 are three GEMM blocks per assignment scan
+    sample = np.random.default_rng(15).normal(size=(5000, 50))
+    inits = []
+    for cpus in (1, 2):
+        shards(cpus)
+        inits.append(init_codebook(64, 50, "kmeans-seeded", sample=sample, seed=5))
+    assert inits[0].tobytes() == inits[1].tobytes()
 
 
 @pytest.mark.parametrize("seed, scans", [(0, 11), (2, KMEANS_ITERS)])
