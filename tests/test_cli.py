@@ -458,7 +458,7 @@ def test_fresh_processes_write_identical_checkpoints(tmp_path):
     cfg.write_text(json.dumps({**TINY_RUN, "datasets": [str(tmp_path / "data" / "manifest.json")], "run_id": "pre"}))
     script = (
         "import sys; from motionprim.cli import main; cfg, out = sys.argv[1:]; "
-        "code = (main(['pretrain', '--config', cfg, '--set', 'out_dir=' + out]) or "
+        "sys.exit(main(['pretrain', '--config', cfg, '--set', 'out_dir=' + out]) or "
         "main(['finetune', '--config', cfg, '--set', 'out_dir=' + out, '--set', 'run_id=ft', out + '/pre.ckpt']))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
