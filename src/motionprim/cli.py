@@ -3,8 +3,8 @@ gradcheck. Config precedence is defaults < config file < --set overrides,
 every override logged; every run writes a run_manifest with the config hash,
 seed, and library versions.
 
-Exit codes: 0 ok, 2 config error or an output file that cannot be written,
-3 data error, 4 checkpoint error, 5 numeric failure.
+Exit codes: 0 ok, 2 config error, an output file that cannot be written or
+a MemoryError, 3 data error, 4 checkpoint error, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -454,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # every read wraps its OSError, so this is a write
         _report_error("output", exc)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        _report_error("memory", exc)
         return EXIT_CONFIG
 
 

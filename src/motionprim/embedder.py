@@ -154,9 +154,12 @@ def embed_batch(
     x = np.empty((B, layout.seq_len, params["embed.rows"].shape[1]), dtype=np.float64)
     x[:, 0] = params["embed.cls_vector"]
     x[:, 1:] = params["embed.rows"][rows[:, 1:]]
-    x[:, motion_pos] += stats.reshape(B, -1, 2) @ params["stat.weight"].T + params["stat.bias"]
+    stat_term = stats.reshape(B, -1, 2) @ params["stat.weight"].T
+    stat_term += params["stat.bias"]
+    x[:, motion_pos] += stat_term
+    del stat_term
     x[:, channel_pos] += meta_proj[layout.channel_of[channel_pos]]
-    x = x + params["pos.rows"][layout.position_slot][None, :, :]
+    x += params["pos.rows"][layout.position_slot][None, :, :]
     return x, rows, mask_targets
 
 

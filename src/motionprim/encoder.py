@@ -128,9 +128,19 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], heads: int):
-    """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected."""
-    q = _split_heads(_affine(x, params["attn.wq"], params["attn.bq"]), heads)
+def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(B, r, D): the rows `rows` (B, r) of each window of `x`."""
+    return x[np.arange(x.shape[0])[:, None], rows]
+
+
+def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], heads: int, rows: np.ndarray | None = None):
+    """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected.
+
+    With `rows` ((B, r) positions), queries are taken only at those rows of
+    each window, so the output is theirs, (B, r, D), while keys and values
+    still cover every row; such a cache serves no backward pass."""
+    queries = x if rows is None else _take_rows(x, rows)
+    q = _split_heads(_affine(queries, params["attn.wq"], params["attn.bq"]), heads)
     k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"]), heads)
     v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"]), heads)
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
@@ -260,6 +270,7 @@ def encoder_forward(
     layers: list[dict[str, np.ndarray]],
     heads: int,
     need_backward: bool = True,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EncoderCache]:
     """Run one pre-norm residual block per entry of `layers`: x +
     Attn(LN1(x)) then + MLP(LN2(.)), with no final normalization, so no
@@ -275,6 +286,17 @@ def encoder_forward(
     equals one pass over all windows bit for bit (tested in
     tests/test_encoder.py and tests/test_model.py), and a NumericError names
     the lowest failing layer over all windows.
+
+    `rows`, (B, r) sequence positions, are the only rows a forward-only pass
+    keeps: the last block then computes its query side only at those rows
+    (its keys and values, and every earlier block, still cover every row),
+    and the result is (B, r, D), their outputs in `rows` order, the bits of
+    the same rows of a full pass. Fewer than two rows per window are
+    computed beside a second one, row 1 (row 0 beside row 1), and dropped:
+    with one query row per window numpy takes its vector-matrix product,
+    whose last bits differ from the matrix product's. The NumericError check
+    sees only the rows a pass computes, so an overflow confined to a row
+    the last block skips is not raised.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or any(params["ln1.gamma"].shape != x.shape[2:] for params in layers):
@@ -285,6 +307,12 @@ def encoder_forward(
         raise NumericError("non-finite encoder input")
     cache = EncoderCache(heads)
     batch = x.shape[0]
+    if rows is None:
+        read = x.shape[1]
+    elif need_backward:
+        raise DataError("rows select the output of a forward-only pass (need_backward=False)")
+    else:
+        rows, read = _query_rows(rows, x.shape[:2])
     if need_backward:
         cache.slices = _shard_slices(batch)
         groups = [cache.slices]
@@ -297,12 +325,14 @@ def encoder_forward(
             [slice(start + sl.start, start + sl.stop) for sl in _shard_slices(min(FORWARD_CHUNK, batch - start))]
             for start in range(0, batch, FORWARD_CHUNK)
         ]
-    out = np.empty(x.shape)
+    out = np.empty((batch, read, x.shape[2]))
 
     def shard(sl: slice):
         caches = []
         keep = (lambda i, c: caches.append(_keep_reduced(reduced[i], sl, c))) if need_backward else None
-        out[sl], bad = _run_layers(x[sl], layers, heads, keep)
+        result, bad = _run_layers(x[sl], layers, heads, keep, None if rows is None else rows[sl])
+        if bad is None:
+            out[sl] = result[:, :read]
         return caches, bad
 
     results = [
@@ -316,15 +346,40 @@ def encoder_forward(
     return out, cache
 
 
-def _run_layers(x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, keep) -> tuple[np.ndarray, int | None]:
+def _query_rows(rows, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """(the rows to compute, the number read) for `rows` of a (B, Seq)
+    batch: a single row gets a second one beside it (see encoder_forward)."""
+    rows = np.asarray(rows)
+    batch, seq = shape
+    if rows.ndim != 2 or rows.shape[0] != batch or rows.dtype.kind not in "iu":
+        raise DataError(f"rows must be ({batch}, r) integer positions, got {rows.dtype} {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= seq):
+        raise DataError(f"rows must lie in [0, {seq})")
+    read = rows.shape[1]
+    if read == 0:
+        rows = np.zeros((batch, 1), dtype=np.int64)
+    if rows.shape[1] == 1 and seq > 1:
+        rows = np.concatenate([rows, np.where(rows == 1, 0, 1)], axis=1)
+    return rows.astype(np.int64, copy=False), read
+
+
+def _run_layers(
+    x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, keep, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, int | None]:
     """The block stack over `x`: (output, None), or, stopping at the first
     layer whose output is not all finite, (that output, its index).
     keep(i, caches) receives layer i's kernel caches; without `keep` they are
-    freed before the next layer allocates its own."""
+    freed before the next layer allocates its own. With `rows` ((B, r)
+    positions) the last block runs its query side (attention queries, output
+    projection, residuals, LN2 and MLP) only at those rows, and the output
+    is theirs, (B, r, D)."""
+    if rows is not None and not layers:
+        return _take_rows(x, rows), None
     for i, params in enumerate(layers):
+        query_rows = rows if i == len(layers) - 1 else None
         normed, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
-        mid, attn_cache = attention_forward(normed, params, heads)
-        mid += x
+        mid, attn_cache = attention_forward(normed, params, heads, query_rows)
+        mid += x if query_rows is None else _take_rows(x, query_rows)
         normed, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"])
         out, mlp_cache = mlp_forward(normed, params)
         out += mid

@@ -431,17 +431,22 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def _read_csv_columns(path: Path, numeric: set[str], text: set[str]) -> _CsvColumns:
-    """The `numeric` (float64) and `text` (factorized) columns of a CSV file.
-    When the file has a sidecar, its sha256 is taken, and a sidecar whose
-    key matches the hash and the requested columns serves them; otherwise
-    the text is parsed. A missing column and every parse fault raise
-    DataError naming the file."""
-    request = {"format": CSV_SIDECAR_FORMAT, "numeric": sorted(numeric), "text": sorted(text)}
+    """The `numeric` (float64) and `text` (factorized) columns of a CSV file,
+    and maybe others. When the file has a sidecar, its sha256 is taken, and
+    a sidecar of that hash that holds every requested column serves them
+    all. Otherwise the text is parsed: for the requested columns and those
+    of a sidecar of that hash, so the rewritten sidecar serves both loads
+    (unless one reads as text a column the other reads as numbers). A
+    missing column and every parse fault raise DataError naming the file."""
     if _sidecar_path(path).is_file():
-        served = _load_sidecar(path, {**request, "sha256": _sha256(path)})
-        if served is not None:
-            return served
-    return _parse_csv(path, request)
+        stored = _load_sidecar(path, {"format": CSV_SIDECAR_FORMAT, "sha256": _sha256(path)})
+        if stored is not None:
+            has_numeric, has_text = set(stored.key["numeric"]), set(stored.key["text"])
+            if numeric <= has_numeric and text <= has_text:
+                return stored
+            if not (numeric & has_text or text & has_numeric):
+                numeric, text = numeric | has_numeric, text | has_text
+    return _parse_csv(path, {"format": CSV_SIDECAR_FORMAT, "numeric": sorted(numeric), "text": sorted(text)})
 
 
 def _sha256(path: Path) -> str:
@@ -529,8 +534,8 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
 
 
 def _load_sidecar(path: Path, key: dict) -> _CsvColumns | None:
-    """The columns a file's sidecar holds, or None when there is none or it
-    does not match `key` or is truncated or malformed."""
+    """The columns a file's sidecar holds, or None when there is none, its
+    format or hash is not that of `key`, or it is truncated or malformed."""
     sidecar = _sidecar_path(path)
     try:
         meta, tensors = tensorfile.load_tensors(sidecar, CSV_SIDECAR_KIND)
@@ -539,6 +544,11 @@ def _load_sidecar(path: Path, key: dict) -> _CsvColumns | None:
         return None
     names = meta.get("names")
     rows = {arr.shape[0] if arr.ndim == 1 else 0 for arr in tensors.values()}
+    columns = [meta.get(kind) for kind in ("numeric", "text")]
+    if any(not isinstance(c, list) or not all(isinstance(name, str) for name in c) for c in columns):
+        logger.debug("not using %s: no column lists", sidecar)
+        return None
+    key = {**key, "numeric": columns[0], "text": columns[1]}
     if (
         any(meta.get(field) != value for field, value in key.items())
         or not isinstance(names, dict)

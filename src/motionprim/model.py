@@ -337,7 +337,10 @@ class ForwardResult:
     mask_positions: np.ndarray | None  # (B, m)
     mask_targets: np.ndarray | None  # (B, m)
     cls_probs: np.ndarray | None
+    # (B, Seq, D); after a forward-only pass (B, r, D), the rows
+    # `hidden_rows` (B, r) of each window, those the heads read
     hidden: np.ndarray
+    hidden_rows: np.ndarray | None
     masked_fraction: float
     # the pass's gradients, or None without need_backward; see `backward`
     _backward: Callable[[], dict[str, np.ndarray]] | None = field(default=None, repr=False)
@@ -376,7 +379,12 @@ def forward(
     per-layer cache included, so `backward` refuses the result; the encoder
     then runs one group of FORWARD_CHUNK windows at a time, while the
     quantizer scan, the embedding, the heads and the loss reductions still
-    run once over the whole batch.
+    run once over the whole batch. Such a pass also keeps only the hidden
+    rows the heads read, the mask positions then the [CLS] row, as
+    `hidden` (B, r, D) with their positions in `hidden_rows`: the encoder's
+    last block computes its query side at those rows alone (see
+    `encoder_forward`), and the losses, `cls_probs` and those rows are the
+    bits of a training-mode pass.
     """
     cfg = model.config
     params = model.params
@@ -393,8 +401,13 @@ def forward(
         diff = flat_segments - prototypes[indices_flat]
         dist_first = np.sum(diff * diff, axis=1)
     z0 = prototypes if frozen_prototypes is None else frozen_prototypes
-    diff_second = flat_segments - z0[indices_flat]
-    vq_value = float(dist_first.mean() + cfg.beta * np.sum(diff_second * diff_second, axis=1).mean())
+    # the second term's squared differences, in place in one whole-batch array
+    # that is freed before the encoder runs
+    diff = z0[indices_flat]
+    np.subtract(flat_segments, diff, out=diff)
+    diff *= diff
+    vq_value = float(dist_first.mean() + cfg.beta * diff.sum(axis=1).mean())
+    del diff
 
     layout = model.layout_for(C, S)
     if mask_positions is not None:
@@ -402,22 +415,32 @@ def forward(
     x, rows, mask_targets = embed_batch(
         params, layout, indices_flat.reshape(B, C, S), batch.stats, batch.meta, mask_positions
     )
-    layers = encoder_layers(params, cfg.depth)
-    hidden, enc_cache = encoder_forward(x, layers, cfg.heads, need_backward)
-
     # each head reads one hidden row per target: (tensor prefix, loss weight,
-    # window and position of each row, targets)
+    # the (B, k) sequence positions of those rows, targets)
     heads = []
     if mask_positions is not None and mask_positions.size > 0:
-        window = np.repeat(np.arange(B), mask_positions.shape[1])
-        heads.append(("mae", weights.lambda_mae, window, mask_positions.reshape(-1), mask_targets.reshape(-1)))
+        heads.append(("mae", weights.lambda_mae, mask_positions, mask_targets.reshape(-1)))
     if weights.lambda_cls > 0 and batch.labels is not None:
         if np.any((batch.labels < 0) | (batch.labels >= cfg.num_classes)):
             raise DataError("label outside [0, num_classes)")
-        heads.append(("cls_head", weights.lambda_cls, np.arange(B), np.zeros(B, dtype=np.int64), batch.labels))
+        heads.append(("cls_head", weights.lambda_cls, np.zeros((B, 1), dtype=np.int64), batch.labels))
+    # a forward-only pass keeps only the rows the heads read, head after head
+    hidden_rows = None if need_backward else np.concatenate(
+        [np.zeros((B, 0), dtype=np.int64), *(positions for _, _, positions, _ in heads)], axis=1
+    )
+    layers = encoder_layers(params, cfg.depth)
+    hidden, enc_cache = encoder_forward(x, layers, cfg.heads, need_backward, hidden_rows)
+    # (window, row of `hidden`) of each head's targets, window by window
+    reads, start = [], 0
+    for _, _, positions, _ in heads:
+        k = positions.shape[1]
+        row = positions.reshape(-1) if need_backward else np.tile(np.arange(start, start + k), B)
+        reads.append((np.repeat(np.arange(B), k), row))
+        start += k
+
     head_loss, head_probs = {"mae": 0.0, "cls_head": 0.0}, {}
-    for prefix, _, window, position, targets in heads:
-        logits = hidden[window, position] @ params[f"{prefix}.weight"].T + params[f"{prefix}.bias"]
+    for (prefix, _, _, targets), (window, row) in zip(heads, reads):
+        logits = hidden[window, row] @ params[f"{prefix}.weight"].T + params[f"{prefix}.bias"]
         losses, head_probs[prefix] = _xent(logits, targets)
         head_loss[prefix] = float(losses.mean())
     mae_value, cls_value = head_loss["mae"], head_loss["cls_head"]
@@ -431,7 +454,7 @@ def forward(
     def backward_pass() -> dict[str, np.ndarray]:
         grads = {}
         d_hidden = np.zeros_like(hidden)
-        for prefix, weight, window, position, targets in heads:
+        for (prefix, weight, _, targets), (window, position) in zip(heads, reads):
             if weight == 0:
                 continue
             d_logits = head_probs[prefix].copy()
@@ -466,6 +489,7 @@ def forward(
         mask_targets=mask_targets,
         cls_probs=head_probs.get("cls_head"),
         hidden=hidden,
+        hidden_rows=hidden_rows,
         masked_fraction=0.0 if mask_positions is None else mask_positions.shape[1] / (C * S),
         _backward=backward_pass if need_backward else None,
     )

@@ -396,7 +396,9 @@ def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetric
     largest array, the attention weights, small enough to stay in cache;
     larger chunks are slower, not faster. Each pass splits its windows into
     shards that run on every CPU (see motionprim.encoder), so one worker
-    already keeps them all busy.
+    already keeps them all busy. Only the [CLS] row is read, so the
+    encoder's last block computes its query side at rows 0 and 1 alone
+    (see `model.forward`); the predictions are those of a full pass.
     """
     if workers < 1:
         raise ConfigError(f"evaluate workers must be >= 1, got {workers}")

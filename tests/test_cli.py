@@ -672,6 +672,30 @@ def test_failed_output_write_exits_2_and_keeps_the_previous_metrics(workdir, tmp
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("error", [
+    pytest.param(MemoryError(), id="bare"),
+    # what numpy raises for an array it cannot allocate; made, not raised by
+    # an allocation, so the test allocates nothing large
+    pytest.param(
+        (np._core if hasattr(np, "_core") else np.core)._exceptions._ArrayMemoryError((10**12, 64), np.dtype(np.float64)),
+        id="numpy",
+    ),
+])
+def test_memory_error_exits_2_with_one_json_record(tmp_path, capsys, monkeypatch, error):
+    def out_of_memory(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", out_of_memory)
+    assert cli.main(["gradcheck"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "memory" and record["type"] == type(error).__name__
+    assert record["message"] == str(error)
+
+
 def test_synth_below_a_file_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(TINY_SPEC))

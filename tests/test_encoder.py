@@ -343,6 +343,96 @@ def test_forward_only_shards_bitwise_equal_reference(shards, monkeypatch, batch,
     assert_bitwise(out, oracles.encoder_forward_reference(x, layers, config.heads)[0], "encoder_forward")
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_forward_only_rows_bitwise_equal_reference_rows(shards, depth, cpus):
+    # the last block's query side at the read rows only: those rows are the
+    # reference's bits, for no row (two computed and dropped), one row
+    # (computed beside a second), the [CLS] row and mask-like row sets, in
+    # any order and with repeats, over one group or several
+    shards(cpus)
+    config = ModelConfig(depth=depth, heads=4, model_dim=64, mlp_ratio=2.0)
+    layers = random_layers(config, seed=4)
+    for batch in (1, 7, 33):
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, 31, config.model_dim))
+        want = oracles.encoder_forward_reference(x, layers, config.heads)[0]
+        for read in (0, 1, 2, 9):
+            for rows in (np.zeros((batch, read), dtype=np.int64), np.ones((batch, read), dtype=np.int64), rng.integers(0, 31, size=(batch, read))):
+                out, cache = encoder_forward(x, layers, config.heads, need_backward=False, rows=rows)
+                assert cache.layers == []
+                assert out.shape == (batch, read, config.model_dim)
+                assert_bitwise(out, want[np.arange(batch)[:, None], rows], f"{batch} windows, rows {rows[:1]}")
+
+
+def test_rows_are_checked():
+    layers = random_layers(TINY, seed=1)
+    x = np.random.default_rng(0).normal(size=(3, 5, TINY.model_dim))
+    with pytest.raises(DataError, match="forward-only"):
+        encoder_forward(x, layers, TINY.heads, need_backward=True, rows=np.zeros((3, 2), dtype=np.int64))
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64), np.zeros((3, 2)), np.full((3, 2), 5), np.full((3, 2), -1)):
+        with pytest.raises(DataError, match="rows"):
+            encoder_forward(x, layers, TINY.heads, need_backward=False, rows=bad)
+
+
+def _overflow_in_one_row(config, layers, window, row):
+    """An input whose `row` of `window` alone overflows at the last block's
+    output: one coordinate of it is 1e307 (each layer norm reads that row as
+    constant, so every block but the last passes it through finite) and the
+    last block's MLP bias of that coordinate is 1.7e308, which only that
+    row's 1e307 carries past the largest double."""
+    layers[-1]["mlp.b2"] = layers[-1]["mlp.b2"].copy()
+    layers[-1]["mlp.b2"][0] = 1.7e308
+    x = np.random.default_rng(7).normal(size=(40, 31, config.model_dim))
+    x[window, row] = 0.0
+    x[window, row, 0] = 1e307
+    return x
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_overflow_in_a_row_the_last_block_skips_is_not_raised(shards, depth):
+    # a forward-only pass checks only the rows it computes: it returns the
+    # read rows, the training pass raises, and reading the row raises too,
+    # naming the same layer
+    config = ModelConfig(depth=depth, heads=4, model_dim=64, mlp_ratio=2.0)
+    layers = random_layers(config, seed=5)
+    x = _overflow_in_one_row(config, layers, window=35, row=4)
+    skipped = np.tile([0, 3, 5], (40, 1))
+    read = skipped.copy()
+    read[35, 1] = 4
+    last = f"layer {depth - 1}$"
+    for cpus in (1, 2):
+        shards(cpus)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, _ = encoder_forward(x, layers, config.heads, need_backward=False, rows=skipped)
+            assert np.all(np.isfinite(out))
+            for need_backward, rows in ((True, None), (False, None), (False, read)):
+                with pytest.raises(NumericError, match=last):
+                    encoder_forward(x, layers, config.heads, need_backward, rows)
+        # the read rows are still the training pass's bits once the bias is tame
+        tame = [dict(p) for p in layers]
+        tame[-1]["mlp.b2"] = np.zeros(config.model_dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full, _ = encoder_forward(x, tame, config.heads)
+            part, _ = encoder_forward(x, tame, config.heads, need_backward=False, rows=skipped)
+        assert_bitwise(part, full[np.arange(40)[:, None], skipped], "tame rows")
+
+
+def test_overflow_in_an_earlier_block_is_raised_whatever_rows_are_read(shards):
+    # every block but the last computes every row, so an overflow there is
+    # raised at any read rows, naming the same layer as the training pass
+    config = ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0)
+    layers = random_layers(config, seed=5)
+    layers[0]["mlp.b2"] = np.full(config.model_dim, 6e307)
+    x = np.random.default_rng(6).normal(size=(40, 31, config.model_dim))
+    x[35] *= 1e308 / np.abs(x[35]).max()
+    for cpus in (1, 2):
+        shards(cpus)
+        for need_backward, rows in ((True, None), (False, None), (False, np.zeros((40, 1), dtype=np.int64))):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="layer 0$"):
+                encoder_forward(x, layers, config.heads, need_backward, rows)
+
+
 def test_sharded_overflow_names_the_lowest_failing_layer(shards):
     # the first 32 windows overflow only after layer 1 (layer 0's MLP bias
     # lifts them to 6e307), the last 32 already in layer 0 (their layer

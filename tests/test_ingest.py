@@ -680,7 +680,21 @@ def test_sidecar_for_other_columns_is_replaced(tmp_path, monkeypatch):
     for manifest, labels in [(labeled, [0, 1]), (unlabeled, [None, None]), (labeled, [0, 1])]:
         for _ in range(2):
             assert [w.label for w in load_dataset(manifest).windows] == labels
-    assert len(parses) == 3  # a new column set parses once, its repeat is served
+    # the labeled load's sidecar also serves the unlabeled load's subset
+    assert len(parses) == 1
+
+
+def test_sidecar_missing_a_column_is_rewritten_with_both_column_sets(tmp_path, monkeypatch):
+    unlabeled = load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, label=None, classes=[]))
+    labeled = load_manifest(one_channel_dataset(tmp_path, GOOD_CSV))
+    parses = count_parses(monkeypatch)
+    for manifest, labels in [(unlabeled, [None, None]), (labeled, [0, 1]), (unlabeled, [None, None])]:
+        for _ in range(2):
+            assert [w.label for w in load_dataset(manifest).windows] == labels
+    # the labeled load parses both loads' columns once; every later load is served
+    assert len(parses) == 2
+    meta, tensors = load_tensors(sidecar_of(tmp_path / "data.csv"), "csv-columns")
+    assert (meta["numeric"], meta["text"], sorted(tensors)) == (["v"], ["label"], ["label", "v"])
 
 
 def test_file_edited_after_the_parse_is_parsed_again(tmp_path, monkeypatch):

@@ -92,8 +92,12 @@ def test_cls_loss_and_total():
     model = init_model(cfg, seed=1)
     batch = tiny_batch(seed=2)
     weights = LossWeights(0.5, 2.0, 3.0)
-    res, _ = masked_forward(model, batch, weights, need_backward=False)
-    want = oracles.softmax_rows(res.hidden[:, 0] @ model.params["cls_head.weight"].T + model.params["cls_head.bias"])
+    res, mask = masked_forward(model, batch, weights, need_backward=False)
+    # the pass keeps the mask rows, then the [CLS] row, a training pass's bits
+    np.testing.assert_array_equal(res.hidden_rows, np.concatenate([mask, np.zeros((batch.size, 1))], axis=1))
+    full, _ = masked_forward(model, batch, weights)
+    np.testing.assert_array_equal(res.hidden, full.hidden[np.arange(batch.size)[:, None], res.hidden_rows])
+    want = oracles.softmax_rows(res.hidden[:, -1] @ model.params["cls_head.weight"].T + model.params["cls_head.bias"])
     np.testing.assert_allclose(res.cls_probs, want, atol=1e-12)
     assert res.cls_loss == pytest.approx(oracles.cross_entropy_mean(want, batch.labels), rel=1e-12)
     assert res.loss == pytest.approx(0.5 * res.mae_loss + 2.0 * res.cls_loss + 3.0 * res.vq_loss, rel=1e-12)
