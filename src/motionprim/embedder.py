@@ -127,8 +127,21 @@ def embed_batch(
     channel's adapter output (every token but CLS) and its position row.
     mask_positions (B, m) swaps those motion tokens' table rows for [MASK];
     their stat and metadata terms stay. Returns (x (B, Seq, D), table rows
-    (B, Seq) with the CLS sentinel at 0, pre-mask targets (B, m) or None).
+    (B, Seq) with the CLS sentinel at 0, pre-mask targets (B, m) or None):
+    `table_rows` then `embed_rows`.
     """
+    rows, mask_targets = table_rows(params, layout, indices, mask_positions)
+    return embed_rows(params, layout, rows, stats, meta), rows, mask_targets
+
+
+def table_rows(
+    params: dict[str, np.ndarray],
+    layout: SequenceLayout,
+    indices: np.ndarray,
+    mask_positions: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(table rows (B, Seq), pre-mask targets (B, m) or None) of
+    `embed_batch`."""
     K = params["embed.rows"].shape[0] - 3
     B = indices.shape[0]
     motion_pos = layout.motion_positions
@@ -148,19 +161,29 @@ def embed_batch(
         flat_pos = mask_positions.reshape(-1)
         mask_targets = rows[row_ids, flat_pos].reshape(B, -1).copy()
         rows[row_ids, flat_pos] = mask_row(K)
+    return rows, mask_targets
 
+
+def embed_rows(
+    params: dict[str, np.ndarray],
+    layout: SequenceLayout,
+    rows: np.ndarray,
+    stats: np.ndarray,
+    meta: np.ndarray,
+) -> np.ndarray:
+    """The encoder input x (B, Seq, D) of `embed_batch`, given its table rows.
+    Each window's x depends on its own rows and stats alone, so the x of a
+    window slice is the same slice of a whole-batch x, bit for bit."""
+    B = rows.shape[0]
+    motion_pos = layout.motion_positions
     meta_proj = meta @ params["adapter.weight"].T + params["adapter.bias"]
     channel_pos = layout.channel_positions
     x = np.empty((B, layout.seq_len, params["embed.rows"].shape[1]), dtype=np.float64)
     x[:, 0] = params["embed.cls_vector"]
     x[:, 1:] = params["embed.rows"][rows[:, 1:]]
-    stat_term = stats.reshape(B, -1, 2) @ params["stat.weight"].T
-    stat_term += params["stat.bias"]
-    x[:, motion_pos] += stat_term
-    del stat_term
+    x[:, motion_pos] += stats.reshape(B, -1, 2) @ params["stat.weight"].T + params["stat.bias"]
     x[:, channel_pos] += meta_proj[layout.channel_of[channel_pos]]
-    x += params["pos.rows"][layout.position_slot][None, :, :]
-    return x, rows, mask_targets
+    return x + params["pos.rows"][layout.position_slot][None, :, :]
 
 
 def embed_backward(

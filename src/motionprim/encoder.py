@@ -23,6 +23,7 @@ whole-batch arrays, so no bit depends on the shard count.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,13 +139,25 @@ def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], heads: int, 
 
     With `rows` ((B, r) positions), queries are taken only at those rows of
     each window, so the output is theirs, (B, r, D), while keys and values
-    still cover every row; such a cache serves no backward pass."""
-    queries = x if rows is None else _take_rows(x, rows)
-    q = _split_heads(_affine(queries, params["attn.wq"], params["attn.bq"]), heads)
+    still cover every row; such a cache serves no backward pass. Their
+    scores come from a product of the full pass's (Seq, Seq) shape, each
+    query at its own row and zeros at the others: OpenBLAS picks its kernel
+    by shape, and with fewer query rows the scores' last bits differed from
+    the full pass's at head widths of 32 and more (not at 16 or less)."""
+    q = _affine(x if rows is None else _take_rows(x, rows), params["attn.wq"], params["attn.bq"])
     k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"]), heads)
     v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"]), heads)
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
-    scores = q @ k.swapaxes(-1, -2)
+    if rows is None:
+        scores = _split_heads(q, heads) @ k.swapaxes(-1, -2)
+    else:
+        window = np.arange(x.shape[0])[:, None]
+        padded = np.zeros(x.shape)
+        padded[window, rows] = q
+        scores = _split_heads(padded, heads) @ k.swapaxes(-1, -2)
+        del padded
+        scores = scores[window[:, :, None], np.arange(heads)[:, None], rows[:, None, :]]
+    q = _split_heads(q, heads)
     scores *= scale
     weights = _softmax_inplace(scores)
     merged = _merge_heads(weights @ v)
@@ -265,8 +278,21 @@ def _keep_reduced(reduced: tuple, sl: slice, caches: tuple) -> tuple:
     return tuple(tuple(c) for c in caches)
 
 
+@dataclass(frozen=True)
+class LazyInput:
+    """An encoder input of `shape` (B, Seq, D) that is built a window slice
+    at a time: `x[sl]` calls `build(sl)`. A forward-only pass builds each
+    shard's windows as it runs them, so no whole-batch input is kept."""
+
+    shape: tuple[int, int, int]
+    build: Callable[[slice], np.ndarray]
+
+    def __getitem__(self, sl: slice) -> np.ndarray:
+        return self.build(sl)
+
+
 def encoder_forward(
-    x: np.ndarray,
+    x: np.ndarray | LazyInput,
     layers: list[dict[str, np.ndarray]],
     heads: int,
     need_backward: bool = True,
@@ -285,26 +311,29 @@ def encoder_forward(
     FORWARD_CHUNK windows, whatever the batch size. Either way the result
     equals one pass over all windows bit for bit (tested in
     tests/test_encoder.py and tests/test_model.py), and a NumericError names
-    the lowest failing layer over all windows.
+    the lowest failing layer over all windows. A forward-only pass may take
+    a `LazyInput` for `x`, whose windows are then built shard by shard.
 
     `rows`, (B, r) sequence positions, are the only rows a forward-only pass
     keeps: the last block then computes its query side only at those rows
-    (its keys and values, and every earlier block, still cover every row),
-    and the result is (B, r, D), their outputs in `rows` order, the bits of
-    the same rows of a full pass. Fewer than two rows per window are
+    (its keys and values, and every earlier block, still cover every row;
+    its attention scores keep the full pass's shape, see
+    `attention_forward`), and the result is (B, r, D), their outputs in
+    `rows` order, the bits of the same rows of a full pass. Fewer than two rows per window are
     computed beside a second one, row 1 (row 0 beside row 1), and dropped:
     with one query row per window numpy takes its vector-matrix product,
     whose last bits differ from the matrix product's. The NumericError check
     sees only the rows a pass computes, so an overflow confined to a row
     the last block skips is not raised.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or any(params["ln1.gamma"].shape != x.shape[2:] for params in layers):
+    if not isinstance(x, LazyInput):
+        x = np.asarray(x, dtype=np.float64)
+    elif need_backward:
+        raise DataError("a LazyInput feeds a forward-only pass (need_backward=False) only")
+    if len(x.shape) != 3 or any(params["ln1.gamma"].shape != x.shape[2:] for params in layers):
         raise DataError("encoder input must be (B, Seq, D), D the layers' model width")
     if heads < 1 or x.shape[2] % heads:
         raise ConfigError(f"model width {x.shape[2]} must be divisible by heads {heads}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("non-finite encoder input")
     cache = EncoderCache(heads)
     batch = x.shape[0]
     if rows is None:
@@ -330,7 +359,10 @@ def encoder_forward(
     def shard(sl: slice):
         caches = []
         keep = (lambda i, c: caches.append(_keep_reduced(reduced[i], sl, c))) if need_backward else None
-        result, bad = _run_layers(x[sl], layers, heads, keep, None if rows is None else rows[sl])
+        x_sl = x[sl]
+        if not np.all(np.isfinite(x_sl)):
+            return caches, -1
+        result, bad = _run_layers(x_sl, layers, heads, keep, None if rows is None else rows[sl])
         if bad is None:
             out[sl] = result[:, :read]
         return caches, bad
@@ -339,6 +371,8 @@ def encoder_forward(
         result for slices in groups for result in _parallel.run_parallel([functools.partial(shard, sl) for sl in slices])
     ]
     bad = min((bad for _, bad in results if bad is not None), default=None)
+    if bad == -1:
+        raise NumericError("non-finite encoder input")
     if bad is not None:
         raise NumericError(f"non-finite activations after encoder layer {bad}")
     if need_backward:

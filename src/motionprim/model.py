@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedder import SequenceLayout, build_layout, embed_backward, embed_batch, mask_count
-from .encoder import encoder_backward, encoder_forward, grad_check
+from .embedder import SequenceLayout, build_layout, embed_backward, embed_batch, embed_rows, mask_count, table_rows
+from .encoder import LazyInput, encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
 from .ingest import SensorWindow, normalize_matrix, segment_matrix
 from .metadata import canonical_descriptor, embed_channels
@@ -377,9 +377,11 @@ def forward(
     by the commitment term's second half, defaulting to the live prototypes.
     need_backward=False keeps nothing for a backward pass, the encoder's
     per-layer cache included, so `backward` refuses the result; the encoder
-    then runs one group of FORWARD_CHUNK windows at a time, while the
-    quantizer scan, the embedding, the heads and the loss reductions still
-    run once over the whole batch. Such a pass also keeps only the hidden
+    then runs one group of FORWARD_CHUNK windows at a time, each shard
+    embedding its own windows (a `LazyInput`), while the quantizer scan,
+    the heads and the loss reductions still run once over the whole batch,
+    so the only whole-batch arrays are per-token indices and the kept
+    rows. Such a pass also keeps only the hidden
     rows the heads read, the mask positions then the [CLS] row, as
     `hidden` (B, r, D) with their positions in `hidden_rows`: the encoder's
     last block computes its query side at those rows alone (see
@@ -401,20 +403,23 @@ def forward(
         diff = flat_segments - prototypes[indices_flat]
         dist_first = np.sum(diff * diff, axis=1)
     z0 = prototypes if frozen_prototypes is None else frozen_prototypes
-    # the second term's squared differences, in place in one whole-batch array
-    # that is freed before the encoder runs
-    diff = z0[indices_flat]
-    np.subtract(flat_segments, diff, out=diff)
-    diff *= diff
-    vq_value = float(dist_first.mean() + cfg.beta * diff.sum(axis=1).mean())
-    del diff
+    diff_second = flat_segments - z0[indices_flat]
+    vq_value = float(dist_first.mean() + cfg.beta * np.sum(diff_second * diff_second, axis=1).mean())
+    del diff_second  # a whole-batch array: not kept through the encoder
 
     layout = model.layout_for(C, S)
     if mask_positions is not None:
         mask_positions = np.asarray(mask_positions, dtype=np.int64)
-    x, rows, mask_targets = embed_batch(
-        params, layout, indices_flat.reshape(B, C, S), batch.stats, batch.meta, mask_positions
-    )
+    indices = indices_flat.reshape(B, C, S)
+    if need_backward:
+        x, rows, mask_targets = embed_batch(params, layout, indices, batch.stats, batch.meta, mask_positions)
+    else:
+        # the encoder embeds each shard's windows as it runs them
+        rows, mask_targets = table_rows(params, layout, indices, mask_positions)
+        x = LazyInput(
+            (B, layout.seq_len, cfg.model_dim),
+            lambda sl: embed_rows(params, layout, rows[sl], batch.stats[sl], batch.meta),
+        )
     # each head reads one hidden row per target: (tensor prefix, loss weight,
     # the (B, k) sequence positions of those rows, targets)
     heads = []
@@ -484,7 +489,7 @@ def forward(
         mae_loss=mae_value,
         cls_loss=cls_value,
         vq_loss=vq_value,
-        indices=indices_flat.reshape(B, C, S),
+        indices=indices,
         mask_positions=mask_positions,
         mask_targets=mask_targets,
         cls_probs=head_probs.get("cls_head"),

@@ -13,6 +13,7 @@ import oracles
 from motionprim import encoder
 from motionprim.encoder import (
     EncoderCache,
+    LazyInput,
     attention_backward,
     attention_forward,
     encoder_backward,
@@ -344,14 +345,18 @@ def test_forward_only_shards_bitwise_equal_reference(shards, monkeypatch, batch,
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("depth", [0, 1, 2])
-def test_forward_only_rows_bitwise_equal_reference_rows(shards, depth, cpus):
+@pytest.mark.parametrize(
+    "config",
+    [ModelConfig(depth=depth, heads=4, model_dim=64, mlp_ratio=2.0) for depth in (0, 1, 2)] + [ModelConfig()],
+    ids=["depth0", "depth1", "depth2", "default"],
+)
+def test_forward_only_rows_bitwise_equal_reference_rows(shards, config, cpus):
     # the last block's query side at the read rows only: those rows are the
     # reference's bits, for no row (two computed and dropped), one row
     # (computed beside a second), the [CLS] row and mask-like row sets, in
-    # any order and with repeats, over one group or several
+    # any order and with repeats, over one group or several, at the bench
+    # width (depth 0-2) and the default one (D=256, 8 heads, depth 5)
     shards(cpus)
-    config = ModelConfig(depth=depth, heads=4, model_dim=64, mlp_ratio=2.0)
     layers = random_layers(config, seed=4)
     for batch in (1, 7, 33):
         rng = np.random.default_rng(batch)
@@ -363,6 +368,29 @@ def test_forward_only_rows_bitwise_equal_reference_rows(shards, depth, cpus):
                 assert cache.layers == []
                 assert out.shape == (batch, read, config.model_dim)
                 assert_bitwise(out, want[np.arange(batch)[:, None], rows], f"{batch} windows, rows {rows[:1]}")
+
+
+def test_lazy_input_is_built_shard_by_shard(shards):
+    # a forward-only pass builds each shard's windows as it runs them and
+    # gives the bits of the same pass over the whole-batch input; a
+    # non-finite built window is the input's NumericError, and a training
+    # pass refuses a lazy input
+    shards(2)
+    config = ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0)
+    layers = random_layers(config, seed=4)
+    x = np.random.default_rng(3).normal(size=(40, 31, config.model_dim))
+    rows = np.tile([0, 7], (40, 1))
+    built = []
+    lazy = LazyInput(x.shape, lambda sl: built.append((sl.start, sl.stop)) or x[sl].copy())
+    out, _ = encoder_forward(lazy, layers, config.heads, need_backward=False, rows=rows)
+    assert sorted(built) == [(0, 16), (16, 32), (32, 40)]
+    assert_bitwise(out, encoder_forward(x, layers, config.heads, need_backward=False, rows=rows)[0], "lazy input")
+    bad = x.copy()
+    bad[35, 3, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite encoder input"):
+        encoder_forward(LazyInput(x.shape, lambda sl: bad[sl]), layers, config.heads, need_backward=False)
+    with pytest.raises(DataError, match="LazyInput"):
+        encoder_forward(lazy, layers, config.heads, need_backward=True)
 
 
 def test_rows_are_checked():
