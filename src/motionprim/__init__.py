@@ -17,7 +17,7 @@ from .analysis import (
     token_streams,
     transitions,
 )
-from .embedder import SequenceLayout, build_layout, embed_batch
+from .embedder import SequenceLayout, build_layout
 from .encoder import GradCheckReport, encoder_backward, encoder_forward, grad_check
 from .errors import (
     CheckpointError,
@@ -117,7 +117,6 @@ __all__ = [
     "build_layout",
     "canonical_descriptor",
     "checkpoint_hash",
-    "embed_batch",
     "encoder_backward",
     "encoder_forward",
     "evaluate",

@@ -110,38 +110,20 @@ def build_layout(num_channels: int, segments_per_channel: int, position_rows: in
 # Input construction
 
 
-def embed_batch(
-    params: dict[str, np.ndarray],
-    layout: SequenceLayout,
-    indices: np.ndarray,
-    stats: np.ndarray,
-    meta: np.ndarray,
-    mask_positions: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Encoder input for B windows that share one layout.
-
-    indices (B, C, S) and raw stats (B, C, S, 2) fill the motion tokens in
-    channel-major order; meta (C, N) holds one metadata vector per channel.
-    Every position sums its table row (CLS uses the separate CLS vector), the
-    stat affine (motion tokens only: specials skip it, bias included), its
-    channel's adapter output (every token but CLS) and its position row.
-    mask_positions (B, m) swaps those motion tokens' table rows for [MASK];
-    their stat and metadata terms stay. Returns (x (B, Seq, D), table rows
-    (B, Seq) with the CLS sentinel at 0, pre-mask targets (B, m) or None):
-    `table_rows` then `embed_rows`.
-    """
-    rows, mask_targets = table_rows(params, layout, indices, mask_positions)
-    return embed_rows(params, layout, rows, stats, meta), rows, mask_targets
-
-
 def table_rows(
     params: dict[str, np.ndarray],
     layout: SequenceLayout,
     indices: np.ndarray,
     mask_positions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(table rows (B, Seq), pre-mask targets (B, m) or None) of
-    `embed_batch`."""
+    """The embedding-table row of every token of B windows that share one
+    layout, and the masked tokens' targets.
+
+    indices (B, C, S) fill the motion tokens in channel-major order; START
+    and END take their table rows and CLS the sentinel (it uses the separate
+    CLS vector). mask_positions (B, m) swaps those motion tokens' rows for
+    [MASK]. Returns (table rows (B, Seq), pre-mask targets (B, m) or None).
+    """
     K = params["embed.rows"].shape[0] - 3
     B = indices.shape[0]
     motion_pos = layout.motion_positions
@@ -155,6 +137,8 @@ def table_rows(
     if mask_positions is not None:
         if mask_positions.ndim != 2 or mask_positions.shape[0] != B:
             raise DataError("mask_positions must be (B, m)")
+        if mask_positions.size and (mask_positions.min() < 0 or mask_positions.max() >= layout.seq_len):
+            raise DataError(f"mask positions must lie in [0, {layout.seq_len})")
         if not layout.motion_mask[mask_positions].all():
             raise DataError("mask plan touches a special token")
         row_ids = np.repeat(np.arange(B), mask_positions.shape[1])
@@ -171,9 +155,15 @@ def embed_rows(
     stats: np.ndarray,
     meta: np.ndarray,
 ) -> np.ndarray:
-    """The encoder input x (B, Seq, D) of `embed_batch`, given its table rows.
-    Each window's x depends on its own rows and stats alone, so the x of a
-    window slice is the same slice of a whole-batch x, bit for bit."""
+    """The encoder input x (B, Seq, D), given the windows' `table_rows`, raw
+    stats (B, C, S, 2) and the per-channel metadata vectors meta (C, N).
+
+    Every position sums its table row (CLS uses the separate CLS vector),
+    the stat affine (motion tokens only: specials skip it, bias included),
+    its channel's adapter output (every token but CLS) and its position
+    row; a masked token keeps its stat and metadata terms. Each window's x
+    depends on its own rows and stats alone, so the x of a window slice is
+    the same slice of a whole-batch x, bit for bit."""
     B = rows.shape[0]
     motion_pos = layout.motion_positions
     meta_proj = meta @ params["adapter.weight"].T + params["adapter.bias"]
@@ -195,8 +185,8 @@ def embed_backward(
     d_x: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Gradients of the `pos`, `embed`, `stat` and `adapter` tensors, given
-    d_x (B, Seq, D) at `embed_batch`'s output x and the table rows it
-    returned; stats and meta as `embed_batch` took them."""
+    d_x (B, Seq, D) at the output x of `embed_rows` and the table rows,
+    stats and meta it took."""
     D = d_x.shape[2]
     grads = {name: np.zeros_like(params[name]) for name in ("pos.rows", "embed.rows")}
     # every position slot and table row accumulates across the batch

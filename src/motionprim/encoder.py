@@ -281,8 +281,8 @@ def _keep_reduced(reduced: tuple, sl: slice, caches: tuple) -> tuple:
 @dataclass(frozen=True)
 class LazyInput:
     """An encoder input of `shape` (B, Seq, D) that is built a window slice
-    at a time: `x[sl]` calls `build(sl)`. A forward-only pass builds each
-    shard's windows as it runs them, so no whole-batch input is kept."""
+    at a time: `x[sl]` calls `build(sl)`. Each shard builds its windows as
+    it runs them, so no whole-batch input is kept."""
 
     shape: tuple[int, int, int]
     build: Callable[[slice], np.ndarray]
@@ -300,47 +300,44 @@ def encoder_forward(
 ) -> tuple[np.ndarray, EncoderCache]:
     """Run one pre-norm residual block per entry of `layers`: x +
     Attn(LN1(x)) then + MLP(LN2(.)), with no final normalization, so no
-    layers is the identity.
+    layers is the identity. `x` may be a `LazyInput`, whose windows are then
+    built shard by shard.
 
-    The stack runs over window shards at once (see Window shards), each
-    written into one (B, Seq, D) result. With `need_backward` the shards
-    split the whole batch and the returned cache keeps what
-    `encoder_backward` needs. Without it the cache holds no layers, and the
-    shards split one group of FORWARD_CHUNK windows after another, keeping
-    no kernel cache, so the intermediates in flight are those of at most
-    FORWARD_CHUNK windows, whatever the batch size. Either way the result
-    equals one pass over all windows bit for bit (tested in
+    The stack runs over window shards at once (see Window shards). With
+    `need_backward` the shards split the whole batch and the returned cache
+    keeps what `encoder_backward` needs. Without it the cache holds no
+    layers, and the shards split one group of FORWARD_CHUNK windows after
+    another, keeping no kernel cache, so the intermediates in flight are
+    those of at most FORWARD_CHUNK windows, whatever the batch size. Either
+    way the result equals one pass over all windows bit for bit (tested in
     tests/test_encoder.py and tests/test_model.py), and a NumericError names
-    the lowest failing layer over all windows. A forward-only pass may take
-    a `LazyInput` for `x`, whose windows are then built shard by shard.
+    the lowest failing layer over all windows.
 
-    `rows`, (B, r) sequence positions, are the only rows a forward-only pass
-    keeps: the last block then computes its query side only at those rows
+    `rows`, (B, r) sequence positions, are the rows the caller reads, and
+    the result is (B, r, D), their outputs in `rows` order; without `rows`
+    it is every row, (B, Seq, D). A training pass computes (and caches)
+    every row and returns those. A forward-only pass also cuts its last
+    block to them: that block computes its query side only at those rows
     (its keys and values, and every earlier block, still cover every row;
     its attention scores keep the full pass's shape, see
-    `attention_forward`), and the result is (B, r, D), their outputs in
-    `rows` order, the bits of the same rows of a full pass. Fewer than two rows per window are
-    computed beside a second one, row 1 (row 0 beside row 1), and dropped:
-    with one query row per window numpy takes its vector-matrix product,
-    whose last bits differ from the matrix product's. The NumericError check
-    sees only the rows a pass computes, so an overflow confined to a row
-    the last block skips is not raised.
+    `attention_forward`), and the rows are the bits of the same rows of a
+    training pass. Fewer than two rows per window are computed beside a
+    second one, row 1 (row 0 beside row 1), and dropped: with one query row
+    per window numpy takes its vector-matrix product, whose last bits
+    differ from the matrix product's. The NumericError check sees only the
+    rows a pass computes, so an overflow confined to a row a forward-only
+    pass's last block skips is not raised.
     """
     if not isinstance(x, LazyInput):
         x = np.asarray(x, dtype=np.float64)
-    elif need_backward:
-        raise DataError("a LazyInput feeds a forward-only pass (need_backward=False) only")
     if len(x.shape) != 3 or any(params["ln1.gamma"].shape != x.shape[2:] for params in layers):
         raise DataError("encoder input must be (B, Seq, D), D the layers' model width")
     if heads < 1 or x.shape[2] % heads:
         raise ConfigError(f"model width {x.shape[2]} must be divisible by heads {heads}")
     cache = EncoderCache(heads)
     batch = x.shape[0]
-    if rows is None:
-        read = x.shape[1]
-    elif need_backward:
-        raise DataError("rows select the output of a forward-only pass (need_backward=False)")
-    else:
+    read = x.shape[1]
+    if rows is not None:
         rows, read = _query_rows(rows, x.shape[:2])
     if need_backward:
         cache.slices = _shard_slices(batch)
@@ -404,13 +401,12 @@ def _run_layers(
     layer whose output is not all finite, (that output, its index).
     keep(i, caches) receives layer i's kernel caches; without `keep` they are
     freed before the next layer allocates its own. With `rows` ((B, r)
-    positions) the last block runs its query side (attention queries, output
-    projection, residuals, LN2 and MLP) only at those rows, and the output
-    is theirs, (B, r, D)."""
-    if rows is not None and not layers:
-        return _take_rows(x, rows), None
+    positions) the output is those rows, (B, r, D); without `keep` the last
+    block runs its query side (attention queries, output projection,
+    residuals, LN2 and MLP) only at those rows."""
+    cut = keep is None and rows is not None and len(layers) > 0
     for i, params in enumerate(layers):
-        query_rows = rows if i == len(layers) - 1 else None
+        query_rows = rows if cut and i == len(layers) - 1 else None
         normed, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
         mid, attn_cache = attention_forward(normed, params, heads, query_rows)
         mid += x if query_rows is None else _take_rows(x, query_rows)
@@ -425,7 +421,7 @@ def _run_layers(
             keep(i, (ln1_cache, attn_cache, ln2_cache, mlp_cache))
         del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out
-    return x, None
+    return (x if rows is None or cut else _take_rows(x, rows)), None
 
 
 def _layer_backward(d_out: np.ndarray, caches: tuple, params: dict[str, np.ndarray], heads: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedder import SequenceLayout, build_layout, embed_backward, embed_batch, embed_rows, mask_count, table_rows
+from .embedder import SequenceLayout, build_layout, embed_backward, embed_rows, mask_count, table_rows
 from .encoder import LazyInput, encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
 from .ingest import SensorWindow, normalize_matrix, segment_matrix
@@ -98,7 +98,13 @@ class Model:
         self.params = params
         if usage_counts is None:
             usage_counts = np.zeros(config.codebook_size, dtype=np.int64)
-        self.usage_counts = np.asarray(usage_counts, dtype=np.int64)
+        usage_counts = np.asarray(usage_counts)
+        if usage_counts.dtype.kind not in "iu":
+            raise DataError(f"usage_counts has dtype {usage_counts.dtype}, needs integers")
+        # a uint64 count past the int64 range wraps negative here and is refused
+        self.usage_counts = usage_counts.astype(np.int64, copy=False)
+        if np.any(self.usage_counts < 0):
+            raise DataError("usage_counts must be >= 0")
         shapes = param_shapes(config)
         if set(shapes) != set(params):
             raise DataError(
@@ -110,6 +116,8 @@ class Model:
                 raise DataError(
                     f"parameter {name!r} has shape {np.shape(params[name])}, config needs {shape}"
                 )
+            if getattr(params[name], "dtype", None) != np.float64:
+                raise DataError(f"parameter {name!r} is not a float64 array")
         if self.usage_counts.shape != (config.codebook_size,):
             raise DataError(
                 f"usage_counts has shape {self.usage_counts.shape}, config needs ({config.codebook_size},)"
@@ -337,10 +345,10 @@ class ForwardResult:
     mask_positions: np.ndarray | None  # (B, m)
     mask_targets: np.ndarray | None  # (B, m)
     cls_probs: np.ndarray | None
-    # (B, Seq, D); after a forward-only pass (B, r, D), the rows
-    # `hidden_rows` (B, r) of each window, those the heads read
+    # (B, r, D): the rows `hidden_rows` (B, r) of each window, those the
+    # heads read (the mask positions, then the [CLS] row)
     hidden: np.ndarray
-    hidden_rows: np.ndarray | None
+    hidden_rows: np.ndarray
     masked_fraction: float
     # the pass's gradients, or None without need_backward; see `backward`
     _backward: Callable[[], dict[str, np.ndarray]] | None = field(default=None, repr=False)
@@ -375,18 +383,18 @@ def forward(
     disables masked modeling. fixed_indices pins the quantizer assignment
     (for gradient checks); frozen_prototypes is the stop-gradient copy used
     by the commitment term's second half, defaulting to the live prototypes.
-    need_backward=False keeps nothing for a backward pass, the encoder's
-    per-layer cache included, so `backward` refuses the result; the encoder
-    then runs one group of FORWARD_CHUNK windows at a time, each shard
-    embedding its own windows (a `LazyInput`), while the quantizer scan,
-    the heads and the loss reductions still run once over the whole batch,
-    so the only whole-batch arrays are per-token indices and the kept
-    rows. Such a pass also keeps only the hidden
-    rows the heads read, the mask positions then the [CLS] row, as
-    `hidden` (B, r, D) with their positions in `hidden_rows`: the encoder's
-    last block computes its query side at those rows alone (see
-    `encoder_forward`), and the losses, `cls_probs` and those rows are the
-    bits of a training-mode pass.
+
+    The table rows of every token are looked up once; the encoder gets a
+    `LazyInput`, so each of its window shards embeds its own windows, and
+    it returns only the hidden rows the heads read, the mask positions then
+    the [CLS] row, as `hidden` (B, r, D) with their positions in
+    `hidden_rows`. The quantizer scan, the heads and the loss reductions
+    run once over the whole batch. need_backward=False keeps nothing for a
+    backward pass, the encoder's per-layer cache included, so `backward`
+    refuses the result; the encoder then runs one group of FORWARD_CHUNK
+    windows at a time and its last block computes its query side at the
+    read rows alone (see `encoder_forward`), and the losses, `cls_probs`
+    and `hidden` are the bits of a training pass.
     """
     cfg = model.config
     params = model.params
@@ -411,15 +419,11 @@ def forward(
     if mask_positions is not None:
         mask_positions = np.asarray(mask_positions, dtype=np.int64)
     indices = indices_flat.reshape(B, C, S)
-    if need_backward:
-        x, rows, mask_targets = embed_batch(params, layout, indices, batch.stats, batch.meta, mask_positions)
-    else:
-        # the encoder embeds each shard's windows as it runs them
-        rows, mask_targets = table_rows(params, layout, indices, mask_positions)
-        x = LazyInput(
-            (B, layout.seq_len, cfg.model_dim),
-            lambda sl: embed_rows(params, layout, rows[sl], batch.stats[sl], batch.meta),
-        )
+    rows, mask_targets = table_rows(params, layout, indices, mask_positions)
+    x = LazyInput(
+        (B, layout.seq_len, cfg.model_dim),
+        lambda sl: embed_rows(params, layout, rows[sl], batch.stats[sl], batch.meta),
+    )
     # each head reads one hidden row per target: (tensor prefix, loss weight,
     # the (B, k) sequence positions of those rows, targets)
     heads = []
@@ -429,8 +433,8 @@ def forward(
         if np.any((batch.labels < 0) | (batch.labels >= cfg.num_classes)):
             raise DataError("label outside [0, num_classes)")
         heads.append(("cls_head", weights.lambda_cls, np.zeros((B, 1), dtype=np.int64), batch.labels))
-    # a forward-only pass keeps only the rows the heads read, head after head
-    hidden_rows = None if need_backward else np.concatenate(
+    # the encoder returns only the rows the heads read, head after head
+    hidden_rows = np.concatenate(
         [np.zeros((B, 0), dtype=np.int64), *(positions for _, _, positions, _ in heads)], axis=1
     )
     layers = encoder_layers(params, cfg.depth)
@@ -439,8 +443,7 @@ def forward(
     reads, start = [], 0
     for _, _, positions, _ in heads:
         k = positions.shape[1]
-        row = positions.reshape(-1) if need_backward else np.tile(np.arange(start, start + k), B)
-        reads.append((np.repeat(np.arange(B), k), row))
+        reads.append((np.repeat(np.arange(B), k), np.tile(np.arange(start, start + k), B)))
         start += k
 
     head_loss, head_probs = {"mae": 0.0, "cls_head": 0.0}, {}
@@ -458,17 +461,19 @@ def forward(
 
     def backward_pass() -> dict[str, np.ndarray]:
         grads = {}
-        d_hidden = np.zeros_like(hidden)
-        for (prefix, weight, _, targets), (window, position) in zip(heads, reads):
+        # the encoder's output gradient at every row; a position read twice
+        # (a repeated mask position) adds both contributions
+        d_hidden = np.zeros((B, layout.seq_len, cfg.model_dim))
+        for (prefix, weight, _, targets), (window, row) in zip(heads, reads):
             if weight == 0:
                 continue
             d_logits = head_probs[prefix].copy()
             n = len(targets)
             d_logits[np.arange(n), targets] -= 1.0
             d_logits *= weight / n
-            grads[f"{prefix}.weight"] = d_logits.T @ hidden[window, position]
+            grads[f"{prefix}.weight"] = d_logits.T @ hidden[window, row]
             grads[f"{prefix}.bias"] = d_logits.sum(axis=0)
-            np.add.at(d_hidden, (window, position), d_logits @ params[f"{prefix}.weight"])
+            np.add.at(d_hidden, (window, hidden_rows[window, row]), d_logits @ params[f"{prefix}.weight"])
         if grads:  # the heads reach the encoder and the embedding
             d_x, enc_grads = encoder_backward(d_hidden, enc_cache, layers)
             for i, layer_grads in enumerate(enc_grads):

@@ -27,6 +27,8 @@ from motionprim.model import (
     init_model,
     mask_positions_for,
     prepare_windows,
+    tiny_batch,
+    tiny_config,
 )
 from motionprim.training import OptimizerConfig, finetune, pretrain
 
@@ -164,6 +166,31 @@ def bench_shape_eval(bench_provider):
             model.params[name] = 25.0 * tensor
     batch = prepare_windows(generate_synthetic(bench_spec(11, 20)), config, bench_provider, source="chunks")
     return model, batch
+
+
+@pytest.fixture(scope="session")
+def bench_batch_400(bench_provider):
+    """400 labeled windows at the acceptance config."""
+    return prepare_windows(generate_synthetic(bench_spec(12, 100)), bench_model_config(), bench_provider)
+
+
+@pytest.fixture(scope="session")
+def config_case(bench_batch_400):
+    """case(which, n, model_seed, batch_seed) -> (model, n windows): a fresh
+    model at `tiny_config()` on `tiny_batch(batch_seed)` windows ("tiny"),
+    at the acceptance config on bench windows ("bench"), or at the default
+    `ModelConfig` (K=1024, D=256, depth 5) on the bench windows of its two
+    classes ("default")."""
+    two_classes = bench_batch_400.subset(np.flatnonzero(bench_batch_400.labels < 2))
+
+    def case(which, n, model_seed=4, batch_seed=8):
+        if which == "tiny":
+            return init_model(tiny_config(), seed=model_seed), tiny_batch(seed=batch_seed, num_windows=n)
+        if which == "bench":
+            return init_model(bench_model_config(), seed=model_seed), bench_batch_400.subset(np.arange(n))
+        return init_model(ModelConfig(), seed=model_seed), two_classes.subset(np.arange(n))
+
+    return case
 
 
 @pytest.fixture

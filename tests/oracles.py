@@ -507,6 +507,17 @@ def encoder_backward_reference(d_out, caches, layers, heads):
     return d_x, all_grads
 
 
+def embed_batch(params, layout, indices, stats, meta, mask_positions=None):
+    """Whole-batch encoder input: `embedder.table_rows` then
+    `embedder.embed_rows` over every window at once. Returns (x (B, Seq, D),
+    table rows (B, Seq) with the CLS sentinel at 0, pre-mask targets (B, m)
+    or None)."""
+    from motionprim.embedder import embed_rows, table_rows
+
+    rows, mask_targets = table_rows(params, layout, indices, mask_positions)
+    return embed_rows(params, layout, rows, stats, meta), rows, mask_targets
+
+
 def read_log(path):
     """The records of a line-delimited JSON training log."""
     records = []

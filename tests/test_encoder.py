@@ -370,37 +370,57 @@ def test_forward_only_rows_bitwise_equal_reference_rows(shards, config, cpus):
                 assert_bitwise(out, want[np.arange(batch)[:, None], rows], f"{batch} windows, rows {rows[:1]}")
 
 
+# the tiny, the acceptance and the default ModelConfig widths
+ROW_CONFIGS = (TINY, ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0), ModelConfig())
+
+
 def test_lazy_input_is_built_shard_by_shard(shards):
-    # a forward-only pass builds each shard's windows as it runs them and
-    # gives the bits of the same pass over the whole-batch input; a
-    # non-finite built window is the input's NumericError, and a training
-    # pass refuses a lazy input
+    # each pass builds each shard's windows as it runs them, the training
+    # pass's two shards of its whole batch and the forward-only pass's
+    # shards of each FORWARD_CHUNK group, and gives the bits of the same
+    # pass over the whole-batch input; both return the same read rows, and a
+    # non-finite built window is the input's NumericError
     shards(2)
-    config = ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0)
+    for config in ROW_CONFIGS:
+        _check_lazy_input(config)
+
+
+def _check_lazy_input(config):
     layers = random_layers(config, seed=4)
     x = np.random.default_rng(3).normal(size=(40, 31, config.model_dim))
     rows = np.tile([0, 7], (40, 1))
-    built = []
-    lazy = LazyInput(x.shape, lambda sl: built.append((sl.start, sl.stop)) or x[sl].copy())
-    out, _ = encoder_forward(lazy, layers, config.heads, need_backward=False, rows=rows)
-    assert sorted(built) == [(0, 16), (16, 32), (32, 40)]
-    assert_bitwise(out, encoder_forward(x, layers, config.heads, need_backward=False, rows=rows)[0], "lazy input")
     bad = x.copy()
     bad[35, 3, 0] = np.nan
-    with pytest.raises(NumericError, match="non-finite encoder input"):
-        encoder_forward(LazyInput(x.shape, lambda sl: bad[sl]), layers, config.heads, need_backward=False)
-    with pytest.raises(DataError, match="LazyInput"):
-        encoder_forward(lazy, layers, config.heads, need_backward=True)
+    outs = []
+    for need_backward, slices in ((True, [(0, 20), (20, 40)]), (False, [(0, 16), (16, 32), (32, 40)])):
+        built = []
+        lazy = LazyInput(x.shape, lambda sl: built.append((sl.start, sl.stop)) or x[sl].copy())
+        out, cache = encoder_forward(lazy, layers, config.heads, need_backward, rows)
+        assert sorted(built) == slices, need_backward
+        want, want_cache = encoder_forward(x, layers, config.heads, need_backward, rows)
+        assert_bitwise(out, want, f"lazy input, need_backward={need_backward}")
+        assert_bitwise(cache.layers, want_cache.layers, "cache")
+        outs.append(out)
+        with pytest.raises(NumericError, match="non-finite encoder input"):
+            encoder_forward(LazyInput(x.shape, lambda sl: bad[sl]), layers, config.heads, need_backward)
+    assert_bitwise(outs[0], outs[1], "training rows against forward-only rows")
 
 
 def test_rows_are_checked():
-    layers = random_layers(TINY, seed=1)
-    x = np.random.default_rng(0).normal(size=(3, 5, TINY.model_dim))
-    with pytest.raises(DataError, match="forward-only"):
-        encoder_forward(x, layers, TINY.heads, need_backward=True, rows=np.zeros((3, 2), dtype=np.int64))
-    for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64), np.zeros((3, 2)), np.full((3, 2), 5), np.full((3, 2), -1)):
-        with pytest.raises(DataError, match="rows"):
-            encoder_forward(x, layers, TINY.heads, need_backward=False, rows=bad)
+    # both passes return the rows asked for, the same bits as those rows of
+    # a whole output, and refuse rows that are not (B, r) positions in the
+    # sequence
+    rows = np.array([[0, 4, 4], [2, 1, 0], [3, 3, 2]])
+    for config in ROW_CONFIGS:
+        layers = random_layers(config, seed=1)
+        x = np.random.default_rng(0).normal(size=(3, 5, config.model_dim))
+        whole, _ = encoder_forward(x, layers, config.heads)
+        for need_backward in (True, False):
+            out, _ = encoder_forward(x, layers, config.heads, need_backward, rows)
+            assert_bitwise(out, whole[np.arange(3)[:, None], rows], f"D={config.model_dim}, need_backward={need_backward}")
+            for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64), np.zeros((3, 2)), np.full((3, 2), 5), np.full((3, 2), -1)):
+                with pytest.raises(DataError, match="rows"):
+                    encoder_forward(x, layers, config.heads, need_backward, bad)
 
 
 def _overflow_in_one_row(config, layers, window, row):

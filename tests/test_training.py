@@ -62,19 +62,23 @@ def masked_forward(model, batch, weights, **kwargs):
 # heads and losses (model.forward against loop references)
 
 
-def test_mae_logits_and_loss():
-    cfg = tiny_config()
-    model = init_model(cfg, seed=0)
-    model.params["mae.bias"][:] = np.random.default_rng(0).normal(size=cfg.codebook_size)
-    batch = tiny_batch(seed=1)
-    res, mask = masked_forward(model, batch, PRETRAIN_WEIGHTS)
-    h = res.hidden[np.repeat(np.arange(batch.size), mask.shape[1]), mask.reshape(-1)]
-    want = oracles.softmax_rows(h @ model.params["mae.weight"].T + model.params["mae.bias"])
-    targets = res.mask_targets.reshape(-1)
-    assert res.mae_loss == pytest.approx(oracles.cross_entropy_mean(want, targets), rel=1e-12)
-    # the bias gradient is the mean of (probabilities - one-hot target)
-    want[np.arange(targets.size), targets] -= 1.0
-    np.testing.assert_allclose(backward(res)["mae.bias"], want.mean(axis=0), atol=1e-12)
+def test_mae_logits_and_loss(config_case):
+    for which in ("tiny", "bench", "default"):
+        model, batch = config_case(which, 3, model_seed=0, batch_seed=1)
+        cfg = model.config
+        model.params["mae.bias"][:] = np.random.default_rng(0).normal(size=cfg.codebook_size)
+        res, mask = masked_forward(model, batch, PRETRAIN_WEIGHTS)
+        # the training pass returns the mask rows alone, a forward-only pass's bits
+        np.testing.assert_array_equal(res.hidden_rows, mask)
+        bare, _ = masked_forward(model, batch, PRETRAIN_WEIGHTS, need_backward=False)
+        np.testing.assert_array_equal(res.hidden, bare.hidden)
+        h = res.hidden.reshape(-1, cfg.model_dim)
+        want = oracles.softmax_rows(h @ model.params["mae.weight"].T + model.params["mae.bias"])
+        targets = res.mask_targets.reshape(-1)
+        assert res.mae_loss == pytest.approx(oracles.cross_entropy_mean(want, targets), rel=1e-12)
+        # the bias gradient is the mean of (probabilities - one-hot target)
+        want[np.arange(targets.size), targets] -= 1.0
+        np.testing.assert_allclose(backward(res)["mae.bias"], want.mean(axis=0), atol=1e-12)
 
 
 def test_mae_loss_empty_mask_is_zero():
@@ -87,23 +91,25 @@ def test_mae_loss_empty_mask_is_zero():
     assert res.masked_fraction == 0.0
 
 
-def test_cls_loss_and_total():
-    cfg = tiny_config()
-    model = init_model(cfg, seed=1)
-    batch = tiny_batch(seed=2)
+def test_cls_loss_and_total(config_case):
     weights = LossWeights(0.5, 2.0, 3.0)
-    res, mask = masked_forward(model, batch, weights, need_backward=False)
-    # the pass keeps the mask rows, then the [CLS] row, a training pass's bits
-    np.testing.assert_array_equal(res.hidden_rows, np.concatenate([mask, np.zeros((batch.size, 1))], axis=1))
-    full, _ = masked_forward(model, batch, weights)
-    np.testing.assert_array_equal(res.hidden, full.hidden[np.arange(batch.size)[:, None], res.hidden_rows])
-    want = oracles.softmax_rows(res.hidden[:, -1] @ model.params["cls_head.weight"].T + model.params["cls_head.bias"])
-    np.testing.assert_allclose(res.cls_probs, want, atol=1e-12)
-    assert res.cls_loss == pytest.approx(oracles.cross_entropy_mean(want, batch.labels), rel=1e-12)
-    assert res.loss == pytest.approx(0.5 * res.mae_loss + 2.0 * res.cls_loss + 3.0 * res.vq_loss, rel=1e-12)
-    bad = replace(batch, labels=np.full(batch.size, cfg.num_classes))
-    with pytest.raises(DataError):
-        forward(model, bad, FINETUNE_WEIGHTS, need_backward=False)
+    for which in ("tiny", "bench", "default"):
+        model, batch = config_case(which, 3, model_seed=1, batch_seed=2)
+        cfg = model.config
+        res, mask = masked_forward(model, batch, weights, need_backward=False)
+        # both passes return the mask rows, then the [CLS] row, the same bits
+        full, _ = masked_forward(model, batch, weights)
+        want_rows = np.concatenate([mask, np.zeros((batch.size, 1))], axis=1)
+        for result in (res, full):
+            np.testing.assert_array_equal(result.hidden_rows, want_rows)
+        np.testing.assert_array_equal(res.hidden, full.hidden)
+        want = oracles.softmax_rows(res.hidden[:, -1] @ model.params["cls_head.weight"].T + model.params["cls_head.bias"])
+        np.testing.assert_allclose(res.cls_probs, want, atol=1e-12)
+        assert res.cls_loss == pytest.approx(oracles.cross_entropy_mean(want, batch.labels), rel=1e-12)
+        assert res.loss == pytest.approx(0.5 * res.mae_loss + 2.0 * res.cls_loss + 3.0 * res.vq_loss, rel=1e-12)
+        bad = replace(batch, labels=np.full(batch.size, cfg.num_classes))
+        with pytest.raises(DataError):
+            forward(model, bad, FINETUNE_WEIGHTS, need_backward=False)
 
 
 def test_uniform_mae_predictions_hit_log_k():
