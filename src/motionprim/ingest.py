@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import logging
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -236,6 +237,8 @@ class SyntheticSpec:
             raise ConfigError("a synthetic spec needs at least 2 classes")
         if len(set(self.class_names)) < len(self.classes):
             raise ConfigError(f"class names must be unique, got {self.class_names}")
+        if len(set(self.column_names)) < len(self.channels):
+            raise ConfigError(f"channels must map to distinct CSV column names, got {self.column_names}")
         for cls in self.classes:
             if len(cls.waveforms) != len(self.channels):
                 raise ConfigError(
@@ -252,6 +255,11 @@ class SyntheticSpec:
     @property
     def class_names(self) -> list[str]:
         return [c.name for c in self.classes]
+
+    @property
+    def column_names(self) -> list[str]:
+        """The channels' CSV column names, `<body>_<sensor>_<axis>` in lower case."""
+        return [f"{m.body_part}_{m.sensor}_{m.axis}".lower() for m in self.channels]
 
 
 def _waveform_values(wave: WaveformSpec, times: np.ndarray) -> np.ndarray:
@@ -412,6 +420,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 # versions, so a change to the parse or the layout never serves stale columns.
 CSV_SIDECAR_FORMAT = 1
 CSV_SIDECAR_KIND = "csv-columns"
+# Rows per block of the CSV parse and of the synthetic-data writer: what
+# either holds besides its output is a block of rows, whatever the file size.
+_PARSE_ROWS = 16384
+_WRITE_ROWS = 8192
 
 
 @dataclass
@@ -484,11 +496,20 @@ class _HashingReader(io.RawIOBase):
 
 
 def _parse_csv(path: Path, request: dict) -> _CsvColumns:
-    """Parse the body with one loadtxt call, hashing the bytes as they are
-    read; a bad header, a missing column, a short or long row, a
-    non-numeric or empty number, a blank line and a file without data rows
-    all raise DataError naming the file."""
+    """Parse the body in blocks of `_PARSE_ROWS` rows, one loadtxt call per
+    block on one text stream that hashes the bytes as they are read. Each
+    block keeps only its requested columns: numbers as float64, and text as
+    codes against a running table of the names seen so far. So the parse
+    holds one block of rows besides those columns, and at the end one more
+    column while it joins each column's blocks. The codes index the sorted
+    names, as `np.unique` gives them. A bad header, a missing column, a
+    short or long row, a non-numeric or empty number, a blank line and a
+    file without data rows all raise DataError naming the file."""
     numeric, text = set(request["numeric"]), set(request["text"])
+    numbers: dict[str, list[np.ndarray]] = {name: [] for name in request["numeric"]}
+    codes: dict[str, list[np.ndarray]] = {name: [] for name in request["text"]}
+    names: dict[str, dict[str, int]] = {name: {} for name in request["text"]}  # name -> code, in order seen
+    rows = 0
     try:
         with open(path, "rb", buffering=0) as binary:
             raw = _HashingReader(binary)
@@ -502,17 +523,38 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
             if missing:
                 raise DataError(f"{path}: no column named {missing[0]!r}")
             dtype = np.dtype([(f"f{i}", np.float64 if name in numeric else object) for i, name in enumerate(header)])
+            field_of = {name: f"f{i}" for i, name in enumerate(header)}
             with warnings.catch_warnings():
-                # a body without rows is reported below
+                # a body without rows and a blank line are reported below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+                while True:
+                    try:
+                        block = np.loadtxt(
+                            fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, max_rows=_PARSE_ROWS
+                        )
+                    except ValueError as exc:
+                        # loadtxt counts rows from the start of its block
+                        message = re.sub(r"\bat row (\d+)", lambda m: f"at row {int(m[1]) + rows}", str(exc), count=1)
+                        raise ValueError(message) from exc
+                    for name, parts in numbers.items():
+                        parts.append(np.ascontiguousarray(block[field_of[name]]))
+                    for name, parts in codes.items():
+                        values, inverse = np.unique(block[field_of[name]].astype(str), return_inverse=True)
+                        table = names[name]
+                        known = [table.setdefault(value, len(table)) for value in values.tolist()]
+                        parts.append(np.array(known, dtype=np.int64)[inverse])
+                    rows += len(block)
+                    if len(block) < _PARSE_ROWS:
+                        break
+                    del block  # before the next one is read
             while raw.read(1 << 20):  # the hash must cover the whole file
                 pass
     except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if len(table) == 0:
+    if rows == 0:
         raise DataError(f"{path}: no data rows")
-    if raw.lines() != len(table) + 1:
+    if raw.lines() != rows + 1:
         # loadtxt skips an empty line, which csv.reader reads as a row of no
         # fields; bare CR line ends and a line break inside a quoted field
         # also make the counts differ
@@ -523,14 +565,19 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
             raise DataError(f"{path}: {exc}") from exc
         if blank:
             raise DataError(f"{path}: blank line in the CSV body")
-    field_of = {name: f"f{i}" for i, name in enumerate(header)}
-    numbers = {name: np.ascontiguousarray(table[field_of[name]]) for name in request["numeric"]}
+    columns = {}
+    for name in request["numeric"]:  # one column at a time, each freeing its blocks
+        columns[name] = np.concatenate(numbers.pop(name))
     labels = {}
     for name in request["text"]:
-        names, codes = np.unique(table[field_of[name]].astype(str), return_inverse=True)
-        labels[name] = (names.tolist(), codes.astype(np.int64, copy=False))
+        # each name's place in sorted order, indexed by its code
+        ordered, rank = np.unique(np.array(list(names[name]), dtype=str), return_inverse=True)
+        parts = codes.pop(name)
+        for part in parts:
+            part[:] = rank[part]
+        labels[name] = (ordered.tolist(), np.concatenate(parts))
     key = {**request, "sha256": raw.sha256.hexdigest()}
-    return _CsvColumns(numbers, labels, key, parsed=True)
+    return _CsvColumns(columns, labels, key, parsed=True)
 
 
 def _load_sidecar(path: Path, key: dict) -> _CsvColumns | None:
@@ -608,18 +655,26 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
             cache[path] = _read_csv_columns(path, numeric.get(path, set()), text.get(path, set()))
         return cache[path]
 
-    series = [
-        resample(columns_of(ch.file).numbers[ch.column], ch.meta.native_rate, manifest.target_rate)
-        for ch in manifest.channels
-    ]
+    # a column already at the target rate is used as read: resampling it
+    # would copy it, and np.stack below copies it anyway
+    series = []
+    for ch in manifest.channels:
+        values = columns_of(ch.file).numbers[ch.column]
+        if ch.meta.native_rate != manifest.target_rate:
+            values = resample(values, ch.meta.native_rate, manifest.target_rate)
+        series.append(values)
     length = min(len(s) for s in series)
+    if length < 2:  # as resampling refuses
+        raise DataError(f"{manifest.name}: a channel needs at least 2 samples, got {length}")
     matrix = np.stack([s[:length] for s in series], axis=1)
 
     labels = None
     class_names = list(manifest.classes)
     if manifest.label is not None:
         names, codes = columns_of(manifest.label.file).labels[manifest.label.column]
-        codes = resample_nearest(codes, manifest.label.native_rate, manifest.target_rate)[:length]
+        if manifest.label.native_rate != manifest.target_rate:
+            codes = resample_nearest(codes, manifest.label.native_rate, manifest.target_rate)
+        codes = codes[:length]
         counts = np.bincount(codes, minlength=len(names))
         present = [name for name, count in zip(names, counts.tolist()) if count]
         if not class_names:
@@ -656,17 +711,22 @@ def _csv_line(fields: list[str]) -> str:
 def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     """Materialize a synthetic spec as CSV + manifest; returns the manifest
     path. Loading the manifest reproduces `generate_synthetic(spec)` windows
-    bit-exactly (values are written with full repr precision)."""
+    bit-exactly (values are written with full repr precision). Each class
+    stream is formatted and written `_WRITE_ROWS` rows at a time, so the
+    writer holds one block's text besides the streams."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     streams = synthesize_streams(spec)
-    channel_names = [f"{m.body_part}_{m.sensor}_{m.axis}".lower() for m in spec.channels]
+    channel_names = spec.column_names
 
     def write_data(fh) -> None:
         fh.write(_csv_line(channel_names + ["label"]).encode())
         for cls, stream in zip(spec.classes, streams):
-            suffix = _csv_line(["", cls.name])  # a row's end: a comma, the label, the line end
-            fh.write((suffix.join(",".join(map(repr, row)) for row in stream.tolist()) + suffix).encode())
+            # a row's end: a comma, the label, the line end; `%` is literal
+            row = ",".join(["%r"] * stream.shape[1]) + _csv_line(["", cls.name]).replace("%", "%%")
+            for start in range(0, len(stream), _WRITE_ROWS):
+                block = stream[start : start + _WRITE_ROWS]
+                fh.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
 
     tensorfile.publish(out_dir / "data.csv", write_data)
     manifest = {

@@ -417,7 +417,12 @@ def forward(
 
     layout = model.layout_for(C, S)
     if mask_positions is not None:
-        mask_positions = np.asarray(mask_positions, dtype=np.int64)
+        given = np.asarray(mask_positions)
+        if given.dtype.kind == "f":
+            fractional = given[~(np.isfinite(given) & (given == np.floor(given)))]
+            if fractional.size:
+                raise DataError(f"mask positions must be whole numbers, got {fractional[0]}")
+        mask_positions = given.astype(np.int64)
     indices = indices_flat.reshape(B, C, S)
     rows, mask_targets = table_rows(params, layout, indices, mask_positions)
     x = LazyInput(

@@ -89,7 +89,7 @@ class AdamW:
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name in self.trainable:
+        for name in sorted(self.trainable):  # the same name in every process
             if not np.all(np.isfinite(grads[name])):
                 raise NumericError(f"non-finite gradient for {name}; step aborted")
         self.step_count += 1

@@ -382,6 +382,18 @@ def test_synth_exit_2_on_mistyped_spec(tmp_path, capsys, path, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_exit_2_on_colliding_column_names(tmp_path, capsys):
+    # both channels would be the CSV column wrist_accelerometer_x, a header
+    # that every later load rejects
+    spec = copy.deepcopy(TINY_SPEC)
+    spec["channels"][1] = {"body_part": "Wrist", "sensor": "accelerometer", "axis": "X"}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
+    assert "wrist_accelerometer_x" in _config_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_2_when_no_datasets(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"datasets": []}))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,25 +407,44 @@ def test_load_synthetic_spec_round_trip(tmp_path):
     assert len(generate_synthetic(spec)) == 4
 
 
-def test_writer_bytes_match_csv_writer_oracle(tmp_path):
-    # class names that csv.writer must quote: a comma, a quote, a line break
+def test_writer_bytes_match_csv_writer_oracle(tmp_path, each_block_size):
+    # class names that csv.writer must quote (a comma, a quote, a line
+    # break), with a `%` and a `%r` the writer's row template must keep
     spec = small_spec(seed=4)
-    for cls, name in zip(spec.classes, ['walk, slow', 'say "hi"\nloud']):
+    for cls, name in zip(spec.classes, ['walk, 50% slow', 'say "%r"\nloud%']):
         cls.name = name
-    manifest_path = write_synthetic_dataset(spec, tmp_path / "ds")
     channel_names = [f"{m.body_part}_{m.sensor}_{m.axis}".lower() for m in spec.channels]
     oracles.write_data_csv(tmp_path / "want.csv", channel_names, spec.class_names, synthesize_streams(spec))
-    assert (tmp_path / "ds" / "data.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    loaded = load_dataset(load_manifest(manifest_path))
-    assert loaded.class_names == spec.class_names
     direct = generate_synthetic(spec)
-    assert [w.label for w in loaded.windows] == [w.label for w in direct]
-    for got, want in zip(loaded.windows, direct):
-        assert got.samples.tobytes() == want.samples.tobytes()
+    for rows in each_block_size():
+        manifest_path = write_synthetic_dataset(spec, tmp_path / f"ds{rows}")
+        assert (tmp_path / f"ds{rows}" / "data.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        loaded = load_dataset(load_manifest(manifest_path))
+        assert loaded.class_names == spec.class_names
+        assert [w.label for w in loaded.windows] == [w.label for w in direct]
+        for got, want in zip(loaded.windows, direct):
+            assert got.samples.tobytes() == want.samples.tobytes()
 
 
 # ---------------------------------------------------------------------------
 # CSV parsing: what loads, what fails typed, and exact float parsing
+
+
+@pytest.fixture
+def each_block_size(monkeypatch):
+    """A loop over block sizes: the body runs once at the module's parse and
+    write block sizes (the loop variable is None) and once each with both
+    patched to 1, 2 and 3 rows, so rows, faults and quoted line breaks fall
+    on every side of a block boundary."""
+
+    def sizes():
+        yield None
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(ingest, "_PARSE_ROWS", rows)
+            monkeypatch.setattr(ingest, "_WRITE_ROWS", rows)
+            yield rows
+
+    return sizes
 
 
 def count_parses(monkeypatch) -> list:
@@ -481,14 +501,34 @@ GOOD_CSV = "v,label\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n"
     pytest.param("v,label\n 1.5 ,a\n-2.25\t,a\n  3.0,b\n4.0 ,b\n", id="space-padded numbers"),
     pytest.param("label,v,note\na,1.5,x\na,-2.25,\nb,3.0,\"y, z\"\nb,4.0,w\n", id="other column order and unused columns"),
 ])
-def test_csv_forms_that_load(tmp_path, monkeypatch, data):
-    manifest = load_manifest(one_channel_dataset(tmp_path, data))
+def test_csv_forms_that_load(tmp_path, monkeypatch, each_block_size, data):
     parses = count_parses(monkeypatch)
-    loaded = load_dataset(manifest)
-    assert [w.label for w in loaded.windows] == [0, 1]
-    np.testing.assert_array_equal(np.concatenate([w.samples[:, 0] for w in loaded.windows]), [1.5, -2.25, 3.0, 4.0])
-    assert_same_dataset(load_dataset(manifest), loaded)  # served by the sidecar
-    assert len(parses) == 1
+    for rows in each_block_size():
+        (tmp_path / f"rows{rows}").mkdir()
+        manifest = load_manifest(one_channel_dataset(tmp_path / f"rows{rows}", data))
+        loaded = load_dataset(manifest)
+        assert [w.label for w in loaded.windows] == [0, 1]
+        np.testing.assert_array_equal(np.concatenate([w.samples[:, 0] for w in loaded.windows]), [1.5, -2.25, 3.0, 4.0])
+        assert_same_dataset(load_dataset(manifest), loaded)  # served by the sidecar
+        assert len(parses) == 1
+        parses.clear()
+
+
+def test_quoted_line_breaks_across_parse_blocks(tmp_path, each_block_size):
+    # every label holds a line break, so with blocks of 1, 2 and 3 rows one
+    # falls at each end of a block and the line count differs from the rows;
+    # the name that sorts last comes first, so the codes must be remapped
+    data = 'v,label\n1.5,"c\r\nd"\n-2.25,"c\r\nd"\n3.0,"a\nb"\n4.0,"a\nb"\n5.0,"a\nb"\n6.0,"a\nb"\n'
+    for rows in each_block_size():
+        (tmp_path / f"rows{rows}").mkdir()
+        manifest = one_channel_dataset(tmp_path / f"rows{rows}", data, classes=["c\r\nd", "a\nb"])
+        loaded = load_dataset(load_manifest(manifest))
+        assert loaded.class_names == ["c\r\nd", "a\nb"]
+        assert [w.label for w in loaded.windows] == [0, 1, 1]
+        np.testing.assert_array_equal(np.concatenate([w.samples[:, 0] for w in loaded.windows]), [1.5, -2.25, 3.0, 4.0, 5.0, 6.0])
+        sidecar = load_tensors(sidecar_of(tmp_path / f"rows{rows}" / "data.csv"), "csv-columns")
+        assert sidecar[0]["names"] == {"label": ["a\nb", "c\r\nd"]}
+        assert sidecar[1]["label"].tolist() == [1, 1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("data", [
@@ -510,14 +550,23 @@ def test_csv_forms_that_load(tmp_path, monkeypatch, data):
     pytest.param("v,label\n1.5,a\n-2.25,a\n3.0,c\n4.0,c\n", id="label not in classes"),
     pytest.param("v,label\n1.5,a\n", id="single row"),
     pytest.param("v,label\n1.5,a\nnan,a\n3.0,b\n4.0,b\n", id="non-finite sample"),
+    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n8,b\nfast,b\n9,b\n", id="non-numeric sample in a later block"),
+    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n8,b\n9\n", id="short row in a later block"),
+    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n\n8,b\n", id="blank line in a later block"),
 ])
-@pytest.mark.filterwarnings("error")  # loadtxt's no-data warning must not escape either
-def test_csv_faults_raise_data_error(tmp_path, data):
-    manifest = load_manifest(one_channel_dataset(tmp_path, data))
-    for _ in range(2):  # a failed load leaves nothing that changes the next
-        with pytest.raises(DataError):
-            load_dataset(manifest)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "m.json"]
+@pytest.mark.filterwarnings("error")  # loadtxt's no-data warnings must not escape either
+def test_csv_faults_raise_data_error(tmp_path, each_block_size, data):
+    messages = set()
+    for rows in each_block_size():
+        (tmp_path / f"rows{rows}").mkdir()
+        manifest = load_manifest(one_channel_dataset(tmp_path / f"rows{rows}", data))
+        for _ in range(2):  # a failed load leaves nothing that changes the next
+            with pytest.raises(DataError) as info:
+                load_dataset(manifest)
+            # the same message whatever block the fault falls in
+            messages.add(str(info.value).replace(str(tmp_path / f"rows{rows}"), "DIR"))
+        assert sorted(p.name for p in (tmp_path / f"rows{rows}").iterdir()) == ["data.csv", "m.json"]
+    assert len(messages) == 1, messages
 
 
 def adversarial_float_strings(seed):
@@ -542,13 +591,15 @@ def adversarial_float_strings(seed):
     return out
 
 
-def test_csv_floats_equal_python_float_bit_for_bit(tmp_path):
+def test_csv_floats_equal_python_float_bit_for_bit(tmp_path, each_block_size):
     strings = adversarial_float_strings(seed=21)
-    rows = "".join(f"{s},a\n" for s in strings)
-    manifest = one_channel_dataset(tmp_path, "v,label\n" + rows, window=len(strings))
-    (only,) = load_dataset(load_manifest(manifest)).windows
+    data = "v,label\n" + "".join(f"{s},a\n" for s in strings)
     want = np.array([float(s) for s in strings])
-    assert only.samples[:, 0].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    for rows in each_block_size():
+        (tmp_path / f"rows{rows}").mkdir()
+        manifest = one_channel_dataset(tmp_path / f"rows{rows}", data, window=len(strings))
+        (only,) = load_dataset(load_manifest(manifest)).windows
+        assert only.samples[:, 0].view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -598,6 +649,59 @@ def test_target_rate_must_be_positive(tmp_path, rate):
     # rejected at load, before any CSV is parsed
     with pytest.raises(DataError, match="target_rate"):
         load_manifest(one_channel_dataset(tmp_path, GOOD_CSV, target_rate=rate))
+
+
+# ---------------------------------------------------------------------------
+# memory the CSV writer and the cold parse hold besides their data
+
+
+def traced_peak(fn):
+    """fn's result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def csv_io_overheads(tmp_path_factory):
+    """For bench-spec datasets of 32000 and 128000 rows (2 and 8 parse
+    blocks): the writer's traced peak minus the bytes of the streams it
+    writes, the cold parse's peak minus the bytes of the columns it returns,
+    and one class stream's and one returned column's bytes at the larger."""
+    out = {}
+    for windows_per_class in (16, 64):
+        spec = bench_spec(seed=3, windows_per_class=windows_per_class)
+        streams = synthesize_streams(spec)
+        stream_bytes, class_bytes = sum(s.nbytes for s in streams), streams[0].nbytes
+        del streams
+        path = tmp_path_factory.mktemp(f"w{windows_per_class}")
+        manifest, write_peak = traced_peak(lambda: load_manifest(write_synthetic_dataset(spec, path)))
+        numeric = sorted(ch.column for ch in manifest.channels)
+        request = {"format": ingest.CSV_SIDECAR_FORMAT, "numeric": numeric, "text": [manifest.label.column]}
+        columns, parse_peak = traced_peak(lambda: ingest._parse_csv(path / "data.csv", request))
+        returned = [*columns.numbers.values(), *(codes for _, codes in columns.labels.values())]
+        out[windows_per_class] = {
+            "write": write_peak - stream_bytes,
+            "parse": parse_peak - sum(a.nbytes for a in returned),
+            "class": class_bytes,
+            "column": returned[0].nbytes,
+        }
+    return out[16], out[64]
+
+
+def test_csv_parse_holds_a_block_not_the_file(csv_io_overheads):
+    # one loadtxt call over the body held 6.2 and 21.8 MB beyond the columns
+    small, large = csv_io_overheads
+    assert large["parse"] - small["parse"] <= large["column"]  # the join holds one more column
+
+
+def test_csv_writer_holds_a_block_not_the_file(csv_io_overheads):
+    # formatting each class as one string held 2.2 and 8.8 MB beyond the streams
+    small, large = csv_io_overheads
+    assert large["write"] - small["write"] <= large["class"]  # synthesis temporaries of one class
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,19 @@ def test_forward_rejects_mask_positions_outside_the_sequence():
                 forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=bad, need_backward=need_backward)
 
 
+def test_forward_rejects_fractional_mask_positions():
+    # a cast to int64 would truncate 2.7 and mask position 2 in silence
+    model = init_model(tiny_config(), seed=0)
+    batch = tiny_batch(seed=1, num_windows=2)
+    for bad in ([[2.7], [2]], [[2], [np.nan]], [[np.inf], [2]]):
+        for need_backward in (True, False):
+            with pytest.raises(DataError, match="mask positions must be whole numbers"):
+                forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=bad, need_backward=need_backward)
+    whole = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=[[2.0], [3.0]], need_backward=False)
+    ints = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=[[2], [3]], need_backward=False)
+    assert (whole.loss, whole.mae_loss) == (ints.loss, ints.mae_loss)
+
+
 def test_forward_nonfinite_guard():
     cfg = tiny_config()
     model = init_model(cfg, seed=11)

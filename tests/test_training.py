@@ -160,6 +160,19 @@ def test_adamw_rejects_nonfinite_grads():
         opt.step({"w": np.ones(2)}, {"w": np.array([1.0, np.nan])})
 
 
+def test_adamw_names_the_first_nonfinite_grad_in_sorted_order():
+    # set order depends on the process's string hash seed; the error must not
+    names = ["pos.rows", "mae.weight", "codebook", "embed.rows", "cls.weight"]
+    opt = AdamW(OptimizerConfig(), set(names))
+    params = {name: np.ones(2) for name in names}
+    grads = {name: np.ones(2) for name in names}
+    grads["pos.rows"][1] = np.nan
+    grads["embed.rows"][0] = -np.inf
+    with pytest.raises(NumericError, match=r"non-finite gradient for embed\.rows;"):
+        opt.step(params, grads)
+    assert opt.step_count == 0 and all(np.array_equal(p, np.ones(2)) for p in params.values())
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(learning_rate=0.0)
