@@ -38,7 +38,6 @@ cat > "$work/run.json" <<EOF
     "num_classes": 2
   },
   "optimizer": {"learning_rate": 1e-3, "batch_size": 60, "micro_batch": 60, "epochs": 30},
-  "provider": {"dim": 64},
   "datasets": ["$work/data/manifest.json"],
   "out_dir": "$work/runs",
   "run_id": "walkthrough",

@@ -43,7 +43,6 @@ from .ingest import (
 from .metadata import (
     FileLookupProvider,
     HashProvider,
-    MetadataVector,
     canonical_descriptor,
     make_provider,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "LINEAR_PROBE",
     "LossWeights",
     "MetadataProviderError",
-    "MetadataVector",
     "Model",
     "ModelConfig",
     "MotionPrimError",

@@ -38,6 +38,7 @@ from .model import (
 from .schema import check_fields, field_type, from_dict, read_json
 from .tensorfile import publish
 from .training import (
+    CODEBOOK_INITS,
     OptimizerConfig,
     checkpoint_hash,
     evaluate,
@@ -64,7 +65,6 @@ RUN_MANIFEST = "run_manifest.json"
 @dataclass
 class ProviderConfig:
     kind: str = "deterministic-hash"
-    dim: int = 768
     seed: int = 0
     path: str | None = None
 
@@ -95,6 +95,11 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        policy_by_name(self.freeze)
+        if self.codebook_init not in CODEBOOK_INITS:
+            raise ConfigError(f"unknown codebook init {self.codebook_init!r}; known: {list(CODEBOOK_INITS)}")
+        if not (0 < self.split_fraction < 1):
+            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         # it names files inside out_dir, so a separator would point elsewhere
         if self.run_id and (self.run_id == ".." or Path(self.run_id).name != self.run_id):
             raise ConfigError(f"run_id {self.run_id!r} must be a plain file name, without a path separator")
@@ -192,7 +197,9 @@ def _write_run_manifest(out_dir: Path, command: str, merged: dict, applied: list
     _write_json(out_dir / RUN_MANIFEST, manifest)
 
 
-def _prepare_dataset(path: str, model_config: ModelConfig, provider) -> PreparedBatch:
+def _prepare_dataset(path: str, model_config: ModelConfig, provider_config: ProviderConfig) -> PreparedBatch:
+    """The dataset's windows, their channel metadata embedded at the model's meta_dim."""
+    provider = make_provider(dim=model_config.meta_dim, **asdict(provider_config))
     manifest = load_manifest(path)
     loaded = load_dataset(manifest)
     if not loaded.windows:
@@ -223,10 +230,9 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     run, merged, applied = load_run_config(args.config, args.set or [])
     if not run.datasets:
         raise ConfigError("pretraining needs at least one dataset manifest in 'datasets'")
-    provider = make_provider(**asdict(run.provider))
     run_id = _run_id(merged, "pretrain")
     out_dir = _output_dir(run.out_dir, f"{run_id}.ckpt", f"{run_id}_train.jsonl", RUN_MANIFEST)
-    datasets = [_prepare_dataset(p, run.model, provider) for p in run.datasets]
+    datasets = [_prepare_dataset(p, run.model, run.provider) for p in run.datasets]
     model, records = pretrain(
         run.model,
         datasets,
@@ -256,13 +262,12 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     run, merged, applied = load_run_config(args.config, args.set or [])
     if len(run.datasets) != 1:
         raise ConfigError("fine-tuning needs exactly one dataset manifest in 'datasets'")
-    provider = make_provider(**asdict(run.provider))
     run_id = _run_id(merged, "finetune")
     out_dir = _output_dir(
         run.out_dir, f"{run_id}.ckpt", f"{run_id}_metrics.json", f"{run_id}_train.jsonl", RUN_MANIFEST
     )
     model, _ = load_checkpoint(args.checkpoint)
-    batch = _prepare_dataset(run.datasets[0], model.config, provider)
+    batch = _prepare_dataset(run.datasets[0], model.config, run.provider)
     result = finetune(
         model,
         batch,
@@ -289,11 +294,10 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     run, merged, applied = load_run_config(args.config, args.set or [])
-    provider = make_provider(**asdict(run.provider))
     run_id = _run_id(merged, "evaluate")
     out_dir = _output_dir(run.out_dir, f"{run_id}_metrics.json", RUN_MANIFEST)
     model, _ = load_checkpoint(args.checkpoint)
-    batch = _prepare_dataset(args.manifest, model.config, provider)
+    batch = _prepare_dataset(args.manifest, model.config, run.provider)
     metrics = evaluate(model, batch, workers=run.workers)
     metrics_path = out_dir / f"{run_id}_metrics.json"
     _write_json(metrics_path, metrics.to_dict())
@@ -312,12 +316,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown reports: {sorted(unknown)}; known: {sorted(known)}")
     if args.top_n < 1 or args.sim_tokens < 1:
         raise ConfigError(f"--top-n and --sim-tokens must be >= 1, got {args.top_n} and {args.sim_tokens}")
-    provider = make_provider(**asdict(run.provider))
     run_id = _run_id(merged, "analyze")
     files = [f"{run_id}_{name}.{ext}" for name in wanted for ext in ("csv", "json")]
     out_dir = _output_dir(run.out_dir, *files, RUN_MANIFEST)
     model, _ = load_checkpoint(args.checkpoint)
-    batch = _prepare_dataset(args.manifest, model.config, provider)
+    batch = _prepare_dataset(args.manifest, model.config, run.provider)
     if "frequency" in wanted and batch.labels is None:
         # checked before any report is written, so a failed run leaves none
         raise DataError("frequency report needs labeled windows")

@@ -15,6 +15,7 @@ import logging
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -534,9 +535,7 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
                             fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, max_rows=_PARSE_ROWS
                         )
                     except ValueError as exc:
-                        # loadtxt counts rows from the start of its block
-                        message = re.sub(r"\bat row (\d+)", lambda m: f"at row {int(m[1]) + rows}", str(exc), count=1)
-                        raise ValueError(message) from exc
+                        raise ValueError(_at_file_line(str(exc), path, rows)) from exc
                     for name, parts in numbers.items():
                         parts.append(np.ascontiguousarray(block[field_of[name]]))
                     for name, parts in codes.items():
@@ -559,12 +558,11 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
         # fields; bare CR line ends and a line break inside a quoted field
         # also make the counts differ
         try:
-            with open(path, newline="") as fh:
-                blank = any(not row for row in csv.reader(fh))
+            blank = next((line for line, record in _records(path) if not record), None)
         except (OSError, ValueError, csv.Error) as exc:
             raise DataError(f"{path}: {exc}") from exc
         if blank:
-            raise DataError(f"{path}: blank line in the CSV body")
+            raise DataError(f"{path}: blank line in the CSV body at line {blank}")
     columns = {}
     for name in request["numeric"]:  # one column at a time, each freeing its blocks
         columns[name] = np.concatenate(numbers.pop(name))
@@ -578,6 +576,27 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
         labels[name] = (ordered.tolist(), np.concatenate(parts))
     key = {**request, "sha256": raw.sha256.hexdigest()}
     return _CsvColumns(columns, labels, key, parsed=True)
+
+
+def _records(path: Path):
+    """(the file line it begins on, its fields) of each CSV record; a blank line has no fields."""
+    with open(path, newline="") as fh:
+        reader, line = csv.reader(fh), 1
+        for record in reader:
+            yield line, record
+            line = reader.line_num + 1
+
+
+def _at_file_line(message: str, path: Path, rows: int) -> str:
+    """loadtxt's `message` for the block after `rows` data rows, its row number
+    made the file line of that row. loadtxt skips blank lines and numbers
+    the block's rows from 0 in a conversion error, from 1 in a column-count
+    error, so its row 0 is the file's non-blank record `first`."""
+    first = rows + 1 - (not message.startswith("could not convert"))
+    starts = (line for line, record in _records(path) if record)
+    return re.sub(
+        r"\bat row (\d+)", lambda m: f"at line {next(islice(starts, first + int(m[1]), None))}", message, count=1
+    )
 
 
 def _load_sidecar(path: Path, key: dict) -> _CsvColumns | None:

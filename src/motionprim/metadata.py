@@ -1,13 +1,13 @@
 """Channel metadata to text-embedding vectors, via pluggable providers.
 The model's `adapter.*` tensors project these vectors into model space.
 
-Providers are read-only after construction and embed deterministically.
+Providers are read-only after construction and embed deterministically,
+each at one width N: the CLI builds its provider at the model's `meta_dim`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +17,6 @@ from .ingest import ChannelMetadata
 from .schema import read_json
 
 DEFAULT_EMBED_DIM = 768
-
-
-@dataclass
-class MetadataVector:
-    values: np.ndarray
-    descriptor: str
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise DataError("metadata vector must be 1-d")
-        if not np.all(np.isfinite(self.values)):
-            raise DataError(f"metadata vector for {self.descriptor!r} has non-finite entries")
 
 
 def canonical_descriptor(meta: ChannelMetadata) -> str:
@@ -48,19 +35,13 @@ class HashProvider:
     def __init__(self, dim: int = DEFAULT_EMBED_DIM, seed: int = 0):
         if dim < 1:
             raise ConfigError("embedding dim must be >= 1")
-        self.dim = dim
-        self.seed = seed
+        self.dim, self.seed = dim, seed
 
-    def embed(self, descriptor: str) -> MetadataVector:
+    def embed(self, descriptor: str) -> np.ndarray:
         digest = hashlib.sha256(f"{self.seed}:{descriptor}".encode()).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
         values = rng.normal(0.0, 1.0, size=self.dim)
-        norm = np.linalg.norm(values)
-        if norm == 0:  # unreachable for continuous draws; belt and braces
-            values = np.full(self.dim, 1.0 / np.sqrt(self.dim))
-        else:
-            values = values / norm
-        return MetadataVector(values, descriptor)
+        return values / np.linalg.norm(values)
 
 
 class FileLookupProvider:
@@ -75,7 +56,6 @@ class FileLookupProvider:
         if not isinstance(raw, dict) or not raw:
             raise MetadataProviderError(f"embedding file {path} must map descriptors to vectors")
         self._table: dict[str, np.ndarray] = {}
-        dims = set()
         for key, vec in raw.items():
             try:
                 arr = np.asarray(vec, dtype=np.float64)
@@ -83,23 +63,23 @@ class FileLookupProvider:
                 arr = None
             if arr is None or arr.ndim != 1:
                 raise MetadataProviderError(f"embedding for {key!r} is not a flat list of numbers")
+            if not np.all(np.isfinite(arr)):
+                raise MetadataProviderError(f"embedding for {key!r} has non-finite entries")
             self._table[key] = arr
-            dims.add(arr.size)
+        dims = {arr.size for arr in self._table.values()}
         if len(dims) != 1:
             raise MetadataProviderError(f"embedding file {path} mixes dimensions: {sorted(dims)}")
         self.dim = dims.pop()
         self.name = f"file-lookup({path.name})"
 
-    def embed(self, descriptor: str) -> MetadataVector:
+    def embed(self, descriptor: str) -> np.ndarray:
         if descriptor not in self._table:
-            raise MetadataProviderError(
-                f"{self.name}: no embedding stored for descriptor {descriptor!r}"
-            )
-        return MetadataVector(self._table[descriptor].copy(), descriptor)
+            raise MetadataProviderError(f"{self.name}: no embedding stored for descriptor {descriptor!r}")
+        return self._table[descriptor].copy()
 
 
 def make_provider(kind: str, *, dim: int = DEFAULT_EMBED_DIM, seed: int = 0, path: str | Path | None = None):
-    """Provider factory used by config loading."""
+    """The provider of `kind`; a hash provider embeds at `dim`, a file's width is its own."""
     if kind == "deterministic-hash":
         return HashProvider(dim=dim, seed=seed)
     if kind == "file-lookup":
@@ -109,5 +89,6 @@ def make_provider(kind: str, *, dim: int = DEFAULT_EMBED_DIM, seed: int = 0, pat
     raise ConfigError(f"unknown metadata provider {kind!r}")
 
 
-def embed_channels(channels: list[ChannelMetadata], provider) -> list[MetadataVector]:
-    return [provider.embed(canonical_descriptor(meta)) for meta in channels]
+def embed_channels(channels: list[ChannelMetadata], provider) -> np.ndarray:
+    """The (C, N) matrix of the channels' vectors, one row per channel."""
+    return np.stack([provider.embed(canonical_descriptor(meta)) for meta in channels])

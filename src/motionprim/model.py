@@ -59,6 +59,8 @@ class ModelConfig:
             raise ConfigError("beta must be >= 0")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        if self.meta_dim < 1:
+            raise ConfigError("meta_dim must be >= 1")
         if self.depth < 0:
             raise ConfigError("depth must be >= 0")
         if self.heads < 1 or self.model_dim % self.heads != 0:
@@ -292,16 +294,14 @@ def prepare_windows(
         raise DataError("dataset mixes labeled and unlabeled windows")
     labels = np.array([w.label for w in windows], dtype=np.int64) if all(labeled) else None
 
-    meta_vectors = np.stack([v.values for v in embed_channels(first.channels, provider)])
-    if meta_vectors.shape[1] != config.meta_dim:
-        raise ConfigError(
-            f"metadata provider dim {meta_vectors.shape[1]} does not match config meta_dim {config.meta_dim}"
-        )
+    meta = embed_channels(first.channels, provider)
+    if meta.shape[1] != config.meta_dim:
+        raise ConfigError(f"metadata provider dim {meta.shape[1]} does not match config meta_dim {config.meta_dim}")
     return PreparedBatch(
         normalized,
         stats,
         labels,
-        meta_vectors,
+        meta,
         np.arange(len(windows), dtype=np.int64),
         source=source,
     )
@@ -444,16 +444,12 @@ def forward(
     )
     layers = encoder_layers(params, cfg.depth)
     hidden, enc_cache = encoder_forward(x, layers, cfg.heads, need_backward, hidden_rows)
-    # (window, row of `hidden`) of each head's targets, window by window
-    reads, start = [], 0
-    for _, _, positions, _ in heads:
-        k = positions.shape[1]
-        reads.append((np.repeat(np.arange(B), k), np.tile(np.arange(start, start + k), B)))
-        start += k
+    # each head reads one block of `hidden`'s rows, (B, k, D), window by window
+    reads = np.split(hidden, np.cumsum([positions.shape[1] for _, _, positions, _ in heads])[:-1], axis=1)
 
     head_loss, head_probs = {"mae": 0.0, "cls_head": 0.0}, {}
-    for (prefix, _, _, targets), (window, row) in zip(heads, reads):
-        logits = hidden[window, row] @ params[f"{prefix}.weight"].T + params[f"{prefix}.bias"]
+    for (prefix, _, _, targets), read in zip(heads, reads):
+        logits = read.reshape(-1, cfg.model_dim) @ params[f"{prefix}.weight"].T + params[f"{prefix}.bias"]
         losses, head_probs[prefix] = _xent(logits, targets)
         head_loss[prefix] = float(losses.mean())
     mae_value, cls_value = head_loss["mae"], head_loss["cls_head"]
@@ -469,16 +465,17 @@ def forward(
         # the encoder's output gradient at every row; a position read twice
         # (a repeated mask position) adds both contributions
         d_hidden = np.zeros((B, layout.seq_len, cfg.model_dim))
-        for (prefix, weight, _, targets), (window, row) in zip(heads, reads):
+        for (prefix, weight, positions, targets), read in zip(heads, reads):
             if weight == 0:
                 continue
             d_logits = head_probs[prefix].copy()
             n = len(targets)
             d_logits[np.arange(n), targets] -= 1.0
             d_logits *= weight / n
-            grads[f"{prefix}.weight"] = d_logits.T @ hidden[window, row]
+            grads[f"{prefix}.weight"] = d_logits.T @ read.reshape(-1, cfg.model_dim)
             grads[f"{prefix}.bias"] = d_logits.sum(axis=0)
-            np.add.at(d_hidden, (window, hidden_rows[window, row]), d_logits @ params[f"{prefix}.weight"])
+            d_read = d_logits @ params[f"{prefix}.weight"]
+            np.add.at(d_hidden, (np.arange(B)[:, None], positions), d_read.reshape(read.shape))
         if grads:  # the heads reach the encoder and the embedding
             d_x, enc_grads = encoder_backward(d_hidden, enc_cache, layers)
             for i, layer_grads in enumerate(enc_grads):

@@ -47,6 +47,7 @@ logger = logging.getLogger("motionprim")
 
 CHECKPOINT_KIND = "checkpoint"
 MAX_KMEANS_SAMPLE = 16384
+CODEBOOK_INITS = ("kmeans-seeded", "random-normal")
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +301,8 @@ def pretrain(
     deterministic usage pass so the checkpoint carries real usage counts."""
     if not datasets:
         raise DataError("pretraining needs at least one dataset")
+    if codebook_init not in CODEBOOK_INITS:
+        raise ConfigError(f"unknown codebook init {codebook_init!r}; known: {list(CODEBOOK_INITS)}")
     codebook = None
     if codebook_init == "kmeans-seeded":
         sample = np.concatenate(
@@ -315,8 +318,6 @@ def pretrain(
             sample=sample,
             seed=int(np.random.SeedSequence([run_seed, 4]).generate_state(1)[0]),
         )
-    elif codebook_init != "random-normal":
-        raise ConfigError(f"unknown codebook init {codebook_init!r}")
     model = init_model(config, seed=run_seed, codebook=codebook)
     records = run_training(model, datasets, weights, opt_config, policy, run_seed, stage="pretrain")
     refresh_usage(model, datasets)

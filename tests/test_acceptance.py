@@ -401,7 +401,6 @@ DET_RUN = {
         "num_classes": 2,
     },
     "optimizer": {"learning_rate": 1e-3, "batch_size": 8, "micro_batch": 4, "epochs": 3},
-    "provider": {"dim": 16},
     "seed": 9,
     "workers": 1,
     "run_id": "det",

@@ -56,7 +56,6 @@ TINY_RUN = {
         "micro_batch": 4,
         "epochs": 2,
     },
-    "provider": {"dim": 16},
     "seed": 3,
     "split_fraction": 0.25,
 }
@@ -82,7 +81,7 @@ def test_file_merges_nested_sections(tmp_path):
     assert run.model.depth == 3
     assert merged["seed"] == 9
     # untouched sections keep their defaults
-    assert merged["provider"]["dim"] == 768
+    assert merged["provider"] == {"kind": "deterministic-hash", "seed": 0, "path": None}
 
 
 def test_unknown_keys_rejected_everywhere(tmp_path):
@@ -136,14 +135,14 @@ def test_config_hash_pins():
     # default run ids are "<command>-<hash prefix>", so these values must
     # not move when the config code changes
     _, merged, _ = cli.load_run_config(None, [])
-    assert cli.config_hash(merged) == "8460d58fd3af329483cf717c50fc394b3d5d53afa6ae3cbecf932d61aa761124"
+    assert cli.config_hash(merged) == "d2ffb95ac8a495d6de9c8230385998995e3f2a3f742a2a4b6d52b07178c3c074"
     _, merged, _ = cli.load_run_config(None, ["seed=7", "freeze=linear-probe", "model.depth=3", "run_id=null"])
-    assert cli.config_hash(merged) == "bcf57d8ec5cfd9f44118da4bde909a15f38b672de1702d839d0f2dadbbaf738f"
+    assert cli.config_hash(merged) == "11abfcdcd8d9729852a89a155794299d721e73f3feac7343acb111c1f6a136f0"
 
 
 def test_set_keeps_text_for_str_fields():
-    run, _, _ = cli.load_run_config(None, ["run_id=123", "out_dir=3", 'provider.path="p.json"', "freeze=[1]"])
-    assert (run.run_id, run.out_dir, run.provider.path, run.freeze) == ("123", "3", "p.json", "[1]")
+    run, _, _ = cli.load_run_config(None, ["run_id=123", "out_dir=3", 'provider.path="p.json"', "provider.kind=[1]"])
+    assert (run.run_id, run.out_dir, run.provider.path, run.provider.kind) == ("123", "3", "p.json", "[1]")
     run, _, _ = cli.load_run_config(None, ["run_id=123", "run_id=null"])
     assert run.run_id is None
     with pytest.raises(ConfigError, match="config.out_dir"):
@@ -151,10 +150,10 @@ def test_set_keeps_text_for_str_fields():
 
 
 def test_set_types_every_section():
-    run, _, _ = cli.load_run_config(None, ["model.mlp_ratio=2", "loss_weights={\"lambda_vq\": 0}", "provider.dim=16"])
+    run, _, _ = cli.load_run_config(None, ["model.mlp_ratio=2", "loss_weights={\"lambda_vq\": 0}", "provider.seed=16"])
     assert run.model.mlp_ratio == 2.0 and type(run.model.mlp_ratio) is float
     assert run.loss_weights.lambda_vq == 0.0 and run.loss_weights.lambda_mae == 1.0
-    assert run.provider.dim == 16
+    assert run.provider.seed == 16
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +349,93 @@ def test_every_command_types_the_run_config(workdir, tmp_path, capsys, command):
         _config_error(capsys)
 
 
+@pytest.mark.parametrize("command, override", [
+    ("finetune", "freeze=linear_probe"),
+    ("pretrain", "codebook_init=kmeans"),
+    ("finetune", "split_fraction=1.5"),
+    ("finetune", "split_fraction=0"),
+    ("evaluate", "freeze=none"),
+])
+def test_run_config_values_are_checked_before_any_load(workdir, tmp_path, capsys, monkeypatch, command, override):
+    # each used to load the dataset before the value was looked at
+    _, cfg_path, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("data loaded"))
+    operands = {"pretrain": [], "finetune": [str(ckpt)], "evaluate": [str(ckpt), str(data_dir / "manifest.json")]}[command]
+    code = cli.main([command, "--config", str(cfg_path), "--set", f"out_dir={tmp_path / 'out'}", "--set", override, *operands])
+    assert code == 2
+    assert override.split("=")[0].split("_")[0] in _config_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_provider_dim_is_an_unknown_key(workdir, tmp_path, capsys):
+    # the provider embeds at the model's meta_dim; there is no second width
+    _, cfg_path, _ = workdir
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**json.loads(cfg_path.read_text()), "provider": {"dim": 16}}))
+    for argv in (["--config", str(old)], ["--config", str(cfg_path), "--set", "provider.dim=16"]):
+        assert cli.main(["pretrain", *argv, "--set", f"out_dir={tmp_path / 'out'}"]) == 2
+        assert "unknown keys ['config.provider.dim']" in _config_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["finetune", "evaluate", "analyze"])
+def test_commands_embed_at_the_checkpoint_meta_dim(workdir, tmp_path, capsys, command):
+    # a meta_dim=16 checkpoint under the default provider, which needed
+    # provider.dim=16 while the provider had a width of its own
+    _, _, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    assert TINY_RUN["model"]["meta_dim"] == 16
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({"optimizer": TINY_RUN["optimizer"], "datasets": [str(data_dir / "manifest.json")]}))
+    operands = [str(ckpt)] if command == "finetune" else [str(ckpt), str(data_dir / "manifest.json")]
+    assert cli.main([command, "--config", str(run), "--set", f"out_dir={tmp_path / 'out'}", *operands]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+
+
+def _embedding_file(path: Path, width: int, bad: float | None = None) -> Path:
+    """A file-lookup embedding file for TINY_SPEC's two channels."""
+    table = {
+        f"body_part: {c['body_part']}, sensor: {c['sensor']}, axis: {c['axis']}": [0.5] * width
+        for c in TINY_SPEC["channels"]
+    }
+    if bad is not None:
+        next(iter(table.values()))[-1] = bad
+    path.write_text(json.dumps(table))
+    return path
+
+
+def test_file_lookup_of_another_width_exits_2_naming_both(workdir, tmp_path, capsys):
+    _, cfg_path, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    embeds = _embedding_file(tmp_path / "e.json", 8)
+    argv = ["evaluate", "--config", str(cfg_path), "--set", f"out_dir={tmp_path / 'out'}", "--set", "provider.kind=file-lookup"]
+    assert cli.main([*argv, "--set", f"provider.path={embeds}", str(ckpt), str(data_dir / "manifest.json")]) == 2
+    assert "metadata provider dim 8 does not match config meta_dim 16" in _config_error(capsys)["message"]
+    _embedding_file(embeds, 16)
+    assert cli.main([*argv, "--set", f"provider.path={embeds}", str(ckpt), str(data_dir / "manifest.json")]) == 0
+    capsys.readouterr()
+
+
+def test_non_finite_file_lookup_vector_exits_3_before_the_data_load(workdir, tmp_path, capsys, monkeypatch):
+    _, cfg_path, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    embeds = _embedding_file(tmp_path / "e.json", 16, bad=float("nan"))
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("data loaded"))
+    code = cli.main([
+        "evaluate", "--config", str(cfg_path), "--set", f"out_dir={tmp_path / 'out'}",
+        "--set", "provider.kind=file-lookup", "--set", f"provider.path={embeds}", str(ckpt), str(data_dir / "manifest.json"),
+    ])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (record["error"], record["type"]) == ("data", "MetadataProviderError")
+    assert "non-finite" in record["message"]
+
+
 @pytest.mark.parametrize("flags", [["--top-n", "-3"], ["--top-n", "0"], ["--sim-tokens", "-1"], ["--sim-tokens", "0"]])
 def test_analyze_counts_below_one_exit_2(workdir, tmp_path, capsys, flags):
     _, cfg_path, data_dir = workdir
@@ -445,7 +531,7 @@ def test_analyze_unlabeled_frequency_exit_3_writes_no_report(tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
     out = tmp_path / "out"
-    argv = ["analyze", str(ckpt), str(tmp_path / "m.json"), "--set", f"out_dir={out}", "--set", "run_id=an", "--set", "provider.dim=16"]
+    argv = ["analyze", str(ckpt), str(tmp_path / "m.json"), "--set", f"out_dir={out}", "--set", "run_id=an"]
     assert cli.main(argv) == 3
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "data"

@@ -144,7 +144,7 @@ def world(tmp_path_factory):
         "freeze": "encoder-finetune",
         "split_fraction": 0.25,
         "codebook_init": "kmeans-seeded",
-        "provider": {"kind": "deterministic-hash", "dim": 16, "seed": 0, "path": "unused.json"},
+        "provider": {"kind": "deterministic-hash", "seed": 0, "path": "unused.json"},
         "workers": 1,
     }
     run_path = root / "run.json"
@@ -313,7 +313,8 @@ def fresh_metrics(world, raw: bytes, directory) -> dict:
     run, _, _ = cli.load_run_config(str(world["run_path"]), [])
     model, _ = load_checkpoint(world["ckpt"])
     windows = load_dataset(load_manifest(directory / "manifest.json")).windows
-    batch = prepare_windows(windows, model.config, make_provider(**asdict(run.provider)), source="fresh")
+    provider = make_provider(dim=model.config.meta_dim, **asdict(run.provider))
+    batch = prepare_windows(windows, model.config, provider, source="fresh")
     return json.loads(json.dumps(evaluate(model, batch, workers=run.workers).to_dict()))
 
 

@@ -531,31 +531,39 @@ def test_quoted_line_breaks_across_parse_blocks(tmp_path, each_block_size):
         assert sidecar[1]["label"].tolist() == [1, 1, 0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("data", [
-    pytest.param("", id="empty file"),
-    pytest.param("v,label\n", id="header only"),
-    pytest.param("v,label\n\n", id="header and an empty line"),
-    pytest.param("v,label\n1.5,a\n-2.25\n3.0,b\n4.0,b\n", id="short row"),
-    pytest.param("v,label\n1.5,a\n-2.25,a,a\n3.0,b\n4.0,b\n", id="long row"),
-    pytest.param("v,label\n1.5,a\nfast,a\n3.0,b\n4.0,b\n", id="non-numeric sample"),
-    pytest.param("v,label\n1.5,a\n,a\n3.0,b\n4.0,b\n", id="empty numeric field"),
-    pytest.param("v,label\n1.5,a\n1_5,a\n3.0,b\n4.0,b\n", id="underscore in a number"),
-    pytest.param("v,label\n1.5,a\n-2.25,a\n\n3.0,b\n4.0,b\n", id="blank line in the body"),
-    pytest.param(GOOD_CSV + "\n", id="blank line at the end"),
-    pytest.param("v,label\r\n1.5,a\r\n\r\n-2.25,a\r\n3.0,b\r\n4.0,b\r\n", id="blank line after CRLF rows"),
-    pytest.param("v,label\r1.5,a\r\r-2.25,a\r3.0,b\r4.0,b\r", id="blank line after CR rows"),
-    pytest.param("v,v,label\n1.5,1.5,a\n-2.25,1,a\n3.0,1,b\n4.0,1,b\n", id="duplicate column name"),
-    pytest.param("w,label\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n", id="missing channel column"),
-    pytest.param("v,class\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n", id="missing label column"),
-    pytest.param("v,label\n1.5,a\n-2.25,a\n3.0,c\n4.0,c\n", id="label not in classes"),
-    pytest.param("v,label\n1.5,a\n", id="single row"),
-    pytest.param("v,label\n1.5,a\nnan,a\n3.0,b\n4.0,b\n", id="non-finite sample"),
-    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n8,b\nfast,b\n9,b\n", id="non-numeric sample in a later block"),
-    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n8,b\n9\n", id="short row in a later block"),
-    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n\n8,b\n", id="blank line in a later block"),
+@pytest.mark.parametrize("data, line", [
+    pytest.param("", None, id="empty file"),
+    pytest.param("v,label\n", None, id="header only"),
+    pytest.param("v,label\n\n", None, id="header and an empty line"),
+    pytest.param("v,label\n1.5,a\n-2.25\n3.0,b\n4.0,b\n", 3, id="short row"),
+    pytest.param("v,label\n1.5,a\n-2.25,a,a\n3.0,b\n4.0,b\n", 3, id="long row"),
+    pytest.param("v,label\n1.5,a\nfast,a\n3.0,b\n4.0,b\n", 3, id="non-numeric sample"),
+    pytest.param("v,label\n1.5,a\n,a\n3.0,b\n4.0,b\n", 3, id="empty numeric field"),
+    pytest.param("v,label\n1.5,a\n1_5,a\n3.0,b\n4.0,b\n", 3, id="underscore in a number"),
+    pytest.param("v,label\n1.5,a\n-2.25,a\n3.0,b\nfast,b\n", 5, id="non-numeric sample on the last line"),
+    pytest.param("v,label\n1.5,a\n-2.25,a\n3.0,b\n4\n", 5, id="short row on the last line"),
+    # a blank line is a line: the fault after it is named, not the blank line
+    pytest.param("v,label\n1.5,a\n-2.25,a\n\n3.0,b\nfast,b\n", 6, id="non-numeric sample after a blank line"),
+    pytest.param("v,label\n1.5,a\n-2.25,a\n\n3.0,b\n4\n", 6, id="short row after a blank line"),
+    pytest.param('v,label\n1.5,"a\nb"\n-2.25,a\nfast,b\n', 5, id="non-numeric sample after a quoted line break"),
+    pytest.param("v,label\r1.5,a\r-2.25,a\r3.0,b\r4\r", 5, id="short row after CR rows"),
+    pytest.param("v,label\n1.5,a\n-2.25,a\n\n3.0,b\n4.0,b\n", 4, id="blank line in the body"),
+    pytest.param(GOOD_CSV + "\n", 6, id="blank line at the end"),
+    pytest.param("v,label\r\n1.5,a\r\n\r\n-2.25,a\r\n3.0,b\r\n4.0,b\r\n", 3, id="blank line after CRLF rows"),
+    pytest.param("v,label\r1.5,a\r\r-2.25,a\r3.0,b\r4.0,b\r", 3, id="blank line after CR rows"),
+    pytest.param("v,v,label\n1.5,1.5,a\n-2.25,1,a\n3.0,1,b\n4.0,1,b\n", None, id="duplicate column name"),
+    pytest.param("w,label\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n", None, id="missing channel column"),
+    pytest.param("v,class\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n", None, id="missing label column"),
+    pytest.param("v,label\n1.5,a\n-2.25,a\n3.0,c\n4.0,c\n", None, id="label not in classes"),
+    pytest.param("v,label\n1.5,a\n", None, id="single row"),
+    pytest.param("v,label\n1.5,a\nnan,a\n3.0,b\n4.0,b\n", None, id="non-finite sample"),
+    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n8,b\nfast,b\n9,b\n", 10, id="non-numeric sample in a later block"),
+    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n8,b\n9\n", 10, id="short row in a later block"),
+    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n\n7.0,b\n8,b\nfast,b\n", 11, id="non-numeric sample after a blank line in a later block"),
+    pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n\n8,b\n", 9, id="blank line in a later block"),
 ])
 @pytest.mark.filterwarnings("error")  # loadtxt's no-data warnings must not escape either
-def test_csv_faults_raise_data_error(tmp_path, each_block_size, data):
+def test_csv_faults_raise_data_error(tmp_path, each_block_size, data, line):
     messages = set()
     for rows in each_block_size():
         (tmp_path / f"rows{rows}").mkdir()
@@ -567,6 +575,8 @@ def test_csv_faults_raise_data_error(tmp_path, each_block_size, data):
             messages.add(str(info.value).replace(str(tmp_path / f"rows{rows}"), "DIR"))
         assert sorted(p.name for p in (tmp_path / f"rows{rows}").iterdir()) == ["data.csv", "m.json"]
     assert len(messages) == 1, messages
+    # a row fault names its file line, the header being line 1
+    assert (f"at line {line}" in messages.pop()) == (line is not None)
 
 
 def adversarial_float_strings(seed):
@@ -850,6 +860,6 @@ def test_evaluate_then_analyze_parse_once(tmp_path, monkeypatch, capsys):
     save_checkpoint(ckpt, init_model(config, seed=0))
     parses = count_parses(monkeypatch)
     for command in ("evaluate", "analyze"):
-        argv = [command, str(ckpt), str(manifest), "--set", f"out_dir={tmp_path / 'out'}", "--set", "provider.dim=16"]
+        argv = [command, str(ckpt), str(manifest), "--set", f"out_dir={tmp_path / 'out'}"]
         assert cli.main(argv) == 0, capsys.readouterr().err
     assert parses == [tmp_path / "data" / "data.csv"]

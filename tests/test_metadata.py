@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -30,9 +31,19 @@ def test_hash_provider_deterministic_unit_norm():
     p = HashProvider(dim=768, seed=0)
     a = p.embed("body_part: wrist, sensor: accelerometer, axis: x")
     b = p.embed("body_part: wrist, sensor: accelerometer, axis: x")
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.values.shape == (768,)
-    assert np.linalg.norm(a.values) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (768,) and a.dtype == np.float64
+    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 16, 768])
+def test_hash_provider_keeps_its_arithmetic(dim):
+    # every checkpoint's adapter input: seeded normals over their L2 norm
+    descriptor = canonical_descriptor(WRIST)
+    digest = hashlib.sha256(f"3:{descriptor}".encode()).digest()
+    values = np.random.default_rng(int.from_bytes(digest[:8], "big")).normal(0.0, 1.0, size=dim)
+    want = values / np.linalg.norm(values)
+    assert HashProvider(dim=dim, seed=3).embed(descriptor).tobytes() == want.tobytes()
 
 
 def test_hash_provider_distinct_descriptors_near_orthogonal():
@@ -43,7 +54,7 @@ def test_hash_provider_distinct_descriptors_near_orthogonal():
         for s in ("accelerometer", "gyroscope")
         for a in ("x", "y")
     ]
-    vecs = [p.embed(d).values for d in descs]
+    vecs = [p.embed(d) for d in descs]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             # random unit vectors in 768 dims: cosine std is ~1/sqrt(768)
@@ -53,7 +64,7 @@ def test_hash_provider_distinct_descriptors_near_orthogonal():
 def test_hash_provider_seed_changes_vectors():
     a = HashProvider(dim=32, seed=0).embed("d")
     b = HashProvider(dim=32, seed=1).embed("d")
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_hash_provider_validates_dim():
@@ -70,7 +81,7 @@ def test_file_lookup_round_trip(tmp_path):
     path.write_text(json.dumps({"da": [1.0, 0.0], "db": [0.0, 2.0]}))
     p = FileLookupProvider(path)
     assert p.dim == 2
-    np.testing.assert_array_equal(p.embed("db").values, [0.0, 2.0])
+    np.testing.assert_array_equal(p.embed("db"), [0.0, 2.0])
     with pytest.raises(MetadataProviderError):
         p.embed("missing")
 
@@ -87,6 +98,15 @@ def test_file_lookup_rejects_malformed_vectors(tmp_path, vector):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"a": vector}))
     with pytest.raises(MetadataProviderError, match="flat list of numbers"):
+        FileLookupProvider(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_file_lookup_rejects_non_finite_vectors(tmp_path, bad):
+    # json writes NaN and Infinity, and Python's parser reads them back
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"a": [1.0, 2.0], "b": [0.5, bad]}))
+    with pytest.raises(MetadataProviderError, match="'b' has non-finite entries"):
         FileLookupProvider(path)
 
 
@@ -119,13 +139,10 @@ def test_make_provider_rejects_unknown_kinds():
 
 def test_embed_channels_uses_canonical_descriptors():
     p = make_provider("deterministic-hash", dim=8, seed=0)
-    vecs = embed_channels([WRIST, ChannelMetadata("ankle", "gyroscope", "z", 50.0)], p)
-    assert [v.descriptor for v in vecs] == [
-        "body_part: wrist, sensor: accelerometer, axis: x",
-        "body_part: ankle, sensor: gyroscope, axis: z",
-    ]
-    direct = HashProvider(dim=8, seed=0).embed(vecs[0].descriptor)
-    np.testing.assert_array_equal(vecs[0].values, direct.values)
+    matrix = embed_channels([WRIST, ChannelMetadata("ankle", "gyroscope", "z", 50.0)], p)
+    assert matrix.shape == (2, 8) and matrix.dtype == np.float64
+    np.testing.assert_array_equal(matrix[0], p.embed("body_part: wrist, sensor: accelerometer, axis: x"))
+    np.testing.assert_array_equal(matrix[1], p.embed("body_part: ankle, sensor: gyroscope, axis: z"))
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,16 @@ def test_config_validation():
     assert ModelConfig(model_dim=8, mlp_ratio=0.07).mlp_hidden == 1
 
 
+@pytest.mark.parametrize("meta_dim", [0, -1])
+def test_config_rejects_meta_dim_below_one(meta_dim):
+    # a width below 1 has no adapter: a zero-width one, or a bare numpy
+    # "negative dimensions" error in init_model
+    with pytest.raises(ConfigError, match="meta_dim"):
+        ModelConfig(meta_dim=meta_dim)
+    with pytest.raises(ConfigError, match="meta_dim"):
+        from_dict(ModelConfig, {"meta_dim": meta_dim}, "model")
+
+
 @pytest.mark.parametrize("key, value", [
     ("codebook_size", "six"), ("depth", 2.5), ("heads", True), ("num_classes", None),
     ("mlp_ratio", "2"), ("beta", False), ("mask_ratio", [0.25]),

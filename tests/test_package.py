@@ -1,7 +1,12 @@
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import motionprim
+from motionprim.cli import ProviderConfig, RunConfig
+from motionprim.model import LossWeights, ModelConfig
+from motionprim.training import OptimizerConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "motionprim"
@@ -52,3 +57,14 @@ def test_no_public_name_is_reached_only_from_tests():
         if name not in used
     ]
     assert unused == []
+
+
+def test_readme_run_config_reference_names_every_field():
+    """The jsonc block under "Run config reference" names each field of the
+    run config and of its sections, and no other key."""
+    section = (ROOT / "README.md").read_text().split("### Run config reference", 1)[1]
+    block = section.split("```jsonc", 1)[1].split("```", 1)[0]
+    named = re.findall(r'"(\w+)"\s*:', block)
+    sections = (RunConfig, ModelConfig, OptimizerConfig, LossWeights, ProviderConfig)
+    fields = [f.name for cls in sections for f in dataclasses.fields(cls) if f.init]
+    assert sorted(named) == sorted(fields)
