@@ -32,6 +32,7 @@ from .model import (
     LossWeights,
     ModelConfig,
     PreparedBatch,
+    check_meta_dim,
     gradient_suite,
     prepare_windows,
 )
@@ -200,6 +201,7 @@ def _write_run_manifest(out_dir: Path, command: str, merged: dict, applied: list
 def _prepare_dataset(path: str, model_config: ModelConfig, provider_config: ProviderConfig) -> PreparedBatch:
     """The dataset's windows, their channel metadata embedded at the model's meta_dim."""
     provider = make_provider(dim=model_config.meta_dim, **asdict(provider_config))
+    check_meta_dim(provider.dim, model_config)  # a file's width is its own: refused before the load
     manifest = load_manifest(path)
     loaded = load_dataset(manifest)
     if not loaded.windows:

@@ -5,11 +5,13 @@ Forward passes cache every intermediate needed by the backward pass, so
 encoder_backward is exact reverse mode, not an approximation. All shapes are
 batch-first: (B, Seq, D).
 
-The elementwise work runs in place on each kernel's own fresh arrays, in the
+The elementwise work runs in place on each kernel's own arrays, in the
 same operation order as the plain one-temporary-per-operation expressions
 (kept in tests/oracles.py), so the values are bit for bit the same while far
-fewer full-size temporaries pass through the cache. No public function
-writes to its arguments.
+fewer full-size temporaries pass through the cache. A kernel's arrays are
+fresh, or, given as its keyword-only `out`, the slices of a training pass's
+whole-batch arrays that a `Workspace` keeps from pass to pass. No public
+function writes to its arguments other than `out`.
 
 Every pass runs on window shards, one per CPU, on threads (see Window
 shards below): a training pass shards its whole batch, a forward-only pass
@@ -23,6 +25,7 @@ whole-batch arrays, so no bit depends on the shard count.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -44,14 +47,17 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Primitive ops, each returning (value, cache)
 
 
-def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu(x: np.ndarray, *, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact erf formulation: x * Phi(x). Returns (value, Phi(x)); the normal
-    CDF is the cache `gelu_grad` reuses, so erf runs once per layer."""
-    cdf = x * _INV_SQRT2
+    CDF is the cache `gelu_grad` reuses, so erf runs once per layer. `out`,
+    two arrays of x's shape, receives (value, Phi(x))."""
+    value, cdf = (np.empty(x.shape), np.empty(x.shape)) if out is None else out
+    np.multiply(x, _INV_SQRT2, out=cdf)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    return x * cdf, cdf
+    np.multiply(x, cdf, out=value)
+    return value, cdf
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -65,26 +71,30 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return grad
 
 
-def layernorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    out = xhat * xhat
+def layernorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, *, out: tuple | None = None):
+    """(output, (xhat, 1 / std, gamma)). `out`, (output, xhat, 1 / std)
+    arrays of x's shape (the last with a last axis of 1), receives them."""
+    normed, xhat, inv = (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape[:-1] + (1,))) if out is None else out
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    np.multiply(xhat, xhat, out=normed)
     # the variance, turned into 1 / sqrt(var + eps) in place
-    inv = out.mean(axis=-1, keepdims=True)
+    np.mean(normed, axis=-1, keepdims=True, out=inv)
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, gamma, out=out)
-    out += beta
-    return out, (xhat, inv, gamma)
+    np.multiply(xhat, gamma, out=normed)
+    normed += beta
+    return normed, (xhat, inv, gamma)
 
 
-def layernorm_backward(d_out: np.ndarray, cache) -> np.ndarray:
-    """d input for the windows of `d_out`; gamma's and beta's gradients sum
-    over windows and are `_layernorm_param_grads`."""
+def layernorm_backward(d_out: np.ndarray, cache, *, out: np.ndarray | None = None) -> np.ndarray:
+    """d input for the windows of `d_out`, written to `out` if given;
+    gamma's and beta's gradients sum over windows and are
+    `_layernorm_param_grads`."""
     xhat, inv, gamma = cache
     # d_xhat, turned into d_x in place
-    d_x = d_out * gamma
+    d_x = np.multiply(d_out, gamma, out=out)
     mean_dxhat = d_x.mean(axis=-1, keepdims=True)
     scratch = d_x * xhat
     mean_dxhat_xhat = scratch.mean(axis=-1, keepdims=True)
@@ -123,8 +133,8 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = x @ w
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.matmul(x, w, out=out)
     out += b
     return out
 
@@ -134,7 +144,9 @@ def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x[np.arange(x.shape[0])[:, None], rows]
 
 
-def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], heads: int, rows: np.ndarray | None = None):
+def attention_forward(
+    x: np.ndarray, params: dict[str, np.ndarray], heads: int, rows: np.ndarray | None = None, *, out: tuple | None = None
+):
     """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected.
 
     With `rows` ((B, r) positions), queries are taken only at those rows of
@@ -143,54 +155,61 @@ def attention_forward(x: np.ndarray, params: dict[str, np.ndarray], heads: int, 
     scores come from a product of the full pass's (Seq, Seq) shape, each
     query at its own row and zeros at the others: OpenBLAS picks its kernel
     by shape, and with fewer query rows the scores' last bits differed from
-    the full pass's at head widths of 32 and more (not at 16 or less)."""
-    q = _affine(x if rows is None else _take_rows(x, rows), params["attn.wq"], params["attn.bq"])
-    k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"]), heads)
-    v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"]), heads)
+    the full pass's at head widths of 32 and more (not at 16 or less).
+
+    `out`, for a pass without `rows`, is the (q, k, v, weights, merged)
+    arrays the cache keeps: q, k, v and merged of x's shape, with heads
+    merged, and weights (B, heads, Seq, Seq). Each is C-contiguous (a
+    leading-axis slice of a whole-batch array), so a product written into it
+    runs the BLAS kernel of one into a fresh array and no bit changes."""
+    q, k, v, weights, merged = (None,) * 5 if out is None else out
+    q = _affine(x if rows is None else _take_rows(x, rows), params["attn.wq"], params["attn.bq"], q)
+    k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"], k), heads)
+    v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"], v), heads)
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
     if rows is None:
-        scores = _split_heads(q, heads) @ k.swapaxes(-1, -2)
+        weights = np.matmul(_split_heads(q, heads), k.swapaxes(-1, -2), out=weights)
     else:
         window = np.arange(x.shape[0])[:, None]
         padded = np.zeros(x.shape)
         padded[window, rows] = q
-        scores = _split_heads(padded, heads) @ k.swapaxes(-1, -2)
+        weights = _split_heads(padded, heads) @ k.swapaxes(-1, -2)
         del padded
-        scores = scores[window[:, :, None], np.arange(heads)[:, None], rows[:, None, :]]
+        weights = weights[window[:, :, None], np.arange(heads)[:, None], rows[:, None, :]]
+    merged = np.empty(q.shape) if merged is None else merged
     q = _split_heads(q, heads)
-    scores *= scale
-    weights = _softmax_inplace(scores)
-    merged = _merge_heads(weights @ v)
-    out = _affine(merged, params["attn.wo"], params["attn.bo"])
-    cache = (x, q, k, v, weights, merged, scale)
-    return out, cache
+    weights *= scale
+    _softmax_inplace(weights)
+    _split_heads(merged, heads)[...] = weights @ v
+    y = _affine(merged, params["attn.wo"], params["attn.bo"])
+    return y, (x, q, k, v, weights, merged, scale)
 
 
-def attention_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], heads: int):
+def attention_backward(
+    d_out: np.ndarray, cache, params: dict[str, np.ndarray], heads: int, *, out: tuple | None = None
+):
     """(d input, (d q, d k, d v)) for the windows of `d_out`, the projection
     gradients (B, Seq, D) with heads merged; the weight and bias gradients
-    sum over windows and are `_attention_param_grads`."""
+    sum over windows and are `_attention_param_grads`. `out`, four arrays
+    of d_out's shape, receives (d input, d q, d k, d v)."""
     _, q, k, v, weights, _, scale = cache
+    d_x, *d_qkv = [np.empty(d_out.shape) for _ in range(4)] if out is None else out
     d_context = _split_heads(d_out @ params["attn.wo"].T, heads)
-    d_v = _merge_heads(weights.swapaxes(-1, -2) @ d_context)
+    _split_heads(d_qkv[2], heads)[...] = weights.swapaxes(-1, -2) @ d_context
     # softmax jacobian: dS = A * (dA - sum_j dA_j A_j), written over dA
     d_scores = d_context @ v.swapaxes(-1, -2)
     del d_context
     inner = (d_scores * weights).sum(axis=-1, keepdims=True)
     d_scores -= inner
     d_scores *= weights
-    d_q = d_scores @ k
-    d_q *= scale
-    d_k = d_scores.swapaxes(-1, -2) @ q
+    np.multiply(d_scores @ k, scale, out=_split_heads(d_qkv[0], heads))
+    np.multiply(d_scores.swapaxes(-1, -2) @ q, scale, out=_split_heads(d_qkv[1], heads))
     del d_scores
-    d_k *= scale
-    d_qkv = (_merge_heads(d_q), _merge_heads(d_k), d_v)
-    del d_q, d_k
 
-    d_x = np.zeros(d_out.shape)
+    d_x.fill(0.0)
     for name, flat in zip("qkv", d_qkv):
         d_x += flat @ params[f"attn.w{name}"].T
-    return d_x, d_qkv
+    return d_x, tuple(d_qkv)
 
 
 def _attention_param_grads(x: np.ndarray, merged: np.ndarray, d_out: np.ndarray, d_qkv) -> dict[str, np.ndarray]:
@@ -201,20 +220,25 @@ def _attention_param_grads(x: np.ndarray, merged: np.ndarray, d_out: np.ndarray,
     return grads
 
 
-def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray]):
-    pre = _affine(x, params["mlp.w1"], params["mlp.b1"])
-    act, cdf = gelu(pre)
-    out = _affine(act, params["mlp.w2"], params["mlp.b2"])
-    return out, (x, pre, cdf, act)
+def mlp_forward(x: np.ndarray, params: dict[str, np.ndarray], *, out: tuple | None = None):
+    """(output, (x, pre-activation, Phi(pre-activation), activation)).
+    `out`, three (B, Seq, hidden) arrays, receives the last three."""
+    pre, cdf, act = (None,) * 3 if out is None else out
+    pre = _affine(x, params["mlp.w1"], params["mlp.b1"], pre)
+    act, cdf = gelu(pre, out=None if out is None else (act, cdf))
+    y = _affine(act, params["mlp.w2"], params["mlp.b2"])
+    return y, (x, pre, cdf, act)
 
 
-def mlp_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray]):
+def mlp_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], *, out: tuple | None = None):
     """(d input, d pre-activation) for the windows of `d_out`; the weight and
-    bias gradients sum over windows and are `_mlp_param_grads`."""
+    bias gradients sum over windows and are `_mlp_param_grads`. `out`, an
+    array of d_out's shape and one of the pre-activation's, receives them."""
     _, pre, cdf, _ = cache
-    d_pre = d_out @ params["mlp.w2"].T
+    d_x, d_pre = (None, None) if out is None else out
+    d_pre = np.matmul(d_out, params["mlp.w2"].T, out=d_pre)
     d_pre *= gelu_grad(pre, cdf)
-    return d_pre @ params["mlp.w1"].T, d_pre
+    return np.matmul(d_pre, params["mlp.w1"].T, out=d_x), d_pre
 
 
 def _mlp_param_grads(x: np.ndarray, act: np.ndarray, d_out: np.ndarray, d_pre: np.ndarray) -> dict[str, np.ndarray]:
@@ -249,33 +273,68 @@ def _shard_slices(batch: int) -> list[slice]:
 # ---------------------------------------------------------------------------
 # Full encoder
 
-# (kernel, entry) of each array in a layer's (ln1, attention, ln2, mlp)
-# kernel caches that a weight or bias gradient sums over windows: xhat of
-# ln1, the attention input and its merged heads, xhat of ln2, the MLP input
-# and its activation
-_REDUCED = ((0, 0), (1, 0), (1, 5), (2, 0), (3, 0), (3, 3))
+
+class Workspace:
+    """The whole-batch arrays of training passes, kept from one pass to the
+    next: the kernels' `out` arrays, which a pass caches for its backward,
+    and the arrays its backward carries each layer's gradients through. A
+    training loop that hands every pass one workspace allocates them once
+    per batch shape, so its steps do not give that memory back to the
+    allocator and fault it in again. An array is keyed by its role and its
+    shape: a batch of another shape, such as a ragged last micro-batch, gets
+    arrays of its own.
+
+    The arrays hold the last pass's values only. A pass claims the
+    workspace for its EncoderCache, and a claim while an earlier pass's
+    cache is alive (its `model.forward` result not yet dropped) raises
+    DataError, so no gradient is read from overwritten memory."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        self._holder: weakref.ref | None = None
+
+    def claim(self, cache: "EncoderCache") -> None:
+        if self._holder is not None and self._holder() is not None:
+            raise DataError("an earlier pass's result still holds this workspace; drop it before the next pass")
+        self._holder = weakref.ref(cache)
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        key = (role, shape)
+        if key not in self._arrays:
+            self._arrays[key] = np.empty(shape)
+        return self._arrays[key]
 
 
 @dataclass
 class EncoderCache:
     """What `encoder_backward` needs of a forward pass: the window shards,
-    and per layer (its whole-batch `_REDUCED` arrays, one (ln1, attention,
-    ln2, mlp) kernel-cache tuple per shard, holding views of those arrays)."""
+    the workspace holding its arrays, and per layer (the whole-batch arrays
+    its weight and bias gradients sum over windows: xhat of ln1, the
+    attention input and its merged heads, xhat of ln2, the MLP input and its
+    activation; one (ln1, attention, ln2, mlp) kernel-cache tuple per shard,
+    holding views of the workspace's arrays)."""
 
     heads: int
+    workspace: Workspace | None = None
     slices: list[slice] = field(default_factory=list)
     layers: list[tuple[tuple, list[tuple]]] = field(default_factory=list)
 
 
-def _keep_reduced(reduced: tuple, sl: slice, caches: tuple) -> tuple:
-    """Copy `caches`' `_REDUCED` arrays into the windows `sl` of the
-    whole-batch `reduced` arrays; return caches holding views of those rows
-    in their place."""
-    caches = [list(c) for c in caches]
-    for buf, (kernel, entry) in zip(reduced, _REDUCED):
-        buf[sl] = caches[kernel][entry]
-        caches[kernel][entry] = buf[sl]
-    return tuple(tuple(c) for c in caches)
+def _layer_arrays(workspace: Workspace, i: int, shape: tuple[int, int, int], hidden: int, heads: int) -> tuple:
+    """Layer i's (ln1, attention, ln2, mlp) kernel `out` arrays for a batch
+    of `shape` (B, Seq, D), taken from `workspace`."""
+    B, S, D = shape
+    rows, stats, mlp = (B, S, D), (B, S, 1), (B, S, hidden)
+    kernels = {
+        "ln1": (rows, rows, stats),
+        "attn": (rows, rows, rows, (B, heads, S, S), rows),
+        "ln2": (rows, rows, stats),
+        "mlp": (mlp, mlp, mlp),
+    }
+    return tuple(
+        tuple(workspace.take(f"enc.{i}.{kernel}.{j}", sub) for j, sub in enumerate(shapes))
+        for kernel, shapes in kernels.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -297,6 +356,8 @@ def encoder_forward(
     heads: int,
     need_backward: bool = True,
     rows: np.ndarray | None = None,
+    *,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, EncoderCache]:
     """Run one pre-norm residual block per entry of `layers`: x +
     Attn(LN1(x)) then + MLP(LN2(.)), with no final normalization, so no
@@ -305,13 +366,16 @@ def encoder_forward(
 
     The stack runs over window shards at once (see Window shards). With
     `need_backward` the shards split the whole batch and the returned cache
-    keeps what `encoder_backward` needs. Without it the cache holds no
-    layers, and the shards split one group of FORWARD_CHUNK windows after
-    another, keeping no kernel cache, so the intermediates in flight are
-    those of at most FORWARD_CHUNK windows, whatever the batch size. Either
-    way the result equals one pass over all windows bit for bit (tested in
-    tests/test_encoder.py and tests/test_model.py), and a NumericError names
-    the lowest failing layer over all windows.
+    keeps what `encoder_backward` needs, in whole-batch arrays of
+    `workspace` (a fresh one if None) that each shard's kernels fill by
+    slice; a training loop passes the same workspace to every pass, and
+    drops each pass's cache before the next (see Workspace). Without it the
+    cache holds no layers, and the shards split one group of FORWARD_CHUNK
+    windows after another, keeping no kernel cache, so the intermediates in
+    flight are those of at most FORWARD_CHUNK windows, whatever the batch
+    size. Either way the result equals one pass over all windows bit for bit
+    (tested in tests/test_encoder.py and tests/test_model.py), and a
+    NumericError names the lowest failing layer over all windows.
 
     `rows`, (B, r) sequence positions, are the rows the caller reads, and
     the result is (B, r, D), their outputs in `rows` order; without `rows`
@@ -339,12 +403,15 @@ def encoder_forward(
     read = x.shape[1]
     if rows is not None:
         rows, read = _query_rows(rows, x.shape[:2])
+    arrays = None
     if need_backward:
+        cache.workspace = Workspace() if workspace is None else workspace
+        cache.workspace.claim(cache)
         cache.slices = _shard_slices(batch)
         groups = [cache.slices]
-        reduced = [
-            (*(np.empty(x.shape) for _ in _REDUCED[:-1]), np.empty(x.shape[:2] + params["mlp.w1"].shape[1:]))
-            for params in layers
+        arrays = [
+            _layer_arrays(cache.workspace, i, x.shape, params["mlp.w1"].shape[1], heads)
+            for i, params in enumerate(layers)
         ]
     else:
         groups = [
@@ -354,12 +421,11 @@ def encoder_forward(
     out = np.empty((batch, read, x.shape[2]))
 
     def shard(sl: slice):
-        caches = []
-        keep = (lambda i, c: caches.append(_keep_reduced(reduced[i], sl, c))) if need_backward else None
         x_sl = x[sl]
         if not np.all(np.isfinite(x_sl)):
-            return caches, -1
-        result, bad = _run_layers(x_sl, layers, heads, keep, None if rows is None else rows[sl])
+            return [], -1
+        outs = None if arrays is None else [tuple(tuple(a[sl] for a in kernel) for kernel in layer) for layer in arrays]
+        result, bad, caches = _run_layers(x_sl, layers, heads, outs, None if rows is None else rows[sl])
         if bad is None:
             out[sl] = result[:, :read]
         return caches, bad
@@ -373,7 +439,9 @@ def encoder_forward(
     if bad is not None:
         raise NumericError(f"non-finite activations after encoder layer {bad}")
     if need_backward:
-        cache.layers = [(reduced[i], [caches[i] for caches, _ in results]) for i in range(len(layers))]
+        for i, ((normed1, xhat1, _), attn, (normed2, xhat2, _), (_, _, act)) in enumerate(arrays):
+            reduced = (xhat1, normed1, attn[4], xhat2, normed2, act)
+            cache.layers.append((reduced, [caches[i] for caches, _ in results]))
     return out, cache
 
 
@@ -395,50 +463,54 @@ def _query_rows(rows, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
 
 
 def _run_layers(
-    x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, keep, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, int | None]:
-    """The block stack over `x`: (output, None), or, stopping at the first
-    layer whose output is not all finite, (that output, its index).
-    keep(i, caches) receives layer i's kernel caches; without `keep` they are
-    freed before the next layer allocates its own. With `rows` ((B, r)
-    positions) the output is those rows, (B, r, D); without `keep` the last
-    block runs its query side (attention queries, output projection,
-    residuals, LN2 and MLP) only at those rows."""
-    cut = keep is None and rows is not None and len(layers) > 0
+    x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, outs: list | None, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, int | None, list[tuple]]:
+    """The block stack over `x`: (output, None, caches), or, stopping at the
+    first layer whose output is not all finite, (that output, its index,
+    caches). With `outs`, one (ln1, attention, ln2, mlp) tuple of kernel
+    `out` arrays per layer, each layer's kernel caches are views of those
+    arrays and are returned, one (ln1, attention, ln2, mlp) tuple per
+    layer; without, each layer's are freed before the next layer allocates
+    its own, and none is returned. With `rows` ((B, r) positions) the output
+    is those rows, (B, r, D); without `outs` the last block runs its query
+    side (attention queries, output projection, residuals, LN2 and MLP) only
+    at those rows."""
+    cut = outs is None and rows is not None and len(layers) > 0
+    caches = []
     for i, params in enumerate(layers):
+        ln1, attn, ln2, mlp = (None,) * 4 if outs is None else outs[i]
         query_rows = rows if cut and i == len(layers) - 1 else None
-        normed, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"])
-        mid, attn_cache = attention_forward(normed, params, heads, query_rows)
+        normed, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"], out=ln1)
+        mid, attn_cache = attention_forward(normed, params, heads, query_rows, out=attn)
         mid += x if query_rows is None else _take_rows(x, query_rows)
-        normed, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"])
-        out, mlp_cache = mlp_forward(normed, params)
+        normed, ln2_cache = layernorm_forward(mid, params["ln2.gamma"], params["ln2.beta"], out=ln2)
+        out, mlp_cache = mlp_forward(normed, params, out=mlp)
         out += mid
-        # the caches alone hold the layer norms' outputs, which `keep` may move
         del normed, mid
         if not np.all(np.isfinite(out)):
-            return out, i
-        if keep is not None:
-            keep(i, (ln1_cache, attn_cache, ln2_cache, mlp_cache))
+            return out, i, caches
+        if outs is not None:
+            caches.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
         del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out
-    return (x if rows is None or cut else _take_rows(x, rows)), None
+    return (x if rows is None or cut else _take_rows(x, rows)), None, caches
 
 
-def _layer_backward(d_out: np.ndarray, caches: tuple, params: dict[str, np.ndarray], heads: int):
-    """One block's backward for the windows of `d_out`: (d input, the
-    gradients that the block's weight and bias gradients sum over windows:
-    d MLP pre-activation, d ln2 output, d attention output, d q, d k, d v,
-    d ln1 output)."""
+def _layer_backward(d_out: np.ndarray, caches: tuple, params: dict[str, np.ndarray], heads: int, out: tuple) -> None:
+    """One block's backward for the windows of `d_out`, written to the
+    arrays `out`: (d input, then the gradients that the block's weight and
+    bias gradients sum over windows: d MLP pre-activation, d ln2 output,
+    d attention output, d q, d k, d v, d ln1 output)."""
     ln1_cache, attn_cache, ln2_cache, mlp_cache = caches
+    d_in, d_pre, d_normed2, d_mid, d_q, d_k, d_v, d_normed1 = out
     # out = mid + mlp(ln2(mid))
-    d_normed2, d_pre = mlp_backward(d_out, mlp_cache, params)
-    d_mid = layernorm_backward(d_normed2, ln2_cache)
+    mlp_backward(d_out, mlp_cache, params, out=(d_normed2, d_pre))
+    layernorm_backward(d_normed2, ln2_cache, out=d_mid)
     d_mid += d_out
     # mid = x + attn(ln1(x))
-    d_normed1, d_qkv = attention_backward(d_mid, attn_cache, params, heads)
-    d_x = layernorm_backward(d_normed1, ln1_cache)
-    d_x += d_mid
-    return d_x, (d_pre, d_normed2, d_mid, *d_qkv, d_normed1)
+    attention_backward(d_mid, attn_cache, params, heads, out=(d_normed1, d_q, d_k, d_v))
+    layernorm_backward(d_normed1, ln1_cache, out=d_in)
+    d_in += d_mid
 
 
 def _layer_param_grads(reduced: tuple, d_out: np.ndarray, parts: tuple, threads: int) -> dict[str, np.ndarray]:
@@ -469,8 +541,9 @@ def encoder_backward(
 ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     """Exact reverse-mode pass; returns (d_input, per-layer grads). Per
     layer, every shard carries its windows' gradient back through the block
-    into whole-batch arrays, then the block's weight and bias gradients are
-    summed over all windows from those arrays."""
+    into whole-batch arrays of the cache's workspace, then the block's
+    weight and bias gradients are summed over all windows from those
+    arrays. The returned arrays are fresh."""
     if len(cache.layers) != len(layers):
         raise DataError("cache does not match layer stack")
     d_x = np.asarray(d_out, dtype=np.float64)
@@ -479,13 +552,15 @@ def encoder_backward(
     for i in range(len(layers) - 1, -1, -1):
         params = layers[i]
         reduced, shard_caches = cache.layers[i]
-        d_in = np.empty(d_x.shape)
-        parts = (np.empty(d_x.shape[:2] + params["mlp.w1"].shape[1:]), *(np.empty(d_x.shape) for _ in range(6)))
+        shape, take = d_x.shape, cache.workspace.take
+        # layer i reads the input gradient of layer i + 1 while it writes its
+        # own, so two arrays take turns
+        d_in = take(f"d_in.{i % 2}", shape) if i else np.empty(shape)
+        parts = (take("d_pre", shape[:2] + params["mlp.w1"].shape[1:]), *(take(f"d_part.{j}", shape) for j in range(6)))
+        arrays = (d_in, *parts)
 
         def shard(s: int, sl: slice) -> None:
-            d_in_s, parts_s = _layer_backward(d_x[sl], shard_caches[s], params, cache.heads)
-            for buf, part in zip((d_in, *parts), (d_in_s, *parts_s)):
-                buf[sl] = part
+            _layer_backward(d_x[sl], shard_caches[s], params, cache.heads, tuple(a[sl] for a in arrays))
 
         _parallel.run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
         all_grads[i] = _layer_param_grads(reduced, d_x, parts, len(slices))

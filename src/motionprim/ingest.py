@@ -591,9 +591,11 @@ def _at_file_line(message: str, path: Path, rows: int) -> str:
     """loadtxt's `message` for the block after `rows` data rows, its row number
     made the file line of that row. loadtxt skips blank lines and numbers
     the block's rows from 0 in a conversion error, from 1 in a column-count
-    error, so its row 0 is the file's non-blank record `first`."""
+    error, so its row 0 is the file's non-blank record `first`. Its advice
+    to pass `usecols` is dropped: no manifest key or flag sets it."""
     first = rows + 1 - (not message.startswith("could not convert"))
     starts = (line for line, record in _records(path) if record)
+    message = message.split("; use `usecols`", 1)[0]
     return re.sub(
         r"\bat row (\d+)", lambda m: f"at line {next(islice(starts, first + int(m[1]), None))}", message, count=1
     )

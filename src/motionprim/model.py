@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedder import SequenceLayout, build_layout, embed_backward, embed_rows, mask_count, table_rows
-from .encoder import LazyInput, encoder_backward, encoder_forward, grad_check
+from .encoder import LazyInput, Workspace, encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
 from .ingest import SensorWindow, normalize_matrix, segment_matrix
 from .metadata import canonical_descriptor, embed_channels
@@ -260,6 +260,13 @@ class PreparedBatch:
         )
 
 
+def check_meta_dim(dim: int, config: ModelConfig) -> None:
+    """ConfigError naming both widths unless metadata vectors of width
+    `dim` fit the model's adapter (`meta_dim`)."""
+    if dim != config.meta_dim:
+        raise ConfigError(f"metadata provider dim {dim} does not match config meta_dim {config.meta_dim}")
+
+
 def prepare_windows(
     windows: list[SensorWindow],
     config: ModelConfig,
@@ -295,8 +302,7 @@ def prepare_windows(
     labels = np.array([w.label for w in windows], dtype=np.int64) if all(labeled) else None
 
     meta = embed_channels(first.channels, provider)
-    if meta.shape[1] != config.meta_dim:
-        raise ConfigError(f"metadata provider dim {meta.shape[1]} does not match config meta_dim {config.meta_dim}")
+    check_meta_dim(meta.shape[1], config)
     return PreparedBatch(
         normalized,
         stats,
@@ -376,6 +382,8 @@ def forward(
     fixed_indices: np.ndarray | None = None,
     frozen_prototypes: np.ndarray | None = None,
     need_backward: bool = True,
+    *,
+    workspace: Workspace | None = None,
 ) -> ForwardResult:
     """One batched pass over a homogeneous window batch.
 
@@ -395,6 +403,11 @@ def forward(
     windows at a time and its last block computes its query side at the
     read rows alone (see `encoder_forward`), and the losses, `cls_probs`
     and `hidden` are the bits of a training pass.
+
+    A training pass caches its encoder arrays in `workspace` (a fresh one
+    if None): a training loop passes the same one to every pass and drops
+    each result before the next forward, which raises DataError while an
+    earlier result on that workspace is alive (see `encoder.Workspace`).
     """
     cfg = model.config
     params = model.params
@@ -443,7 +456,7 @@ def forward(
         [np.zeros((B, 0), dtype=np.int64), *(positions for _, _, positions, _ in heads)], axis=1
     )
     layers = encoder_layers(params, cfg.depth)
-    hidden, enc_cache = encoder_forward(x, layers, cfg.heads, need_backward, hidden_rows)
+    hidden, enc_cache = encoder_forward(x, layers, cfg.heads, need_backward, hidden_rows, workspace=workspace)
     # each head reads one block of `hidden`'s rows, (B, k, D), window by window
     reads = np.split(hidden, np.cumsum([positions.shape[1] for _, _, positions, _ in heads])[:-1], axis=1)
 

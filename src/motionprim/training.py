@@ -8,6 +8,12 @@ of CPUs. Threads run read-only evaluation passes (`workers`); within any
 pass, the encoder splits its windows into shards and the quantizer deals
 its scan's blocks, over one thread pool with a thread per further CPU (see
 motionprim.encoder and motionprim.quantizer). None of these changes a bit.
+
+Memory: `run_training` holds one micro-batch's encoder cache at a time. Its
+passes cache into the whole-batch arrays of one `encoder.Workspace`, reused
+from step to step and freed when the call returns, and each micro-batch's
+result is dropped before the next forward. Reusing the arrays changes no
+bit either.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import FORWARD_CHUNK
+from .encoder import FORWARD_CHUNK, Workspace
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .model import (
     FINETUNE_WEIGHTS,
@@ -191,7 +197,8 @@ def run_training(
 
     Masking is active exactly when the MAE objective is (lambda_mae > 0 and
     the model's mask ratio > 0); classification requires labeled batches.
-    Returns the per-epoch log records.
+    Returns the per-epoch log records. Every pass caches into one
+    Workspace, which lives as long as this call (see the module docstring).
     """
     if not datasets:
         raise DataError("no datasets to train on")
@@ -202,6 +209,7 @@ def run_training(
         raise DataError("classification objective needs labeled windows")
 
     K = model.config.codebook_size
+    workspace = Workspace()
     for epoch in range(opt_config.epochs):
         plan = _epoch_plan(datasets, epoch, run_seed, opt_config.micro_batch, opt_config.batch_size)
         epoch_hist = np.zeros(K, dtype=np.int64)
@@ -221,12 +229,11 @@ def run_training(
                         epoch,
                         micro.window_ids,
                     )
-                result = forward(model, micro, weights, mask_positions=mask_pos)
+                result = forward(model, micro, weights, mask_positions=mask_pos, workspace=workspace)
                 grads = backward(result)
                 scale = micro.size / total
                 for name in accum:
                     accum[name] += scale * grads[name]
-                del grads  # freed before the next micro-batch's forward allocates
                 windows_seen += micro.size
                 epoch_hist += np.bincount(result.indices.reshape(-1), minlength=K)
                 sums["total"] += result.loss * micro.size
@@ -234,6 +241,9 @@ def run_training(
                 sums["cls"] += result.cls_loss * micro.size
                 sums["vq"] += result.vq_loss * micro.size
                 sums["masked"] += result.masked_fraction * micro.size
+                # the result holds the encoder cache: dropped before the next
+                # forward claims the workspace
+                del grads, result
             optimizer.step(model.params, accum)
 
         active_codes, perplexity = usage_report(epoch_hist)

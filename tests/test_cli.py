@@ -420,6 +420,22 @@ def test_file_lookup_of_another_width_exits_2_naming_both(workdir, tmp_path, cap
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate", "analyze"])
+def test_file_lookup_of_another_width_exits_2_before_the_data_load(workdir, tmp_path, capsys, monkeypatch, command):
+    _, cfg_path, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    embeds = _embedding_file(tmp_path / "e.json", 8)
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("data loaded"))
+    operands = {"pretrain": [], "finetune": [str(ckpt)]}.get(command, [str(ckpt), str(data_dir / "manifest.json")])
+    code = cli.main([
+        command, "--config", str(cfg_path), "--set", f"out_dir={tmp_path / 'out'}",
+        "--set", "provider.kind=file-lookup", "--set", f"provider.path={embeds}", *operands,
+    ])
+    assert code == 2
+    assert "metadata provider dim 8 does not match config meta_dim 16" in _config_error(capsys)["message"]
+
+
 def test_non_finite_file_lookup_vector_exits_3_before_the_data_load(workdir, tmp_path, capsys, monkeypatch):
     _, cfg_path, data_dir = workdir
     ckpt = tmp_path / "model.ckpt"

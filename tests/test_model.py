@@ -9,7 +9,7 @@ import oracles
 from conftest import bench_model_config
 from motionprim import encoder
 from motionprim import model as model_module
-from motionprim.encoder import FORWARD_CHUNK, grad_check
+from motionprim.encoder import FORWARD_CHUNK, Workspace, grad_check
 from motionprim.errors import ConfigError, DataError, NumericError
 from motionprim.ingest import ChannelMetadata, SensorWindow
 from motionprim.metadata import make_provider
@@ -528,6 +528,25 @@ def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch, config_case
         for result in (full, bare):
             np.testing.assert_array_equal(result.hidden_rows, np.zeros((batch.size, 1)))
         np.testing.assert_array_equal(bare.hidden, full.hidden)
+
+
+def test_workspace_refuses_a_pass_while_an_earlier_result_is_alive(config_case):
+    # the second training pass into one workspace raises while the first
+    # result is held and overwrites nothing of it; a forward-only pass takes
+    # no arrays; once the first result is dropped the workspace serves again
+    model, batch = config_case("bench", 20)
+    mask = _held_out_mask(model, batch)
+    want = backward(forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask))
+    workspace = Workspace()
+    first = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask, workspace=workspace)
+    with pytest.raises(DataError, match="earlier pass's result still holds this workspace"):
+        forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask, workspace=workspace)
+    forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask, need_backward=False, workspace=workspace)
+    grads = backward(first)
+    assert all(np.array_equal(grads[name], want[name]) for name in want)
+    del first
+    grads = backward(forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask, workspace=workspace))
+    assert all(np.array_equal(grads[name], want[name]) for name in want)
 
 
 def test_chunked_cls_probs_equal_one_full_batch_forward(bench_shape_eval):
