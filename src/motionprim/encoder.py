@@ -25,6 +25,7 @@ whole-batch arrays, so no bit depends on the shard count.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -278,11 +279,12 @@ class Workspace:
     """The whole-batch arrays of training passes, kept from one pass to the
     next: the kernels' `out` arrays, which a pass caches for its backward,
     and the arrays its backward carries each layer's gradients through. A
-    training loop that hands every pass one workspace allocates them once
-    per batch shape, so its steps do not give that memory back to the
-    allocator and fault it in again. An array is keyed by its role and its
-    shape: a batch of another shape, such as a ragged last micro-batch, gets
-    arrays of its own.
+    training loop that hands every pass one workspace allocates them once,
+    so its steps do not give that memory back to the allocator and fault it
+    in again. Each role has one flat buffer, grown to the largest array the
+    role has been asked for, and an array of any shape is a C-contiguous
+    view of its leading elements: one set of buffers serves every batch
+    shape (a ragged last micro-batch, datasets of other channel counts).
 
     The arrays hold the last pass's values only. A pass claims the
     workspace for its EncoderCache, and a claim while an earlier pass's
@@ -290,7 +292,7 @@ class Workspace:
     DataError, so no gradient is read from overwritten memory."""
 
     def __init__(self) -> None:
-        self._arrays: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray] = {}
         self._holder: weakref.ref | None = None
 
     def claim(self, cache: "EncoderCache") -> None:
@@ -299,10 +301,11 @@ class Workspace:
         self._holder = weakref.ref(cache)
 
     def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
-        key = (role, shape)
-        if key not in self._arrays:
-            self._arrays[key] = np.empty(shape)
-        return self._arrays[key]
+        size = math.prod(shape)
+        if role not in self._buffers or self._buffers[role].size < size:
+            self._buffers.pop(role, None)  # freed before the larger one is allocated
+            self._buffers[role] = np.empty(size)
+        return self._buffers[role][:size].reshape(shape)
 
 
 @dataclass

@@ -9,11 +9,8 @@ pass, the encoder splits its windows into shards and the quantizer deals
 its scan's blocks, over one thread pool with a thread per further CPU (see
 motionprim.encoder and motionprim.quantizer). None of these changes a bit.
 
-Memory: `run_training` holds one micro-batch's encoder cache at a time. Its
-passes cache into the whole-batch arrays of one `encoder.Workspace`, reused
-from step to step and freed when the call returns, and each micro-batch's
-result is dropped before the next forward. Reusing the arrays changes no
-bit either.
+Memory: `run_training` holds one micro-batch's encoder cache at a time, in
+the buffers of one `encoder.Workspace` (see there).
 """
 
 from __future__ import annotations

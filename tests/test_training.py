@@ -15,6 +15,7 @@ from motionprim.model import (
     FINETUNE_WEIGHTS,
     PRETRAIN_WEIGHTS,
     LossWeights,
+    PreparedBatch,
     backward,
     forward,
     init_model,
@@ -317,22 +318,34 @@ def test_run_training_records_and_determinism():
         np.testing.assert_array_equal(model.params[name], model2.params[name])
 
 
+def _first_channels(batch, channels):
+    return PreparedBatch(
+        batch.norm_segments[:, :channels],
+        batch.stats[:, :channels],
+        batch.labels,
+        batch.meta[:channels],
+        batch.window_ids,
+        batch.source,
+    )
+
+
 @pytest.mark.parametrize(
     "weights, policy", [(PRETRAIN_WEIGHTS, PRETRAIN_POLICY), (FINETUNE_WEIGHTS, ENCODER_FINETUNE), (FINETUNE_WEIGHTS, LINEAR_PROBE)],
     ids=["pretrain-all", "encoder-finetune", "linear-probe"],
 )
 def test_reused_workspace_arrays_change_no_bit(shards, monkeypatch, tmp_path, bench_batch_400, weights, policy):
-    # 90 windows at micro 40 and batch 80: a step of two micro-batches, then
-    # a ragged one of 10 windows, whose arrays have shapes of their own. The
-    # checkpoint and log bytes equal those of a run whose every workspace
-    # array is fresh and filled with NaN, so no pass reads what an earlier
-    # one left; at 1 and 2 CPUs
+    # 40 two-channel windows and 90 three-channel ones at micro 40 and batch
+    # 80: micro-batches of both widths, then a ragged one of 10 windows, all
+    # views of the same workspace buffers. The checkpoint and log bytes
+    # equal those of a run whose every workspace array is fresh and filled
+    # with NaN, so no pass reads what an earlier one left; at 1 and 2 CPUs
+    narrow = _first_channels(bench_batch_400.subset(np.arange(200, 240)), 2)
     batch = bench_batch_400.subset(np.arange(90))
     opt = OptimizerConfig(learning_rate=1e-3, weight_decay=1e-5, batch_size=80, micro_batch=40, epochs=2)
 
     def run():
         model = init_model(bench_model_config(), seed=5)
-        records = run_training(model, [batch], weights, opt, policy, run_seed=3, stage="train")
+        records = run_training(model, [narrow, batch], weights, opt, policy, run_seed=3, stage="train")
         save_checkpoint(tmp_path / "run.ckpt", model)
         write_log(tmp_path / "run.jsonl", records)
         return [(tmp_path / name).read_bytes() for name in ("run.ckpt", "run.jsonl")]
@@ -350,23 +363,28 @@ def test_training_step_peak_memory_holds_one_encoder_cache(shards, bench_batch_4
     # tracemalloc sees numpy's buffers: a 4-step pretrain epoch (micro =
     # batch = 50) peaks below 1.15 times a 1-step epoch, at 1 and 2 CPUs;
     # holding the last step's result through the next forward put two
-    # encoder caches at the peak (1.44 times)
+    # encoder caches at the peak (1.44 times). So does an epoch over a
+    # two-channel dataset, then a three-channel one with a ragged last
+    # micro-batch: every batch shape shares one set of workspace buffers
     opt = OptimizerConfig(learning_rate=1e-3, weight_decay=1e-5, batch_size=50, micro_batch=50, epochs=1)
 
-    def peak(windows):
+    def peak(datasets):
         model = init_model(bench_model_config(), seed=4)
-        batch = bench_batch_400.subset(np.arange(windows))
         tracemalloc.start()
         try:
-            run_training(model, [batch], PRETRAIN_WEIGHTS, opt, PRETRAIN_POLICY, run_seed=0, stage="pre")
+            run_training(model, datasets, PRETRAIN_WEIGHTS, opt, PRETRAIN_POLICY, run_seed=0, stage="pre")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    narrow = _first_channels(bench_batch_400.subset(np.arange(100, 200)), 2)
     for cpus in (1, 2):
         shards(cpus)
-        one, four = peak(50), peak(200)
+        one = peak([bench_batch_400.subset(np.arange(50))])
+        four = peak([bench_batch_400.subset(np.arange(200))])
+        mixed = peak([narrow, bench_batch_400.subset(np.arange(90))])
         assert four < 1.15 * one, (cpus, one, four)
+        assert mixed < 1.15 * one, (cpus, one, mixed)
 
 
 # ---------------------------------------------------------------------------
