@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import export_report, frequency, similarity, token_streams, transitions
+from .analysis import DEFAULT_TOP_N, export_report, frequency, similarity, token_streams, transitions
 from .errors import CheckpointError, ConfigError, DataError, MotionPrimError, NumericError
 from .ingest import load_dataset, load_manifest, load_synthetic_spec, write_synthetic_dataset
 from .metadata import make_provider
@@ -198,15 +198,15 @@ def _write_run_manifest(out_dir: Path, command: str, merged: dict, applied: list
     _write_json(out_dir / RUN_MANIFEST, manifest)
 
 
-def _prepare_dataset(path: str, model_config: ModelConfig, provider_config: ProviderConfig) -> PreparedBatch:
-    """The dataset's windows, their channel metadata embedded at the model's meta_dim."""
+def _prepare_dataset(path: str, model_config: ModelConfig, provider_config: ProviderConfig) -> tuple[PreparedBatch, int]:
+    """The dataset's windows, channel metadata embedded at the model's meta_dim, and its class count."""
     provider = make_provider(dim=model_config.meta_dim, **asdict(provider_config))
     check_meta_dim(provider.dim, model_config)  # a file's width is its own: refused before the load
     manifest = load_manifest(path)
     loaded = load_dataset(manifest)
     if not loaded.windows:
         raise DataError(f"dataset {manifest.name} produced no complete windows")
-    return prepare_windows(loaded.windows, model_config, provider, source=loaded.name)
+    return prepare_windows(loaded.windows, model_config, provider, source=loaded.name), len(loaded.class_names)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         raise ConfigError("pretraining needs at least one dataset manifest in 'datasets'")
     run_id = _run_id(merged, "pretrain")
     out_dir = _output_dir(run.out_dir, f"{run_id}.ckpt", f"{run_id}_train.jsonl", RUN_MANIFEST)
-    datasets = [_prepare_dataset(p, run.model, run.provider) for p in run.datasets]
+    datasets = [_prepare_dataset(p, run.model, run.provider)[0] for p in run.datasets]
     model, records = pretrain(
         run.model,
         datasets,
@@ -269,7 +269,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         run.out_dir, f"{run_id}.ckpt", f"{run_id}_metrics.json", f"{run_id}_train.jsonl", RUN_MANIFEST
     )
     model, _ = load_checkpoint(args.checkpoint)
-    batch = _prepare_dataset(run.datasets[0], model.config, run.provider)
+    batch, num_classes = _prepare_dataset(run.datasets[0], model.config, run.provider)
     result = finetune(
         model,
         batch,
@@ -278,6 +278,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         split_fraction=run.split_fraction,
         run_seed=run.seed,
         weights=run.loss_weights or FINETUNE_WEIGHTS,
+        num_classes=num_classes,
     )
     ckpt_path = out_dir / f"{run_id}.ckpt"
     save_checkpoint(ckpt_path, result.model, {"stage": "finetune", "seed": run.seed})
@@ -299,7 +300,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     run_id = _run_id(merged, "evaluate")
     out_dir = _output_dir(run.out_dir, f"{run_id}_metrics.json", RUN_MANIFEST)
     model, _ = load_checkpoint(args.checkpoint)
-    batch = _prepare_dataset(args.manifest, model.config, run.provider)
+    batch, _ = _prepare_dataset(args.manifest, model.config, run.provider)
     metrics = evaluate(model, batch, workers=run.workers)
     metrics_path = out_dir / f"{run_id}_metrics.json"
     _write_json(metrics_path, metrics.to_dict())
@@ -316,13 +317,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     unknown = set(wanted) - known
     if unknown:
         raise ConfigError(f"unknown reports: {sorted(unknown)}; known: {sorted(known)}")
+    if not wanted:
+        raise ConfigError(f"--reports names no report; known: {sorted(known)}")
     if args.top_n < 1 or args.sim_tokens < 1:
         raise ConfigError(f"--top-n and --sim-tokens must be >= 1, got {args.top_n} and {args.sim_tokens}")
     run_id = _run_id(merged, "analyze")
     files = [f"{run_id}_{name}.{ext}" for name in wanted for ext in ("csv", "json")]
     out_dir = _output_dir(run.out_dir, *files, RUN_MANIFEST)
     model, _ = load_checkpoint(args.checkpoint)
-    batch = _prepare_dataset(args.manifest, model.config, run.provider)
+    batch, num_classes = _prepare_dataset(args.manifest, model.config, run.provider)
     if "frequency" in wanted and batch.labels is None:
         # checked before any report is written, so a failed run leaves none
         raise DataError("frequency report needs labeled windows")
@@ -336,7 +339,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         reports.append(similarity(np.sort(order[: min(args.sim_tokens, order.size)]), model))
     streams = token_streams(indices, batch.labels)
     if "frequency" in wanted:
-        reports.append(frequency(streams, K, model.config.num_classes, top_n=args.top_n))
+        reports.append(frequency(streams, K, num_classes, top_n=args.top_n))
     if "transitions" in wanted:
         reports.append(transitions([tokens for tokens, _ in streams], K))
     outputs = [str(path) for report in reports for path in export_report(report, out_dir, run_id)]
@@ -422,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reports", default="similarity,frequency,transitions", help="comma-separated subset"
     )
-    p.add_argument("--top-n", type=int, default=32, help="frequency report row count")
+    p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N, help="frequency report row count")
     p.add_argument("--sim-tokens", type=int, default=64, help="max tokens in the similarity matrix")
     p.set_defaults(fn=cmd_analyze)
 

@@ -124,11 +124,6 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(B, S, heads, D // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    B, h, S, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, S, h * dh)
-
-
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum over batch and sequence of x^T g: one (D, B*S) x (B*S, E) GEMM."""
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -574,6 +569,9 @@ def encoder_backward(
 # ---------------------------------------------------------------------------
 # Finite-difference harness
 
+# the central differences' step, in every coordinate
+FD_STEP = 1e-5
+
 
 @dataclass
 class GradCheckEntry:
@@ -606,7 +604,6 @@ def grad_check(
     fn,
     point: dict[str, np.ndarray],
     tolerance: float = 1e-4,
-    step: float = 1e-5,
     max_coords_per_tensor: int | None = 200,
     seed: int = 0,
 ) -> GradCheckReport:
@@ -635,12 +632,12 @@ def grad_check(
         for flat in flat_ids:
             coord = np.unravel_index(int(flat), tensor.shape)
             original = tensor[coord]
-            tensor[coord] = original + step
+            tensor[coord] = original + FD_STEP
             plus = fn(point)[0]
-            tensor[coord] = original - step
+            tensor[coord] = original - FD_STEP
             minus = fn(point)[0]
             tensor[coord] = original
-            numeric = (plus - minus) / (2.0 * step)
+            numeric = (plus - minus) / (2.0 * FD_STEP)
             entries.append(
                 GradCheckEntry(
                     name=name,

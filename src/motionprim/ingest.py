@@ -77,11 +77,6 @@ class SensorWindow:
         return self.samples.shape[0]
 
 
-def placeholder_channels(count: int, rate: float = DEFAULT_TARGET_RATE) -> list[ChannelMetadata]:
-    """Generic metadata for windows built from bare matrices (tests, demos)."""
-    return [ChannelMetadata("na", "ch", str(i), rate) for i in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # Core signal operations
 
@@ -124,7 +119,7 @@ def window(
     win: int,
     stride: int | None = None,
     *,
-    channels: list[ChannelMetadata] | None = None,
+    channels: list[ChannelMetadata],
     labels: np.ndarray | None = None,
 ) -> list[SensorWindow]:
     """Cut a (total_len, num_channels) matrix into fixed-length windows.
@@ -138,10 +133,6 @@ def window(
     if stride is None:
         stride = win
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    if channels is None:
-        channels = placeholder_channels(samples.shape[1])
     out: list[SensorWindow] = []
     for start in range(0, samples.shape[0] - win + 1, stride):
         block = samples[start : start + win]

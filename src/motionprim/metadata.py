@@ -16,8 +16,6 @@ from .errors import ConfigError, DataError, MetadataProviderError
 from .ingest import ChannelMetadata
 from .schema import read_json
 
-DEFAULT_EMBED_DIM = 768
-
 
 def canonical_descriptor(meta: ChannelMetadata) -> str:
     """The exact text form a channel is embedded under."""
@@ -32,7 +30,7 @@ class HashProvider:
     the downstream model needs from metadata: a stable channel identity.
     """
 
-    def __init__(self, dim: int = DEFAULT_EMBED_DIM, seed: int = 0):
+    def __init__(self, dim: int, seed: int = 0):
         if dim < 1:
             raise ConfigError("embedding dim must be >= 1")
         self.dim, self.seed = dim, seed
@@ -78,7 +76,7 @@ class FileLookupProvider:
         return self._table[descriptor].copy()
 
 
-def make_provider(kind: str, *, dim: int = DEFAULT_EMBED_DIM, seed: int = 0, path: str | Path | None = None):
+def make_provider(kind: str, *, dim: int, seed: int = 0, path: str | Path | None = None):
     """The provider of `kind`; a hash provider embeds at `dim`, a file's width is its own."""
     if kind == "deterministic-hash":
         return HashProvider(dim=dim, seed=seed)

@@ -29,6 +29,7 @@ PARAM_GROUPS = ("embed", "stat", "adapter", "pos", "enc", "mae", "cls_head", "co
 # std of every normally initialized tensor: those whose names end in _NORMAL_INIT
 INIT_STD = 0.02
 _NORMAL_INIT = (".rows", ".cls_vector", ".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")
+SUITE_TOLERANCE = 1e-4  # `gradient_suite` passes a relative error below it
 
 
 @dataclass
@@ -423,10 +424,11 @@ def forward(
         indices_flat = np.asarray(fixed_indices, dtype=np.int64).reshape(B * C * S)
         diff = flat_segments - prototypes[indices_flat]
         dist_first = np.sum(diff * diff, axis=1)
-    z0 = prototypes if frozen_prototypes is None else frozen_prototypes
-    diff_second = flat_segments - z0[indices_flat]
-    vq_value = float(dist_first.mean() + cfg.beta * np.sum(diff_second * diff_second, axis=1).mean())
-    del diff_second  # a whole-batch array: not kept through the encoder
+    dist_second = dist_first  # at the live prototypes: the scan's distances are these sums, bit for bit
+    if frozen_prototypes is not None:
+        diff = flat_segments - frozen_prototypes[indices_flat]
+        dist_second = np.sum(diff * diff, axis=1)
+    vq_value = float(dist_first.mean() + cfg.beta * dist_second.mean())
 
     layout = model.layout_for(C, S)
     if mask_positions is not None:
@@ -449,7 +451,8 @@ def forward(
         heads.append(("mae", weights.lambda_mae, mask_positions, mask_targets.reshape(-1)))
     if weights.lambda_cls > 0 and batch.labels is not None:
         if np.any((batch.labels < 0) | (batch.labels >= cfg.num_classes)):
-            raise DataError("label outside [0, num_classes)")
+            lo, hi, n = batch.labels.min(), batch.labels.max(), cfg.num_classes
+            raise DataError(f"labels span [{lo}, {hi}], outside the classification head's {n} classes [0, {n})")
         heads.append(("cls_head", weights.lambda_cls, np.zeros((B, 1), dtype=np.int64), batch.labels))
     # the encoder returns only the rows the heads read, head after head
     hidden_rows = np.concatenate(
@@ -595,7 +598,7 @@ def tiny_batch(seed: int = 0, num_windows: int = 3) -> PreparedBatch:
     )
 
 
-def gradient_suite(seed: int = 0, tolerance: float = 1e-4) -> dict:
+def gradient_suite(seed: int = 0) -> dict:
     """Finite-difference verification of every analytic gradient, on shapes
     small enough to check densely: the encoder alone, then the production
     forward/backward over every model tensor. Returns {component:
@@ -625,7 +628,7 @@ def gradient_suite(seed: int = 0, tolerance: float = 1e-4) -> dict:
         flat["x"] = d_x
         return value, flat
 
-    reports["encoder"] = grad_check(enc_fn, enc_point, tolerance=tolerance, max_coords_per_tensor=60)
+    reports["encoder"] = grad_check(enc_fn, enc_point, tolerance=SUITE_TOLERANCE, max_coords_per_tensor=60)
 
     # full model: embedding scatter, positions, heads, commitment, all at once
     batch = tiny_batch(seed=int(children[4].generate_state(1)[0]))
@@ -643,5 +646,5 @@ def gradient_suite(seed: int = 0, tolerance: float = 1e-4) -> dict:
         fixed_indices,
         model.params["codebook"].copy(),
     )
-    reports["full_model"] = grad_check(fn, model.params, tolerance=tolerance, max_coords_per_tensor=150)
+    reports["full_model"] = grad_check(fn, model.params, tolerance=SUITE_TOLERANCE, max_coords_per_tensor=150)
     return reports

@@ -301,7 +301,6 @@ def pretrain(
     run_seed: int = 0,
     codebook_init: str = "kmeans-seeded",
     weights: LossWeights = PRETRAIN_WEIGHTS,
-    policy: FreezePolicy = PRETRAIN_POLICY,
 ) -> tuple[Model, list[dict]]:
     """Stage 1: joint optimization of codebook, embeddings, encoder, and
     the masked-reconstruction head over one or more datasets. Ends with a
@@ -326,7 +325,7 @@ def pretrain(
             seed=int(np.random.SeedSequence([run_seed, 4]).generate_state(1)[0]),
         )
     model = init_model(config, seed=run_seed, codebook=codebook)
-    records = run_training(model, datasets, weights, opt_config, policy, run_seed, stage="pretrain")
+    records = run_training(model, datasets, weights, opt_config, PRETRAIN_POLICY, run_seed, stage="pretrain")
     refresh_usage(model, datasets)
     return model, records
 
@@ -459,7 +458,8 @@ def finetune(
     num_classes: int | None = None,
 ) -> FinetuneResult:
     """Stage 2: split the labeled dataset, train under the freeze policy,
-    evaluate on the held-out windows. The input model is left untouched."""
+    evaluate on the held-out windows. The head takes `num_classes` classes,
+    the dataset's (None: largest label + 1). The input model is left untouched."""
     if batch.labels is None:
         raise DataError("fine-tuning needs labeled windows")
     model = copy_model(pretrained)

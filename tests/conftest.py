@@ -151,7 +151,7 @@ def bench_runs_small_codebook():
 
 @pytest.fixture(scope="session")
 def bench_provider():
-    return make_provider("deterministic-hash", dim=768, seed=0)
+    return make_provider("deterministic-hash", dim=bench_model_config().meta_dim, seed=0)
 
 
 @pytest.fixture(scope="session")

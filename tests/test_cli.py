@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -465,6 +466,68 @@ def test_analyze_counts_below_one_exit_2(workdir, tmp_path, capsys, flags):
     assert code == 2
     assert flags[0] in _config_error(capsys)["message"]
     assert not out_dir.exists()
+
+
+def test_analyze_with_no_report_exits_2_before_any_load(workdir, tmp_path, capsys, monkeypatch):
+    _, cfg_path, data_dir = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("data loaded"))
+    out_dir = tmp_path / "out"
+    code = cli.main([
+        "analyze", "--config", str(cfg_path), "--set", f"out_dir={out_dir}", "--reports", " , ",
+        str(ckpt), str(data_dir / "manifest.json"),
+    ])
+    assert code == 2
+    assert "--reports names no report" in _config_error(capsys)["message"]
+    assert not out_dir.exists()
+
+
+THREE_CLASS_SPEC = {**TINY_SPEC, "classes": [*TINY_SPEC["classes"], {"name": "still", "waveforms": [
+    {"kind": "sine", "frequency": 1.0, "noise_sigma": 0.05},
+    {"kind": "square", "frequency": 1.0, "noise_sigma": 0.05},
+]}]}
+
+
+@pytest.fixture(scope="module")
+def three_classes(tmp_path_factory):
+    """The manifests of THREE_CLASS_SPEC's data and of a copy of its CSV
+    without the `still` rows, which still lists the three classes."""
+    root = tmp_path_factory.mktemp("three")
+    (root / "spec.json").write_text(json.dumps(THREE_CLASS_SPEC))
+    assert cli.main(["synth", str(root / "spec.json"), str(root / "full")]) == 0
+    (root / "part").mkdir()
+    shutil.copy(root / "full" / "manifest.json", root / "part")
+    rows = (root / "full" / "data.csv").read_text().splitlines(keepends=True)
+    (root / "part" / "data.csv").write_text("".join(row for row in rows if row.rstrip().split(",")[-1] != "still"))
+    return root / "full" / "manifest.json", root / "part" / "manifest.json"
+
+
+def test_finetune_sizes_the_head_by_the_class_list(three_classes, tmp_path, capsys):
+    full, part = three_classes
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({**TINY_RUN, "datasets": [str(part)], "out_dir": str(tmp_path), "run_id": "ft"}))
+    assert cli.main(["finetune", "--config", str(run), str(ckpt)]) == 0
+    # the fine-tuned head takes the class no fine-tune window had
+    argv = ["evaluate", "--set", f"out_dir={tmp_path}", "--set", "run_id=ev", str(tmp_path / "ft.ckpt"), str(full)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert len(json.loads((tmp_path / "ev_metrics.json").read_text())["confusion"]) == 3
+    capsys.readouterr()
+
+
+def test_analyze_counts_the_classes_of_the_dataset(three_classes, tmp_path, capsys):
+    full, _ = three_classes
+    ckpt = tmp_path / "model.ckpt"
+    assert TINY_RUN["model"]["num_classes"] == 2
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    argv = ["analyze", "--reports", "frequency", "--set", f"out_dir={tmp_path}", "--set", "run_id=an", str(ckpt), str(full)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "an_frequency.json").read_text())
+    assert report["num_classes"] == 3
+    assert all(len(row) == 3 for row in report["fractions"])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("path, value", [

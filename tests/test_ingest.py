@@ -112,7 +112,7 @@ def test_window_count_and_stride_default():
 def test_window_contents_and_label():
     samples = np.arange(20, dtype=np.float64)[:, None]
     labels = np.array([0] * 10 + [1] * 10)
-    wins = window(samples, 5, labels=labels)
+    wins = window(samples, 5, channels=two_channels()[:1], labels=labels)
     assert [w.label for w in wins] == [0, 0, 1, 1]
     np.testing.assert_array_equal(wins[1].samples[:, 0], np.arange(5, 10))
 
@@ -120,16 +120,19 @@ def test_window_contents_and_label():
 def test_window_mixed_label_dropped():
     samples = np.zeros((20, 1))
     labels = np.array([0] * 8 + [1] * 12)
-    wins = window(samples, 5, labels=labels)
+    wins = window(samples, 5, channels=two_channels()[:1], labels=labels)
     # window [5:10) straddles the boundary and must disappear
     assert [w.label for w in wins] == [0, 1, 1]
 
 
 def test_window_bad_args():
+    one = two_channels()[:1]
     with pytest.raises(DataError):
-        window(np.zeros((10, 1)), 0)
+        window(np.zeros((10, 1)), 0, channels=one)
     with pytest.raises(DataError):
-        window(np.zeros((10, 1)), 5, 0)
+        window(np.zeros((10, 1)), 5, 0, channels=one)
+    with pytest.raises(DataError, match="2-d"):  # a bare series is not promoted to one channel
+        window(np.zeros(10), 5, channels=one)
 
 
 # ---------------------------------------------------------------------------

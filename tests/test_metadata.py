@@ -125,16 +125,16 @@ def test_make_provider_kinds(tmp_path):
     assert p.dim == 16
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"d": [1.0, 2.0]}))
-    p2 = make_provider("file-lookup", path=path)
-    assert p2.dim == 2
+    p2 = make_provider("file-lookup", dim=16, path=path)
+    assert p2.dim == 2  # a file's width is its own
     with pytest.raises(ConfigError):
-        make_provider("quantum")
+        make_provider("quantum", dim=16)
 
 
 def test_make_provider_rejects_unknown_kinds():
     for kind in ("remote", "remote-service", ""):
         with pytest.raises(ConfigError, match="unknown metadata provider"):
-            make_provider(kind)
+            make_provider(kind, dim=16)
 
 
 def test_embed_channels_uses_canonical_descriptors():

@@ -336,6 +336,18 @@ def test_forward_fixed_indices_reproduces_live_path():
     np.testing.assert_array_equal(pinned.indices, live.indices)
 
 
+@pytest.mark.parametrize("which", ["tiny", "bench", "default"])
+def test_commitment_term_reuses_the_scan_distances(config_case, which):
+    # without frozen prototypes, the second half of the commitment term is
+    # the scan's distances; the recomputed one must give the same bits
+    model, batch = config_case(which, 4)
+    live = forward(model, batch, PRETRAIN_WEIGHTS, need_backward=False)
+    frozen = forward(
+        model, batch, PRETRAIN_WEIGHTS, frozen_prototypes=model.params["codebook"].copy(), need_backward=False
+    )
+    assert live.vq_loss == frozen.vq_loss
+
+
 def test_forward_cls_probs_and_predictions():
     cfg = tiny_config()
     model = init_model(cfg, seed=5)

@@ -59,6 +59,30 @@ def test_no_public_name_is_reached_only_from_tests():
     assert unused == []
 
 
+def name_reads(node: ast.AST, name: str) -> int:
+    """How often the code under `node` reads `name`, bare or as an attribute."""
+    return sum(
+        (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.Attribute) and n.attr == name)
+        for n in ast.walk(node)
+    )
+
+
+def test_no_private_helper_is_dead():
+    """Every module-level `_name` function or class in src is read somewhere
+    in src outside its own definition."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    dead = [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and sum(name_reads(t, node.name) for t in trees.values()) == name_reads(node, node.name)
+    ]
+    assert dead == []
+
+
 def test_readme_run_config_reference_names_every_field():
     """The jsonc block under "Run config reference" names each field of the
     run config and of its sections, and no other key."""
