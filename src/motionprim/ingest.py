@@ -133,6 +133,8 @@ def window(
     if stride is None:
         stride = win
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2:  # also when too short for one window
+        raise DataError("window samples must be a 2-d (time, channel) array")
     out: list[SensorWindow] = []
     for start in range(0, samples.shape[0] - win + 1, stride):
         block = samples[start : start + win]

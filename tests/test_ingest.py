@@ -133,6 +133,8 @@ def test_window_bad_args():
         window(np.zeros((10, 1)), 5, 0, channels=one)
     with pytest.raises(DataError, match="2-d"):  # a bare series is not promoted to one channel
         window(np.zeros(10), 5, channels=one)
+    with pytest.raises(DataError, match="2-d"):  # even one too short to cut a window from
+        window(np.zeros(3), 5, channels=one)
 
 
 # ---------------------------------------------------------------------------

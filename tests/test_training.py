@@ -111,10 +111,13 @@ def test_cls_loss_and_total(config_case):
         np.testing.assert_allclose(res.cls_probs, want, atol=1e-12)
         assert res.cls_loss == pytest.approx(oracles.cross_entropy_mean(want, batch.labels), rel=1e-12)
         assert res.loss == pytest.approx(0.5 * res.mae_loss + 2.0 * res.cls_loss + 3.0 * res.vq_loss, rel=1e-12)
+        bad = replace(batch, labels=np.full(batch.size, cfg.num_classes))
+        with pytest.raises(DataError):
+            forward(model, bad, FINETUNE_WEIGHTS, need_backward=False)
         labels = batch.labels.copy()
-        labels[-1] = cfg.num_classes + 1
-        # a head narrower than the data: the message names the largest label and the head's class count
-        with pytest.raises(DataError, match=rf", {cfg.num_classes + 1}\], .*'s {cfg.num_classes} classes"):
+        labels[-1] = cfg.num_classes
+        # one label at the boundary: the message names the largest label and the head's class count
+        with pytest.raises(DataError, match=rf", {cfg.num_classes}\], .*'s {cfg.num_classes} classes"):
             forward(model, replace(batch, labels=labels), FINETUNE_WEIGHTS, need_backward=False)
 
 
