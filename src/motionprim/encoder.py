@@ -383,12 +383,14 @@ def encoder_forward(
     (its keys and values, and every earlier block, still cover every row;
     its attention scores keep the full pass's shape, see
     `attention_forward`), and the rows are the bits of the same rows of a
-    training pass. Fewer than two rows per window are computed beside a
-    second one, row 1 (row 0 beside row 1), and dropped: with one query row
+    training pass. A single row per window is computed beside a second
+    one, row 1 (row 0 beside row 1), which is dropped: with one query row
     per window numpy takes its vector-matrix product, whose last bits
     differ from the matrix product's. The NumericError check sees only the
     rows a pass computes, so an overflow confined to a row a forward-only
-    pass's last block skips is not raised.
+    pass's last block skips is not raised. A pass that reads no row runs no
+    layer and reads no input: it returns (B, 0, D) and a cache that holds
+    no layers, as a forward-only pass's does.
     """
     if not isinstance(x, LazyInput):
         x = np.asarray(x, dtype=np.float64)
@@ -401,6 +403,8 @@ def encoder_forward(
     read = x.shape[1]
     if rows is not None:
         rows, read = _query_rows(rows, x.shape[:2])
+        if read == 0:
+            return np.empty((batch, 0, x.shape[2])), cache
     arrays = None
     if need_backward:
         cache.workspace = Workspace() if workspace is None else workspace
@@ -453,9 +457,7 @@ def _query_rows(rows, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
     if rows.size and (rows.min() < 0 or rows.max() >= seq):
         raise DataError(f"rows must lie in [0, {seq})")
     read = rows.shape[1]
-    if read == 0:
-        rows = np.zeros((batch, 1), dtype=np.int64)
-    if rows.shape[1] == 1 and seq > 1:
+    if read == 1 and seq > 1:
         rows = np.concatenate([rows, np.where(rows == 1, 0, 1)], axis=1)
     return rows.astype(np.int64, copy=False), read
 

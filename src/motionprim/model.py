@@ -42,7 +42,6 @@ class ModelConfig:
     mlp_ratio: float = 1.0
     segments_per_channel: int = 10
     mask_ratio: float = 0.25
-    beta: float = 0.25
     num_classes: int = 2
 
     def __post_init__(self) -> None:
@@ -55,8 +54,6 @@ class ModelConfig:
             raise ConfigError("segments_per_channel must be >= 1")
         if not (0 <= self.mask_ratio < 1):
             raise ConfigError("mask_ratio must be in [0, 1)")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.meta_dim < 1:
@@ -380,7 +377,6 @@ def forward(
     weights: LossWeights,
     mask_positions: np.ndarray | None = None,
     fixed_indices: np.ndarray | None = None,
-    frozen_prototypes: np.ndarray | None = None,
     need_backward: bool = True,
     *,
     workspace: Workspace | None = None,
@@ -389,8 +385,11 @@ def forward(
 
     mask_positions (B, m) selects motion tokens replaced by [MASK]; None
     disables masked modeling. fixed_indices pins the quantizer assignment
-    (for gradient checks); frozen_prototypes is the stop-gradient copy used
-    by the commitment term's second half, defaulting to the live prototypes.
+    (for gradient checks).
+
+    `vq_loss` is the codebook loss, the mean squared distance from each
+    segment to its assigned prototype. The segments are data, not a learned
+    encoder's output, so a VQ-VAE commitment term would train nothing.
 
     The table rows of every token are looked up once; the encoder gets a
     `LazyInput`, so each of its window shards embeds its own windows, and
@@ -418,16 +417,12 @@ def forward(
 
     flat_segments = batch.norm_segments.reshape(B * C * S, L)
     if fixed_indices is None:
-        indices_flat, dist_first = nearest_prototypes(flat_segments, prototypes)
+        indices_flat, dist = nearest_prototypes(flat_segments, prototypes)
     else:
         indices_flat = np.asarray(fixed_indices, dtype=np.int64).reshape(B * C * S)
         diff = flat_segments - prototypes[indices_flat]
-        dist_first = np.sum(diff * diff, axis=1)
-    dist_second = dist_first  # at the live prototypes: the scan's distances are these sums, bit for bit
-    if frozen_prototypes is not None:
-        diff = flat_segments - frozen_prototypes[indices_flat]
-        dist_second = np.sum(diff * diff, axis=1)
-    vq_value = float(dist_first.mean() + cfg.beta * dist_second.mean())
+        dist = np.sum(diff * diff, axis=1)
+    vq_value = float(dist.mean())
 
     layout = model.layout_for(C, S)
     if mask_positions is not None:
@@ -496,9 +491,9 @@ def forward(
             for i, layer_grads in enumerate(enc_grads):
                 grads.update({f"enc.{i}.{key}": g for key, g in layer_grads.items()})
             grads.update(embed_backward(params, layout, rows, batch.stats, batch.meta, d_x))
-        # commitment loss: only the first term reaches the prototypes,
-        # 2 (count * z - sum of its segments) / n per code; subtracting the
-        # sums from zeros leaves an unused code's gradient +0.0, not -0.0
+        # codebook loss: 2 (count * z - sum of its segments) / n per code;
+        # subtracting the sums from zeros leaves an unused code's gradient
+        # +0.0, not -0.0
         if weights.lambda_vq != 0:
             pull = np.zeros_like(prototypes)
             np.subtract.at(pull, indices_flat, flat_segments)
@@ -540,11 +535,10 @@ def loss_closure(
     weights: LossWeights,
     mask_positions: np.ndarray | None,
     fixed_indices: np.ndarray,
-    frozen_prototypes: np.ndarray,
 ):
     """A (params dict) -> (loss, grads) function with the quantizer
-    assignment and the commitment stop-gradient copy held fixed, so the
-    loss is differentiable everywhere finite differences probe it."""
+    assignment held fixed, so the loss is differentiable everywhere finite
+    differences probe it."""
 
     def fn(params: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
         model = Model(model_config, params)
@@ -554,7 +548,6 @@ def loss_closure(
             weights,
             mask_positions=mask_positions,
             fixed_indices=fixed_indices,
-            frozen_prototypes=frozen_prototypes,
         )
         return result.loss, backward(result)
 
@@ -629,7 +622,7 @@ def gradient_suite(seed: int = 0) -> dict:
 
     reports["encoder"] = grad_check(enc_fn, enc_point, max_coords_per_tensor=60)
 
-    # full model: embedding scatter, positions, heads, commitment, all at once
+    # full model: embedding scatter, positions, heads, codebook loss, all at once
     batch = tiny_batch(seed=int(children[4].generate_state(1)[0]))
     model = init_model(cfg, seed=int(children[5].generate_state(1)[0]))
     fixed_indices, _ = nearest_prototypes(
@@ -637,13 +630,6 @@ def gradient_suite(seed: int = 0) -> dict:
     )
     layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
     mask_positions = mask_positions_for(layout, cfg.mask_ratio, seed, 0, batch.window_ids)
-    fn = loss_closure(
-        cfg,
-        batch,
-        LossWeights(1.0, 1.0, 1.0),
-        mask_positions,
-        fixed_indices,
-        model.params["codebook"].copy(),
-    )
+    fn = loss_closure(cfg, batch, LossWeights(1.0, 1.0, 1.0), mask_positions, fixed_indices)
     reports["full_model"] = grad_check(fn, model.params, max_coords_per_tensor=150)
     return reports

@@ -206,6 +206,9 @@ def run_training(
         raise DataError("classification objective needs labeled windows")
 
     K = model.config.codebook_size
+    # every dataset numbers its windows from 0; offsetting the ids by the
+    # sizes of the datasets before it gives each window its own mask plan
+    id_offsets = np.cumsum([0] + [ds.size for ds in datasets[:-1]])
     workspace = Workspace()
     for epoch in range(opt_config.epochs):
         plan = _epoch_plan(datasets, epoch, run_seed, opt_config.micro_batch, opt_config.batch_size)
@@ -224,7 +227,7 @@ def run_training(
                         model.config.mask_ratio,
                         run_seed,
                         epoch,
-                        micro.window_ids,
+                        micro.window_ids + id_offsets[di],
                     )
                 result = forward(model, micro, weights, mask_positions=mask_pos, workspace=workspace)
                 grads = backward(result)
@@ -459,11 +462,12 @@ def finetune(
 ) -> FinetuneResult:
     """Stage 2: split the labeled dataset, train under the freeze policy,
     evaluate on the held-out windows. The head takes `num_classes` classes,
-    the dataset's (None: largest label + 1). The input model is left untouched."""
+    the dataset's (None: as many as the pretrained head); a label outside
+    the head raises DataError. The input model is left untouched."""
     if batch.labels is None:
         raise DataError("fine-tuning needs labeled windows")
     model = copy_model(pretrained)
-    wanted = int(batch.labels.max()) + 1 if num_classes is None else num_classes
+    wanted = model.config.num_classes if num_classes is None else num_classes
     if wanted != model.config.num_classes:
         logger.info(
             "class count %d != checkpoint head %d: re-initializing the classification head",

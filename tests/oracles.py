@@ -64,11 +64,11 @@ def nearest_scan(segment, prototypes):
     return best_idx, best_dist
 
 
-def commitment_loss(segment, codeword, beta):
+def codebook_loss(segment, codeword):
     d = 0.0
     for s, z in zip(segment, codeword):
         d += (float(s) - float(z)) ** 2
-    return d + beta * d
+    return d
 
 
 def kmeans(sample, k, seed, iters=25):

@@ -35,7 +35,7 @@ FLOATS = [0.5, 2.5, 3.0, -1.5]
 
 MODEL = {
     "codebook_size": 8, "segment_len": 5, "model_dim": 8, "meta_dim": 16, "depth": 1, "heads": 2,
-    "mlp_ratio": 1.0, "segments_per_channel": 4, "mask_ratio": 0.25, "beta": 0.25, "num_classes": 2,
+    "mlp_ratio": 1.0, "segments_per_channel": 4, "mask_ratio": 0.25, "num_classes": 2,
 }
 
 # keys whose value may be null, per surface
@@ -217,7 +217,41 @@ def test_checkpoint_config_echo_fuzz(world, capsys):
         save_tensors(path, "checkpoint", {"config": mutated}, {**model.params, "usage_counts": model.usage_counts})
         failures.update(run_all(capsys, [(label, argv)]))
         count += 1
-    assert count == 11 * 5 + 8  # five wrong types per key, plus a float for each int key
+    assert count == 10 * 5 + 8  # five wrong types per key, plus a float for each int key
+    assert failures == {}
+
+
+# keys the model config has lost, with a value each once took
+REMOVED_MODEL_KEYS = {"dropout": 0.1, "norm_placement": "post", "beta": 0.3}
+
+
+def test_removed_model_keys_exit_2_naming_the_key(world, capsys):
+    # a run config that carries a removed key, a --set of one and a
+    # checkpoint whose config echo names one: each exits 2 naming the key
+    root, model, run_path = world["root"], world["model"], str(world["run_path"])
+    manifest = str(root / "data" / "manifest.json")
+    failures = {}
+    for key, value in REMOVED_MODEL_KEYS.items():
+        run = copy.deepcopy(world["run"])
+        run["model"][key] = value
+        (root / f"removed_{key}.json").write_text(json.dumps(run))
+        ckpt = root / f"removed_{key}.ckpt"
+        save_tensors(ckpt, "checkpoint", {"config": {**MODEL, key: value}}, {**model.params, "usage_counts": model.usage_counts})
+        cases = {
+            "run config": ["pretrain", "--config", str(root / f"removed_{key}.json")],
+            "--set": ["pretrain", "--config", run_path, "--set", f"model.{key}={json.dumps(value)}"],
+            "checkpoint echo": ["evaluate", "--config", run_path, str(ckpt), manifest],
+        }
+        for surface, argv in cases.items():
+            label = f"{surface} {key}"
+            capsys.readouterr()
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            problem = outcome(code, err)
+            if problem is None and key not in json.loads(err.strip().splitlines()[-1])["message"]:
+                problem = f"the message does not name {key!r}"
+            if problem:
+                failures[label] = problem
     assert failures == {}
 
 

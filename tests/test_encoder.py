@@ -355,7 +355,7 @@ def test_forward_only_shards_bitwise_equal_reference(shards, monkeypatch, batch,
 )
 def test_forward_only_rows_bitwise_equal_reference_rows(shards, config, cpus):
     # the last block's query side at the read rows only: those rows are the
-    # reference's bits, for no row (two computed and dropped), one row
+    # reference's bits, for no row (none computed), one row
     # (computed beside a second), the [CLS] row and mask-like row sets, in
     # any order and with repeats, over one group or several, at the bench
     # width (depth 0-2) and the default one (D=256, 8 heads, depth 5)

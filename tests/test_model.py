@@ -46,7 +46,7 @@ def test_config_round_trip_and_unknown_keys():
     cfg = tiny_config()
     back = from_dict(ModelConfig, asdict(cfg), "model")
     assert back == cfg
-    for key, value in (("hidden_size", 32), ("dropout", 0.0), ("norm_placement", "pre")):
+    for key, value in (("hidden_size", 32), ("dropout", 0.0), ("norm_placement", "pre"), ("beta", 0.25)):
         with pytest.raises(ConfigError, match=key):
             from_dict(ModelConfig, {**asdict(cfg), key: value}, "model")
 
@@ -78,7 +78,7 @@ def test_config_rejects_meta_dim_below_one(meta_dim):
 
 @pytest.mark.parametrize("key, value", [
     ("codebook_size", "six"), ("depth", 2.5), ("heads", True), ("num_classes", None),
-    ("mlp_ratio", "2"), ("beta", False), ("mask_ratio", [0.25]),
+    ("mlp_ratio", "2"), ("mask_ratio", False), ("mask_ratio", [0.25]),
 ])
 def test_config_rejects_mistyped_values(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -88,9 +88,9 @@ def test_config_rejects_mistyped_values(key, value):
 
 
 def test_config_accepts_ints_for_floats():
-    built = from_dict(ModelConfig, {"mlp_ratio": 2, "beta": 0}, "model")
-    assert (built.mlp_ratio, built.beta) == (2.0, 0.0)
-    assert type(built.mlp_ratio) is type(built.beta) is float
+    built = from_dict(ModelConfig, {"mlp_ratio": 2, "mask_ratio": 0}, "model")
+    assert (built.mlp_ratio, built.mask_ratio) == (2.0, 0.0)
+    assert type(built.mlp_ratio) is type(built.mask_ratio) is float
     assert ModelConfig(mlp_ratio=2).mlp_ratio == 2  # direct construction checks, stores as given
 
 
@@ -317,9 +317,8 @@ def test_forward_indices_match_quantizer():
     flat = batch.norm_segments.reshape(-1, L)
     want_idx, want_dist = nearest_prototypes(flat, model.params["codebook"])
     np.testing.assert_array_equal(res.indices.reshape(-1), want_idx)
-    # commitment value: mean distance * (1 + beta) when prototypes not frozen
-    want_vq = float(np.mean(want_dist)) * (1.0 + cfg.beta)
-    assert res.vq_loss == pytest.approx(want_vq, rel=1e-12)
+    # codebook loss: the mean squared distance to the assigned prototypes
+    assert res.vq_loss == pytest.approx(float(np.mean(want_dist)), rel=1e-12)
 
 
 def test_forward_fixed_indices_reproduces_live_path():
@@ -329,23 +328,21 @@ def test_forward_fixed_indices_reproduces_live_path():
     live = forward(model, batch, PRETRAIN_WEIGHTS, need_backward=False)
     pinned = forward(
         model, batch, PRETRAIN_WEIGHTS,
-        fixed_indices=live.indices, frozen_prototypes=model.params["codebook"].copy(),
-        need_backward=False,
+        fixed_indices=live.indices, need_backward=False,
     )
     assert pinned.loss == pytest.approx(live.loss, rel=1e-12)
     np.testing.assert_array_equal(pinned.indices, live.indices)
 
 
 @pytest.mark.parametrize("which", ["tiny", "bench", "default"])
-def test_commitment_term_reuses_the_scan_distances(config_case, which):
-    # without frozen prototypes, the second half of the commitment term is
-    # the scan's distances; the recomputed one must give the same bits
+def test_vq_loss_reuses_the_scan_distances(config_case, which):
+    # the codebook loss is the mean of the scan's distances, and a pinned
+    # assignment, whose distances are recomputed, gives the same bits
     model, batch = config_case(which, 4)
     live = forward(model, batch, PRETRAIN_WEIGHTS, need_backward=False)
-    frozen = forward(
-        model, batch, PRETRAIN_WEIGHTS, frozen_prototypes=model.params["codebook"].copy(), need_backward=False
-    )
-    assert live.vq_loss == frozen.vq_loss
+    _, dist = nearest_prototypes(batch.norm_segments.reshape(-1, model.config.segment_len), model.params["codebook"])
+    pinned = forward(model, batch, PRETRAIN_WEIGHTS, fixed_indices=live.indices, need_backward=False)
+    assert live.vq_loss == pinned.vq_loss == float(dist.mean())
 
 
 def test_forward_cls_probs_and_predictions():
@@ -419,8 +416,12 @@ def test_forward_nonfinite_guard():
     model = init_model(cfg, seed=11)
     model.params["embed.rows"][0, 0] = np.inf
     batch = tiny_batch(seed=12)
-    with pytest.raises(NumericError):
-        forward(model, batch, PRETRAIN_WEIGHTS, need_backward=False)
+    layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
+    mask = mask_positions_for(layout, cfg.mask_ratio, 0, 0, batch.window_ids)
+    # passes that read the encoder (a pass no head reads embeds nothing)
+    for weights, mask_positions in ((PRETRAIN_WEIGHTS, mask), (FINETUNE_WEIGHTS, None)):
+        with pytest.raises(NumericError):
+            forward(model, batch, weights, mask_positions=mask_positions, need_backward=False)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +458,6 @@ def test_loss_closure_matches_forward():
         cfg, batch, PRETRAIN_WEIGHTS,
         mask_positions=mask,
         fixed_indices=live.indices,
-        frozen_prototypes=model.params["codebook"].copy(),
     )
     loss, grads = fn(model.params)
     assert loss == pytest.approx(live.loss, rel=1e-12)
@@ -474,7 +474,7 @@ def test_repeated_mask_position_keeps_exact_gradients():
     motion = model.layout_for(batch.num_channels, batch.segments_per_channel).motion_positions
     mask = np.array([[motion[1], motion[1], motion[4]], [motion[0], motion[3], motion[3]]])
     fixed_indices, _ = nearest_prototypes(batch.norm_segments.reshape(-1, cfg.segment_len), model.params["codebook"])
-    fn = loss_closure(cfg, batch, LossWeights(1.0, 1.0, 1.0), mask, fixed_indices, model.params["codebook"].copy())
+    fn = loss_closure(cfg, batch, LossWeights(1.0, 1.0, 1.0), mask, fixed_indices)
     report = grad_check(fn, model.params, max_coords_per_tensor=30)
     assert report.passed, report.worst
 
@@ -497,6 +497,32 @@ def test_training_pass_embeds_once_per_shard_slice(shards, monkeypatch, bench_ba
         built.clear()
         forward(model, batch, FINETUNE_WEIGHTS)
         assert sorted(built) == want, cpus
+
+
+def test_a_pass_no_head_reads_runs_no_encoder_layer(monkeypatch):
+    # without a mask or a classification head nothing reads the encoder:
+    # no layer runs and no input row is embedded, in a training pass or a
+    # forward-only one, and the codebook loss alone has a gradient
+    cfg = tiny_config()
+    model = init_model(cfg, seed=2)
+    batch = tiny_batch(seed=3)
+    calls = []
+    for module, name in ((encoder, "_run_layers"), (model_module, "embed_rows")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, **k: calls.append(real) or real(*a, **k))
+    bare = forward(model, batch, PRETRAIN_WEIGHTS, need_backward=False)
+    result = forward(model, batch, PRETRAIN_WEIGHTS)
+    grads = backward(result)
+    assert calls == []
+    for res in (bare, result):
+        assert res.hidden.shape == (batch.size, 0, cfg.model_dim)
+        assert res.loss == res.vq_loss
+    assert grads["codebook"].any()
+    assert not any(g.any() for name, g in grads.items() if name != "codebook")
+    layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
+    mask = mask_positions_for(layout, cfg.mask_ratio, 0, 0, batch.window_ids)
+    forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask, need_backward=False)
+    assert calls  # the spies see a pass that reads rows
 
 
 def test_gradient_suite_full_model_checks_every_input_coordinate():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from motionprim.encoder import grad_check
 from motionprim.errors import ConfigError, DataError
 from motionprim.model import (
     LossWeights,
-    ModelConfig,
     backward,
     forward,
     init_model,
@@ -218,17 +215,15 @@ def test_nearest_prototypes_rejects_nonfinite_prototypes():
 
 
 # ---------------------------------------------------------------------------
-# commitment loss
+# codebook loss
 
 
 def test_vq_loss_value_and_grads():
-    # forward/backward with only the commitment term: the value is
-    # ||sg(s) - z||^2 + beta ||s - sg(z)||^2 averaged over segments, and only
-    # the first half reaches the prototypes, 2 (z - s) per assigned segment
-    rng = np.random.default_rng(5)
+    # forward/backward with only the codebook loss: the value is ||s - z||^2
+    # averaged over segments, and its gradient reaches the prototypes alone,
+    # 2 (z - s) / n per assigned segment
+    cfg = tiny_config()
     for seed in range(5):
-        beta = float(rng.uniform(0.0, 1.0))
-        cfg = replace(tiny_config(), beta=beta)
         model = init_model(cfg, seed=seed)
         batch = tiny_batch(seed=seed)
         result = forward(model, batch, VQ_ONLY)
@@ -237,7 +232,7 @@ def test_vq_loss_value_and_grads():
         segments = batch.norm_segments.reshape(-1, cfg.segment_len)
         indices = result.indices.reshape(-1)
         n = segments.shape[0]
-        want = sum(oracles.commitment_loss(s, protos[k], beta) for s, k in zip(segments, indices)) / n
+        want = sum(oracles.codebook_loss(s, protos[k]) for s, k in zip(segments, indices)) / n
         assert result.vq_loss == pytest.approx(want, rel=1e-12)
         want_grad = np.zeros_like(protos)
         for s, k in zip(segments, indices):
@@ -247,13 +242,13 @@ def test_vq_loss_value_and_grads():
 
 
 def test_vq_loss_grads_match_finite_differences():
-    # vary the prototypes with the assignment and the stop-gradient copy
-    # frozen, through the production loss closure
+    # vary the prototypes with the assignment pinned, through the
+    # production loss closure
     cfg = tiny_config()
     model = init_model(cfg, seed=6)
     batch = tiny_batch(seed=6)
     indices, _ = nearest_prototypes(batch.norm_segments.reshape(-1, cfg.segment_len), model.params["codebook"])
-    closure = loss_closure(cfg, batch, VQ_ONLY, None, indices, model.params["codebook"].copy())
+    closure = loss_closure(cfg, batch, VQ_ONLY, None, indices)
 
     def fn(point):
         loss, grads = closure({**model.params, "codebook": point["codebook"]})
@@ -263,11 +258,6 @@ def test_vq_loss_grads_match_finite_differences():
     report = grad_check(fn, point, tolerance=1e-6, max_coords_per_tensor=None)
     assert report.passed, report.max_rel_err
     assert len(report.entries) == model.params["codebook"].size
-
-
-def test_vq_loss_beta_validation():
-    with pytest.raises(ConfigError):
-        ModelConfig(beta=-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import bench_model_config
-from motionprim import encoder
+from motionprim import encoder, training
 from motionprim.errors import CheckpointError, ConfigError, DataError, NumericError
 from motionprim.model import (
     FINETUNE_WEIGHTS,
@@ -323,6 +323,25 @@ def test_run_training_records_and_determinism():
         np.testing.assert_array_equal(model.params[name], model2.params[name])
 
 
+def test_each_dataset_draws_its_own_mask_plans(monkeypatch):
+    # every dataset numbers its windows from 0; in a run over two, each
+    # window's mask plan is keyed by an id of its own, the second dataset's
+    # ids following the first's
+    seen = []
+
+    def recording_mask_positions_for(layout, ratio, run_seed, epoch, window_ids):
+        seen.append((epoch, window_ids.copy()))
+        return mask_positions_for(layout, ratio, run_seed, epoch, window_ids)
+
+    monkeypatch.setattr(training, "mask_positions_for", recording_mask_positions_for)
+    datasets = [tiny_batch(seed=1, num_windows=4), tiny_batch(seed=2, num_windows=5)]
+    model = init_model(tiny_config(), seed=0)
+    run_training(model, datasets, PRETRAIN_WEIGHTS, small_opt(), PRETRAIN_POLICY, run_seed=3, stage="pre")
+    for epoch in (0, 1):
+        ids = np.concatenate([ids for e, ids in seen if e == epoch])
+        np.testing.assert_array_equal(np.sort(ids), np.arange(9))
+
+
 def _first_channels(batch, channels):
     return PreparedBatch(
         batch.norm_segments[:, :channels],
@@ -539,6 +558,23 @@ def test_finetune_reinits_head_on_class_mismatch(caplog):
     assert any("head" in r.message.lower() for r in caplog.records)
 
 
+def test_finetune_keeps_the_pretrained_head_width():
+    # a labelled batch that lacks its last class keeps the checkpoint's
+    # 3-class head, untouched by zero epochs; a label outside that head is
+    # the forward pass's DataError, not a wider head
+    cfg = tiny_config()
+    batch = tiny_batch(seed=9, num_windows=12)
+    pre, _ = pretrain(cfg, [batch], small_opt(), run_seed=3)
+    lacking = replace(batch, labels=np.arange(12) % (cfg.num_classes - 1))
+    result = finetune(pre, lacking, small_opt(epochs=0), split_fraction=0.25, run_seed=0)
+    assert result.model.config.num_classes == cfg.num_classes
+    for name in ("cls_head.weight", "cls_head.bias"):
+        np.testing.assert_array_equal(result.model.params[name], pre.params[name])
+    wider = replace(batch, labels=np.arange(12) % (cfg.num_classes + 1))
+    with pytest.raises(DataError, match="outside the classification head's 3 classes"):
+        finetune(pre, wider, small_opt(epochs=1), split_fraction=0.25, run_seed=0)
+
+
 def test_linear_probe_touches_only_cls_head():
     cfg = tiny_config()
     batch = tiny_batch(seed=10, num_windows=12)
@@ -602,10 +638,10 @@ def test_load_checkpoint_rejects_other_kinds(tmp_path):
 
 
 def test_load_checkpoint_rejects_removed_config_keys(tmp_path):
-    # checkpoints whose config echo carries the removed dropout or
-    # norm_placement keys are refused, not silently reinterpreted
+    # checkpoints whose config echo carries the removed dropout,
+    # norm_placement or beta keys are refused, not silently reinterpreted
     model = init_model(tiny_config(), seed=0)
-    for key, value in (("dropout", 0.0), ("norm_placement", "pre")):
+    for key, value in (("dropout", 0.0), ("norm_placement", "pre"), ("beta", 0.25)):
         path = tmp_path / f"{key}.ckpt"
         save_tensors(path, "checkpoint", {"config": {**asdict(model.config), key: value}}, model.params)
         with pytest.raises(ConfigError, match=key):
