@@ -40,6 +40,8 @@ from .schema import check_fields, field_type, from_dict, read_json
 from .tensorfile import publish
 from .training import (
     CODEBOOK_INITS,
+    ENCODER_FINETUNE,
+    SPLIT_FRACTION,
     OptimizerConfig,
     checkpoint_hash,
     evaluate,
@@ -84,9 +86,9 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs"
     run_id: str | None = None  # None -> derived from command + config hash
-    freeze: str = "encoder-finetune"
-    split_fraction: float = 0.2
-    codebook_init: str = "kmeans-seeded"
+    freeze: str = ENCODER_FINETUNE.name
+    split_fraction: float = SPLIT_FRACTION
+    codebook_init: str = CODEBOOK_INITS[0]
     provider: ProviderConfig = field(default_factory=ProviderConfig)
     workers: int = 1
 

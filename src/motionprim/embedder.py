@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import _weight_grad
 from .errors import ConfigError, DataError
 
 KIND_CLS = 0
@@ -194,13 +195,13 @@ def embed_backward(
     np.add.at(grads["embed.rows"], rows[:, 1:].reshape(-1), d_x[:, 1:].reshape(-1, D))
     grads["embed.cls_vector"] = d_x[:, 0].sum(axis=0)
     d_motion = d_x[:, layout.motion_positions]
-    grads["stat.weight"] = d_motion.reshape(-1, D).T @ stats.reshape(-1, 2)
+    grads["stat.weight"] = _weight_grad(d_motion, stats)
     grads["stat.bias"] = d_motion.sum(axis=(0, 1))
     # the adapter output is shared by every token of its channel
     channel_pos = layout.channel_positions
     d_meta_proj = np.zeros((meta.shape[0], D))
     np.add.at(d_meta_proj, layout.channel_of[channel_pos], d_x[:, channel_pos].sum(axis=0))
-    grads["adapter.weight"] = d_meta_proj.T @ meta
+    grads["adapter.weight"] = _weight_grad(d_meta_proj, meta)
     grads["adapter.bias"] = d_meta_proj.sum(axis=0)
     return grads
 

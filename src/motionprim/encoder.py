@@ -125,7 +125,8 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum over batch and sequence of x^T g: one (D, B*S) x (B*S, E) GEMM."""
+    """sum over windows and rows of x^T g, one (D, B*S) x (B*S, E) GEMM: every
+    weight gradient that sums over windows (encoder, heads, embedding)."""
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
@@ -573,6 +574,7 @@ def encoder_backward(
 
 # the central differences' step, in every coordinate
 FD_STEP = 1e-5
+FD_TOLERANCE = 1e-4  # the largest relative error a passing check may show
 
 
 @dataclass
@@ -602,24 +604,18 @@ def _relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a) + abs(n), 1e-3)
 
 
-def grad_check(
-    fn,
-    point: dict[str, np.ndarray],
-    tolerance: float = 1e-4,
-    max_coords_per_tensor: int | None = 200,
-    seed: int = 0,
-) -> GradCheckReport:
+def grad_check(fn, point: dict[str, np.ndarray], max_coords_per_tensor: int | None = 200) -> GradCheckReport:
     """Compare fn's analytic gradients against central differences.
 
     fn(point) must return (scalar value, gradient dict matching point).
     Large tensors are subsampled to `max_coords_per_tensor` coordinates with
-    a seeded rng; the report carries the worst coordinate found.
+    an rng seeded 0; the report carries the worst coordinate found.
     """
     _, analytic = fn(point)
     missing = set(point) - set(analytic)
     if missing:
         raise DataError(f"fn returned no gradient for: {sorted(missing)}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     entries: list[GradCheckEntry] = []
     for name in sorted(point):
         tensor = point[name]
@@ -652,4 +648,4 @@ def grad_check(
     if not entries:
         raise DataError("nothing to check: empty point")
     worst = max(entries, key=lambda e: e.rel_err)
-    return GradCheckReport(worst.rel_err, worst, entries, tolerance)
+    return GradCheckReport(worst.rel_err, worst, entries, FD_TOLERANCE)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedder import SequenceLayout, build_layout, embed_backward, embed_rows, mask_count, table_rows
-from .encoder import LazyInput, Workspace, encoder_backward, encoder_forward, grad_check
+from .encoder import LazyInput, Workspace, _weight_grad, encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
 from .ingest import SensorWindow, normalize_matrix, segment_matrix
 from .metadata import canonical_descriptor, embed_channels
@@ -232,7 +232,6 @@ class PreparedBatch:
     labels: np.ndarray | None  # (B,) int64
     meta: np.ndarray  # (C, N) metadata vectors
     window_ids: np.ndarray  # (B,) stable ids for mask seeding
-    source: str = ""
 
     @property
     def size(self) -> int:
@@ -253,7 +252,6 @@ class PreparedBatch:
             None if self.labels is None else self.labels[idx],
             self.meta,
             self.window_ids[idx],
-            self.source,
         )
 
 
@@ -273,41 +271,35 @@ def prepare_windows(
     """Segment + normalize every window and embed the channel metadata.
 
     All windows must share the same channel set and window length; labeled
-    and unlabeled windows cannot be mixed.
+    and unlabeled windows cannot be mixed. Errors name the dataset `source`.
     """
+    where = f"dataset {source!r}: " if source else ""
     if not windows:
-        raise DataError("cannot prepare an empty window list")
+        raise DataError(f"{where}cannot prepare an empty window list")
     first = windows[0]
     descriptors = [canonical_descriptor(m) for m in first.channels]
     for w in windows:
         if w.window_len != first.window_len:
-            raise DataError("windows of mixed length in one dataset")
+            raise DataError(f"{where}windows of mixed length in one dataset")
         if [canonical_descriptor(m) for m in w.channels] != descriptors:
-            raise DataError("windows with mixed channel metadata in one dataset")
+            raise DataError(f"{where}windows with mixed channel metadata in one dataset")
     segments, stats = segment_matrix(np.stack([w.samples for w in windows]), config.segment_len)
     S = segments.shape[2]
     if S > config.segments_per_channel:
         raise ConfigError(
-            f"{S} segments per channel exceeds the model's position capacity "
+            f"{where}{S} segments per channel exceeds the model's position capacity "
             f"({config.segments_per_channel})"
         )
     normalized = normalize_matrix(segments)
 
     labeled = [w.label is not None for w in windows]
     if any(labeled) and not all(labeled):
-        raise DataError("dataset mixes labeled and unlabeled windows")
+        raise DataError(f"{where}dataset mixes labeled and unlabeled windows")
     labels = np.array([w.label for w in windows], dtype=np.int64) if all(labeled) else None
 
     meta = embed_channels(first.channels, provider)
     check_meta_dim(meta.shape[1], config)
-    return PreparedBatch(
-        normalized,
-        stats,
-        labels,
-        meta,
-        np.arange(len(windows), dtype=np.int64),
-        source=source,
-    )
+    return PreparedBatch(normalized, stats, labels, meta, np.arange(len(windows), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +375,9 @@ def forward(
 ) -> ForwardResult:
     """One batched pass over a homogeneous window batch.
 
-    mask_positions (B, m) selects motion tokens replaced by [MASK]; None
-    disables masked modeling. fixed_indices pins the quantizer assignment
-    (for gradient checks).
+    mask_positions (B, m), integers, selects motion tokens replaced by
+    [MASK]; None disables masked modeling. fixed_indices pins the quantizer
+    assignment (for gradient checks).
 
     `vq_loss` is the codebook loss, the mean squared distance from each
     segment to its assigned prototype. The segments are data, not a learned
@@ -427,10 +419,9 @@ def forward(
     layout = model.layout_for(C, S)
     if mask_positions is not None:
         given = np.asarray(mask_positions)
-        if given.dtype.kind == "f":
-            fractional = given[~(np.isfinite(given) & (given == np.floor(given)))]
-            if fractional.size:
-                raise DataError(f"mask positions must be whole numbers, got {fractional[0]}")
+        # a cast from floats would truncate 2.7 to position 2 in silence
+        if given.dtype.kind not in "iu":
+            raise DataError(f"mask positions must be integers, got dtype {given.dtype}")
         mask_positions = given.astype(np.int64)
     indices = indices_flat.reshape(B, C, S)
     rows, mask_targets = table_rows(params, layout, indices, mask_positions)
@@ -482,7 +473,7 @@ def forward(
             n = len(targets)
             d_logits[np.arange(n), targets] -= 1.0
             d_logits *= weight / n
-            grads[f"{prefix}.weight"] = d_logits.T @ read.reshape(-1, cfg.model_dim)
+            grads[f"{prefix}.weight"] = _weight_grad(d_logits, read)
             grads[f"{prefix}.bias"] = d_logits.sum(axis=0)
             d_read = d_logits @ params[f"{prefix}.weight"]
             np.add.at(d_hidden, (np.arange(B)[:, None], positions), d_read.reshape(read.shape))
@@ -586,7 +577,6 @@ def tiny_batch(seed: int = 0, num_windows: int = 3) -> PreparedBatch:
         labels=rng.integers(0, cfg.num_classes, size=num_windows),
         meta=rng.normal(size=(C, cfg.meta_dim)),
         window_ids=np.arange(num_windows, dtype=np.int64),
-        source="tiny",
     )
 
 
@@ -599,7 +589,7 @@ def gradient_suite(seed: int = 0) -> dict:
         raise ConfigError(f"gradient check seed must be >= 0, got {seed}")
     reports = {}
     # the checks draw from children 3-5 of a six-way spawn, which keeps the
-    # checked points of earlier releases (and so their reports) reproducible
+    # checked points of earlier releases reproducible
     children = np.random.SeedSequence(seed).spawn(6)
 
     # encoder alone, input gradient included: tiny_config's two layers of

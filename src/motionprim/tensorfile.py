@@ -84,10 +84,11 @@ def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.
     publish(path, write)
 
 
-def load_tensors(path: str | Path, expected_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container written by `save_tensors`; returns (meta, tensors).
-    Anything else, including a truncated file, a malformed header or bytes
-    after the last tensor, raises CheckpointError."""
+def load_tensors(path: str | Path, expected_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container of `expected_kind` written by `save_tensors`;
+    returns (meta, tensors). Anything else, including another kind, a
+    truncated file, a malformed header or bytes after the last tensor,
+    raises CheckpointError."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"no such file: {path}")
@@ -115,7 +116,7 @@ def load_tensors(path: str | Path, expected_kind: str | None = None) -> tuple[di
             raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("version") != 1:
             raise CheckpointError(f"{path}: unsupported container version {header.get('version')}")
-        if expected_kind is not None and header.get("kind") != expected_kind:
+        if header.get("kind") != expected_kind:
             raise CheckpointError(
                 f"{path}: expected kind {expected_kind!r}, found {header.get('kind')!r}"
             )

@@ -50,7 +50,8 @@ logger = logging.getLogger("motionprim")
 
 CHECKPOINT_KIND = "checkpoint"
 MAX_KMEANS_SAMPLE = 16384
-CODEBOOK_INITS = ("kmeans-seeded", "random-normal")
+CODEBOOK_INITS = ("kmeans-seeded", "random-normal")  # the first is the default
+SPLIT_FRACTION = 0.2  # fine-tuning's default share of each class's windows to train on
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +141,18 @@ class FreezePolicy:
         return out
 
 
+# pretraining's fixed policy, then the fine-tune policies, which both train cls_head
 PRETRAIN_POLICY = FreezePolicy("pretrain-all", frozenset(PARAM_GROUPS) - {"cls_head"})
 LINEAR_PROBE = FreezePolicy("linear-probe", frozenset({"cls_head"}))
 ENCODER_FINETUNE = FreezePolicy("encoder-finetune", frozenset({"enc", "cls_head"}))
 
-_POLICIES = {p.name: p for p in (PRETRAIN_POLICY, LINEAR_PROBE, ENCODER_FINETUNE)}
+_POLICIES = {p.name: p for p in (LINEAR_PROBE, ENCODER_FINETUNE)}
 
 
 def policy_by_name(name: str) -> FreezePolicy:
+    """The fine-tune freeze policy called `name`."""
     if name not in _POLICIES:
-        raise ConfigError(f"unknown freeze policy {name!r}; known: {sorted(_POLICIES)}")
+        raise ConfigError(f"unknown fine-tune freeze policy {name!r}; known: {sorted(_POLICIES)}")
     return _POLICIES[name]
 
 
@@ -302,7 +305,7 @@ def pretrain(
     datasets: list[PreparedBatch],
     opt_config: OptimizerConfig,
     run_seed: int = 0,
-    codebook_init: str = "kmeans-seeded",
+    codebook_init: str = CODEBOOK_INITS[0],
     weights: LossWeights = PRETRAIN_WEIGHTS,
 ) -> tuple[Model, list[dict]]:
     """Stage 1: joint optimization of codebook, embeddings, encoder, and
@@ -455,7 +458,7 @@ def finetune(
     batch: PreparedBatch,
     opt_config: OptimizerConfig,
     policy: FreezePolicy = ENCODER_FINETUNE,
-    split_fraction: float = 0.2,
+    split_fraction: float = SPLIT_FRACTION,
     run_seed: int = 0,
     weights: LossWeights = FINETUNE_WEIGHTS,
     num_classes: int | None = None,
@@ -463,7 +466,12 @@ def finetune(
     """Stage 2: split the labeled dataset, train under the freeze policy,
     evaluate on the held-out windows. The head takes `num_classes` classes,
     the dataset's (None: as many as the pretrained head); a label outside
-    the head raises DataError. The input model is left untouched."""
+    the head raises DataError. A policy or loss weights that leave the head
+    untrained raise ConfigError. The input model is left untouched."""
+    if "cls_head" not in policy.groups:
+        raise ConfigError(f"policy {policy.name!r} freezes the classification head; fine-tune with {sorted(_POLICIES)}")
+    if weights.lambda_cls == 0:
+        raise ConfigError("fine-tuning needs lambda_cls > 0, or no loss reaches the classification head")
     if batch.labels is None:
         raise DataError("fine-tuning needs labeled windows")
     model = copy_model(pretrained)

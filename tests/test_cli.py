@@ -352,6 +352,7 @@ def test_every_command_types_the_run_config(workdir, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, override", [
     ("finetune", "freeze=linear_probe"),
+    ("finetune", "freeze=pretrain-all"),  # pretraining's policy freezes the head
     ("pretrain", "codebook_init=kmeans"),
     ("finetune", "split_fraction=1.5"),
     ("finetune", "split_fraction=0"),
@@ -368,6 +369,20 @@ def test_run_config_values_are_checked_before_any_load(workdir, tmp_path, capsys
     assert code == 2
     assert override.split("=")[0].split("_")[0] in _config_error(capsys)["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_finetune_without_a_classification_loss_exits_2(workdir, tmp_path, capsys):
+    _, cfg_path, _ = workdir
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    weights = json.dumps({"lambda_mae": 1.0, "lambda_cls": 0.0, "lambda_vq": 1.0})
+    code = cli.main([
+        "finetune", "--config", str(cfg_path), "--set", f"out_dir={tmp_path / 'out'}",
+        "--set", f"loss_weights={weights}", str(ckpt),
+    ])
+    assert code == 2
+    assert "lambda_cls" in _config_error(capsys)["message"]
+    assert not list((tmp_path / "out").glob("*.ckpt"))
 
 
 def test_provider_dim_is_an_unknown_key(workdir, tmp_path, capsys):

@@ -254,8 +254,9 @@ def test_prepare_windows_validations():
     part_labeled = make_windows(2) + make_windows(1, labeled=False)
     with pytest.raises(DataError):
         prepare_windows(part_labeled, cfg, provider)
-    with pytest.raises(ConfigError):
-        prepare_windows(make_windows(2, length=40), cfg, provider)  # S=8 > capacity 3
+    # the errors name the dataset they were given
+    with pytest.raises(ConfigError, match="dataset 'walks': 8 segments per channel exceeds"):
+        prepare_windows(make_windows(2, length=40), cfg, provider, source="walks")  # S=8 > capacity 3
     wrong_dim = make_provider("deterministic-hash", dim=cfg.meta_dim + 1, seed=0)
     with pytest.raises(ConfigError):
         prepare_windows(make_windows(2), cfg, wrong_dim)
@@ -399,16 +400,17 @@ def test_forward_rejects_mask_positions_outside_the_sequence():
 
 
 def test_forward_rejects_fractional_mask_positions():
-    # a cast to int64 would truncate 2.7 and mask position 2 in silence
+    # a cast to int64 would truncate 2.7 and mask position 2 in silence, so
+    # positions are integers only, whole-number floats included
     model = init_model(tiny_config(), seed=0)
     batch = tiny_batch(seed=1, num_windows=2)
-    for bad in ([[2.7], [2]], [[2], [np.nan]], [[np.inf], [2]]):
+    for bad in ([[2.7], [2]], [[2], [np.nan]], [[np.inf], [2]], [[2.0], [3.0]], [[True], [False]]):
         for need_backward in (True, False):
-            with pytest.raises(DataError, match="mask positions must be whole numbers"):
+            with pytest.raises(DataError, match="mask positions must be integers"):
                 forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=bad, need_backward=need_backward)
-    whole = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=[[2.0], [3.0]], need_backward=False)
     ints = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=[[2], [3]], need_backward=False)
-    assert (whole.loss, whole.mae_loss) == (ints.loss, ints.mae_loss)
+    unsigned = forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=np.array([[2], [3]], np.uint8), need_backward=False)
+    assert (unsigned.loss, unsigned.mae_loss) == (ints.loss, ints.mae_loss)
 
 
 def test_forward_nonfinite_guard():

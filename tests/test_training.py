@@ -27,6 +27,7 @@ from motionprim.model import (
 )
 from motionprim.tensorfile import load_tensors, save_tensors
 from motionprim.training import (
+    CHECKPOINT_KIND,
     ENCODER_FINETUNE,
     LINEAR_PROBE,
     PRETRAIN_POLICY,
@@ -227,9 +228,10 @@ def test_policy_rejects_unknown_and_empty_groups():
 def test_policy_by_name():
     assert policy_by_name("linear-probe") is LINEAR_PROBE
     assert policy_by_name("encoder-finetune") is ENCODER_FINETUNE
-    assert policy_by_name("pretrain-all") is PRETRAIN_POLICY
-    with pytest.raises(ConfigError):
-        policy_by_name("everything")
+    # pretraining's own policy freezes the head, so fine-tuning cannot pick it
+    for name in ("pretrain-all", "everything"):
+        with pytest.raises(ConfigError, match="'encoder-finetune', 'linear-probe'"):
+            policy_by_name(name)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,6 @@ def _first_channels(batch, channels):
         batch.labels,
         batch.meta[:channels],
         batch.window_ids,
-        batch.source,
     )
 
 
@@ -575,6 +576,26 @@ def test_finetune_keeps_the_pretrained_head_width():
         finetune(pre, wider, small_opt(epochs=1), split_fraction=0.25, run_seed=0)
 
 
+@pytest.mark.parametrize("policy", [LINEAR_PROBE, ENCODER_FINETUNE], ids=lambda p: p.name)
+def test_each_finetune_policy_trains_the_head(policy):
+    cfg = tiny_config()
+    batch = tiny_batch(seed=8, num_windows=12)
+    pre = init_model(cfg, seed=1)
+    result = finetune(pre, batch, small_opt(epochs=1), policy=policy, split_fraction=0.25, run_seed=2)
+    assert not np.array_equal(result.model.params["cls_head.weight"], pre.params["cls_head.weight"])
+
+
+def test_finetune_refuses_to_leave_the_head_untrained():
+    # pretraining's policy freezes the head, and lambda_cls = 0 sends it no
+    # gradient: either way the fine-tune would train nothing it evaluates
+    model = init_model(tiny_config(), seed=1)
+    batch = tiny_batch(seed=8, num_windows=12)
+    with pytest.raises(ConfigError, match="'encoder-finetune', 'linear-probe'"):
+        finetune(model, batch, small_opt(epochs=1), policy=PRETRAIN_POLICY, split_fraction=0.25)
+    with pytest.raises(ConfigError, match="lambda_cls"):
+        finetune(model, batch, small_opt(epochs=1), split_fraction=0.25, weights=LossWeights(1.0, 0.0, 1.0))
+
+
 def test_linear_probe_touches_only_cls_head():
     cfg = tiny_config()
     batch = tiny_batch(seed=10, num_windows=12)
@@ -614,7 +635,7 @@ def test_checkpoint_lists_tensors_in_param_shapes_order(tmp_path):
     path = tmp_path / "m.ckpt"
     for m in (model, reinit_cls_head(model, num_classes=5, seed=1)):
         save_checkpoint(path, m)
-        _, tensors = load_tensors(path)
+        _, tensors = load_tensors(path, CHECKPOINT_KIND)
         assert list(tensors) == [*param_shapes(m.config), "usage_counts"]
 
 
