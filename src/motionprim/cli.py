@@ -43,6 +43,7 @@ from .training import (
     ENCODER_FINETUNE,
     SPLIT_FRACTION,
     OptimizerConfig,
+    check_finetune_trains_head,
     checkpoint_hash,
     evaluate,
     finetune,
@@ -266,6 +267,9 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     run, merged, applied = load_run_config(args.config, args.set or [])
     if len(run.datasets) != 1:
         raise ConfigError("fine-tuning needs exactly one dataset manifest in 'datasets'")
+    policy = policy_by_name(run.freeze)
+    weights = run.loss_weights or FINETUNE_WEIGHTS
+    check_finetune_trains_head(policy, weights)
     run_id = _run_id(merged, "finetune")
     out_dir = _output_dir(
         run.out_dir, f"{run_id}.ckpt", f"{run_id}_metrics.json", f"{run_id}_train.jsonl", RUN_MANIFEST
@@ -276,10 +280,10 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         model,
         batch,
         run.optimizer,
-        policy=policy_by_name(run.freeze),
+        policy=policy,
         split_fraction=run.split_fraction,
         run_seed=run.seed,
-        weights=run.loss_weights or FINETUNE_WEIGHTS,
+        weights=weights,
         num_classes=num_classes,
     )
     ckpt_path = out_dir / f"{run_id}.ckpt"

@@ -53,12 +53,16 @@ def init_codebook(
             raise DataError(f"kmeans sample must be (n, {L})")
         if sample.shape[0] < K:
             raise DataError(f"kmeans-seeded needs >= {K} sample segments, got {sample.shape[0]}")
+        if not np.all(np.isfinite(sample)):
+            raise DataError("kmeans sample must be finite")
         picks = rng.choice(sample.shape[0], size=K, replace=False)
         centroids = sample[picks].copy()
         columns = np.ascontiguousarray(sample.T)
+        # the sample is the same in every iteration: its squared norms are too
+        sample_sq = np.sum(sample * sample, axis=1)
         assign = None
         for _ in range(KMEANS_ITERS):
-            previous, assign = assign, nearest_prototypes(sample, centroids)[0]
+            previous, assign = assign, _nearest_indices(sample, centroids, sample_sq)
             if previous is not None and np.array_equal(assign, previous):
                 break
             counts = np.bincount(assign, minlength=K)
@@ -77,57 +81,92 @@ def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np
     segments or prototypes are rejected: a nan distance never loses an
     argmin, so it would silently take every assignment.
 
-    Distances are ranked through the expansion |s|^2 - 2 s.z + |z|^2, one
-    GEMM per block. Its rounding error is bounded per row (`_gemm_slack`);
-    a row whose runner-up lies within that bound of its minimum is rescanned
-    exactly, so indices and distances equal the exhaustive scan
-    sum((s - z)^2) bit for bit. A scan of more than one block deals its
-    blocks over the threads of `_parallel.run_parallel`; every row is exact
-    whichever thread scans it, so the result does not depend on the CPU
-    count.
+    The indices are `_nearest_indices`'; each block then computes its rows'
+    distances exactly, sum((s - z)^2), so they equal the exhaustive scan's
+    bit for bit.
+    """
+    segments = np.asarray(segments, dtype=np.float64)
+    # shape[:1] is () for a 0-d input, which the scan refuses before it writes
+    distances = np.empty(segments.shape[:1], dtype=np.float64)
+    return _nearest_indices(segments, prototypes, distances=distances), distances
+
+
+def _nearest_indices(
+    segments: np.ndarray,
+    prototypes: np.ndarray,
+    seg_sq: np.ndarray | None = None,
+    distances: np.ndarray | None = None,
+) -> np.ndarray:
+    """The nearest prototype of each row of a (n, L) segment stack, ties to
+    the lowest index: the certified ranking, which reads no distance.
+
+    Distances are ranked through the expansion |s|^2 + s.(-2z) + |z|^2, one
+    GEMM per block of rows; the -2 is folded into the prototypes, which
+    scaling by a power of two leaves exact. The expansion's rounding error
+    is bounded per row (`_gemm_slack`). A row is certified when its
+    runner-up, found by a second argmin once its winner is set to +inf,
+    lies beyond that bound of the winner; every other row (ties, near-ties,
+    and rows whose squares overflow to inf or nan, which fail the
+    comparison) is rescanned exactly, so every index is the exhaustive
+    scan's. A scan of more than one block deals its blocks over the threads
+    of `_parallel.run_parallel`; every row is exact whichever thread scans
+    it, so the result does not depend on the CPU count.
+
+    `seg_sq`, the rows' squared norms np.sum(s * s, axis=1), is passed by a
+    caller that ranks one checked, finite sample against many codebooks
+    (k-means); otherwise the segments are checked here and each block
+    squares its own rows. The prototypes are checked on every call.
+    `distances`, if given, receives each row's exact squared distance to
+    its prototype, computed in the row's block (`nearest_prototypes`).
     """
     segments = np.asarray(segments, dtype=np.float64)
     if segments.ndim != 2:
-        raise DataError(f"nearest_prototypes needs an (n, L) segment stack, got shape {segments.shape}")
+        raise DataError(f"nearest-prototype scan needs an (n, L) segment stack, got shape {segments.shape}")
     if segments.shape[1] != prototypes.shape[1]:
         raise DataError(
             f"segment length {segments.shape[1]} does not match codebook dim {prototypes.shape[1]}"
         )
-    if not (np.all(np.isfinite(segments)) and np.all(np.isfinite(prototypes))):
-        raise DataError("nearest_prototypes needs finite segments and prototypes")
+    if seg_sq is None and not np.all(np.isfinite(segments)):
+        raise DataError("nearest-prototype scan needs finite segments")
+    if not np.all(np.isfinite(prototypes)):
+        raise DataError("nearest-prototype scan needs finite prototypes")
     n, L = segments.shape
+    scaled = prototypes.T * -2.0
     proto_sq = np.sum(prototypes * prototypes, axis=1)
     max_proto_sq = float(proto_sq.max())
     rows = max(1, _SCAN_BLOCK // prototypes.shape[0])
     indices = np.empty(n, dtype=np.int64)
-    distances = np.empty(n, dtype=np.float64)
 
     def scan(starts: range) -> None:
         for start in starts:
-            chunk = segments[start : start + rows]
-            seg_sq = np.sum(chunk * chunk, axis=1)
-            approx = chunk @ prototypes.T
-            approx *= -2.0
-            approx += seg_sq[:, None]
+            block = slice(start, start + rows)
+            chunk = segments[block]
+            sq = np.sum(chunk * chunk, axis=1) if seg_sq is None else seg_sq[block]
+            approx = chunk @ scaled
+            approx += sq[:, None]
             approx += proto_sq
+            at = np.arange(chunk.shape[0])
             idx = np.argmin(approx, axis=1)
-            best = approx[np.arange(chunk.shape[0]), idx]
-            cutoff = best + _gemm_slack(L, seg_sq, max_proto_sq)
-            # a unique candidate is the scan's answer; ties, near-ties and rows
-            # whose squares overflow (no candidate at all) are rescanned
-            ambiguous = np.flatnonzero(np.count_nonzero(approx <= cutoff[:, None], axis=1) != 1)
+            cutoff = approx[at, idx] + _gemm_slack(L, sq, max_proto_sq)
+            approx[at, idx] = np.inf
+            runner_up = approx[at, np.argmin(approx, axis=1)]
+            # freed before the distance temporaries are made: holding it
+            # past them grew the heap, and a call page-faulted on fresh pages
+            del approx
+            ambiguous = np.flatnonzero(~(runner_up > cutoff))
             for lo in range(0, ambiguous.size, _QUANTIZE_CHUNK):
                 rescan = ambiguous[lo : lo + _QUANTIZE_CHUNK]
                 diff = chunk[rescan, None, :] - prototypes[None, :, :]
                 idx[rescan] = np.argmin(np.sum(diff * diff, axis=2), axis=1)  # first minimum: lowest index
-            diff = chunk - prototypes[idx]
-            indices[start : start + chunk.shape[0]] = idx
-            distances[start : start + chunk.shape[0]] = np.sum(diff * diff, axis=1)
+            indices[block] = idx
+            if distances is not None:
+                diff = chunk - prototypes[idx]
+                distances[block] = np.sum(diff * diff, axis=1)
 
     blocks = range(0, n, rows)
     k = max(1, min(_parallel.cpus(), len(blocks)))
     _parallel.run_parallel([functools.partial(scan, blocks[g::k]) for g in range(k)])
-    return indices, distances
+    return indices
 
 
 def _gemm_slack(L: int, seg_sq: np.ndarray, max_proto_sq: float) -> np.ndarray:

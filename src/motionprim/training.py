@@ -42,7 +42,7 @@ from .model import (
     param_group,
     reinit_cls_head,
 )
-from .quantizer import init_codebook, nearest_prototypes, usage_report
+from .quantizer import _nearest_indices, init_codebook, usage_report
 from .schema import check_fields, from_dict
 from .tensorfile import load_tensors, publish, save_tensors
 
@@ -273,9 +273,10 @@ def run_training(
 
 
 def tokenize_dataset(model: Model, batch: PreparedBatch) -> np.ndarray:
-    """(B, C, S) assignment of every segment under the current prototypes."""
+    """(B, C, S) assignment of every segment under the current prototypes:
+    the quantizer's ranking alone, since no caller reads the distances."""
     B, C, S, L = batch.norm_segments.shape
-    indices, _ = nearest_prototypes(batch.norm_segments.reshape(-1, L), model.params["codebook"])
+    indices = _nearest_indices(batch.norm_segments.reshape(-1, L), model.params["codebook"])
     return indices.reshape(B, C, S)
 
 
@@ -453,6 +454,16 @@ class FinetuneResult:
     eval_indices: np.ndarray
 
 
+def check_finetune_trains_head(policy: FreezePolicy, weights: LossWeights) -> None:
+    """ConfigError unless fine-tuning under `policy` with `weights` trains
+    the classification head: the policy must leave it trainable and
+    lambda_cls must be above 0."""
+    if "cls_head" not in policy.groups:
+        raise ConfigError(f"policy {policy.name!r} freezes the classification head; fine-tune with {sorted(_POLICIES)}")
+    if weights.lambda_cls == 0:
+        raise ConfigError("fine-tuning needs lambda_cls > 0, or no loss reaches the classification head")
+
+
 def finetune(
     pretrained: Model,
     batch: PreparedBatch,
@@ -468,10 +479,7 @@ def finetune(
     the dataset's (None: as many as the pretrained head); a label outside
     the head raises DataError. A policy or loss weights that leave the head
     untrained raise ConfigError. The input model is left untouched."""
-    if "cls_head" not in policy.groups:
-        raise ConfigError(f"policy {policy.name!r} freezes the classification head; fine-tune with {sorted(_POLICIES)}")
-    if weights.lambda_cls == 0:
-        raise ConfigError("fine-tuning needs lambda_cls > 0, or no loss reaches the classification head")
+    check_finetune_trains_head(policy, weights)
     if batch.labels is None:
         raise DataError("fine-tuning needs labeled windows")
     model = copy_model(pretrained)

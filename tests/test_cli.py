@@ -385,6 +385,22 @@ def test_finetune_without_a_classification_loss_exits_2(workdir, tmp_path, capsy
     assert not list((tmp_path / "out").glob("*.ckpt"))
 
 
+def test_finetune_without_a_classification_loss_exits_2_before_any_load(workdir, tmp_path, capsys, monkeypatch):
+    # a run config that can train no head is refused like any other bad
+    # value: before the checkpoint or a single data file is read
+    _, cfg_path, _ = workdir
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *args, **kwargs: pytest.fail("checkpoint loaded"))
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("data loaded"))
+    weights = json.dumps({"lambda_mae": 1.0, "lambda_cls": 0.0, "lambda_vq": 1.0})
+    code = cli.main([
+        "finetune", "--config", str(cfg_path), "--set", f"out_dir={tmp_path / 'out'}",
+        "--set", f"loss_weights={weights}", str(tmp_path / "model.ckpt"),
+    ])
+    assert code == 2
+    assert "lambda_cls" in _config_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_provider_dim_is_an_unknown_key(workdir, tmp_path, capsys):
     # the provider embeds at the model's meta_dim; there is no second width
     _, cfg_path, _ = workdir

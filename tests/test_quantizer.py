@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from motionprim.model import (
 )
 from motionprim import _parallel, quantizer
 from motionprim.quantizer import KMEANS_ITERS, init_codebook, nearest_prototypes, usage_report
+from motionprim.training import tokenize_dataset
 
 VQ_ONLY = LossWeights(0.0, 0.0, 1.0)
 
@@ -188,6 +191,41 @@ def test_pooled_scan_is_the_broadcast_scan_at_any_core_count(shards, monkeypatch
     assert dealt == [cpus] * len(sets)
 
 
+def _overflowing_squares():
+    """(segments, prototypes): finite entries near 1e160 whose squares
+    overflow float64, so the expansion reads inf or nan on every row. The
+    first three segments equal a prototype, the next two are at an inf
+    distance from all of them, and the last is an ordinary row nearest the
+    one ordinary prototype."""
+    rng = np.random.default_rng(11)
+    protos = 1e160 * rng.uniform(1.0, 2.0, size=(6, 4))
+    protos[4] = rng.normal(size=4)
+    segs = np.concatenate([protos[[3, 0, 3]], 1e160 * rng.uniform(1.0, 2.0, size=(2, 4)), rng.normal(size=(1, 4))])
+    return segs, protos
+
+
+def test_scan_rescans_rows_whose_squares_overflow():
+    segs, protos = _overflowing_squares()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the sequential oracle finds no minimum below inf, so it checks the
+        # rows with a finite distance
+        idx = _assert_bitwise_broadcast(segs, protos, scan_rows=[0, 1, 2, 5])
+        ranked = quantizer._nearest_indices(segs, protos, np.sum(segs * segs, axis=1))
+    assert list(idx) == [3, 0, 3, 0, 0, 4]
+    np.testing.assert_array_equal(ranked, idx)
+
+
+@pytest.mark.parametrize("make", [_duplicated_prototypes, _equidistant_segments, _default_codebook_size])
+def test_tokenize_dataset_is_the_scan_indices_on_adversarial_sets(make):
+    # tokenize_dataset reads only the codebook and the (B, C, S, L) segments
+    segs, protos = make()[:2]
+    model = SimpleNamespace(params={"codebook": protos})
+    batch = SimpleNamespace(norm_segments=segs.reshape(-1, 2, 2, protos.shape[1]))
+    got = tokenize_dataset(model, batch)
+    assert got.shape == batch.norm_segments.shape[:3]
+    np.testing.assert_array_equal(got.reshape(-1), nearest_prototypes(segs, protos)[0])
+
+
 def test_quantize_shape_mismatch():
     with pytest.raises(DataError):
         nearest_prototypes(np.zeros((2, 5)), make_prototypes(length=6))
@@ -328,15 +366,25 @@ def test_kmeans_stops_at_its_fixed_point_with_the_bits_of_all_iterations(monkeyp
     # 25-iteration loop bit for bit.
     sample = np.random.default_rng(seed).normal(size=(200, 2))
     calls = []
+    rank = quantizer._nearest_indices
 
     def counting(*args):
         calls.append(args)
-        return nearest_prototypes(*args)
+        return rank(*args)
 
-    monkeypatch.setattr(quantizer, "nearest_prototypes", counting)
+    monkeypatch.setattr(quantizer, "_nearest_indices", counting)
     protos = init_codebook(8, 2, "kmeans-seeded", sample=sample, seed=seed)
     assert len(calls) == scans
     assert np.array_equal(protos, oracles.kmeans(sample, 8, seed=seed, iters=KMEANS_ITERS))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_rejects_a_nonfinite_sample_before_any_iteration(monkeypatch, bad):
+    sample = np.random.default_rng(16).normal(size=(20, 3))
+    sample[7, 1] = bad
+    monkeypatch.setattr(quantizer, "_nearest_indices", lambda *args: pytest.fail("Lloyd iteration ran"))
+    with pytest.raises(DataError, match="kmeans sample must be finite"):
+        init_codebook(4, 3, "kmeans-seeded", sample=sample, seed=0)
 
 
 def test_kmeans_requires_enough_sample():
