@@ -13,7 +13,6 @@ from motionprim.ingest import (
     SyntheticSpec,
     WaveformSpec,
     generate_synthetic,
-    normalize_matrix,
     segment_matrix,
 )
 from motionprim.quantizer import init_codebook, nearest_prototypes, usage_report
@@ -47,13 +46,13 @@ def main() -> None:
     windows = generate_synthetic(SPEC)
     print(f"{len(windows)} windows, {len(SPEC.channels)} channels, {SPEC.window_len} samples each")
 
-    # normalized segments from every window feed the k-means fit
-    segments, _ = segment_matrix(np.stack([w.samples for w in windows]), SEGMENT_LEN)
-    norm = normalize_matrix(segments)  # (windows, channels, segments, length)
+    # normalized segments from every window, (windows, channels, segments,
+    # length), feed the k-means fit
+    norm, _ = segment_matrix(np.stack([w.samples for w in windows]), SEGMENT_LEN)
     sample = norm.reshape(-1, SEGMENT_LEN)
     print(f"fitting {CODEBOOK_SIZE} prototypes on {len(sample)} segments of length {SEGMENT_LEN}")
 
-    prototypes = init_codebook(CODEBOOK_SIZE, SEGMENT_LEN, "kmeans-seeded", sample=sample, seed=0)
+    prototypes = init_codebook(sample, CODEBOOK_SIZE, seed=0)
     usage = np.zeros(CODEBOOK_SIZE, dtype=np.int64)
 
     for win, win_norm in zip(windows[:3], norm):

@@ -35,7 +35,6 @@ from .ingest import (
     generate_synthetic,
     load_dataset,
     load_manifest,
-    normalize_matrix,
     resample,
     segment_matrix,
     window,
@@ -131,7 +130,6 @@ __all__ = [
     "load_manifest",
     "make_provider",
     "nearest_prototypes",
-    "normalize_matrix",
     "prepare_windows",
     "pretrain",
     "resample",

@@ -41,9 +41,10 @@ from .tensorfile import publish
 from .training import (
     CODEBOOK_INITS,
     ENCODER_FINETUNE,
+    PRETRAIN_POLICY,
     SPLIT_FRACTION,
     OptimizerConfig,
-    check_finetune_trains_head,
+    check_head_loss,
     checkpoint_hash,
     evaluate,
     finetune,
@@ -235,6 +236,8 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     run, merged, applied = load_run_config(args.config, args.set or [])
     if not run.datasets:
         raise ConfigError("pretraining needs at least one dataset manifest in 'datasets'")
+    weights = run.loss_weights or PRETRAIN_WEIGHTS
+    check_head_loss(PRETRAIN_POLICY, weights)
     run_id = _run_id(merged, "pretrain")
     out_dir = _output_dir(run.out_dir, f"{run_id}.ckpt", f"{run_id}_train.jsonl", RUN_MANIFEST)
     datasets = [_prepare_dataset(p, run.model, run.provider)[0] for p in run.datasets]
@@ -244,7 +247,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         run.optimizer,
         run_seed=run.seed,
         codebook_init=run.codebook_init,
-        weights=run.loss_weights or PRETRAIN_WEIGHTS,
+        weights=weights,
     )
     ckpt_path = out_dir / f"{run_id}.ckpt"
     save_checkpoint(ckpt_path, model, {"stage": "pretrain", "seed": run.seed})
@@ -269,7 +272,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         raise ConfigError("fine-tuning needs exactly one dataset manifest in 'datasets'")
     policy = policy_by_name(run.freeze)
     weights = run.loss_weights or FINETUNE_WEIGHTS
-    check_finetune_trains_head(policy, weights)
+    check_head_loss(policy, weights)
     run_id = _run_id(merged, "finetune")
     out_dir = _output_dir(
         run.out_dir, f"{run_id}.ckpt", f"{run_id}_metrics.json", f"{run_id}_train.jsonl", RUN_MANIFEST

@@ -150,12 +150,16 @@ def window(
 
 
 def segment_matrix(samples: np.ndarray, seg_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cut (..., T, C) samples into non-overlapping single-channel segments.
+    """Cut (..., T, C) samples into non-overlapping single-channel segments
+    and instance-normalize each one.
 
-    Returns (values, stats) with shapes (..., C, S, L) and (..., C, S, 2),
+    Returns (normalized, stats) with shapes (..., C, S, L) and (..., C, S, 2),
     S = floor(T / L), in channel-major order: all of channel 0 in time order,
     then channel 1, and so on. Stats are the mean and population variance of
-    the raw values, taken before any normalization so they keep the scale.
+    the raw values, so they keep the scale; each segment is then normalized
+    from them, (s - mean) / (sqrt(variance) + DEFAULT_NORM_EPS), the bits of
+    (s - s.mean()) / (s.std() + DEFAULT_NORM_EPS). A constant segment maps
+    to zeros. Non-finite segment values raise DataError.
     """
     samples = np.asarray(samples, dtype=np.float64)
     T, C = samples.shape[-2:]
@@ -163,22 +167,16 @@ def segment_matrix(samples: np.ndarray, seg_len: int) -> tuple[np.ndarray, np.nd
         raise DataError(f"segment length {seg_len} must be in [1, window length {T}]")
     S = T // seg_len
     values = np.swapaxes(samples[..., : S * seg_len, :], -1, -2)
-    # copy: with one channel the reshape is a view of samples
+    # copy: with one channel the reshape is a view of samples, and the
+    # normalization below writes into it
     values = values.reshape(samples.shape[:-2] + (C, S, seg_len)).copy()
-    stats = np.stack([values.mean(axis=-1), values.var(axis=-1)], axis=-1)
-    return values, stats
-
-
-def normalize_matrix(values: np.ndarray) -> np.ndarray:
-    """Instance normalization over the last axis of a stack of segments:
-    (s - mean) / (population std + DEFAULT_NORM_EPS). A constant segment
-    maps to zeros."""
-    values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise DataError("cannot normalize segments with non-finite values")
-    mean = values.mean(axis=-1, keepdims=True)
-    std = values.std(axis=-1, keepdims=True)
-    return (values - mean) / (std + DEFAULT_NORM_EPS)
+    mean, var = values.mean(axis=-1), values.var(axis=-1)
+    stats = np.stack([mean, var], axis=-1)
+    values -= mean[..., None]
+    values /= np.sqrt(var)[..., None] + DEFAULT_NORM_EPS
+    return values, stats
 
 
 # ---------------------------------------------------------------------------

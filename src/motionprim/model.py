@@ -17,9 +17,9 @@ import numpy as np
 from .embedder import SequenceLayout, build_layout, embed_backward, embed_rows, mask_count, table_rows
 from .encoder import LazyInput, Workspace, _weight_grad, encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
-from .ingest import SensorWindow, normalize_matrix, segment_matrix
+from .ingest import SensorWindow, segment_matrix
 from .metadata import canonical_descriptor, embed_channels
-from .quantizer import nearest_prototypes, init_codebook
+from .quantizer import nearest_prototypes
 from .schema import check_fields
 
 # Every parameter tensor is named `<group>.<rest>`, or just `<group>` for the
@@ -196,7 +196,9 @@ def encoder_layers(params: dict[str, np.ndarray], depth: int) -> list[dict[str, 
 def init_model(config: ModelConfig, seed: int = 0, codebook: np.ndarray | None = None) -> Model:
     """Deterministic init from one generator per PARAM_GROUPS entry, spawned
     from the run seed. A pre-trained (K, L) codebook (e.g. kmeans-seeded) can
-    be passed in; otherwise the codebook group's generator draws one."""
+    be passed in; otherwise the codebook group's generator draws one with
+    entries ~ N(0, 1/L), so each prototype has about unit norm, the scale of
+    a normalized segment."""
     K, L = config.codebook_size, config.segment_len
     if codebook is not None and codebook.shape != (K, L):
         raise ConfigError(f"codebook shape {codebook.shape} does not match config ({K}, {L})")
@@ -204,7 +206,7 @@ def init_model(config: ModelConfig, seed: int = 0, codebook: np.ndarray | None =
     rngs = {group: np.random.default_rng(int(s)) for group, s in zip(PARAM_GROUPS, state)}
     params = _init_tensors(param_shapes(config), rngs)
     if codebook is None:
-        codebook = init_codebook(K, L, "random-normal", seed=rngs["codebook"])
+        codebook = rngs["codebook"].normal(0.0, 1.0 / np.sqrt(L), size=(K, L))
     params["codebook"] = np.array(codebook, dtype=np.float64)
     return Model(config, params)
 
@@ -283,14 +285,13 @@ def prepare_windows(
             raise DataError(f"{where}windows of mixed length in one dataset")
         if [canonical_descriptor(m) for m in w.channels] != descriptors:
             raise DataError(f"{where}windows with mixed channel metadata in one dataset")
-    segments, stats = segment_matrix(np.stack([w.samples for w in windows]), config.segment_len)
-    S = segments.shape[2]
+    S = first.window_len // config.segment_len
     if S > config.segments_per_channel:
         raise ConfigError(
             f"{where}{S} segments per channel exceeds the model's position capacity "
             f"({config.segments_per_channel})"
         )
-    normalized = normalize_matrix(segments)
+    normalized, stats = segment_matrix(np.stack([w.samples for w in windows]), config.segment_len)
 
     labeled = [w.label is not None for w in windows]
     if any(labeled) and not all(labeled):

@@ -21,58 +21,40 @@ _QUANTIZE_CHUNK = 256
 _SCAN_BLOCK = 1 << 17
 
 
-def init_codebook(
-    K: int,
-    L: int,
-    strategy: str = "random-normal",
-    sample: np.ndarray | None = None,
-    seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """Create a (K, L) prototype array.
-
-    random-normal draws entries ~ N(0, 1/L) so random prototypes have about
-    unit norm, matching the scale of normalized segments. kmeans-seeded runs
-    at most 25 Lloyd iterations on `sample` (shape (n, L), n >= K), starting
-    from a seeded without-replacement draw of K sample points; clusters that
-    lose all members keep their previous centroid. It stops early once an
-    assignment repeats the previous one: the centroids are then at a fixed
-    point, so the result has the bits all 25 iterations would give.
+def init_codebook(sample: np.ndarray, K: int, seed: int) -> np.ndarray:
+    """A (K, L) prototype array fitted by k-means to an (n, L) segment
+    sample, n >= K: at most 25 Lloyd iterations from a seeded
+    without-replacement draw of K sample points; clusters that lose all
+    members keep their previous centroid. It stops early once an assignment
+    repeats the previous one: the centroids are then at a fixed point, so
+    the result has the bits all 25 iterations would give.
     """
     if K < 2:
         raise ConfigError("codebook size K must be >= 2")
-    if L < 1:
-        raise ConfigError("segment length L must be >= 1")
-    rng = np.random.default_rng(seed)
-    if strategy == "random-normal":
-        return rng.normal(0.0, 1.0 / np.sqrt(L), size=(K, L))
-    if strategy == "kmeans-seeded":
-        if sample is None:
-            raise ConfigError("kmeans-seeded init needs a sample of segments")
-        sample = np.asarray(sample, dtype=np.float64)
-        if sample.ndim != 2 or sample.shape[1] != L:
-            raise DataError(f"kmeans sample must be (n, {L})")
-        if sample.shape[0] < K:
-            raise DataError(f"kmeans-seeded needs >= {K} sample segments, got {sample.shape[0]}")
-        if not np.all(np.isfinite(sample)):
-            raise DataError("kmeans sample must be finite")
-        picks = rng.choice(sample.shape[0], size=K, replace=False)
-        centroids = sample[picks].copy()
-        columns = np.ascontiguousarray(sample.T)
-        # the sample is the same in every iteration: its squared norms are too
-        sample_sq = np.sum(sample * sample, axis=1)
-        assign = None
-        for _ in range(KMEANS_ITERS):
-            previous, assign = assign, _nearest_indices(sample, centroids, sample_sq)
-            if previous is not None and np.array_equal(assign, previous):
-                break
-            counts = np.bincount(assign, minlength=K)
-            # a weighted bincount adds each cluster's members in sample order:
-            # the same sequential sum as members.mean(axis=0) computes
-            sums = np.stack([np.bincount(assign, weights=c, minlength=K) for c in columns], axis=1)
-            live = counts > 0
-            centroids[live] = sums[live] / counts[live, None]
-        return centroids
-    raise ConfigError(f"unknown codebook init strategy {strategy!r}")
+    sample = np.asarray(sample, dtype=np.float64)
+    if sample.ndim != 2:
+        raise DataError(f"kmeans sample must be (n, L), got shape {sample.shape}")
+    if sample.shape[0] < K:
+        raise DataError(f"kmeans-seeded needs >= {K} sample segments, got {sample.shape[0]}")
+    if not np.all(np.isfinite(sample)):
+        raise DataError("kmeans sample must be finite")
+    picks = np.random.default_rng(seed).choice(sample.shape[0], size=K, replace=False)
+    centroids = sample[picks].copy()
+    columns = np.ascontiguousarray(sample.T)
+    # the sample is the same in every iteration: its squared norms are too
+    sample_sq = np.sum(sample * sample, axis=1)
+    assign = None
+    for _ in range(KMEANS_ITERS):
+        previous, assign = assign, _nearest_indices(sample, centroids, sample_sq)
+        if previous is not None and np.array_equal(assign, previous):
+            break
+        counts = np.bincount(assign, minlength=K)
+        # a weighted bincount adds each cluster's members in sample order:
+        # the same sequential sum as members.mean(axis=0) computes
+        sums = np.stack([np.bincount(assign, weights=c, minlength=K) for c in columns], axis=1)
+        live = counts > 0
+        centroids[live] = sums[live] / counts[live, None]
+    return centroids
 
 
 def nearest_prototypes(segments: np.ndarray, prototypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -149,6 +149,21 @@ ENCODER_FINETUNE = FreezePolicy("encoder-finetune", frozenset({"enc", "cls_head"
 _POLICIES = {p.name: p for p in (LINEAR_PROBE, ENCODER_FINETUNE)}
 
 
+def check_head_loss(policy: FreezePolicy, weights: LossWeights) -> None:
+    """ConfigError unless lambda_cls > 0 exactly when `policy` trains the
+    classification head: a frozen head under a classification loss pulls
+    the encoder toward a random head, and a trainable one without that loss
+    gets no gradient."""
+    trains_head = "cls_head" in policy.groups
+    if weights.lambda_cls > 0 and not trains_head:
+        raise ConfigError(
+            f"policy {policy.name!r} freezes the classification head, so lambda_cls must be 0; "
+            f"the policies that train it: {sorted(_POLICIES)}"
+        )
+    if weights.lambda_cls == 0 and trains_head:
+        raise ConfigError(f"policy {policy.name!r} trains the classification head, so lambda_cls must be > 0")
+
+
 def policy_by_name(name: str) -> FreezePolicy:
     """The fine-tune freeze policy called `name`."""
     if name not in _POLICIES:
@@ -311,7 +326,10 @@ def pretrain(
 ) -> tuple[Model, list[dict]]:
     """Stage 1: joint optimization of codebook, embeddings, encoder, and
     the masked-reconstruction head over one or more datasets. Ends with a
-    deterministic usage pass so the checkpoint carries real usage counts."""
+    deterministic usage pass so the checkpoint carries real usage counts.
+    `weights` with lambda_cls > 0 raise ConfigError before any work: the
+    stage's policy freezes the classification head."""
+    check_head_loss(PRETRAIN_POLICY, weights)
     if not datasets:
         raise DataError("pretraining needs at least one dataset")
     if codebook_init not in CODEBOOK_INITS:
@@ -324,13 +342,8 @@ def pretrain(
         if sample.shape[0] > MAX_KMEANS_SAMPLE:
             rng = np.random.default_rng(np.random.SeedSequence([run_seed, 3]))
             sample = sample[rng.choice(sample.shape[0], MAX_KMEANS_SAMPLE, replace=False)]
-        codebook = init_codebook(
-            config.codebook_size,
-            config.segment_len,
-            "kmeans-seeded",
-            sample=sample,
-            seed=int(np.random.SeedSequence([run_seed, 4]).generate_state(1)[0]),
-        )
+        seed = int(np.random.SeedSequence([run_seed, 4]).generate_state(1)[0])
+        codebook = init_codebook(sample, config.codebook_size, seed)
     model = init_model(config, seed=run_seed, codebook=codebook)
     records = run_training(model, datasets, weights, opt_config, PRETRAIN_POLICY, run_seed, stage="pretrain")
     refresh_usage(model, datasets)
@@ -454,16 +467,6 @@ class FinetuneResult:
     eval_indices: np.ndarray
 
 
-def check_finetune_trains_head(policy: FreezePolicy, weights: LossWeights) -> None:
-    """ConfigError unless fine-tuning under `policy` with `weights` trains
-    the classification head: the policy must leave it trainable and
-    lambda_cls must be above 0."""
-    if "cls_head" not in policy.groups:
-        raise ConfigError(f"policy {policy.name!r} freezes the classification head; fine-tune with {sorted(_POLICIES)}")
-    if weights.lambda_cls == 0:
-        raise ConfigError("fine-tuning needs lambda_cls > 0, or no loss reaches the classification head")
-
-
 def finetune(
     pretrained: Model,
     batch: PreparedBatch,
@@ -479,7 +482,9 @@ def finetune(
     the dataset's (None: as many as the pretrained head); a label outside
     the head raises DataError. A policy or loss weights that leave the head
     untrained raise ConfigError. The input model is left untouched."""
-    check_finetune_trains_head(policy, weights)
+    check_head_loss(policy, weights)
+    if weights.lambda_cls == 0:
+        raise ConfigError(f"fine-tuning needs a policy that trains the classification head: {sorted(_POLICIES)}")
     if batch.labels is None:
         raise DataError("fine-tuning needs labeled windows")
     model = copy_model(pretrained)

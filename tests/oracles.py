@@ -48,6 +48,22 @@ def normalize(values, eps=1e-5):
     return [(float(v) - mu) / (sd + eps) for v in values]
 
 
+def segment_two_pass(samples, seg_len, eps=1e-5):
+    """(normalized, stats) of (..., T, C) samples the plain two-pass way:
+    cut each segment out by its time range, take the raw mean/variance, then
+    normalize with a second mean/std pass, (s - mean) / (std + eps)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    S = samples.shape[-2] // seg_len
+    cuts = [np.swapaxes(samples[..., s * seg_len : (s + 1) * seg_len, :], -1, -2) for s in range(S)]
+    # (..., C, S, L) in C order: numpy's pairwise sum along a contiguous axis
+    # rounds differently from its sum along the strided axis np.stack keeps
+    segments = np.stack(cuts, axis=-2).copy(order="C")
+    stats = np.stack([segments.mean(axis=-1), segments.var(axis=-1)], axis=-1)
+    mean = segments.mean(axis=-1, keepdims=True)
+    std = segments.std(axis=-1, keepdims=True)
+    return (segments - mean) / (std + eps), stats
+
+
 def nearest_scan(segment, prototypes):
     """Exhaustive scan: squared euclidean distance to every prototype,
     accumulated sequentially; first minimum wins ties."""

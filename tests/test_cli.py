@@ -401,6 +401,21 @@ def test_finetune_without_a_classification_loss_exits_2_before_any_load(workdir,
     assert not (tmp_path / "out").exists()
 
 
+def test_pretrain_with_a_classification_loss_exits_2_before_any_load(workdir, tmp_path, capsys, monkeypatch):
+    # pretraining freezes the classification head, so lambda_cls > 0 is
+    # refused before a data file is read or the output directory made
+    _, cfg_path, _ = workdir
+    monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: pytest.fail("data loaded"))
+    weights = json.dumps({"lambda_mae": 1.0, "lambda_cls": 1.0, "lambda_vq": 1.0})
+    code = cli.main([
+        "pretrain", "--config", str(cfg_path), "--set", f"out_dir={tmp_path / 'out'}",
+        "--set", f"loss_weights={weights}",
+    ])
+    assert code == 2
+    assert "lambda_cls must be 0" in _config_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_provider_dim_is_an_unknown_key(workdir, tmp_path, capsys):
     # the provider embeds at the model's meta_dim; there is no second width
     _, cfg_path, _ = workdir

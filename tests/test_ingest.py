@@ -23,7 +23,6 @@ from motionprim.ingest import (
     load_dataset,
     load_manifest,
     load_synthetic_spec,
-    normalize_matrix,
     resample,
     resample_nearest,
     segment_matrix,
@@ -152,9 +151,14 @@ def test_segment_channel_major_order():
     values, stats = segment_matrix(ramp_window().samples, 4)
     assert values.shape == (2, 3, 4)  # 3 per channel, channel 0 first
     assert stats.shape == (2, 3, 2)
-    np.testing.assert_array_equal(values[0, 1], [4.0, 5.0, 6.0, 7.0])
+    # a ramp segment's raw mean names it; every ramp segment normalizes alike
+    assert stats[0, 1, 0] == 5.5  # samples 4..7 of channel 0
+    np.testing.assert_allclose(values[0, 1], oracles.normalize([4.0, 5.0, 6.0, 7.0]), rtol=0, atol=1e-12)
     # flattened, the fourth segment is channel 1's first
-    np.testing.assert_array_equal(values.reshape(-1, 4)[3], [100.0, 101.0, 102.0, 103.0])
+    assert stats.reshape(-1, 2)[3, 0] == 101.5
+    np.testing.assert_allclose(
+        values.reshape(-1, 4)[3], oracles.normalize([100.0, 101.0, 102.0, 103.0]), rtol=0, atol=1e-12
+    )
 
 
 def test_segment_count_floor():
@@ -192,37 +196,58 @@ def test_segment_matrix_matches_listwise():
     assert not np.shares_memory(segment_matrix(single, 5)[0], single)
 
 
+@pytest.mark.parametrize("seg_len", [50, 7, 1])
+def test_segment_matrix_is_the_two_pass_bits(seg_len):
+    # one pass that normalizes from the stats it takes equals cutting the
+    # segments, taking their stats and then normalizing with a second
+    # mean/std pass, bit for bit
+    rng = np.random.default_rng(17)
+    inputs = [np.stack([w.samples for w in generate_synthetic(bench_spec(seed))]) for seed in (0, 1, 913)]
+    inputs += [
+        np.full((60, 3), 3.7),  # constant
+        rng.normal(size=(4, 60, 3)) * 1e3,
+        1.0 + 1e-9 * rng.normal(size=(4, 60, 3)),  # jitter far below the mean
+        rng.normal(size=(3, 103, 1)),  # one channel
+    ]
+    for samples in inputs:
+        values, stats = segment_matrix(samples, seg_len)
+        want_values, want_stats = oracles.segment_two_pass(samples, seg_len)
+        assert values.tobytes() == want_values.tobytes()
+        assert stats.tobytes() == want_stats.tobytes()
+
+
 def test_instance_normalize_matches_oracle():
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 4.0), size=50)
         np.testing.assert_allclose(
-            normalize_matrix(x), oracles.normalize(x), rtol=0, atol=1e-12
+            segment_matrix(x[:, None], 50)[0][0, 0], oracles.normalize(x), rtol=0, atol=1e-12
         )
 
 
 def test_instance_normalize_constant_is_zero():
     # mean of a constant array can be off by an ulp, so "zero" means
     # (tiny numerator) / eps, not exact zeros
-    out = normalize_matrix(np.full(10, 3.7))
-    np.testing.assert_allclose(out, np.zeros(10), atol=1e-9)
-    out = normalize_matrix(np.full((2, 10), 0.5))  # exactly representable
-    np.testing.assert_array_equal(out, np.zeros((2, 10)))
+    out = segment_matrix(np.full((10, 1), 3.7), 10)[0]
+    np.testing.assert_allclose(out, np.zeros((1, 1, 10)), atol=1e-9)
+    out = segment_matrix(np.full((20, 1), 0.5), 10)[0]  # exactly representable
+    np.testing.assert_array_equal(out, np.zeros((1, 2, 10)))
 
 
-def test_normalize_matrix_matches_single():
+def test_segment_normalization_matches_single():
+    # each window's channel normalizes alone as it does in the stack
     rng = np.random.default_rng(10)
-    stack = rng.normal(size=(4, 6, 20))
-    normed = normalize_matrix(stack)
+    stack = rng.normal(size=(4, 20, 6))
+    normed = segment_matrix(stack, 20)[0]
     for i in range(4):
         for j in range(6):
-            np.testing.assert_array_equal(normed[i, j], normalize_matrix(stack[i, j]))
+            np.testing.assert_array_equal(normed[i, j], segment_matrix(stack[i, :, j : j + 1], 20)[0][0])
 
 
 def test_normalize_rejects_nonfinite():
-    for bad in (np.array([1.0, np.nan, 2.0]), np.array([[0.0, 1.0], [np.inf, 2.0]])):
+    for bad in (np.array([[1.0], [np.nan], [2.0]]), np.array([[0.0, 1.0], [np.inf, 2.0]])):
         with pytest.raises(DataError):
-            normalize_matrix(bad)
+            segment_matrix(bad, 2)
 
 
 # ---------------------------------------------------------------------------

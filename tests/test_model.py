@@ -262,6 +262,18 @@ def test_prepare_windows_validations():
         prepare_windows(make_windows(2), cfg, wrong_dim)
 
 
+def test_prepare_windows_refuses_capacity_before_segmenting(monkeypatch):
+    cfg = tiny_config()
+    provider = make_provider("deterministic-hash", dim=cfg.meta_dim, seed=0)
+    monkeypatch.setattr(model_module, "segment_matrix", lambda *args: pytest.fail("windows segmented"))
+    with pytest.raises(ConfigError, match="8 segments per channel exceeds"):
+        prepare_windows(make_windows(2, length=40), cfg, provider)  # S=8 > capacity 3
+    monkeypatch.undo()
+    # a segment longer than the window is S=0 there, and segment_matrix's error
+    with pytest.raises(DataError, match="segment length 5 must be in"):
+        prepare_windows(make_windows(2, length=4), cfg, provider)
+
+
 def test_prepare_windows_unlabeled_ok():
     cfg = tiny_config()
     provider = make_provider("deterministic-hash", dim=cfg.meta_dim, seed=0)

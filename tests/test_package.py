@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import re
+from collections import Counter
 from pathlib import Path
 
 import motionprim
@@ -59,11 +60,12 @@ def test_no_public_name_is_reached_only_from_tests():
     assert unused == []
 
 
-def name_reads(node: ast.AST, name: str) -> int:
-    """How often the code under `node` reads `name`, bare or as an attribute."""
-    return sum(
-        (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.Attribute) and n.attr == name)
+def name_reads(node: ast.AST) -> Counter:
+    """How often the code under `node` reads each name, bare or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
     )
 
 
@@ -71,6 +73,7 @@ def test_no_private_helper_is_dead():
     """Every module-level `_name` function or class in src is read somewhere
     in src outside its own definition."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    reads = sum((name_reads(tree) for tree in trees.values()), Counter())
     dead = [
         f"{stem}.{node.name}"
         for stem, tree in trees.items()
@@ -78,7 +81,7 @@ def test_no_private_helper_is_dead():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_")
         and not node.name.startswith("__")
-        and sum(name_reads(t, node.name) for t in trees.values()) == name_reads(node, node.name)
+        and reads[node.name] == name_reads(node)[node.name]
     ]
     assert dead == []
 

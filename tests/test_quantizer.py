@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 from motionprim.encoder import grad_check
-from motionprim.errors import ConfigError, DataError
+from motionprim.errors import DataError
 from motionprim.model import (
     LossWeights,
     backward,
@@ -304,13 +305,14 @@ def test_vq_loss_grads_match_finite_differences():
 
 def test_random_normal_init_statistics():
     length = 64
-    protos = init_codebook(256, length, "random-normal", seed=0)
+    config = replace(tiny_config(), codebook_size=256, segment_len=length)
+    protos = init_model(config, seed=0).params["codebook"]
     assert protos.shape == (256, length)
     # entries are N(0, 1/L): std 1/8 here
     assert protos.std() == pytest.approx(1.0 / np.sqrt(length), rel=0.05)
     assert abs(protos.mean()) < 0.01
-    np.testing.assert_array_equal(protos, init_codebook(256, length, "random-normal", seed=0))
-    assert not np.array_equal(protos, init_codebook(256, length, "random-normal", seed=1))
+    np.testing.assert_array_equal(protos, init_model(config, seed=0).params["codebook"])
+    assert not np.array_equal(protos, init_model(config, seed=1).params["codebook"])
 
 
 def test_kmeans_init_matches_oracle():
@@ -318,7 +320,7 @@ def test_kmeans_init_matches_oracle():
     rng = np.random.default_rng(12)
     centers = np.array([[5.0, 0, 0, 0], [0, 5.0, 0, 0], [0, 0, 5.0, 0], [0, 0, 0, 5.0]])
     sample = np.concatenate([c + 0.05 * rng.normal(size=(15, 4)) for c in centers])
-    protos = init_codebook(4, 4, "kmeans-seeded", sample=sample, seed=7)
+    protos = init_codebook(sample, 4, seed=7)
     want = oracles.kmeans(sample, 4, seed=7, iters=KMEANS_ITERS)
     np.testing.assert_allclose(protos, want, atol=1e-9)
 
@@ -328,7 +330,7 @@ def test_kmeans_empty_cluster_keeps_centroid():
     # the same keep-previous-centroid rule so results still agree
     rng = np.random.default_rng(13)
     sample = rng.normal(size=(10, 3))
-    protos = init_codebook(8, 3, "kmeans-seeded", sample=sample, seed=3)
+    protos = init_codebook(sample, 8, seed=3)
     want = oracles.kmeans(sample, 8, seed=3, iters=KMEANS_ITERS)
     np.testing.assert_allclose(protos, want, atol=1e-9)
 
@@ -338,7 +340,7 @@ def test_kmeans_update_is_bitwise_the_member_mean_loop():
     # members.mean(axis=0), so every centroid matches to the bit
     rng = np.random.default_rng(14)
     sample = rng.normal(size=(2000, 50))
-    protos = init_codebook(64, 50, "kmeans-seeded", sample=sample, seed=5)
+    protos = init_codebook(sample, 64, seed=5)
     centroids = sample[np.random.default_rng(5).choice(2000, size=64, replace=False)].copy()
     for _ in range(KMEANS_ITERS):
         assign = oracles.nearest_broadcast(sample, centroids)[0]
@@ -355,7 +357,7 @@ def test_kmeans_init_is_the_same_bits_at_any_core_count(shards):
     inits = []
     for cpus in (1, 2):
         shards(cpus)
-        inits.append(init_codebook(64, 50, "kmeans-seeded", sample=sample, seed=5))
+        inits.append(init_codebook(sample, 64, seed=5))
     assert inits[0].tobytes() == inits[1].tobytes()
 
 
@@ -373,7 +375,7 @@ def test_kmeans_stops_at_its_fixed_point_with_the_bits_of_all_iterations(monkeyp
         return rank(*args)
 
     monkeypatch.setattr(quantizer, "_nearest_indices", counting)
-    protos = init_codebook(8, 2, "kmeans-seeded", sample=sample, seed=seed)
+    protos = init_codebook(sample, 8, seed=seed)
     assert len(calls) == scans
     assert np.array_equal(protos, oracles.kmeans(sample, 8, seed=seed, iters=KMEANS_ITERS))
 
@@ -384,17 +386,12 @@ def test_kmeans_rejects_a_nonfinite_sample_before_any_iteration(monkeypatch, bad
     sample[7, 1] = bad
     monkeypatch.setattr(quantizer, "_nearest_indices", lambda *args: pytest.fail("Lloyd iteration ran"))
     with pytest.raises(DataError, match="kmeans sample must be finite"):
-        init_codebook(4, 3, "kmeans-seeded", sample=sample, seed=0)
+        init_codebook(sample, 4, seed=0)
 
 
 def test_kmeans_requires_enough_sample():
     with pytest.raises(DataError):
-        init_codebook(8, 3, "kmeans-seeded", sample=np.zeros((4, 3)), seed=0)
-
-
-def test_init_unknown_strategy():
-    with pytest.raises(ConfigError):
-        init_codebook(4, 4, "xavier")
+        init_codebook(np.zeros((4, 3)), 8, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -594,6 +594,19 @@ def test_finetune_refuses_to_leave_the_head_untrained():
         finetune(model, batch, small_opt(epochs=1), policy=PRETRAIN_POLICY, split_fraction=0.25)
     with pytest.raises(ConfigError, match="lambda_cls"):
         finetune(model, batch, small_opt(epochs=1), split_fraction=0.25, weights=LossWeights(1.0, 0.0, 1.0))
+    # a policy that freezes the head, without a classification loss
+    encoder_only = FreezePolicy("encoder-only", frozenset({"enc"}))
+    with pytest.raises(ConfigError, match="'encoder-finetune', 'linear-probe'"):
+        finetune(model, batch, small_opt(epochs=1), policy=encoder_only, weights=LossWeights(1.0, 0.0, 1.0))
+
+
+def test_pretrain_refuses_a_classification_loss_before_kmeans(monkeypatch):
+    # pretraining's policy freezes the head: a classification loss would
+    # train the encoder toward that random head
+    monkeypatch.setattr(training, "init_codebook", lambda *args: pytest.fail("k-means ran"))
+    batch = tiny_batch(seed=9, num_windows=12)
+    with pytest.raises(ConfigError, match="'pretrain-all' freezes the classification head, so lambda_cls must be 0"):
+        pretrain(tiny_config(), [batch], small_opt(epochs=1), weights=LossWeights(1.0, 1.0, 1.0))
 
 
 def test_linear_probe_touches_only_cls_head():
