@@ -9,9 +9,10 @@ The elementwise work runs in place on each kernel's own arrays, in the
 same operation order as the plain one-temporary-per-operation expressions
 (kept in tests/oracles.py), so the values are bit for bit the same while far
 fewer full-size temporaries pass through the cache. A kernel's arrays are
-fresh, or, given as its keyword-only `out`, the slices of a training pass's
-whole-batch arrays that a `Workspace` keeps from pass to pass. No public
-function writes to its arguments other than `out`.
+fresh, or, given as its keyword-only `out`, slices of the arrays a
+`Workspace` keeps: a training pass's whole-batch arrays, or a forward-only
+pass's arrays of one shard. No public function writes to its arguments
+other than `out`.
 
 Every pass runs on window shards, one per CPU, on threads (see Window
 shards below): a training pass shards its whole batch, a forward-only pass
@@ -154,9 +155,10 @@ def attention_forward(
     by shape, and with fewer query rows the scores' last bits differed from
     the full pass's at head widths of 32 and more (not at 16 or less).
 
-    `out`, for a pass without `rows`, is the (q, k, v, weights, merged)
-    arrays the cache keeps: q, k, v and merged of x's shape, with heads
-    merged, and weights (B, heads, Seq, Seq). Each is C-contiguous (a
+    `out` is the (q, k, v, weights, merged) arrays the cache keeps: k and v
+    of x's shape, q and merged of the output's, with heads merged, and
+    weights (B, heads, Seq, Seq), which with `rows` receives the full-shape
+    scores the read rows' weights are taken from. Each is C-contiguous (a
     leading-axis slice of a whole-batch array), so a product written into it
     runs the BLAS kernel of one into a fresh array and no bit changes."""
     q, k, v, weights, merged = (None,) * 5 if out is None else out
@@ -170,7 +172,7 @@ def attention_forward(
         window = np.arange(x.shape[0])[:, None]
         padded = np.zeros(x.shape)
         padded[window, rows] = q
-        weights = _split_heads(padded, heads) @ k.swapaxes(-1, -2)
+        weights = np.matmul(_split_heads(padded, heads), k.swapaxes(-1, -2), out=weights)
         del padded
         weights = weights[window[:, :, None], np.arange(heads)[:, None], rows[:, None, :]]
     merged = np.empty(q.shape) if merged is None else merged
@@ -272,20 +274,28 @@ def _shard_slices(batch: int) -> list[slice]:
 
 
 class Workspace:
-    """The whole-batch arrays of training passes, kept from one pass to the
-    next: the kernels' `out` arrays, which a pass caches for its backward,
-    and the arrays its backward carries each layer's gradients through. A
-    training loop that hands every pass one workspace allocates them once,
-    so its steps do not give that memory back to the allocator and fault it
-    in again. Each role has one flat buffer, grown to the largest array the
-    role has been asked for, and an array of any shape is a C-contiguous
-    view of its leading elements: one set of buffers serves every batch
-    shape (a ragged last micro-batch, datasets of other channel counts).
+    """The kernels' `out` arrays, kept from one pass to the next. A
+    training pass takes its whole-batch arrays here: those it caches for
+    its backward, per layer, and those its backward carries each layer's
+    gradients through. A forward-only pass takes one flat buffer for a
+    group of FORWARD_CHUNK windows, carved into one set per shard, which
+    every layer and every group of the pass reuses, since it caches
+    nothing. Either kind takes them on the calling thread, before its
+    shards start. A loop that hands every pass one
+    workspace allocates them once, so its passes do not give that memory
+    back to the allocator and fault it in again. Each role has one flat
+    buffer, grown to the largest array the role has been asked for, and an
+    array of any shape is a C-contiguous view of its leading elements: one
+    set of buffers serves every batch shape (a ragged last micro-batch or
+    group, datasets of other channel counts).
 
-    The arrays hold the last pass's values only. A pass claims the
+    The arrays hold the last pass's values only, so a workspace serves one
+    pass at a time, never two threads at once. A training pass claims the
     workspace for its EncoderCache, and a claim while an earlier pass's
     cache is alive (its `model.forward` result not yet dropped) raises
-    DataError, so no gradient is read from overwritten memory."""
+    DataError, so no gradient is read from overwritten memory; a
+    forward-only pass's arrays have roles of their own and leave any such
+    cache alone."""
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
@@ -319,21 +329,66 @@ class EncoderCache:
     layers: list[tuple[tuple, list[tuple]]] = field(default_factory=list)
 
 
-def _layer_arrays(workspace: Workspace, i: int, shape: tuple[int, int, int], hidden: int, heads: int) -> tuple:
-    """Layer i's (ln1, attention, ln2, mlp) kernel `out` arrays for a batch
-    of `shape` (B, Seq, D), taken from `workspace`."""
+def _kernel_shapes(shape: tuple[int, int, int], hidden: int, heads: int, rows: int) -> tuple:
+    """The shapes of one block's (ln1, attention, ln2, mlp) kernel `out`
+    arrays over windows of `shape` (B, Seq, D), its query side (attention
+    queries and merged heads, LN2 and the MLP) at `rows` rows per window."""
     B, S, D = shape
-    rows, stats, mlp = (B, S, D), (B, S, 1), (B, S, hidden)
-    kernels = {
-        "ln1": (rows, rows, stats),
-        "attn": (rows, rows, rows, (B, heads, S, S), rows),
-        "ln2": (rows, rows, stats),
-        "mlp": (mlp, mlp, mlp),
-    }
-    return tuple(
-        tuple(workspace.take(f"enc.{i}.{kernel}.{j}", sub) for j, sub in enumerate(shapes))
-        for kernel, shapes in kernels.items()
+    full, cut, mlp = (B, S, D), (B, rows, D), (B, rows, hidden)
+    return (
+        (full, full, (B, S, 1)),
+        (cut, full, full, (B, heads, S, S), cut),
+        (cut, cut, (B, rows, 1)),
+        (mlp, mlp, mlp),
     )
+
+
+def _training_arrays(workspace: Workspace, layers: list[dict[str, np.ndarray]], shape: tuple, heads: int) -> list:
+    """Each layer's kernel `out` arrays for a training pass over windows of
+    `shape`, whole-batch arrays of roles of their own."""
+    arrays = []
+    for i, params in enumerate(layers):
+        kernels = _kernel_shapes(shape, params["mlp.w1"].shape[1], heads, shape[1])
+        arrays.append(
+            tuple(
+                tuple(workspace.take(f"enc.{i}.{name}.{j}", sub) for j, sub in enumerate(kernel))
+                for name, kernel in zip(("ln1", "attn", "ln2", "mlp"), kernels)
+            )
+        )
+    return arrays
+
+
+def _forward_arrays(
+    workspace: Workspace, layers: list[dict[str, np.ndarray]], shapes: list[tuple], heads: int, cut_rows: int
+) -> list[list]:
+    """Per shard of a forward-only group (`shapes`, one per shard), each
+    layer's kernel `out` arrays, carved from one flat buffer. A shard's
+    layers share one set, its last block's cut to `cut_rows` query rows as
+    views of the same places (see `_run_layers`), and each shard has a set
+    of its own: with the last block's arrays of other shapes, two shards at
+    different layers would overlap in a shared one. One buffer rather than
+    one per role: glibc keeps a freed block of the size of the largest it
+    has given back, so one pass's buffer stays with the process for the
+    next `evaluate` call, where a dozen smaller ones were handed back to the
+    system and faulted in again by every call (see CHANGES.md)."""
+    if not layers:
+        return [[] for _ in shapes]
+    hidden = layers[0]["mlp.w1"].shape[1]
+    plans = [[_kernel_shapes(shape, hidden, heads, rows) for rows in (shape[1], cut_rows)] for shape in shapes]
+    flat = workspace.take("forward", (sum(math.prod(sub) for full, _ in plans for kernel in full for sub in kernel),))
+    arrays, offset = [], 0
+    for full, cut in plans:
+        block, last = [], []
+        for full_kernel, cut_kernel in zip(full, cut):
+            block.append([])
+            last.append([])
+            for size, small in zip(full_kernel, cut_kernel):
+                block[-1].append(flat[offset : offset + math.prod(size)].reshape(size))
+                last[-1].append(flat[offset : offset + math.prod(small)].reshape(small))
+                offset += math.prod(size)
+        block, last = tuple(map(tuple, block)), tuple(map(tuple, last))
+        arrays.append([block] * (len(layers) - 1) + [last])
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -363,16 +418,19 @@ def encoder_forward(
     layers is the identity. `x` may be a `LazyInput`, whose windows are then
     built shard by shard.
 
-    The stack runs over window shards at once (see Window shards). With
-    `need_backward` the shards split the whole batch and the returned cache
-    keeps what `encoder_backward` needs, in whole-batch arrays of
-    `workspace` (a fresh one if None) that each shard's kernels fill by
-    slice; a training loop passes the same workspace to every pass, and
+    The stack runs over window shards at once (see Window shards), and each
+    shard's kernels write into its slice of arrays of `workspace` (a fresh
+    one if None). With `need_backward` the shards split the whole batch and
+    the returned cache keeps what `encoder_backward` needs, in whole-batch
+    arrays; a training loop passes the same workspace to every pass, and
     drops each pass's cache before the next (see Workspace). Without it the
     cache holds no layers, and the shards split one group of FORWARD_CHUNK
-    windows after another, keeping no kernel cache, so the intermediates in
-    flight are those of at most FORWARD_CHUNK windows, whatever the batch
-    size. Either way the result equals one pass over all windows bit for bit
+    windows after another, keeping no kernel cache: each shard's layers
+    write into one set of arrays, which every later group reuses, so the
+    intermediates in flight are those of at most FORWARD_CHUNK windows,
+    whatever the batch size, and a loop of forward-only passes that shares
+    a workspace allocates them once. Either
+    way the result equals one pass over all windows bit for bit
     (tested in tests/test_encoder.py and tests/test_model.py), and a
     NumericError names the lowest failing layer over all windows.
 
@@ -406,42 +464,42 @@ def encoder_forward(
         rows, read = _query_rows(rows, x.shape[:2])
         if read == 0:
             return np.empty((batch, 0, x.shape[2])), cache
-    arrays = None
+    workspace = Workspace() if workspace is None else workspace
     if need_backward:
-        cache.workspace = Workspace() if workspace is None else workspace
-        cache.workspace.claim(cache)
-        cache.slices = _shard_slices(batch)
-        groups = [cache.slices]
-        arrays = [
-            _layer_arrays(cache.workspace, i, x.shape, params["mlp.w1"].shape[1], heads)
-            for i, params in enumerate(layers)
-        ]
-    else:
-        groups = [
-            [slice(start + sl.start, start + sl.stop) for sl in _shard_slices(min(FORWARD_CHUNK, batch - start))]
-            for start in range(0, batch, FORWARD_CHUNK)
-        ]
+        cache.workspace = workspace
+        workspace.claim(cache)
     out = np.empty((batch, read, x.shape[2]))
 
-    def shard(sl: slice):
+    def shard(outs: list[tuple], sl: slice):
         x_sl = x[sl]
         if not np.all(np.isfinite(x_sl)):
             return [], -1
-        outs = None if arrays is None else [tuple(tuple(a[sl] for a in kernel) for kernel in layer) for layer in arrays]
-        result, bad, caches = _run_layers(x_sl, layers, heads, outs, None if rows is None else rows[sl])
+        result, bad, caches = _run_layers(x_sl, layers, heads, outs, None if rows is None else rows[sl], need_backward)
         if bad is None:
             out[sl] = result[:, :read]
         return caches, bad
 
-    results = [
-        result for slices in groups for result in _parallel.run_parallel([functools.partial(shard, sl) for sl in slices])
-    ]
+    results = []
+    computed = x.shape[1] if rows is None else rows.shape[1]  # rows per window of a cut last block
+    groups = [(0, batch)]
+    if not need_backward:
+        groups = [(i, min(FORWARD_CHUNK, batch - i)) for i in range(0, batch, FORWARD_CHUNK)]
+    for start, size in groups:
+        slices = [slice(start + sl.start, start + sl.stop) for sl in _shard_slices(size)]
+        if need_backward:  # each shard fills its slice of whole-batch arrays
+            arrays = _training_arrays(workspace, layers, x.shape, heads)
+            outs = [[tuple(tuple(a[sl] for a in kernel) for kernel in layer) for layer in arrays] for sl in slices]
+        else:
+            shapes = [(sl.stop - sl.start, *x.shape[1:]) for sl in slices]
+            outs = _forward_arrays(workspace, layers, shapes, heads, computed)
+        results += _parallel.run_parallel([functools.partial(shard, o, sl) for o, sl in zip(outs, slices)])
     bad = min((bad for _, bad in results if bad is not None), default=None)
     if bad == -1:
         raise NumericError("non-finite encoder input")
     if bad is not None:
         raise NumericError(f"non-finite activations after encoder layer {bad}")
-    if need_backward:
+    if need_backward:  # one group: the whole batch
+        cache.slices = slices
         for i, ((normed1, xhat1, _), attn, (normed2, xhat2, _), (_, _, act)) in enumerate(arrays):
             reduced = (xhat1, normed1, attn[4], xhat2, normed2, act)
             cache.layers.append((reduced, [caches[i] for caches, _ in results]))
@@ -464,22 +522,21 @@ def _query_rows(rows, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
 
 
 def _run_layers(
-    x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, outs: list | None, rows: np.ndarray | None = None
+    x: np.ndarray, layers: list[dict[str, np.ndarray]], heads: int, outs: list, rows: np.ndarray | None, keep: bool
 ) -> tuple[np.ndarray, int | None, list[tuple]]:
-    """The block stack over `x`: (output, None, caches), or, stopping at the
-    first layer whose output is not all finite, (that output, its index,
-    caches). With `outs`, one (ln1, attention, ln2, mlp) tuple of kernel
-    `out` arrays per layer, each layer's kernel caches are views of those
-    arrays and are returned, one (ln1, attention, ln2, mlp) tuple per
-    layer; without, each layer's are freed before the next layer allocates
-    its own, and none is returned. With `rows` ((B, r) positions) the output
-    is those rows, (B, r, D); without `outs` the last block runs its query
-    side (attention queries, output projection, residuals, LN2 and MLP) only
-    at those rows."""
-    cut = outs is None and rows is not None and len(layers) > 0
+    """The block stack over `x`, its kernels writing into `outs`, one (ln1,
+    attention, ln2, mlp) tuple of kernel `out` arrays per layer: (output,
+    None, caches), or, stopping at the first layer whose output is not all
+    finite, (that output, its index, caches). With `keep` each layer's
+    kernel caches, views of its arrays, are returned, one (ln1, attention,
+    ln2, mlp) tuple per layer; without, none is. With `rows` ((B, r)
+    positions) the output is those rows, (B, r, D); without `keep` the last
+    block runs its query side (attention queries, output projection,
+    residuals, LN2 and MLP) only at those rows."""
+    cut = not keep and rows is not None and len(layers) > 0
     caches = []
     for i, params in enumerate(layers):
-        ln1, attn, ln2, mlp = (None,) * 4 if outs is None else outs[i]
+        ln1, attn, ln2, mlp = outs[i]
         query_rows = rows if cut and i == len(layers) - 1 else None
         normed, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"], out=ln1)
         mid, attn_cache = attention_forward(normed, params, heads, query_rows, out=attn)
@@ -490,7 +547,7 @@ def _run_layers(
         del normed, mid
         if not np.all(np.isfinite(out)):
             return out, i, caches
-        if outs is not None:
+        if keep:
             caches.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
         del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out

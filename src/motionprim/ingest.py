@@ -53,7 +53,10 @@ class ChannelMetadata:
 @dataclass
 class SensorWindow:
     """One recognition unit: a (window_len, num_channels) block of resampled
-    samples plus per-channel metadata and an optional activity label."""
+    samples plus per-channel metadata and an optional activity label. The
+    windows of `window`, `generate_synthetic` and `load_dataset` hold
+    read-only views of one matrix, which stays alive while any of them
+    does."""
 
     samples: np.ndarray
     channels: list[ChannelMetadata]
@@ -126,18 +129,28 @@ def window(
 
     Windows start at 0, stride, 2*stride, ...; a trailing partial window is
     discarded. With `labels` (one per row), windows whose label is not
-    uniform are dropped and the rest carry that label.
+    uniform are dropped and the rest carry that label. The windows are
+    read-only views of one copy of `samples`, so a later change to
+    `samples` leaves them as they are.
     """
+    samples = np.array(samples, dtype=np.float64)
+    if samples.ndim != 2:  # also when too short for one window
+        raise DataError("window samples must be a 2-d (time, channel) array")
+    return _window_views(samples, win, stride, channels, labels)
+
+
+def _window_views(
+    matrix: np.ndarray, win: int, stride: int | None, channels: list[ChannelMetadata], labels: np.ndarray | None
+) -> list[SensorWindow]:
+    """`window` over a 2-d float64 `matrix` that the windows may own: it is
+    made read-only, and each window's samples are a view of it."""
     if win <= 0 or (stride is not None and stride <= 0):
         raise DataError("window and stride must be > 0")
     if stride is None:
         stride = win
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:  # also when too short for one window
-        raise DataError("window samples must be a 2-d (time, channel) array")
+    matrix.flags.writeable = False
     out: list[SensorWindow] = []
-    for start in range(0, samples.shape[0] - win + 1, stride):
-        block = samples[start : start + win]
+    for start in range(0, matrix.shape[0] - win + 1, stride):
         label = None
         if labels is not None:
             chunk = labels[start : start + win]
@@ -145,7 +158,7 @@ def window(
             if not np.all(chunk == first):
                 continue  # crosses an activity boundary
             label = int(first)
-        out.append(SensorWindow(block.copy(), list(channels), label=label))
+        out.append(SensorWindow(matrix[start : start + win], list(channels), label=label))
     return out
 
 
@@ -170,13 +183,32 @@ def segment_matrix(samples: np.ndarray, seg_len: int) -> tuple[np.ndarray, np.nd
     # copy: with one channel the reshape is a view of samples, and the
     # normalization below writes into it
     values = values.reshape(samples.shape[:-2] + (C, S, seg_len)).copy()
-    if not np.all(np.isfinite(values)):
-        raise DataError("cannot normalize segments with non-finite values")
-    mean, var = values.mean(axis=-1), values.var(axis=-1)
-    stats = np.stack([mean, var], axis=-1)
-    values -= mean[..., None]
-    values /= np.sqrt(var)[..., None] + DEFAULT_NORM_EPS
-    return values, stats
+    stats = _normalize_segments(values.reshape(-1, C, S, seg_len))
+    return values, stats.reshape(values.shape[:-1] + (2,))
+
+
+# windows per block of `_normalize_segments`: its temporaries are those of
+# this many windows, whatever the batch size
+_NORM_BLOCK = 64
+
+
+def _normalize_segments(values: np.ndarray) -> np.ndarray:
+    """Instance-normalize (B, C, S, L) C-contiguous segments in place, as
+    `segment_matrix` does, and return their raw (B, C, S, 2) mean and
+    variance. It runs `_NORM_BLOCK` windows at a time; each statistic is a
+    reduction of one segment over its last axis, so the blocks do not move
+    a bit. Non-finite values raise DataError (the blocks before the one
+    holding them are left normalized)."""
+    stats = np.empty(values.shape[:-1] + (2,))
+    for start in range(0, values.shape[0], _NORM_BLOCK):
+        block, block_stats = values[start : start + _NORM_BLOCK], stats[start : start + _NORM_BLOCK]
+        if not np.isfinite(block).all():
+            raise DataError("cannot normalize segments with non-finite values")
+        mean, var = block.mean(axis=-1), block.var(axis=-1)
+        block_stats[..., 0], block_stats[..., 1] = mean, var
+        block -= mean[..., None]
+        block /= np.sqrt(var)[..., None] + DEFAULT_NORM_EPS
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +315,21 @@ def synthesize_streams(spec: SyntheticSpec) -> list[np.ndarray]:
     for cls in spec.classes:
         block = np.empty((total, len(spec.channels)), dtype=np.float64)
         for ci, wave in enumerate(cls.waveforms):
-            values = _waveform_values(wave, times)
+            block[:, ci] = _waveform_values(wave, times)
             if wave.noise_sigma > 0:
-                values = values + rng.normal(0.0, wave.noise_sigma, size=total)
+                block[:, ci] += rng.normal(0.0, wave.noise_sigma, size=total)
             else:
                 rng.normal(0.0, 1.0, size=total)  # keep the draw order stable across sigma choices
-            block[:, ci] = values
         streams.append(block)
     return streams
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[SensorWindow]:
-    """Labeled windows from a synthetic spec, deterministic given its seed."""
+    """Labeled windows from a synthetic spec, deterministic given its seed;
+    each class's windows are read-only views of its stream."""
     windows: list[SensorWindow] = []
     for label, stream in enumerate(synthesize_streams(spec)):
-        for w in window(stream, spec.window_len, channels=spec.channels):
+        for w in _window_views(stream, spec.window_len, None, spec.channels, None):
             w.label = label
             windows.append(w)
     return windows
@@ -422,35 +454,40 @@ _WRITE_ROWS = 8192
 class _CsvColumns:
     """The columns one load asked of a CSV file: numbers by column name,
     each text column factorized as (sorted distinct values, int64 code per
-    row), and the key a sidecar must record to serve them."""
+    row), and the key a sidecar must record to serve them. The numbers
+    asked for are the leading columns of `block`, a (rows, k) float64
+    matrix in Fortran order, in the order they were asked for; each entry
+    of `numbers` is a contiguous view of its column."""
 
     numbers: dict[str, np.ndarray]
     labels: dict[str, tuple[list[str], np.ndarray]]
     key: dict
     parsed: bool  # False when served by the sidecar
+    block: np.ndarray | None  # None when a sidecar served no number
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.mpcache")
 
 
-def _read_csv_columns(path: Path, numeric: set[str], text: set[str]) -> _CsvColumns:
-    """The `numeric` (float64) and `text` (factorized) columns of a CSV file,
-    and maybe others. When the file has a sidecar, its sha256 is taken, and
-    a sidecar of that hash that holds every requested column serves them
-    all. Otherwise the text is parsed: for the requested columns and those
-    of a sidecar of that hash, so the rewritten sidecar serves both loads
-    (unless one reads as text a column the other reads as numbers). A
-    missing column and every parse fault raise DataError naming the file."""
+def _read_csv_columns(path: Path, numeric: list[str], text: set[str]) -> _CsvColumns:
+    """The `numeric` (float64, the block's leading columns in this order)
+    and `text` (factorized) columns of a CSV file, and maybe others. When
+    the file has a sidecar, its sha256 is taken, and a sidecar of that hash
+    that holds every requested column serves them all. Otherwise the text
+    is parsed: for the requested columns and those of a sidecar of that
+    hash, so the rewritten sidecar serves both loads (unless one reads as
+    text a column the other reads as numbers). A missing column and every
+    parse fault raise DataError naming the file."""
     if _sidecar_path(path).is_file():
-        stored = _load_sidecar(path, {"format": CSV_SIDECAR_FORMAT, "sha256": _sha256(path)})
+        stored = _load_sidecar(path, {"format": CSV_SIDECAR_FORMAT, "sha256": _sha256(path)}, numeric)
         if stored is not None:
             has_numeric, has_text = set(stored.key["numeric"]), set(stored.key["text"])
-            if numeric <= has_numeric and text <= has_text:
+            if set(numeric) <= has_numeric and text <= has_text:
                 return stored
-            if not (numeric & has_text or text & has_numeric):
-                numeric, text = numeric | has_numeric, text | has_text
-    return _parse_csv(path, {"format": CSV_SIDECAR_FORMAT, "numeric": sorted(numeric), "text": sorted(text)})
+            if not (set(numeric) & has_text or text & has_numeric):
+                numeric, text = numeric + sorted(has_numeric - set(numeric)), text | has_text
+    return _parse_csv(path, {"format": CSV_SIDECAR_FORMAT, "numeric": numeric, "text": sorted(text)})
 
 
 def _sha256(path: Path) -> str:
@@ -462,13 +499,12 @@ def _sha256(path: Path) -> str:
 
 
 class _HashingReader(io.RawIOBase):
-    """A binary file that takes the sha256 of every byte read through it and
-    counts its LF bytes, so a parse and its sidecar key see the same bytes."""
+    """A binary file that takes the sha256 of every byte read through it, so
+    a parse and its sidecar key see the same bytes."""
 
     def __init__(self, fh) -> None:
         self._fh = fh
         self.sha256 = hashlib.sha256()
-        self._lf, self._last = 0, b"\n"
 
     def readable(self) -> bool:
         return True
@@ -476,42 +512,38 @@ class _HashingReader(io.RawIOBase):
     def readinto(self, buf) -> int:
         n = self._fh.readinto(buf)
         if n:
-            block = bytes(memoryview(buf)[:n])
-            self.sha256.update(block)
-            self._lf += block.count(b"\n")
-            self._last = block[-1:]
+            self.sha256.update(memoryview(buf)[:n])
         return n
-
-    def lines(self) -> int:
-        """LF bytes read, plus one for a last line that does not end in one."""
-        return self._lf + (self._last != b"\n")
 
 
 def _parse_csv(path: Path, request: dict) -> _CsvColumns:
     """Parse the body in blocks of `_PARSE_ROWS` rows, one loadtxt call per
     block on one text stream that hashes the bytes as they are read. Each
-    block keeps only its requested columns: numbers as float64, and text as
-    codes against a running table of the names seen so far. So the parse
-    holds one block of rows besides those columns, and at the end one more
-    column while it joins each column's blocks. The codes index the sorted
-    names, as `np.unique` gives them. A bad header, a missing column, a
-    short or long row, a non-numeric or empty number, a blank line and a
-    file without data rows all raise DataError naming the file."""
-    numeric, text = set(request["numeric"]), set(request["text"])
-    numbers: dict[str, list[np.ndarray]] = {name: [] for name in request["numeric"]}
+    block keeps only its requested columns: numbers written into their
+    columns of the result's block, sized beforehand by a count of the
+    file's line ends, and text as codes against a running table of the
+    names seen so far. So the parse holds one block of rows besides those
+    columns, and at the end one more text column while it joins each text
+    column's blocks. The codes index the sorted names, as `np.unique` gives
+    them. A bad header, a missing column, a short or long row, a
+    non-numeric or empty number, a blank line and a file without data rows
+    all raise DataError naming the file."""
+    numeric, text = request["numeric"], set(request["text"])
     codes: dict[str, list[np.ndarray]] = {name: [] for name in request["text"]}
     names: dict[str, dict[str, int]] = {name: {} for name in request["text"]}  # name -> code, in order seen
     rows = 0
     try:
+        lines = _line_count(path)
+        block = np.empty((max(0, lines - 1), len(numeric)), order="F")
         with open(path, "rb", buffering=0) as binary:
             raw = _HashingReader(binary)
-            fh = io.TextIOWrapper(io.BufferedReader(raw, 1 << 20), newline="")
+            fh = io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), newline="")
             header = next(csv.reader(fh), None)
             if header is None:
                 raise DataError(f"{path}: empty CSV")
             if not header or len(set(header)) != len(header):
                 raise DataError(f"{path}: the header must name each column once, got {header}")
-            missing = sorted((numeric | text) - set(header))
+            missing = sorted((set(numeric) | text) - set(header))
             if missing:
                 raise DataError(f"{path}: no column named {missing[0]!r}")
             dtype = np.dtype([(f"f{i}", np.float64 if name in numeric else object) for i, name in enumerate(header)])
@@ -522,41 +554,46 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
                 warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
                 while True:
                     try:
-                        block = np.loadtxt(
+                        parsed = np.loadtxt(
                             fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, max_rows=_PARSE_ROWS
                         )
                     except ValueError as exc:
                         raise ValueError(_at_file_line(str(exc), path, rows)) from exc
-                    for name, parts in numbers.items():
-                        parts.append(np.ascontiguousarray(block[field_of[name]]))
+                    end = rows + len(parsed)
+                    if end > len(block):  # line ends the count did not see, or a file that grew
+                        grown = np.empty((max(end, 2 * len(block)), len(numeric)), order="F")
+                        grown[:rows] = block[:rows]
+                        block = grown
+                    for j, name in enumerate(numeric):
+                        block[rows:end, j] = parsed[field_of[name]]
                     for name, parts in codes.items():
-                        values, inverse = np.unique(block[field_of[name]].astype(str), return_inverse=True)
+                        values, inverse = np.unique(parsed[field_of[name]].astype(str), return_inverse=True)
                         table = names[name]
                         known = [table.setdefault(value, len(table)) for value in values.tolist()]
                         parts.append(np.array(known, dtype=np.int64)[inverse])
-                    rows += len(block)
-                    if len(block) < _PARSE_ROWS:
+                    rows = end
+                    if len(parsed) < _PARSE_ROWS:
                         break
-                    del block  # before the next one is read
-            while raw.read(1 << 20):  # the hash must cover the whole file
+                    del parsed  # before the next one is read
+            while raw.read(1 << 16):  # the hash must cover the whole file
                 pass
     except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
     if rows == 0:
         raise DataError(f"{path}: no data rows")
-    if raw.lines() != rows + 1:
+    if lines != rows + 1:
         # loadtxt skips an empty line, which csv.reader reads as a row of no
-        # fields; bare CR line ends and a line break inside a quoted field
-        # also make the counts differ
+        # fields; a line break inside a quoted field, a mix of LF and CR line
+        # ends and a file edited since it was counted also make the counts
+        # differ
         try:
             blank = next((line for line, record in _records(path) if not record), None)
         except (OSError, ValueError, csv.Error) as exc:
             raise DataError(f"{path}: {exc}") from exc
         if blank:
             raise DataError(f"{path}: blank line in the CSV body at line {blank}")
-    columns = {}
-    for name in request["numeric"]:  # one column at a time, each freeing its blocks
-        columns[name] = np.concatenate(numbers.pop(name))
+    block = block[:rows]
+    columns = {name: block[:, j] for j, name in enumerate(numeric)}
     labels = {}
     for name in request["text"]:
         # each name's place in sorted order, indexed by its code
@@ -566,7 +603,19 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
             part[:] = rank[part]
         labels[name] = (ordered.tolist(), np.concatenate(parts))
     key = {**request, "sha256": raw.sha256.hexdigest()}
-    return _CsvColumns(columns, labels, key, parsed=True)
+    return _CsvColumns(columns, labels, key, parsed=True, block=block)
+
+
+def _line_count(path: Path) -> int:
+    """The lines of a file with LF, CRLF or CR line ends (a mix of LF and CR
+    ends reads fewer); a last line without a line end counts."""
+    ends, last = [0, 0], b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            ends[0] += chunk.count(b"\n")
+            ends[1] += chunk.count(b"\r")
+            last = chunk[-1:]
+    return max(ends) + (last not in b"\r\n")
 
 
 def _records(path: Path):
@@ -592,12 +641,25 @@ def _at_file_line(message: str, path: Path, rows: int) -> str:
     )
 
 
-def _load_sidecar(path: Path, key: dict) -> _CsvColumns | None:
+def _load_sidecar(path: Path, key: dict, numeric: list[str]) -> _CsvColumns | None:
     """The columns a file's sidecar holds, or None when there is none, its
-    format or hash is not that of `key`, or it is truncated or malformed."""
+    format or hash is not that of `key`, or it is truncated or malformed.
+    The `numeric` columns it holds are read straight into their columns of
+    the block."""
     sidecar = _sidecar_path(path)
+    place = {name: j for j, name in enumerate(numeric)}
+    block = None
+
+    def into(name: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray | None:
+        nonlocal block
+        if name not in place or dtype != "<f8" or len(shape) != 1:
+            return None
+        if block is None:
+            block = np.empty((shape[0], len(numeric)), order="F")
+        return block[:, place[name]] if len(block) == shape[0] else None
+
     try:
-        meta, tensors = tensorfile.load_tensors(sidecar, CSV_SIDECAR_KIND)
+        meta, tensors = tensorfile.load_tensors(sidecar, CSV_SIDECAR_KIND, into)
     except (CheckpointError, OSError) as exc:
         logger.debug("not using %s: %s", sidecar, exc)
         return None
@@ -634,7 +696,7 @@ def _load_sidecar(path: Path, key: dict) -> _CsvColumns | None:
             return None
         labels[name] = (values, codes)
     numbers = {name: tensors[name] for name in key["numeric"]}
-    return _CsvColumns(numbers, labels, key, parsed=False)
+    return _CsvColumns(numbers, labels, key, parsed=False, block=block)
 
 
 def _write_sidecar(path: Path, columns: _CsvColumns) -> None:
@@ -651,39 +713,63 @@ def _write_sidecar(path: Path, columns: _CsvColumns) -> None:
 
 def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
     """Resample every channel to the manifest's target rate, align lengths,
-    window, and attach labels. Mixed-label windows are dropped. A file parsed
-    here gets a sidecar once the whole load has succeeded."""
-    numeric: dict[Path, set[str]] = {}
+    window, and attach labels. Mixed-label windows are dropped. A channel
+    column holding a non-finite value raises DataError naming the file, the
+    column and the line. A file parsed here gets a sidecar once the whole
+    load has succeeded.
+
+    The windows are read-only views of one (time, channel) matrix. When
+    every channel is its own column of one file at the target rate, that
+    matrix is the block the file's columns were parsed or read into;
+    otherwise the channels are copied into it one by one."""
+    numeric: dict[Path, list[str]] = {}
     for ch in manifest.channels:
-        numeric.setdefault(manifest.base_dir / ch.file, set()).add(ch.column)
+        wanted = numeric.setdefault(manifest.base_dir / ch.file, [])
+        if ch.column not in wanted:
+            wanted.append(ch.column)
     text: dict[Path, set[str]] = {}
     if manifest.label is not None:
         text[manifest.base_dir / manifest.label.file] = {manifest.label.column}
     cache: dict[Path, _CsvColumns] = {}
 
-    def columns_of(rel: str) -> _CsvColumns:
-        path = manifest.base_dir / rel
+    def columns_of(path: Path) -> _CsvColumns:
         if path not in cache:
-            cache[path] = _read_csv_columns(path, numeric.get(path, set()), text.get(path, set()))
+            cache[path] = _read_csv_columns(path, numeric.get(path, []), text.get(path, set()))
         return cache[path]
 
-    # a column already at the target rate is used as read: resampling it
-    # would copy it, and np.stack below copies it anyway
-    series = []
-    for ch in manifest.channels:
-        values = columns_of(ch.file).numbers[ch.column]
-        if ch.meta.native_rate != manifest.target_rate:
-            values = resample(values, ch.meta.native_rate, manifest.target_rate)
-        series.append(values)
-    length = min(len(s) for s in series)
+    channels = manifest.channels
+    for path, wanted in numeric.items():  # each column once, as read
+        for column in wanted:
+            _check_finite(path, column, columns_of(path).numbers[column])
+    (path, wanted), *other_files = numeric.items()
+    block = columns_of(path).block
+    if (
+        not other_files
+        and len(wanted) == len(channels) == block.shape[1]
+        and all(ch.meta.native_rate == manifest.target_rate for ch in channels)
+    ):
+        matrix = block  # each channel its own column, in channel order
+    else:
+        # a column already at the target rate is used as read: resampling
+        # it would copy it, and filling the matrix copies it anyway
+        series = []
+        for ch in channels:
+            values = columns_of(manifest.base_dir / ch.file).numbers[ch.column]
+            if ch.meta.native_rate != manifest.target_rate:
+                values = resample(values, ch.meta.native_rate, manifest.target_rate)
+            series.append(values)
+        matrix = np.empty((min(len(s) for s in series), len(channels)), order="F")
+        for j, values in enumerate(series):
+            matrix[:, j] = values[: len(matrix)]
+        del series, values
+    length = len(matrix)
     if length < 2:  # as resampling refuses
         raise DataError(f"{manifest.name}: a channel needs at least 2 samples, got {length}")
-    matrix = np.stack([s[:length] for s in series], axis=1)
 
     labels = None
     class_names = list(manifest.classes)
     if manifest.label is not None:
-        names, codes = columns_of(manifest.label.file).labels[manifest.label.column]
+        names, codes = columns_of(manifest.base_dir / manifest.label.file).labels[manifest.label.column]
         if manifest.label.native_rate != manifest.target_rate:
             codes = resample_nearest(codes, manifest.label.native_rate, manifest.target_rate)
         codes = codes[:length]
@@ -698,18 +784,26 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
         # a name that resampling or truncation dropped maps to -1, never indexed
         labels = np.array([ids.get(name, -1) for name in names], dtype=np.int64)[codes]
 
-    channels = [ch.meta for ch in manifest.channels]
-    windows = window(
-        matrix,
-        manifest.window,
-        manifest.stride,
-        channels=channels,
-        labels=labels,
-    )
+    windows = _window_views(matrix, manifest.window, manifest.stride, [ch.meta for ch in channels], labels)
     for path, columns in cache.items():
         if columns.parsed:
             _write_sidecar(path, columns)
     return LoadedDataset(manifest.name, windows, class_names)
+
+
+def _check_finite(path: Path, column: str, values: np.ndarray) -> None:
+    """DataError naming the file, the column and the file line of the first
+    non-finite value of `values`, a column as read from `path`."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    row = int(np.argmin(finite))
+    try:
+        line = next(islice((line for line, record in _records(path) if record), row + 1, None), None)
+    except (OSError, ValueError, csv.Error):
+        line = None  # the file changed since it was read
+    at = f"line {line}" if line else f"data row {row + 1}"
+    raise DataError(f"{path}: column {column!r} holds the non-finite value {values[row]} at {at}")
 
 
 def _csv_line(fields: list[str]) -> str:

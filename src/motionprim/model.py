@@ -17,7 +17,7 @@ import numpy as np
 from .embedder import SequenceLayout, build_layout, embed_backward, embed_rows, mask_count, table_rows
 from .encoder import LazyInput, Workspace, _weight_grad, encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
-from .ingest import SensorWindow, segment_matrix
+from .ingest import SensorWindow, _normalize_segments
 from .metadata import canonical_descriptor, embed_channels
 from .quantizer import nearest_prototypes
 from .schema import check_fields
@@ -274,6 +274,10 @@ def prepare_windows(
 
     All windows must share the same channel set and window length; labeled
     and unlabeled windows cannot be mixed. Errors name the dataset `source`.
+    Each window's segments are copied straight into the (B, C, S, L) batch,
+    which is then normalized in place a block of windows at a time, so the
+    batch is the one full-size array made: the bits of `segment_matrix` over
+    the stacked windows.
     """
     where = f"dataset {source!r}: " if source else ""
     if not windows:
@@ -285,13 +289,22 @@ def prepare_windows(
             raise DataError(f"{where}windows of mixed length in one dataset")
         if [canonical_descriptor(m) for m in w.channels] != descriptors:
             raise DataError(f"{where}windows with mixed channel metadata in one dataset")
-    S = first.window_len // config.segment_len
+    T, L = first.window_len, config.segment_len
+    if L > T:
+        raise ConfigError(f"{where}model.segment_len {L} exceeds the window length {T}")
+    S = T // L
     if S > config.segments_per_channel:
         raise ConfigError(
             f"{where}{S} segments per channel exceeds the model's position capacity "
             f"({config.segments_per_channel})"
         )
-    normalized, stats = segment_matrix(np.stack([w.samples for w in windows]), config.segment_len)
+    normalized = np.empty((len(windows), len(descriptors), S, L))
+    for b, w in enumerate(windows):
+        normalized[b] = w.samples[: S * L].T.reshape(-1, S, L)
+    try:
+        stats = _normalize_segments(normalized)
+    except DataError as exc:
+        raise DataError(f"{where}{exc}") from None
 
     labeled = [w.label is not None for w in windows]
     if any(labeled) and not all(labeled):
@@ -399,7 +412,9 @@ def forward(
     A training pass caches its encoder arrays in `workspace` (a fresh one
     if None): a training loop passes the same one to every pass and drops
     each result before the next forward, which raises DataError while an
-    earlier result on that workspace is alive (see `encoder.Workspace`).
+    earlier result on that workspace is alive (see `encoder.Workspace`). A
+    forward-only pass's kernels write into arrays of their own there, so a
+    loop of forward-only passes on one thread may share one workspace too.
     """
     cfg = model.config
     params = model.params

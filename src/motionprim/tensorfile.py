@@ -84,11 +84,17 @@ def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.
     publish(path, write)
 
 
-def load_tensors(path: str | Path, expected_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+def load_tensors(
+    path: str | Path,
+    expected_kind: str,
+    into: Callable[[str, str, tuple[int, ...]], np.ndarray | None] | None = None,
+) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container of `expected_kind` written by `save_tensors`;
     returns (meta, tensors). Anything else, including another kind, a
     truncated file, a malformed header or bytes after the last tensor,
-    raises CheckpointError."""
+    raises CheckpointError. `into(name, dtype, shape)`, asked before each
+    tensor is read, may return the C-contiguous array of that dtype and
+    shape to read it into; None reads it into a new array."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"no such file: {path}")
@@ -132,7 +138,9 @@ def load_tensors(path: str | Path, expected_kind: str) -> tuple[dict, dict[str, 
             nbytes = 8 * math.prod(shape)
             if nbytes > remaining:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            arr = np.empty(shape, dtype=dtype)
+            arr = None if into is None else into(name, dtype, shape)
+            if arr is None:
+                arr = np.empty(shape, dtype=dtype)
             if nbytes and fh.readinto(memoryview(arr).cast("B")) != nbytes:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
             tensors[name] = arr

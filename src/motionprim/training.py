@@ -419,9 +419,11 @@ def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetric
     """Accuracy / macro-F1 / confusion on a labeled batch, without masking.
 
     Windows go through forward-only passes of the encoder's FORWARD_CHUNK
-    windows, spread over `workers` threads. That chunk keeps a pass's
-    largest array, the attention weights, small enough to stay in cache;
-    larger chunks are slower, not faster. Each pass splits its windows into
+    windows, dealt round-robin over `workers` threads. That chunk keeps a
+    pass's largest array, the attention weights, small enough to stay in
+    cache; larger chunks are slower, not faster. Each worker hands all its
+    passes one `encoder.Workspace`, so the kernels' arrays are allocated
+    once per worker, not once per pass. Each pass splits its windows into
     shards that run on every CPU (see motionprim.encoder), so one worker
     already keeps them all busy. Only the [CLS] row is read, so the
     encoder's last block computes its query side at rows 0 and 1 alone
@@ -437,21 +439,19 @@ def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetric
         np.arange(i, min(i + FORWARD_CHUNK, batch.size)) for i in range(0, batch.size, FORWARD_CHUNK)
     ]
 
-    def run(idx: np.ndarray) -> np.ndarray:
-        result = forward(
-            model,
-            batch.subset(idx),
-            FINETUNE_WEIGHTS,
-            need_backward=False,
-        )
-        return result.predictions
+    def run(worker: int) -> list[np.ndarray]:
+        workspace = Workspace()
+        return [
+            forward(model, batch.subset(idx), FINETUNE_WEIGHTS, need_backward=False, workspace=workspace).predictions
+            for idx in chunks[worker::workers]
+        ]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            preds_list = list(pool.map(run, chunks))
+            dealt = list(pool.map(run, range(workers)))
     else:
-        preds_list = [run(c) for c in chunks]
-    predictions = np.concatenate(preds_list)
+        dealt = [run(0)]
+    predictions = np.concatenate([dealt[i % workers][i // workers] for i in range(len(chunks))])
     ncls = model.config.num_classes
     confusion = np.zeros((ncls, ncls), dtype=np.int64)
     np.add.at(confusion, (batch.labels, predictions), 1)

@@ -640,6 +640,37 @@ def test_exit_3_on_ragged_csv_row(workdir, tmp_path, capsys):
     assert "data.csv" in record["message"]
 
 
+def test_exit_3_on_non_finite_csv_value_naming_file_column_and_line(workdir, tmp_path, capsys):
+    _, cfg_path, data_dir = workdir
+    bad_dir = tmp_path / "data"
+    bad_dir.mkdir()
+    (bad_dir / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
+    lines = (data_dir / "data.csv").read_text().splitlines(keepends=True)
+    column = lines[0].split(",")[1]
+    fields = lines[6].split(",")
+    fields[1] = "nan"
+    lines[6] = ",".join(fields)
+    (bad_dir / "data.csv").write_text("".join(lines))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    code = cli.main(["evaluate", "--config", str(cfg_path), str(ckpt), str(bad_dir / "manifest.json")])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "data"
+    assert record["message"] == f"{bad_dir / 'data.csv'}: column {column!r} holds the non-finite value nan at line 7"
+
+
+def test_segment_len_beyond_the_window_exits_2_naming_the_dataset(workdir, tmp_path, capsys):
+    # a config value out of range for this dataset's 20-sample windows: exit
+    # 2, naming the dataset and both lengths
+    _, cfg_path, _ = workdir
+    argv = ["pretrain", "--config", str(cfg_path), "--set", "model.segment_len=21", "--set", f"out_dir={tmp_path}"]
+    assert cli.main(argv) == 2
+    message = _config_error(capsys)["message"]
+    assert message == "dataset 'synthetic': model.segment_len 21 exceeds the window length 20"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_unlabeled_frequency_exit_3_writes_no_report(tmp_path, capsys):
     # a 2-channel CSV without labels: the default reports include frequency,
     # which needs labels, so the run fails before it writes anything

@@ -136,6 +136,36 @@ def test_window_bad_args():
         window(np.zeros(3), 5, channels=one)
 
 
+def test_window_copies_the_callers_array_once():
+    # the windows are read-only views of one copy: the caller's array is
+    # neither aliased nor flagged, and a later change to it moves no window
+    samples = np.arange(40, dtype=np.float64).reshape(20, 2)
+    wins = window(samples, 5, channels=two_channels())
+    want = [w.samples.copy() for w in wins]
+    assert samples.flags.writeable
+    assert not any(np.shares_memory(samples, w.samples) for w in wins)
+    assert all(w.samples.base is wins[0].samples.base for w in wins)
+    samples[:] = -1.0
+    assert all(np.array_equal(w.samples, v) for w, v in zip(wins, want))
+    with pytest.raises(ValueError, match="read-only"):
+        wins[0].samples[0, 0] = 1.0
+
+
+def test_generated_and_loaded_windows_are_read_only_views(tmp_path):
+    # each class's generated windows view its stream, and a loaded dataset's
+    # windows view the one matrix they were cut from; writing to either raises
+    spec = bench_spec(seed=4, windows_per_class=3)
+    generated = generate_synthetic(spec)
+    loaded = load_dataset(load_manifest(write_synthetic_dataset(spec, tmp_path))).windows
+    for windows, owners in ((generated, 4), (loaded, 1)):
+        assert len({id(w.samples.base) for w in windows}) == owners
+        for w in windows:
+            assert not w.samples.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w.samples[0, 0] = 0.0
+    assert all(a.samples.tobytes() == b.samples.tobytes() for a, b in zip(generated, loaded))
+
+
 # ---------------------------------------------------------------------------
 # segmentation and stats
 
@@ -586,7 +616,7 @@ def test_quoted_line_breaks_across_parse_blocks(tmp_path, each_block_size):
     pytest.param("v,class\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n", None, id="missing label column"),
     pytest.param("v,label\n1.5,a\n-2.25,a\n3.0,c\n4.0,c\n", None, id="label not in classes"),
     pytest.param("v,label\n1.5,a\n", None, id="single row"),
-    pytest.param("v,label\n1.5,a\nnan,a\n3.0,b\n4.0,b\n", None, id="non-finite sample"),
+    pytest.param("v,label\n1.5,a\nnan,a\n3.0,b\n4.0,b\n", 3, id="non-finite sample"),
     pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n8,b\nfast,b\n9,b\n", 10, id="non-numeric sample in a later block"),
     pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n7.0,b\n8,b\n9\n", 10, id="short row in a later block"),
     pytest.param(GOOD_CSV + "5.0,b\n6.0,b\n\n7.0,b\n8,b\nfast,b\n", 11, id="non-numeric sample after a blank line in a later block"),
@@ -740,6 +770,28 @@ def test_csv_parse_holds_a_block_not_the_file(csv_io_overheads):
     assert large["parse"] - small["parse"] <= large["column"]  # the join holds one more column
 
 
+def test_load_and_generate_peak_memory_holds_one_copy_of_the_windows(tmp_path, monkeypatch):
+    # tracemalloc sees numpy's buffers. Loading a dataset peaked at 3.7
+    # times its windows' bytes, parsed or served by the sidecar (the columns,
+    # their stacked matrix and each window's copy), and generating one at
+    # 2.0; the windows are now views of the matrix the columns were read
+    # into (1.7 on either path: that matrix, the label codes and the labels
+    # per row), and of the synthesized streams (1.33). Parse blocks of 4096
+    # rows keep the parse's own block (test_csv_parse_holds_a_block_not_the_file)
+    # small next to these 3 MB of windows.
+    monkeypatch.setattr(ingest, "_PARSE_ROWS", 4096)
+    spec = bench_spec(seed=6, windows_per_class=64)
+    manifest = load_manifest(write_synthetic_dataset(spec, tmp_path))
+    for path in ("parse", "sidecar"):
+        loaded, peak = traced_peak(lambda: load_dataset(manifest))
+        size = sum(w.samples.nbytes for w in loaded.windows)
+        assert peak <= 2.0 * size, (path, peak / size)
+        assert sidecar_of(tmp_path / "data.csv").is_file()
+        del loaded
+    generated, peak = traced_peak(lambda: generate_synthetic(spec))
+    assert peak <= 1.4 * sum(w.samples.nbytes for w in generated), peak / sum(w.samples.nbytes for w in generated)
+
+
 def test_csv_writer_holds_a_block_not_the_file(csv_io_overheads):
     # formatting each class as one string held 2.2 and 8.8 MB beyond the streams
     small, large = csv_io_overheads
@@ -881,6 +933,22 @@ def test_failed_sidecar_write_still_returns_the_data(tmp_path, monkeypatch, fail
     monkeypatch.undo()
     assert_same_dataset(load_dataset(manifest), loaded)
     assert sidecar_of(tmp_path / "data.csv").is_file()
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+def test_non_finite_csv_value_names_file_column_and_line(tmp_path, monkeypatch, value):
+    # every channel column is checked once, as read and before any window is
+    # cut, and the error names the file, the column and the value's line
+    data = "label,u,v\na,1,1.5\na,2,-2.25\nb,3,3.0\n" f"b,4,{value}\n"
+    manifest = one_channel_dataset(tmp_path, data)
+    monkeypatch.setattr(ingest, "_window_views", lambda *args: pytest.fail("windows cut"))
+    for _ in range(2):
+        with pytest.raises(DataError) as info:
+            load_dataset(load_manifest(manifest))
+        message = str(info.value)
+        assert message.startswith(f"{tmp_path / 'data.csv'}: column 'v' holds the non-finite value")
+        assert message.endswith("at line 5")
+    assert not sidecar_of(tmp_path / "data.csv").exists()
 
 
 def test_evaluate_then_analyze_parse_once(tmp_path, monkeypatch, capsys):

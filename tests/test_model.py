@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import bench_model_config
+from conftest import bench_model_config, bench_spec
 from motionprim import encoder
 from motionprim import model as model_module
 from motionprim.encoder import FORWARD_CHUNK, Workspace, grad_check
 from motionprim.errors import ConfigError, DataError, NumericError
-from motionprim.ingest import ChannelMetadata, SensorWindow
+from motionprim.ingest import ChannelMetadata, SensorWindow, generate_synthetic, window
 from motionprim.metadata import make_provider
 from motionprim.model import (
     FINETUNE_WEIGHTS,
@@ -265,13 +265,65 @@ def test_prepare_windows_validations():
 def test_prepare_windows_refuses_capacity_before_segmenting(monkeypatch):
     cfg = tiny_config()
     provider = make_provider("deterministic-hash", dim=cfg.meta_dim, seed=0)
-    monkeypatch.setattr(model_module, "segment_matrix", lambda *args: pytest.fail("windows segmented"))
+    monkeypatch.setattr(model_module, "_normalize_segments", lambda *args: pytest.fail("windows segmented"))
     with pytest.raises(ConfigError, match="8 segments per channel exceeds"):
         prepare_windows(make_windows(2, length=40), cfg, provider)  # S=8 > capacity 3
-    monkeypatch.undo()
-    # a segment longer than the window is S=0 there, and segment_matrix's error
-    with pytest.raises(DataError, match="segment length 5 must be in"):
-        prepare_windows(make_windows(2, length=4), cfg, provider)
+    # a segment longer than the window is a config value out of range, named
+    # with the dataset and both lengths
+    with pytest.raises(ConfigError, match="dataset 'short': model.segment_len 5 exceeds the window length 4"):
+        prepare_windows(make_windows(2, length=4), cfg, provider, source="short")
+
+
+def test_prepare_windows_names_the_dataset_of_a_non_finite_sample():
+    # a window made from the caller's own array stays writable, so a value
+    # can turn non-finite after the window's own check
+    cfg = tiny_config()
+    provider = make_provider("deterministic-hash", dim=cfg.meta_dim, seed=0)
+    windows = make_windows(70)
+    windows[66].samples[3, 1] = np.inf  # in the second block of windows
+    with pytest.raises(DataError, match="dataset 'walks': cannot normalize segments with non-finite values"):
+        prepare_windows(windows, cfg, provider, source="walks")
+
+
+def _one_channel_windows(n, length, seed):
+    channel = [ChannelMetadata("wrist", "accelerometer", "x", 50.0)]
+    samples = np.random.default_rng(seed).normal(size=(n * length, 1)) * 3.0 + 1.0
+    return window(samples, length, channels=channel, labels=np.repeat(np.arange(n) % 2, length))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+def test_prepared_batch_is_the_stack_then_segment_bits(bench_provider, n):
+    # the batch is filled window by window and normalized 64 windows at a
+    # time, yet its arrays are the bits of segmenting the stacked windows:
+    # generated windows (views of C-ordered streams), the same windows
+    # loaded from CSV (views of a Fortran-ordered matrix, in test_ingest)
+    # and one-channel windows
+    config = bench_model_config()
+    generated = generate_synthetic(bench_spec(21, (n + 3) // 4))[:n]
+    fortran = window(np.asfortranarray(np.concatenate([w.samples for w in generated])), 500, channels=generated[0].channels)
+    one = _one_channel_windows(n, 500, seed=n)
+    for windows in (generated, fortran, one):
+        batch = prepare_windows(windows, config, bench_provider)
+        want, want_stats = oracles.segment_two_pass(np.stack([w.samples for w in windows]), config.segment_len)
+        assert batch.norm_segments.tobytes() == want.tobytes()
+        assert batch.stats.tobytes() == want_stats.tobytes()
+        assert batch.norm_segments.flags.c_contiguous and batch.stats.flags.c_contiguous
+
+
+def test_prepare_windows_peak_memory_is_the_batch(bench_provider):
+    # tracemalloc sees numpy's buffers: preparing 1000 bench windows peaked
+    # at 2.9 times the batch's bytes (the stacked windows, the segment copy
+    # and np.var's temporary); filling the batch window by window and
+    # normalizing it in blocks leaves about 1.07
+    windows = generate_synthetic(bench_spec(22, 250))
+    tracemalloc.start()
+    try:
+        batch = prepare_windows(windows, bench_model_config(), bench_provider)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in (batch.norm_segments, batch.stats, batch.labels, batch.meta, batch.window_ids))
+    assert peak <= 1.3 * size, peak / size
 
 
 def test_prepare_windows_unlabeled_ok():
@@ -585,7 +637,8 @@ def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch, config_case
 def test_workspace_refuses_a_pass_while_an_earlier_result_is_alive(config_case):
     # the second training pass into one workspace raises while the first
     # result is held and overwrites nothing of it; a forward-only pass takes
-    # no arrays; once the first result is dropped the workspace serves again
+    # arrays of roles of its own; once the first result is dropped the
+    # workspace serves again
     model, batch = config_case("bench", 20)
     mask = _held_out_mask(model, batch)
     want = backward(forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask))
@@ -599,6 +652,50 @@ def test_workspace_refuses_a_pass_while_an_earlier_result_is_alive(config_case):
     del first
     grads = backward(forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask, workspace=workspace))
     assert all(np.array_equal(grads[name], want[name]) for name in want)
+
+
+BOTH_HEADS = LossWeights(lambda_mae=1.0, lambda_cls=0.5, lambda_vq=1.0)
+
+
+def test_forward_only_groups_reuse_one_set_of_workspace_buffers(shards, config_case, monkeypatch):
+    # a forward-only pass takes its kernels' arrays for each group of
+    # FORWARD_CHUNK windows from the workspace, on the calling thread: after
+    # its first group (32 windows, the largest) no take allocates a buffer,
+    # nor does a second pass on the same workspace, and the results are the
+    # bits of passes whose kernels write into fresh arrays
+    model, batch = config_case("bench", 70)
+    mask = _held_out_mask(model, batch)
+    real_take = encoder.Workspace.take
+    for cpus in (1, 2):
+        shards(cpus)
+        events = []
+
+        def take(self, role, shape):
+            events.append(role not in self._buffers or self._buffers[role].size < np.prod(shape))
+            return real_take(self, role, shape)
+
+        def groups(size, real=encoder._shard_slices):
+            events.append("group")
+            return real(size)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(encoder.Workspace, "take", lambda self, role, shape: np.full(shape, np.nan))
+            fresh = forward(model, batch, BOTH_HEADS, mask_positions=mask, need_backward=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(encoder.Workspace, "take", take)
+            patch.setattr(encoder, "_shard_slices", groups)
+            workspace = Workspace()
+            results = [
+                forward(model, batch, BOTH_HEADS, mask_positions=mask, need_backward=False, workspace=workspace)
+                for _ in range(2)
+            ]
+        assert events.count("group") == 6  # 32 + 32 + 6 windows, twice
+        second = events.index("group", 1)
+        assert any(e is True for e in events[:second]) and not any(e is True for e in events[second:]), cpus
+        for result in results:
+            assert result.loss == fresh.loss and result.mae_loss == fresh.mae_loss
+            assert result.hidden.tobytes() == fresh.hidden.tobytes()
+            assert result.cls_probs.tobytes() == fresh.cls_probs.tobytes()
 
 
 def test_chunked_cls_probs_equal_one_full_batch_forward(bench_shape_eval):

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -523,6 +524,32 @@ def test_evaluate_confusion_does_not_depend_on_chunking(bench_shape_eval, bench_
     for workers in (1, 2):
         got = evaluate(model, batch, workers=workers).confusion
         np.testing.assert_array_equal(got, want, err_msg=f"workers={workers}")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_evaluate_keeps_one_workspace_per_worker(monkeypatch, workers):
+    # 5 chunks dealt round-robin: each worker hands its own workspace to all
+    # its passes, no workspace is used by two threads, and the predictions
+    # come back in window order
+    batch = tiny_batch(seed=7, num_windows=4 * encoder.FORWARD_CHUNK + 3)
+    model = init_model(tiny_config(), seed=3)
+    want = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False).predictions
+    used = []
+    real = training.forward
+
+    def recording_forward(*args, workspace=None, **kwargs):
+        used.append((threading.get_ident(), workspace))
+        return real(*args, workspace=workspace, **kwargs)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    got = evaluate(model, batch, workers=workers)
+    np.testing.assert_array_equal(got.confusion, oracles.confusion(batch.labels, want, model.config.num_classes))
+    assert len(used) == 5
+    assert all(isinstance(workspace, encoder.Workspace) for _, workspace in used)
+    owners = {}
+    for thread, workspace in used:
+        owners.setdefault(id(workspace), set()).add(thread)
+    assert len(owners) == workers and all(len(threads) == 1 for threads in owners.values())
 
 
 def test_evaluate_rejects_nonpositive_workers():
