@@ -11,8 +11,8 @@ same operation order as the plain one-temporary-per-operation expressions
 fewer full-size temporaries pass through the cache. A kernel's arrays are
 fresh, or, given as its keyword-only `out`, slices of the arrays a
 `Workspace` keeps: a training pass's whole-batch arrays, or a forward-only
-pass's arrays of one shard. No public function writes to its arguments
-other than `out`.
+pass's arrays of one group (see `_plan`). No public function writes to its
+arguments other than `out`.
 
 Every pass runs on window shards, one per CPU, on threads (see Window
 shards below): a training pass shards its whole batch, a forward-only pass
@@ -26,6 +26,7 @@ whole-batch arrays, so no bit depends on the shard count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from collections.abc import Callable
@@ -274,28 +275,22 @@ def _shard_slices(batch: int) -> list[slice]:
 
 
 class Workspace:
-    """The kernels' `out` arrays, kept from one pass to the next. A
-    training pass takes its whole-batch arrays here: those it caches for
-    its backward, per layer, and those its backward carries each layer's
-    gradients through. A forward-only pass takes one flat buffer for a
-    group of FORWARD_CHUNK windows, carved into one set per shard, which
-    every layer and every group of the pass reuses, since it caches
-    nothing. Either kind takes them on the calling thread, before its
-    shards start. A loop that hands every pass one
-    workspace allocates them once, so its passes do not give that memory
-    back to the allocator and fault it in again. Each role has one flat
-    buffer, grown to the largest array the role has been asked for, and an
-    array of any shape is a C-contiguous view of its leading elements: one
-    set of buffers serves every batch shape (a ragged last micro-batch or
-    group, datasets of other channel counts).
+    """The flat buffers `_plan` lays the kernels' `out` arrays in, one per
+    kind of pass, kept from one pass to the next: a loop that hands every
+    pass one workspace allocates them once, so its passes do not give that
+    memory back to the allocator and fault it in again. A buffer grows to
+    the largest plan asked of it, and a plan takes its leading elements, so
+    one buffer serves every batch shape (a ragged last micro-batch or group,
+    datasets of other channel counts). A pass takes its arrays on the
+    calling thread, before its shards start.
 
     The arrays hold the last pass's values only, so a workspace serves one
     pass at a time, never two threads at once. A training pass claims the
     workspace for its EncoderCache, and a claim while an earlier pass's
     cache is alive (its `model.forward` result not yet dropped) raises
     DataError, so no gradient is read from overwritten memory; a
-    forward-only pass's arrays have roles of their own and leave any such
-    cache alone."""
+    forward-only pass's arrays are in a buffer of their own and leave any
+    such cache alone."""
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
@@ -317,78 +312,53 @@ class Workspace:
 @dataclass
 class EncoderCache:
     """What `encoder_backward` needs of a forward pass: the window shards,
-    the workspace holding its arrays, and per layer (the whole-batch arrays
-    its weight and bias gradients sum over windows: xhat of ln1, the
-    attention input and its merged heads, xhat of ln2, the MLP input and its
-    activation; one (ln1, attention, ln2, mlp) kernel-cache tuple per shard,
-    holding views of the workspace's arrays)."""
+    per layer (the whole-batch arrays its weight and bias gradients sum over
+    windows: xhat of ln1, the attention input and its merged heads, xhat of
+    ln2, the MLP input and its activation; one (ln1, attention, ln2, mlp)
+    kernel-cache tuple per shard, holding views of the workspace's arrays),
+    and the whole-batch arrays the backward writes its gradients into,
+    planned with the pass (see `encoder_forward`)."""
 
     heads: int
-    workspace: Workspace | None = None
     slices: list[slice] = field(default_factory=list)
     layers: list[tuple[tuple, list[tuple]]] = field(default_factory=list)
+    grads: list[np.ndarray] = field(default_factory=list)
 
 
-def _kernel_shapes(shape: tuple[int, int, int], hidden: int, heads: int, rows: int) -> tuple:
-    """The shapes of one block's (ln1, attention, ln2, mlp) kernel `out`
-    arrays over windows of `shape` (B, Seq, D), its query side (attention
-    queries and merged heads, LN2 and the MLP) at `rows` rows per window."""
-    B, S, D = shape
-    full, cut, mlp = (B, S, D), (B, rows, D), (B, rows, hidden)
-    return (
-        (full, full, (B, S, 1)),
-        (cut, full, full, (B, heads, S, S), cut),
-        (cut, cut, (B, rows, 1)),
-        (mlp, mlp, mlp),
-    )
-
-
-def _training_arrays(workspace: Workspace, layers: list[dict[str, np.ndarray]], shape: tuple, heads: int) -> list:
-    """Each layer's kernel `out` arrays for a training pass over windows of
-    `shape`, whole-batch arrays of roles of their own."""
-    arrays = []
-    for i, params in enumerate(layers):
-        kernels = _kernel_shapes(shape, params["mlp.w1"].shape[1], heads, shape[1])
-        arrays.append(
-            tuple(
-                tuple(workspace.take(f"enc.{i}.{name}.{j}", sub) for j, sub in enumerate(kernel))
-                for name, kernel in zip(("ln1", "attn", "ln2", "mlp"), kernels)
-            )
-        )
-    return arrays
-
-
-def _forward_arrays(
-    workspace: Workspace, layers: list[dict[str, np.ndarray]], shapes: list[tuple], heads: int, cut_rows: int
-) -> list[list]:
-    """Per shard of a forward-only group (`shapes`, one per shard), each
-    layer's kernel `out` arrays, carved from one flat buffer. A shard's
-    layers share one set, its last block's cut to `cut_rows` query rows as
-    views of the same places (see `_run_layers`), and each shard has a set
-    of its own: with the last block's arrays of other shapes, two shards at
-    different layers would overlap in a shared one. One buffer rather than
-    one per role: glibc keeps a freed block of the size of the largest it
-    has given back, so one pass's buffer stays with the process for the
-    next `evaluate` call, where a dozen smaller ones were handed back to the
-    system and faulted in again by every call (see CHANGES.md)."""
+def _kernel_shapes(shape: tuple[int, int, int], layers: list[dict[str, np.ndarray]], heads: int, rows: int) -> list:
+    """The shapes of one block's kernel `out` arrays over windows of `shape`
+    (B, Seq, D), in the order `_kernel_outs` groups them, its query side
+    (attention queries and merged heads, LN2 and the MLP) at `rows` rows per
+    window; none for no `layers`."""
     if not layers:
-        return [[] for _ in shapes]
-    hidden = layers[0]["mlp.w1"].shape[1]
-    plans = [[_kernel_shapes(shape, hidden, heads, rows) for rows in (shape[1], cut_rows)] for shape in shapes]
-    flat = workspace.take("forward", (sum(math.prod(sub) for full, _ in plans for kernel in full for sub in kernel),))
-    arrays, offset = [], 0
-    for full, cut in plans:
-        block, last = [], []
-        for full_kernel, cut_kernel in zip(full, cut):
-            block.append([])
-            last.append([])
-            for size, small in zip(full_kernel, cut_kernel):
-                block[-1].append(flat[offset : offset + math.prod(size)].reshape(size))
-                last[-1].append(flat[offset : offset + math.prod(small)].reshape(small))
-                offset += math.prod(size)
-        block, last = tuple(map(tuple, block)), tuple(map(tuple, last))
-        arrays.append([block] * (len(layers) - 1) + [last])
-    return arrays
+        return []
+    B, S, D = shape
+    full, cut, mlp = (B, S, D), (B, rows, D), (B, rows, layers[0]["mlp.w1"].shape[1])
+    return [full, full, (B, S, 1), cut, full, full, (B, heads, S, S), cut, cut, cut, (B, rows, 1), mlp, mlp, mlp]
+
+
+def _kernel_outs(arrays: list[np.ndarray]) -> tuple:
+    """The (ln1, attention, ln2, mlp) kernels' `out` tuples of the block
+    whose arrays, in `_kernel_shapes` order, lead `arrays`."""
+    return tuple(arrays[:3]), tuple(arrays[3:8]), tuple(arrays[8:11]), tuple(arrays[11:14])
+
+
+def _plan(workspace: Workspace, kind: str, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Arrays of `shapes`, laid end to end in the one flat buffer of
+    `workspace` for passes of `kind`: a training pass's whole-batch arrays,
+    those it caches for its backward, per layer, then those its backward
+    carries each layer's gradients through; or a forward-only pass's one
+    set for a group of FORWARD_CHUNK windows, which every layer and every
+    group of the pass reuses, since it caches nothing. Each shard writes
+    into its slice of every array. One buffer rather than one per array:
+    glibc keeps a freed block of the size of the largest it has given back,
+    so one pass's buffer stays with the process for the next `evaluate`
+    call, where a dozen smaller ones were handed back to the system and
+    faulted in again by every call (see CHANGES.md)."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = workspace.take(kind, (sum(sizes),))
+    starts = itertools.accumulate(sizes, initial=0)
+    return [flat[start : start + size].reshape(shape) for start, size, shape in zip(starts, sizes, shapes)]
 
 
 @dataclass(frozen=True)
@@ -466,7 +436,6 @@ def encoder_forward(
             return np.empty((batch, 0, x.shape[2])), cache
     workspace = Workspace() if workspace is None else workspace
     if need_backward:
-        cache.workspace = workspace
         workspace.claim(cache)
     out = np.empty((batch, read, x.shape[2]))
 
@@ -480,19 +449,28 @@ def encoder_forward(
         return caches, bad
 
     results = []
-    computed = x.shape[1] if rows is None else rows.shape[1]  # rows per window of a cut last block
+    seq, depth = x.shape[1], len(layers)
+    last = seq if need_backward or rows is None else rows.shape[1]  # query rows of the last block
     groups = [(0, batch)]
     if not need_backward:
         groups = [(i, min(FORWARD_CHUNK, batch - i)) for i in range(0, batch, FORWARD_CHUNK)]
     for start, size in groups:
-        slices = [slice(start + sl.start, start + sl.stop) for sl in _shard_slices(size)]
-        if need_backward:  # each shard fills its slice of whole-batch arrays
-            arrays = _training_arrays(workspace, layers, x.shape, heads)
-            outs = [[tuple(tuple(a[sl] for a in kernel) for kernel in layer) for layer in arrays] for sl in slices]
-        else:
-            shapes = [(sl.stop - sl.start, *x.shape[1:]) for sl in slices]
-            outs = _forward_arrays(workspace, layers, shapes, heads, computed)
-        results += _parallel.run_parallel([functools.partial(shard, o, sl) for o, sl in zip(outs, slices)])
+        block = _kernel_shapes((size, *x.shape[1:]), layers, heads, seq)
+        if need_backward:  # a set per layer, then the backward's (see encoder_backward)
+            grads = [x.shape] * min(2, depth - 1) + [block[-1]] + [x.shape] * 6 if layers else []
+            arrays = _plan(workspace, "training", block * depth + grads)
+            cache.grads = arrays[len(block) * depth :]
+        else:  # one set, which every layer reuses
+            arrays = _plan(workspace, "forward", block)
+        slices, tasks = _shard_slices(size), []
+        for sl in slices:  # each shard's slice of each array; a cut block's are leading views of it
+            shape, outs = (sl.stop - sl.start, *x.shape[1:]), []
+            for i in range(depth):
+                shapes = _kernel_shapes(shape, layers, heads, last if i == depth - 1 else seq)
+                own = arrays[len(block) * i :] if need_backward else arrays
+                outs.append(_kernel_outs([a[sl].reshape(-1)[: math.prod(s)].reshape(s) for a, s in zip(own, shapes)]))
+            tasks.append(functools.partial(shard, outs, slice(start + sl.start, start + sl.stop)))
+        results += _parallel.run_parallel(tasks)
     bad = min((bad for _, bad in results if bad is not None), default=None)
     if bad == -1:
         raise NumericError("non-finite encoder input")
@@ -500,7 +478,8 @@ def encoder_forward(
         raise NumericError(f"non-finite activations after encoder layer {bad}")
     if need_backward:  # one group: the whole batch
         cache.slices = slices
-        for i, ((normed1, xhat1, _), attn, (normed2, xhat2, _), (_, _, act)) in enumerate(arrays):
+        for i in range(depth):
+            (normed1, xhat1, _), attn, (normed2, xhat2, _), (_, _, act) = _kernel_outs(arrays[len(block) * i :])
             reduced = (xhat1, normed1, attn[4], xhat2, normed2, act)
             cache.layers.append((reduced, [caches[i] for caches, _ in results]))
     return out, cache
@@ -599,30 +578,28 @@ def encoder_backward(
 ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     """Exact reverse-mode pass; returns (d_input, per-layer grads). Per
     layer, every shard carries its windows' gradient back through the block
-    into whole-batch arrays of the cache's workspace, then the block's
+    into the whole-batch arrays planned with the pass, then the block's
     weight and bias gradients are summed over all windows from those
     arrays. The returned arrays are fresh."""
     if len(cache.layers) != len(layers):
         raise DataError("cache does not match layer stack")
     d_x = np.asarray(d_out, dtype=np.float64)
-    slices = cache.slices
+    slices, depth = cache.slices, len(layers)
+    turns, parts = cache.grads[:-7], tuple(cache.grads[-7:])  # d input's turns, `_layer_backward`'s others
     all_grads: list[dict[str, np.ndarray]] = [dict() for _ in layers]
-    for i in range(len(layers) - 1, -1, -1):
+    for i in range(depth - 1, -1, -1):
         params = layers[i]
         reduced, shard_caches = cache.layers[i]
-        shape, take = d_x.shape, cache.workspace.take
         # layer i reads the input gradient of layer i + 1 while it writes its
-        # own, so two arrays take turns
-        d_in = take(f"d_in.{i % 2}", shape) if i else np.empty(shape)
-        parts = (take("d_pre", shape[:2] + params["mlp.w1"].shape[1:]), *(take(f"d_part.{j}", shape) for j in range(6)))
-        arrays = (d_in, *parts)
+        # own, so two arrays take turns; layer 0's is returned, so fresh
+        arrays = (turns[(depth - 1 - i) % 2] if i else np.empty(d_x.shape), *parts)
 
         def shard(s: int, sl: slice) -> None:
             _layer_backward(d_x[sl], shard_caches[s], params, cache.heads, tuple(a[sl] for a in arrays))
 
         _parallel.run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
         all_grads[i] = _layer_param_grads(reduced, d_x, parts, len(slices))
-        d_x = d_in
+        d_x = arrays[0]
     return d_x, all_grads
 
 

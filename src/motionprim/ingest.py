@@ -128,22 +128,27 @@ def window(
     """Cut a (total_len, num_channels) matrix into fixed-length windows.
 
     Windows start at 0, stride, 2*stride, ...; a trailing partial window is
-    discarded. With `labels` (one per row), windows whose label is not
-    uniform are dropped and the rest carry that label. The windows are
-    read-only views of one copy of `samples`, so a later change to
-    `samples` leaves them as they are.
+    discarded. With `labels` (one per row; another count raises DataError),
+    windows whose label is not uniform are dropped and the rest carry that
+    label. The windows are read-only views of one copy of `samples`, so a
+    later change to `samples` leaves them as they are.
     """
     samples = np.array(samples, dtype=np.float64)
     if samples.ndim != 2:  # also when too short for one window
         raise DataError("window samples must be a 2-d (time, channel) array")
-    return _window_views(samples, win, stride, channels, labels)
+    if labels is not None and len(labels) != len(samples):
+        raise DataError(f"{len(labels)} labels for {len(samples)} rows; give one label per row")
+    return _window_views(samples, win, stride, channels, None if labels is None else np.asarray(labels))
 
 
 def _window_views(
-    matrix: np.ndarray, win: int, stride: int | None, channels: list[ChannelMetadata], labels: np.ndarray | None
+    matrix: np.ndarray, win: int, stride: int | None, channels: list[ChannelMetadata], codes: np.ndarray | None,
+    table: np.ndarray | None = None,
 ) -> list[SensorWindow]:
-    """`window` over a 2-d float64 `matrix` that the windows may own: it is
-    made read-only, and each window's samples are a view of it."""
+    """`window` over a 2-d float64 `matrix` that the windows may own, with
+    one label code per row in `codes`: it is made read-only, and each
+    window's samples are a view of it. A window's label is its code, or
+    that code's entry of `table`."""
     if win <= 0 or (stride is not None and stride <= 0):
         raise DataError("window and stride must be > 0")
     if stride is None:
@@ -152,12 +157,12 @@ def _window_views(
     out: list[SensorWindow] = []
     for start in range(0, matrix.shape[0] - win + 1, stride):
         label = None
-        if labels is not None:
-            chunk = labels[start : start + win]
+        if codes is not None:
+            chunk = codes[start : start + win]
             first = chunk[0]
             if not np.all(chunk == first):
                 continue  # crosses an activity boundary
-            label = int(first)
+            label = int(first if table is None else table[first])
         out.append(SensorWindow(matrix[start : start + win], list(channels), label=label))
     return out
 
@@ -766,7 +771,7 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
     if length < 2:  # as resampling refuses
         raise DataError(f"{manifest.name}: a channel needs at least 2 samples, got {length}")
 
-    labels = None
+    codes = table = None
     class_names = list(manifest.classes)
     if manifest.label is not None:
         names, codes = columns_of(manifest.base_dir / manifest.label.file).labels[manifest.label.column]
@@ -782,9 +787,10 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
         if missing:
             raise DataError(f"labels not covered by manifest classes: {sorted(missing)}")
         # a name that resampling or truncation dropped maps to -1, never indexed
-        labels = np.array([ids.get(name, -1) for name in names], dtype=np.int64)[codes]
+        table = np.array([ids.get(name, -1) for name in names], dtype=np.int64)
+        matrix = matrix[: len(codes)]  # as the channels, cut to the shortest stream
 
-    windows = _window_views(matrix, manifest.window, manifest.stride, [ch.meta for ch in channels], labels)
+    windows = _window_views(matrix, manifest.window, manifest.stride, [ch.meta for ch in channels], codes, table)
     for path, columns in cache.items():
         if columns.parsed:
             _write_sidecar(path, columns)

@@ -247,7 +247,7 @@ class PreparedBatch:
     def segments_per_channel(self) -> int:
         return self.norm_segments.shape[2]
 
-    def subset(self, idx: np.ndarray) -> "PreparedBatch":
+    def subset(self, idx: np.ndarray | slice) -> "PreparedBatch":
         return PreparedBatch(
             self.norm_segments[idx],
             self.stats[idx],

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import FORWARD_CHUNK, Workspace
+from . import _parallel
+from .encoder import Workspace
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .model import (
     FINETUNE_WEIGHTS,
@@ -418,14 +419,13 @@ def metrics_from_confusion(confusion: np.ndarray) -> EvalMetrics:
 def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetrics:
     """Accuracy / macro-F1 / confusion on a labeled batch, without masking.
 
-    Windows go through forward-only passes of the encoder's FORWARD_CHUNK
-    windows, dealt round-robin over `workers` threads. That chunk keeps a
-    pass's largest array, the attention weights, small enough to stay in
-    cache; larger chunks are slower, not faster. Each worker hands all its
-    passes one `encoder.Workspace`, so the kernels' arrays are allocated
-    once per worker, not once per pass. Each pass splits its windows into
-    shards that run on every CPU (see motionprim.encoder), so one worker
-    already keeps them all busy. Only the [CLS] row is read, so the
+    The windows go through one forward-only `model.forward` pass per part,
+    min(`workers`, CPUs, windows) contiguous slices of the batch, the first
+    on the calling thread and each other on a thread of its own. Each pass's
+    encoder runs FORWARD_CHUNK windows at a time, which keeps its largest
+    array, the attention weights, small enough to stay in cache, and splits
+    them into shards that run on every CPU (see motionprim.encoder), so one
+    part already keeps them all busy. Only the [CLS] row is read, so the
     encoder's last block computes its query side at rows 0 and 1 alone
     (see `model.forward`); the predictions are those of a full pass.
     """
@@ -435,23 +435,15 @@ def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetric
         raise DataError("evaluation needs labeled windows")
     if batch.size == 0:
         raise DataError("evaluation on an empty dataset")
-    chunks = [
-        np.arange(i, min(i + FORWARD_CHUNK, batch.size)) for i in range(0, batch.size, FORWARD_CHUNK)
-    ]
+    n = min(workers, _parallel.cpus(), batch.size)
+    parts = [slice(batch.size * p // n, batch.size * (p + 1) // n) for p in range(n)]
 
-    def run(worker: int) -> list[np.ndarray]:
-        workspace = Workspace()
-        return [
-            forward(model, batch.subset(idx), FINETUNE_WEIGHTS, need_backward=False, workspace=workspace).predictions
-            for idx in chunks[worker::workers]
-        ]
+    def run(part: slice) -> np.ndarray:
+        return forward(model, batch.subset(part), FINETUNE_WEIGHTS, need_backward=False).predictions
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            dealt = list(pool.map(run, range(workers)))
-    else:
-        dealt = [run(0)]
-    predictions = np.concatenate([dealt[i % workers][i // workers] for i in range(len(chunks))])
+    with ThreadPoolExecutor(max_workers=max(1, n - 1)) as pool:  # it starts a thread per part submitted
+        rest = pool.map(run, parts[1:])
+        predictions = np.concatenate([run(parts[0]), *rest])
     ncls = model.config.num_classes
     confusion = np.zeros((ncls, ncls), dtype=np.int64)
     np.add.at(confusion, (batch.labels, predictions), 1)

@@ -328,6 +328,71 @@ def test_sharded_encoder_bitwise_equals_reference(shards, batch, cpus, floor):
     )
 
 
+def assert_disjoint(arrays, where):
+    for i, a in enumerate(arrays):
+        for j in range(i + 1, len(arrays)):
+            assert not np.shares_memory(a, arrays[j]), f"{where}: arrays {i} and {j} overlap"
+
+
+def test_a_pass_plans_disjoint_arrays(shards, monkeypatch):
+    # a training pass's arrays, every layer's kernel arrays on each shard and
+    # its backward's, are pairwise disjoint; so are the shards' sets of a
+    # forward-only group, each set shared by the shard's layers, and each
+    # array of its last block, cut to the rows read, starts at the first
+    # element of the full one
+    shards(2)
+    config = ModelConfig(depth=3, heads=4, model_dim=64, mlp_ratio=2.0)
+    layers = random_layers(config, seed=4)
+    x = np.random.default_rng(2).normal(size=(20, 31, config.model_dim))
+    rows = np.zeros((20, 1), dtype=np.int64)
+    outs = []
+    real = encoder._run_layers
+
+    def recording(x, layers, heads, shard_outs, *rest):
+        outs.append(shard_outs)
+        return real(x, layers, heads, shard_outs, *rest)
+
+    monkeypatch.setattr(encoder, "_run_layers", recording)
+
+    def flat(block):
+        return [a for kernel in block for a in kernel]
+
+    _, cache = encoder_forward(x, layers, config.heads, rows=rows)
+    assert len(outs) == 2 and len(cache.grads) == 2 + 7
+    assert_disjoint([a for shard in outs for block in shard for a in flat(block)] + cache.grads, "training pass")
+    outs.clear()
+    encoder_forward(x, layers, config.heads, need_backward=False, rows=rows)
+    assert len(outs) == 2
+    for shard in outs:
+        full, cut = flat(shard[0]), flat(shard[-1])
+        assert all([a.ctypes.data for a in flat(block)] == [a.ctypes.data for a in full] for block in shard)
+        assert any(c.shape != a.shape for a, c in zip(full, cut))
+        assert all(c.size <= a.size and np.shares_memory(a, c) for a, c in zip(full, cut))
+    assert_disjoint([a for shard in outs for a in flat(shard[0])], "forward-only group")
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_training_workspace_holds_the_elements_its_pass_uses(depth):
+    # one buffer, of exactly the float64 elements of a training pass's
+    # kernel arrays and its backward's, which take no other array
+    B, S, D, H, h = 20, 31, 64, 128, 4
+    config = ModelConfig(depth=depth, heads=h, model_dim=D, mlp_ratio=H / D)
+    layers = random_layers(config, seed=4)
+    rng = np.random.default_rng(depth)
+    workspace = encoder.Workspace()
+    _, cache = encoder_forward(rng.normal(size=(B, S, D)), layers, h, workspace=workspace)
+    encoder_backward(rng.normal(size=(B, S, D)), cache, layers)
+    # per layer: LN1's output, xhat and 1 / std; q, k, v, the attention
+    # weights and the merged heads; LN2's three; the MLP's pre-activation,
+    # Phi and activation
+    kernels = (2 * B * S * D + B * S) + (4 * B * S * D + B * h * S * S) + (2 * B * S * D + B * S) + 3 * B * S * H
+    # layer 0's input gradient is returned, a fresh array; those of the
+    # layers above take turns in at most two; then d pre-activation and the
+    # six other gradients a block's weight and bias gradients sum over
+    backward = min(2, depth - 1) * B * S * D + B * S * H + 6 * B * S * D
+    assert {kind: buffer.size for kind, buffer in workspace._buffers.items()} == {"training": depth * kernels + backward}
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("batch", [1, 7, 31, 33, 65])
 def test_forward_only_shards_bitwise_equal_reference(shards, monkeypatch, batch, cpus):

@@ -637,7 +637,7 @@ def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch, config_case
 def test_workspace_refuses_a_pass_while_an_earlier_result_is_alive(config_case):
     # the second training pass into one workspace raises while the first
     # result is held and overwrites nothing of it; a forward-only pass takes
-    # arrays of roles of its own; once the first result is dropped the
+    # arrays of a buffer of its own; once the first result is dropped the
     # workspace serves again
     model, batch = config_case("bench", 20)
     mask = _held_out_mask(model, batch)
@@ -699,9 +699,9 @@ def test_forward_only_groups_reuse_one_set_of_workspace_buffers(shards, config_c
 
 
 def test_chunked_cls_probs_equal_one_full_batch_forward(bench_shape_eval):
-    # at the acceptance config, 32-window passes (as evaluate runs them) give
-    # the same bits as one pass over all windows; 1-window passes differ in
-    # the last place, so chunks that small are not part of the contract
+    # at the acceptance config, 32-window passes give the same bits as one
+    # pass over all windows; 1-window passes differ in the last place, so
+    # chunks that small are not part of the contract
     model, batch = bench_shape_eval
     full = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False).cls_probs
     chunks = [np.arange(i, min(i + 32, batch.size)) for i in range(0, batch.size, 32)]

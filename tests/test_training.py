@@ -513,8 +513,9 @@ def test_evaluate_matches_forward_argmax_and_workers():
 
 @pytest.mark.parametrize("windows", [80, 400])
 def test_evaluate_confusion_does_not_depend_on_chunking(bench_shape_eval, bench_batch_400, windows):
-    # evaluate's chunked passes predict what one whole-batch pass predicts;
-    # at 400 windows their class probabilities may differ in the last bits
+    # evaluate's passes over its parts predict what one whole-batch pass
+    # predicts; at 400 windows their class probabilities may differ in the
+    # last bits
     model, batch = bench_shape_eval
     batch = {80: batch, 400: bench_batch_400}[windows]
     assert batch.size == windows
@@ -526,30 +527,62 @@ def test_evaluate_confusion_does_not_depend_on_chunking(bench_shape_eval, bench_
         np.testing.assert_array_equal(got, want, err_msg=f"workers={workers}")
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_evaluate_keeps_one_workspace_per_worker(monkeypatch, workers):
-    # 5 chunks dealt round-robin: each worker hands its own workspace to all
-    # its passes, no workspace is used by two threads, and the predictions
+def test_evaluate_runs_one_forward_only_pass_per_part(shards, monkeypatch, workers, cpus):
+    # min(workers, CPUs) contiguous slices of the batch, in window order,
+    # each one forward-only pass on a thread of its own; the predictions
     # come back in window order
+    shards(cpus)
     batch = tiny_batch(seed=7, num_windows=4 * encoder.FORWARD_CHUNK + 3)
     model = init_model(tiny_config(), seed=3)
     want = forward(model, batch, FINETUNE_WEIGHTS, need_backward=False).predictions
-    used = []
+    calls = []
     real = training.forward
 
-    def recording_forward(*args, workspace=None, **kwargs):
-        used.append((threading.get_ident(), workspace))
-        return real(*args, workspace=workspace, **kwargs)
+    def recording_forward(model, part, *args, **kwargs):
+        calls.append((threading.get_ident(), part.window_ids, args, kwargs))
+        return real(model, part, *args, **kwargs)
 
     monkeypatch.setattr(training, "forward", recording_forward)
     got = evaluate(model, batch, workers=workers)
     np.testing.assert_array_equal(got.confusion, oracles.confusion(batch.labels, want, model.config.num_classes))
-    assert len(used) == 5
-    assert all(isinstance(workspace, encoder.Workspace) for _, workspace in used)
-    owners = {}
-    for thread, workspace in used:
-        owners.setdefault(id(workspace), set()).add(thread)
-    assert len(owners) == workers and all(len(threads) == 1 for threads in owners.values())
+    parts = min(workers, cpus)
+    assert len(calls) == parts and len({thread for thread, *_ in calls}) == parts
+    assert all(args == (FINETUNE_WEIGHTS,) and kwargs == {"need_backward": False} for *_, args, kwargs in calls)
+    ids = sorted((ids for _, ids, *_ in calls), key=lambda ids: ids[0])
+    assert all(np.array_equal(part, np.arange(part[0], part[0] + len(part))) for part in ids)
+    np.testing.assert_array_equal(np.concatenate(ids), batch.window_ids)
+
+
+def test_evaluate_asks_for_no_more_threads_than_cpus(shards, monkeypatch):
+    # any `workers` on 2 CPUs: an executor of one thread, given one part to
+    # run beside the calling thread, or none for a single window; the
+    # recording executor starts no thread
+    asked, mapped = [], []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            mapped.append(len(parts))
+            return map(fn, parts)
+
+    monkeypatch.setattr(training, "ThreadPoolExecutor", RecordingExecutor)
+    shards(2)
+    model = init_model(tiny_config(), seed=3)
+    for windows, parts in ((40, 1), (1, 0)):
+        asked.clear()
+        mapped.clear()
+        evaluate(model, tiny_batch(seed=7, num_windows=windows), workers=10**6)
+        assert (asked, mapped) == ([1], [parts]), windows
 
 
 def test_evaluate_rejects_nonpositive_workers():
