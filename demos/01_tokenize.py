@@ -13,8 +13,9 @@ from motionprim.ingest import (
     SyntheticSpec,
     WaveformSpec,
     generate_synthetic,
-    segment_matrix,
 )
+from motionprim.metadata import make_provider
+from motionprim.model import ModelConfig, prepare_windows
 from motionprim.quantizer import init_codebook, nearest_prototypes, usage_report
 
 SPEC = SyntheticSpec(
@@ -40,6 +41,9 @@ SPEC = SyntheticSpec(
 
 SEGMENT_LEN = 50
 CODEBOOK_SIZE = 16
+# prepare_windows reads the segment length, the room for segments per
+# channel (250 / 50 = 5) and the metadata width; no model is built from it
+CONFIG = ModelConfig(codebook_size=CODEBOOK_SIZE, segment_len=SEGMENT_LEN, segments_per_channel=5, meta_dim=8)
 
 
 def main() -> None:
@@ -48,7 +52,8 @@ def main() -> None:
 
     # normalized segments from every window, (windows, channels, segments,
     # length), feed the k-means fit
-    norm, _ = segment_matrix(np.stack([w.samples for w in windows]), SEGMENT_LEN)
+    provider = make_provider("deterministic-hash", dim=CONFIG.meta_dim, seed=0)
+    norm = prepare_windows(windows, CONFIG, provider).norm_segments
     sample = norm.reshape(-1, SEGMENT_LEN)
     print(f"fitting {CODEBOOK_SIZE} prototypes on {len(sample)} segments of length {SEGMENT_LEN}")
 

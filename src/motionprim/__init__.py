@@ -36,7 +36,6 @@ from .ingest import (
     load_dataset,
     load_manifest,
     resample,
-    segment_matrix,
     window,
 )
 from .metadata import (
@@ -134,7 +133,6 @@ __all__ = [
     "pretrain",
     "resample",
     "save_checkpoint",
-    "segment_matrix",
     "similarity",
     "stratified_split",
     "token_streams",

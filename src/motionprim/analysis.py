@@ -76,6 +76,11 @@ def similarity(token_ids: np.ndarray, model: Model) -> SimilarityMatrix:
 # Frequency
 
 
+def rank_tokens(counts: np.ndarray) -> np.ndarray:
+    """The token ids of per-id `counts` by descending count, ties to the lower id."""
+    return np.argsort(-counts, kind="stable")
+
+
 @dataclass
 class FrequencyReport:
     indices: np.ndarray  # VQ indices, descending count order (ties: lower id)
@@ -140,9 +145,7 @@ def frequency(
         table[:, label] += np.bincount(tokens, minlength=K)
         total += tokens.size
     counts = table.sum(axis=1)
-    # descending by count, ascending index as the tie-break
-    order = np.lexsort((np.arange(K), -counts))
-    keep = order[: min(top_n, K)]
+    keep = rank_tokens(counts)[:top_n]
     kept_counts = counts[keep]
     fractions = np.zeros((keep.size, ncls), dtype=np.float64)
     nonzero = kept_counts > 0

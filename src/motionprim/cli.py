@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import DEFAULT_TOP_N, export_report, frequency, similarity, token_streams, transitions
+from .analysis import DEFAULT_TOP_N, export_report, frequency, rank_tokens, similarity, token_streams, transitions
 from .errors import CheckpointError, ConfigError, DataError, MotionPrimError, NumericError
 from .ingest import load_dataset, load_manifest, load_synthetic_spec, write_synthetic_dataset
 from .metadata import make_provider
@@ -343,9 +343,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     reports = []
     if "similarity" in wanted:
         counts = np.bincount(indices.reshape(-1), minlength=K)
-        observed = np.flatnonzero(counts)
-        order = observed[np.lexsort((observed, -counts[observed]))]
-        reports.append(similarity(np.sort(order[: min(args.sim_tokens, order.size)]), model))
+        # the most used of the observed tokens
+        top = rank_tokens(counts)[: min(args.sim_tokens, np.count_nonzero(counts))]
+        reports.append(similarity(np.sort(top), model))
     streams = token_streams(indices, batch.labels)
     if "frequency" in wanted:
         reports.append(frequency(streams, K, num_classes, top_n=args.top_n))

@@ -9,8 +9,8 @@ The elementwise work runs in place on each kernel's own arrays, in the
 same operation order as the plain one-temporary-per-operation expressions
 (kept in tests/oracles.py), so the values are bit for bit the same while far
 fewer full-size temporaries pass through the cache. A kernel's arrays are
-fresh, or, given as its keyword-only `out`, slices of the arrays a
-`Workspace` keeps: a training pass's whole-batch arrays, or a forward-only
+fresh, or, given as its keyword-only `out`, slices of the arrays of a
+`Workspace`: a training pass's whole-batch arrays, or a forward-only
 pass's arrays of one group (see `_plan`). No public function writes to its
 arguments other than `out`.
 
@@ -275,25 +275,25 @@ def _shard_slices(batch: int) -> list[slice]:
 
 
 class Workspace:
-    """The flat buffers `_plan` lays the kernels' `out` arrays in, one per
-    kind of pass, kept from one pass to the next: a loop that hands every
-    pass one workspace allocates them once, so its passes do not give that
-    memory back to the allocator and fault it in again. A buffer grows to
-    the largest plan asked of it, and a plan takes its leading elements, so
-    one buffer serves every batch shape (a ragged last micro-batch or group,
-    datasets of other channel counts). A pass takes its arrays on the
-    calling thread, before its shards start.
+    """The flat buffer `_plan` lays the kernels' `out` arrays in. A
+    training loop hands every training pass one workspace, which keeps the
+    buffer from one pass to the next, so the loop allocates it once and its
+    passes do not give that memory back to the allocator and fault it in
+    again. The buffer grows to the largest plan asked of it, and a plan
+    takes its leading elements, so one buffer serves every batch shape (a
+    ragged last micro-batch or group, datasets of other channel counts). A
+    pass takes its arrays on the calling thread, before its shards start.
 
     The arrays hold the last pass's values only, so a workspace serves one
     pass at a time, never two threads at once. A training pass claims the
     workspace for its EncoderCache, and a claim while an earlier pass's
     cache is alive (its `model.forward` result not yet dropped) raises
-    DataError, so no gradient is read from overwritten memory; a
-    forward-only pass's arrays are in a buffer of their own and leave any
-    such cache alone."""
+    DataError, so no gradient is read from overwritten memory. A
+    forward-only pass takes a fresh workspace of its own (see
+    `encoder_forward`)."""
 
     def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buffer = np.empty(0)
         self._holder: weakref.ref | None = None
 
     def claim(self, cache: "EncoderCache") -> None:
@@ -301,12 +301,12 @@ class Workspace:
             raise DataError("an earlier pass's result still holds this workspace; drop it before the next pass")
         self._holder = weakref.ref(cache)
 
-    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
-        if role not in self._buffers or self._buffers[role].size < size:
-            self._buffers.pop(role, None)  # freed before the larger one is allocated
-            self._buffers[role] = np.empty(size)
-        return self._buffers[role][:size].reshape(shape)
+        if self._buffer.size < size:
+            self._buffer = np.empty(0)  # freed before the larger one is allocated
+            self._buffer = np.empty(size)
+        return self._buffer[:size].reshape(shape)
 
 
 @dataclass
@@ -343,20 +343,20 @@ def _kernel_outs(arrays: list[np.ndarray]) -> tuple:
     return tuple(arrays[:3]), tuple(arrays[3:8]), tuple(arrays[8:11]), tuple(arrays[11:14])
 
 
-def _plan(workspace: Workspace, kind: str, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Arrays of `shapes`, laid end to end in the one flat buffer of
-    `workspace` for passes of `kind`: a training pass's whole-batch arrays,
-    those it caches for its backward, per layer, then those its backward
-    carries each layer's gradients through; or a forward-only pass's one
-    set for a group of FORWARD_CHUNK windows, which every layer and every
-    group of the pass reuses, since it caches nothing. Each shard writes
-    into its slice of every array. One buffer rather than one per array:
+def _plan(workspace: Workspace, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Arrays of `shapes`, laid end to end in the flat buffer of
+    `workspace`: a training pass's whole-batch arrays, those it caches for
+    its backward, per layer, then those its backward carries each layer's
+    gradients through; or a forward-only pass's one set for a group of
+    FORWARD_CHUNK windows, which every layer and every group of the pass
+    reuses, since it caches nothing. Each shard writes into its slice of
+    every array. One buffer rather than one per array:
     glibc keeps a freed block of the size of the largest it has given back,
     so one pass's buffer stays with the process for the next `evaluate`
     call, where a dozen smaller ones were handed back to the system and
     faulted in again by every call (see CHANGES.md)."""
     sizes = [math.prod(shape) for shape in shapes]
-    flat = workspace.take(kind, (sum(sizes),))
+    flat = workspace.take((sum(sizes),))
     starts = itertools.accumulate(sizes, initial=0)
     return [flat[start : start + size].reshape(shape) for start, size, shape in zip(starts, sizes, shapes)]
 
@@ -389,20 +389,21 @@ def encoder_forward(
     built shard by shard.
 
     The stack runs over window shards at once (see Window shards), and each
-    shard's kernels write into its slice of arrays of `workspace` (a fresh
-    one if None). With `need_backward` the shards split the whole batch and
-    the returned cache keeps what `encoder_backward` needs, in whole-batch
-    arrays; a training loop passes the same workspace to every pass, and
-    drops each pass's cache before the next (see Workspace). Without it the
-    cache holds no layers, and the shards split one group of FORWARD_CHUNK
-    windows after another, keeping no kernel cache: each shard's layers
-    write into one set of arrays, which every later group reuses, so the
+    shard's kernels write into its slice of arrays of a `Workspace`. With
+    `need_backward` that is `workspace` (a fresh one if None), the shards
+    split the whole batch and the returned cache keeps what
+    `encoder_backward` needs, in whole-batch arrays; a training loop passes
+    the same workspace to every pass, and drops each pass's cache before
+    the next (see Workspace). Without it `workspace` is not used: the pass
+    takes a fresh workspace of its own, the cache holds no layers, and the
+    shards split one group of FORWARD_CHUNK windows after another, keeping
+    no kernel cache. Each shard's layers write into one set of arrays, made
+    for the first group (the largest) and reused by every later one, so the
     intermediates in flight are those of at most FORWARD_CHUNK windows,
-    whatever the batch size, and a loop of forward-only passes that shares
-    a workspace allocates them once. Either
-    way the result equals one pass over all windows bit for bit
-    (tested in tests/test_encoder.py and tests/test_model.py), and a
-    NumericError names the lowest failing layer over all windows.
+    whatever the batch size. Either way the result equals one pass over all
+    windows bit for bit (tested in tests/test_encoder.py and
+    tests/test_model.py), and a NumericError names the lowest failing layer
+    over all windows.
 
     `rows`, (B, r) sequence positions, are the rows the caller reads, and
     the result is (B, r, D), their outputs in `rows` order; without `rows`
@@ -434,7 +435,7 @@ def encoder_forward(
         rows, read = _query_rows(rows, x.shape[:2])
         if read == 0:
             return np.empty((batch, 0, x.shape[2])), cache
-    workspace = Workspace() if workspace is None else workspace
+    workspace = workspace if need_backward and workspace is not None else Workspace()
     if need_backward:
         workspace.claim(cache)
     out = np.empty((batch, read, x.shape[2]))
@@ -458,10 +459,10 @@ def encoder_forward(
         block = _kernel_shapes((size, *x.shape[1:]), layers, heads, seq)
         if need_backward:  # a set per layer, then the backward's (see encoder_backward)
             grads = [x.shape] * min(2, depth - 1) + [block[-1]] + [x.shape] * 6 if layers else []
-            arrays = _plan(workspace, "training", block * depth + grads)
+            arrays = _plan(workspace, block * depth + grads)
             cache.grads = arrays[len(block) * depth :]
         else:  # one set, which every layer reuses
-            arrays = _plan(workspace, "forward", block)
+            arrays = _plan(workspace, block)
         slices, tasks = _shard_slices(size), []
         for sl in slices:  # each shard's slice of each array; a cut block's are leading views of it
             shape, outs = (sl.stop - sl.start, *x.shape[1:]), []

@@ -1,5 +1,5 @@
-"""Sensor data ingestion: resampling, windowing, segmentation, normalization,
-synthetic data generation, and manifest-driven CSV loading.
+"""Sensor data ingestion: resampling, windowing, synthetic data generation,
+and manifest-driven CSV loading (`model.prepare_windows` segments windows).
 
 Everything here is a pure function over immutable inputs; nothing mutates its
 arguments, so callers are free to parallelize across windows.
@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ from .schema import check_fields, from_dict, read_json
 
 DEFAULT_TARGET_RATE = 100.0
 DEFAULT_WINDOW_LEN = 500
-DEFAULT_NORM_EPS = 1e-5
 
 GENERATOR_IDS = ("sine", "square", "sawtooth", "constant")
 
@@ -167,55 +167,6 @@ def _window_views(
     return out
 
 
-def segment_matrix(samples: np.ndarray, seg_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cut (..., T, C) samples into non-overlapping single-channel segments
-    and instance-normalize each one.
-
-    Returns (normalized, stats) with shapes (..., C, S, L) and (..., C, S, 2),
-    S = floor(T / L), in channel-major order: all of channel 0 in time order,
-    then channel 1, and so on. Stats are the mean and population variance of
-    the raw values, so they keep the scale; each segment is then normalized
-    from them, (s - mean) / (sqrt(variance) + DEFAULT_NORM_EPS), the bits of
-    (s - s.mean()) / (s.std() + DEFAULT_NORM_EPS). A constant segment maps
-    to zeros. Non-finite segment values raise DataError.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    T, C = samples.shape[-2:]
-    if not 0 < seg_len <= T:
-        raise DataError(f"segment length {seg_len} must be in [1, window length {T}]")
-    S = T // seg_len
-    values = np.swapaxes(samples[..., : S * seg_len, :], -1, -2)
-    # copy: with one channel the reshape is a view of samples, and the
-    # normalization below writes into it
-    values = values.reshape(samples.shape[:-2] + (C, S, seg_len)).copy()
-    stats = _normalize_segments(values.reshape(-1, C, S, seg_len))
-    return values, stats.reshape(values.shape[:-1] + (2,))
-
-
-# windows per block of `_normalize_segments`: its temporaries are those of
-# this many windows, whatever the batch size
-_NORM_BLOCK = 64
-
-
-def _normalize_segments(values: np.ndarray) -> np.ndarray:
-    """Instance-normalize (B, C, S, L) C-contiguous segments in place, as
-    `segment_matrix` does, and return their raw (B, C, S, 2) mean and
-    variance. It runs `_NORM_BLOCK` windows at a time; each statistic is a
-    reduction of one segment over its last axis, so the blocks do not move
-    a bit. Non-finite values raise DataError (the blocks before the one
-    holding them are left normalized)."""
-    stats = np.empty(values.shape[:-1] + (2,))
-    for start in range(0, values.shape[0], _NORM_BLOCK):
-        block, block_stats = values[start : start + _NORM_BLOCK], stats[start : start + _NORM_BLOCK]
-        if not np.isfinite(block).all():
-            raise DataError("cannot normalize segments with non-finite values")
-        mean, var = block.mean(axis=-1), block.var(axis=-1)
-        block_stats[..., 0], block_stats[..., 1] = mean, var
-        block -= mean[..., None]
-        block /= np.sqrt(var)[..., None] + DEFAULT_NORM_EPS
-    return stats
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 
@@ -235,6 +186,9 @@ class WaveformSpec:
         check_fields(self)
         if self.kind not in GENERATOR_IDS:
             raise ConfigError(f"unknown waveform generator {self.kind!r}; known: {GENERATOR_IDS}")
+        for name in ("amplitude", "frequency", "phase", "offset", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
 
@@ -262,6 +216,7 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        _check_rate(self.rate)
         if len(self.classes) < 2:
             raise ConfigError("a synthetic spec needs at least 2 classes")
         if len(set(self.class_names)) < len(self.classes):
@@ -289,6 +244,11 @@ class SyntheticSpec:
     def column_names(self) -> list[str]:
         """The channels' CSV column names, `<body>_<sensor>_<axis>` in lower case."""
         return [f"{m.body_part}_{m.sensor}_{m.axis}".lower() for m in self.channels]
+
+
+def _check_rate(rate: float) -> None:
+    if not 0 < rate < math.inf:
+        raise ConfigError(f"rate must be finite and > 0, got {rate}")
 
 
 def _waveform_values(wave: WaveformSpec, times: np.ndarray) -> np.ndarray:
@@ -345,7 +305,11 @@ def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
     without a `native_rate` takes the spec's `rate`."""
     if isinstance(raw, dict) and isinstance(raw.get("channels"), list):
         rate = raw.get("rate", DEFAULT_TARGET_RATE)
-        # "rate" leads, so a bad rate is reported as itself, not as a channel's
+        # a bad rate is reported as itself, not as the native_rate of a
+        # channel that takes it: its value is checked before the channels
+        # are built, and "rate" leads, so its type is too
+        if type(rate) in (int, float):
+            _check_rate(rate)
         channels = [{"native_rate": rate, **ch} if isinstance(ch, dict) else ch for ch in raw["channels"]]
         raw = {"rate": rate, **raw, "channels": channels}
     return from_dict(SyntheticSpec, raw, "synthetic spec")
@@ -525,21 +489,21 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
     """Parse the body in blocks of `_PARSE_ROWS` rows, one loadtxt call per
     block on one text stream that hashes the bytes as they are read. Each
     block keeps only its requested columns: numbers written into their
-    columns of the result's block, sized beforehand by a count of the
-    file's line ends, and text as codes against a running table of the
-    names seen so far. So the parse holds one block of rows besides those
-    columns, and at the end one more text column while it joins each text
-    column's blocks. The codes index the sorted names, as `np.unique` gives
-    them. A bad header, a missing column, a short or long row, a
-    non-numeric or empty number, a blank line and a file without data rows
-    all raise DataError naming the file."""
+    columns of the result's block, and text as codes against a running
+    table of the names seen so far, written into an int64 column each. The
+    columns are sized beforehand by a count of the file's line ends (and
+    grown if the rows outrun it), so the parse holds one block of rows
+    besides them. At the end the codes are remapped in place to index the
+    sorted names, as `np.unique` gives them. A bad header, a missing
+    column, a short or long row, a non-numeric or empty number, a blank
+    line and a file without data rows all raise DataError naming the file."""
     numeric, text = request["numeric"], set(request["text"])
-    codes: dict[str, list[np.ndarray]] = {name: [] for name in request["text"]}
     names: dict[str, dict[str, int]] = {name: {} for name in request["text"]}  # name -> code, in order seen
     rows = 0
     try:
         lines = _line_count(path)
         block = np.empty((max(0, lines - 1), len(numeric)), order="F")
+        codes = {name: np.empty(len(block), dtype=np.int64) for name in request["text"]}
         with open(path, "rb", buffering=0) as binary:
             raw = _HashingReader(binary)
             fh = io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), newline="")
@@ -569,13 +533,14 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
                         grown = np.empty((max(end, 2 * len(block)), len(numeric)), order="F")
                         grown[:rows] = block[:rows]
                         block = grown
+                        codes = {name: np.resize(column, len(block)) for name, column in codes.items()}
                     for j, name in enumerate(numeric):
                         block[rows:end, j] = parsed[field_of[name]]
-                    for name, parts in codes.items():
+                    for name, column in codes.items():
                         values, inverse = np.unique(parsed[field_of[name]].astype(str), return_inverse=True)
                         table = names[name]
                         known = [table.setdefault(value, len(table)) for value in values.tolist()]
-                        parts.append(np.array(known, dtype=np.int64)[inverse])
+                        column[rows:end] = np.array(known, dtype=np.int64)[inverse]
                     rows = end
                     if len(parsed) < _PARSE_ROWS:
                         break
@@ -603,10 +568,9 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
     for name in request["text"]:
         # each name's place in sorted order, indexed by its code
         ordered, rank = np.unique(np.array(list(names[name]), dtype=str), return_inverse=True)
-        parts = codes.pop(name)
-        for part in parts:
-            part[:] = rank[part]
-        labels[name] = (ordered.tolist(), np.concatenate(parts))
+        column = codes[name][:rows]
+        np.take(rank, column, out=column, mode="clip")  # every code is in range: no copy to check them
+        labels[name] = (ordered.tolist(), column)
     key = {**request, "sha256": raw.sha256.hexdigest()}
     return _CsvColumns(columns, labels, key, parsed=True, block=block)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .embedder import SequenceLayout, build_layout, embed_backward, embed_rows, mask_count, table_rows
 from .encoder import LazyInput, Workspace, _weight_grad, encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
-from .ingest import SensorWindow, _normalize_segments
+from .ingest import SensorWindow
 from .metadata import canonical_descriptor, embed_channels
 from .quantizer import nearest_prototypes
 from .schema import check_fields
@@ -264,6 +264,32 @@ def check_meta_dim(dim: int, config: ModelConfig) -> None:
         raise ConfigError(f"metadata provider dim {dim} does not match config meta_dim {config.meta_dim}")
 
 
+DEFAULT_NORM_EPS = 1e-5
+# windows per block of `_normalize_segments`: its temporaries are those of
+# this many windows, whatever the batch size
+_NORM_BLOCK = 64
+
+
+def _normalize_segments(values: np.ndarray) -> np.ndarray:
+    """Instance-normalize (B, C, S, L) C-contiguous segments in place, the
+    bits of (s - s.mean()) / (s.std() + DEFAULT_NORM_EPS) (a constant
+    segment maps to zeros), and return their raw (B, C, S, 2) mean and
+    population variance, which keep the scale. It runs `_NORM_BLOCK`
+    windows at a time; each statistic is a reduction of one segment over
+    its last axis, so the blocks do not move a bit. Non-finite values raise
+    DataError (the blocks before the one holding them are left normalized)."""
+    stats = np.empty(values.shape[:-1] + (2,))
+    for start in range(0, values.shape[0], _NORM_BLOCK):
+        block, block_stats = values[start : start + _NORM_BLOCK], stats[start : start + _NORM_BLOCK]
+        if not np.isfinite(block).all():
+            raise DataError("cannot normalize segments with non-finite values")
+        mean, var = block.mean(axis=-1), block.var(axis=-1)
+        block_stats[..., 0], block_stats[..., 1] = mean, var
+        block -= mean[..., None]
+        block /= np.sqrt(var)[..., None] + DEFAULT_NORM_EPS
+    return stats
+
+
 def prepare_windows(
     windows: list[SensorWindow],
     config: ModelConfig,
@@ -274,10 +300,12 @@ def prepare_windows(
 
     All windows must share the same channel set and window length; labeled
     and unlabeled windows cannot be mixed. Errors name the dataset `source`.
-    Each window's segments are copied straight into the (B, C, S, L) batch,
-    which is then normalized in place a block of windows at a time, so the
-    batch is the one full-size array made: the bits of `segment_matrix` over
-    the stacked windows.
+    Each window's channels are cut into S = floor(T / segment_len) segments
+    in channel-major order (channel 0 in time order, then channel 1, ...),
+    copied straight into the (B, C, S, L) batch, which is then normalized
+    in place a block of windows at a time, so the batch is the one
+    full-size array made: the bits of a plain two-pass segmentation of the
+    stacked windows (tests/oracles.segment_two_pass).
     """
     where = f"dataset {source!r}: " if source else ""
     if not windows:
@@ -413,8 +441,8 @@ def forward(
     if None): a training loop passes the same one to every pass and drops
     each result before the next forward, which raises DataError while an
     earlier result on that workspace is alive (see `encoder.Workspace`). A
-    forward-only pass's kernels write into arrays of their own there, so a
-    loop of forward-only passes on one thread may share one workspace too.
+    forward-only pass does not use `workspace`: its kernels write into a
+    fresh workspace of its own.
     """
     cfg = model.config
     params = model.params

@@ -10,7 +10,7 @@ its scan's blocks, over one thread pool with a thread per further CPU (see
 motionprim.encoder and motionprim.quantizer). None of these changes a bit.
 
 Memory: `run_training` holds one micro-batch's encoder cache at a time, in
-the buffers of one `encoder.Workspace` (see there).
+the buffer of one `encoder.Workspace` (see there).
 """
 
 from __future__ import annotations

@@ -593,6 +593,37 @@ def test_synth_exit_2_on_mistyped_spec(tmp_path, capsys, path, value):
     assert not (tmp_path / "out").exists()
 
 
+RATED_CHANNELS = [{**ch, "native_rate": 10.0} for ch in TINY_SPEC["channels"]]
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("rate", {"rate": 0, "channels": RATED_CHANNELS}),  # wrote an all-NaN data.csv
+    ("rate", {"rate": -5, "channels": RATED_CHANNELS}),  # wrote a manifest no command loads
+    ("rate", {"rate": "1e400", "channels": RATED_CHANNELS}),  # target_rate Infinity
+    ("rate", {"rate": 0}),  # named the channels' native_rate, exit 3
+    ("amplitude", {"classes": [
+        {"name": "slow", "waveforms": [{"kind": "sine", "amplitude": "NaN"}, {"kind": "square"}]},
+        TINY_SPEC["classes"][1],
+    ]}),
+    ("noise_sigma", {"classes": [
+        TINY_SPEC["classes"][0],
+        {"name": "fast", "waveforms": [{"kind": "sine"}, {"kind": "sawtooth", "noise_sigma": "Infinity"}]},
+    ]}),
+], ids=["rate-0", "rate-negative", "rate-1e400", "rate-0-defaulted-channels", "amplitude-nan", "noise-inf"])
+def test_synth_exit_2_on_a_spec_value_it_cannot_write(tmp_path, capsys, key, edit):
+    # a quoted "1e400", "NaN" or "Infinity" is written bare, the JSON number
+    # or constant json.loads reads as inf or nan
+    text = json.dumps({**TINY_SPEC, **edit})
+    for bare in ("1e400", "NaN", "Infinity"):
+        text = text.replace(f'"{bare}"', bare)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
+    message = _config_error(capsys)["message"]
+    assert message.startswith(f"{key} must be finite"), message
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_exit_2_on_colliding_column_names(tmp_path, capsys):
     # both channels would be the CSV column wrist_accelerometer_x, a header
     # that every later load rejects

@@ -390,7 +390,7 @@ def test_training_workspace_holds_the_elements_its_pass_uses(depth):
     # layers above take turns in at most two; then d pre-activation and the
     # six other gradients a block's weight and bias gradients sum over
     backward = min(2, depth - 1) * B * S * D + B * S * H + 6 * B * S * D
-    assert {kind: buffer.size for kind, buffer in workspace._buffers.items()} == {"training": depth * kernels + backward}
+    assert workspace._buffer.size == depth * kernels + backward
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -25,12 +25,12 @@ from motionprim.ingest import (
     load_synthetic_spec,
     resample,
     resample_nearest,
-    segment_matrix,
     synthetic_spec_from_dict,
     window,
     write_synthetic_dataset,
 )
-from motionprim.model import ModelConfig, init_model
+from motionprim.metadata import make_provider
+from motionprim.model import ModelConfig, init_model, prepare_windows
 from motionprim.tensorfile import MAGIC, load_tensors, save_tensors
 from test_tensorfile import BAD_SHAPES, _container, _header_and_payload, with_first_shape
 from motionprim.training import save_checkpoint
@@ -172,7 +172,23 @@ def test_generated_and_loaded_windows_are_read_only_views(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# segmentation and stats
+# segmentation and stats: the windows made here, cut and normalized by
+# model.prepare_windows
+
+
+def batch_of(windows, seg_len):
+    """(norm_segments, stats) of `prepare_windows` over `windows`, with room
+    for all their segments."""
+    config = ModelConfig(segment_len=seg_len, segments_per_channel=windows[0].window_len, meta_dim=4)
+    batch = prepare_windows(windows, config, make_provider("deterministic-hash", dim=4, seed=0))
+    return batch.norm_segments, batch.stats
+
+
+def prepared(stack, seg_len):
+    """`batch_of` one window per (T, C) matrix of the (B, T, C) `stack`."""
+    stack = np.asarray(stack, dtype=np.float64)
+    channels = [ChannelMetadata("wrist", "accelerometer", f"a{c}", 100.0) for c in range(stack.shape[-1])]
+    return batch_of([SensorWindow(samples, channels) for samples in stack], seg_len)
 
 
 def ramp_window():
@@ -183,12 +199,12 @@ def ramp_window():
 
 
 def test_segment_channel_major_order():
-    values, stats = segment_matrix(ramp_window().samples, 4)
-    assert values.shape == (2, 3, 4)  # 3 per channel, channel 0 first
-    assert stats.shape == (2, 3, 2)
+    values, stats = batch_of([ramp_window()], 4)
+    assert values.shape == (1, 2, 3, 4)  # 3 per channel, channel 0 first
+    assert stats.shape == (1, 2, 3, 2)
     # a ramp segment's raw mean names it; every ramp segment normalizes alike
-    assert stats[0, 1, 0] == 5.5  # samples 4..7 of channel 0
-    np.testing.assert_allclose(values[0, 1], oracles.normalize([4.0, 5.0, 6.0, 7.0]), rtol=0, atol=1e-12)
+    assert stats[0, 0, 1, 0] == 5.5  # samples 4..7 of channel 0
+    np.testing.assert_allclose(values[0, 0, 1], oracles.normalize([4.0, 5.0, 6.0, 7.0]), rtol=0, atol=1e-12)
     # flattened, the fourth segment is channel 1's first
     assert stats.reshape(-1, 2)[3, 0] == 101.5
     np.testing.assert_allclose(
@@ -197,55 +213,40 @@ def test_segment_channel_major_order():
 
 
 def test_segment_count_floor():
-    samples = ramp_window().samples
-    assert segment_matrix(samples, 5)[0].shape == (2, 2, 5)  # floor(12/5)=2 per channel
-    for bad in (13, 0):
-        with pytest.raises(DataError):
-            segment_matrix(samples, bad)
+    assert batch_of([ramp_window()], 5)[0].shape == (1, 2, 2, 5)  # floor(12/5)=2 per channel
+    for bad in (13, 0):  # longer than the window; no samples
+        with pytest.raises(ConfigError):
+            batch_of([ramp_window()], bad)
 
 
 def test_stats_are_raw_and_match_oracle():
     rng = np.random.default_rng(7)
     samples = rng.normal(3.0, 2.0, size=(20, 2))
-    values, stats = segment_matrix(samples, 5)
+    values, stats = prepared([samples], 5)
     for c in range(2):
         for t in range(4):
             mu, var = oracles.mean_and_popvar(samples[t * 5 : (t + 1) * 5, c])
-            assert stats[c, t, 0] == pytest.approx(mu, abs=1e-12)
-            assert stats[c, t, 1] == pytest.approx(var, abs=1e-12)
-
-
-def test_segment_matrix_matches_listwise():
-    # a (B, T, C) stack segments exactly like its windows one at a time
-    rng = np.random.default_rng(8)
-    stack = rng.normal(size=(4, 23, 3))
-    values, stats = segment_matrix(stack, 5)
-    assert values.shape == (4, 3, 4, 5)
-    assert stats.shape == (4, 3, 4, 2)
-    for b in range(4):
-        one_values, one_stats = segment_matrix(stack[b], 5)
-        np.testing.assert_array_equal(values[b], one_values)
-        np.testing.assert_array_equal(stats[b], one_stats)
-    # never a view of the input, even with one channel
-    single = np.arange(20.0).reshape(20, 1)
-    assert not np.shares_memory(segment_matrix(single, 5)[0], single)
+            assert stats[0, c, t, 0] == pytest.approx(mu, abs=1e-12)
+            assert stats[0, c, t, 1] == pytest.approx(var, abs=1e-12)
 
 
 @pytest.mark.parametrize("seg_len", [50, 7, 1])
-def test_segment_matrix_is_the_two_pass_bits(seg_len):
+def test_prepared_segments_are_the_two_pass_bits(seg_len):
     # one pass that normalizes from the stats it takes equals cutting the
     # segments, taking their stats and then normalizing with a second
-    # mean/std pass, bit for bit
+    # mean/std pass, bit for bit; the batch, normalized in place, is never
+    # a view of the windows, even with one channel
     rng = np.random.default_rng(17)
     inputs = [np.stack([w.samples for w in generate_synthetic(bench_spec(seed))]) for seed in (0, 1, 913)]
     inputs += [
-        np.full((60, 3), 3.7),  # constant
+        np.full((1, 60, 3), 3.7),  # constant
         rng.normal(size=(4, 60, 3)) * 1e3,
         1.0 + 1e-9 * rng.normal(size=(4, 60, 3)),  # jitter far below the mean
         rng.normal(size=(3, 103, 1)),  # one channel
     ]
     for samples in inputs:
-        values, stats = segment_matrix(samples, seg_len)
+        values, stats = prepared(samples, seg_len)
+        assert not np.shares_memory(values, samples)
         want_values, want_stats = oracles.segment_two_pass(samples, seg_len)
         assert values.tobytes() == want_values.tobytes()
         assert stats.tobytes() == want_stats.tobytes()
@@ -255,34 +256,37 @@ def test_instance_normalize_matches_oracle():
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 4.0), size=50)
-        np.testing.assert_allclose(
-            segment_matrix(x[:, None], 50)[0][0, 0], oracles.normalize(x), rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(prepared([x[:, None]], 50)[0][0, 0, 0], oracles.normalize(x), rtol=0, atol=1e-12)
 
 
 def test_instance_normalize_constant_is_zero():
     # mean of a constant array can be off by an ulp, so "zero" means
     # (tiny numerator) / eps, not exact zeros
-    out = segment_matrix(np.full((10, 1), 3.7), 10)[0]
-    np.testing.assert_allclose(out, np.zeros((1, 1, 10)), atol=1e-9)
-    out = segment_matrix(np.full((20, 1), 0.5), 10)[0]  # exactly representable
-    np.testing.assert_array_equal(out, np.zeros((1, 2, 10)))
+    out = prepared([np.full((10, 1), 3.7)], 10)[0]
+    np.testing.assert_allclose(out, np.zeros((1, 1, 1, 10)), atol=1e-9)
+    out = prepared([np.full((20, 1), 0.5)], 10)[0]  # exactly representable
+    np.testing.assert_array_equal(out, np.zeros((1, 1, 2, 10)))
 
 
 def test_segment_normalization_matches_single():
-    # each window's channel normalizes alone as it does in the stack
+    # each window's channel normalizes alone as it does in the batch
     rng = np.random.default_rng(10)
     stack = rng.normal(size=(4, 20, 6))
-    normed = segment_matrix(stack, 20)[0]
+    normed = prepared(stack, 20)[0]
     for i in range(4):
         for j in range(6):
-            np.testing.assert_array_equal(normed[i, j], segment_matrix(stack[i, :, j : j + 1], 20)[0][0])
+            np.testing.assert_array_equal(normed[i, j], prepared(stack[i : i + 1, :, j : j + 1], 20)[0][0, 0])
 
 
 def test_normalize_rejects_nonfinite():
-    for bad in (np.array([[1.0], [np.nan], [2.0]]), np.array([[0.0, 1.0], [np.inf, 2.0]])):
-        with pytest.raises(DataError):
-            segment_matrix(bad, 2)
+    # a window made from the caller's own array stays writable, so a value
+    # can turn non-finite after the window's own check
+    for row, bad in ((1, np.nan), (2, np.inf)):
+        samples = np.ones((4, 2))
+        windows = [SensorWindow(samples, two_channels())]
+        samples[row, 1] = bad
+        with pytest.raises(DataError, match="cannot normalize segments with non-finite values"):
+            batch_of(windows, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +604,8 @@ GOOD_CSV = "v,label\n1.5,a\n-2.25,a\n3.0,b\n4.0,b\n"
     pytest.param(GOOD_CSV, id="plain"),
     pytest.param(GOOD_CSV.replace("\n", "\r\n"), id="CRLF line ends"),
     pytest.param(GOOD_CSV.replace("\n", "\r"), id="bare CR line ends"),
+    # the line count sees 3 lines, so the parse grows its columns past it
+    pytest.param("v,label\n1.5,a\r-2.25,a\n3.0,b\r4.0,b\n", id="mixed LF and CR line ends"),
     pytest.param(GOOD_CSV[:-1], id="no line end after the last row"),
     pytest.param('"v","label"\n"1.5","a"\n"-2.25",a\n3.0,"b"\n"4.0","b"\n', id="quoted fields"),
     pytest.param("v,label\n 1.5 ,a\n-2.25\t,a\n  3.0,b\n4.0 ,b\n", id="space-padded numbers"),
@@ -819,16 +825,18 @@ def test_load_and_generate_peak_memory_holds_one_copy_of_the_windows(tmp_path, m
     # times its windows' bytes, parsed or served by the sidecar (the columns,
     # their stacked matrix and each window's copy), and generating one at
     # 2.0; the windows are now views of the matrix the columns were read
-    # into, and of the synthesized streams (1.33). Parsed, the load peaks at
-    # 1.7, in the parse; served by the sidecar, at 1.38: that matrix and the
-    # label codes, which each window's code maps to its label (with the
-    # labels per row beside the codes, 1.7). Parse blocks of 4096 rows keep
-    # the parse's own block (test_csv_parse_holds_a_block_not_the_file)
-    # small next to these 3 MB of windows.
+    # into, and of the synthesized streams (1.33). Served by the sidecar,
+    # the load peaks at 1.38: that matrix and the label codes, which each
+    # window's code maps to its label (with the labels per row beside the
+    # codes, 1.7). Parsed, it peaked at 1.72 while it joined the label
+    # codes of its blocks; written into one column, they leave 1.60, the
+    # rest being the parse's own block of rows. Parse blocks of 4096 rows
+    # keep that block (test_csv_parse_holds_a_block_not_the_file) small
+    # next to these 3 MB of windows.
     monkeypatch.setattr(ingest, "_PARSE_ROWS", 4096)
     spec = bench_spec(seed=6, windows_per_class=64)
     manifest = load_manifest(write_synthetic_dataset(spec, tmp_path))
-    for path, bound in (("parse", 2.0), ("sidecar", 1.45)):
+    for path, bound in (("parse", 1.65), ("sidecar", 1.45)):
         loaded, peak = traced_peak(lambda: load_dataset(manifest))
         size = sum(w.samples.nbytes for w in loaded.windows)
         assert peak <= bound * size, (path, peak / size)

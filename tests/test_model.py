@@ -636,9 +636,9 @@ def test_forward_only_pass_keeps_no_encoder_layer_cache(monkeypatch, config_case
 
 def test_workspace_refuses_a_pass_while_an_earlier_result_is_alive(config_case):
     # the second training pass into one workspace raises while the first
-    # result is held and overwrites nothing of it; a forward-only pass takes
-    # arrays of a buffer of its own; once the first result is dropped the
-    # workspace serves again
+    # result is held and overwrites nothing of it; a forward-only pass given
+    # the workspace takes a fresh one of its own; once the first result is
+    # dropped the workspace serves again
     model, batch = config_case("bench", 20)
     mask = _held_out_mask(model, batch)
     want = backward(forward(model, batch, PRETRAIN_WEIGHTS, mask_positions=mask))
@@ -659,10 +659,11 @@ BOTH_HEADS = LossWeights(lambda_mae=1.0, lambda_cls=0.5, lambda_vq=1.0)
 
 def test_forward_only_groups_reuse_one_set_of_workspace_buffers(shards, config_case, monkeypatch):
     # a forward-only pass takes its kernels' arrays for each group of
-    # FORWARD_CHUNK windows from the workspace, on the calling thread: after
-    # its first group (32 windows, the largest) no take allocates a buffer,
-    # nor does a second pass on the same workspace, and the results are the
-    # bits of passes whose kernels write into fresh arrays
+    # FORWARD_CHUNK windows from a workspace of its own, on the calling
+    # thread: its first take (32 windows, the largest group) allocates the
+    # buffer and no later one does. A workspace it is given is left unused,
+    # and the results are the bits of passes whose kernels write into
+    # fresh arrays
     model, batch = config_case("bench", 70)
     mask = _held_out_mask(model, batch)
     real_take = encoder.Workspace.take
@@ -670,16 +671,16 @@ def test_forward_only_groups_reuse_one_set_of_workspace_buffers(shards, config_c
         shards(cpus)
         events = []
 
-        def take(self, role, shape):
-            events.append(role not in self._buffers or self._buffers[role].size < np.prod(shape))
-            return real_take(self, role, shape)
+        def take(self, shape):
+            events.append(self._buffer.size < np.prod(shape))
+            return real_take(self, shape)
 
         def groups(size, real=encoder._shard_slices):
             events.append("group")
             return real(size)
 
         with monkeypatch.context() as patch:
-            patch.setattr(encoder.Workspace, "take", lambda self, role, shape: np.full(shape, np.nan))
+            patch.setattr(encoder.Workspace, "take", lambda self, shape: np.full(shape, np.nan))
             fresh = forward(model, batch, BOTH_HEADS, mask_positions=mask, need_backward=False)
         with monkeypatch.context() as patch:
             patch.setattr(encoder.Workspace, "take", take)
@@ -689,9 +690,9 @@ def test_forward_only_groups_reuse_one_set_of_workspace_buffers(shards, config_c
                 forward(model, batch, BOTH_HEADS, mask_positions=mask, need_backward=False, workspace=workspace)
                 for _ in range(2)
             ]
-        assert events.count("group") == 6  # 32 + 32 + 6 windows, twice
-        second = events.index("group", 1)
-        assert any(e is True for e in events[:second]) and not any(e is True for e in events[second:]), cpus
+        # 32 + 32 + 6 windows, twice: a take then a group each
+        assert events == [True, "group", False, "group", False, "group"] * 2, cpus
+        assert workspace._buffer.size == 0
         for result in results:
             assert result.loss == fresh.loss and result.mae_loss == fresh.mae_loss
             assert result.hidden.tobytes() == fresh.hidden.tobytes()

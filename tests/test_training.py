@@ -380,7 +380,7 @@ def test_reused_workspace_arrays_change_no_bit(shards, monkeypatch, tmp_path, be
         shards(cpus)
         reused = run()
         with monkeypatch.context() as patch:
-            patch.setattr(encoder.Workspace, "take", lambda self, role, shape: np.full(shape, np.nan))
+            patch.setattr(encoder.Workspace, "take", lambda self, shape: np.full(shape, np.nan))
             fresh = run()
         assert reused == fresh, cpus
 
