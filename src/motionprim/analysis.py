@@ -18,6 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .encoder import _scatter_add
 from .errors import ConfigError, DataError
 from .model import Model
 from .tensorfile import publish
@@ -199,16 +200,19 @@ def transitions(streams: list[np.ndarray], codebook_size: int) -> TransitionMatr
     tokens. Counting never crosses a stream boundary, so adjacency is only
     claimed within one channel of one window."""
     K = codebook_size
-    counts = np.zeros((K, K), dtype=np.int64)
-    total = 0
+    streams = [tokens for tokens in (np.asarray(s, dtype=np.int64) for s in streams) if tokens.size >= 2]
+    # the (from, to) tokens of every step within a stream
+    firsts = np.empty(sum(tokens.size - 1 for tokens in streams), dtype=np.int64)
+    seconds = np.empty_like(firsts)
+    start = 0
     for tokens in streams:
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size < 2:
-            continue
         if np.any((tokens < 0) | (tokens >= K)):
             raise DataError(f"token index outside [0, {K})")
-        np.add.at(counts, (tokens[:-1], tokens[1:]), 1)
-        total += tokens.size - 1
+        stop = start + tokens.size - 1
+        firsts[start:stop], seconds[start:stop] = tokens[:-1], tokens[1:]
+        start = stop
+    counts = _scatter_add((K, K), firsts, seconds)
+    total = firsts.size
     row_counts = counts.sum(axis=1)
     observed = row_counts > 0
     probabilities = np.zeros((K, K), dtype=np.float64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import _weight_grad
+from .encoder import _scatter_add, _weight_grad
 from .errors import ConfigError, DataError
 
 KIND_CLS = 0
@@ -189,18 +189,19 @@ def embed_backward(
     d_x (B, Seq, D) at the output x of `embed_rows` and the table rows,
     stats and meta it took."""
     D = d_x.shape[2]
-    grads = {name: np.zeros_like(params[name]) for name in ("pos.rows", "embed.rows")}
     # every position slot and table row accumulates across the batch
-    np.add.at(grads["pos.rows"], layout.position_slot, d_x.sum(axis=0))
-    np.add.at(grads["embed.rows"], rows[:, 1:].reshape(-1), d_x[:, 1:].reshape(-1, D))
-    grads["embed.cls_vector"] = d_x[:, 0].sum(axis=0)
+    grads = {
+        "pos.rows": _scatter_add(params["pos.rows"].shape, layout.position_slot, weights=d_x.sum(axis=0)),
+        "embed.rows": _scatter_add(params["embed.rows"].shape, rows[:, 1:], weights=d_x[:, 1:]),
+        "embed.cls_vector": d_x[:, 0].sum(axis=0),
+    }
     d_motion = d_x[:, layout.motion_positions]
     grads["stat.weight"] = _weight_grad(d_motion, stats)
     grads["stat.bias"] = d_motion.sum(axis=(0, 1))
     # the adapter output is shared by every token of its channel
     channel_pos = layout.channel_positions
-    d_meta_proj = np.zeros((meta.shape[0], D))
-    np.add.at(d_meta_proj, layout.channel_of[channel_pos], d_x[:, channel_pos].sum(axis=0))
+    channel_sums = d_x[:, channel_pos].sum(axis=0)
+    d_meta_proj = _scatter_add((meta.shape[0], D), layout.channel_of[channel_pos], weights=channel_sums)
     grads["adapter.weight"] = _weight_grad(d_meta_proj, meta)
     grads["adapter.bias"] = d_meta_proj.sum(axis=0)
     return grads

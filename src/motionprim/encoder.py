@@ -138,9 +138,61 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None 
     return out
 
 
+def _scatter_add(
+    shape: tuple[int, int], rows: np.ndarray, columns: np.ndarray | None = None, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """np.add.at(np.zeros(shape), (rows, columns), weights), as one
+    np.bincount over the flattened bins row * width + column: it adds each
+    bin's entries in input order from +0.0, np.add.at's order, so the sums
+    are its bits. Without `columns` each entry of `rows` takes a whole row
+    of `weights` (..., width); without `weights` each (row, column) pair
+    counts 1, in int64. Every sum into a table row in src runs here."""
+    width = shape[1]
+    bins = rows[..., None] * width + np.arange(width) if columns is None else rows * width + columns
+    flat = None if weights is None else weights.reshape(-1)
+    return np.bincount(bins.reshape(-1), flat, minlength=shape[0] * width).reshape(shape)
+
+
 def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(B, r, D): the rows `rows` (B, r) of each window of `x`."""
     return x[np.arange(x.shape[0])[:, None], rows]
+
+
+def _spread(full: np.ndarray, rows: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """`full` (B, Seq, E), zeroed, with the rows of `part` (B, r, E) at
+    `rows` (B, r): a full pass's array whose rows off `rows` are zeros."""
+    full.fill(0.0)
+    full[np.arange(full.shape[0])[:, None], rows] = part
+    return full
+
+
+def _packed(a: np.ndarray, seq: int) -> np.ndarray:
+    """(P, seq, E): the rows of `a` (B, r, E) laid `seq` to a matrix in
+    order, zeros filling the last. A product over them runs the GEMMs of a
+    pass over (B, seq, E) windows: OpenBLAS picks its kernel by shape, and
+    over fewer rows a product with a transposed weight changed in its last
+    bits, while each row of a product depends on that row alone."""
+    B, r, E = a.shape
+    packed = np.zeros((-(-B * r // seq), seq, E))
+    packed.reshape(-1, E)[: B * r] = a.reshape(B * r, E)
+    return packed
+
+
+def _unpacked(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (B, r, E) rows of `packed`, for `rows` (B, r): `_packed` undone."""
+    return packed.reshape(-1, packed.shape[-1])[: rows.size].reshape(*rows.shape, packed.shape[-1])
+
+
+def _rows_product(a: np.ndarray, w: np.ndarray, rows: np.ndarray, seq: int) -> np.ndarray:
+    """a @ w for `a` (B, r, E), the rows `rows` of (B, seq, E) windows, over
+    the rows packed by `_packed`: the bits of those rows of the windows'."""
+    return _unpacked(_packed(a, seq) @ w, rows)
+
+
+def _picked(rows: np.ndarray, heads: int) -> tuple:
+    """The index of the rows `rows` (B, r) of every head's (Seq, Seq)
+    scores: (B, heads, r, Seq) of a (B, heads, Seq, Seq) array."""
+    return np.arange(rows.shape[0])[:, None, None], np.arange(heads)[:, None], rows[:, None, :]
 
 
 def attention_forward(
@@ -150,64 +202,94 @@ def attention_forward(
 
     With `rows` ((B, r) positions), queries are taken only at those rows of
     each window, so the output is theirs, (B, r, D), while keys and values
-    still cover every row; such a cache serves no backward pass. Their
-    scores come from a product of the full pass's (Seq, Seq) shape, each
-    query at its own row and zeros at the others: OpenBLAS picks its kernel
-    by shape, and with fewer query rows the scores' last bits differed from
-    the full pass's at head widths of 32 and more (not at 16 or less).
+    still cover every row. Their scores come from a product of the full
+    pass's (Seq, Seq) shape, each query spread to its own row and zeros at
+    the others: OpenBLAS picks its kernel by shape, and with fewer query
+    rows the scores' last bits differed from the full pass's at head widths
+    of 32 and more (not at 16 or less). The read rows' softmax weights are
+    written back over their scores, and the cache keeps `rows` as an eighth
+    entry, so `attention_backward` can take the products that sum over
+    query rows at the full pass's shape.
 
-    `out` is the (q, k, v, weights, merged) arrays the cache keeps: k and v
-    of x's shape, q and merged of the output's, with heads merged, and
-    weights (B, heads, Seq, Seq), which with `rows` receives the full-shape
-    scores the read rows' weights are taken from. Each is C-contiguous (a
-    leading-axis slice of a whole-batch array), so a product written into it
-    runs the BLAS kernel of one into a fresh array and no bit changes."""
+    `out` is the (q, k, v, weights, merged) arrays the cache keeps: q, k
+    and v of x's shape (q holding the queries spread to `rows`), merged of
+    the output's, with heads merged, and weights (B, heads, Seq, Seq). Each
+    is C-contiguous (a leading-axis slice of a whole-batch array), so a
+    product written into it runs the BLAS kernel of one into a fresh array
+    and no bit changes."""
     q, k, v, weights, merged = (None,) * 5 if out is None else out
-    q = _affine(x if rows is None else _take_rows(x, rows), params["attn.wq"], params["attn.bq"], q)
+    if rows is None:
+        q = _affine(x, params["attn.wq"], params["attn.bq"], q)
+    else:
+        q_rows = _affine(_take_rows(x, rows), params["attn.wq"], params["attn.bq"])
+        q = _spread(np.empty(x.shape) if q is None else q, rows, q_rows)
     k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"], k), heads)
     v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"], v), heads)
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
-    if rows is None:
-        weights = np.matmul(_split_heads(q, heads), k.swapaxes(-1, -2), out=weights)
-    else:
-        window = np.arange(x.shape[0])[:, None]
-        padded = np.zeros(x.shape)
-        padded[window, rows] = q
-        weights = np.matmul(_split_heads(padded, heads), k.swapaxes(-1, -2), out=weights)
-        del padded
-        weights = weights[window[:, :, None], np.arange(heads)[:, None], rows[:, None, :]]
-    merged = np.empty(q.shape) if merged is None else merged
+    scores = weights = np.matmul(_split_heads(q, heads), k.swapaxes(-1, -2), out=weights)
+    if rows is not None:
+        pick = _picked(rows, heads)
+        weights = scores[pick]
+    merged = np.empty(x.shape if rows is None else (*rows.shape, x.shape[2])) if merged is None else merged
     q = _split_heads(q, heads)
     weights *= scale
     _softmax_inplace(weights)
     _split_heads(merged, heads)[...] = weights @ v
     y = _affine(merged, params["attn.wo"], params["attn.bo"])
-    return y, (x, q, k, v, weights, merged, scale)
+    if rows is None:
+        return y, (x, q, k, v, weights, merged, scale)
+    scores[pick] = weights
+    return y, (x, q, k, v, scores, merged, scale, rows)
 
 
 def attention_backward(
     d_out: np.ndarray, cache, params: dict[str, np.ndarray], heads: int, *, out: tuple | None = None
 ):
-    """(d input, (d q, d k, d v)) for the windows of `d_out`, the projection
-    gradients (B, Seq, D) with heads merged; the weight and bias gradients
-    sum over windows and are `_attention_param_grads`. `out`, four arrays
-    of d_out's shape, receives (d input, d q, d k, d v)."""
-    _, q, k, v, weights, _, scale = cache
-    d_x, *d_qkv = [np.empty(d_out.shape) for _ in range(4)] if out is None else out
-    d_context = _split_heads(d_out @ params["attn.wo"].T, heads)
+    """(d input, (d q, d k, d v)) for the windows of `d_out`: the input and
+    projection gradients, (B, Seq, D) with heads merged; the weight and
+    bias gradients sum over windows and are `_attention_param_grads`. `out`,
+    four arrays of the input's shape, receives them.
+
+    Given a cache of `rows`, `d_out` is the gradient at those rows, (B, r,
+    D). The output projection's gradient, the softmax jacobian, d q and its
+    input gradient then run at those rows alone, and d q is returned spread
+    to them, zeros at the other rows. The products that sum over query
+    rows, d k's and d v's, keep the full pass's shape, over gradients that
+    are zero off `rows`. So every value is the bits of the full pass given
+    a `d_out` that is zero off `rows`."""
+    x, q, k, v, weights, _, scale, *cut = cache
+    rows = cut[0] if cut else None
+    d_x, *d_qkv = [np.empty(x.shape) for _ in range(4)] if out is None else out
+    if rows is None:
+        d_merged = d_out @ params["attn.wo"].T
+    else:
+        d_merged = _spread(np.empty(x.shape), rows, _rows_product(d_out, params["attn.wo"].T, rows, x.shape[1]))
+    d_context = _split_heads(d_merged, heads)
     _split_heads(d_qkv[2], heads)[...] = weights.swapaxes(-1, -2) @ d_context
     # softmax jacobian: dS = A * (dA - sum_j dA_j A_j), written over dA
     d_scores = d_context @ v.swapaxes(-1, -2)
-    del d_context
-    inner = (d_scores * weights).sum(axis=-1, keepdims=True)
-    d_scores -= inner
-    d_scores *= weights
-    np.multiply(d_scores @ k, scale, out=_split_heads(d_qkv[0], heads))
+    del d_context, d_merged
+    d_rows, row_weights = d_scores, weights
+    if rows is not None:  # the read rows' scores, written back once their gradient is done
+        pick = _picked(rows, heads)
+        d_rows, row_weights = d_scores[pick], weights[pick]
+    inner = (d_rows * row_weights).sum(axis=-1, keepdims=True)
+    d_rows -= inner
+    d_rows *= row_weights
+    d_q = d_qkv[0] if rows is None else np.empty(d_out.shape)
+    np.multiply(d_rows @ k, scale, out=_split_heads(d_q, heads))
+    if rows is not None:
+        d_scores[pick] = d_rows
+        _spread(d_qkv[0], rows, d_q)
     np.multiply(d_scores.swapaxes(-1, -2) @ q, scale, out=_split_heads(d_qkv[1], heads))
-    del d_scores
+    del d_scores, d_rows
 
     d_x.fill(0.0)
-    for name, flat in zip("qkv", d_qkv):
+    if rows is None:
+        d_x += d_q @ params["attn.wq"].T
+    else:
+        d_x[np.arange(x.shape[0])[:, None], rows] += _rows_product(d_q, params["attn.wq"].T, rows, x.shape[1])
+    for name, flat in zip("kv", d_qkv[1:]):
         d_x += flat @ params[f"attn.w{name}"].T
     return d_x, tuple(d_qkv)
 
@@ -311,15 +393,19 @@ class Workspace:
 
 @dataclass
 class EncoderCache:
-    """What `encoder_backward` needs of a forward pass: the window shards,
-    per layer (the whole-batch arrays its weight and bias gradients sum over
-    windows: xhat of ln1, the attention input and its merged heads, xhat of
-    ln2, the MLP input and its activation; one (ln1, attention, ln2, mlp)
-    kernel-cache tuple per shard, holding views of the workspace's arrays),
-    and the whole-batch arrays the backward writes its gradients into,
-    planned with the pass (see `encoder_forward`)."""
+    """What `encoder_backward` needs of a forward pass: the input's shape
+    (B, Seq, D), the read rows (B, r) it returned (None for every row), the
+    window shards, per layer (the whole-batch arrays its weight and bias
+    gradients sum over windows: xhat of ln1, the attention input and its
+    merged heads, xhat of ln2, the MLP input and its activation, all
+    (B, Seq, .), a cut last block's spread to its rows; one (ln1, attention,
+    ln2, mlp) kernel-cache tuple per shard, holding views of the workspace's
+    arrays), and the whole-batch arrays the backward writes its gradients
+    into, planned with the pass (see `encoder_forward`)."""
 
     heads: int
+    shape: tuple[int, int, int]
+    rows: np.ndarray | None = None
     slices: list[slice] = field(default_factory=list)
     layers: list[tuple[tuple, list[tuple]]] = field(default_factory=list)
     grads: list[np.ndarray] = field(default_factory=list)
@@ -328,13 +414,13 @@ class EncoderCache:
 def _kernel_shapes(shape: tuple[int, int, int], layers: list[dict[str, np.ndarray]], heads: int, rows: int) -> list:
     """The shapes of one block's kernel `out` arrays over windows of `shape`
     (B, Seq, D), in the order `_kernel_outs` groups them, its query side
-    (attention queries and merged heads, LN2 and the MLP) at `rows` rows per
-    window; none for no `layers`."""
+    (merged heads, LN2 and the MLP) at `rows` rows per window; the queries,
+    spread to their rows, keep every row. None for no `layers`."""
     if not layers:
         return []
     B, S, D = shape
     full, cut, mlp = (B, S, D), (B, rows, D), (B, rows, layers[0]["mlp.w1"].shape[1])
-    return [full, full, (B, S, 1), cut, full, full, (B, heads, S, S), cut, cut, cut, (B, rows, 1), mlp, mlp, mlp]
+    return [full, full, (B, S, 1), full, full, full, (B, heads, S, S), cut, cut, cut, (B, rows, 1), mlp, mlp, mlp]
 
 
 def _kernel_outs(arrays: list[np.ndarray]) -> tuple:
@@ -346,8 +432,9 @@ def _kernel_outs(arrays: list[np.ndarray]) -> tuple:
 def _plan(workspace: Workspace, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Arrays of `shapes`, laid end to end in the flat buffer of
     `workspace`: a training pass's whole-batch arrays, those it caches for
-    its backward, per layer, then those its backward carries each layer's
-    gradients through; or a forward-only pass's one set for a group of
+    its backward, per layer (a cut last block's at its read rows, then the
+    four it spreads to full shape), then those its backward carries each
+    layer's gradients through; or a forward-only pass's one set for a group of
     FORWARD_CHUNK windows, which every layer and every group of the pass
     reuses, since it caches nothing. Each shard writes into its slice of
     every array. One buffer rather than one per array:
@@ -407,20 +494,22 @@ def encoder_forward(
 
     `rows`, (B, r) sequence positions, are the rows the caller reads, and
     the result is (B, r, D), their outputs in `rows` order; without `rows`
-    it is every row, (B, Seq, D). A training pass computes (and caches)
-    every row and returns those. A forward-only pass also cuts its last
-    block to them: that block computes its query side only at those rows
-    (its keys and values, and every earlier block, still cover every row;
-    its attention scores keep the full pass's shape, see
-    `attention_forward`), and the rows are the bits of the same rows of a
-    training pass. A single row per window is computed beside a second
-    one, row 1 (row 0 beside row 1), which is dropped: with one query row
-    per window numpy takes its vector-matrix product, whose last bits
-    differ from the matrix product's. The NumericError check sees only the
-    rows a pass computes, so an overflow confined to a row a forward-only
-    pass's last block skips is not raised. A pass that reads no row runs no
-    layer and reads no input: it returns (B, 0, D) and a cache that holds
-    no layers, as a forward-only pass's does.
+    it is every row, (B, Seq, D). With `rows` the last block computes its
+    query side only at those rows, in a training pass as in a forward-only
+    one: its attention queries, output projection, residuals, LN2 and MLP.
+    Its keys and values, and every earlier block, still cover every row,
+    and its attention scores keep the full pass's shape (see
+    `attention_forward`), so the rows are the bits of the same rows of a
+    pass over every row. A training pass also spreads the block's merged
+    heads, LN2 output and xhat and MLP activation to full-shape arrays,
+    zeros off the read rows, for the weight gradients (see
+    `encoder_backward`). A single row per window is computed beside a
+    second one, row 1 (row 0 beside row 1), which is dropped: with one
+    query row per window numpy takes its vector-matrix product, whose last
+    bits differ from the matrix product's. The NumericError check sees only
+    the rows a pass computes, so an overflow confined to a row the last
+    block skips is not raised. A pass that reads no row runs no layer and
+    reads no input: it returns (B, 0, D) and a cache that holds no layers.
     """
     if not isinstance(x, LazyInput):
         x = np.asarray(x, dtype=np.float64)
@@ -428,17 +517,18 @@ def encoder_forward(
         raise DataError("encoder input must be (B, Seq, D), D the layers' model width")
     if heads < 1 or x.shape[2] % heads:
         raise ConfigError(f"model width {x.shape[2]} must be divisible by heads {heads}")
-    cache = EncoderCache(heads)
-    batch = x.shape[0]
-    read = x.shape[1]
+    batch, seq, width = x.shape
+    cache = EncoderCache(heads, x.shape)
+    read = seq
     if rows is not None:
-        rows, read = _query_rows(rows, x.shape[:2])
+        rows, read = _query_rows(rows, (batch, seq))
+        cache.rows = rows[:, :read]
         if read == 0:
-            return np.empty((batch, 0, x.shape[2])), cache
+            return np.empty((batch, 0, width)), cache
     workspace = workspace if need_backward and workspace is not None else Workspace()
     if need_backward:
         workspace.claim(cache)
-    out = np.empty((batch, read, x.shape[2]))
+    out = np.empty((batch, read, width))
 
     def shard(outs: list[tuple], sl: slice):
         x_sl = x[sl]
@@ -450,26 +540,32 @@ def encoder_forward(
         return caches, bad
 
     results = []
-    seq, depth = x.shape[1], len(layers)
-    last = seq if need_backward or rows is None else rows.shape[1]  # query rows of the last block
+    depth = len(layers)
+    last = seq if rows is None else rows.shape[1]  # query rows of the last block
     groups = [(0, batch)]
     if not need_backward:
         groups = [(i, min(FORWARD_CHUNK, batch - i)) for i in range(0, batch, FORWARD_CHUNK)]
     for start, size in groups:
-        block = _kernel_shapes((size, *x.shape[1:]), layers, heads, seq)
+        block = _kernel_shapes((size, seq, width), layers, heads, seq)
+        spread = []  # a cut block's arrays the weight gradients read, at full shape
         if need_backward:  # a set per layer, then the backward's (see encoder_backward)
+            cut = _kernel_shapes((size, seq, width), layers, heads, last)
+            spread_shapes = [(size, seq, width)] * 3 + [block[-1]] if rows is not None and layers else []
             grads = [x.shape] * min(2, depth - 1) + [block[-1]] + [x.shape] * 6 if layers else []
-            arrays = _plan(workspace, block * depth + grads)
-            cache.grads = arrays[len(block) * depth :]
+            arrays = _plan(workspace, block * (depth - 1) + cut + spread_shapes + grads)
+            end = len(block) * depth + len(spread_shapes)
+            spread, cache.grads = arrays[len(block) * depth : end], arrays[end:]
         else:  # one set, which every layer reuses
             arrays = _plan(workspace, block)
         slices, tasks = _shard_slices(size), []
         for sl in slices:  # each shard's slice of each array; a cut block's are leading views of it
-            shape, outs = (sl.stop - sl.start, *x.shape[1:]), []
+            shape, outs = (sl.stop - sl.start, seq, width), []
             for i in range(depth):
                 shapes = _kernel_shapes(shape, layers, heads, last if i == depth - 1 else seq)
                 own = arrays[len(block) * i :] if need_backward else arrays
                 outs.append(_kernel_outs([a[sl].reshape(-1)[: math.prod(s)].reshape(s) for a, s in zip(own, shapes)]))
+            if spread:
+                outs[-1] += (tuple(a[sl] for a in spread),)
             tasks.append(functools.partial(shard, outs, slice(start + sl.start, start + sl.stop)))
         results += _parallel.run_parallel(tasks)
     bad = min((bad for _, bad in results if bad is not None), default=None)
@@ -481,7 +577,7 @@ def encoder_forward(
         cache.slices = slices
         for i in range(depth):
             (normed1, xhat1, _), attn, (normed2, xhat2, _), (_, _, act) = _kernel_outs(arrays[len(block) * i :])
-            reduced = (xhat1, normed1, attn[4], xhat2, normed2, act)
+            reduced = (xhat1, normed1, *(spread if spread and i == depth - 1 else (attn[4], xhat2, normed2, act)))
             cache.layers.append((reduced, [caches[i] for caches, _ in results]))
     return out, cache
 
@@ -510,14 +606,15 @@ def _run_layers(
     finite, (that output, its index, caches). With `keep` each layer's
     kernel caches, views of its arrays, are returned, one (ln1, attention,
     ln2, mlp) tuple per layer; without, none is. With `rows` ((B, r)
-    positions) the output is those rows, (B, r, D); without `keep` the last
-    block runs its query side (attention queries, output projection,
-    residuals, LN2 and MLP) only at those rows."""
-    cut = not keep and rows is not None and len(layers) > 0
+    positions) the output is those rows, (B, r, D), and the last block runs
+    its query side (attention queries, output projection, residuals, LN2
+    and MLP) only at those rows; with `keep` too, its entry of `outs` has a
+    fifth tuple, full-shape arrays that receive its merged heads, LN2 xhat
+    and output and MLP activation spread to those rows."""
     caches = []
     for i, params in enumerate(layers):
-        ln1, attn, ln2, mlp = outs[i]
-        query_rows = rows if cut and i == len(layers) - 1 else None
+        ln1, attn, ln2, mlp, *spread = outs[i]
+        query_rows = rows if i == len(layers) - 1 else None
         normed, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"], out=ln1)
         mid, attn_cache = attention_forward(normed, params, heads, query_rows, out=attn)
         mid += x if query_rows is None else _take_rows(x, query_rows)
@@ -529,26 +626,46 @@ def _run_layers(
             return out, i, caches
         if keep:
             caches.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
+            if spread:
+                for full, part in zip(spread[0], (attn_cache[5], ln2_cache[0], mlp_cache[0], mlp_cache[3])):
+                    _spread(full, query_rows, part)
         del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out
-    return (x if rows is None or cut else _take_rows(x, rows)), None, caches
+    return (x if rows is None or layers else _take_rows(x, rows)), None, caches
 
 
 def _layer_backward(d_out: np.ndarray, caches: tuple, params: dict[str, np.ndarray], heads: int, out: tuple) -> None:
-    """One block's backward for the windows of `d_out`, written to the
-    arrays `out`: (d input, then the gradients that the block's weight and
-    bias gradients sum over windows: d MLP pre-activation, d ln2 output,
-    d attention output, d q, d k, d v, d ln1 output)."""
+    """One block's backward for the windows of `d_out` (B, Seq, D), written
+    to the arrays `out`: (d input, or None to skip it, then the gradients
+    that the block's weight and bias gradients sum over windows: d MLP
+    pre-activation, d ln2 output, d attention output, d q, d k, d v, d ln1
+    output). A block cut to rows (its attention cache holds them) runs its
+    query side's backward at those rows alone, packed (see `_packed`), and
+    spreads those gradients to their rows, zeros at the others."""
     ln1_cache, attn_cache, ln2_cache, mlp_cache = caches
     d_in, d_pre, d_normed2, d_mid, d_q, d_k, d_v, d_normed1 = out
+    rows = attn_cache[7] if len(attn_cache) > 7 else None
     # out = mid + mlp(ln2(mid))
-    mlp_backward(d_out, mlp_cache, params, out=(d_normed2, d_pre))
-    layernorm_backward(d_normed2, ln2_cache, out=d_mid)
-    d_mid += d_out
+    if rows is None:
+        mlp_backward(d_out, mlp_cache, params, out=(d_normed2, d_pre))
+        layernorm_backward(d_normed2, ln2_cache, out=d_mid)
+        d_mid += d_out
+        d_attn = d_mid
+    else:
+        seq = d_out.shape[1]
+        (_, pre, cdf, _), (xhat2, inv2, gamma) = mlp_cache, ln2_cache
+        d_top = _packed(_take_rows(d_out, rows), seq)
+        d_n2, d_p = mlp_backward(d_top, (None, _packed(pre, seq), _packed(cdf, seq), None), params)
+        d_m = layernorm_backward(d_n2, (_packed(xhat2, seq), _packed(inv2, seq), gamma))
+        d_m += d_top
+        for full, part in ((d_pre, d_p), (d_normed2, d_n2), (d_mid, d_m)):
+            _spread(full, rows, _unpacked(part, rows))
+        d_attn = _unpacked(d_m, rows)
     # mid = x + attn(ln1(x))
-    attention_backward(d_mid, attn_cache, params, heads, out=(d_normed1, d_q, d_k, d_v))
-    layernorm_backward(d_normed1, ln1_cache, out=d_in)
-    d_in += d_mid
+    attention_backward(d_attn, attn_cache, params, heads, out=(d_normed1, d_q, d_k, d_v))
+    if d_in is not None:
+        layernorm_backward(d_normed1, ln1_cache, out=d_in)
+        d_in += d_mid
 
 
 def _layer_param_grads(reduced: tuple, d_out: np.ndarray, parts: tuple, threads: int) -> dict[str, np.ndarray]:
@@ -576,15 +693,37 @@ def encoder_backward(
     d_out: np.ndarray,
     cache: EncoderCache,
     layers: list[dict[str, np.ndarray]],
-) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-    """Exact reverse-mode pass; returns (d_input, per-layer grads). Per
-    layer, every shard carries its windows' gradient back through the block
-    into the whole-batch arrays planned with the pass, then the block's
-    weight and bias gradients are summed over all windows from those
-    arrays. The returned arrays are fresh."""
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, list[dict[str, np.ndarray]]]:
+    """Exact reverse-mode pass; returns (d_input, per-layer grads).
+
+    `d_out` is the gradient of what the forward returned: (B, Seq, D), or,
+    for a pass given `rows`, (B, r, D) at those rows, where a position read
+    twice takes the sum of its reads' gradients, added in read order (the
+    bits of np.add.at), and every other row a zero gradient. The last block
+    then runs its query side's backward at the computed rows alone; the
+    products that sum over rows (d k, d v, every weight and bias gradient)
+    keep the full pass's shape, over gradients and activations that are
+    zero off those rows, so every bit is that of the full backward of a
+    gradient that is zero off `rows`. A pass that read no row has zero
+    gradients throughout.
+
+    Per layer, every shard carries its windows' gradient back through the
+    block into the whole-batch arrays planned with the pass, then the
+    block's weight and bias gradients are summed over all windows from
+    those arrays. Without `input_grad` d_input is None and layer 0 skips
+    the LN1 backward and residual that only it reads. The returned arrays
+    are fresh."""
+    d_x = np.asarray(d_out, dtype=np.float64)
+    if cache.rows is not None:  # the read rows' gradient, spread to their rows
+        B, S, D = cache.shape
+        if d_x.shape != (*cache.rows.shape, D):
+            raise DataError(f"d_out must be {(*cache.rows.shape, D)}, the rows the pass read, got {d_x.shape}")
+        d_x = _scatter_add((B * S, D), np.arange(B)[:, None] * S + cache.rows, weights=d_x).reshape(B, S, D)
+        if cache.rows.shape[1] == 0:  # no layer ran
+            return (d_x if input_grad else None), [{key: np.zeros_like(t) for key, t in p.items()} for p in layers]
     if len(cache.layers) != len(layers):
         raise DataError("cache does not match layer stack")
-    d_x = np.asarray(d_out, dtype=np.float64)
     slices, depth = cache.slices, len(layers)
     turns, parts = cache.grads[:-7], tuple(cache.grads[-7:])  # d input's turns, `_layer_backward`'s others
     all_grads: list[dict[str, np.ndarray]] = [dict() for _ in layers]
@@ -593,15 +732,17 @@ def encoder_backward(
         reduced, shard_caches = cache.layers[i]
         # layer i reads the input gradient of layer i + 1 while it writes its
         # own, so two arrays take turns; layer 0's is returned, so fresh
-        arrays = (turns[(depth - 1 - i) % 2] if i else np.empty(d_x.shape), *parts)
+        d_in = turns[(depth - 1 - i) % 2] if i else np.empty(d_x.shape) if input_grad else None
+        arrays = (d_in, *parts)
 
         def shard(s: int, sl: slice) -> None:
-            _layer_backward(d_x[sl], shard_caches[s], params, cache.heads, tuple(a[sl] for a in arrays))
+            outs = tuple(None if a is None else a[sl] for a in arrays)
+            _layer_backward(d_x[sl], shard_caches[s], params, cache.heads, outs)
 
         _parallel.run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
         all_grads[i] = _layer_param_grads(reduced, d_x, parts, len(slices))
         d_x = arrays[0]
-    return d_x, all_grads
+    return (d_x if input_grad else None), all_grads
 
 
 # ---------------------------------------------------------------------------

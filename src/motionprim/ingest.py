@@ -46,8 +46,8 @@ class ChannelMetadata:
         check_fields(self)
         if not (self.body_part and self.sensor and self.axis):
             raise DataError("channel metadata labels must be non-empty")
-        if not self.native_rate > 0:
-            raise DataError(f"native_rate must be > 0, got {self.native_rate}")
+        if not 0 < self.native_rate < math.inf:
+            raise DataError(f"native_rate must be finite and > 0, got {self.native_rate}")
 
 
 @dataclass
@@ -235,6 +235,8 @@ class SyntheticSpec:
             raise ConfigError("seed must be >= 0")
         if self.window_len < 1:
             raise ConfigError("window_len must be >= 1")
+        for i, meta in enumerate(self.channels):
+            _check_channel_rate(i, meta.native_rate, self.rate)
 
     @property
     def class_names(self) -> list[str]:
@@ -249,6 +251,16 @@ class SyntheticSpec:
 def _check_rate(rate: float) -> None:
     if not 0 < rate < math.inf:
         raise ConfigError(f"rate must be finite and > 0, got {rate}")
+
+
+def _check_channel_rate(index: int, native_rate: float, rate: float) -> None:
+    """ConfigError naming synthetic channel `index` unless it is sampled
+    at the spec's `rate`: its windows and its manifest entry both take it."""
+    if native_rate != rate:
+        raise ConfigError(
+            f"channels[{index}].native_rate must equal the spec's rate {rate}, got {native_rate}: "
+            "every synthetic channel is sampled at the spec's rate"
+        )
 
 
 def _waveform_values(wave: WaveformSpec, times: np.ndarray) -> np.ndarray:
@@ -302,14 +314,20 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SensorWindow]:
 
 def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
     """Parse the documented JSON schema into a SyntheticSpec; a channel
-    without a `native_rate` takes the spec's `rate`."""
+    without a `native_rate` takes the spec's `rate`, and one with another
+    rate is refused."""
     if isinstance(raw, dict) and isinstance(raw.get("channels"), list):
         rate = raw.get("rate", DEFAULT_TARGET_RATE)
         # a bad rate is reported as itself, not as the native_rate of a
         # channel that takes it: its value is checked before the channels
-        # are built, and "rate" leads, so its type is too
+        # are built, and "rate" leads, so its type is too; so is a channel
+        # rate other than `rate` (a non-finite one would otherwise be the
+        # channel metadata's DataError)
         if type(rate) in (int, float):
             _check_rate(rate)
+            for i, ch in enumerate(raw["channels"]):
+                if isinstance(ch, dict) and type(ch.get("native_rate")) in (int, float):
+                    _check_channel_rate(i, ch["native_rate"], rate)
         channels = [{"native_rate": rate, **ch} if isinstance(ch, dict) else ch for ch in raw["channels"]]
         raw = {"rate": rate, **raw, "channels": channels}
     return from_dict(SyntheticSpec, raw, "synthetic spec")
@@ -349,8 +367,8 @@ class LabelSource:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.native_rate > 0:
-            raise DataError(f"label native_rate must be > 0, got {self.native_rate}")
+        if not 0 < self.native_rate < math.inf:
+            raise DataError(f"label native_rate must be finite and > 0, got {self.native_rate}")
 
 
 @dataclass
@@ -373,8 +391,8 @@ class DatasetManifest:
             raise ConfigError("window must be >= 1")
         if self.stride is not None and self.stride <= 0:
             raise ConfigError("stride must be > 0")
-        if not self.target_rate > 0:
-            raise DataError(f"target_rate must be > 0, got {self.target_rate}")
+        if not 0 < self.target_rate < math.inf:
+            raise DataError(f"target_rate must be finite and > 0, got {self.target_rate}")
         if not self.channels:
             raise ConfigError("manifest lists no channels")
         if len(set(self.classes)) < len(self.classes):

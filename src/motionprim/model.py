@@ -9,13 +9,13 @@ forward pass; gradient checks can pin assignments to keep the loss smooth.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .embedder import SequenceLayout, build_layout, embed_backward, embed_rows, mask_count, table_rows
-from .encoder import LazyInput, Workspace, _weight_grad, encoder_backward, encoder_forward, grad_check
+from .encoder import LazyInput, Workspace, _scatter_add, _weight_grad, encoder_backward, encoder_forward, grad_check
 from .errors import ConfigError, DataError, NumericError
 from .ingest import SensorWindow
 from .metadata import canonical_descriptor, embed_channels
@@ -26,6 +26,8 @@ from .schema import check_fields
 # codebook. The group picks the tensor's init stream (one generator per group,
 # spawned in this order) and its freeze group.
 PARAM_GROUPS = ("embed", "stat", "adapter", "pos", "enc", "mae", "cls_head", "codebook")
+# the groups `embed_rows` reads: the stage upstream of the encoder
+_EMBED_GROUPS = ("embed", "stat", "adapter", "pos")
 # std of every normally initialized tensor: those whose names end in _NORMAL_INIT
 INIT_STD = 0.02
 _NORMAL_INIT = (".rows", ".cls_vector", ".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")
@@ -387,8 +389,9 @@ class ForwardResult:
     hidden: np.ndarray
     hidden_rows: np.ndarray
     masked_fraction: float
-    # the pass's gradients, or None without need_backward; see `backward`
-    _backward: Callable[[], dict[str, np.ndarray]] | None = field(default=None, repr=False)
+    # the pass's gradients of a set of names, or None without need_backward;
+    # see `backward`
+    _backward: Callable[..., dict[str, np.ndarray]] | None = field(default=None, repr=False)
 
     @property
     def predictions(self) -> np.ndarray:
@@ -429,12 +432,12 @@ def forward(
     `LazyInput`, so each of its window shards embeds its own windows, and
     it returns only the hidden rows the heads read, the mask positions then
     the [CLS] row, as `hidden` (B, r, D) with their positions in
-    `hidden_rows`. The quantizer scan, the heads and the loss reductions
-    run once over the whole batch. need_backward=False keeps nothing for a
-    backward pass, the encoder's per-layer cache included, so `backward`
-    refuses the result; the encoder then runs one group of FORWARD_CHUNK
-    windows at a time and its last block computes its query side at the
-    read rows alone (see `encoder_forward`), and the losses, `cls_probs`
+    `hidden_rows`, and its last block computes its query side at those
+    rows alone (see `encoder_forward`). The quantizer scan, the heads and
+    the loss reductions run once over the whole batch. need_backward=False
+    keeps nothing for a backward pass, the encoder's per-layer cache
+    included, so `backward` refuses the result; the encoder then runs one
+    group of FORWARD_CHUNK windows at a time, and the losses, `cls_probs`
     and `hidden` are the bits of a training pass.
 
     A training pass caches its encoder arrays in `workspace` (a fresh one
@@ -490,7 +493,8 @@ def forward(
     layers = encoder_layers(params, cfg.depth)
     hidden, enc_cache = encoder_forward(x, layers, cfg.heads, need_backward, hidden_rows, workspace=workspace)
     # each head reads one block of `hidden`'s rows, (B, k, D), window by window
-    reads = np.split(hidden, np.cumsum([positions.shape[1] for _, _, positions, _ in heads])[:-1], axis=1)
+    blocks = np.cumsum([positions.shape[1] for _, _, positions, _ in heads])[:-1]
+    reads = np.split(hidden, blocks, axis=1)
 
     head_loss, head_probs = {"mae": 0.0, "cls_head": 0.0}, {}
     for (prefix, _, _, targets), read in zip(heads, reads):
@@ -505,12 +509,18 @@ def forward(
             f"non-finite loss: mae={mae_value}, cls={cls_value}, vq={vq_value}"
         )
 
-    def backward_pass() -> dict[str, np.ndarray]:
+    def backward_pass(names: Collection[str] | None) -> dict[str, np.ndarray]:
+        names = set(params) if names is None else set(names)
+        if not names <= set(params):
+            raise DataError(f"no parameter tensors named {sorted(names - set(params))}")
+        # a stage runs only for a tensor of `names` in it or upstream of it:
+        # the heads, the encoder, the embedding
+        embedding = any(param_group(name) in _EMBED_GROUPS for name in names)
+        encoding = embedding or any(param_group(name) == "enc" for name in names)
         grads = {}
-        # the encoder's output gradient at every row; a position read twice
-        # (a repeated mask position) adds both contributions
-        d_hidden = np.zeros((B, layout.seq_len, cfg.model_dim))
-        for (prefix, weight, positions, targets), read in zip(heads, reads):
+        # the encoder output's gradient at the rows the heads read, block by block
+        d_hidden = np.zeros(hidden.shape)
+        for (prefix, weight, _, targets), read, d_read in zip(heads, reads, np.split(d_hidden, blocks, axis=1)):
             if weight == 0:
                 continue
             d_logits = head_probs[prefix].copy()
@@ -519,22 +529,21 @@ def forward(
             d_logits *= weight / n
             grads[f"{prefix}.weight"] = _weight_grad(d_logits, read)
             grads[f"{prefix}.bias"] = d_logits.sum(axis=0)
-            d_read = d_logits @ params[f"{prefix}.weight"]
-            np.add.at(d_hidden, (np.arange(B)[:, None], positions), d_read.reshape(read.shape))
-        if grads:  # the heads reach the encoder and the embedding
-            d_x, enc_grads = encoder_backward(d_hidden, enc_cache, layers)
+            if encoding:
+                d_read[...] = (d_logits @ params[f"{prefix}.weight"]).reshape(read.shape)
+        if grads and encoding:  # the heads reach the encoder and the embedding
+            d_x, enc_grads = encoder_backward(d_hidden, enc_cache, layers, input_grad=embedding)
             for i, layer_grads in enumerate(enc_grads):
                 grads.update({f"enc.{i}.{key}": g for key, g in layer_grads.items()})
-            grads.update(embed_backward(params, layout, rows, batch.stats, batch.meta, d_x))
+            if embedding:
+                grads.update(embed_backward(params, layout, rows, batch.stats, batch.meta, d_x))
         # codebook loss: 2 (count * z - sum of its segments) / n per code;
-        # subtracting the sums from zeros leaves an unused code's gradient
-        # +0.0, not -0.0
-        if weights.lambda_vq != 0:
-            pull = np.zeros_like(prototypes)
-            np.subtract.at(pull, indices_flat, flat_segments)
+        # 0 - sums leaves an unused code's gradient +0.0, not -0.0
+        if weights.lambda_vq != 0 and "codebook" in names:
+            pull = 0.0 - _scatter_add(prototypes.shape, indices_flat, weights=flat_segments)
             pull += np.bincount(indices_flat, minlength=cfg.codebook_size)[:, None] * prototypes
             grads["codebook"] = weights.lambda_vq * (2.0 / flat_segments.shape[0]) * pull
-        return {name: grads[name] if name in grads else np.zeros_like(t) for name, t in params.items()}
+        return {name: grads[name] if name in grads else np.zeros_like(t) for name, t in params.items() if name in names}
 
     return ForwardResult(
         loss=float(total),
@@ -552,12 +561,20 @@ def forward(
     )
 
 
-def backward(result: ForwardResult) -> dict[str, np.ndarray]:
-    """Gradients of result.loss for every parameter tensor, zeros for those
-    the loss does not reach."""
+def backward(result: ForwardResult, names: Collection[str] | None = None) -> dict[str, np.ndarray]:
+    """Gradients of result.loss for the parameter tensors `names` (None:
+    every tensor), in checkpoint order, zeros for those the loss does not
+    reach; a name that is no tensor raises DataError.
+
+    The backward stops upstream of the first stage that holds a tensor of
+    `names`, so a frozen prefix costs nothing: with no encoder or embedding
+    tensor asked for (`linear-probe`) no encoder backward runs, and with no
+    embedding tensor (`encoder-finetune`) neither `embed_backward` nor
+    layer 0's input gradient does. The codebook's gradient runs only if
+    asked for. What runs is the full backward's bits."""
     if result._backward is None:
         raise DataError("forward was run with need_backward=False")
-    return result._backward()
+    return result._backward(names)
 
 
 # ---------------------------------------------------------------------------

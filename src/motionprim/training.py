@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _parallel
-from .encoder import Workspace
+from .encoder import Workspace, _scatter_add
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .model import (
     FINETUNE_WEIGHTS,
@@ -249,7 +249,7 @@ def run_training(
                         micro.window_ids + id_offsets[di],
                     )
                 result = forward(model, micro, weights, mask_positions=mask_pos, workspace=workspace)
-                grads = backward(result)
+                grads = backward(result, optimizer.trainable)
                 scale = micro.size / total
                 for name in accum:
                     accum[name] += scale * grads[name]
@@ -445,9 +445,7 @@ def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetric
         rest = pool.map(run, parts[1:])
         predictions = np.concatenate([run(parts[0]), *rest])
     ncls = model.config.num_classes
-    confusion = np.zeros((ncls, ncls), dtype=np.int64)
-    np.add.at(confusion, (batch.labels, predictions), 1)
-    return metrics_from_confusion(confusion)
+    return metrics_from_confusion(_scatter_add((ncls, ncls), batch.labels, predictions))
 
 
 @dataclass

@@ -390,3 +390,38 @@ def test_damaged_data_csv_fuzz(world, capsys):
                 failures[label] = "metrics differ from a fresh parse"
     assert failures == {}
     assert codes == {0, 3}  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("native_rate", ["50", "1e400"])
+def test_synth_exits_2_on_a_channel_rate_other_than_the_spec_rate(tmp_path, capsys, native_rate):
+    # the written manifest records the spec's rate for every channel, so a
+    # channel given another one, 50 Hz or a bare 1e400 (inf), exits 2
+    # naming it before anything is written
+    spec = copy.deepcopy(TINY_SPEC)
+    spec["rate"] = 10
+    spec["channels"][1]["native_rate"] = "RATE"
+    (tmp_path / "spec.json").write_text(json.dumps(spec).replace('"RATE"', native_rate))
+    capsys.readouterr()
+    code = cli.main(["synth", str(tmp_path / "spec.json"), str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert outcome(code, err) is None
+    message = json.loads(err.strip().splitlines()[-1])["message"]
+    assert message.startswith("channels[1].native_rate must equal the spec's rate 10"), message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["channel", "label", "target"])
+def test_a_manifest_rate_of_1e400_exits_3(world, capsys, tmp_path, where):
+    # a bare 1e400 reads as inf, which every rate check refuses as the
+    # manifest loads: a data error, as for any rate that is not > 0
+    manifest = copy.deepcopy(world["manifest"])
+    if where == "channel":
+        manifest["channels"][0]["native_rate"] = "RATE"
+    elif where == "label":
+        manifest["label"]["native_rate"] = "RATE"
+    else:
+        manifest["target_rate"] = "RATE"
+    path = world["root"] / "data" / f"rate_{where}.json"
+    path.write_text(json.dumps(manifest).replace('"RATE"', "1e400"))
+    argv = ["evaluate", "--config", str(world["run_path"]), str(world["ckpt"]), str(path)]
+    assert run_all(capsys, [(where, argv)], expected=(3, "data")) == {}

@@ -335,8 +335,9 @@ def assert_disjoint(arrays, where):
 
 
 def test_a_pass_plans_disjoint_arrays(shards, monkeypatch):
-    # a training pass's arrays, every layer's kernel arrays on each shard and
-    # its backward's, are pairwise disjoint; so are the shards' sets of a
+    # a training pass's arrays, every layer's kernel arrays on each shard
+    # (its last block's cut to the rows read, with the arrays it spreads to
+    # full shape) and its backward's, are pairwise disjoint; so are the shards' sets of a
     # forward-only group, each set shared by the shard's layers, and each
     # array of its last block, cut to the rows read, starts at the first
     # element of the full one
@@ -359,6 +360,12 @@ def test_a_pass_plans_disjoint_arrays(shards, monkeypatch):
 
     _, cache = encoder_forward(x, layers, config.heads, rows=rows)
     assert len(outs) == 2 and len(cache.grads) == 2 + 7
+    for shard in outs:
+        # the last block: its kernels' arrays, the query side's at the read
+        # row and its companion, then the four it spreads to full shape
+        assert [len(block) for block in shard] == [4, 4, 5]
+        assert shard[-1][3][0].shape == (10, 2, config.mlp_hidden)
+        assert [a.shape[1] for a in shard[-1][4]] == [31] * 4
     assert_disjoint([a for shard in outs for block in shard for a in flat(block)] + cache.grads, "training pass")
     outs.clear()
     encoder_forward(x, layers, config.heads, need_backward=False, rows=rows)
@@ -374,23 +381,33 @@ def test_a_pass_plans_disjoint_arrays(shards, monkeypatch):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_training_workspace_holds_the_elements_its_pass_uses(depth):
     # one buffer, of exactly the float64 elements of a training pass's
-    # kernel arrays and its backward's, which take no other array
+    # kernel arrays and its backward's, which take no other array; a pass
+    # given rows cuts its last block's query side to them (one read row is
+    # computed beside a second) and adds the four arrays it spreads to full
+    # shape for the weight gradients
     B, S, D, H, h = 20, 31, 64, 128, 4
     config = ModelConfig(depth=depth, heads=h, model_dim=D, mlp_ratio=H / D)
     layers = random_layers(config, seed=4)
     rng = np.random.default_rng(depth)
-    workspace = encoder.Workspace()
-    _, cache = encoder_forward(rng.normal(size=(B, S, D)), layers, h, workspace=workspace)
-    encoder_backward(rng.normal(size=(B, S, D)), cache, layers)
-    # per layer: LN1's output, xhat and 1 / std; q, k, v, the attention
-    # weights and the merged heads; LN2's three; the MLP's pre-activation,
-    # Phi and activation
-    kernels = (2 * B * S * D + B * S) + (4 * B * S * D + B * h * S * S) + (2 * B * S * D + B * S) + 3 * B * S * H
+
+    def kernels(r):
+        # LN1's output, xhat and 1 / std; q, k and v, the attention weights
+        # and the merged heads (at r rows); LN2's three and the MLP's
+        # pre-activation, Phi and activation, at r rows
+        ln1, attention, ln2 = 2 * B * S * D + B * S, 3 * B * S * D + B * h * S * S + B * r * D, 2 * B * r * D + B * r
+        return ln1 + attention + ln2 + 3 * B * r * H
+
     # layer 0's input gradient is returned, a fresh array; those of the
     # layers above take turns in at most two; then d pre-activation and the
     # six other gradients a block's weight and bias gradients sum over
     backward = min(2, depth - 1) * B * S * D + B * S * H + 6 * B * S * D
-    assert workspace._buffer.size == depth * kernels + backward
+    for read in (None, 1, 8):
+        rows = None if read is None else rng.integers(0, S, size=(B, read))
+        workspace = encoder.Workspace()
+        _, cache = encoder_forward(rng.normal(size=(B, S, D)), layers, h, rows=rows, workspace=workspace)
+        encoder_backward(rng.normal(size=(B, S if read is None else read, D)), cache, layers)
+        last, spread = (S, 0) if read is None else (max(read, 2), 3 * B * S * D + B * S * H)
+        assert workspace._buffer.size == (depth - 1) * kernels(S) + kernels(last) + spread + backward, read
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -440,6 +457,40 @@ def test_forward_only_rows_bitwise_equal_reference_rows(shards, config, cpus):
 
 # the tiny, the acceptance and the default ModelConfig widths
 ROW_CONFIGS = (TINY, ModelConfig(depth=2, heads=4, model_dim=64, mlp_ratio=2.0), ModelConfig())
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("config", ROW_CONFIGS, ids=["tiny", "bench", "default"])
+def test_training_rows_bitwise_equal_reference_backward(shards, config, cpus):
+    # a training pass given rows cuts its last block to them, forward and
+    # backward: its output, input gradient and every weight gradient are the
+    # reference's bits for a gradient that is zero off the read rows (a row
+    # read twice adds both reads, in np.add.at's order), for no row, one
+    # (computed beside a second), two and nine, sorted, repeated and
+    # unsorted, whole or split into shards
+    shards(cpus, floor=1)
+    layers = random_layers(config, seed=4)
+    for batch in (1, 7) if config.model_dim == 256 else (1, 7, 20):
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, 31, config.model_dim))
+        want, caches = oracles.encoder_forward_reference(x, layers, config.heads)
+        window = np.arange(batch)[:, None]
+        for read in (0, 1, 2, 9):
+            row_sets = (
+                np.zeros((batch, read), dtype=np.int64),
+                np.tile(np.arange(30, 30 - read, -1), (batch, 1)),  # unsorted
+                rng.integers(0, 31, size=(batch, read)),  # repeats among them
+            )
+            for rows in row_sets:
+                where = f"{batch} windows, rows {rows[:1]}"
+                out, cache = encoder_forward(x, layers, config.heads, rows=rows)
+                assert_bitwise(out, want[window, rows], where)
+                d_read = rng.normal(size=(batch, read, config.model_dim))
+                d_full = np.zeros(x.shape)
+                np.add.at(d_full, (window, rows), d_read)
+                want_grads = oracles.encoder_backward_reference(d_full, caches, layers, config.heads)
+                assert_bitwise(encoder_backward(d_read, cache, layers), want_grads, where)
+                del cache
 
 
 def test_lazy_input_is_built_shard_by_shard(shards):
@@ -507,9 +558,9 @@ def _overflow_in_one_row(config, layers, window, row):
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_overflow_in_a_row_the_last_block_skips_is_not_raised(shards, depth):
-    # a forward-only pass checks only the rows it computes: it returns the
-    # read rows, the training pass raises, and reading the row raises too,
-    # naming the same layer
+    # a pass checks only the rows it computes: given rows that skip it, a
+    # forward-only and a training pass return the read rows, a pass over
+    # every row raises, and reading the row raises too, naming the same layer
     config = ModelConfig(depth=depth, heads=4, model_dim=64, mlp_ratio=2.0)
     layers = random_layers(config, seed=5)
     x = _overflow_in_one_row(config, layers, window=35, row=4)
@@ -520,9 +571,10 @@ def test_overflow_in_a_row_the_last_block_skips_is_not_raised(shards, depth):
     for cpus in (1, 2):
         shards(cpus)
         with np.errstate(over="ignore", invalid="ignore"):
-            out, _ = encoder_forward(x, layers, config.heads, need_backward=False, rows=skipped)
-            assert np.all(np.isfinite(out))
-            for need_backward, rows in ((True, None), (False, None), (False, read)):
+            for need_backward in (True, False):
+                out, _ = encoder_forward(x, layers, config.heads, need_backward, rows=skipped)
+                assert np.all(np.isfinite(out))
+            for need_backward, rows in ((True, None), (False, None), (False, read), (True, read)):
                 with pytest.raises(NumericError, match=last):
                     encoder_forward(x, layers, config.heads, need_backward, rows)
         # the read rows are still the training pass's bits once the bias is tame

@@ -14,6 +14,7 @@ from motionprim import cli, ingest, tensorfile
 from motionprim.errors import ConfigError, DataError
 from motionprim.ingest import (
     ChannelMetadata,
+    LabelSource,
     SensorWindow,
     SyntheticClass,
     SyntheticSpec,
@@ -374,8 +375,40 @@ def test_spec_from_dict_fills_native_rate_and_floats():
     spec = synthetic_spec_from_dict(SPEC_DICT)
     assert spec.channels[0].native_rate == spec.rate == 20.0
     assert type(spec.rate) is type(spec.channels[0].native_rate) is type(spec.classes[1].waveforms[0].amplitude) is float
-    explicit = {**SPEC_DICT, "channels": [{**SPEC_DICT["channels"][0], "native_rate": 50.0}]}
-    assert synthetic_spec_from_dict(explicit).channels[0].native_rate == 50.0
+    explicit = {**SPEC_DICT, "channels": [{**SPEC_DICT["channels"][0], "native_rate": 20}]}
+    assert synthetic_spec_from_dict(explicit).channels[0].native_rate == 20.0
+
+
+@pytest.mark.parametrize("native_rate", [50.0, float("inf"), float("nan"), 0, -20])
+def test_a_synthetic_channel_rate_other_than_the_spec_rate_is_refused(native_rate):
+    # a synthetic channel is sampled at the spec's rate, which its manifest
+    # entry records, so any other rate, non-finite ones included, is a
+    # ConfigError naming the channel, from JSON and from the dataclasses
+    raw = {**SPEC_DICT, "channels": [{**SPEC_DICT["channels"][0], "native_rate": native_rate}]}
+    with pytest.raises(ConfigError, match=r"channels\[0\]\.native_rate must equal the spec's rate 20"):
+        synthetic_spec_from_dict(raw)
+    spec = synthetic_spec_from_dict(SPEC_DICT)
+    if 0 < native_rate < float("inf"):
+        channels = [ChannelMetadata("wrist", "accelerometer", "x", native_rate)]
+        with pytest.raises(ConfigError, match=r"channels\[0\]"):
+            SyntheticSpec(spec.classes, channels, spec.windows_per_class, spec.seed, spec.rate, spec.window_len)
+
+
+@pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0])
+def test_channel_and_label_rates_must_be_finite_and_positive(tmp_path, rate):
+    with pytest.raises(DataError, match="native_rate must be finite and > 0"):
+        ChannelMetadata("wrist", "accelerometer", "x", rate)
+    with pytest.raises(DataError, match="label native_rate must be finite and > 0"):
+        LabelSource("data.csv", "label", rate)
+    # a manifest that says 1e400 (inf) Hz is refused as it loads
+    for key, value in (
+        ("label", {"file": "data.csv", "column": "label", "native_rate": rate}),
+        ("target_rate", rate),
+    ):
+        manifest = one_channel_dataset(tmp_path, GOOD_CSV, **{key: value})
+        manifest.write_text(manifest.read_text().replace("Infinity", "1e400"))
+        with pytest.raises(DataError, match="rate must be finite and > 0"):
+            load_manifest(manifest)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -35,7 +35,7 @@ from motionprim.model import (
 )
 from motionprim.quantizer import nearest_prototypes
 from motionprim.schema import from_dict
-from motionprim.training import refresh_usage
+from motionprim.training import ENCODER_FINETUNE, LINEAR_PROBE, PRETRAIN_POLICY, refresh_usage
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +511,39 @@ def test_backward_frozen_paths_get_zero_grad():
     assert not grads2["mae.weight"].any()
     assert grads2["cls_head.weight"].any()
     assert not grads2["codebook"].any()  # lambda_vq = 0
+
+
+@pytest.mark.parametrize("policy", [PRETRAIN_POLICY, LINEAR_PROBE, ENCODER_FINETUNE], ids=lambda p: p.name)
+@pytest.mark.parametrize("which", ["tiny", "bench"])
+def test_backward_of_a_trainable_set_is_those_names_with_the_full_bits(policy, which, config_case, monkeypatch):
+    # backward(result, names) returns exactly `names`, each the bits of the
+    # backward of every tensor, and runs no stage upstream of the first
+    # that holds one of them: linear-probe runs no encoder backward,
+    # encoder-finetune no embedding backward and no layer-0 input gradient
+    model, batch = config_case(which, 12)
+    pretrain = policy is PRETRAIN_POLICY
+    weights = PRETRAIN_WEIGHTS if pretrain else FINETUNE_WEIGHTS
+    mask = _held_out_mask(model, batch) if pretrain else None
+    names = policy.trainable_names(list(model.params))
+    full = backward(forward(model, batch, weights, mask_positions=mask))
+    assert set(full) == set(model.params)
+    calls = []
+    for name in ("encoder_backward", "embed_backward"):
+        real = getattr(model_module, name)
+        spy = lambda *a, name=name, real=real, **k: calls.append((name, k.get("input_grad", True))) or real(*a, **k)
+        monkeypatch.setattr(model_module, name, spy)
+    got = backward(forward(model, batch, weights, mask_positions=mask), names)
+    assert list(got) == [name for name in model.params if name in names]
+    for name in names:
+        assert got[name].tobytes() == full[name].tobytes(), name
+    want_calls = {
+        "pretrain-all": [("encoder_backward", True), ("embed_backward", True)],
+        "linear-probe": [],
+        "encoder-finetune": [("encoder_backward", False)],
+    }
+    assert calls == want_calls[policy.name]
+    with pytest.raises(DataError, match="no parameter tensors named"):
+        backward(forward(model, batch, weights, mask_positions=mask), ["enc.0.attn.wq", "no.such.tensor"])
 
 
 def test_loss_closure_matches_forward():

@@ -97,3 +97,24 @@ def test_readme_run_config_reference_names_every_field():
     sections = (RunConfig, ModelConfig, OptimizerConfig, LossWeights, ProviderConfig)
     fields = [f.name for cls in sections for f in dataclasses.fields(cls) if f.init]
     assert sorted(named) == sorted(fields)
+
+
+def ufunc_at_calls(path: Path) -> list[str]:
+    """`module.name.at(...)` calls in a file, such as np.add.at: a ufunc's
+    unbuffered scatter."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "at"
+        and isinstance(node.func.value, ast.Attribute)
+        and isinstance(node.func.value.value, ast.Name)
+    ]
+
+
+def test_no_src_module_scatters_with_a_ufunc_at():
+    """Every sum into table rows goes through `encoder._scatter_add`, one
+    np.bincount with np.add.at's bits, at a fraction of the time of a ufunc's
+    `.at`, so no module of src calls one."""
+    assert [call for path in sorted(SRC.glob("*.py")) for call in ufunc_at_calls(path)] == []
