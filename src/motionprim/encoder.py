@@ -485,12 +485,13 @@ def encoder_forward(
     takes a fresh workspace of its own, the cache holds no layers, and the
     shards split one group of FORWARD_CHUNK windows after another, keeping
     no kernel cache. Each shard's layers write into one set of arrays, made
-    for the first group (the largest) and reused by every later one, so the
-    intermediates in flight are those of at most FORWARD_CHUNK windows,
-    whatever the batch size. Either way the result equals one pass over all
-    windows bit for bit (tested in tests/test_encoder.py and
-    tests/test_model.py), and a NumericError names the lowest failing layer
-    over all windows.
+    for the first group (the largest), their query side for the larger of
+    Seq and the rows the last block computes, and reused by every later
+    group, so the intermediates in flight are those of at most
+    FORWARD_CHUNK windows, whatever the batch size. Either way the result
+    equals one pass over all windows bit for bit (tested in
+    tests/test_encoder.py and tests/test_model.py), and a NumericError
+    names the lowest failing layer over all windows.
 
     `rows`, (B, r) sequence positions, are the rows the caller reads, and
     the result is (B, r, D), their outputs in `rows` order; without `rows`
@@ -555,8 +556,8 @@ def encoder_forward(
             arrays = _plan(workspace, block * (depth - 1) + cut + spread_shapes + grads)
             end = len(block) * depth + len(spread_shapes)
             spread, cache.grads = arrays[len(block) * depth : end], arrays[end:]
-        else:  # one set, which every layer reuses
-            arrays = _plan(workspace, block)
+        else:  # one set, which every layer reuses; its query side takes the cut block's rows too
+            arrays = _plan(workspace, _kernel_shapes((size, seq, width), layers, heads, max(seq, last)))
         slices, tasks = _shard_slices(size), []
         for sl in slices:  # each shard's slice of each array; a cut block's are leading views of it
             shape, outs = (sl.stop - sl.start, seq, width), []

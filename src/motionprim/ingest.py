@@ -686,12 +686,13 @@ def _load_sidecar(path: Path, key: dict, numeric: list[str]) -> _CsvColumns | No
     return _CsvColumns(numbers, labels, key, parsed=False, block=block)
 
 
-def _write_sidecar(path: Path, columns: _CsvColumns) -> None:
-    """Store freshly parsed columns beside their CSV file (`save_tensors`
-    replaces the sidecar whole). A directory that cannot take it goes
-    without."""
-    meta = {**columns.key, "names": {name: values for name, (values, _) in columns.labels.items()}}
-    tensors = {**columns.numbers, **{name: codes for name, (_, codes) in columns.labels.items()}}
+def _write_sidecar(path: Path, key: dict, numbers: dict, labels: dict) -> None:
+    """Store the columns of a CSV file beside it, under `key`: `numbers` and
+    `labels` as a `_CsvColumns` holds them, or with each column given as its
+    row chunks (`save_tensors` writes them one at a time and replaces the
+    sidecar whole). A directory that cannot take it goes without."""
+    meta = {**key, "names": {name: values for name, (values, _) in labels.items()}}
+    tensors = {**numbers, **{name: codes for name, (_, codes) in labels.items()}}
     try:
         tensorfile.save_tensors(_sidecar_path(path), CSV_SIDECAR_KIND, meta, tensors)
     except OSError as exc:
@@ -775,7 +776,7 @@ def load_dataset(manifest: DatasetManifest) -> LoadedDataset:
     windows = _window_views(matrix, manifest.window, manifest.stride, [ch.meta for ch in channels], codes, table)
     for path, columns in cache.items():
         if columns.parsed:
-            _write_sidecar(path, columns)
+            _write_sidecar(path, columns.key, columns.numbers, columns.labels)
     return LoadedDataset(manifest.name, windows, class_names)
 
 
@@ -803,26 +804,48 @@ def _csv_line(fields: list[str]) -> str:
 
 
 def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
-    """Materialize a synthetic spec as CSV + manifest; returns the manifest
-    path. Loading the manifest reproduces `generate_synthetic(spec)` windows
-    bit-exactly (values are written with full repr precision). Each class
-    stream is formatted and written `_WRITE_ROWS` rows at a time, so the
-    writer holds one block's text besides the streams."""
+    """Materialize a synthetic spec as CSV + sidecar + manifest; returns the
+    manifest path. Loading the manifest reproduces `generate_synthetic(spec)`
+    windows bit-exactly (values are written with full repr precision). Each
+    class stream is formatted and written `_WRITE_ROWS` rows at a time, so
+    the writer holds one block's text besides the streams.
+
+    The CSV's sha256 is taken from the bytes as they are written, and the
+    sidecar a cold parse of the file would write follows it: the manifest's
+    channel columns and label column, the streams' values and each class's
+    code against the sorted class names, written a class at a time. So a
+    load of the manifest reads no text while the file is unchanged. A
+    sidecar that cannot be written is left out (see `_write_sidecar`)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     streams = synthesize_streams(spec)
     channel_names = spec.column_names
+    sha256 = hashlib.sha256()
 
     def write_data(fh) -> None:
-        fh.write(_csv_line(channel_names + ["label"]).encode())
+        def put(text: str) -> None:
+            data = text.encode()
+            sha256.update(data)
+            fh.write(data)
+
+        put(_csv_line(channel_names + ["label"]))
         for cls, stream in zip(spec.classes, streams):
             # a row's end: a comma, the label, the line end; `%` is literal
             row = ",".join(["%r"] * stream.shape[1]) + _csv_line(["", cls.name]).replace("%", "%%")
             for start in range(0, len(stream), _WRITE_ROWS):
                 block = stream[start : start + _WRITE_ROWS]
-                fh.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
+                put((row * len(block)) % tuple(block.ravel().tolist()))
 
-    tensorfile.publish(out_dir / "data.csv", write_data)
+    data_path = out_dir / "data.csv"
+    tensorfile.publish(data_path, write_data)
+    # the class names sorted and coded as the parse factorizes them, as a numpy string array
+    names, codes = np.unique(np.array(spec.class_names, dtype=str), return_inverse=True)
+    _write_sidecar(
+        data_path,
+        {"format": CSV_SIDECAR_FORMAT, "numeric": channel_names, "text": ["label"], "sha256": sha256.hexdigest()},
+        {name: [stream[:, j] for stream in streams] for j, name in enumerate(channel_names)},
+        {"label": (names.tolist(), [np.broadcast_to(code, len(s)) for code, s in zip(codes.tolist(), streams)])},
+    )
     manifest = {
         "name": "synthetic",
         "target_rate": spec.rate,

@@ -53,23 +53,33 @@ def publish(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
         raise
 
 
-def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+def save_tensors(
+    path: str | Path, kind: str, meta: dict, tensors: dict[str, np.ndarray | list[np.ndarray]]
+) -> None:
     """Write `tensors` to `path` through `publish`. Floats are stored as
     little-endian float64, integers as little-endian int64; other dtypes are
     rejected. An array already in its stored form is written from its own
-    buffer, uncopied."""
+    buffer, uncopied; any other is converted as it is written. A tensor
+    given as a list is its row chunks: arrays of one stored dtype and one
+    shape past the first axis, stored as their concatenation but written
+    one chunk at a time, so the whole tensor is never held."""
     entries = []
-    arrays = []
+    parts = []
     for name, arr in tensors.items():
-        arr = np.asarray(arr)
-        if np.issubdtype(arr.dtype, np.floating):
-            stored, dtype = "<f8", "float64"
-        elif np.issubdtype(arr.dtype, np.integer):
-            stored, dtype = "<i8", "int64"
+        chunks = [np.asarray(chunk) for chunk in arr] if isinstance(arr, list) else [np.asarray(arr)]
+        stored = {_stored_dtype(chunk.dtype, name) for chunk in chunks}
+        if isinstance(arr, list):
+            tails = {chunk.shape[1:] if chunk.ndim else None for chunk in chunks}
+            if len(stored) != 1 or len(tails) != 1 or None in tails:
+                raise CheckpointError(
+                    f"the row chunks of tensor {name!r} must share a stored dtype and every axis but the first"
+                )
+            shape = [sum(map(len, chunks)), *tails.pop()]
         else:
-            raise CheckpointError(f"unsupported dtype {arr.dtype} for tensor {name!r}")
-        entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        arrays.append(np.asarray(arr, dtype=stored, order="C"))
+            shape = list(chunks[0].shape)
+        ((stored, dtype),) = stored
+        entries.append({"name": name, "dtype": dtype, "shape": shape})
+        parts.append((stored, chunks))
     header = {"kind": kind, "version": 1, "meta": meta, "tensors": entries}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -77,11 +87,21 @@ def save_tensors(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.
         fh.write(MAGIC)
         fh.write(len(header_bytes).to_bytes(8, "big"))
         fh.write(header_bytes)
-        for arr in arrays:
-            if arr.size:  # a memoryview with a zero in its shape cannot be cast
-                fh.write(memoryview(arr).cast("B"))
+        for stored, chunks in parts:
+            for chunk in chunks:
+                if chunk.size:  # a memoryview with a zero in its shape cannot be cast
+                    fh.write(memoryview(np.asarray(chunk, dtype=stored, order="C")).cast("B"))
 
     publish(path, write)
+
+
+def _stored_dtype(dtype: np.dtype, name: str) -> tuple[str, str]:
+    """(stored numpy dtype, header dtype name) of a tensor of `dtype`."""
+    if np.issubdtype(dtype, np.floating):
+        return "<f8", "float64"
+    if np.issubdtype(dtype, np.integer):
+        return "<i8", "int64"
+    raise CheckpointError(f"unsupported dtype {dtype} for tensor {name!r}")
 
 
 def load_tensors(

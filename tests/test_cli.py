@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionprim import cli, training
+from motionprim import cli, ingest, tensorfile, training
 from motionprim.errors import ConfigError
 from motionprim.model import ModelConfig, init_model
 from motionprim.training import save_checkpoint
@@ -184,6 +184,51 @@ def test_synth_outputs(workdir):
     assert manifest["classes"] == ["slow", "fast"]
     run_manifest = json.loads((data_dir / "run_manifest.json").read_text())
     assert run_manifest["command"] == "synth"
+
+
+def test_commands_after_synth_parse_no_csv_text(tmp_path, monkeypatch, capsys):
+    # synth's sidecar serves the first pretrain, evaluate and analyze: none
+    # of them parses the CSV text synth wrote
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SPEC))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "data")]) == 0
+    manifest = str(tmp_path / "data" / "manifest.json")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**TINY_RUN, "datasets": [manifest], "out_dir": str(tmp_path / "runs"), "run_id": "pre"}))
+    parses, parse = [], ingest._parse_csv
+    monkeypatch.setattr(ingest, "_parse_csv", lambda path, *args: parses.append(path) or parse(path, *args))
+    assert cli.main(["pretrain", "--config", str(cfg)]) == 0
+    for command in ("evaluate", "analyze"):
+        argv = [command, "--config", str(cfg), "--set", f"run_id={command}", str(tmp_path / "runs" / "pre.ckpt"), manifest]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    assert parses == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fail", ["save", "replace"])
+def test_synth_exits_0_without_room_for_the_sidecar(tmp_path, monkeypatch, capsys, fail):
+    # the sidecar is a cache: synth that cannot write it writes the dataset,
+    # and the first load parses the CSV
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if fail == "save":
+        monkeypatch.setattr(tensorfile, "save_tensors", no_space)
+    else:
+        replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: (no_space if ".mpcache" in str(dst) else replace)(src, dst))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SPEC))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "data")]) == 0
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["data.csv", "manifest.json", "run_manifest.json"]
+    parses, parse = [], ingest._parse_csv
+    monkeypatch.setattr(ingest, "_parse_csv", lambda path, *args: parses.append(path) or parse(path, *args))
+    loaded = ingest.load_dataset(ingest.load_manifest(tmp_path / "data" / "manifest.json")).windows
+    assert parses == [tmp_path / "data" / "data.csv"] and (tmp_path / "data" / ".data.csv.mpcache").is_file()
+    want = ingest.generate_synthetic(ingest.synthetic_spec_from_dict(TINY_SPEC))
+    assert [(w.label, w.samples.tobytes()) for w in loaded] == [(w.label, w.samples.tobytes()) for w in want]
+    capsys.readouterr()
 
 
 def test_pretrain_then_finetune_then_evaluate_then_analyze(workdir, capsys):
@@ -734,11 +779,12 @@ def test_analyze_unlabeled_frequency_exit_3_writes_no_report(tmp_path, capsys):
 def test_fresh_processes_write_identical_checkpoints(tmp_path):
     # README "Determinism": one config and seed, run by two new processes at
     # one BLAS thread, writes the same pretrain and fine-tune bytes. The
-    # processes differ in hash seed; the first parses the CSV and leaves its
-    # sidecar, which serves the second.
+    # processes differ in hash seed; synth's sidecar is removed, so the first
+    # parses the CSV and leaves its own sidecar, which serves the second.
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(TINY_SPEC))
     assert cli.main(["synth", str(spec_path), str(tmp_path / "data")]) == 0
+    (tmp_path / "data" / ".data.csv.mpcache").unlink()
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({**TINY_RUN, "datasets": [str(tmp_path / "data" / "manifest.json")], "run_id": "pre"}))
     script = (

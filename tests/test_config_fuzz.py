@@ -11,7 +11,9 @@ spec or manifest that repeats a class name, and a deeply nested or
 non-UTF-8 document in place of any JSON file it reads (exit 3, a data error,
 for a provider's embedding file).
 Seeded truncations and bit flips of a data CSV must end in exit 0 or a data
-error (exit 3), never in a traceback.
+error (exit 3), never in a traceback. Seeded class names and channel labels
+full of CSV and format metacharacters must give a synth sidecar equal byte
+for byte to the one a parse of its CSV writes.
 """
 
 import copy
@@ -22,7 +24,7 @@ from dataclasses import asdict
 import pytest
 
 from motionprim import cli
-from motionprim.ingest import load_dataset, load_manifest
+from motionprim.ingest import generate_synthetic, load_dataset, load_manifest, synthetic_spec_from_dict
 from motionprim.metadata import make_provider
 from motionprim.model import ModelConfig, init_model, prepare_windows
 from motionprim.tensorfile import save_tensors
@@ -425,3 +427,74 @@ def test_a_manifest_rate_of_1e400_exits_3(world, capsys, tmp_path, where):
     path.write_text(json.dumps(manifest).replace('"RATE"', "1e400"))
     argv = ["evaluate", "--config", str(world["run_path"]), str(world["ckpt"]), str(path)]
     assert run_all(capsys, [(where, argv)], expected=(3, "data")) == {}
+
+
+# what the fuzzed names are made of: the CSV delimiter, its quote and line
+# ends, synth's format character, a comment character, a space and a tab,
+# non-ASCII letters and plain ones
+NAME_PIECES = [",", '"', "\r", "\n", "\r\n", "%", "#", " ", "\t", "ü", "É", "雪", "a", "b", "q"]
+
+
+def fuzzed_name(rng: random.Random, shortest: int) -> str:
+    name = "".join(rng.choice(NAME_PIECES) for _ in range(rng.randint(shortest, 4)))
+    return f" {name} " if rng.random() < 0.2 else name
+
+
+def fuzzed_spec(rng: random.Random) -> dict:
+    """A tiny synth spec whose class names (maybe empty) and channel labels
+    (never empty) are fuzzed, each class and each CSV column distinct."""
+    channels, columns = [], set()
+    for _ in range(rng.randint(1, 3)):
+        channel = {key: fuzzed_name(rng, 1) for key in ("body_part", "sensor", "axis")}
+        column = "_".join(channel.values()).lower()
+        if column not in columns:
+            columns.add(column)
+            channels.append(channel)
+    names = list(dict.fromkeys(fuzzed_name(rng, 0) for _ in range(rng.randint(2, 4))))
+    names += [f"extra{i}" for i in range(2 - len(names))]
+    kinds = ["sine", "square", "sawtooth", "constant"]
+    return {
+        "classes": [
+            {"name": name, "waveforms": [{"kind": rng.choice(kinds), "offset": 0.5, "noise_sigma": 0.1} for _ in channels]}
+            for name in names
+        ],
+        "channels": channels,
+        "windows_per_class": rng.randint(1, 3),
+        "seed": rng.randint(0, 99),
+        "rate": 10.0,
+        "window_len": rng.randint(2, 6),
+    }
+
+
+def test_synth_sidecar_name_fuzz(tmp_path, capsys):
+    # synth's sidecar is the one a cold parse of its CSV writes, and the
+    # windows both loads give are generate_synthetic's, whatever the names
+    rng = random.Random(SEED + 7)
+    failures = {}
+    for case in range(30):
+        raw = fuzzed_spec(rng)
+        spec_path, out = tmp_path / f"spec{case}.json", tmp_path / f"data{case}"
+        spec_path.write_text(json.dumps(raw))
+        label = f"classes {[c['name'] for c in raw['classes']]!r}, channels {raw['channels']!r}"
+        if cli.main(["synth", str(spec_path), str(out)]) != 0:
+            failures[label] = f"synth failed: {capsys.readouterr().err.strip().splitlines()[-1:]}"
+            continue
+        manifest = load_manifest(out / "manifest.json")
+        sidecar = out / ".data.csv.mpcache"
+        written = sidecar.read_bytes()
+        want = generate_synthetic(synthetic_spec_from_dict(raw))
+        try:
+            served = load_dataset(manifest)
+            sidecar.unlink()
+            parsed = load_dataset(manifest)
+        except Exception as exc:
+            failures[label] = f"raised {type(exc).__name__}: {exc}"
+            continue
+        if sidecar.read_bytes() != written:
+            failures[label] = "synth's sidecar differs from the parse's"
+        for how, loaded in (("served", served), ("parsed", parsed)):
+            if loaded.class_names != [c["name"] for c in raw["classes"]] or [
+                (w.label, w.samples.tobytes()) for w in loaded.windows
+            ] != [(w.label, w.samples.tobytes()) for w in want]:
+                failures[label] = f"{how} windows differ from generate_synthetic's"
+    assert failures == {}

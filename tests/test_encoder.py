@@ -542,6 +542,27 @@ def test_rows_are_checked():
                     encoder_forward(x, layers, config.heads, need_backward, bad)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_more_read_rows_than_the_sequence(shards, cpus):
+    # rows may repeat, so a window of 5 rows may be read at 7 or 12: the
+    # forward-only pass, one group or several, returns the training pass's
+    # bits, those rows of a whole output (its last block's planned arrays
+    # used to be sized for 5 rows and raised an untyped ValueError)
+    shards(cpus, floor=1)
+    for config in ROW_CONFIGS:
+        layers = random_layers(config, seed=1)
+        for batch in (4, 33):
+            rng = np.random.default_rng(batch)
+            x = rng.normal(size=(batch, 5, config.model_dim))
+            whole, _ = encoder_forward(x, layers, config.heads)
+            for rows in (np.zeros((batch, 7), dtype=np.int64), rng.integers(0, 5, size=(batch, 12))):
+                where = f"D={config.model_dim}, {batch} windows, {rows.shape[1]} rows"
+                trained, _ = encoder_forward(x, layers, config.heads, True, rows)
+                out, _ = encoder_forward(x, layers, config.heads, False, rows)
+                assert_bitwise(trained, whole[np.arange(batch)[:, None], rows], where)
+                assert_bitwise(out, trained, where)
+
+
 def _overflow_in_one_row(config, layers, window, row):
     """An input whose `row` of `window` alone overflows at the last block's
     output: one coordinate of it is 1e307 (each layer norm reads that row as

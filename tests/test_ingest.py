@@ -869,6 +869,7 @@ def test_load_and_generate_peak_memory_holds_one_copy_of_the_windows(tmp_path, m
     monkeypatch.setattr(ingest, "_PARSE_ROWS", 4096)
     spec = bench_spec(seed=6, windows_per_class=64)
     manifest = load_manifest(write_synthetic_dataset(spec, tmp_path))
+    sidecar_of(tmp_path / "data.csv").unlink()  # synth's, so that the first load parses
     for path, bound in (("parse", 1.65), ("sidecar", 1.45)):
         loaded, peak = traced_peak(lambda: load_dataset(manifest))
         size = sum(w.samples.nbytes for w in loaded.windows)
@@ -891,7 +892,7 @@ def test_csv_writer_holds_a_block_not_the_file(csv_io_overheads):
 
 def test_sidecar_serves_the_bench_spec_unchanged(tmp_path, monkeypatch):
     manifest = load_manifest(write_synthetic_dataset(bench_spec(seed=7, windows_per_class=6), tmp_path))
-    assert not sidecar_of(tmp_path / "data.csv").exists()  # synth writes none
+    sidecar_of(tmp_path / "data.csv").unlink()  # synth's, so that the first load parses
     parses = count_parses(monkeypatch)
     hashes = []
     digest = ingest._sha256
@@ -905,6 +906,64 @@ def test_sidecar_serves_the_bench_spec_unchanged(tmp_path, monkeypatch):
     assert_same_dataset(served, parsed)
     for got, want in zip(served.windows, generate_synthetic(bench_spec(seed=7, windows_per_class=6))):
         assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_synth_writes_the_sidecar_a_cold_parse_writes(tmp_path, monkeypatch):
+    # keyed by the sha256 of the bytes synth wrote, it serves the first load,
+    # and its bytes are those a parse of the CSV writes
+    spec = bench_spec(seed=7, windows_per_class=6)
+    manifest = load_manifest(write_synthetic_dataset(spec, tmp_path))
+    sidecar = sidecar_of(tmp_path / "data.csv")
+    written = sidecar.read_bytes()
+    parses = count_parses(monkeypatch)
+    served = load_dataset(manifest)
+    assert parses == []
+    sidecar.unlink()
+    assert_same_dataset(load_dataset(manifest), served)
+    assert parses == [tmp_path / "data.csv"]
+    assert sidecar.read_bytes() == written
+    generated = generate_synthetic(spec)
+    assert [w.label for w in served.windows] == [w.label for w in generated]
+    for got, want in zip(served.windows, generated, strict=True):
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_synth_writes_its_sidecar_a_class_at_a_time(tmp_path, monkeypatch):
+    # the columns and codes reach the sidecar one class chunk at a time, so
+    # while it is written synth holds one class's column (256 kB here)
+    # beyond what it held before, not a whole column (1 MB)
+    spec = bench_spec(seed=3, windows_per_class=64)
+    save, held = tensorfile.save_tensors, []
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save(*args)
+        held.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(tensorfile, "save_tensors", traced)
+    tracemalloc.start()
+    try:
+        write_synthetic_dataset(spec, tmp_path)
+    finally:
+        tracemalloc.stop()
+    column = spec.windows_per_class * spec.window_len * 8
+    assert len(held) == 1 and held[0] <= 1.5 * column, held
+
+
+def test_csv_edited_after_synth_is_parsed_once_and_its_sidecar_rewritten(tmp_path, monkeypatch):
+    manifest = load_manifest(write_synthetic_dataset(bench_spec(seed=7, windows_per_class=2), tmp_path))
+    data = tmp_path / "data.csv"
+    written = sidecar_of(data).read_bytes()
+    header, first, rest = data.read_bytes().split(b"\n", 2)
+    data.write_bytes(b"\n".join([header, b"0.5" + first[first.index(b",") :], rest]))
+    parses = count_parses(monkeypatch)
+    for _ in range(2):
+        assert load_dataset(manifest).windows[0].samples[0, 0] == 0.5
+    assert parses == [data]
+    assert sidecar_of(data).read_bytes() != written
+    sha256 = hashlib.sha256(data.read_bytes()).hexdigest()
+    assert load_tensors(sidecar_of(data), "csv-columns")[0]["sha256"] == sha256
 
 
 def test_same_size_edit_with_old_mtime_is_parsed_again(tmp_path, monkeypatch):
@@ -1045,6 +1104,7 @@ def test_evaluate_then_analyze_parse_once(tmp_path, monkeypatch, capsys):
     config = ModelConfig(codebook_size=8, segment_len=50, model_dim=8, meta_dim=16, depth=1, heads=2,
                          segments_per_channel=10, num_classes=4)
     save_checkpoint(ckpt, init_model(config, seed=0))
+    sidecar_of(tmp_path / "data" / "data.csv").unlink()  # synth's, so that evaluate parses
     parses = count_parses(monkeypatch)
     for command in ("evaluate", "analyze"):
         argv = [command, str(ckpt), str(manifest), "--set", f"out_dir={tmp_path / 'out'}"]

@@ -578,6 +578,27 @@ def test_repeated_mask_position_keeps_exact_gradients():
     assert report.passed, report.worst
 
 
+def test_more_mask_positions_than_the_sequence(shards):
+    # positions may repeat, so a window may mask more positions than its
+    # sequence has: a forward-only pass returns the training pass's rows and
+    # losses bit for bit, with the [CLS] row too, at 1 and 2 CPUs
+    cfg = tiny_config()
+    model = init_model(cfg, seed=17)
+    batch = tiny_batch(seed=18, num_windows=3)
+    layout = model.layout_for(batch.num_channels, batch.segments_per_channel)
+    mask = np.random.default_rng(19).choice(layout.motion_positions, size=(3, layout.seq_len + 4))
+    for cpus, weights in itertools.product((1, 2), (PRETRAIN_WEIGHTS, LossWeights(1.0, 1.0, 1.0))):
+        shards(cpus, floor=1)
+        sliced = forward(model, batch, weights, mask_positions=mask, need_backward=False)
+        whole = forward(model, batch, weights, mask_positions=mask)
+        assert sliced.hidden.shape[1] > layout.seq_len
+        assert np.array_equal(sliced.hidden_rows, whole.hidden_rows)
+        assert np.array_equal(sliced.hidden, whole.hidden)
+        assert (sliced.mae_loss, sliced.cls_loss, sliced.vq_loss, sliced.loss) == (
+            whole.mae_loss, whole.cls_loss, whole.vq_loss, whole.loss
+        )
+
+
 def test_training_pass_embeds_once_per_shard_slice(shards, monkeypatch, bench_batch_400):
     # the encoder input is built shard by shard: a 40-window training pass
     # embeds 40 windows at one CPU and two slices of 20 at two

@@ -72,6 +72,38 @@ def test_bytes_equal_the_copying_writer(tmp_path):
         assert got[name].shape == np.shape(arr) and got[name].flags.writeable
 
 
+def test_row_chunks_are_stored_as_their_concatenation(tmp_path):
+    # a tensor given as a list of row chunks, strided, broadcast, of other
+    # dtypes or empty, is stored as the concatenated array would be
+    rng = np.random.default_rng(5)
+    wide = rng.normal(size=(7, 6))
+    tensors = {
+        "rows": [
+            wide[:3, ::2], np.asfortranarray(wide[3:, 1::2]), np.zeros((0, 3)), rng.normal(size=(2, 3)).astype(np.float32)
+        ],
+        "codes": [np.broadcast_to(np.int64(2), 4), np.arange(3, dtype=np.int32), np.broadcast_to(np.uint8(0), 5)],
+        "one": [np.arange(4.0)],
+    }
+    joined = {name: np.concatenate(chunks) for name, chunks in tensors.items()}
+    save_tensors(tmp_path / "chunks.bin", "k", {"m": 1}, tensors)
+    save_tensors(tmp_path / "joined.bin", "k", {"m": 1}, joined)
+    assert (tmp_path / "chunks.bin").read_bytes() == (tmp_path / "joined.bin").read_bytes()
+
+
+@pytest.mark.parametrize("chunks", [
+    pytest.param([], id="no chunk"),
+    pytest.param([np.zeros((2, 3)), np.zeros((2, 4))], id="other widths"),
+    pytest.param([np.zeros(2), np.zeros((2, 1))], id="other dimension counts"),
+    pytest.param([np.zeros(2), np.arange(2)], id="float and int"),
+    pytest.param([np.zeros(2), np.float64(1.0)], id="a 0-d chunk"),
+])
+def test_row_chunks_that_do_not_join_write_nothing(tmp_path, chunks):
+    path = tmp_path / "t.bin"
+    with pytest.raises(CheckpointError, match="row chunks"):
+        save_tensors(path, "k", {}, {"x": np.zeros(2), "bad": chunks})
+    assert not path.exists()
+
+
 def _fail_writes(monkeypatch, fail_after) -> None:
     """Make `tensorfile.publish` die with ENOSPC once a file has been given
     `fail_after` bytes (None: in the final rename)."""
