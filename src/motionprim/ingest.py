@@ -457,6 +457,19 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.mpcache")
 
 
+def _sidecar_key(numeric: list[str], text: list[str], sha256: str) -> dict:
+    """What a sidecar records to serve a load: its format, the numeric and
+    text columns it holds, in order, and the sha256 of its CSV's bytes."""
+    return {"format": CSV_SIDECAR_FORMAT, "numeric": numeric, "text": text, "sha256": sha256}
+
+
+def _factorize(values) -> tuple[list[str], np.ndarray]:
+    """The distinct text `values`, sorted as a numpy string array sorts
+    them, and each value's index among them: a text column's stored codes."""
+    ordered, inverse = np.unique(np.array(list(values), dtype=str), return_inverse=True)
+    return ordered.tolist(), inverse
+
+
 def _read_csv_columns(path: Path, numeric: list[str], text: set[str]) -> _CsvColumns:
     """The `numeric` (float64, the block's leading columns in this order)
     and `text` (factorized) columns of a CSV file, and maybe others. When
@@ -467,14 +480,14 @@ def _read_csv_columns(path: Path, numeric: list[str], text: set[str]) -> _CsvCol
     text a column the other reads as numbers). A missing column and every
     parse fault raise DataError naming the file."""
     if _sidecar_path(path).is_file():
-        stored = _load_sidecar(path, {"format": CSV_SIDECAR_FORMAT, "sha256": _sha256(path)}, numeric)
+        stored = _load_sidecar(path, _sha256(path), numeric)
         if stored is not None:
             has_numeric, has_text = set(stored.key["numeric"]), set(stored.key["text"])
             if set(numeric) <= has_numeric and text <= has_text:
                 return stored
             if not (set(numeric) & has_text or text & has_numeric):
                 numeric, text = numeric + sorted(has_numeric - set(numeric)), text | has_text
-    return _parse_csv(path, {"format": CSV_SIDECAR_FORMAT, "numeric": numeric, "text": sorted(text)})
+    return _parse_csv(path, numeric, sorted(text))
 
 
 def _sha256(path: Path) -> str:
@@ -503,7 +516,7 @@ class _HashingReader(io.RawIOBase):
         return n
 
 
-def _parse_csv(path: Path, request: dict) -> _CsvColumns:
+def _parse_csv(path: Path, numeric: list[str], text: list[str]) -> _CsvColumns:
     """Parse the body in blocks of `_PARSE_ROWS` rows, one loadtxt call per
     block on one text stream that hashes the bytes as they are read. Each
     block keeps only its requested columns: numbers written into their
@@ -512,16 +525,15 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
     columns are sized beforehand by a count of the file's line ends (and
     grown if the rows outrun it), so the parse holds one block of rows
     besides them. At the end the codes are remapped in place to index the
-    sorted names, as `np.unique` gives them. A bad header, a missing
+    sorted names, as `_factorize` gives them. A bad header, a missing
     column, a short or long row, a non-numeric or empty number, a blank
     line and a file without data rows all raise DataError naming the file."""
-    numeric, text = request["numeric"], set(request["text"])
-    names: dict[str, dict[str, int]] = {name: {} for name in request["text"]}  # name -> code, in order seen
+    names: dict[str, dict[str, int]] = {name: {} for name in text}  # name -> code, in order seen
     rows = 0
     try:
         lines = _line_count(path)
         block = np.empty((max(0, lines - 1), len(numeric)), order="F")
-        codes = {name: np.empty(len(block), dtype=np.int64) for name in request["text"]}
+        codes = {name: np.empty(len(block), dtype=np.int64) for name in text}
         with open(path, "rb", buffering=0) as binary:
             raw = _HashingReader(binary)
             fh = io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), newline="")
@@ -530,7 +542,7 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
                 raise DataError(f"{path}: empty CSV")
             if not header or len(set(header)) != len(header):
                 raise DataError(f"{path}: the header must name each column once, got {header}")
-            missing = sorted((set(numeric) | text) - set(header))
+            missing = sorted(set(numeric + text) - set(header))
             if missing:
                 raise DataError(f"{path}: no column named {missing[0]!r}")
             dtype = np.dtype([(f"f{i}", np.float64 if name in numeric else object) for i, name in enumerate(header)])
@@ -583,14 +595,12 @@ def _parse_csv(path: Path, request: dict) -> _CsvColumns:
     block = block[:rows]
     columns = {name: block[:, j] for j, name in enumerate(numeric)}
     labels = {}
-    for name in request["text"]:
-        # each name's place in sorted order, indexed by its code
-        ordered, rank = np.unique(np.array(list(names[name]), dtype=str), return_inverse=True)
+    for name in text:
+        ordered, rank = _factorize(names[name])  # each name's place in sorted order, indexed by its code
         column = codes[name][:rows]
         np.take(rank, column, out=column, mode="clip")  # every code is in range: no copy to check them
-        labels[name] = (ordered.tolist(), column)
-    key = {**request, "sha256": raw.sha256.hexdigest()}
-    return _CsvColumns(columns, labels, key, parsed=True, block=block)
+        labels[name] = (ordered, column)
+    return _CsvColumns(columns, labels, _sidecar_key(numeric, text, raw.sha256.hexdigest()), parsed=True, block=block)
 
 
 def _line_count(path: Path) -> int:
@@ -628,9 +638,10 @@ def _at_file_line(message: str, path: Path, rows: int) -> str:
     )
 
 
-def _load_sidecar(path: Path, key: dict, numeric: list[str]) -> _CsvColumns | None:
+def _load_sidecar(path: Path, sha256: str, numeric: list[str]) -> _CsvColumns | None:
     """The columns a file's sidecar holds, or None when there is none, its
-    format or hash is not that of `key`, or it is truncated or malformed.
+    format is not this one or its hash not `sha256`, or it is truncated or
+    malformed.
     The `numeric` columns it holds are read straight into their columns of
     the block."""
     sidecar = _sidecar_path(path)
@@ -656,7 +667,7 @@ def _load_sidecar(path: Path, key: dict, numeric: list[str]) -> _CsvColumns | No
     if any(not isinstance(c, list) or not all(isinstance(name, str) for name in c) for c in columns):
         logger.debug("not using %s: no column lists", sidecar)
         return None
-    key = {**key, "numeric": columns[0], "text": columns[1]}
+    key = _sidecar_key(columns[0], columns[1], sha256)
     if (
         any(meta.get(field) != value for field, value in key.items())
         or not isinstance(names, dict)
@@ -838,13 +849,12 @@ def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
 
     data_path = out_dir / "data.csv"
     tensorfile.publish(data_path, write_data)
-    # the class names sorted and coded as the parse factorizes them, as a numpy string array
-    names, codes = np.unique(np.array(spec.class_names, dtype=str), return_inverse=True)
+    names, codes = _factorize(spec.class_names)
     _write_sidecar(
         data_path,
-        {"format": CSV_SIDECAR_FORMAT, "numeric": channel_names, "text": ["label"], "sha256": sha256.hexdigest()},
+        _sidecar_key(channel_names, ["label"], sha256.hexdigest()),
         {name: [stream[:, j] for stream in streams] for j, name in enumerate(channel_names)},
-        {"label": (names.tolist(), [np.broadcast_to(code, len(s)) for code, s in zip(codes.tolist(), streams)])},
+        {"label": (names, [np.broadcast_to(code, len(s)) for code, s in zip(codes.tolist(), streams)])},
     )
     manifest = {
         "name": "synthetic",

@@ -835,8 +835,7 @@ def csv_io_overheads(tmp_path_factory):
         path = tmp_path_factory.mktemp(f"w{windows_per_class}")
         manifest, write_peak = traced_peak(lambda: load_manifest(write_synthetic_dataset(spec, path)))
         numeric = sorted(ch.column for ch in manifest.channels)
-        request = {"format": ingest.CSV_SIDECAR_FORMAT, "numeric": numeric, "text": [manifest.label.column]}
-        columns, parse_peak = traced_peak(lambda: ingest._parse_csv(path / "data.csv", request))
+        columns, parse_peak = traced_peak(lambda: ingest._parse_csv(path / "data.csv", numeric, [manifest.label.column]))
         returned = [*columns.numbers.values(), *(codes for _, codes in columns.labels.values())]
         out[windows_per_class] = {
             "write": write_peak - stream_bytes,
