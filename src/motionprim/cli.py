@@ -39,7 +39,6 @@ from .model import (
 from .schema import check_fields, field_type, from_dict, read_json
 from .tensorfile import publish
 from .training import (
-    CODEBOOK_INITS,
     ENCODER_FINETUNE,
     PRETRAIN_POLICY,
     SPLIT_FRACTION,
@@ -90,7 +89,6 @@ class RunConfig:
     run_id: str | None = None  # None -> derived from command + config hash
     freeze: str = ENCODER_FINETUNE.name
     split_fraction: float = SPLIT_FRACTION
-    codebook_init: str = CODEBOOK_INITS[0]
     provider: ProviderConfig = field(default_factory=ProviderConfig)
     workers: int = 1
 
@@ -101,8 +99,6 @@ class RunConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         policy_by_name(self.freeze)
-        if self.codebook_init not in CODEBOOK_INITS:
-            raise ConfigError(f"unknown codebook init {self.codebook_init!r}; known: {list(CODEBOOK_INITS)}")
         if not (0 < self.split_fraction < 1):
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         # it names files inside out_dir, so a separator would point elsewhere
@@ -246,7 +242,6 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         datasets,
         run.optimizer,
         run_seed=run.seed,
-        codebook_init=run.codebook_init,
         weights=weights,
     )
     ckpt_path = out_dir / f"{run_id}.ckpt"

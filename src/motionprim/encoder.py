@@ -158,41 +158,17 @@ def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x[np.arange(x.shape[0])[:, None], rows]
 
 
-def _spread(full: np.ndarray, rows: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """`full` (B, Seq, E), zeroed, with the rows of `part` (B, r, E) at
-    `rows` (B, r): a full pass's array whose rows off `rows` are zeros."""
-    full.fill(0.0)
-    full[np.arange(full.shape[0])[:, None], rows] = part
+def _add_rows(full: np.ndarray, rows: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """`full` (B, Seq, E) += `part` (B, r, E) at the rows `rows` (B, r) of
+    each window, a row listed twice taking the sum of its parts in
+    np.add.at's order (see `_scatter_add`); without `rows`, `part` is every
+    row's."""
+    if rows is None:
+        full += part
+    else:
+        B, S, E = full.shape
+        full += _scatter_add((B * S, E), np.arange(B)[:, None] * S + rows, weights=part).reshape(full.shape)
     return full
-
-
-def _packed(a: np.ndarray, seq: int) -> np.ndarray:
-    """(P, seq, E): the rows of `a` (B, r, E) laid `seq` to a matrix in
-    order, zeros filling the last. A product over them runs the GEMMs of a
-    pass over (B, seq, E) windows: OpenBLAS picks its kernel by shape, and
-    over fewer rows a product with a transposed weight changed in its last
-    bits, while each row of a product depends on that row alone."""
-    B, r, E = a.shape
-    packed = np.zeros((-(-B * r // seq), seq, E))
-    packed.reshape(-1, E)[: B * r] = a.reshape(B * r, E)
-    return packed
-
-
-def _unpacked(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The (B, r, E) rows of `packed`, for `rows` (B, r): `_packed` undone."""
-    return packed.reshape(-1, packed.shape[-1])[: rows.size].reshape(*rows.shape, packed.shape[-1])
-
-
-def _rows_product(a: np.ndarray, w: np.ndarray, rows: np.ndarray, seq: int) -> np.ndarray:
-    """a @ w for `a` (B, r, E), the rows `rows` of (B, seq, E) windows, over
-    the rows packed by `_packed`: the bits of those rows of the windows'."""
-    return _unpacked(_packed(a, seq) @ w, rows)
-
-
-def _picked(rows: np.ndarray, heads: int) -> tuple:
-    """The index of the rows `rows` (B, r) of every head's (Seq, Seq)
-    scores: (B, heads, r, Seq) of a (B, heads, Seq, Seq) array."""
-    return np.arange(rows.shape[0])[:, None, None], np.arange(heads)[:, None], rows[:, None, :]
 
 
 def attention_forward(
@@ -200,104 +176,70 @@ def attention_forward(
 ):
     """softmax(Q K^T / sqrt(d_head)) V per head, merged and output-projected.
 
-    With `rows` ((B, r) positions), queries are taken only at those rows of
-    each window, so the output is theirs, (B, r, D), while keys and values
-    still cover every row. Their scores come from a product of the full
-    pass's (Seq, Seq) shape, each query spread to its own row and zeros at
-    the others: OpenBLAS picks its kernel by shape, and with fewer query
-    rows the scores' last bits differed from the full pass's at head widths
-    of 32 and more (not at 16 or less). The read rows' softmax weights are
-    written back over their scores, and the cache keeps `rows` as an eighth
-    entry, so `attention_backward` can take the products that sum over
-    query rows at the full pass's shape.
+    With `rows` ((B, r) positions) the queries are those rows of each
+    window, x[rows] @ wq + bq, so the output is theirs, (B, r, D), and the
+    scores (B, heads, r, Seq), while keys and values cover every row; the
+    cache keeps `rows` as an eighth entry. Without `rows` every row is a
+    query.
 
-    `out` is the (q, k, v, weights, merged) arrays the cache keeps: q, k
-    and v of x's shape (q holding the queries spread to `rows`), merged of
-    the output's, with heads merged, and weights (B, heads, Seq, Seq). Each
-    is C-contiguous (a leading-axis slice of a whole-batch array), so a
-    product written into it runs the BLAS kernel of one into a fresh array
-    and no bit changes."""
+    `out` is the (q, k, v, weights, merged) arrays the cache keeps: q and
+    merged of the output's shape, heads merged, k and v of x's, and the
+    weights. Each is C-contiguous (a leading-axis slice of a whole-batch
+    array), so a product written into it runs the BLAS kernel of one into a
+    fresh array and no bit changes."""
     q, k, v, weights, merged = (None,) * 5 if out is None else out
-    if rows is None:
-        q = _affine(x, params["attn.wq"], params["attn.bq"], q)
-    else:
-        q_rows = _affine(_take_rows(x, rows), params["attn.wq"], params["attn.bq"])
-        q = _spread(np.empty(x.shape) if q is None else q, rows, q_rows)
+    queries = x if rows is None else _take_rows(x, rows)
+    q = _split_heads(_affine(queries, params["attn.wq"], params["attn.bq"], q), heads)
     k = _split_heads(_affine(x, params["attn.wk"], params["attn.bk"], k), heads)
     v = _split_heads(_affine(x, params["attn.wv"], params["attn.bv"], v), heads)
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
-    scores = weights = np.matmul(_split_heads(q, heads), k.swapaxes(-1, -2), out=weights)
-    if rows is not None:
-        pick = _picked(rows, heads)
-        weights = scores[pick]
-    merged = np.empty(x.shape if rows is None else (*rows.shape, x.shape[2])) if merged is None else merged
-    q = _split_heads(q, heads)
+    weights = np.matmul(q, k.swapaxes(-1, -2), out=weights)
+    merged = np.empty(queries.shape) if merged is None else merged
     weights *= scale
     _softmax_inplace(weights)
     _split_heads(merged, heads)[...] = weights @ v
     y = _affine(merged, params["attn.wo"], params["attn.bo"])
-    if rows is None:
-        return y, (x, q, k, v, weights, merged, scale)
-    scores[pick] = weights
-    return y, (x, q, k, v, scores, merged, scale, rows)
+    return y, (x, q, k, v, weights, merged, scale) + (() if rows is None else (rows,))
 
 
 def attention_backward(
     d_out: np.ndarray, cache, params: dict[str, np.ndarray], heads: int, *, out: tuple | None = None
 ):
-    """(d input, (d q, d k, d v)) for the windows of `d_out`: the input and
-    projection gradients, (B, Seq, D) with heads merged; the weight and
-    bias gradients sum over windows and are `_attention_param_grads`. `out`,
-    four arrays of the input's shape, receives them.
-
-    Given a cache of `rows`, `d_out` is the gradient at those rows, (B, r,
-    D). The output projection's gradient, the softmax jacobian, d q and its
-    input gradient then run at those rows alone, and d q is returned spread
-    to them, zeros at the other rows. The products that sum over query
-    rows, d k's and d v's, keep the full pass's shape, over gradients that
-    are zero off `rows`. So every value is the bits of the full pass given
-    a `d_out` that is zero off `rows`."""
+    """(d input, (d q, d k, d v)) for the windows of `d_out`, the gradient of
+    the output: the input gradient and those of the projections, heads
+    merged, d q at the query rows and the others at every row; the weight
+    and bias gradients sum over windows and are `_attention_param_grads`.
+    `out`, arrays of those four shapes, receives them. A cache of `rows`
+    adds d q's input gradient to those rows (`_add_rows`)."""
     x, q, k, v, weights, _, scale, *cut = cache
     rows = cut[0] if cut else None
-    d_x, *d_qkv = [np.empty(x.shape) for _ in range(4)] if out is None else out
-    if rows is None:
-        d_merged = d_out @ params["attn.wo"].T
-    else:
-        d_merged = _spread(np.empty(x.shape), rows, _rows_product(d_out, params["attn.wo"].T, rows, x.shape[1]))
-    d_context = _split_heads(d_merged, heads)
+    d_x, *d_qkv = [np.empty(s) for s in (x.shape, d_out.shape, x.shape, x.shape)] if out is None else out
+    d_context = _split_heads(d_out @ params["attn.wo"].T, heads)
     _split_heads(d_qkv[2], heads)[...] = weights.swapaxes(-1, -2) @ d_context
     # softmax jacobian: dS = A * (dA - sum_j dA_j A_j), written over dA
     d_scores = d_context @ v.swapaxes(-1, -2)
-    del d_context, d_merged
-    d_rows, row_weights = d_scores, weights
-    if rows is not None:  # the read rows' scores, written back once their gradient is done
-        pick = _picked(rows, heads)
-        d_rows, row_weights = d_scores[pick], weights[pick]
-    inner = (d_rows * row_weights).sum(axis=-1, keepdims=True)
-    d_rows -= inner
-    d_rows *= row_weights
-    d_q = d_qkv[0] if rows is None else np.empty(d_out.shape)
-    np.multiply(d_rows @ k, scale, out=_split_heads(d_q, heads))
-    if rows is not None:
-        d_scores[pick] = d_rows
-        _spread(d_qkv[0], rows, d_q)
+    del d_context
+    inner = (d_scores * weights).sum(axis=-1, keepdims=True)
+    d_scores -= inner
+    d_scores *= weights
+    np.multiply(d_scores @ k, scale, out=_split_heads(d_qkv[0], heads))
     np.multiply(d_scores.swapaxes(-1, -2) @ q, scale, out=_split_heads(d_qkv[1], heads))
-    del d_scores, d_rows
+    del d_scores
 
     d_x.fill(0.0)
-    if rows is None:
-        d_x += d_q @ params["attn.wq"].T
-    else:
-        d_x[np.arange(x.shape[0])[:, None], rows] += _rows_product(d_q, params["attn.wq"].T, rows, x.shape[1])
+    _add_rows(d_x, rows, d_qkv[0] @ params["attn.wq"].T)
     for name, flat in zip("kv", d_qkv[1:]):
         d_x += flat @ params[f"attn.w{name}"].T
     return d_x, tuple(d_qkv)
 
 
-def _attention_param_grads(x: np.ndarray, merged: np.ndarray, d_out: np.ndarray, d_qkv) -> dict[str, np.ndarray]:
+def _attention_param_grads(
+    x: np.ndarray, merged: np.ndarray, d_out: np.ndarray, d_qkv, rows: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     grads = {"attn.wo": _weight_grad(merged, d_out), "attn.bo": d_out.sum(axis=(0, 1))}
-    for name, flat in zip("qkv", d_qkv):
-        grads[f"attn.w{name}"] = _weight_grad(x, flat)
+    queries = x if rows is None else _take_rows(x, rows)
+    for name, inputs, flat in zip("qkv", (queries, x, x), d_qkv):
+        grads[f"attn.w{name}"] = _weight_grad(inputs, flat)
         grads[f"attn.b{name}"] = flat.sum(axis=(0, 1))
     return grads
 
@@ -394,14 +336,14 @@ class Workspace:
 @dataclass
 class EncoderCache:
     """What `encoder_backward` needs of a forward pass: the input's shape
-    (B, Seq, D), the read rows (B, r) it returned (None for every row), the
-    window shards, per layer (the whole-batch arrays its weight and bias
-    gradients sum over windows: xhat of ln1, the attention input and its
-    merged heads, xhat of ln2, the MLP input and its activation, all
-    (B, Seq, .), a cut last block's spread to its rows; one (ln1, attention,
-    ln2, mlp) kernel-cache tuple per shard, holding views of the workspace's
-    arrays), and the whole-batch arrays the backward writes its gradients
-    into, planned with the pass (see `encoder_forward`)."""
+    (B, Seq, D), the read rows (B, r) (None for every row), the window
+    shards, per layer (the whole-batch arrays its weight and bias gradients
+    sum over windows: xhat of ln1, the attention input and its merged heads,
+    xhat of ln2, the MLP input and its activation, the last three at the
+    block's query rows; one (ln1, attention, ln2, mlp) kernel-cache tuple
+    per shard, holding views of the workspace's arrays), and the
+    whole-batch arrays the backward writes its gradients into, planned with
+    the pass (see `encoder_forward`)."""
 
     heads: int
     shape: tuple[int, int, int]
@@ -411,16 +353,21 @@ class EncoderCache:
     grads: list[np.ndarray] = field(default_factory=list)
 
 
-def _kernel_shapes(shape: tuple[int, int, int], layers: list[dict[str, np.ndarray]], heads: int, rows: int) -> list:
+def _kernel_shapes(shape: tuple[int, int, int], hidden: int, heads: int, rows: int) -> list:
     """The shapes of one block's kernel `out` arrays over windows of `shape`
     (B, Seq, D), in the order `_kernel_outs` groups them, its query side
-    (merged heads, LN2 and the MLP) at `rows` rows per window; the queries,
-    spread to their rows, keep every row. None for no `layers`."""
-    if not layers:
-        return []
+    (queries, scores, merged heads, LN2 and the MLP) at `rows` rows per
+    window."""
     B, S, D = shape
-    full, cut, mlp = (B, S, D), (B, rows, D), (B, rows, layers[0]["mlp.w1"].shape[1])
-    return [full, full, (B, S, 1), full, full, full, (B, heads, S, S), cut, cut, cut, (B, rows, 1), mlp, mlp, mlp]
+    full, cut, mlp = (B, S, D), (B, rows, D), (B, rows, hidden)
+    return [full, full, (B, S, 1), cut, full, full, (B, heads, rows, S), cut, cut, cut, (B, rows, 1), mlp, mlp, mlp]
+
+
+def _backward_shapes(shape: tuple[int, int, int], hidden: int, rows: int) -> list:
+    """The shapes of the gradients one block's backward writes (see
+    `_layer_backward`), its query side's at `rows` rows per window."""
+    B, S, D = shape
+    return [(B, rows, hidden)] + [(B, rows, D)] * 3 + [(B, S, D)] * 3
 
 
 def _kernel_outs(arrays: list[np.ndarray]) -> tuple:
@@ -432,16 +379,15 @@ def _kernel_outs(arrays: list[np.ndarray]) -> tuple:
 def _plan(workspace: Workspace, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Arrays of `shapes`, laid end to end in the flat buffer of
     `workspace`: a training pass's whole-batch arrays, those it caches for
-    its backward, per layer (a cut last block's at its read rows, then the
-    four it spreads to full shape), then those its backward carries each
-    layer's gradients through; or a forward-only pass's one set for a group of
-    FORWARD_CHUNK windows, which every layer and every group of the pass
-    reuses, since it caches nothing. Each shard writes into its slice of
-    every array. One buffer rather than one per array:
-    glibc keeps a freed block of the size of the largest it has given back,
-    so one pass's buffer stays with the process for the next `evaluate`
-    call, where a dozen smaller ones were handed back to the system and
-    faulted in again by every call (see CHANGES.md)."""
+    its backward, one set per layer, then those its backward carries each
+    layer's gradients through; or a forward-only pass's one set for a group
+    of FORWARD_CHUNK windows, which every layer and every group of the pass
+    reuses, since it caches nothing, the last block's query side at its
+    read rows beside it. Each shard writes into its slice of every array. One buffer
+    rather than one per array: glibc keeps a freed block of the size of the
+    largest it has given back, so one pass's buffer stays with the process
+    for the next `evaluate` call, where a dozen smaller ones were handed back
+    to the system and faulted in again by every call (see CHANGES.md)."""
     sizes = [math.prod(shape) for shape in shapes]
     flat = workspace.take((sum(sizes),))
     starts = itertools.accumulate(sizes, initial=0)
@@ -484,33 +430,26 @@ def encoder_forward(
     the next (see Workspace). Without it `workspace` is not used: the pass
     takes a fresh workspace of its own, the cache holds no layers, and the
     shards split one group of FORWARD_CHUNK windows after another, keeping
-    no kernel cache. Each shard's layers write into one set of arrays, made
-    for the first group (the largest), their query side for the larger of
-    Seq and the rows the last block computes, and reused by every later
-    group, so the intermediates in flight are those of at most
-    FORWARD_CHUNK windows, whatever the batch size. Either way the result
-    equals one pass over all windows bit for bit (tested in
-    tests/test_encoder.py and tests/test_model.py), and a NumericError
-    names the lowest failing layer over all windows.
+    no kernel cache. Each shard's layers write into one set of arrays, the
+    last block's query side into arrays of its own, made for the first
+    group (the largest) and reused by every later group, so the
+    intermediates in flight are those of at most FORWARD_CHUNK windows,
+    whatever the batch size. Either way the result equals one pass over all windows bit for
+    bit (tested in tests/test_encoder.py and tests/test_model.py), and a
+    NumericError names the lowest failing layer over all windows.
 
     `rows`, (B, r) sequence positions, are the rows the caller reads, and
     the result is (B, r, D), their outputs in `rows` order; without `rows`
-    it is every row, (B, Seq, D). With `rows` the last block computes its
-    query side only at those rows, in a training pass as in a forward-only
-    one: its attention queries, output projection, residuals, LN2 and MLP.
-    Its keys and values, and every earlier block, still cover every row,
-    and its attention scores keep the full pass's shape (see
-    `attention_forward`), so the rows are the bits of the same rows of a
-    pass over every row. A training pass also spreads the block's merged
-    heads, LN2 output and xhat and MLP activation to full-shape arrays,
-    zeros off the read rows, for the weight gradients (see
-    `encoder_backward`). A single row per window is computed beside a
-    second one, row 1 (row 0 beside row 1), which is dropped: with one
-    query row per window numpy takes its vector-matrix product, whose last
-    bits differ from the matrix product's. The NumericError check sees only
-    the rows a pass computes, so an overflow confined to a row the last
-    block skips is not raised. A pass that reads no row runs no layer and
-    reads no input: it returns (B, 0, D) and a cache that holds no layers.
+    it is every row, (B, Seq, D). With `rows` the last block is query-row
+    attention: its queries are those rows (see `attention_forward`), and its
+    residuals, LN2 and MLP run at them, while its keys and values, and every
+    earlier block, cover every row. A row read twice is computed twice. The
+    read rows equal those of a full pass to within rounding, not bit for
+    bit: the products over fewer rows may take other BLAS kernels. The
+    NumericError check sees only the rows a pass computes, so an overflow
+    confined to a row the last block skips is not raised. A pass that reads
+    no row runs no layer and reads no input: it returns (B, 0, D) and a
+    cache that holds no layers.
     """
     if not isinstance(x, LazyInput):
         x = np.asarray(x, dtype=np.float64)
@@ -522,8 +461,8 @@ def encoder_forward(
     cache = EncoderCache(heads, x.shape)
     read = seq
     if rows is not None:
-        rows, read = _query_rows(rows, (batch, seq))
-        cache.rows = rows[:, :read]
+        rows = cache.rows = _query_rows(rows, (batch, seq))
+        read = rows.shape[1]
         if read == 0:
             return np.empty((batch, 0, width)), cache
     workspace = workspace if need_backward and workspace is not None else Workspace()
@@ -537,36 +476,34 @@ def encoder_forward(
             return [], -1
         result, bad, caches = _run_layers(x_sl, layers, heads, outs, None if rows is None else rows[sl], need_backward)
         if bad is None:
-            out[sl] = result[:, :read]
+            out[sl] = result
         return caches, bad
 
     results = []
     depth = len(layers)
-    last = seq if rows is None else rows.shape[1]  # query rows of the last block
+    hidden = layers[0]["mlp.w1"].shape[1] if layers else 0
     groups = [(0, batch)]
     if not need_backward:
         groups = [(i, min(FORWARD_CHUNK, batch - i)) for i in range(0, batch, FORWARD_CHUNK)]
     for start, size in groups:
-        block = _kernel_shapes((size, seq, width), layers, heads, seq)
-        spread = []  # a cut block's arrays the weight gradients read, at full shape
-        if need_backward:  # a set per layer, then the backward's (see encoder_backward)
-            cut = _kernel_shapes((size, seq, width), layers, heads, last)
-            spread_shapes = [(size, seq, width)] * 3 + [block[-1]] if rows is not None and layers else []
-            grads = [x.shape] * min(2, depth - 1) + [block[-1]] + [x.shape] * 6 if layers else []
-            arrays = _plan(workspace, block * (depth - 1) + cut + spread_shapes + grads)
-            end = len(block) * depth + len(spread_shapes)
-            spread, cache.grads = arrays[len(block) * depth : end], arrays[end:]
-        else:  # one set, which every layer reuses; its query side takes the cut block's rows too
-            arrays = _plan(workspace, _kernel_shapes((size, seq, width), layers, heads, max(seq, last)))
+        shape = (size, seq, width)
+        below, last = _kernel_shapes(shape, hidden, heads, seq), _kernel_shapes(shape, hidden, heads, read)
+        layer_shapes = [below] * (depth - 1) + [last] if layers else []
+        # one array per layer and position in a training pass; in a
+        # forward-only pass, which keeps nothing, one per position and
+        # shape, which every layer of that shape reuses
+        keys = [[(i if need_backward else s, k) for k, s in enumerate(own)] for i, own in enumerate(layer_shapes)]
+        planned = dict(zip(itertools.chain(*keys), itertools.chain(*layer_shapes)))
+        shapes = list(planned.values())
+        if need_backward and layers:  # the backward's arrays, in `encoder_backward`'s order
+            shapes += [shape] * min(2, depth - 1) + _backward_shapes(shape, hidden, seq)[:4] * min(1, depth - 1)
+            shapes += _backward_shapes(shape, hidden, read)
+        arrays = _plan(workspace, shapes)
+        found = dict(zip(planned, arrays))
+        sets = [[found[key] for key in own] for own in keys]
         slices, tasks = _shard_slices(size), []
-        for sl in slices:  # each shard's slice of each array; a cut block's are leading views of it
-            shape, outs = (sl.stop - sl.start, seq, width), []
-            for i in range(depth):
-                shapes = _kernel_shapes(shape, layers, heads, last if i == depth - 1 else seq)
-                own = arrays[len(block) * i :] if need_backward else arrays
-                outs.append(_kernel_outs([a[sl].reshape(-1)[: math.prod(s)].reshape(s) for a, s in zip(own, shapes)]))
-            if spread:
-                outs[-1] += (tuple(a[sl] for a in spread),)
+        for sl in slices:
+            outs = [_kernel_outs([a[sl] for a in own]) for own in sets]
             tasks.append(functools.partial(shard, outs, slice(start + sl.start, start + sl.stop)))
         results += _parallel.run_parallel(tasks)
     bad = min((bad for _, bad in results if bad is not None), default=None)
@@ -575,27 +512,23 @@ def encoder_forward(
     if bad is not None:
         raise NumericError(f"non-finite activations after encoder layer {bad}")
     if need_backward:  # one group: the whole batch
-        cache.slices = slices
-        for i in range(depth):
-            (normed1, xhat1, _), attn, (normed2, xhat2, _), (_, _, act) = _kernel_outs(arrays[len(block) * i :])
-            reduced = (xhat1, normed1, *(spread if spread and i == depth - 1 else (attn[4], xhat2, normed2, act)))
-            cache.layers.append((reduced, [caches[i] for caches, _ in results]))
+        cache.slices, cache.grads = slices, arrays[len(planned) :]
+        for i, own in enumerate(sets):
+            (normed1, xhat1, _), attn, (normed2, xhat2, _), (_, _, act) = _kernel_outs(own)
+            cache.layers.append(((xhat1, normed1, attn[4], xhat2, normed2, act), [caches[i] for caches, _ in results]))
     return out, cache
 
 
-def _query_rows(rows, shape: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """(the rows to compute, the number read) for `rows` of a (B, Seq)
-    batch: a single row gets a second one beside it (see encoder_forward)."""
+def _query_rows(rows, shape: tuple[int, int]) -> np.ndarray:
+    """`rows`, checked to be (B, r) integer positions of a (B, Seq) batch,
+    as int64."""
     rows = np.asarray(rows)
     batch, seq = shape
     if rows.ndim != 2 or rows.shape[0] != batch or rows.dtype.kind not in "iu":
         raise DataError(f"rows must be ({batch}, r) integer positions, got {rows.dtype} {rows.shape}")
     if rows.size and (rows.min() < 0 or rows.max() >= seq):
         raise DataError(f"rows must lie in [0, {seq})")
-    read = rows.shape[1]
-    if read == 1 and seq > 1:
-        rows = np.concatenate([rows, np.where(rows == 1, 0, 1)], axis=1)
-    return rows.astype(np.int64, copy=False), read
+    return rows.astype(np.int64, copy=False)
 
 
 def _run_layers(
@@ -607,14 +540,11 @@ def _run_layers(
     finite, (that output, its index, caches). With `keep` each layer's
     kernel caches, views of its arrays, are returned, one (ln1, attention,
     ln2, mlp) tuple per layer; without, none is. With `rows` ((B, r)
-    positions) the output is those rows, (B, r, D), and the last block runs
-    its query side (attention queries, output projection, residuals, LN2
-    and MLP) only at those rows; with `keep` too, its entry of `outs` has a
-    fifth tuple, full-shape arrays that receive its merged heads, LN2 xhat
-    and output and MLP activation spread to those rows."""
+    positions) the output is those rows, (B, r, D), and the last block's
+    queries, residuals, LN2 and MLP run at those rows alone."""
     caches = []
     for i, params in enumerate(layers):
-        ln1, attn, ln2, mlp, *spread = outs[i]
+        ln1, attn, ln2, mlp = outs[i]
         query_rows = rows if i == len(layers) - 1 else None
         normed, ln1_cache = layernorm_forward(x, params["ln1.gamma"], params["ln1.beta"], out=ln1)
         mid, attn_cache = attention_forward(normed, params, heads, query_rows, out=attn)
@@ -627,57 +557,43 @@ def _run_layers(
             return out, i, caches
         if keep:
             caches.append((ln1_cache, attn_cache, ln2_cache, mlp_cache))
-            if spread:
-                for full, part in zip(spread[0], (attn_cache[5], ln2_cache[0], mlp_cache[0], mlp_cache[3])):
-                    _spread(full, query_rows, part)
         del ln1_cache, attn_cache, ln2_cache, mlp_cache
         x = out
     return (x if rows is None or layers else _take_rows(x, rows)), None, caches
 
 
 def _layer_backward(d_out: np.ndarray, caches: tuple, params: dict[str, np.ndarray], heads: int, out: tuple) -> None:
-    """One block's backward for the windows of `d_out` (B, Seq, D), written
-    to the arrays `out`: (d input, or None to skip it, then the gradients
-    that the block's weight and bias gradients sum over windows: d MLP
-    pre-activation, d ln2 output, d attention output, d q, d k, d v, d ln1
-    output). A block cut to rows (its attention cache holds them) runs its
-    query side's backward at those rows alone, packed (see `_packed`), and
-    spreads those gradients to their rows, zeros at the others."""
+    """One block's backward for the windows of `d_out`, the gradient of its
+    output, written to the arrays `out`: (d input, or None to skip it, then
+    the gradients that the block's weight and bias gradients sum over
+    windows: d MLP pre-activation, d ln2 output, d attention output, d q at
+    the query rows, then d k, d v and d ln1 output at every row). A block
+    whose attention cache holds rows adds its residual's gradient to them."""
     ln1_cache, attn_cache, ln2_cache, mlp_cache = caches
     d_in, d_pre, d_normed2, d_mid, d_q, d_k, d_v, d_normed1 = out
-    rows = attn_cache[7] if len(attn_cache) > 7 else None
     # out = mid + mlp(ln2(mid))
-    if rows is None:
-        mlp_backward(d_out, mlp_cache, params, out=(d_normed2, d_pre))
-        layernorm_backward(d_normed2, ln2_cache, out=d_mid)
-        d_mid += d_out
-        d_attn = d_mid
-    else:
-        seq = d_out.shape[1]
-        (_, pre, cdf, _), (xhat2, inv2, gamma) = mlp_cache, ln2_cache
-        d_top = _packed(_take_rows(d_out, rows), seq)
-        d_n2, d_p = mlp_backward(d_top, (None, _packed(pre, seq), _packed(cdf, seq), None), params)
-        d_m = layernorm_backward(d_n2, (_packed(xhat2, seq), _packed(inv2, seq), gamma))
-        d_m += d_top
-        for full, part in ((d_pre, d_p), (d_normed2, d_n2), (d_mid, d_m)):
-            _spread(full, rows, _unpacked(part, rows))
-        d_attn = _unpacked(d_m, rows)
+    mlp_backward(d_out, mlp_cache, params, out=(d_normed2, d_pre))
+    layernorm_backward(d_normed2, ln2_cache, out=d_mid)
+    d_mid += d_out
     # mid = x + attn(ln1(x))
-    attention_backward(d_attn, attn_cache, params, heads, out=(d_normed1, d_q, d_k, d_v))
+    attention_backward(d_mid, attn_cache, params, heads, out=(d_normed1, d_q, d_k, d_v))
     if d_in is not None:
         layernorm_backward(d_normed1, ln1_cache, out=d_in)
-        d_in += d_mid
+        _add_rows(d_in, attn_cache[7] if len(attn_cache) > 7 else None, d_mid)
 
 
-def _layer_param_grads(reduced: tuple, d_out: np.ndarray, parts: tuple, threads: int) -> dict[str, np.ndarray]:
+def _layer_param_grads(
+    reduced: tuple, d_out: np.ndarray, parts: tuple, rows: np.ndarray | None, threads: int
+) -> dict[str, np.ndarray]:
     """One block's weight and bias gradients from whole-batch arrays, its
-    four kernels' sums dealt over `threads` threads (on a 2-core host, run
-    on the calling thread alone they made a training pipeline 7% slower)."""
+    queries at `rows`, its four kernels' sums dealt over `threads` threads
+    (on a 2-core host, run on the calling thread alone they made a training
+    pipeline 7% slower)."""
     xhat1, normed1, merged, xhat2, normed2, act = reduced
     d_pre, d_normed2, d_mid, d_q, d_k, d_v, d_normed1 = parts
     tasks = [  # costliest first
         functools.partial(_mlp_param_grads, normed2, act, d_out, d_pre),
-        functools.partial(_attention_param_grads, normed1, merged, d_mid, (d_q, d_k, d_v)),
+        functools.partial(_attention_param_grads, normed1, merged, d_mid, (d_q, d_k, d_v), rows),
         functools.partial(_layernorm_param_grads, d_normed2, xhat2, "ln2"),
         functools.partial(_layernorm_param_grads, d_normed1, xhat1, "ln1"),
     ]
@@ -699,14 +615,10 @@ def encoder_backward(
     """Exact reverse-mode pass; returns (d_input, per-layer grads).
 
     `d_out` is the gradient of what the forward returned: (B, Seq, D), or,
-    for a pass given `rows`, (B, r, D) at those rows, where a position read
-    twice takes the sum of its reads' gradients, added in read order (the
-    bits of np.add.at), and every other row a zero gradient. The last block
-    then runs its query side's backward at the computed rows alone; the
-    products that sum over rows (d k, d v, every weight and bias gradient)
-    keep the full pass's shape, over gradients and activations that are
-    zero off those rows, so every bit is that of the full backward of a
-    gradient that is zero off `rows`. A pass that read no row has zero
+    for a pass given `rows`, (B, r, D) at those rows. The last block's
+    backward then runs at those rows, and the gradients of its queries and
+    residual are added to them in the input gradient (a row read twice
+    takes both, see `_add_rows`). A pass that read no row has zero
     gradients throughout.
 
     Per layer, every shard carries its windows' gradient back through the
@@ -716,24 +628,27 @@ def encoder_backward(
     the LN1 backward and residual that only it reads. The returned arrays
     are fresh."""
     d_x = np.asarray(d_out, dtype=np.float64)
-    if cache.rows is not None:  # the read rows' gradient, spread to their rows
-        B, S, D = cache.shape
-        if d_x.shape != (*cache.rows.shape, D):
-            raise DataError(f"d_out must be {(*cache.rows.shape, D)}, the rows the pass read, got {d_x.shape}")
-        d_x = _scatter_add((B * S, D), np.arange(B)[:, None] * S + cache.rows, weights=d_x).reshape(B, S, D)
-        if cache.rows.shape[1] == 0:  # no layer ran
-            return (d_x if input_grad else None), [{key: np.zeros_like(t) for key, t in p.items()} for p in layers]
+    B, S, D = cache.shape
+    read = S if cache.rows is None else cache.rows.shape[1]
+    if d_x.shape != (B, read, D):
+        raise DataError(f"d_out must be {(B, read, D)}, the rows the pass read, got {d_x.shape}")
+    if not layers or read == 0:  # no layer ran at the read rows: the gradient only moves to them
+        d_in = _add_rows(np.zeros(cache.shape), cache.rows, d_x)
+        return (d_in if input_grad else None), [{key: np.zeros_like(t) for key, t in p.items()} for p in layers]
     if len(cache.layers) != len(layers):
         raise DataError("cache does not match layer stack")
     slices, depth = cache.slices, len(layers)
-    turns, parts = cache.grads[:-7], tuple(cache.grads[-7:])  # d input's turns, `_layer_backward`'s others
+    # d input's turns, the query-side gradients of the blocks below the
+    # last, then the last block's seven (see `_layer_backward`)
+    turns, below, last = cache.grads[: min(2, depth - 1)], cache.grads[min(2, depth - 1) : -7], cache.grads[-7:]
     all_grads: list[dict[str, np.ndarray]] = [dict() for _ in layers]
     for i in range(depth - 1, -1, -1):
         params = layers[i]
         reduced, shard_caches = cache.layers[i]
+        parts = tuple(last if i == depth - 1 else below + last[4:])
         # layer i reads the input gradient of layer i + 1 while it writes its
         # own, so two arrays take turns; layer 0's is returned, so fresh
-        d_in = turns[(depth - 1 - i) % 2] if i else np.empty(d_x.shape) if input_grad else None
+        d_in = turns[(depth - 1 - i) % 2] if i else np.empty(cache.shape) if input_grad else None
         arrays = (d_in, *parts)
 
         def shard(s: int, sl: slice) -> None:
@@ -741,7 +656,8 @@ def encoder_backward(
             _layer_backward(d_x[sl], shard_caches[s], params, cache.heads, outs)
 
         _parallel.run_parallel([functools.partial(shard, s, sl) for s, sl in enumerate(slices)])
-        all_grads[i] = _layer_param_grads(reduced, d_x, parts, len(slices))
+        rows = cache.rows if i == depth - 1 else None
+        all_grads[i] = _layer_param_grads(reduced, d_x, parts, rows, len(slices))
         d_x = arrays[0]
     return (d_x if input_grad else None), all_grads
 

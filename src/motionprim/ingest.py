@@ -32,6 +32,21 @@ GENERATOR_IDS = ("sine", "square", "sawtooth", "constant")
 
 logger = logging.getLogger("motionprim")
 
+# What no class name, channel label or column name may hold: a C0 control
+# other than tab, LF and CR, which a quoted CSV field carries (NUL among
+# them, which numpy's string arrays drop from a name's end, so "a" and
+# "a\0" would load as one class), or a lone surrogate, which no UTF-8 file
+# can hold; XML 1.0 excludes the same characters. Every other text
+# round-trips exactly.
+_UNSAFE_TEXT = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff]")
+
+
+def _check_names(what: str, names) -> None:
+    """ConfigError naming the first of `names` that holds unsafe text."""
+    bad = next((name for name in names if _UNSAFE_TEXT.search(name)), None)
+    if bad is not None:
+        raise ConfigError(f"{what} {bad!r} holds a control character or a lone surrogate")
+
 
 @dataclass
 class ChannelMetadata:
@@ -221,6 +236,8 @@ class SyntheticSpec:
             raise ConfigError("a synthetic spec needs at least 2 classes")
         if len(set(self.class_names)) < len(self.classes):
             raise ConfigError(f"class names must be unique, got {self.class_names}")
+        _check_names("class name", self.class_names)
+        _check_names("channel label", [label for m in self.channels for label in (m.body_part, m.sensor, m.axis)])
         if len(set(self.column_names)) < len(self.channels):
             raise ConfigError(f"channels must map to distinct CSV column names, got {self.column_names}")
         for cls in self.classes:
@@ -397,6 +414,8 @@ class DatasetManifest:
             raise ConfigError("manifest lists no channels")
         if len(set(self.classes)) < len(self.classes):
             raise ConfigError(f"manifest classes must be unique, got {self.classes}")
+        _check_names("manifest class", self.classes)
+        _check_names("manifest column", [ch.column for ch in self.channels] + ([self.label.column] if self.label else []))
         for ch in self.channels:
             if not (self.base_dir / ch.file).is_file():
                 raise DataError(f"manifest references missing file: {self.base_dir / ch.file}")
@@ -429,7 +448,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 # Recorded in every CSV sidecar; raising it retires the sidecars of older
 # versions, so a change to the parse or the layout never serves stale columns.
-CSV_SIDECAR_FORMAT = 1
+CSV_SIDECAR_FORMAT = 2
 CSV_SIDECAR_KIND = "csv-columns"
 # Rows per block of the CSV parse and of the synthetic-data writer: what
 # either holds besides its output is a block of rows, whatever the file size.
@@ -567,6 +586,7 @@ def _parse_csv(path: Path, numeric: list[str], text: list[str]) -> _CsvColumns:
                     for j, name in enumerate(numeric):
                         block[rows:end, j] = parsed[field_of[name]]
                     for name, column in codes.items():
+                        _check_text(path, name, parsed[field_of[name]], rows)
                         values, inverse = np.unique(parsed[field_of[name]].astype(str), return_inverse=True)
                         table = names[name]
                         known = [table.setdefault(value, len(table)) for value in values.tolist()]
@@ -601,6 +621,28 @@ def _parse_csv(path: Path, numeric: list[str], text: list[str]) -> _CsvColumns:
         np.take(rank, column, out=column, mode="clip")  # every code is in range: no copy to check them
         labels[name] = (ordered, column)
     return _CsvColumns(columns, labels, _sidecar_key(numeric, text, raw.sha256.hexdigest()), parsed=True, block=block)
+
+
+def _check_text(path: Path, column: str, values: np.ndarray, rows: int) -> None:
+    """DataError naming the file, the column and the file line of the first
+    of `values`, the text of data rows `rows` on, that holds unsafe text."""
+    texts = values.tolist()
+    if _UNSAFE_TEXT.search("".join(texts)):  # one search per block while every text is safe
+        row = next(i for i, text in enumerate(texts) if _UNSAFE_TEXT.search(text))
+        raise DataError(
+            f"{path}: column {column!r} holds {values[row]!r}, a control character or a lone surrogate, "
+            f"at {_data_line(path, rows + row)}"
+        )
+
+
+def _data_line(path: Path, row: int) -> str:
+    """Where data row `row` (from 0) of `path` sits: "line N", or "data row
+    N + 1" if the file changed since it was read."""
+    try:
+        line = next(islice((line for line, record in _records(path) if record), row + 1, None), None)
+    except (OSError, ValueError, csv.Error):
+        line = None
+    return f"line {line}" if line else f"data row {row + 1}"
 
 
 def _line_count(path: Path) -> int:
@@ -798,12 +840,7 @@ def _check_finite(path: Path, column: str, values: np.ndarray) -> None:
     if finite.all():
         return
     row = int(np.argmin(finite))
-    try:
-        line = next(islice((line for line, record in _records(path) if record), row + 1, None), None)
-    except (OSError, ValueError, csv.Error):
-        line = None  # the file changed since it was read
-    at = f"line {line}" if line else f"data row {row + 1}"
-    raise DataError(f"{path}: column {column!r} holds the non-finite value {values[row]} at {at}")
+    raise DataError(f"{path}: column {column!r} holds the non-finite value {values[row]} at {_data_line(path, row)}")
 
 
 def _csv_line(fields: list[str]) -> str:

@@ -643,14 +643,14 @@ def tiny_batch(seed: int = 0, num_windows: int = 3) -> PreparedBatch:
 
 def gradient_suite(seed: int = 0) -> dict:
     """Finite-difference verification of every analytic gradient, on shapes
-    small enough to check densely: the encoder alone, then the production
-    forward/backward over every model tensor. Returns {component:
-    GradCheckReport}."""
+    small enough to check densely: the encoder alone, over every row and
+    at read rows, then the production forward/backward over every model
+    tensor. Returns {component: GradCheckReport}."""
     if seed < 0:
         raise ConfigError(f"gradient check seed must be >= 0, got {seed}")
     reports = {}
-    # the checks draw from children 3-5 of a six-way spawn, which keeps the
-    # checked points of earlier releases reproducible
+    # the checks draw from children 0 and 3-5 of a six-way spawn, which keeps
+    # the checked points of earlier releases reproducible
     children = np.random.SeedSequence(seed).spawn(6)
 
     # encoder alone, input gradient included: tiny_config's two layers of
@@ -672,6 +672,30 @@ def gradient_suite(seed: int = 0) -> dict:
         return value, flat
 
     reports["encoder"] = grad_check(enc_fn, enc_point, max_coords_per_tensor=60)
+
+    # the encoder at read rows, its last block query-row attention: the sum
+    # of a pass reading one row per window and one reading three, unsorted
+    # with a repeat
+    rng = np.random.default_rng(children[0])
+    rows_point = _init_tensors(_group_shapes(cfg, "enc"), {"enc": rng})
+    rows_point["x"] = rng.normal(size=(2, 4, cfg.model_dim))
+    reads = [(np.array([[2], [1]]), rng.normal(size=(2, 1, cfg.model_dim)))]
+    reads.append((np.array([[3, 1, 3], [2, 0, 2]]), rng.normal(size=(2, 3, cfg.model_dim))))
+
+    def rows_fn(point):
+        layers = encoder_layers(point, cfg.depth)
+        value, flat = 0.0, {}
+        for rows, probe in reads:
+            out, cache = encoder_forward(point["x"], layers, cfg.heads, rows=rows)
+            value += float((out * probe).sum())
+            d_x, grads = encoder_backward(probe, cache, layers)
+            del cache  # its workspace claim ends before the next pass
+            named = {f"enc.{i}.{key}": g for i, layer in enumerate(grads) for key, g in layer.items()}
+            for key, g in {"x": d_x, **named}.items():
+                flat[key] = flat[key] + g if key in flat else g
+        return value, flat
+
+    reports["encoder_rows"] = grad_check(rows_fn, rows_point, max_coords_per_tensor=60)
 
     # full model: embedding scatter, positions, heads, codebook loss, all at once
     batch = tiny_batch(seed=int(children[4].generate_state(1)[0]))

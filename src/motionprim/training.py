@@ -51,7 +51,6 @@ logger = logging.getLogger("motionprim")
 
 CHECKPOINT_KIND = "checkpoint"
 MAX_KMEANS_SAMPLE = 16384
-CODEBOOK_INITS = ("kmeans-seeded", "random-normal")  # the first is the default
 SPLIT_FRACTION = 0.2  # fine-tuning's default share of each class's windows to train on
 
 
@@ -322,7 +321,6 @@ def pretrain(
     datasets: list[PreparedBatch],
     opt_config: OptimizerConfig,
     run_seed: int = 0,
-    codebook_init: str = CODEBOOK_INITS[0],
     weights: LossWeights = PRETRAIN_WEIGHTS,
 ) -> tuple[Model, list[dict]]:
     """Stage 1: joint optimization of codebook, embeddings, encoder, and
@@ -333,18 +331,12 @@ def pretrain(
     check_head_loss(PRETRAIN_POLICY, weights)
     if not datasets:
         raise DataError("pretraining needs at least one dataset")
-    if codebook_init not in CODEBOOK_INITS:
-        raise ConfigError(f"unknown codebook init {codebook_init!r}; known: {list(CODEBOOK_INITS)}")
-    codebook = None
-    if codebook_init == "kmeans-seeded":
-        sample = np.concatenate(
-            [ds.norm_segments.reshape(-1, config.segment_len) for ds in datasets]
-        )
-        if sample.shape[0] > MAX_KMEANS_SAMPLE:
-            rng = np.random.default_rng(np.random.SeedSequence([run_seed, 3]))
-            sample = sample[rng.choice(sample.shape[0], MAX_KMEANS_SAMPLE, replace=False)]
-        seed = int(np.random.SeedSequence([run_seed, 4]).generate_state(1)[0])
-        codebook = init_codebook(sample, config.codebook_size, seed)
+    sample = np.concatenate([ds.norm_segments.reshape(-1, config.segment_len) for ds in datasets])
+    if sample.shape[0] > MAX_KMEANS_SAMPLE:
+        rng = np.random.default_rng(np.random.SeedSequence([run_seed, 3]))
+        sample = sample[rng.choice(sample.shape[0], MAX_KMEANS_SAMPLE, replace=False)]
+    seed = int(np.random.SeedSequence([run_seed, 4]).generate_state(1)[0])
+    codebook = init_codebook(sample, config.codebook_size, seed)
     model = init_model(config, seed=run_seed, codebook=codebook)
     records = run_training(model, datasets, weights, opt_config, PRETRAIN_POLICY, run_seed, stage="pretrain")
     refresh_usage(model, datasets)
@@ -426,8 +418,8 @@ def evaluate(model: Model, batch: PreparedBatch, workers: int = 1) -> EvalMetric
     array, the attention weights, small enough to stay in cache, and splits
     them into shards that run on every CPU (see motionprim.encoder), so one
     part already keeps them all busy. Only the [CLS] row is read, so the
-    encoder's last block computes its query side at rows 0 and 1 alone
-    (see `model.forward`); the predictions are those of a full pass.
+    encoder's last block computes its query side at row 0 alone (see
+    `model.forward`).
     """
     if workers < 1:
         raise ConfigError(f"evaluate workers must be >= 1, got {workers}")

@@ -444,9 +444,11 @@ def layernorm_backward_reference(d_out, cache):
     return d_x, d_gamma, d_beta
 
 
-def attention_forward_reference(x, params, heads):
-    """Returns (out, cache) like encoder.attention_forward."""
-    q = _split_heads(x @ params["attn.wq"] + params["attn.bq"], heads)
+def attention_forward_reference(x, params, heads, rows=None):
+    """Returns (out, cache) like encoder.attention_forward: with `rows`
+    (B, r), plain query-row attention, the queries those rows of x."""
+    queries = x if rows is None else x[np.arange(len(x))[:, None], rows]
+    q = _split_heads(queries @ params["attn.wq"] + params["attn.bq"], heads)
     k = _split_heads(x @ params["attn.wk"] + params["attn.bk"], heads)
     v = _split_heads(x @ params["attn.wv"] + params["attn.bv"], heads)
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
@@ -454,12 +456,13 @@ def attention_forward_reference(x, params, heads):
     weights = softmax_reference(scores)
     merged = _merge_heads(weights @ v)
     out = merged @ params["attn.wo"] + params["attn.bo"]
-    return out, (x, q, k, v, weights, merged, scale)
+    return out, (x, q, k, v, weights, merged, scale) + (() if rows is None else (rows,))
 
 
 def attention_backward_reference(d_out, cache, params, heads):
-    """Returns (d_x, grads) like encoder.attention_backward."""
-    x, q, k, v, weights, merged, scale = cache
+    """Returns (d_x, grads) like encoder.attention_backward; a query-row
+    cache adds d q's input gradient to its rows with np.add.at."""
+    x, q, k, v, weights, merged, scale, *cut = cache
     grads = {"attn.wo": _weight_grad(merged, d_out), "attn.bo": d_out.sum(axis=(0, 1))}
     d_context = _split_heads(d_out @ params["attn.wo"].T, heads)
     d_weights = d_context @ v.swapaxes(-1, -2)
@@ -471,9 +474,14 @@ def attention_backward_reference(d_out, cache, params, heads):
     d_x = np.zeros_like(x)
     for name, dh in (("q", d_q), ("k", d_k), ("v", d_v)):
         flat = _merge_heads(dh)
-        grads[f"attn.w{name}"] = _weight_grad(x, flat)
+        if name == "q" and cut:
+            at = (np.arange(len(x))[:, None], cut[0])
+            grads["attn.wq"] = _weight_grad(x[at], flat)
+            np.add.at(d_x, at, flat @ params["attn.wq"].T)
+        else:
+            grads[f"attn.w{name}"] = _weight_grad(x, flat)
+            d_x += flat @ params[f"attn.w{name}"].T
         grads[f"attn.b{name}"] = flat.sum(axis=(0, 1))
-        d_x += flat @ params[f"attn.w{name}"].T
     return d_x, grads
 
 
@@ -492,22 +500,28 @@ def mlp_backward_reference(d_out, cache, params):
     return d_pre @ params["mlp.w1"].T, grads
 
 
-def encoder_forward_reference(x, layers, heads):
-    """Pre-norm residual stack; returns (out, per-layer caches)."""
+def encoder_forward_reference(x, layers, heads, rows=None):
+    """Pre-norm residual stack; returns (out, per-layer caches). With
+    `rows` (B, r) the last block is plain query-row attention at those
+    rows, and the output is theirs."""
+    at = None if rows is None else (np.arange(len(x))[:, None], rows)
     caches = []
-    for params in layers:
+    for i, params in enumerate(layers):
+        query_rows = rows if i == len(layers) - 1 else None
         normed1, ln1 = layernorm_forward_reference(x, params["ln1.gamma"], params["ln1.beta"])
-        attn_out, attn = attention_forward_reference(normed1, params, heads)
-        mid = x + attn_out
+        attn_out, attn = attention_forward_reference(normed1, params, heads, query_rows)
+        mid = (x if query_rows is None else x[at]) + attn_out
         normed2, ln2 = layernorm_forward_reference(mid, params["ln2.gamma"], params["ln2.beta"])
         mlp_out, mlp = mlp_forward_reference(normed2, params)
         x = mid + mlp_out
         caches.append((ln1, attn, ln2, mlp))
-    return x, caches
+    return (x if rows is None or layers else x[at]), caches
 
 
 def encoder_backward_reference(d_out, caches, layers, heads):
-    """Returns (d_input, per-layer grads) like encoder.encoder_backward."""
+    """Returns (d_input, per-layer grads) like encoder.encoder_backward; a
+    query-row block adds its residual's gradient to its rows with
+    np.add.at."""
     d_x = d_out
     all_grads = [dict() for _ in layers]
     for i in range(len(layers) - 1, -1, -1):
@@ -519,6 +533,10 @@ def encoder_backward_reference(d_out, caches, layers, heads):
         d_normed1, grads = attention_backward_reference(d_mid, attn, layers[i], heads)
         all_grads[i].update(grads)
         d_from_ln1, all_grads[i]["ln1.gamma"], all_grads[i]["ln1.beta"] = layernorm_backward_reference(d_normed1, ln1)
+        if len(attn) > 7:
+            residual = np.zeros(d_from_ln1.shape)
+            np.add.at(residual, (np.arange(len(residual))[:, None], attn[7]), d_mid)
+            d_mid = residual
         d_x = d_mid + d_from_ln1
     return d_x, all_grads
 

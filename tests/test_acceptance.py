@@ -106,9 +106,10 @@ def test_criterion_01_quantizer_matches_exhaustive_scan(capsys):
     assert ok, line
 
 
-def test_criterion_02_gradient_suite(capsys):
+@pytest.mark.parametrize("seed", range(5))
+def test_criterion_02_gradient_suite(capsys, seed):
     t0 = time.perf_counter()
-    reports = gradient_suite(seed=0)
+    reports = gradient_suite(seed=seed)
     elapsed = time.perf_counter() - t0
     worst = max(r.max_rel_err for r in reports.values())
     all_pass = all(r.passed for r in reports.values()) and worst < 1e-4

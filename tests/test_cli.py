@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from motionprim import cli, ingest, tensorfile, training
 from motionprim.errors import ConfigError
 from motionprim.model import ModelConfig, init_model
@@ -134,11 +135,12 @@ def test_config_hash_key_order_invariant():
 
 def test_config_hash_pins():
     # default run ids are "<command>-<hash prefix>", so these values must
-    # not move when the config code changes
+    # not move when the config code changes; they moved once when the
+    # `codebook_init` key was dropped (README, Run config reference)
     _, merged, _ = cli.load_run_config(None, [])
-    assert cli.config_hash(merged) == "d2ffb95ac8a495d6de9c8230385998995e3f2a3f742a2a4b6d52b07178c3c074"
+    assert cli.config_hash(merged) == "cdc6e575732f2704d85ce9b50b01cc063099fbddd60ab48436a2382bbbb9497e"
     _, merged, _ = cli.load_run_config(None, ["seed=7", "freeze=linear-probe", "model.depth=3", "run_id=null"])
-    assert cli.config_hash(merged) == "11abfcdcd8d9729852a89a155794299d721e73f3feac7343acb111c1f6a136f0"
+    assert cli.config_hash(merged) == "7ebc1afa308c97abda313ba47408b3c6511eac7fb6f600de05785154562b1185"
 
 
 def test_set_keeps_text_for_str_fields():
@@ -398,7 +400,7 @@ def test_every_command_types_the_run_config(workdir, tmp_path, capsys, command):
 @pytest.mark.parametrize("command, override", [
     ("finetune", "freeze=linear_probe"),
     ("finetune", "freeze=pretrain-all"),  # pretraining's policy freezes the head
-    ("pretrain", "codebook_init=kmeans"),
+    ("pretrain", "codebook_init=kmeans"),  # an unknown key: k-means is the only codebook init
     ("finetune", "split_fraction=1.5"),
     ("finetune", "split_fraction=0"),
     ("evaluate", "freeze=none"),
@@ -679,6 +681,57 @@ def test_synth_exit_2_on_colliding_column_names(tmp_path, capsys):
     assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
     assert "wrist_accelerometer_x" in _config_error(capsys)["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    {"classes": ["\ud800", "fast"]},  # exited 1 with an untyped UnicodeEncodeError
+    {"classes": ["a", "a\u0000"]},  # exited 0, and every load labelled all windows "a"
+    {"classes": ["slow", "fa\u000bst"]},
+    {"axis": "x\u0000"},
+    {"axis": "\u001f"},
+], ids=["lone-surrogate", "trailing-nul", "vertical-tab", "label-nul", "label-c0"])
+def test_synth_exit_2_on_a_name_that_would_not_round_trip(tmp_path, capsys, edit):
+    # a class name or channel label holding a C0 control other than tab,
+    # LF and CR, or a lone surrogate, is refused before anything is written
+    spec = copy.deepcopy(TINY_SPEC)
+    for cls, name in zip(spec["classes"], edit.get("classes", [])):
+        cls["name"] = name
+    if "axis" in edit:
+        spec["channels"][0]["axis"] = edit["axis"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
+    assert "control character or a lone surrogate" in _config_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_csv_labels_that_would_not_round_trip_are_refused(tmp_path, capsys):
+    # a hand-written data.csv labelled "a" and "a\0": a manifest that lists
+    # both classes is refused (exit 2), and one that lists "a" alone names the
+    # CSV line (exit 3), where both used to load every window as class "a"
+    spec = ingest.synthetic_spec_from_dict(TINY_SPEC)
+    oracles.write_data_csv(tmp_path / "data.csv", spec.column_names, ["a", "a\0"], ingest.synthesize_streams(spec))
+    channel = {"file": "data.csv", "native_rate": 10.0}
+    manifest = {
+        "name": "nul",
+        "target_rate": 10.0,
+        "window": 20,
+        "label": {"file": "data.csv", "column": "label", "native_rate": 10.0},
+        "channels": [{**channel, **meta, "column": column} for column, meta in zip(spec.column_names, TINY_SPEC["channels"])],
+    }
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_model(ModelConfig(**TINY_RUN["model"]), seed=0))
+    out = tmp_path / "out"
+    for classes, code in ((["a", "a\0"], 2), (["a"], 3)):
+        (tmp_path / "m.json").write_text(json.dumps({**manifest, "classes": classes}))
+        argv = ["evaluate", str(ckpt), str(tmp_path / "m.json"), "--set", f"out_dir={out}", "--set", "run_id=ev"]
+        assert cli.main(argv) == code, classes
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == ("config" if code == 2 else "data")
+        assert "control character or a lone surrogate" in record["message"]
+    # the first "a\0" row: the header, then 240 rows of class "a"
+    assert "'label' holds 'a\\x00'" in record["message"] and record["message"].endswith("at line 242")
+    assert not (tmp_path / ".data.csv.mpcache").exists()
 
 
 def test_exit_2_when_no_datasets(tmp_path, capsys):

@@ -145,7 +145,6 @@ def world(tmp_path_factory):
         "run_id": "fuzz",
         "freeze": "encoder-finetune",
         "split_fraction": 0.25,
-        "codebook_init": "kmeans-seeded",
         "provider": {"kind": "deterministic-hash", "seed": 0, "path": "unused.json"},
         "workers": 1,
     }
@@ -431,13 +430,27 @@ def test_a_manifest_rate_of_1e400_exits_3(world, capsys, tmp_path, where):
 
 # what the fuzzed names are made of: the CSV delimiter, its quote and line
 # ends, synth's format character, a comment character, a space and a tab,
-# non-ASCII letters and plain ones
+# non-ASCII letters and plain ones; and, in about one name in six, one
+# piece of text no name may hold, at its start, inside or at its end: NUL
+# (numpy's string arrays drop it from a name's end), a lone surrogate (no
+# UTF-8 file holds one) or another C0 control
 NAME_PIECES = [",", '"', "\r", "\n", "\r\n", "%", "#", " ", "\t", "ü", "É", "雪", "a", "b", "q"]
+UNSAFE_PIECES = ["\x00", "\ud800", "\udfff", "\x01", "\x0b", "\x1f"]
 
 
 def fuzzed_name(rng: random.Random, shortest: int) -> str:
     name = "".join(rng.choice(NAME_PIECES) for _ in range(rng.randint(shortest, 4)))
+    if rng.random() < 1 / 6:
+        at = rng.choice([0, len(name) // 2, len(name)])
+        name = name[:at] + rng.choice(UNSAFE_PIECES) + name[at:]
     return f" {name} " if rng.random() < 0.2 else name
+
+
+def unsafe(raw: dict) -> bool:
+    """Whether a fuzzed spec names a class or a channel with a piece of
+    UNSAFE_PIECES."""
+    names = [c["name"] for c in raw["classes"]] + [v for ch in raw["channels"] for v in ch.values()]
+    return any(piece in name for piece in UNSAFE_PIECES for name in names)
 
 
 def fuzzed_spec(rng: random.Random) -> dict:
@@ -467,15 +480,21 @@ def fuzzed_spec(rng: random.Random) -> dict:
 
 
 def test_synth_sidecar_name_fuzz(tmp_path, capsys):
-    # synth's sidecar is the one a cold parse of its CSV writes, and the
-    # windows both loads give are generate_synthetic's, whatever the names
+    # a name round-trips exactly or is refused: synth refuses a spec whose
+    # class names or channel labels hold unsafe text (exit 2); otherwise its
+    # sidecar is the one a cold parse of its CSV writes, and the windows
+    # both loads give are generate_synthetic's, whatever the names
     rng = random.Random(SEED + 7)
-    failures = {}
-    for case in range(30):
+    failures, refused = {}, 0
+    for case in range(40):
         raw = fuzzed_spec(rng)
         spec_path, out = tmp_path / f"spec{case}.json", tmp_path / f"data{case}"
         spec_path.write_text(json.dumps(raw))
         label = f"classes {[c['name'] for c in raw['classes']]!r}, channels {raw['channels']!r}"
+        if unsafe(raw):
+            refused += 1
+            failures.update(run_all(capsys, [(label, ["synth", str(spec_path), str(out)])]))
+            continue
         if cli.main(["synth", str(spec_path), str(out)]) != 0:
             failures[label] = f"synth failed: {capsys.readouterr().err.strip().splitlines()[-1:]}"
             continue
@@ -498,3 +517,4 @@ def test_synth_sidecar_name_fuzz(tmp_path, capsys):
             ] != [(w.label, w.samples.tobytes()) for w in want]:
                 failures[label] = f"{how} windows differ from generate_synthetic's"
     assert failures == {}
+    assert 5 <= refused <= 35

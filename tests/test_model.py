@@ -581,7 +581,8 @@ def test_repeated_mask_position_keeps_exact_gradients():
 def test_more_mask_positions_than_the_sequence(shards):
     # positions may repeat, so a window may mask more positions than its
     # sequence has: a forward-only pass returns the training pass's rows and
-    # losses bit for bit, with the [CLS] row too, at 1 and 2 CPUs
+    # losses bit for bit, with the [CLS] row too, at 1 and 2 CPUs, and both
+    # rows are the query-row reference's over the embedded batch
     cfg = tiny_config()
     model = init_model(cfg, seed=17)
     batch = tiny_batch(seed=18, num_windows=3)
@@ -594,6 +595,10 @@ def test_more_mask_positions_than_the_sequence(shards):
         assert sliced.hidden.shape[1] > layout.seq_len
         assert np.array_equal(sliced.hidden_rows, whole.hidden_rows)
         assert np.array_equal(sliced.hidden, whole.hidden)
+        x, _, _ = oracles.embed_batch(model.params, layout, whole.indices, batch.stats, batch.meta, mask)
+        layers = model_module.encoder_layers(model.params, cfg.depth)
+        want, _ = oracles.encoder_forward_reference(x, layers, cfg.heads, whole.hidden_rows)
+        assert np.array_equal(whole.hidden, want)
         assert (sliced.mae_loss, sliced.cls_loss, sliced.vq_loss, sliced.loss) == (
             whole.mae_loss, whole.cls_loss, whole.vq_loss, whole.loss
         )
@@ -649,7 +654,7 @@ def test_gradient_suite_full_model_checks_every_input_coordinate():
     # the input-side tensors and the codebook are small enough that the
     # full-model check covers each of their coordinates through backward
     reports = gradient_suite(seed=0)
-    assert set(reports) == {"encoder", "full_model"}
+    assert set(reports) == {"encoder", "encoder_rows", "full_model"}
     checked = {}
     for entry in reports["full_model"].entries:
         checked.setdefault(entry.name, set()).add(entry.coordinate)
