@@ -16,12 +16,12 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from . import tensorfile
+from . import _parallel, tensorfile
 from .errors import CheckpointError, ConfigError, DataError
 from .schema import check_fields, from_dict, read_json
 
@@ -234,6 +234,8 @@ class SyntheticSpec:
         _check_rate(self.rate)
         if len(self.classes) < 2:
             raise ConfigError("a synthetic spec needs at least 2 classes")
+        if not self.channels:
+            raise ConfigError("channels must list at least 1 channel")
         if len(set(self.class_names)) < len(self.classes):
             raise ConfigError(f"class names must be unique, got {self.class_names}")
         _check_names("class name", self.class_names)
@@ -332,7 +334,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SensorWindow]:
 def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
     """Parse the documented JSON schema into a SyntheticSpec; a channel
     without a `native_rate` takes the spec's `rate`, and one with another
-    rate is refused."""
+    rate or an empty label is refused, naming the channel."""
     if isinstance(raw, dict) and isinstance(raw.get("channels"), list):
         rate = raw.get("rate", DEFAULT_TARGET_RATE)
         # a bad rate is reported as itself, not as the native_rate of a
@@ -345,6 +347,11 @@ def synthetic_spec_from_dict(raw: dict) -> SyntheticSpec:
             for i, ch in enumerate(raw["channels"]):
                 if isinstance(ch, dict) and type(ch.get("native_rate")) in (int, float):
                     _check_channel_rate(i, ch["native_rate"], rate)
+        for i, ch in enumerate(raw["channels"]):
+            for key in ("body_part", "sensor", "axis"):
+                # the channel metadata's own check names no key (a manifest's exits 3)
+                if isinstance(ch, dict) and ch.get(key) == "":
+                    raise ConfigError(f"channels[{i}].{key} must be non-empty")
         channels = [{"native_rate": rate, **ch} if isinstance(ch, dict) else ch for ch in raw["channels"]]
         raw = {"rate": rate, **raw, "channels": channels}
     return from_dict(SyntheticSpec, raw, "synthetic spec")
@@ -851,12 +858,25 @@ def _csv_line(fields: list[str]) -> str:
     return buf.getvalue()
 
 
+def _format_rows(row: str, block: np.ndarray) -> bytes:
+    """The CSV text of `block`'s rows, each through the template `row`."""
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
 def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     """Materialize a synthetic spec as CSV + sidecar + manifest; returns the
     manifest path. Loading the manifest reproduces `generate_synthetic(spec)`
-    windows bit-exactly (values are written with full repr precision). Each
-    class stream is formatted and written `_WRITE_ROWS` rows at a time, so
-    the writer holds one block's text besides the streams.
+    windows bit-exactly (values are written with full repr precision).
+
+    The CSV body is cut into blocks of `_WRITE_ROWS` rows of one class, in
+    file order, and formatted on every CPU by `_parallel.fork_map`: block i
+    by worker i % k, the workers other than this process forked before the
+    CSV is opened (one worker where `os.fork` is missing or one CPU is
+    usable). This process formats its own blocks and writes and hashes
+    every block in order, so besides the streams it holds one block's text
+    at a time, its own or one received, and each child the text of the
+    block it formats; the bytes do not depend on k. A child that dies, and
+    every other failed write, raise OSError, and no file is left.
 
     The CSV's sha256 is taken from the bytes as they are written, and the
     sidecar a cold parse of the file would write follows it: the manifest's
@@ -869,23 +889,21 @@ def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:
     streams = synthesize_streams(spec)
     channel_names = spec.column_names
     sha256 = hashlib.sha256()
+    blocks = []
+    for cls, stream in zip(spec.classes, streams):
+        # a row's end: a comma, the label, the line end; `%` is literal
+        row = ",".join(["%r"] * stream.shape[1]) + _csv_line(["", cls.name]).replace("%", "%%")
+        blocks += [(row, stream[start : start + _WRITE_ROWS]) for start in range(0, len(stream), _WRITE_ROWS)]
 
-    def write_data(fh) -> None:
-        def put(text: str) -> None:
-            data = text.encode()
+    def write_data(fh, texts) -> None:
+        for data in chain([_csv_line(channel_names + ["label"]).encode()], texts):
             sha256.update(data)
             fh.write(data)
-
-        put(_csv_line(channel_names + ["label"]))
-        for cls, stream in zip(spec.classes, streams):
-            # a row's end: a comma, the label, the line end; `%` is literal
-            row = ",".join(["%r"] * stream.shape[1]) + _csv_line(["", cls.name]).replace("%", "%%")
-            for start in range(0, len(stream), _WRITE_ROWS):
-                block = stream[start : start + _WRITE_ROWS]
-                put((row * len(block)) % tuple(block.ravel().tolist()))
+            del data  # before the next block is made
 
     data_path = out_dir / "data.csv"
-    tensorfile.publish(data_path, write_data)
+    with _parallel.fork_map(lambda i: _format_rows(*blocks[i]), len(blocks)) as texts:
+        tensorfile.publish(data_path, lambda fh: write_data(fh, texts))
     names, codes = _factorize(spec.class_names)
     _write_sidecar(
         data_path,

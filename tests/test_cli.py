@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from motionprim import cli, ingest, tensorfile, training
+from motionprim import _parallel, cli, ingest, tensorfile, training
 from motionprim.errors import ConfigError
 from motionprim.model import ModelConfig, init_model
 from motionprim.training import save_checkpoint
@@ -703,6 +703,71 @@ def test_synth_exit_2_on_a_name_that_would_not_round_trip(tmp_path, capsys, edit
     assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
     assert "control character or a lone surrogate" in _config_error(capsys)["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_synth_exit_2_on_an_empty_channel_list(tmp_path, capsys):
+    # exited 0 with a header of one column, rows of two fields and a
+    # manifest that every command refused
+    spec = {**TINY_SPEC, "channels": [], "classes": [{**cls, "waveforms": []} for cls in TINY_SPEC["classes"]]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
+    assert "channels" in _config_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["body_part", "sensor", "axis"])
+def test_synth_exit_2_on_an_empty_channel_label_naming_it(tmp_path, capsys, key):
+    # was the channel metadata's DataError (exit 3), which named no key
+    spec = copy.deepcopy(TINY_SPEC)
+    spec["channels"][1][key] = ""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
+    assert _config_error(capsys)["message"] == f"channels[1].{key} must be non-empty"
+    assert not (tmp_path / "out").exists()
+
+
+class FullAfter:
+    """A binary file that takes `writes` writes, then has no space left."""
+
+    def __init__(self, fh, writes: int) -> None:
+        self.fh, self.writes = fh, writes
+
+    def write(self, data: bytes) -> int:
+        self.writes -= 1
+        if self.writes < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("fault", ["child-exits", "parent-write-fails"])
+def test_synth_that_fails_mid_write_leaves_no_file_and_no_child(tmp_path, monkeypatch, capsys, fault):
+    # three workers over blocks of 16 rows: a forked formatter that dies,
+    # or a write of this process that fails, while the others are busy
+    monkeypatch.setattr(_parallel, "cpus", lambda: 3)
+    monkeypatch.setattr(ingest, "_WRITE_ROWS", 16)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    if fault == "child-exits":
+        parent, format_rows = os.getpid(), ingest._format_rows
+        monkeypatch.setattr(ingest, "_format_rows", lambda *a: format_rows(*a) if os.getpid() == parent else os._exit(1))
+    else:
+        publish = tensorfile.publish
+        monkeypatch.setattr(
+            tensorfile,
+            "publish",
+            lambda path, write: publish(path, lambda fh: write(FullAfter(fh, 3) if Path(path).name == "data.csv" else fh)),
+        )
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SPEC))
+    assert cli.main(["synth", str(spec_path), str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "output", record
+    assert len(forks) == 2
+    assert list((tmp_path / "out").iterdir()) == []  # no data.csv, no temporary file
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_csv_labels_that_would_not_round_trip_are_refused(tmp_path, capsys):

@@ -567,6 +567,45 @@ def test_writer_bytes_match_csv_writer_oracle(tmp_path, each_block_size):
             assert got.samples.tobytes() == want.samples.tobytes()
 
 
+def written_sha256(spec, out) -> dict:
+    """The sha256 of each file `write_synthetic_dataset` writes for `spec`."""
+    write_synthetic_dataset(spec, out)
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in WRITTEN}
+
+
+WRITTEN = ("data.csv", ".data.csv.mpcache", "manifest.json")
+# data.csv and its sidecar for the bench spec at seed 0 (500k rows), as one
+# process formatting every block wrote them
+BENCH_SHA256 = {
+    "data.csv": "b02dae27efc0098f35741172bcf5981a1f7859eec61f0c1ba76fde180d8409ba",
+    ".data.csv.mpcache": "b6d7c0c8f80781b69ce1587e821a23b1ffd29a9f1f9bfabcec81714df6200a23",
+}
+
+
+@pytest.mark.parametrize("spec, blocks, pinned", [
+    (bench_spec(seed=0, windows_per_class=250), 64, BENCH_SHA256),  # 15 whole blocks and a part per class
+    (small_spec(seed=2), 2, {}),  # fewer blocks than 3 workers
+    (bench_spec(seed=5, windows_per_class=17), 8, {}),  # 8500 rows a class: a block and a part
+    (bench_spec(seed=5, windows_per_class=3), 4, {}),  # each class shorter than a block
+], ids=["bench", "fewer-blocks-than-workers", "part-block", "class-shorter-than-a-block"])
+def test_written_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, spec, blocks, pinned):
+    # block i is formatted by worker i % k, k = min(cpus, blocks), the
+    # workers past the first forked; every file is the bytes of k = 1
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(ingest._parallel, "cpus", lambda: 1)
+    want = written_sha256(spec, tmp_path / "cpus1")
+    assert forks == []
+    assert {name: want[name] for name in pinned} == pinned
+    for cpus in (2, 3):
+        monkeypatch.setattr(ingest._parallel, "cpus", lambda: cpus)
+        forks.clear()
+        assert written_sha256(spec, tmp_path / f"cpus{cpus}") == want
+        assert len(forks) == min(cpus, blocks) - 1
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
 # ---------------------------------------------------------------------------
 # CSV parsing: what loads, what fails typed, and exact float parsing
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -118,3 +119,28 @@ def test_no_src_module_scatters_with_a_ufunc_at():
     np.bincount with np.add.at's bits, at a fraction of the time of a ufunc's
     `.at`, so no module of src calls one."""
     assert [call for path in sorted(SRC.glob("*.py")) for call in ufunc_at_calls(path)] == []
+
+
+SIZED_MODULE = '''"""A module docstring
+on two lines."""
+
+import os
+
+# a comment on its own line
+
+
+def joined(name):
+    """A function docstring."""
+    return os.sep + name  # a trailing comment
+'''
+
+
+def test_src_size_counts_lines_and_code_lines(tmp_path, capsys):
+    # 11 lines, of which the import, the def and the return are code
+    spec = importlib.util.spec_from_file_location("src_size", ROOT / "tools" / "src_size.py")
+    src_size = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_size)
+    (tmp_path / "sized.py").write_text(SIZED_MODULE)
+    assert src_size.sizes(tmp_path / "sized.py") == (11, 3)
+    assert src_size.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["module", "lines", "code", "sized.py", "11", "3", "total", "11", "3"]
